@@ -2,7 +2,12 @@
 // FeaturePlan / MultiFeaturePlan JSON files, binds each to the relevant
 // table(s) of a built-in dataset scenario, and serves entity feature lookups
 // over HTTP with request coalescing, admission control and plan hot-swap
-// (see internal/serve).
+// (see internal/serve). Coalescing is group commit: each plan runs one
+// transform pass at a time, a request at an idle plan starts its pass at
+// once, and requests arriving during a pass share the next one (at most
+// -max-batch rows each). Request bodies are capped at serve.MaxBodyBytes
+// (413 above it), and slow or idle connections are cut by fixed read and
+// idle timeouts.
 //
 // Usage:
 //
@@ -38,9 +43,9 @@
 // dataset:split=column scenario rebuilds the per-value shards of the
 // relevant table and binds a MultiFeaturePlan across them.
 //
-// SIGTERM / SIGINT shut the daemon down gracefully: the listener stops, the
-// coalescer's pending micro-batches flush, in-flight requests drain, and the
-// process exits 0.
+// SIGTERM / SIGINT shut the daemon down gracefully: the listener stops,
+// in-flight and queued requests finish on their plans' running passes, and
+// the process exits 0.
 //
 // -loadgen switches to load-generation mode: the daemon starts in-process,
 // hammers itself with concurrent clients, prints the p50/p99 latency and
@@ -107,8 +112,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		rows        = fs.Int("rows", 400, "training rows of the regenerated dataset (match the fit)")
 		logs        = fs.Int("logs", 8, "mean relevant rows per training key (match the fit)")
 		seed        = fs.Int64("seed", 1, "dataset seed (match the fit)")
-		window      = fs.Duration("window", serve.DefaultCoalesceWindow, "request-coalescing window (negative disables coalescing)")
-		maxBatch    = fs.Int("max-batch", serve.DefaultMaxBatchRows, "flush a pending micro-batch at this many rows")
+		maxBatch    = fs.Int("max-batch", serve.DefaultMaxBatchRows, "cap on the rows of one coalesced pass (1 gives every request its own pass)")
 		maxInflight = fs.Int("max-inflight", serve.DefaultMaxInflightRows, "reject requests beyond this many in-flight rows per plan (429)")
 		verbose     = fs.Bool("v", false, "log serving events to stderr")
 		loadgen     = fs.Bool("loadgen", false, "load-generation mode: serve in-process, measure latency/throughput, exit")
@@ -138,7 +142,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	d := gen(datagen.Options{TrainRows: *rows, LogsPerKey: *logs, Seed: *seed})
 
-	cfg := serve.Config{CoalesceWindow: *window, MaxBatchRows: *maxBatch, MaxInflightRows: *maxInflight}
+	cfg := serve.Config{MaxBatchRows: *maxBatch, MaxInflightRows: *maxInflight}
 	if *verbose {
 		cfg.Logf = func(format string, args ...interface{}) {
 			fmt.Fprintf(stderr, format+"\n", args...)
@@ -168,7 +172,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	fmt.Fprintf(stdout, "feataugd: listening on http://%s\n", ln.Addr())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
@@ -178,8 +182,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	case <-ctx.Done():
 	}
-	// Graceful drain: stop accepting, let in-flight requests finish, flush
-	// pending micro-batches, then exit 0.
+	// Graceful drain: stop accepting, let in-flight and queued requests
+	// finish, then exit 0.
 	fmt.Fprintln(stdout, "feataugd: shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -189,6 +193,28 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	srv.Drain()
 	fmt.Fprintln(stdout, "feataugd: drained")
 	return nil
+}
+
+// Connection timeouts of the daemon's HTTP servers. A client gets
+// readHeaderTimeout to send its request headers and readTimeout for the whole
+// request, body included (a body is at most serve.MaxBodyBytes); a kept-alive
+// connection with no next request is closed after idleTimeout. There is no
+// write timeout: a response waits on the plan's transform pass, which
+// admission control already bounds.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer wraps h in an http.Server with the daemon's timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // parseScenario splits "dataset" / "dataset:split=column" (the cmd/feataug
@@ -243,7 +269,7 @@ func runLoadgen(ctx context.Context, srv *serve.Server, d *datagen.Dataset, plan
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	go func() { _ = httpSrv.Serve(ln) }()
 	defer httpSrv.Close()
 

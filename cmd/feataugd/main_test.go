@@ -90,7 +90,6 @@ func TestDaemonEndToEnd(t *testing.T) {
 			"-addr", "127.0.0.1:0",
 			"-data", "student", "-rows", "150", "-logs", "4", "-seed", "1",
 			"-plan", "student=" + planPath,
-			"-window", "1ms",
 		}, lw.w, &stderr)
 	}()
 

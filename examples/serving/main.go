@@ -98,7 +98,7 @@ func main() {
 	// ---- Online: load the plan into a server and listen on loopback. ----
 	// The binding points the plan at the feature store it was fitted
 	// against — here the same in-memory log table.
-	srv := serve.NewServer(serve.Config{}) // default 2ms window, admission limits
+	srv := serve.NewServer(serve.Config{}) // group-commit coalescing, default batch and admission limits
 	if err := srv.AddPlan("kindle", planJSON, serve.PlanBinding{Relevant: logs}); err != nil {
 		log.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func main() {
 			p.Plan, p.Version, p.Requests, p.Rows, p.SoloBatches, p.CoalescedBatches, p.SwapCount)
 	}
 
-	// ---- Drain: stop the listener, flush pending micro-batches, exit. ----
+	// ---- Drain: stop the listener, finish queued requests, exit. ----
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,7 @@
 package dataframe
 
+import "sync"
+
 // GroupIndex is a precomputed partition of a table's rows by a key-set: every
 // row is assigned an integer group id (numbered in first-seen order), so
 // repeated grouping work against the same (table, key-set) pair reduces to
@@ -13,7 +15,9 @@ type GroupIndex struct {
 	repr    []int    // first row of each group
 	sizes   []int    // rows per group
 	keyStrs []string // composite key string per group, first-seen order
-	extIDs  map[string]int
+
+	idsOnce sync.Once
+	ids     map[string]int // key string -> gid, built by the first Lookup or Extend
 }
 
 // BuildGroupIndex scans the table once and assigns every row its group id
@@ -301,28 +305,24 @@ func (g *GroupIndex) newGroup(i int, c *Column) int {
 // index is identical to one rebuilt from scratch over the grown table — for
 // any build path, including after a dictionary re-encode (extension keys on
 // composite values, not codes). The first Extend re-derives a key→gid map
-// from keyStrs (O(groups)); later calls pay O(delta). Must run under the
-// table's mutation contract (no concurrent scans).
+// from keyStrs (O(groups)) unless Lookup already did; later calls pay
+// O(delta). Must run under the table's mutation contract (no concurrent
+// scans or Lookups).
 func (g *GroupIndex) Extend() {
 	n := g.src.nrows
 	old := len(g.rowGID)
 	if old >= n {
 		return
 	}
-	if g.extIDs == nil {
-		g.extIDs = make(map[string]int, len(g.keyStrs))
-		for gid, k := range g.keyStrs {
-			g.extIDs[k] = gid
-		}
-	}
+	g.idsOnce.Do(g.buildIDs)
 	buf := make([]byte, 0, 48)
 	for i := old; i < n; i++ {
 		buf = appendRowKey(buf[:0], i, g.keys)
-		gid, ok := g.extIDs[string(buf)]
+		gid, ok := g.ids[string(buf)]
 		if !ok {
 			gid = len(g.repr)
 			k := string(buf)
-			g.extIDs[k] = gid
+			g.ids[k] = gid
 			g.repr = append(g.repr, i)
 			g.sizes = append(g.sizes, 0)
 			g.keyStrs = append(g.keyStrs, k)
@@ -330,6 +330,24 @@ func (g *GroupIndex) Extend() {
 		g.rowGID = append(g.rowGID, gid)
 		g.sizes[gid]++
 	}
+}
+
+// buildIDs derives the key -> gid map from keyStrs.
+func (g *GroupIndex) buildIDs() {
+	g.ids = make(map[string]int, len(g.keyStrs))
+	for gid, k := range g.keyStrs {
+		g.ids[k] = gid
+	}
+}
+
+// Lookup returns the id of the group whose composite key string (Key's
+// bytes) is key. The first Lookup builds the key map in O(groups); every
+// later one is a single map probe, and Extend keeps the map current. Safe
+// for concurrent use with other reads of the index.
+func (g *GroupIndex) Lookup(key string) (int, bool) {
+	g.idsOnce.Do(g.buildIDs)
+	gid, ok := g.ids[key]
+	return gid, ok
 }
 
 // NumGroups returns the number of distinct composite keys.

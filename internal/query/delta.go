@@ -20,8 +20,8 @@ package query
 //	         re-intersected over the same tail, identity rows grown;
 //	private  per-executor plan discovery extended over the delta rows, the
 //	         per-plan aggregate state (attrState) advanced in row order with
-//	         only dirty groups re-sorted, join rToD mappings extended over
-//	         new relevant-side groups.
+//	         only dirty groups re-sorted, unmatched train groups of join
+//	         entries re-resolved against the grown relevant side.
 //
 // Every advance helper is idempotent (entries record the rows they cover),
 // so a plan advance can refresh a mask or group index that was evicted from
@@ -416,10 +416,11 @@ func (e *Executor) advancePlan(ent *planEntry) (int64, bool) {
 	return scanned, true
 }
 
-// advanceJoin maps relevant-side groups created by the delta through the
-// retained train-side lookup; the training table itself is frozen from this
-// executor's perspective, so existing mappings never change. Caller holds the
-// fence in write mode.
+// advanceJoin re-resolves the train groups that had no relevant-side match
+// through the (extended) relevant-side key lookup: the delta may have created
+// their group. Existing matches never change — appends never renumber groups,
+// and the training table itself is frozen from this executor's perspective.
+// Caller holds the fence in write mode.
 func (e *Executor) advanceJoin(ent *joinEntry) {
 	if ent.err != nil {
 		return
@@ -429,11 +430,11 @@ func (e *Executor) advanceJoin(ent *joinEntry) {
 		ent.err = err
 		return
 	}
-	for rg := len(ent.rToD); rg < rIdx.NumGroups(); rg++ {
-		if dg, ok := ent.lookup[rIdx.Key(rg)]; ok {
-			ent.rToD = append(ent.rToD, dg)
-		} else {
-			ent.rToD = append(ent.rToD, -1)
+	for dg, rg := range ent.dToR {
+		if rg < 0 {
+			if rg, ok := rIdx.Lookup(ent.idx.Key(dg)); ok {
+				ent.dToR[dg] = rg
+			}
 		}
 	}
 }
@@ -496,21 +497,22 @@ func (st *attrState) servesAll(fns []agg.Func) bool {
 	return true
 }
 
-// extract serves one function from the retained state, through the same
-// helpers the scan path's extractPair uses — expression-identical, so served
-// values match a fresh scan bit for bit.
-func (st *attrState) extract(fn agg.Func, counts []int, ngroups int) pairResult {
+// extract serves one function from the retained state for the touched local
+// groups (result t is group touched[t]), through the same helpers the scan
+// path's extractPair uses — expression-identical, so served values match a
+// fresh scan bit for bit.
+func (st *attrState) extract(fn agg.Func, counts []int, touched []int) pairResult {
 	if !st.useString && streamable(fn) {
-		return streamExtract(fn, st.nvalid, st.sum, st.min, st.max, st.ss, st.m4, ngroups)
+		return streamExtract(fn, st.nvalid, st.sum, st.min, st.max, st.ss, st.m4, touched)
 	}
-	vals := make([]float64, ngroups)
-	valid := make([]bool, ngroups)
+	vals := make([]float64, len(touched))
+	valid := make([]bool, len(touched))
 	var devbuf []float64
-	for li := 0; li < ngroups; li++ {
+	for t, li := range touched {
 		if st.useString {
-			vals[li], valid[li] = sortedStringAgg(fn, st.sortS[li], counts[li])
+			vals[t], valid[t] = sortedStringAgg(fn, st.sortS[li], counts[li])
 		} else {
-			vals[li], valid[li] = sortedFloatAgg(fn, &devbuf, st.sortF[li], counts[li])
+			vals[t], valid[t] = sortedFloatAgg(fn, &devbuf, st.sortF[li], counts[li])
 		}
 	}
 	return pairResult{vals: vals, valid: valid}

@@ -936,6 +936,7 @@ func grabFloats(buf *[]float64, n int) []float64 {
 // be shared across the queries of one plan group; they are read-only.
 type execResult struct {
 	gi      *dataframe.GroupIndex
+	local   []int // gid -> local index + 1 (the plan's discovery map)
 	repr    []int
 	vals    []float64
 	valid   []bool
@@ -1025,7 +1026,7 @@ func (e *Executor) executeCore(q Query) (execResult, error) {
 		e.mu.Lock()
 		e.stats.CountOnlyQueries++
 		e.mu.Unlock()
-		return execResult{gi: pe.gi, repr: pe.repr, vals: vals, valid: valid}, nil
+		return execResult{gi: pe.gi, local: pe.local, repr: pe.repr, vals: vals, valid: valid}, nil
 	}
 	if !allNull && ngroups > 0 {
 		sc := corePool.Get().(*coreScratch)
@@ -1088,25 +1089,26 @@ func (e *Executor) executeCore(q Query) (execResult, error) {
 		corePool.Put(sc)
 	}
 
-	return execResult{gi: pe.gi, repr: pe.repr, vals: vals, valid: valid}, nil
+	return execResult{gi: pe.gi, local: pe.local, repr: pe.repr, vals: vals, valid: valid}, nil
 }
 
 // joinEntry caches the training-table side of Augment's join for one
-// (training table, key-set) pair: the train-side group index plus the
-// mapping from relevant-table group ids to train-side group ids. With it,
-// joining a query's feature onto the training table is pure integer
-// indexing — the per-query string re-hash of the whole training table that
-// LeftJoin would do is paid once per key-set instead. The index itself comes
-// from the shared JoinCache (it depends only on d and the keys), so executors
-// over different relevant tables reuse each other's build; only the rToD
-// mapping is computed per executor.
+// (training table, key-set) pair: the train-side group index plus each train
+// group's relevant-side group id. With it, joining a query's feature onto the
+// training table is pure integer indexing — the per-query string re-hash of
+// the whole training table that LeftJoin would do is paid once per key-set
+// instead. The index itself comes from the shared JoinCache (it depends only
+// on d and the keys), so executors over different relevant tables reuse each
+// other's build; only the dToR mapping is computed per executor, by probing
+// the relevant-side index's retained key lookup (GroupIndex.Lookup) with each
+// train group's key. An entry therefore costs O(train groups) — a handful
+// for a serving request — however many groups the relevant table holds.
 type joinEntry struct {
-	once   sync.Once
-	keys   []string              // join key-set (for delta advances)
-	idx    *dataframe.GroupIndex // over d's key columns, from the shared cache
-	lookup map[string]int        // train key string -> train gid (retained for advances)
-	rToD   []int                 // relevant gid -> train gid, -1 = no match
-	err    error
+	once sync.Once
+	keys []string              // join key-set (for delta advances)
+	idx  *dataframe.GroupIndex // over d's key columns, from the shared cache
+	dToR []int                 // train gid -> relevant gid, -1 = no match
+	err  error
 }
 
 type joinKey struct {
@@ -1143,20 +1145,12 @@ func (e *Executor) joinIndex(d *dataframe.Table, keys []string) (*joinEntry, err
 			ent.err = err
 			return
 		}
-		// The lookup is retained: when appends grow the relevant-side index,
-		// the delta advance maps only the NEW relevant groups through it (the
-		// training table itself is epoch-frozen from the executor's view).
-		lookup := make(map[string]int, ent.idx.NumGroups())
-		for dg := 0; dg < ent.idx.NumGroups(); dg++ {
-			lookup[ent.idx.Key(dg)] = dg
-		}
-		ent.lookup = lookup
-		ent.rToD = make([]int, rIdx.NumGroups())
-		for rg := 0; rg < rIdx.NumGroups(); rg++ {
-			if dg, ok := lookup[rIdx.Key(rg)]; ok {
-				ent.rToD[rg] = dg
+		ent.dToR = make([]int, idx.NumGroups())
+		for dg := range ent.dToR {
+			if rg, ok := rIdx.Lookup(idx.Key(dg)); ok {
+				ent.dToR[dg] = rg
 			} else {
-				ent.rToD[rg] = -1
+				ent.dToR[dg] = -1
 			}
 		}
 	})
@@ -1183,12 +1177,13 @@ func (e *Executor) AugmentValues(d *dataframe.Table, q Query) ([]float64, []bool
 }
 
 // scatterScratch holds the per-scatter train-group mapping (and, for the
-// fused path, the per-row local map), recycled through a pool so neither the
-// per-query fallback nor the fused per-group scatter allocates O(train
-// groups) or O(rows(D)) scratch per use.
+// fused path, the per-row local map and the touched-group marks), recycled
+// through a pool so neither the per-query fallback nor the fused per-group
+// scatter allocates O(train groups) or O(rows(D)) scratch per use.
 type scatterScratch struct {
 	dgToLocal []int
 	rowLocal  []int32
+	mark      []int32 // local group -> touched position + 1; all zero between uses
 }
 
 // grabInts32 returns a length-n int32 slice backed by *buf; contents are
@@ -1216,10 +1211,10 @@ func (e *Executor) scatter(d *dataframe.Table, q Query, er execResult) ([]float6
 	vals := make([]float64, n)
 	valid := make([]bool, n)
 	sc := scatterPool.Get().(*scatterScratch)
-	dgToLocal := grabInts(&sc.dgToLocal, jn.idx.NumGroups()) // train gid -> local index + 1
-	for li, r := range er.repr {
-		if dg := jn.rToD[er.gi.GroupOf(r)]; dg >= 0 {
-			dgToLocal[dg] = li + 1
+	dgToLocal := grabInts(&sc.dgToLocal, len(jn.dToR)) // train gid -> local index + 1
+	for dg, rg := range jn.dToR {
+		if rg >= 0 && rg < len(er.local) {
+			dgToLocal[dg] = er.local[rg]
 		}
 	}
 	dRowGID := jn.idx.RowGroups()
@@ -1434,14 +1429,10 @@ func (e *Executor) augmentMatrixCore(ctx context.Context, d *dataframe.Table, qs
 		}
 		return m, nil
 	}
-	// One plan-group partition serves both stages: shared scans, then the
-	// shared train-side scatter.
-	order := e.groupBatch(qs)
-	ers, err := e.executeGrouped(ctx, qs, order, false)
-	if err != nil {
+	if err := e.checkBatch(qs); err != nil {
 		return nil, err
 	}
-	if err := e.scatterBatch(ctx, d, qs, ers, order, m); err != nil {
+	if err := e.augmentGrouped(ctx, d, e.groupBatch(qs), m); err != nil {
 		return nil, err
 	}
 	return m, nil

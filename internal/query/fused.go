@@ -101,14 +101,6 @@ func (e *Executor) groupBatch(qs []Query) []*fusedGroup {
 // tables. DisableFusion falls back to the per-query core, preserving the
 // legacy one-scan-per-query behaviour for benchmarks and differential tests.
 func (e *Executor) executeBatchCore(ctx context.Context, qs []Query, withKeyCols bool) ([]execResult, error) {
-	return e.executeGrouped(ctx, qs, nil, withKeyCols)
-}
-
-// executeGrouped is executeBatchCore over a precomputed plan-group partition
-// (nil means compute it here); AugmentValuesBatch passes the partition down
-// so the scatter stage shares it instead of re-deriving every query's mask
-// signature.
-func (e *Executor) executeGrouped(ctx context.Context, qs []Query, order []*fusedGroup, withKeyCols bool) ([]execResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -131,24 +123,20 @@ func (e *Executor) executeGrouped(ctx context.Context, qs []Query, order []*fuse
 		return results, nil
 	}
 
-	// Cheap per-query validation up front, so plan groups can assume well-
-	// formed members and errors carry the offending query's SQL.
-	for _, q := range qs {
-		if len(q.Keys) == 0 {
-			return nil, fmt.Errorf("%s: query: execute with no group-by keys", q.SQL("R"))
-		}
-		if e.core.t.Column(q.AggAttr) == nil {
-			return nil, fmt.Errorf("%s: query: no aggregation column %q", q.SQL("R"), q.AggAttr)
-		}
+	if err := e.checkBatch(qs); err != nil {
+		return nil, err
 	}
+	order := e.groupBatch(qs)
 
-	if order == nil {
-		order = e.groupBatch(qs)
-	}
-
+	// Every group of the plan is touched: results carry one row per
+	// non-empty group.
 	err := par.ForEachCtx(ctx, e.Parallelism, len(order), func(gidx int) error {
 		g := order[gidx]
-		prs, pe, err := e.runPlanGroup(ctx, g)
+		pe, err := e.groupPlan(g)
+		if err != nil {
+			return err
+		}
+		prs, err := e.runPlanGroup(ctx, g, pe, allGroups(len(pe.repr)))
 		if err != nil {
 			return err
 		}
@@ -156,23 +144,53 @@ func (e *Executor) executeGrouped(ctx context.Context, qs []Query, order []*fuse
 		if withKeyCols {
 			keyCols = takeKeyCols(pe.gi, pe.repr)
 		}
-		fused := int64(0)
 		for _, pair := range g.order {
 			pr := prs[pair]
 			for _, qi := range g.slots[pair] {
-				results[qi] = execResult{gi: pe.gi, repr: pe.repr, vals: pr.vals, valid: pr.valid, keyCols: keyCols}
-				fused++
+				results[qi] = execResult{gi: pe.gi, local: pe.local, repr: pe.repr, vals: pr.vals, valid: pr.valid, keyCols: keyCols}
 			}
 		}
-		e.mu.Lock()
-		e.stats.FusedQueries += fused
-		e.mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return results, nil
+}
+
+// checkBatch is the fused paths' cheap per-query validation, run up front so
+// plan groups can assume well-formed members and errors carry the offending
+// query's SQL.
+func (e *Executor) checkBatch(qs []Query) error {
+	for _, q := range qs {
+		if len(q.Keys) == 0 {
+			return fmt.Errorf("%s: query: execute with no group-by keys", q.SQL("R"))
+		}
+		if e.core.t.Column(q.AggAttr) == nil {
+			return fmt.Errorf("%s: query: no aggregation column %q", q.SQL("R"), q.AggAttr)
+		}
+	}
+	return nil
+}
+
+// groupPlan returns a plan group's cached discovery entry, with errors
+// carrying the group's representative SQL.
+func (e *Executor) groupPlan(g *fusedGroup) (*planEntry, error) {
+	pe, err := e.plan(g.keys, g.preds)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", g.rep.SQL("R"), err)
+	}
+	return pe, nil
+}
+
+// allGroups lists local groups 0..n-1: the touched set of a caller that
+// wants every group of a plan.
+func allGroups(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 // attrScan is the per-attribute state of a plan group's shared scans: the
@@ -242,17 +260,20 @@ func needsMoments(fn agg.Func) bool {
 	return false
 }
 
-// runPlanGroup executes one plan group: cached discovery, then the shared
-// passes feeding every requested (attr, func) pair. The context is observed
-// between the per-attribute scans, so a batch that collapsed into one huge
-// plan group still cancels promptly (the per-worker check in the batch loop
-// runs only once for such a batch).
-func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup) (map[aggPair]pairResult, *planEntry, error) {
-	pe, err := e.plan(g.keys, g.preds)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", g.rep.SQL("R"), err)
-	}
+// runPlanGroup evaluates one plan group over its discovery entry pe: the
+// shared passes feeding every requested (attr, func) pair — skipped for
+// attributes whose retained state already serves them — then extraction of
+// each pair for the local groups in touched only. Results are indexed like
+// touched, so a warm pass costs O(len(touched)) however many groups the plan
+// holds: ExecuteBatch touches every group, an augment only the groups its
+// training rows join. Each group's value is computed alone, so a touched
+// subset is bit-identical to the same groups of a full extraction. The
+// context is observed between the per-attribute scans, so a batch that
+// collapsed into one huge plan group still cancels promptly (the per-worker
+// check in the batch loop runs only once for such a batch).
+func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntry, touched []int) (map[aggPair]pairResult, error) {
 	ngroups := len(pe.repr)
+	nt := len(touched)
 	out := make(map[aggPair]pairResult, len(g.order))
 
 	// Snapshot the plan's retained aggregate state (delta.go): attributes whose
@@ -299,13 +320,13 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup) (map[aggPair
 		case as.useString && !fn.SupportsStrings():
 			// A numeric aggregate over a categorical attribute is undefined:
 			// an all-NULL feature, no scan work.
-			out[pair] = pairResult{vals: make([]float64, ngroups), valid: make([]bool, ngroups)}
+			out[pair] = pairResult{vals: make([]float64, nt), valid: make([]bool, nt)}
 		case fn == agg.Count:
 			// COUNT depends only on the (cached) per-group row counts.
-			vals := make([]float64, ngroups)
-			valid := make([]bool, ngroups)
-			for li, n := range pe.counts {
-				vals[li], valid[li] = float64(n), true
+			vals := make([]float64, nt)
+			valid := make([]bool, nt)
+			for t, li := range touched {
+				vals[t], valid[t] = float64(pe.counts[li]), true
 			}
 			out[pair] = pairResult{vals: vals, valid: valid}
 		default:
@@ -356,7 +377,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup) (map[aggPair
 	if len(scanList) > 0 && ngroups > 0 {
 		for _, as := range scanList {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if as.needBuf && !e.DisableCountingSort {
 				if dom := e.domain(as.col); dom.ok {
@@ -364,7 +385,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup) (map[aggPair
 				}
 			}
 			if err := as.scan(ctx, e, pe, ngroups); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
@@ -390,12 +411,17 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup) (map[aggPair
 			continue
 		}
 		if st := served[pair.attr]; st != nil {
-			out[pair] = st.extract(pair.fn, pe.counts, ngroups)
+			out[pair] = st.extract(pair.fn, pe.counts, touched)
 			continue
 		}
-		out[pair] = extractPair(pair.fn, attrs[pair.attr], pe.counts, ngroups)
+		out[pair] = extractPair(pair.fn, attrs[pair.attr], pe.counts, touched)
 	}
-	return out, pe, nil
+	e.mu.Lock()
+	for _, pair := range g.order {
+		e.stats.FusedQueries += int64(len(g.slots[pair]))
+	}
+	e.mu.Unlock()
+	return out, nil
 }
 
 // scan runs the attribute's shared table scan(s) and extraction. When any
@@ -666,39 +692,40 @@ func (as *attrScan) streamScan(ctx context.Context, e *Executor, pe *planEntry, 
 }
 
 // extractPair turns one attribute's accumulators (or sorted buffers) into the
-// final per-group values of one aggregation function, reproducing
-// agg.Func.Apply's formulas — including expression order, so floats match bit
-// for bit.
-func extractPair(fn agg.Func, as *attrScan, counts []int, ngroups int) pairResult {
+// final values of one aggregation function for the touched local groups
+// (result t is group touched[t]), reproducing agg.Func.Apply's formulas —
+// including expression order, so floats match bit for bit.
+func extractPair(fn agg.Func, as *attrScan, counts []int, touched []int) pairResult {
 	if !as.useString && streamable(fn) {
-		return streamExtract(fn, as.nvalid, as.sum, as.min, as.max, as.ss, as.m4, ngroups)
+		return streamExtract(fn, as.nvalid, as.sum, as.min, as.max, as.ss, as.m4, touched)
 	}
 	// Buffered path: compute from the group's sorted value segment. Each
 	// extractor reproduces its agg.Func counterpart exactly — same empty-group
 	// conventions, same tie-breaks, same floating-point accumulation order
 	// (distinct values ascending, the order agg sorts its map keys into).
-	vals := make([]float64, ngroups)
-	valid := make([]bool, ngroups)
-	for li := 0; li < ngroups; li++ {
+	vals := make([]float64, len(touched))
+	valid := make([]bool, len(touched))
+	for t, li := range touched {
 		seg := as.offs[li]
 		end := as.fill[li]
 		if as.useString {
-			vals[li], valid[li] = sortedStringAgg(fn, as.sbuf[seg:end], counts[li])
+			vals[t], valid[t] = sortedStringAgg(fn, as.sbuf[seg:end], counts[li])
 		} else {
-			vals[li], valid[li] = sortedFloatAgg(fn, &as.devbuf, as.fbuf[seg:end], counts[li])
+			vals[t], valid[t] = sortedFloatAgg(fn, &as.devbuf, as.fbuf[seg:end], counts[li])
 		}
 	}
 	return pairResult{vals: vals, valid: valid}
 }
 
-// streamExtract serves one streamable function from per-group accumulators,
-// reproducing agg.Func.Apply's formulas — including expression order, so
-// floats match bit for bit. Shared by the fresh-scan path (extractPair) and
-// the retained-state path (attrState.extract in delta.go).
-func streamExtract(fn agg.Func, nvalid []int, sum, mn, mx, ss, m4 []float64, ngroups int) pairResult {
-	vals := make([]float64, ngroups)
-	valid := make([]bool, ngroups)
-	for li := 0; li < ngroups; li++ {
+// streamExtract serves one streamable function from per-group accumulators
+// for the touched local groups (result t is group touched[t]), reproducing
+// agg.Func.Apply's formulas — including expression order, so floats match
+// bit for bit. Shared by the fresh-scan path (extractPair) and the
+// retained-state path (attrState.extract in delta.go).
+func streamExtract(fn agg.Func, nvalid []int, sum, mn, mx, ss, m4 []float64, touched []int) pairResult {
+	vals := make([]float64, len(touched))
+	valid := make([]bool, len(touched))
+	for t, li := range touched {
 		nv := nvalid[li]
 		if nv == 0 {
 			continue // (0, false): aggregate of an all-NULL group
@@ -706,27 +733,27 @@ func streamExtract(fn agg.Func, nvalid []int, sum, mn, mx, ss, m4 []float64, ngr
 		nvf := float64(nv)
 		switch fn {
 		case agg.Sum:
-			vals[li], valid[li] = sum[li], true
+			vals[t], valid[t] = sum[li], true
 		case agg.Min:
-			vals[li], valid[li] = mn[li], true
+			vals[t], valid[t] = mn[li], true
 		case agg.Max:
-			vals[li], valid[li] = mx[li], true
+			vals[t], valid[t] = mx[li], true
 		case agg.Avg:
-			vals[li], valid[li] = sum[li]/nvf, true
+			vals[t], valid[t] = sum[li]/nvf, true
 		case agg.Var:
-			vals[li], valid[li] = ss[li]/nvf, true
+			vals[t], valid[t] = ss[li]/nvf, true
 		case agg.VarSample:
 			if nv < 2 {
 				continue
 			}
-			vals[li], valid[li] = ss[li]/nvf*nvf/float64(nv-1), true
+			vals[t], valid[t] = ss[li]/nvf*nvf/float64(nv-1), true
 		case agg.Std:
-			vals[li], valid[li] = math.Sqrt(ss[li]/nvf), true
+			vals[t], valid[t] = math.Sqrt(ss[li]/nvf), true
 		case agg.StdSample:
 			if nv < 2 {
 				continue
 			}
-			vals[li], valid[li] = math.Sqrt(ss[li]/nvf*nvf/float64(nv-1)), true
+			vals[t], valid[t] = math.Sqrt(ss[li]/nvf*nvf/float64(nv-1)), true
 		case agg.Kurtosis:
 			if nv < 4 {
 				continue
@@ -736,7 +763,7 @@ func streamExtract(fn agg.Func, nvalid []int, sum, mn, mx, ss, m4 []float64, ngr
 				continue
 			}
 			k4 := m4[li] / nvf
-			vals[li], valid[li] = k4/(m2*m2)-3, true
+			vals[t], valid[t] = k4/(m2*m2)-3, true
 		}
 	}
 	return pairResult{vals: vals, valid: valid}

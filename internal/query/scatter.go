@@ -6,13 +6,16 @@ package query
 // training table with a freshly allocated train-group mapping. This file
 // extends plan-group fusion across the train-side boundary: the batch is
 // grouped by the same (key-set, WHERE-mask signature) plan groups as the
-// execute path, and each group builds ONE dgToLocal mapping and runs ONE pass
-// over the training table that writes every query's feature column in the
-// same loop. Queries sharing a (plan group, agg pair) are served by one
-// column, matching the slice sharing of the fused execute path. Results are
-// bit-identical to the per-query scatter (the differential tests enforce it):
-// the per-group projection tables fold the NULL/NaN convention before the
-// pass, so the row loop is branch-free integer indexing.
+// execute path, and each group builds ONE train-group mapping and runs ONE
+// pass over the training table that writes every query's feature column in
+// the same loop. Queries sharing a (plan group, agg pair) are served by one
+// column, matching the slice sharing of the fused execute path. The mapping
+// names only the plan groups the training rows join (touchedGroups), and
+// aggregates are extracted for those alone, so the pass is sized by the
+// training table, not the relevant one. Results are bit-identical to the
+// per-query scatter (the differential tests enforce it): the per-group
+// projection tables fold the NULL/NaN convention before the pass, so the row
+// loop is branch-free integer indexing.
 
 import (
 	"context"
@@ -101,52 +104,56 @@ type scatterCol struct {
 	valid []bool
 }
 
-// scatterBatch maps every query's group values onto d's rows through one
-// shared pass per plan group, reusing the batch partition the execute stage
-// grouped (order), and writes into m's columns. ers must come from the fused
-// execute path, so queries of one plan group share gi/repr. Each distinct
+// augmentGrouped is the fused augment: per plan group of the batch partition
+// (order), the join resolves d's train groups to the plan's local groups
+// (touchedGroups), runPlanGroup extracts every pair for those groups only,
+// and one shared pass over d scatters them into m's columns. Each distinct
 // (plan group, agg pair) is scattered once, into its first query's column;
-// duplicate queries are filled by copy.
-func (e *Executor) scatterBatch(ctx context.Context, d *dataframe.Table, qs []Query, ers []execResult, order []*fusedGroup, m *FeatureMatrix) error {
+// duplicate queries are filled by copy. Every step is sized by d — its rows
+// and the groups they join — so a warm pass for a few request rows costs a
+// few rows' work however large the relevant table is.
+func (e *Executor) augmentGrouped(ctx context.Context, d *dataframe.Table, order []*fusedGroup, m *FeatureMatrix) error {
 	n := d.NumRows()
 	return par.ForEachCtx(ctx, e.Parallelism, len(order), func(gidx int) error {
 		g := order[gidx]
-		er := ers[g.repSlot]
+		pe, err := e.groupPlan(g)
+		if err != nil {
+			return err
+		}
 		jn, err := e.joinIndex(d, g.rep.Keys)
 		if err != nil {
 			return fmt.Errorf("%s: %w", g.rep.SQL("R"), err)
 		}
 		sc := scatterPool.Get().(*scatterScratch)
 		defer scatterPool.Put(sc)
-		dgToLocal := grabInts(&sc.dgToLocal, jn.idx.NumGroups()) // train gid -> local index + 1
-		for li, r := range er.repr {
-			if dg := jn.rToD[er.gi.GroupOf(r)]; dg >= 0 {
-				dgToLocal[dg] = li + 1
-			}
+		touched, dgToT := sc.touchedGroups(pe, jn)
+		prs, err := e.runPlanGroup(ctx, g, pe, touched)
+		if err != nil {
+			return err
 		}
-		ngroups := len(er.repr)
+		nt := len(touched)
 		ncols := len(g.order)
-		// One slab holds every column's projection table.
-		pslab := make([]projSlot, (ngroups+1)*ncols)
+		// One slab holds every column's projection table: slot t+1 serves
+		// touched group t, slot 0 a join miss.
+		pslab := make([]projSlot, (nt+1)*ncols)
 		cols := make([]scatterCol, ncols)
 		for ci, pair := range g.order {
-			per := ers[g.slots[pair][0]]
+			pr := prs[pair]
 			c := &cols[ci]
-			lo := ci * (ngroups + 1)
-			c.proj = pslab[lo : lo+ngroups+1 : lo+ngroups+1]
-			for li := 0; li < ngroups; li++ {
-				v := per.vals[li]
+			lo := ci * (nt + 1)
+			c.proj = pslab[lo : lo+nt+1 : lo+nt+1]
+			for t, v := range pr.vals {
 				// NaN aggregates are NULL, matching NewFloatColumn + Floats
 				// (and the per-query scatter).
-				if per.valid[li] && !math.IsNaN(v) {
-					c.proj[li+1] = projSlot{v: v, ok: true}
+				if pr.valid[t] && !math.IsNaN(v) {
+					c.proj[t+1] = projSlot{v: v, ok: true}
 				}
 			}
 			c.vals, c.valid = m.Col(g.slots[pair][0])
 		}
 
-		// The shared pass over the training table: resolve each row's local
-		// group once — the random-access half of the scatter (row -> train
+		// The shared pass over the training table: resolve each row's touched
+		// slot once — the random-access half of the scatter (row -> train
 		// group -> plan-group slot) that the per-query path repeats for every
 		// query — into a compact sequential map. The pass walks the training
 		// table morsel by morsel, observing the context at each boundary.
@@ -159,7 +166,7 @@ func (e *Executor) scatterBatch(ctx context.Context, d *dataframe.Table, qs []Qu
 			}
 			e.noteMorsel()
 			for row := bl[0]; row < bl[1]; row++ {
-				rowLocal[row] = int32(dgToLocal[dRowGID[row]])
+				rowLocal[row] = int32(dgToT[dRowGID[row]])
 			}
 		}
 
@@ -200,4 +207,37 @@ func (e *Executor) scatterBatch(ctx context.Context, d *dataframe.Table, qs []Qu
 		e.mu.Unlock()
 		return nil
 	})
+}
+
+// touchedGroups resolves d's train groups through the join to the plan
+// group's local groups. touched lists each local group some train group
+// joins, in order of first join over train group ids; dgToT[dg] is the
+// 1-based position in touched of train group dg's local group, 0 on a join
+// miss or a group empty under the plan's mask. The cost is O(train groups):
+// sc.mark dedupes local groups and is reset entry by entry afterwards, so no
+// O(plan groups) array is cleared per call.
+func (sc *scatterScratch) touchedGroups(pe *planEntry, jn *joinEntry) ([]int, []int) {
+	if len(sc.mark) < len(pe.repr) {
+		sc.mark = make([]int32, len(pe.repr))
+	}
+	mark := sc.mark
+	dgToT := grabInts(&sc.dgToLocal, len(jn.dToR))
+	touched := make([]int, 0, min(len(jn.dToR), len(pe.repr)))
+	for dg, rg := range jn.dToR {
+		if rg < 0 || rg >= len(pe.local) || pe.local[rg] == 0 {
+			continue
+		}
+		li := pe.local[rg] - 1
+		t := mark[li]
+		if t == 0 {
+			touched = append(touched, li)
+			t = int32(len(touched))
+			mark[li] = t
+		}
+		dgToT[dg] = int(t)
+	}
+	for _, li := range touched {
+		mark[li] = 0
+	}
+	return touched, dgToT
 }

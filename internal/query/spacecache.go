@@ -35,7 +35,10 @@ func NewSpaceCache(r *dataframe.Table, opts SpaceOptions) *SpaceCache {
 }
 
 // Space returns the search space of a template's query pool, equivalent to
-// BuildSpace(r, t, opts) but reusing cached per-attribute domains.
+// BuildSpace(r, t, opts) but reusing cached per-attribute domains. Spaces and
+// domains build outside the lock; when two callers race to build the same
+// one, the first to store it wins and both return the stored value, so every
+// caller sees one instance per key.
 func (c *SpaceCache) Space(t Template) (*Space, error) {
 	key := templateKey(t)
 	c.mu.Lock()
@@ -51,8 +54,11 @@ func (c *SpaceCache) Space(t Template) (*Space, error) {
 	}
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if stored, ok := c.spaces[key]; ok {
+		return stored, nil
+	}
 	c.spaces[key] = s
-	c.mu.Unlock()
 	return s, nil
 }
 
@@ -69,8 +75,11 @@ func (c *SpaceCache) predDim(attr string) (predDim, error) {
 		return predDim{}, err
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if stored, ok := c.dims[attr]; ok {
+		return stored, nil
+	}
 	c.dims[attr] = pd
-	c.mu.Unlock()
 	return pd, nil
 }
 

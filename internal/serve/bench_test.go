@@ -4,17 +4,14 @@ import (
 	"context"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // benchServer stands up an HTTP server over a 200k-row relevant table with a
-// 5-query plan — big enough that one AugmentMatrix pass dominates request
-// cost, the regime coalescing is built for.
-func benchServer(b *testing.B, window time.Duration) (*Server, *httptest.Server) {
+// 5-query plan, capping each coalesced pass at maxBatchRows rows.
+func benchServer(b *testing.B, maxBatchRows int) (*Server, *httptest.Server) {
 	rel := testRelevant(b, 200_000, 5_000, 42)
 	srv := NewServer(Config{
-		CoalesceWindow:  window,
-		MaxBatchRows:    4096,
+		MaxBatchRows:    maxBatchRows,
 		MaxInflightRows: 1 << 20,
 	})
 	if err := srv.AddPlan("bench", testPlanJSON(b, 5), PlanBinding{Relevant: rel}); err != nil {
@@ -32,8 +29,8 @@ func benchServer(b *testing.B, window time.Duration) (*Server, *httptest.Server)
 
 // benchLoad drives 16 closed-loop HTTP clients issuing 4-row requests until
 // b.N requests have been served, reporting throughput and latency
-// percentiles. The coalesced and solo variants differ only in the window, so
-// req/s ratio between them is the coalescing speedup at 16 clients.
+// percentiles. The coalesced and solo variants differ only in MaxBatchRows,
+// so the req/s ratio between them is the coalescing speedup at 16 clients.
 func benchLoad(b *testing.B, srv *Server, ts *httptest.Server) {
 	const clients = 16
 	reqs := b.N/clients + 1
@@ -65,15 +62,15 @@ func benchLoad(b *testing.B, srv *Server, ts *httptest.Server) {
 }
 
 // BenchmarkServeCoalesced16 is the serving configuration: 16 concurrent
-// clients micro-batched through the default 2ms window.
+// clients, every request queued behind a running pass riding the next one.
 func BenchmarkServeCoalesced16(b *testing.B) {
-	srv, ts := benchServer(b, DefaultCoalesceWindow)
+	srv, ts := benchServer(b, 4096)
 	benchLoad(b, srv, ts)
 }
 
 // BenchmarkServeSolo16 is the one-request-per-pass baseline: same 16
-// clients, coalescing disabled, every request pays its own fused pass.
+// clients, MaxBatchRows 1, so every 4-row request pays its own fused pass.
 func BenchmarkServeSolo16(b *testing.B) {
-	srv, ts := benchServer(b, -1)
+	srv, ts := benchServer(b, 1)
 	benchLoad(b, srv, ts)
 }

@@ -2,40 +2,40 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/dataframe"
 	"repro/internal/query"
 )
 
 // coalescer micro-batches concurrent transform requests against one plan
-// into single fused AugmentMatrix passes. The engine is batch-shaped: a pass
-// pays the relevant-table scans and per-group projection tables once however
-// many request rows ride on it, so fusing k small requests into one pass
-// costs roughly one request's engine work instead of k. Requests accumulate
-// until the window timer fires or the pending batch reaches maxRows,
-// whichever comes first; the batch runs as one pass and each waiter gets its
-// row range scattered back. Results are bit-identical to a solo pass — each
-// row's features depend only on its join keys against the relevant table,
-// never on the other rows sharing the pass (the differential test enforces
-// this).
+// into single fused AugmentMatrix passes by group commit: at most one pass
+// runs at a time, a request that finds no pass running starts one at once on
+// its own goroutine, and requests that arrive while a pass runs queue up.
+// When a pass finishes, the queue runs as the next pass — whole requests up
+// to maxRows (at least one), any remainder left for the pass after — on a
+// fresh goroutine, so the finishing caller returns straight away. There is no
+// timer: a lone request never waits for company, and every queued request
+// has a running pass that will serve it (swap and drain need no flush).
+//
+// Results are bit-identical to a solo pass — each row's features depend only
+// on its join keys against the relevant table, never on the other rows
+// sharing the pass (the differential test enforces this).
 type coalescer struct {
 	tr      Transformer
-	window  time.Duration
 	maxRows int
-	// onBatch receives (waiters, rows) after each flush for stats.
+	// onBatch receives (waiters, rows) after each pass for stats.
 	onBatch func(waiters, rows int)
 
 	mu      sync.Mutex
-	pending []*waiter
-	rows    int
-	gen     uint64 // guards stale window timers; bumped at every flush
+	running bool      // a pass is in flight; new requests queue
+	pending []*waiter // requests queued for the next pass, arrival order
 }
 
-// waiter is one enqueued request: its typed key table and the channel its
-// scattered result arrives on (buffered, so a flush never blocks on a waiter
-// that gave up).
+// waiter is one request: its typed key table and the channel its scattered
+// result arrives on (buffered, so a pass never blocks on a waiter that gave
+// up).
 type waiter struct {
 	tbl  *dataframe.Table
 	rows int
@@ -48,96 +48,95 @@ type waitResult struct {
 	err       error
 }
 
-func newCoalescer(tr Transformer, window time.Duration, maxRows int, onBatch func(waiters, rows int)) *coalescer {
-	return &coalescer{tr: tr, window: window, maxRows: maxRows, onBatch: onBatch}
+func newCoalescer(tr Transformer, maxRows int, onBatch func(waiters, rows int)) *coalescer {
+	return &coalescer{tr: tr, maxRows: maxRows, onBatch: onBatch}
 }
 
-// do serves one request table: solo when coalescing is disabled (window < 0),
-// otherwise enqueued into the pending micro-batch. It blocks until the
-// result is scattered back or ctx is cancelled; on cancellation the batch
-// still runs for its other waiters and this waiter's slice is dropped.
+// do serves one request table. On an idle coalescer the request runs its own
+// pass inline and returns that pass's result; otherwise it queues for the
+// pass after the running one and blocks until its rows are scattered back or
+// ctx is cancelled (the pass then still serves the other waiters, and this
+// waiter's slice is dropped).
 func (c *coalescer) do(ctx context.Context, tbl *dataframe.Table) waitResult {
-	if c.window < 0 {
-		m, err := c.tr.Matrix(ctx, tbl)
-		if err == nil {
-			c.onBatch(1, tbl.NumRows())
-		}
-		return waitResult{m: m, err: err}
-	}
 	w := &waiter{tbl: tbl, rows: tbl.NumRows(), ch: make(chan waitResult, 1)}
 	c.mu.Lock()
-	c.pending = append(c.pending, w)
-	c.rows += w.rows
-	if c.rows >= c.maxRows {
-		// Batch is full: flush inline on this request's goroutine.
-		batch, rows := c.takeLocked()
+	if c.running {
+		c.pending = append(c.pending, w)
 		c.mu.Unlock()
-		c.run(batch, rows)
-	} else {
-		if len(c.pending) == 1 {
-			// First waiter opens the window.
-			gen := c.gen
-			time.AfterFunc(c.window, func() { c.flushGen(gen) })
+		select {
+		case res := <-w.ch:
+			return res
+		case <-ctx.Done():
+			return waitResult{err: ctx.Err()}
 		}
-		c.mu.Unlock()
 	}
-	select {
-	case res := <-w.ch:
-		return res
-	case <-ctx.Done():
-		return waitResult{err: ctx.Err()}
-	}
-}
-
-// takeLocked claims the pending batch. Callers hold c.mu.
-func (c *coalescer) takeLocked() ([]*waiter, int) {
-	batch, rows := c.pending, c.rows
-	c.pending, c.rows = nil, 0
-	c.gen++
-	return batch, rows
-}
-
-// flushGen is the window-timer path: it flushes only if the batch the timer
-// was opened for is still pending (gen matches), so a timer racing a
-// maxRows flush never cuts the next batch's window short.
-func (c *coalescer) flushGen(gen uint64) {
-	c.mu.Lock()
-	if c.gen != gen || len(c.pending) == 0 {
-		c.mu.Unlock()
-		return
-	}
-	batch, rows := c.takeLocked()
+	c.running = true
 	c.mu.Unlock()
-	c.run(batch, rows)
+	c.pass([]*waiter{w})
+	return <-w.ch
 }
 
-// flush force-runs whatever is pending — the hot-swap and drain paths use it
-// so waiters parked on an outgoing plan state complete on that state's
-// transformer without waiting out the window.
-func (c *coalescer) flush() {
+// pass runs one batch, then hands whatever queued meanwhile to the next pass
+// on a new goroutine, or marks the coalescer idle when nothing did.
+func (c *coalescer) pass(batch []*waiter) {
+	c.run(batch)
 	c.mu.Lock()
 	if len(c.pending) == 0 {
+		c.running = false
 		c.mu.Unlock()
 		return
 	}
-	batch, rows := c.takeLocked()
+	next := c.takeLocked()
 	c.mu.Unlock()
-	c.run(batch, rows)
+	go c.pass(next)
+}
+
+// takeLocked claims the next batch from the queue: whole requests in arrival
+// order while they fit in maxRows, and always at least one, so a request
+// larger than maxRows runs alone. Callers hold c.mu with a non-empty queue.
+func (c *coalescer) takeLocked() []*waiter {
+	n, rows := 1, c.pending[0].rows
+	for n < len(c.pending) && rows+c.pending[n].rows <= c.maxRows {
+		rows += c.pending[n].rows
+		n++
+	}
+	batch := c.pending[:n:n]
+	if n == len(c.pending) {
+		c.pending = nil
+	} else {
+		c.pending = append([]*waiter(nil), c.pending[n:]...)
+	}
+	return batch
 }
 
 // run executes one batch as a single fused pass and scatters row ranges back
 // to the waiters. The pass runs under context.Background(): a batch serves
 // many requests, so one caller's cancellation must not abort the others
-// (cancelled callers stop waiting in do; their rows compute harmlessly).
-func (c *coalescer) run(batch []*waiter, rows int) {
+// (cancelled callers stop waiting in do; their rows compute harmlessly). A
+// panicking pass fails only its own batch: the chain of passes must keep
+// going, or every queued and later request would wait forever.
+func (c *coalescer) run(batch []*waiter) {
+	defer func() {
+		if p := recover(); p != nil {
+			err := fmt.Errorf("serve: transform pass panicked: %v", p)
+			for _, w := range batch {
+				select {
+				case w.ch <- waitResult{err: err}:
+				default: // already answered
+				}
+			}
+		}
+	}()
 	var d *dataframe.Table
 	var err error
+	rows := 0
 	if len(batch) == 1 {
-		d = batch[0].tbl
+		d, rows = batch[0].tbl, batch[0].rows
 	} else {
 		tbls := make([]*dataframe.Table, len(batch))
 		for i, w := range batch {
 			tbls[i] = w.tbl
+			rows += w.rows
 		}
 		d, err = dataframe.Concat(tbls...)
 	}
@@ -151,14 +150,13 @@ func (c *coalescer) run(batch []*waiter, rows int) {
 		}
 		return
 	}
-	coalesced := len(batch) > 1
 	if len(batch) == 1 {
 		batch[0].ch <- waitResult{m: m}
 	} else {
 		lo := 0
 		for _, w := range batch {
 			hi := lo + w.rows
-			w.ch <- waitResult{m: m.RowSlice(lo, hi), coalesced: coalesced}
+			w.ch <- waitResult{m: m.RowSlice(lo, hi), coalesced: true}
 			lo = hi
 		}
 	}

@@ -2,12 +2,36 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 
 	"repro/internal/dataframe"
 	"repro/internal/query"
 )
+
+// MaxBodyBytes caps every request body the server reads: transform keys,
+// append rows and swapped plan JSON. A body over the cap fails with
+// ErrBodyTooLarge (413) as soon as the read crosses it, before anything is
+// decoded into tables. 8 MiB is far above any body the row budgets admit
+// (DefaultMaxInflightRows key rows are well under 1 MiB of JSON).
+const MaxBodyBytes = 8 << 20
+
+// limitBody caps r's body at MaxBodyBytes.
+func limitBody(w http.ResponseWriter, r *http.Request) io.Reader {
+	return http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+}
+
+// bodyError types a failure to read or decode a request body: crossing
+// MaxBodyBytes is ErrBodyTooLarge, anything else ErrBadRequest.
+func bodyError(what string, err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return fmt.Errorf("%w: %s: over %d bytes", ErrBodyTooLarge, what, tooLarge.Limit)
+	}
+	return fmt.Errorf("%w: %s: %v", ErrBadRequest, what, err)
+}
 
 // keyCol is one join-key column of a plan's request schema: the column name
 // and the physical kind request values must carry, resolved at bind time
@@ -54,7 +78,7 @@ func decodeRows(r io.Reader, spec []keyCol) (*dataframe.Table, error) {
 	dec.UseNumber()
 	var req transformRequest
 	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, bodyError("decoding transform rows", err)
 	}
 	return rowsToTable(req.Rows, spec)
 }
@@ -165,7 +189,7 @@ func decodeAppendRows(r io.Reader, t *dataframe.Table) (*dataframe.Table, error)
 	dec.UseNumber()
 	var req transformRequest
 	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, bodyError("decoding append rows", err)
 	}
 	n := len(req.Rows)
 	if n == 0 {

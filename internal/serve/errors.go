@@ -12,6 +12,8 @@ var (
 	// into a typed key table: not JSON, no rows, a missing or null key, or a
 	// value of the wrong kind for its key column. 400.
 	ErrBadRequest = errors.New("serve: bad request")
+	// ErrBodyTooLarge reports a request body over MaxBodyBytes. 413.
+	ErrBodyTooLarge = errors.New("serve: request body too large")
 	// ErrOverloaded reports an admission-control rejection: accepting the
 	// request's rows would push the plan past its bounded in-flight row
 	// budget. The typed 429 — clients should back off and retry.

@@ -3,12 +3,15 @@
 // transformer per named plan — each wired to the process-level join cache
 // and scan scheduler, so the engine state the fit warmed stays hot — and
 // serves entity feature lookups over HTTP. The core primitive is request
-// coalescing (coalesce.go): the engine underneath is batch-shaped, so
-// concurrent requests against one plan are micro-batched into single fused
-// AugmentMatrix passes instead of paying one relevant-table pass each.
-// Around it: bounded-in-flight admission control (typed 429), atomic plan
-// hot-swap with drain-on-old semantics, a stats endpoint merging serve-side
-// counters with engine ExecutorStats, and graceful drain for shutdown.
+// coalescing by group commit (coalesce.go): each plan runs at most one fused
+// AugmentMatrix pass at a time, a request arriving at an idle plan starts a
+// pass at once, and requests arriving during a pass ride the next one
+// together — no timer, so a lone request pays only its own pass, and a warm
+// pass costs in proportion to the request rows it serves. Around it:
+// bounded-in-flight admission control (typed 429), capped request bodies
+// (typed 413), atomic plan hot-swap with drain-on-old semantics, a stats
+// endpoint merging serve-side counters with engine ExecutorStats, and
+// graceful drain for shutdown.
 package serve
 
 import (
@@ -21,7 +24,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dataframe"
 	"repro/internal/feataug"
@@ -44,13 +46,10 @@ type Transformer interface {
 
 // Config tunes a Server. Zero values select serving defaults.
 type Config struct {
-	// CoalesceWindow bounds how long the first request of a micro-batch
-	// waits for company. 0 selects DefaultCoalesceWindow; negative disables
-	// coalescing entirely (every request runs its own pass — the baseline
-	// the serving benchmarks compare against).
-	CoalesceWindow time.Duration
-	// MaxBatchRows flushes a pending micro-batch early once it holds this
-	// many rows. 0 selects DefaultMaxBatchRows.
+	// MaxBatchRows caps the rows of one coalesced pass: requests queued
+	// behind a running pass join the next one whole while they fit, and the
+	// rest wait for the pass after. A request larger than the cap runs alone;
+	// 1 gives every request a pass of its own. 0 selects DefaultMaxBatchRows.
 	MaxBatchRows int
 	// MaxInflightRows bounds the rows a plan may hold in flight (admitted
 	// but unanswered); requests beyond it are rejected with ErrOverloaded.
@@ -60,20 +59,14 @@ type Config struct {
 	Logf func(format string, args ...interface{})
 }
 
-// Serving defaults: a 2ms window is invisible next to network latency but
-// wide enough to fuse a concurrent burst; 256 rows keeps a fused pass's
-// scatter output comfortably cache-sized; 4096 in-flight rows bounds memory
-// under overload.
+// Serving defaults: 256 rows keeps a fused pass's scatter output comfortably
+// cache-sized; 4096 in-flight rows bounds memory under overload.
 const (
-	DefaultCoalesceWindow  = 2 * time.Millisecond
 	DefaultMaxBatchRows    = 256
 	DefaultMaxInflightRows = 4096
 )
 
 func (c Config) normalized() Config {
-	if c.CoalesceWindow == 0 {
-		c.CoalesceWindow = DefaultCoalesceWindow
-	}
 	if c.MaxBatchRows <= 0 {
 		c.MaxBatchRows = DefaultMaxBatchRows
 	}
@@ -185,7 +178,7 @@ func (s *Server) buildState(h *planHandle, planJSON []byte) (*planState, error) 
 		features: tr.FeatureNames(),
 		keys:     keys,
 	}
-	st.co = newCoalescer(tr, s.cfg.CoalesceWindow, s.cfg.MaxBatchRows, func(waiters, rows int) {
+	st.co = newCoalescer(tr, s.cfg.MaxBatchRows, func(waiters, rows int) {
 		if waiters > 1 {
 			h.counters.coalescedBatches.Add(1)
 			h.counters.coalescedRows.Add(int64(rows))
@@ -246,9 +239,9 @@ func encodeDicts(tables []*dataframe.Table) []*dataframe.Table {
 }
 
 // Swap hot-swaps plan name to new plan bytes: the fresh state binds first,
-// then replaces the serving state atomically, and the outgoing state's
-// pending micro-batch is force-flushed so in-flight waiters drain on the old
-// transformer. On any bind error the old state keeps serving untouched.
+// then replaces the serving state atomically. Requests already queued on the
+// outgoing state drain on the old transformer through its running pass. On
+// any bind error the old state keeps serving untouched.
 func (s *Server) Swap(name string, planJSON []byte) (version int64, err error) {
 	s.mu.Lock()
 	h, ok := s.plans[name]
@@ -262,7 +255,6 @@ func (s *Server) Swap(name string, planJSON []byte) (version int64, err error) {
 	}
 	old := h.state.Swap(st)
 	h.swaps.Add(1)
-	old.co.flush()
 	s.cfg.logf("serve: plan %q swapped v%d -> v%d", name, old.version, st.version)
 	return st.version, nil
 }
@@ -330,20 +322,11 @@ func (s *Server) Stats() Stats {
 	return out
 }
 
-// Drain stops admitting requests, force-flushes every plan's pending
-// micro-batch, and waits for in-flight requests to finish. Call it after
-// http.Server.Shutdown has stopped new connections.
+// Drain stops admitting requests and waits for in-flight requests to finish;
+// queued requests complete through the passes already running ahead of them.
+// Call it after http.Server.Shutdown has stopped new connections.
 func (s *Server) Drain() {
 	s.draining.Store(true)
-	s.mu.Lock()
-	handles := make([]*planHandle, 0, len(s.plans))
-	for _, h := range s.plans {
-		handles = append(handles, h)
-	}
-	s.mu.Unlock()
-	for _, h := range handles {
-		h.state.Load().co.flush()
-	}
 	s.wg.Wait()
 }
 
@@ -404,7 +387,7 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	// The state loaded here types the request rows AND serves them: a swap
 	// landing mid-request drains this request on the state it decoded under.
 	st := h.state.Load()
-	tbl, err := decodeRows(r.Body, st.spec)
+	tbl, err := decodeRows(limitBody(w, r), st.spec)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -460,7 +443,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: plan %q binds multiple sources; append serves single-table plans", ErrBadRequest, name))
 		return
 	}
-	batch, err := decodeAppendRows(r.Body, h.binding.Relevant)
+	batch, err := decodeAppendRows(limitBody(w, r), h.binding.Relevant)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -480,9 +463,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(limitBody(w, r))
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: reading plan body: %v", ErrBadRequest, err))
+		writeError(w, bodyError("reading plan body", err))
 		return
 	}
 	version, err := s.Swap(name, body)
@@ -507,6 +490,8 @@ func statusOf(err error) int {
 		errors.Is(err, feataug.ErrPlanVersion),
 		errors.Is(err, feataug.ErrEmptyPlan):
 		return http.StatusBadRequest
+	case errors.Is(err, ErrBodyTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):

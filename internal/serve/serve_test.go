@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -79,18 +81,80 @@ func keyTable(tb testing.TB, uids []int64) *dataframe.Table {
 	return tbl
 }
 
+// gateTransformer fronts a plan's transformer so a test can hold a pass
+// open: it records the rows of every pass in order, and the first pass
+// blocks, after closing entered, until release is closed. Requests arriving
+// meanwhile queue behind it exactly as they would behind a slow pass.
+type gateTransformer struct {
+	Transformer
+	entered chan struct{}
+	release chan struct{}
+
+	mu     sync.Mutex
+	passes []int
+}
+
+func (g *gateTransformer) Matrix(ctx context.Context, d *dataframe.Table) (*query.FeatureMatrix, error) {
+	g.mu.Lock()
+	first := len(g.passes) == 0
+	g.passes = append(g.passes, d.NumRows())
+	g.mu.Unlock()
+	if first {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Transformer.Matrix(ctx, d)
+}
+
+func (g *gateTransformer) passRows() []int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]int(nil), g.passes...)
+}
+
+// gatePlan installs a gateTransformer in front of plan name's coalescer.
+// Call it before the plan serves any request.
+func gatePlan(srv *Server, name string) *gateTransformer {
+	co := srv.plans[name].state.Load().co
+	g := &gateTransformer{Transformer: co.tr, entered: make(chan struct{}), release: make(chan struct{})}
+	co.tr = g
+	return g
+}
+
+// waitQueued yields until n requests are queued behind plan name's running
+// pass.
+func waitQueued(t *testing.T, srv *Server, name string, n int) {
+	t.Helper()
+	co := srv.plans[name].state.Load().co
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		co.mu.Lock()
+		q := len(co.pending)
+		co.mu.Unlock()
+		if q == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests queued, want %d", q, n)
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestServeDifferentialCoalesced is the bit-identity contract of the
-// coalescer: 16 concurrent requests served through fused micro-batches must
-// return, over HTTP, exactly the floats a solo Transformer.Transform
-// produces for the same rows (Go's JSON float encoding is
-// shortest-round-trip, so parse-back is exact).
+// coalescer: 16 concurrent requests — one holding a pass open, fifteen
+// queued behind it and served by one fused pass — must return, over HTTP,
+// exactly the floats a solo Transformer.Transform produces for the same
+// rows (Go's JSON float encoding is shortest-round-trip, so parse-back is
+// exact).
 func TestServeDifferentialCoalesced(t *testing.T) {
 	rel := testRelevant(t, 5000, 200, 1)
 	planJSON := testPlanJSON(t, 5)
-	srv := NewServer(Config{CoalesceWindow: 50 * time.Millisecond, MaxBatchRows: 1 << 20})
+	srv := NewServer(Config{MaxBatchRows: 1 << 20})
 	if err := srv.AddPlan("p", planJSON, PlanBinding{Relevant: rel}); err != nil {
 		t.Fatal(err)
 	}
+	gate := gatePlan(srv, "p")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -119,9 +183,9 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 	responses := make([]transformResponse, clients)
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
+	post := func(c int) {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
 			rows := make([]map[string]interface{}, len(uidSets[c]))
 			for i, uid := range uidSets[c] {
@@ -139,8 +203,16 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 				return
 			}
 			errs[c] = json.NewDecoder(resp.Body).Decode(&responses[c])
-		}(c)
+		}()
 	}
+	// Client 0 holds the first pass open; the rest queue behind it.
+	post(0)
+	<-gate.entered
+	for c := 1; c < clients; c++ {
+		post(c)
+	}
+	waitQueued(t, srv, "p", clients-1)
+	close(gate.release)
 	wg.Wait()
 	for c, err := range errs {
 		if err != nil {
@@ -184,12 +256,22 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 		t.Fatalf("stats plans = %d", len(st.Plans))
 	}
 	ps := st.Plans[0]
-	if ps.CoalescedBatches == 0 {
-		t.Errorf("no coalesced batches despite %d concurrent clients inside a 50ms window", clients)
+	queuedRows := 0
+	for _, uids := range uidSets[1:] {
+		queuedRows += len(uids)
+	}
+	if ps.SoloBatches != 1 || ps.CoalescedBatches != 1 || ps.CoalescedRows != int64(queuedRows) {
+		t.Errorf("batches = %d solo / %d coalesced over %d rows, want 1 / 1 over %d",
+			ps.SoloBatches, ps.CoalescedBatches, ps.CoalescedRows, queuedRows)
 	}
 	if ps.CoalescedBatches+ps.SoloBatches >= clients {
 		t.Errorf("batches %d+%d not fewer than %d requests — nothing was fused",
 			ps.CoalescedBatches, ps.SoloBatches, clients)
+	}
+	for c := range responses {
+		if responses[c].Coalesced != (c > 0) {
+			t.Errorf("client %d: coalesced = %v, want %v", c, responses[c].Coalesced, c > 0)
+		}
 	}
 	if ps.Requests != clients {
 		t.Errorf("requests = %d, want %d", ps.Requests, clients)
@@ -233,56 +315,175 @@ func TestServeStatsTableBytes(t *testing.T) {
 	}
 }
 
-// TestServeSoloMatchesCoalescedOff checks the window<0 escape hatch: every
-// request runs its own pass and responses never report coalesced.
-func TestServeSoloMatchesCoalescedOff(t *testing.T) {
+// TestServeLoneRequestRunsAtOnce: a request arriving at an idle plan starts
+// its pass immediately on its own goroutine — there is no timer to wait out
+// and nothing to queue behind. Even a caller whose context is already
+// cancelled gets its features, because the pass ran before the request could
+// wait on anything.
+func TestServeLoneRequestRunsAtOnce(t *testing.T) {
 	rel := testRelevant(t, 1000, 50, 3)
-	srv := NewServer(Config{CoalesceWindow: -1})
+	srv := NewServer(Config{})
 	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
 		t.Fatal(err)
 	}
-	m, coalesced, err := srv.Transform(context.Background(), "p", keyTable(t, []int64{1, 2, 3}))
+	co := srv.plans["p"].state.Load().co
+	probe := &probeTransformer{Transformer: co.tr, co: co}
+	co.tr = probe
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m, coalesced, err := srv.Transform(ctx, "p", keyTable(t, []int64{1, 2, 3}))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("lone request with a cancelled context: %v (its pass should run inline)", err)
 	}
 	if coalesced {
-		t.Error("solo mode reported coalesced")
+		t.Error("lone request reported coalesced")
 	}
 	if m.NumRows() != 3 || m.NumFeatures() != 2 {
 		t.Errorf("matrix = %dx%d, want 3x2", m.NumRows(), m.NumFeatures())
 	}
+	if probe.calls != 1 || !probe.sawRunning || probe.sawQueued != 0 {
+		t.Errorf("pass probe: %d calls, running=%v, %d queued; want 1 call, running, 0 queued",
+			probe.calls, probe.sawRunning, probe.sawQueued)
+	}
 	if st := srv.Stats().Plans[0]; st.SoloBatches != 1 || st.CoalescedBatches != 0 {
 		t.Errorf("batches = %d solo / %d coalesced, want 1/0", st.SoloBatches, st.CoalescedBatches)
 	}
+	co.mu.Lock()
+	running := co.running
+	co.mu.Unlock()
+	if running {
+		t.Error("coalescer still marked running after its only pass returned")
+	}
 }
 
-// TestServeAdmissionControl parks one request inside a long window, then
-// checks the next request over the in-flight row budget is rejected with the
-// typed ErrOverloaded while the parked one still completes.
-func TestServeAdmissionControl(t *testing.T) {
-	rel := testRelevant(t, 1000, 50, 4)
-	srv := NewServer(Config{CoalesceWindow: 300 * time.Millisecond, MaxInflightRows: 4})
+// probeTransformer records, from inside each pass, what the coalescer looked
+// like while the pass ran.
+type probeTransformer struct {
+	Transformer
+	co         *coalescer
+	calls      int
+	sawRunning bool
+	sawQueued  int
+}
+
+func (p *probeTransformer) Matrix(ctx context.Context, d *dataframe.Table) (*query.FeatureMatrix, error) {
+	p.co.mu.Lock()
+	p.calls++
+	p.sawRunning = p.co.running
+	p.sawQueued = len(p.co.pending)
+	p.co.mu.Unlock()
+	return p.Transformer.Matrix(ctx, d)
+}
+
+// transformAsync starts one library transform and returns its result channel.
+type asyncResult struct {
+	m         *query.FeatureMatrix
+	coalesced bool
+	err       error
+}
+
+func transformAsync(srv *Server, tbl *dataframe.Table) <-chan asyncResult {
+	ch := make(chan asyncResult, 1)
+	go func() {
+		m, coalesced, err := srv.Transform(context.Background(), "p", tbl)
+		ch <- asyncResult{m, coalesced, err}
+	}()
+	return ch
+}
+
+// queueBehindGate holds a 1-row pass open, then queues one request per entry
+// of sizes in that order (each enqueued before the next starts), releases the
+// gate and returns every request's result, the held one first.
+func queueBehindGate(t *testing.T, srv *Server, sizes []int) []asyncResult {
+	t.Helper()
+	gate := gatePlan(srv, "p")
+	chans := []<-chan asyncResult{transformAsync(srv, keyTable(t, []int64{0}))}
+	<-gate.entered
+	uid := int64(1)
+	for i, n := range sizes {
+		uids := make([]int64, n)
+		for j := range uids {
+			uids[j] = uid
+			uid++
+		}
+		chans = append(chans, transformAsync(srv, keyTable(t, uids)))
+		waitQueued(t, srv, "p", i+1)
+	}
+	close(gate.release)
+	out := make([]asyncResult, len(chans))
+	for i, ch := range chans {
+		out[i] = <-ch
+		if out[i].err != nil {
+			t.Fatalf("request %d: %v", i, out[i].err)
+		}
+	}
+	return out
+}
+
+// TestServeQueuedRequestsRideOnePass: requests that arrive while a pass runs
+// are served together by the next pass, each getting exactly its own rows.
+func TestServeQueuedRequestsRideOnePass(t *testing.T) {
+	rel := testRelevant(t, 1000, 50, 11)
+	srv := NewServer(Config{})
+	if err := srv.AddPlan("p", testPlanJSON(t, 3), PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{1, 2, 3, 4, 5}
+	res := queueBehindGate(t, srv, sizes)
+	if res[0].coalesced {
+		t.Error("the held request reported coalesced")
+	}
+	for i, n := range sizes {
+		r := res[i+1]
+		if !r.coalesced || r.m.NumRows() != n {
+			t.Errorf("queued request %d: %d rows coalesced=%v, want %d rows coalesced", i, r.m.NumRows(), r.coalesced, n)
+		}
+	}
+	st := srv.Stats().Plans[0]
+	if st.SoloBatches != 1 || st.CoalescedBatches != 1 || st.CoalescedRows != 15 {
+		t.Errorf("batches = %d solo / %d coalesced over %d rows, want 1 / 1 over 15",
+			st.SoloBatches, st.CoalescedBatches, st.CoalescedRows)
+	}
+	if got := srv.plans["p"].state.Load().co.tr.(*gateTransformer).passRows(); !slices.Equal(got, []int{1, 15}) {
+		t.Errorf("pass rows = %v, want [1 15]", got)
+	}
+}
+
+// TestServeMaxBatchRowsSplit: the queue behind a running pass is cut into
+// passes of whole requests up to MaxBatchRows rows, in arrival order; a
+// request that does not fit waits for the pass after.
+func TestServeMaxBatchRowsSplit(t *testing.T) {
+	rel := testRelevant(t, 1000, 50, 12)
+	srv := NewServer(Config{MaxBatchRows: 4})
 	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
 		t.Fatal(err)
 	}
-	h := srv.plans["p"]
+	queueBehindGate(t, srv, []int{3, 2, 2, 1, 5})
+	// 3 alone (3+2 > 4), then 2+2, then 1 (1+5 > 4), then 5 alone (over the
+	// cap, but a request always runs whole).
+	if got := srv.plans["p"].state.Load().co.tr.(*gateTransformer).passRows(); !slices.Equal(got, []int{1, 3, 4, 1, 5}) {
+		t.Errorf("pass rows = %v, want [1 3 4 1 5]", got)
+	}
+	st := srv.Stats().Plans[0]
+	if st.SoloBatches != 4 || st.CoalescedBatches != 1 || st.CoalescedRows != 4 {
+		t.Errorf("batches = %d solo / %d coalesced over %d rows, want 4 / 1 over 4",
+			st.SoloBatches, st.CoalescedBatches, st.CoalescedRows)
+	}
+}
 
-	type result struct {
-		m   *query.FeatureMatrix
-		err error
+// TestServeAdmissionControl holds one request's pass open, then checks the
+// next request over the in-flight row budget is rejected with the typed
+// ErrOverloaded while the held one still completes.
+func TestServeAdmissionControl(t *testing.T) {
+	rel := testRelevant(t, 1000, 50, 4)
+	srv := NewServer(Config{MaxInflightRows: 4})
+	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
 	}
-	firstDone := make(chan result, 1)
-	go func() {
-		m, _, err := srv.Transform(context.Background(), "p", keyTable(t, []int64{1, 2, 3}))
-		firstDone <- result{m, err}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for h.inflight.Load() != 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never went in flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	gate := gatePlan(srv, "p")
+	firstDone := transformAsync(srv, keyTable(t, []int64{1, 2, 3}))
+	<-gate.entered
 
 	_, _, err := srv.Transform(context.Background(), "p", keyTable(t, []int64{4, 5}))
 	if !errors.Is(err, ErrOverloaded) {
@@ -305,10 +506,11 @@ func TestServeAdmissionControl(t *testing.T) {
 		t.Errorf("status = %d, want 429", resp.StatusCode)
 	}
 
+	close(gate.release)
 	if res := <-firstDone; res.err != nil {
-		t.Fatalf("parked request failed: %v", res.err)
+		t.Fatalf("held request failed: %v", res.err)
 	} else if res.m.NumRows() != 3 {
-		t.Errorf("parked request rows = %d, want 3", res.m.NumRows())
+		t.Errorf("held request rows = %d, want 3", res.m.NumRows())
 	}
 }
 
@@ -341,7 +543,7 @@ func TestServeHotSwap(t *testing.T) {
 	rel := testRelevant(t, 2000, 100, 5)
 	plan := &feataug.FeaturePlan{Version: feataug.PlanVersion, Keys: []string{"uid"}, Queries: testQueries(2)}
 	goodFP := plan.SchemaFingerprint(rel)
-	srv := NewServer(Config{CoalesceWindow: time.Millisecond})
+	srv := NewServer(Config{})
 	if err := srv.AddPlan("m", multiPlanJSON(t, goodFP, 2), PlanBinding{Sources: map[string]*dataframe.Table{"rel": rel}}); err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +620,7 @@ func TestServeSwapDuringTransforms(t *testing.T) {
 	rel := testRelevant(t, 2000, 100, 6)
 	plan := &feataug.FeaturePlan{Version: feataug.PlanVersion, Keys: []string{"uid"}, Queries: testQueries(2)}
 	goodFP := plan.SchemaFingerprint(rel)
-	srv := NewServer(Config{CoalesceWindow: 500 * time.Microsecond})
+	srv := NewServer(Config{})
 	if err := srv.AddPlan("m", multiPlanJSON(t, goodFP, 2), PlanBinding{Sources: map[string]*dataframe.Table{"rel": rel}}); err != nil {
 		t.Fatal(err)
 	}
@@ -461,44 +663,87 @@ func TestServeSwapDuringTransforms(t *testing.T) {
 	}
 }
 
-// TestServeDrain parks requests in an open window, drains, and checks the
-// parked requests complete while new ones are refused.
+// TestServeDrain holds one request's pass open with a second request queued
+// behind it, drains, and checks both complete while new requests are refused
+// from the moment draining starts.
 func TestServeDrain(t *testing.T) {
 	rel := testRelevant(t, 1000, 50, 7)
-	srv := NewServer(Config{CoalesceWindow: 10 * time.Second})
+	srv := NewServer(Config{})
 	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
 		t.Fatal(err)
 	}
-	h := srv.plans["p"]
-	results := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			_, _, err := srv.Transform(context.Background(), "p", keyTable(t, []int64{int64(i)}))
-			results <- err
-		}(i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for h.inflight.Load() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("requests never went in flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	gate := gatePlan(srv, "p")
+	results := []<-chan asyncResult{transformAsync(srv, keyTable(t, []int64{0}))}
+	<-gate.entered
+	results = append(results, transformAsync(srv, keyTable(t, []int64{1})))
+	waitQueued(t, srv, "p", 1)
 
 	done := make(chan struct{})
 	go func() { srv.Drain(); close(done) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for !srv.draining.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("Drain never started")
+		}
+		runtime.Gosched()
+	}
+	if _, _, err := srv.Transform(context.Background(), "p", keyTable(t, []int64{9})); !errors.Is(err, ErrDraining) {
+		t.Errorf("transform during drain error = %v, want ErrDraining", err)
+	}
 	select {
 	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Drain did not finish — parked requests were not flushed")
+		t.Fatal("Drain returned while requests were still in flight")
+	default:
 	}
-	for i := 0; i < 2; i++ {
-		if err := <-results; err != nil {
-			t.Errorf("parked request %d failed across drain: %v", i, err)
+
+	close(gate.release)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain did not finish — queued requests were not served")
+	}
+	for i, ch := range results {
+		if res := <-ch; res.err != nil {
+			t.Errorf("in-flight request %d failed across drain: %v", i, res.err)
 		}
 	}
 	if _, _, err := srv.Transform(context.Background(), "p", keyTable(t, []int64{9})); !errors.Is(err, ErrDraining) {
 		t.Errorf("post-drain transform error = %v, want ErrDraining", err)
+	}
+}
+
+// TestServeBodyTooLarge: transform, append and swap bodies over MaxBodyBytes
+// are refused with 413 (the typed ErrBodyTooLarge), and the plan keeps
+// serving.
+func TestServeBodyTooLarge(t *testing.T) {
+	rel := testRelevant(t, 1000, 50, 13)
+	srv := NewServer(Config{})
+	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	row := []byte(`{"uid":1},`)
+	big := append([]byte(`{"rows":[`), bytes.Repeat(row, MaxBodyBytes/len(row)+1)...)
+	big = append(big, `{"uid":1}]}`...)
+	for _, path := range []string{"/v1/plans/p/transform", "/v1/plans/p/append", "/v1/plans/p"} {
+		rec := post(path, big)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body = %d (%s), want 413", path, len(big), rec.Code, rec.Body.String())
+		}
+	}
+	if _, err := decodeRows(io.LimitReader(bytes.NewReader(big), 0), nil); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("truncated body error = %v, want ErrBadRequest", err)
+	}
+	if rec := post("/v1/plans/p/transform", []byte(`{"rows":[{"uid":1}]}`)); rec.Code != http.StatusOK {
+		t.Errorf("transform after oversized bodies = %d, want 200", rec.Code)
+	}
+	if got := srv.Stats().Plans[0].Appends; got != 0 {
+		t.Errorf("appends = %d after an oversized append, want 0", got)
 	}
 }
 
@@ -612,7 +857,7 @@ func TestServeHTTPSurface(t *testing.T) {
 func TestServeAppend(t *testing.T) {
 	rel := testRelevant(t, 2000, 100, 10)
 	planJSON := testPlanJSON(t, 4)
-	srv := NewServer(Config{CoalesceWindow: -1})
+	srv := NewServer(Config{})
 	if err := srv.AddPlan("p", planJSON, PlanBinding{Relevant: rel}); err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +969,7 @@ func TestServeAppend(t *testing.T) {
 // dictionary-code kernels.
 func TestServeStatsDictCounters(t *testing.T) {
 	rel := testRelevant(t, 500, 20, 9)
-	srv := NewServer(Config{CoalesceWindow: -1})
+	srv := NewServer(Config{})
 	if err := srv.AddPlan("p", testPlanJSON(t, 4), PlanBinding{Relevant: rel}); err != nil {
 		t.Fatal(err)
 	}
