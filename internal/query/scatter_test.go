@@ -387,3 +387,85 @@ func TestScatterStatsGolden(t *testing.T) {
 		t.Errorf("after second batch: MorselsScanned = %d, want 7", s.MorselsScanned)
 	}
 }
+
+// TestAugmentRequestSizedPass: a warm augment of a few training rows touches
+// only the plan groups those rows join, and its features are bit-identical
+// to the same rows of a full-table augment on the same executor (and to a
+// cold executor's). Row subsets cover duplicate keys, a NULL key and a key
+// the relevant table lacks.
+func TestAugmentRequestSizedPass(t *testing.T) {
+	r := largeRandomTable(2000, 161)
+	d := dupKeyTrainTable(240, 162)
+	qs := randomPool(rand.New(rand.NewSource(163)), 60)
+	ex := NewExecutor(r, WithJoinCache(NewJoinCache()))
+	full, err := ex.AugmentMatrix(d, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := dataframe.MustNewTable(
+		dataframe.NewIntColumn("k1", []int64{3, 999, 3}, []bool{true, true, false}),
+		dataframe.NewStringColumn("k2", []string{"a", "a", "zz"}, nil),
+		dataframe.NewFloatColumn("y", []float64{0, 0, 0}, nil),
+	)
+	for _, rows := range [][]int{{0}, {5, 5, 17}, {239, 1, 100, 42}} {
+		sub := d.Take(rows)
+		got, err := ex.AugmentMatrix(sub, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := NewExecutor(r).AugmentMatrix(sub, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range qs {
+			gv, gok := got.Col(j)
+			fv, fok := full.Col(j)
+			cv, cok := cold.Col(j)
+			wv := make([]float64, len(rows))
+			wok := make([]bool, len(rows))
+			for i, row := range rows {
+				wv[i], wok[i] = fv[row], fok[row]
+			}
+			sameFeature(t, qs[j].SQL("r")+" vs full", gv, wv, gok, wok)
+			sameFeature(t, qs[j].SQL("r")+" vs cold", gv, cv, gok, cok)
+		}
+	}
+	got, err := ex.AugmentMatrix(missing, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := NewExecutor(r).AugmentMatrix(missing, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range qs {
+		gv, gok := got.Col(j)
+		cv, cok := cold.Col(j)
+		sameFeature(t, qs[j].SQL("r")+" with misses", gv, cv, gok, cok)
+		if qs[j].Keys[0] == "k1" && gok[1] {
+			t.Errorf("%s: k1 = 999 has no relevant rows but served %v", qs[j].SQL("r"), gv[1])
+		}
+	}
+
+	// The touched set of a 3-row request names at most 3 local groups, and
+	// the dedupe marks are left all zero for the next caller.
+	sub := d.Take([]int{5, 5, 17})
+	pe, err := ex.plan([]string{"k1"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jn, err := ex.joinIndex(sub, []string{"k1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &scatterScratch{}
+	touched, dgToT := sc.touchedGroups(pe, jn)
+	if len(touched) == 0 || len(touched) > 2 || len(dgToT) != jn.idx.NumGroups() {
+		t.Errorf("touched = %v, dgToT = %v over %d train groups; want 1-2 groups", touched, dgToT, jn.idx.NumGroups())
+	}
+	for li, m := range sc.mark {
+		if m != 0 {
+			t.Fatalf("mark[%d] = %d after touchedGroups, want 0", li, m)
+		}
+	}
+}

@@ -15,7 +15,8 @@ import (
 // its own goroutine, and requests that arrive while a pass runs queue up.
 // When a pass finishes, the queue runs as the next pass — whole requests up
 // to maxRows (at least one), any remainder left for the pass after — on a
-// fresh goroutine, so the finishing caller returns straight away. There is no
+// fresh goroutine, so the finishing caller returns straight away; the chain
+// of pass goroutines ends when a pass finds the queue empty. There is no
 // timer: a lone request never waits for company, and every queued request
 // has a running pass that will serve it (swap and drain need no flush).
 //
@@ -150,6 +151,9 @@ func (c *coalescer) run(batch []*waiter) {
 		}
 		return
 	}
+	// Stats first, so a caller woken by its result reads counters that
+	// already include the pass that served it.
+	c.onBatch(len(batch), rows)
 	if len(batch) == 1 {
 		batch[0].ch <- waitResult{m: m}
 	} else {
@@ -160,5 +164,4 @@ func (c *coalescer) run(batch []*waiter) {
 			lo = hi
 		}
 	}
-	c.onBatch(len(batch), rows)
 }

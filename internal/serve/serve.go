@@ -261,8 +261,9 @@ func (s *Server) Swap(name string, planJSON []byte) (version int64, err error) {
 
 // Transform serves one typed request table against plan name — the library
 // entry point the HTTP handler wraps. It admits the request against the
-// plan's in-flight row budget, enqueues it into the coalescer, and returns
-// the scattered feature matrix (columns in the plan's FeatureNames order)
+// plan's in-flight row budget, hands it to the coalescer (its own pass at
+// once on an idle plan, else the next pass), and returns the scattered
+// feature matrix (columns in the plan's FeatureNames order)
 // with whether the rows rode a fused multi-request pass.
 func (s *Server) Transform(ctx context.Context, name string, tbl *dataframe.Table) (*query.FeatureMatrix, bool, error) {
 	s.mu.Lock()
