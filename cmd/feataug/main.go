@@ -35,6 +35,13 @@
 //
 //	feataug -fit tmall -rows 400 -seed 1 -plan-out plan.json -transform tmall -out batch.csv -v
 //
+// Every query the engine answers — each search candidate as well as each
+// transform feature — runs through the executor's fused plan groups, so the
+// -v executor-stats line's "fused N queries (M count-only) over S scans"
+// counts them all: M of them COUNTs served from the plan's cached group
+// counts with no value pass, S the shared discovery and attribute scans they
+// cost between them.
+//
 // The -v executor-stats block also reports the dictionary-encoding counters
 // (PR 8): "dict: N encodes / M hits, K code-kernel predicates" — encode
 // passes paid to dictionary-encode string columns, lookups served from an

@@ -252,7 +252,7 @@ func TestFitMultiMatchesAugmentMulti(t *testing.T) {
 		}
 	}
 	// The merged executor stats cover every source.
-	if s := tr.Stats(); s.FusedQueries+s.CoreQueries == 0 {
+	if s := tr.Stats(); s.FusedQueries == 0 {
 		t.Fatal("merged stats recorded no query executions")
 	}
 }
@@ -456,8 +456,8 @@ func TestMultiTransformerBindingErrors(t *testing.T) {
 
 // TestMultiTransformerKurtosisSmallGroups pushes KURTOSIS over groups with
 // n < 4 rows through the fused multi-table transform path and checks the
-// result row-for-row against the per-query core: sub-4 groups must come back
-// NULL, not garbage, from both sources of a multi-table batch.
+// result row-for-row against the Query.Augment oracle: sub-4 groups must come
+// back NULL, not garbage, from both sources of a multi-table batch.
 func TestMultiTransformerKurtosisSmallGroups(t *testing.T) {
 	// Training keys 0..5; relevant group sizes 1..6 per source with
 	// different values, so several groups sit below kurtosis' n=4 floor.
@@ -522,13 +522,13 @@ func TestMultiTransformerKurtosisSmallGroups(t *testing.T) {
 			wc, gc := want.Column(pq.Feature), got.Column(pq.Feature)
 			for row := 0; row < train.NumRows(); row++ {
 				if wc.IsNull(row) != gc.IsNull(row) {
-					t.Fatalf("%s row %d: null mismatch (fused %v, core %v)",
+					t.Fatalf("%s row %d: null mismatch (fused %v, oracle %v)",
 						pq.Feature, row, gc.IsNull(row), wc.IsNull(row))
 				}
 				wv, _ := wc.AsFloat(row)
 				gv, _ := gc.AsFloat(row)
 				if wv != gv {
-					t.Fatalf("%s row %d: fused %v != core %v", pq.Feature, row, gv, wv)
+					t.Fatalf("%s row %d: fused %v != oracle %v", pq.Feature, row, gv, wv)
 				}
 			}
 		}

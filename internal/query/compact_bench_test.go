@@ -54,22 +54,6 @@ func BenchmarkStringHeavyCompactSwar(b *testing.B) {
 	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkStringHeavyCompactNoSwar is the same compact workload with
-// DisableCompactStrings forcing the scalar per-row code kernels — isolating
-// the word-parallel win from the storage change.
-func BenchmarkStringHeavyCompactNoSwar(b *testing.B) {
-	compact, _, qs := compactBenchPool(b, 200, 2400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(compact)
-		ex.DisableCompactStrings = true
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
 // BenchmarkStringHeavyDictBaseline runs the same query mix against the raw
 // table through the PR 8 path (strings resident, dictionaries built on
 // demand) — the baseline the compact numbers are read against.
@@ -83,37 +67,6 @@ func BenchmarkStringHeavyDictBaseline(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkStringHeavyCompactSpeedup pairs the new configuration (compact
-// storage, SWAR kernels) against the PR 8 path (raw strings resident, scalar
-// code kernels via DisableCompactStrings) on the same cold batches in the
-// same loop, so machine drift cancels out of the ratio. Compact storage
-// itself is throughput-neutral by design — the code kernels read the same
-// narrow arrays either way — so this ratio isolates the word-parallel scan
-// win at the batch level; the kernel-level ratio is pinned separately below.
-func BenchmarkStringHeavyCompactSpeedup(b *testing.B) {
-	compact, raw, qs := compactBenchPool(b, 200, 2400)
-	var tNew, tOld time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(compact)
-		t0 := time.Now()
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-		tNew += time.Since(t0)
-		old := NewExecutor(raw)
-		old.DisableCompactStrings = true
-		t1 := time.Now()
-		if _, err := old.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-		tOld += time.Since(t1)
-	}
-	if tNew > 0 {
-		b.ReportMetric(tOld.Seconds()/tNew.Seconds(), "speedup_swar_vs_pr8")
-	}
 }
 
 // BenchmarkSwarKernelSpeedup pins the kernels themselves on a 2²⁰-code

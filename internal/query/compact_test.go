@@ -22,10 +22,9 @@ func compacted(t *testing.T, tbl *dataframe.Table) *dataframe.Table {
 }
 
 // TestDifferentialCompactStrings is the compact-storage contract: a table
-// whose string columns are code-backed (no []string), queried with the SWAR
-// kernels on (default) and off (DisableCompactStrings), must match a raw
-// unencoded executor bit for bit — across mixed and NULL-heavy tables and
-// morsel sizes {1, 7}.
+// whose string columns are code-backed (no []string), queried through the
+// SWAR kernels, must match a raw unencoded executor bit for bit — across
+// mixed and NULL-heavy tables and morsel sizes {1, 7}.
 func TestDifferentialCompactStrings(t *testing.T) {
 	builders := map[string]func(int, int64) *dataframe.Table{
 		"mixed":     largeRandomTable,
@@ -49,36 +48,28 @@ func TestDifferentialCompactStrings(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, morsel := range []int{1, 7, 0} {
-				for _, disableSwar := range []bool{false, true} {
-					tbl := compacted(t, build(500, 102))
-					opts := []ExecutorOption{}
-					if morsel > 0 {
-						opts = append(opts, WithMorselRows(morsel))
+				tbl := compacted(t, build(500, 102))
+				opts := []ExecutorOption{}
+				if morsel > 0 {
+					opts = append(opts, WithMorselRows(morsel))
+				}
+				e := NewExecutor(tbl, opts...)
+				got, err := e.ExecuteBatch(qs, "feature")
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("morsel=%d", morsel)
+				for i, q := range qs {
+					sameTable(t, label+" "+q.SQL("r"), got[i], want[i])
+				}
+				// In-domain work must leave the columns compact.
+				for _, cn := range []string{"k2", "cat"} {
+					if !tbl.Column(cn).IsCompact() {
+						t.Errorf("%s: column %q lost compact storage during the batch", label, cn)
 					}
-					e := NewExecutor(tbl, opts...)
-					e.DisableCompactStrings = disableSwar
-					got, err := e.ExecuteBatch(qs, "feature")
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("morsel=%d swar=%v", morsel, !disableSwar)
-					for i, q := range qs {
-						sameTable(t, label+" "+q.SQL("r"), got[i], want[i])
-					}
-					// In-domain work must leave the columns compact.
-					for _, cn := range []string{"k2", "cat"} {
-						if !tbl.Column(cn).IsCompact() {
-							t.Errorf("%s: column %q lost compact storage during the batch", label, cn)
-						}
-					}
-					st := e.Stats()
-					if disableSwar {
-						if st.SwarPredScans != 0 {
-							t.Errorf("%s: SwarPredScans = %d, want 0 with the knob set", label, st.SwarPredScans)
-						}
-					} else if st.SwarPredScans == 0 {
-						t.Errorf("%s: SwarPredScans = 0, want > 0 (narrow code columns present)", label)
-					}
+				}
+				if st := e.Stats(); st.SwarPredScans == 0 {
+					t.Errorf("%s: SwarPredScans = 0, want > 0 (narrow code columns present)", label)
 				}
 			}
 		})
@@ -251,8 +242,8 @@ func TestDifferentialCompactConcat(t *testing.T) {
 
 // TestCompactStatsGolden pins the new counters on fixed workloads so the
 // accounting cannot drift: every narrow code-kernel bitmap is a SWAR scan
-// (SwarPredScans ⊆ CodePredScans), the knob zeroes it without touching
-// CodePredScans, and a single-query COUNT is served with no value pass.
+// (SwarPredScans ⊆ CodePredScans), and COUNT queries — batched or single —
+// are served with no value pass.
 func TestCompactStatsGolden(t *testing.T) {
 	qs := []Query{
 		{Agg: agg.Count, AggAttr: "x", Keys: []string{"k2"},
@@ -269,35 +260,24 @@ func TestCompactStatsGolden(t *testing.T) {
 		t.Errorf("CodePredScans/SwarPredScans = %d/%d, want 2/2 (cat is a uint8-lane column)",
 			st.CodePredScans, st.SwarPredScans)
 	}
-
-	off := NewExecutor(compacted(t, largeRandomTable(300, 91)))
-	off.DisableCompactStrings = true
-	if _, err := off.ExecuteBatch(qs, "feature"); err != nil {
-		t.Fatal(err)
-	}
-	sto := off.Stats()
-	if sto.CodePredScans != 2 || sto.SwarPredScans != 0 {
-		t.Errorf("knob executor CodePredScans/SwarPredScans = %d/%d, want 2/0",
-			sto.CodePredScans, sto.SwarPredScans)
+	if st.CountOnlyQueries != 1 {
+		t.Errorf("batch CountOnlyQueries = %d, want 1 (one COUNT in the batch)", st.CountOnlyQueries)
 	}
 
-	// Single-query COUNT through the core path: served from the plan's group
-	// counts (CountOnlyQueries), and identical to the knob executor's result.
+	// A single-query COUNT is a batch of one: served from the plan's group
+	// counts (CountOnlyQueries), and identical to the Query.Execute oracle.
 	cq := Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k1"},
 		Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "c"}}}
 	got, err := e.Execute(cq, "feature")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := e.Stats().CountOnlyQueries; n != 1 {
-		t.Errorf("CountOnlyQueries = %d, want 1", n)
+	if n := e.Stats().CountOnlyQueries; n != 2 {
+		t.Errorf("CountOnlyQueries = %d, want 2", n)
 	}
-	want, err := off.Execute(cq, "feature")
+	want, err := cq.Execute(largeRandomTable(300, 91), "feature")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n := off.Stats().CountOnlyQueries; n != 0 {
-		t.Errorf("knob executor CountOnlyQueries = %d, want 0", n)
 	}
 	sameTable(t, cq.SQL("r"), got, want)
 }

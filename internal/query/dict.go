@@ -144,35 +144,25 @@ func rangeInt64Bits(vals []int64, vbits []uint64, lo, hi int64, bm []uint64) {
 	}
 }
 
-// dictEqBits dispatches the equality kernel to the narrowest code mirror the
-// encoding carries. It reports whether a word-parallel SWAR kernel ran (the
-// narrow mirrors with swar set; wide uint32 columns always fall back scalar).
-func dictEqBits(enc *dataframe.DictEncoding, code uint32, bm []uint64, swar bool) bool {
-	return dictEqBitsFrom(enc, code, bm, 0, swar)
-}
-
-// dictEqBitsFrom is dictEqBits restricted to rows [lo, n): the kernels run
-// over the word-aligned subslices starting at lo (a multiple of 64, or 0), so
-// a delta advance pays only for the appended words.
-func dictEqBitsFrom(enc *dataframe.DictEncoding, code uint32, bm []uint64, lo int, swar bool) bool {
+// dictEqBitsFrom fills the equality bitmap for rows [lo, n) through the
+// narrowest code mirror the encoding carries: the word-parallel SWAR kernels
+// for uint8/uint16 mirrors, the scalar loop for wide uint32 codes. It reports
+// whether a SWAR kernel ran. The kernels run over the word-aligned subslices
+// starting at lo (a multiple of 64, or 0), so a delta advance pays only for
+// the appended words.
+func dictEqBitsFrom(enc *dataframe.DictEncoding, code uint32, bm []uint64, lo int) bool {
 	w0 := lo >> 6
 	vbits := enc.ValidBits()[w0:]
 	sub := bm[w0:]
 	if c8 := enc.Codes8(); c8 != nil {
-		if swar {
-			swarEqBits8(c8[lo:], vbits, uint8(code), sub)
-			return true
-		}
-		eqCodeBits(c8[lo:], vbits, uint8(code), sub)
-	} else if c16 := enc.Codes16(); c16 != nil {
-		if swar {
-			swarEqBits16(c16[lo:], vbits, uint16(code), sub)
-			return true
-		}
-		eqCodeBits(c16[lo:], vbits, uint16(code), sub)
-	} else {
-		eqCodeBits(enc.Codes()[lo:], vbits, code, sub)
+		swarEqBits8(c8[lo:], vbits, uint8(code), sub)
+		return true
 	}
+	if c16 := enc.Codes16(); c16 != nil {
+		swarEqBits16(c16[lo:], vbits, uint16(code), sub)
+		return true
+	}
+	eqCodeBits(enc.Codes()[lo:], vbits, code, sub)
 	return false
 }
 
@@ -210,21 +200,16 @@ func intRangeBounds(p Predicate) (lo, hi int64, empty bool) {
 	return lo, hi, lo > hi
 }
 
-// intRangeBits serves a range predicate over an int/time column from the
+// intRangeBitsFrom serves a range predicate over an int/time column for rows
+// [row0, n), row0 word-aligned (0, or the delta-advance start), from the
 // domain probe's integer state: exact integer bounds, then the narrowest
-// kernel the probe admits — uint8/uint16 codes when the column's width fits
-// the counting domain, raw int64 compares otherwise. It reports whether a
-// word-parallel SWAR kernel ran.
-func intRangeBits(dom *domainEntry, p Predicate, bm []uint64, swar bool) bool {
-	return intRangeBitsFrom(dom, p, bm, 0, swar)
-}
-
-// intRangeBitsFrom is intRangeBits restricted to rows [row0, n), row0
-// word-aligned: the delta-advance form. The domain clamp uses the CURRENT
+// kernel the probe admits — SWAR over uint8/uint16 codes when the column's
+// width fits the counting domain, raw int64 compares otherwise. It reports
+// whether a word-parallel SWAR kernel ran. The domain clamp uses the CURRENT
 // observed bounds; a grown domain only widens the clamp, and the underlying
 // integer interval is unchanged, so recomputed boundary-word rows keep their
 // bits.
-func intRangeBitsFrom(dom *domainEntry, p Predicate, bm []uint64, row0 int, swar bool) bool {
+func intRangeBitsFrom(dom *domainEntry, p Predicate, bm []uint64, row0 int) bool {
 	lo, hi, empty := intRangeBounds(p)
 	if empty {
 		return false
@@ -245,17 +230,11 @@ func intRangeBitsFrom(dom *domainEntry, p Predicate, bm []uint64, row0 int, swar
 	sub := bm[w0:]
 	switch {
 	case dom.ncodes8 != nil:
-		if swar {
-			swarRangeBits8(dom.ncodes8[row0:], vbits, uint8(lo-dom.base), uint8(hi-dom.base), sub)
-			return true
-		}
-		rangeCodeBits(dom.ncodes8[row0:], vbits, uint8(lo-dom.base), uint8(hi-dom.base), sub)
+		swarRangeBits8(dom.ncodes8[row0:], vbits, uint8(lo-dom.base), uint8(hi-dom.base), sub)
+		return true
 	case dom.ncodes16 != nil:
-		if swar {
-			swarRangeBits16(dom.ncodes16[row0:], vbits, uint16(lo-dom.base), uint16(hi-dom.base), sub)
-			return true
-		}
-		rangeCodeBits(dom.ncodes16[row0:], vbits, uint16(lo-dom.base), uint16(hi-dom.base), sub)
+		swarRangeBits16(dom.ncodes16[row0:], vbits, uint16(lo-dom.base), uint16(hi-dom.base), sub)
+		return true
 	default:
 		rangeInt64Bits(dom.ivals[row0:], vbits, lo, hi, sub)
 	}

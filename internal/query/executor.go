@@ -3,16 +3,13 @@ package query
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
-	"repro/internal/agg"
 	"repro/internal/dataframe"
-	"repro/internal/par"
 )
 
 // Executor evaluates queries against one relevant table through a stack of
@@ -42,10 +39,12 @@ import (
 // them. Scans walk the table morsel by morsel (dataframe.MorselBounds),
 // observing cancellation at every boundary.
 //
-// On top of the caches, the batch entry points (ExecuteBatch, AugmentBatch,
-// AugmentValuesBatch) run fused: the batch is grouped by plan group and each
-// group's aggregates stream through shared scans instead of one two-pass scan
-// per query (see fused.go). All methods are safe for concurrent use; batches
+// On top of the caches, every entry point runs fused: a batch is grouped by
+// plan group and each group's aggregates stream through shared scans instead
+// of one two-pass scan per query (see fused.go). The single-query Execute,
+// AugmentValues and Augment are batches of one, so the search loop's
+// one-candidate-at-a-time calls reuse plan groups and retained aggregate
+// state like any batch. All methods are safe for concurrent use; batches
 // evaluate on a bounded worker pool.
 type Executor struct {
 	r    *dataframe.Table
@@ -60,15 +59,6 @@ type Executor struct {
 	optMorselRows int            // WithMorselRows, private cores only
 	// Parallelism bounds the batch worker pool; 0 means GOMAXPROCS.
 	Parallelism int
-	// DisableFusion forces the batch entry points through the per-query core
-	// instead of the fused shared-scan path. The differential tests and the
-	// fused-vs-legacy benchmarks flip it; production callers leave it false.
-	DisableFusion bool
-	// DisableScatterFusion keeps the fused execute path but forces
-	// AugmentValuesBatch through the per-query scatter (the PR 3 behaviour:
-	// one O(rows(D)) pass and one dgToLocal mapping per query instead of per
-	// plan group). Differential tests and the scatter benchmarks flip it.
-	DisableScatterFusion bool
 	// DisableCountingSort forces the fused per-group sort through the generic
 	// comparison sort even when the aggregation attribute has a cached
 	// low-cardinality domain. Differential tests and benchmarks flip it.
@@ -89,13 +79,6 @@ type Executor struct {
 	// core, so flipping it on one executor degrades (never corrupts) its
 	// core-sharing siblings; it is a test/bench knob, not a production mode.
 	DisableDeltaMaintenance bool
-	// DisableCompactStrings forces the word-parallel (SWAR) code kernels and
-	// the count-only fast path off: predicate bitmaps fall back to the PR 8
-	// scalar per-code loops and COUNT queries re-run their value pass. It does
-	// not change storage — compact tables stay compact; both kernel families
-	// read the same code arrays — so the knob gives a clean like-for-like A/B.
-	// Results are bit-identical either way (the differential tests sweep it).
-	DisableCompactStrings bool
 
 	// epoch is the scan-table epoch this executor's PRIVATE caches (plans,
 	// joins, aggregate state) cover; the shared core tracks its own. Guarded
@@ -128,12 +111,15 @@ type ExecutorStats struct {
 	SharedJoinEvictions              int64
 	FusedScans                       int64 // shared scans run by the fused batch path
 	FusedQueries                     int64 // queries answered through a fused plan group
-	CoreQueries                      int64 // queries answered by the per-query core
+	// CoreQueries is no longer incremented: every query, single or batched,
+	// runs through a fused plan group and counts in FusedQueries. It stays
+	// for snapshot readers that still report it.
+	CoreQueries int64
 	// Train-side scatter: full passes over the training table's rows vs
 	// feature columns served by them. The fused scatter runs one pass per
 	// (plan group, training table) writing every column of the group in the
 	// same loop, so ScatterQueries / ScatterPasses is the sharing factor
-	// (1.0 = the per-query path).
+	// (1.0 = every plan group serves one column).
 	ScatterPasses, ScatterQueries int64
 	CountingScans                 int64 // fused sorts served by the counting path
 	// Dictionary encoding (see dict.go): DictEncodes counts first-use
@@ -145,10 +131,10 @@ type ExecutorStats struct {
 	CodePredScans         int64
 	// Word-parallel kernels (PR 10, see swar.go): SwarPredScans counts
 	// predicate bitmaps built 8×uint8 / 4×uint16 codes per 64-bit word (a
-	// subset of CodePredScans — wide columns and DisableCompactStrings fall
-	// back to the scalar code loops), and CountOnlyQueries counts per-query
-	// COUNT aggregates served straight from the plan's popcount-derived group
-	// counts with no value pass at all.
+	// subset of CodePredScans — wide uint32 code columns and 64-bit integer
+	// ranges fall back to the scalar loops), and CountOnlyQueries counts the
+	// fused COUNT queries served straight from the plan's group counts with
+	// no value pass at all (one per query, as FusedQueries counts).
 	SwarPredScans    int64
 	CountOnlyQueries int64
 	// Cross-executor scan sharing (ScanScheduler): full-table passes this
@@ -216,11 +202,11 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 // String renders the snapshot as one compact log line.
 func (s ExecutorStats) String() string {
 	return fmt.Sprintf(
-		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d shared-joins %d/%d (hit/miss), fused %d queries over %d scans (%d counting), core %d queries (%d count-only), scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds, %d swar), shared-scans %d passes / %d subscribed, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
+		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d shared-joins %d/%d (hit/miss), fused %d queries (%d count-only) over %d scans (%d counting), scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds, %d swar), shared-scans %d passes / %d subscribed, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
 		s.GroupHits, s.GroupMisses, s.MaskHits, s.MaskMisses, s.PredHits, s.PredMisses,
 		s.PlanHits, s.PlanMisses, s.JoinHits, s.JoinMisses,
 		s.SharedJoinHits, s.SharedJoinMisses,
-		s.FusedQueries, s.FusedScans, s.CountingScans, s.CoreQueries, s.CountOnlyQueries,
+		s.FusedQueries, s.CountOnlyQueries, s.FusedScans, s.CountingScans,
 		s.ScatterQueries, s.ScatterPasses,
 		s.DictEncodes, s.DictHits, s.CodePredScans, s.SwarPredScans,
 		s.SharedScanPasses, s.SharedScanSubscribers, s.MorselsScanned,
@@ -624,7 +610,7 @@ func (e *Executor) buildPredBitsFrom(p Predicate, lo int, bm []uint64) error {
 				if enc := e.dictFor(col); enc != nil {
 					e.noteCodePred()
 					if code, ok := enc.CodeOf(p.StrValue); ok {
-						if dictEqBitsFrom(enc, code, bm, lo, !e.DisableCompactStrings) {
+						if dictEqBitsFrom(enc, code, bm, lo) {
 							e.noteSwarPred()
 						}
 					}
@@ -657,7 +643,7 @@ func (e *Executor) buildPredBitsFrom(p Predicate, lo int, bm []uint64) error {
 			(k == dataframe.KindInt || k == dataframe.KindTime) {
 			if dom := e.domain(col); dom.intOK {
 				e.noteCodePred()
-				if intRangeBitsFrom(dom, p, bm, lo, !e.DisableCompactStrings) {
+				if intRangeBitsFrom(dom, p, bm, lo) {
 					e.noteSwarPred()
 				}
 				return nil
@@ -721,29 +707,20 @@ func decomposePreds(preds []Predicate) []Predicate {
 	return out
 }
 
-// maskSignature is the canonical identity of a WHERE clause: the sorted,
-// deduplicated cache keys of its decomposed predicates. Queries whose
-// predicate sets select the same rows by construction — reordered conjuncts,
-// a BETWEEN spelled as two one-sided ranges — share a signature and therefore
-// a mask entry and a plan group. The empty signature means "all rows".
-func maskSignature(preds []Predicate) string {
-	return maskSigWith(preds, predCacheKey)
-}
-
-// maskSig is maskSignature through the executor's kind-aware predKey, so
-// equality spellings that collapse to one dictionary code also collapse to
-// one signature (and therefore one mask entry and plan group).
+// maskSig is the canonical identity of a WHERE clause: the sorted,
+// deduplicated kind-aware cache keys (predKey) of its decomposed predicates.
+// Queries whose predicate sets select the same rows by construction —
+// reordered conjuncts, a BETWEEN spelled as two one-sided ranges, equality
+// spellings that collapse to one dictionary code — share a signature and
+// therefore a mask entry and a plan group. The empty signature means "all
+// rows".
 func (e *Executor) maskSig(preds []Predicate) string {
-	return maskSigWith(preds, e.predKey)
-}
-
-func maskSigWith(preds []Predicate, key func(Predicate) string) string {
 	if len(preds) == 0 {
 		return ""
 	}
 	keys := make([]string, 0, len(preds)+2)
 	for _, p := range decomposePreds(preds) {
-		keys = append(keys, key(p))
+		keys = append(keys, e.predKey(p))
 	}
 	sort.Strings(keys)
 	uniq := keys[:1]
@@ -897,72 +874,32 @@ func (e *Executor) plan(keys []string, preds []Predicate) (*planEntry, error) {
 	return ent, ent.err
 }
 
-// coreScratch holds the per-query integer/float work buffers of the
-// per-query core, recycled through a pool so the hot loop allocates only its
-// returned result slices.
-type coreScratch struct {
-	offs, fill []int
-	fbuf       []float64
-}
-
-var corePool = sync.Pool{New: func() interface{} { return &coreScratch{} }}
-
-// grabInts returns a zeroed length-n int slice backed by *buf, growing it as
-// needed.
-func grabInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-		return *buf
-	}
-	s := (*buf)[:n]
-	clear(s)
-	return s
-}
-
-// grabFloats returns a length-n float slice backed by *buf; contents are
-// unspecified (callers overwrite every slot).
-func grabFloats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-		return *buf
-	}
-	return (*buf)[:n]
-}
-
-// execResult is the group-level outcome of one query: the representative
-// source row, aggregate value and validity per non-empty group, in first-seen
-// order over the matching rows, plus the group index the query ran under.
-// Batch paths may also carry the plan group's shared key columns. Slices can
-// be shared across the queries of one plan group; they are read-only.
+// execResult is the group-level outcome of one query: the group-key columns,
+// aggregate value and validity per non-empty group, in first-seen order over
+// the matching rows. Slices and columns are shared across the queries of one
+// plan group; they are read-only.
 type execResult struct {
-	gi      *dataframe.GroupIndex
-	local   []int // gid -> local index + 1 (the plan's discovery map)
-	repr    []int
+	keyCols []*dataframe.Column
 	vals    []float64
 	valid   []bool
-	keyCols []*dataframe.Column
 }
 
 // Execute evaluates one query against the executor's table, producing the
 // same result table as Query.Execute — one row per non-empty group, in
-// first-seen order over the matching rows — but through the shared caches.
+// first-seen order over the matching rows — as a batch of one through the
+// fused path, so it shares plan groups and retained state with every batch.
 func (e *Executor) Execute(q Query, featureName string) (*dataframe.Table, error) {
-	defer e.beginScan()()
-	er, err := e.executeCore(q)
+	res, err := e.ExecuteBatch([]Query{q}, featureName)
 	if err != nil {
 		return nil, err
 	}
-	return resultTable(er, featureName)
+	return res[0], nil
 }
 
 // resultTable materialises an execution result as a (keys..., feature) table.
 func resultTable(er execResult, featureName string) (*dataframe.Table, error) {
 	out := dataframe.MustNewTable()
-	keyCols := er.keyCols
-	if keyCols == nil {
-		keyCols = takeKeyCols(er.gi, er.repr)
-	}
-	for _, kc := range keyCols {
+	for _, kc := range er.keyCols {
 		if err := out.AddColumn(kc); err != nil {
 			return nil, err
 		}
@@ -984,112 +921,6 @@ func takeKeyCols(gi *dataframe.GroupIndex, repr []int) []*dataframe.Column {
 		cols = append(cols, kc.Take(repr))
 	}
 	return cols
-}
-
-// executeCore runs the masked, index-backed aggregation shared by the
-// single-query entry points Execute (which materialises a result table) and
-// AugmentValues (which maps the group values straight onto the training
-// rows). Group discovery comes from the shared plan cache; the two value
-// passes (non-null counts, then a flat buffer partitioned by group) run
-// per query over pooled scratch. The fused batch path in fused.go replaces
-// those per-query passes with shared streaming scans.
-func (e *Executor) executeCore(q Query) (execResult, error) {
-	if len(q.Keys) == 0 {
-		return execResult{}, fmt.Errorf("query: execute with no group-by keys")
-	}
-	// Plan rows index the physical scan table (the parent, for shard
-	// executors), so the aggregation column must come from it too.
-	aggCol := e.core.t.Column(q.AggAttr)
-	if aggCol == nil {
-		return execResult{}, fmt.Errorf("query: no aggregation column %q", q.AggAttr)
-	}
-	pe, err := e.plan(q.Keys, q.Preds)
-	if err != nil {
-		return execResult{}, err
-	}
-	e.mu.Lock()
-	e.stats.CoreQueries++
-	e.mu.Unlock()
-
-	ngroups := len(pe.repr)
-	useString := aggCol.Kind() == dataframe.KindString
-	allNull := useString && !q.Agg.SupportsStrings()
-	vals := make([]float64, ngroups)
-	valid := make([]bool, ngroups)
-	if !allNull && ngroups > 0 && q.Agg == agg.Count && !e.DisableCompactStrings {
-		// COUNT depends only on the plan's popcount-derived per-group row
-		// counts — serve it with no value pass at all, exactly as the fused
-		// batch path does (the differential tests pin fused ≡ core).
-		for li, n := range pe.counts {
-			vals[li], valid[li] = float64(n), true
-		}
-		e.mu.Lock()
-		e.stats.CountOnlyQueries++
-		e.mu.Unlock()
-		return execResult{gi: pe.gi, local: pe.local, repr: pe.repr, vals: vals, valid: valid}, nil
-	}
-	if !allNull && ngroups > 0 {
-		sc := corePool.Get().(*coreScratch)
-		local, rowGID := pe.local, pe.gi.RowGroups()
-		colValid := aggCol.ValidData()
-
-		// One value pass: fill a flat buffer partitioned by group, with
-		// offsets prefix-summed from the plan's cached total row counts (an
-		// upper bound on the non-null counts, so no counting pre-pass is
-		// needed). Values land in row order within each group, exactly as
-		// Query.Execute collects them, and the value read is kind-specialised
-		// through the column's bulk accessors instead of per-row AsFloat
-		// calls.
-		offs := grabInts(&sc.offs, ngroups+1)
-		for li, n := range pe.counts {
-			offs[li+1] = offs[li] + n
-		}
-		fill := grabInts(&sc.fill, ngroups)
-		copy(fill, offs[:ngroups])
-		var sbuf []string
-		var fbuf []float64
-		if useString {
-			sbuf = make([]string, offs[ngroups])
-			if strs := aggCol.StrData(); strs != nil {
-				for _, i := range pe.rows {
-					if colValid[i] {
-						li := local[rowGID[i]] - 1
-						sbuf[fill[li]] = strs[i]
-						fill[li]++
-					}
-				}
-			} else {
-				// Compact column: decode per row through the dictionary.
-				for _, i := range pe.rows {
-					if colValid[i] {
-						li := local[rowGID[i]] - 1
-						sbuf[fill[li]] = aggCol.Str(i)
-						fill[li]++
-					}
-				}
-			}
-		} else {
-			fbuf = grabFloats(&sc.fbuf, offs[ngroups])
-			fvals := e.floatView(aggCol)
-			for _, i := range pe.rows {
-				if colValid[i] {
-					li := local[rowGID[i]] - 1
-					fbuf[fill[li]] = fvals[i]
-					fill[li]++
-				}
-			}
-		}
-		for li := 0; li < ngroups; li++ {
-			if useString {
-				vals[li], valid[li] = q.Agg.StringApply(sbuf[offs[li]:fill[li]], pe.counts[li])
-			} else {
-				vals[li], valid[li] = q.Agg.Apply(fbuf[offs[li]:fill[li]], pe.counts[li])
-			}
-		}
-		corePool.Put(sc)
-	}
-
-	return execResult{gi: pe.gi, local: pe.local, repr: pe.repr, vals: vals, valid: valid}, nil
 }
 
 // joinEntry caches the training-table side of Augment's join for one
@@ -1161,29 +992,35 @@ func (e *Executor) joinIndex(d *dataframe.Table, keys []string) (*joinEntry, err
 // d's rows (NULL on join miss, vals zeroed at NULL positions — the same
 // convention Column.Floats yields), without materialising the joined table.
 // This is the search loop's hot path: evaluators want the raw slices, not a
-// Table.
+// Table. It is AugmentValuesBatch over a batch of one; the returned slices
+// are views into that batch's one-column FeatureMatrix.
 func (e *Executor) AugmentValues(d *dataframe.Table, q Query) ([]float64, []bool, error) {
-	for _, k := range q.Keys {
-		if !d.HasColumn(k) {
-			return nil, nil, fmt.Errorf("query: training table has no join key %q", k)
-		}
-	}
-	defer e.beginScan()()
-	er, err := e.executeCore(q)
+	vals, valid, err := e.AugmentValuesBatch(d, []Query{q})
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.scatter(d, q, er)
+	return vals[0], valid[0], nil
 }
 
-// scatterScratch holds the per-scatter train-group mapping (and, for the
-// fused path, the per-row local map and the touched-group marks), recycled
-// through a pool so neither the per-query fallback nor the fused per-group
-// scatter allocates O(train groups) or O(rows(D)) scratch per use.
+// scatterScratch holds the fused scatter's train-group mapping, per-row local
+// map and touched-group marks, recycled through a pool so a plan group's
+// scatter allocates no O(train groups) or O(rows(D)) scratch per use.
 type scatterScratch struct {
 	dgToLocal []int
 	rowLocal  []int32
 	mark      []int32 // local group -> touched position + 1; all zero between uses
+}
+
+// grabInts returns a zeroed length-n int slice backed by *buf, growing it as
+// needed.
+func grabInts(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+		return *buf
+	}
+	s := (*buf)[:n]
+	clear(s)
+	return s
 }
 
 // grabInts32 returns a length-n int32 slice backed by *buf; contents are
@@ -1197,43 +1034,6 @@ func grabInts32(buf *[]int32, n int) []int32 {
 }
 
 var scatterPool = sync.Pool{New: func() interface{} { return &scatterScratch{} }}
-
-// scatter maps a query's group values onto d's rows: result group -> train
-// group (via the cached join mapping), then train group -> row values. This
-// is the per-query path (legacy / DisableScatterFusion); batches go through
-// the plan-group-shared scatter in scatter.go.
-func (e *Executor) scatter(d *dataframe.Table, q Query, er execResult) ([]float64, []bool, error) {
-	jn, err := e.joinIndex(d, q.Keys)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := d.NumRows()
-	vals := make([]float64, n)
-	valid := make([]bool, n)
-	sc := scatterPool.Get().(*scatterScratch)
-	dgToLocal := grabInts(&sc.dgToLocal, len(jn.dToR)) // train gid -> local index + 1
-	for dg, rg := range jn.dToR {
-		if rg >= 0 && rg < len(er.local) {
-			dgToLocal[dg] = er.local[rg]
-		}
-	}
-	dRowGID := jn.idx.RowGroups()
-	for row := 0; row < n; row++ {
-		if li := dgToLocal[dRowGID[row]]; li > 0 {
-			v := er.vals[li-1]
-			// NaN aggregates are NULL, matching NewFloatColumn + Floats.
-			if er.valid[li-1] && !math.IsNaN(v) {
-				vals[row], valid[row] = v, true
-			}
-		}
-	}
-	scatterPool.Put(sc)
-	e.mu.Lock()
-	e.stats.ScatterPasses++
-	e.stats.ScatterQueries++
-	e.mu.Unlock()
-	return vals, valid, nil
-}
 
 // Augment executes the query through the caches and left-joins the feature
 // onto the training table d, mirroring Query.Augment: every d row appears
@@ -1283,7 +1083,7 @@ func (e *Executor) ExecuteBatch(qs []Query, featureName string) ([]*dataframe.Ta
 // returned, so a long batch aborts after at most the in-flight scans.
 func (e *Executor) ExecuteBatchContext(ctx context.Context, qs []Query, featureName string) ([]*dataframe.Table, error) {
 	defer e.beginScan()()
-	ers, err := e.executeBatchCore(ctx, qs, true)
+	ers, err := e.executeBatchCore(ctx, qs)
 	if err != nil {
 		return nil, err
 	}
@@ -1327,8 +1127,7 @@ func (e *Executor) AugmentBatchContext(ctx context.Context, d *dataframe.Table, 
 // On the fused (default) path the returned slices are read-only views into
 // one flat batch buffer (a FeatureMatrix), so retaining any one of them
 // keeps the whole batch's buffer reachable; callers that keep a few columns
-// of a large batch long-term should copy them out. The DisableFusion /
-// DisableScatterFusion test modes return standalone per-query slices.
+// of a large batch long-term should copy them out.
 func (e *Executor) AugmentValuesBatch(d *dataframe.Table, qs []Query) ([][]float64, [][]bool, error) {
 	return e.AugmentValuesBatchContext(context.Background(), d, qs)
 }
@@ -1353,12 +1152,9 @@ func (e *Executor) AugmentValuesBatchContext(ctx context.Context, d *dataframe.T
 		return nil, nil, err
 	}
 	defer e.beginScan()()
-	if e.DisableFusion || e.DisableScatterFusion {
-		return e.scatterPerQuery(ctx, d, qs)
-	}
-	// The fused path lands every column in one flat matrix and returns
-	// per-query views into it — the same shared scatter as AugmentMatrix
-	// (keys were validated above).
+	// Every column lands in one flat matrix and the caller gets per-query
+	// views into it — the same shared scatter as AugmentMatrix (keys were
+	// validated above).
 	m, err := e.augmentMatrixCore(ctx, d, qs)
 	if err != nil {
 		return nil, nil, err
@@ -1367,31 +1163,6 @@ func (e *Executor) AugmentValuesBatchContext(ctx context.Context, d *dataframe.T
 	valid := make([][]bool, len(qs))
 	for i := range qs {
 		vals[i], valid[i] = m.Col(i)
-	}
-	return vals, valid, nil
-}
-
-// scatterPerQuery is the DisableFusion/DisableScatterFusion fallback shared
-// by the batch augment entry points: execute, then one scatter pass over d
-// per query on the worker pool, into standalone per-query slices — the PR 3
-// behaviour the differential tests and benchmarks compare against.
-func (e *Executor) scatterPerQuery(ctx context.Context, d *dataframe.Table, qs []Query) ([][]float64, [][]bool, error) {
-	ers, err := e.executeBatchCore(ctx, qs, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals := make([][]float64, len(qs))
-	valid := make([][]bool, len(qs))
-	err = e.runBatch(ctx, len(qs), func(i int) error {
-		v, ok, err := e.scatter(d, qs[i], ers[i])
-		if err != nil {
-			return fmt.Errorf("%s: %w", qs[i].SQL("R"), err)
-		}
-		vals[i], valid[i] = v, ok
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 	return vals, valid, nil
 }
@@ -1417,18 +1188,6 @@ func (e *Executor) AugmentMatrixContext(ctx context.Context, d *dataframe.Table,
 // augmentMatrixCore is AugmentMatrixContext after key validation.
 func (e *Executor) augmentMatrixCore(ctx context.Context, d *dataframe.Table, qs []Query) (*FeatureMatrix, error) {
 	m := newFeatureMatrix(d.NumRows(), len(qs))
-	if e.DisableFusion || e.DisableScatterFusion {
-		vals, valid, err := e.scatterPerQuery(ctx, d, qs)
-		if err != nil {
-			return nil, err
-		}
-		for i := range qs {
-			mv, mok := m.Col(i)
-			copy(mv, vals[i])
-			copy(mok, valid[i])
-		}
-		return m, nil
-	}
 	if err := e.checkBatch(qs); err != nil {
 		return nil, err
 	}
@@ -1436,9 +1195,4 @@ func (e *Executor) augmentMatrixCore(ctx context.Context, d *dataframe.Table, qs
 		return nil, err
 	}
 	return m, nil
-}
-
-// runBatch runs fn(0..n-1) on the executor's worker pool.
-func (e *Executor) runBatch(ctx context.Context, n int, fn func(i int) error) error {
-	return par.ForEachCtx(ctx, e.Parallelism, n, fn)
 }

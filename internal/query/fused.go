@@ -23,8 +23,10 @@ package query
 //
 // A 200-query rung with 20 distinct masks therefore costs a few scans per
 // mask instead of two per query, and every accumulation runs in the exact
-// matching-row (or sorted-distinct) order the per-query core uses, so results
-// are bit-identical to executeCore (the differential tests enforce this).
+// matching-row (or sorted-distinct) order Query.Execute uses, so results are
+// bit-identical to it (the differential tests enforce this). A single query
+// is a batch of one: its plan group's discovery and retained attribute state
+// serve every later query — single or batched — on the same group.
 
 import (
 	"context"
@@ -96,33 +98,13 @@ func (e *Executor) groupBatch(qs []Query) []*fusedGroup {
 
 // executeBatchCore evaluates a batch of queries, fused by plan group, and
 // returns one execResult per query in input order. Results of queries sharing
-// a plan group and agg pair share their slices (read-only). withKeyCols also
-// materialises each plan group's key columns once, for ExecuteBatch's result
-// tables. DisableFusion falls back to the per-query core, preserving the
-// legacy one-scan-per-query behaviour for benchmarks and differential tests.
-func (e *Executor) executeBatchCore(ctx context.Context, qs []Query, withKeyCols bool) ([]execResult, error) {
+// a plan group and agg pair share their slices (read-only), and every query of
+// a plan group shares its key columns, materialised once.
+func (e *Executor) executeBatchCore(ctx context.Context, qs []Query) ([]execResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]execResult, len(qs))
-	if e.DisableFusion {
-		err := e.runBatch(ctx, len(qs), func(i int) error {
-			er, err := e.executeCore(qs[i])
-			if err != nil {
-				return fmt.Errorf("%s: %w", qs[i].SQL("R"), err)
-			}
-			if withKeyCols {
-				er.keyCols = takeKeyCols(er.gi, er.repr)
-			}
-			results[i] = er
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return results, nil
-	}
-
 	if err := e.checkBatch(qs); err != nil {
 		return nil, err
 	}
@@ -140,14 +122,11 @@ func (e *Executor) executeBatchCore(ctx context.Context, qs []Query, withKeyCols
 		if err != nil {
 			return err
 		}
-		var keyCols []*dataframe.Column
-		if withKeyCols {
-			keyCols = takeKeyCols(pe.gi, pe.repr)
-		}
+		keyCols := takeKeyCols(pe.gi, pe.repr)
 		for _, pair := range g.order {
 			pr := prs[pair]
 			for _, qi := range g.slots[pair] {
-				results[qi] = execResult{gi: pe.gi, local: pe.local, repr: pe.repr, vals: pr.vals, valid: pr.valid, keyCols: keyCols}
+				results[qi] = execResult{keyCols: keyCols, vals: pr.vals, valid: pr.valid}
 			}
 		}
 		return nil
@@ -296,6 +275,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntr
 	attrs := map[string]*attrScan{}
 	var attrOrder []string
 	pending := map[string][]agg.Func{}
+	countOnly := 0
 	for _, pair := range g.order {
 		as, ok := attrs[pair.attr]
 		if !ok {
@@ -329,6 +309,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntr
 				vals[t], valid[t] = float64(pe.counts[li]), true
 			}
 			out[pair] = pairResult{vals: vals, valid: valid}
+			countOnly += len(g.slots[pair])
 		default:
 			pending[pair.attr] = append(pending[pair.attr], fn)
 		}
@@ -420,6 +401,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntr
 	for _, pair := range g.order {
 		e.stats.FusedQueries += int64(len(g.slots[pair]))
 	}
+	e.stats.CountOnlyQueries += int64(countOnly)
 	e.mu.Unlock()
 	return out, nil
 }
@@ -433,8 +415,8 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntr
 // requested function is streamable, no buffer exists at all: the accumulators
 // stream directly off the indexed scan, with one extra indexed pass for the
 // centered moments. Both shapes accumulate in matching-row order, the exact
-// order of agg.Func.Apply over the per-query core's buffers, so every result
-// is bit-identical.
+// order of agg.Func.Apply over Query.Execute's per-group value lists, so
+// every result is bit-identical.
 //
 // Every pass walks the plan's morsel segments (pe.segs), observing the
 // context at each boundary; fill pointers and accumulators carry across

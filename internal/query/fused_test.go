@@ -85,10 +85,9 @@ func nullHeavyTable(n int, seed int64) *dataframe.Table {
 }
 
 // TestDifferentialFusedExecuteBatch requires the fused batch path to be
-// row-for-row — and bit-for-bit — identical to both the per-query core
-// (DisableFusion) and the fully independent Query.Execute, across random
-// mixed-template batches, all 15 agg funcs, string/float/int/bool/time agg
-// columns, and a NULL-heavy table.
+// row-for-row — and bit-for-bit — identical to the independent Query.Execute
+// oracle, cold and warm, across random mixed-template batches, all 15 agg
+// funcs, string/float/int/bool/time agg columns, and a NULL-heavy table.
 func TestDifferentialFusedExecuteBatch(t *testing.T) {
 	tables := map[string]*dataframe.Table{
 		"mixed":     largeRandomTable(500, 11),
@@ -103,19 +102,12 @@ func TestDifferentialFusedExecuteBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy := NewExecutor(r)
-			legacy.DisableFusion = true
-			want, err := legacy.ExecuteBatch(qs, "feature")
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := make([]*dataframe.Table, len(qs))
 			for i, q := range qs {
-				sameTable(t, q.SQL("r"), got[i], want[i])
-				indep, err := q.Execute(r, "feature")
-				if err != nil {
+				if want[i], err = q.Execute(r, "feature"); err != nil {
 					t.Fatalf("%s: %v", q.SQL("r"), err)
 				}
-				sameTable(t, "independent "+q.SQL("r"), got[i], indep)
+				sameTable(t, "independent "+q.SQL("r"), got[i], want[i])
 			}
 			// A second, warm batch must reuse the plan cache and still match.
 			again, err := fused.ExecuteBatch(qs, "feature")
@@ -136,9 +128,24 @@ func TestDifferentialFusedExecuteBatch(t *testing.T) {
 	}
 }
 
+// oracleFeature is the Query.Augment oracle's feature column over d's rows,
+// in AugmentValues' (vals, valid) convention.
+func oracleFeature(t *testing.T, q Query, d, r *dataframe.Table) ([]float64, []bool) {
+	t.Helper()
+	const name = "oracle_feature"
+	if d.HasColumn(name) {
+		t.Fatalf("training table already has a %q column", name)
+	}
+	aug, err := q.Augment(d, r, name)
+	if err != nil {
+		t.Fatalf("%s: %v", q.SQL("r"), err)
+	}
+	return aug.Column(name).Floats()
+}
+
 // TestDifferentialFusedAugmentValuesBatch checks the join side: fused batch
 // feature slices must equal both the single-query AugmentValues and the
-// legacy per-query batch, element for element.
+// Query.Augment oracle, element for element.
 func TestDifferentialFusedAugmentValuesBatch(t *testing.T) {
 	r := largeRandomTable(400, 31)
 	d := largeRandomTable(150, 32)
@@ -150,26 +157,21 @@ func TestDifferentialFusedAugmentValuesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := NewExecutor(r)
-	legacy.DisableFusion = true
-	wantVals, wantValid, err := legacy.AugmentValuesBatch(d, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	single := NewExecutor(r)
 	for i, q := range qs {
+		wantVals, wantValid := oracleFeature(t, q, d, r)
 		sv, sok, err := single.AugmentValues(d, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.SQL("r"), err)
 		}
 		for row := range sv {
-			if valid[i][row] != wantValid[i][row] || valid[i][row] != sok[row] {
-				t.Fatalf("%s row %d: valid fused=%v legacy=%v single=%v",
-					q.SQL("r"), row, valid[i][row], wantValid[i][row], sok[row])
+			if valid[i][row] != wantValid[row] || valid[i][row] != sok[row] {
+				t.Fatalf("%s row %d: valid fused=%v oracle=%v single=%v",
+					q.SQL("r"), row, valid[i][row], wantValid[row], sok[row])
 			}
-			if vals[i][row] != wantVals[i][row] || vals[i][row] != sv[row] {
-				t.Fatalf("%s row %d: value fused=%v legacy=%v single=%v",
-					q.SQL("r"), row, vals[i][row], wantVals[i][row], sv[row])
+			if vals[i][row] != wantVals[row] || vals[i][row] != sv[row] {
+				t.Fatalf("%s row %d: value fused=%v oracle=%v single=%v",
+					q.SQL("r"), row, vals[i][row], wantVals[row], sv[row])
 			}
 		}
 	}
@@ -187,10 +189,10 @@ func TestFusedMaskCanonicalisation(t *testing.T) {
 			{Attr: "x", Kind: PredRange, HasHi: true, Hi: 60},
 			{Attr: "x", Kind: PredRange, HasLo: true, Lo: -30},
 		}}
-	if maskSignature(between.Preds) != maskSignature(split.Preds) {
-		t.Fatalf("signatures differ: %q vs %q", maskSignature(between.Preds), maskSignature(split.Preds))
-	}
 	ex := NewExecutor(r)
+	if ex.maskSig(between.Preds) != ex.maskSig(split.Preds) {
+		t.Fatalf("signatures differ: %q vs %q", ex.maskSig(between.Preds), ex.maskSig(split.Preds))
+	}
 	got, err := ex.ExecuteBatch([]Query{between, split}, "feature")
 	if err != nil {
 		t.Fatal(err)
@@ -211,18 +213,17 @@ func TestFusedMaskCanonicalisation(t *testing.T) {
 // TestFusedPlanCacheConcurrent hammers one shared executor's fused batch
 // entry points from many goroutines over overlapping pools, so the race
 // detector can see the plan-group, mask and scratch machinery under
-// contention; every result is checked against a sequential baseline.
+// contention; every result is checked against the Query.Augment oracle.
 func TestFusedPlanCacheConcurrent(t *testing.T) {
 	r := largeRandomTable(300, 51)
 	d := largeRandomTable(120, 52)
 	rng := rand.New(rand.NewSource(53))
 	pool := randomPool(rng, 60)
 
-	base := NewExecutor(r)
-	base.DisableFusion = true
-	baseVals, baseValid, err := base.AugmentValuesBatch(d, pool)
-	if err != nil {
-		t.Fatal(err)
+	baseVals := make([][]float64, len(pool))
+	baseValid := make([][]bool, len(pool))
+	for i, q := range pool {
+		baseVals[i], baseValid[i] = oracleFeature(t, q, d, r)
 	}
 
 	shared := NewExecutor(r)
@@ -343,5 +344,58 @@ func TestExecutorStatsCounters(t *testing.T) {
 	}
 	if st.String() == "" {
 		t.Fatal("empty stats string")
+	}
+}
+
+// TestSingleQueryReusesBatchPlan pins the single-query entry points to the
+// fused path: after a batch has scanned a plan group, a lone Execute or
+// AugmentValues on that group is a plan-cache hit served from the retained
+// attribute state — no new discovery or attribute scan — and stays
+// bit-identical to the Query.Execute / Query.Augment oracles.
+func TestSingleQueryReusesBatchPlan(t *testing.T) {
+	r := largeRandomTable(400, 81)
+	d := dupKeyTrainTable(120, 82)
+	preds := []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "a"}}
+	batch := []Query{
+		{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"}, Preds: preds},
+		{Agg: agg.Median, AggAttr: "ts", Keys: []string{"k1"}, Preds: preds},
+	}
+	ex := NewExecutor(r)
+	if _, err := ex.ExecuteBatch(batch, "feature"); err != nil {
+		t.Fatal(err)
+	}
+	before := ex.Stats()
+
+	single := Query{Agg: agg.Avg, AggAttr: "x", Keys: []string{"k1"}, Preds: preds}
+	got, err := ex.Execute(single, "feature")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := single.Execute(r, "feature")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTable(t, single.SQL("r"), got, want)
+
+	lone := Query{Agg: agg.MAD, AggAttr: "ts", Keys: []string{"k1"}, Preds: preds}
+	gotV, gotOK, err := ex.AugmentValues(d, lone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantV, wantOK := oracleFeature(t, lone, d, r)
+	sameFeature(t, lone.SQL("r"), gotV, wantV, gotOK, wantOK)
+
+	after := ex.Stats()
+	if after.PlanMisses != before.PlanMisses || after.PlanHits != before.PlanHits+2 {
+		t.Errorf("plans %d hits / %d misses after the single queries, want %d / %d",
+			after.PlanHits, after.PlanMisses, before.PlanHits+2, before.PlanMisses)
+	}
+	if after.FusedScans != before.FusedScans {
+		t.Errorf("FusedScans %d -> %d: single queries rescanned attributes the batch retained",
+			before.FusedScans, after.FusedScans)
+	}
+	if after.FusedQueries != before.FusedQueries+2 || after.CoreQueries != 0 {
+		t.Errorf("fused %d / core %d queries, want %d / 0",
+			after.FusedQueries, after.CoreQueries, before.FusedQueries+2)
 	}
 }

@@ -1,21 +1,18 @@
 package query
 
-// The fused train-side scatter. PR 3 fused the relevant-table side of batch
-// execution (shared scans per plan group) but left serving per-query: every
-// query of an AugmentValuesBatch paid its own O(rows(D)) walk over the
-// training table with a freshly allocated train-group mapping. This file
-// extends plan-group fusion across the train-side boundary: the batch is
-// grouped by the same (key-set, WHERE-mask signature) plan groups as the
-// execute path, and each group builds ONE train-group mapping and runs ONE
-// pass over the training table that writes every query's feature column in
-// the same loop. Queries sharing a (plan group, agg pair) are served by one
-// column, matching the slice sharing of the fused execute path. The mapping
-// names only the plan groups the training rows join (touchedGroups), and
-// aggregates are extracted for those alone, so the pass is sized by the
-// training table, not the relevant one. Results are bit-identical to the
-// per-query scatter (the differential tests enforce it): the per-group
-// projection tables fold the NULL/NaN convention before the pass, so the row
-// loop is branch-free integer indexing.
+// The fused train-side scatter, the only one the executor has: a single
+// AugmentValues is a batch of one. Plan-group fusion extends across the
+// train-side boundary: the batch is grouped by the same (key-set, WHERE-mask
+// signature) plan groups as the execute path, and each group builds ONE
+// train-group mapping and runs ONE pass over the training table that writes
+// every query's feature column in the same loop. Queries sharing a (plan
+// group, agg pair) are served by one column, matching the slice sharing of
+// the fused execute path. The mapping names only the plan groups the training
+// rows join (touchedGroups), and aggregates are extracted for those alone, so
+// the pass is sized by the training table, not the relevant one. Results are
+// bit-identical to Query.Augment (the differential tests enforce it): the
+// per-group projection tables fold the NULL/NaN convention before the pass,
+// so the row loop is branch-free integer indexing.
 
 import (
 	"context"
@@ -143,8 +140,7 @@ func (e *Executor) augmentGrouped(ctx context.Context, d *dataframe.Table, order
 			lo := ci * (nt + 1)
 			c.proj = pslab[lo : lo+nt+1 : lo+nt+1]
 			for t, v := range pr.vals {
-				// NaN aggregates are NULL, matching NewFloatColumn + Floats
-				// (and the per-query scatter).
+				// NaN aggregates are NULL, matching NewFloatColumn + Floats.
 				if pr.valid[t] && !math.IsNaN(v) {
 					c.proj[t+1] = projSlot{v: v, ok: true}
 				}
@@ -154,8 +150,8 @@ func (e *Executor) augmentGrouped(ctx context.Context, d *dataframe.Table, order
 
 		// The shared pass over the training table: resolve each row's touched
 		// slot once — the random-access half of the scatter (row -> train
-		// group -> plan-group slot) that the per-query path repeats for every
-		// query — into a compact sequential map. The pass walks the training
+		// group -> plan-group slot), shared by every column of the group —
+		// into a compact sequential map. The pass walks the training
 		// table morsel by morsel, observing the context at each boundary.
 		bounds := dataframe.MorselBounds(n, e.core.morselRows)
 		dRowGID := jn.idx.RowGroups()

@@ -22,8 +22,9 @@ package query
 // Each kernel mirrors the eqCodeBits loop contract exactly — full words go
 // word-parallel, the ragged tail falls back to the scalar loop, and every
 // output word is AND-ed with the validity bitmap — so the bitmaps are
-// bit-identical to the scalar kernels' (the differential suite sweeps
-// DisableCompactStrings to pin that).
+// bit-identical to the scalar kernels' (swar_test.go's exhaustive
+// SWAR-vs-scalar oracle pins that). Narrow code mirrors always take these
+// kernels; the scalar loops serve ragged tails and wide codes.
 
 import "encoding/binary"
 
