@@ -15,9 +15,13 @@ type Timing struct {
 	QTI      time.Duration
 	Warmup   time.Duration
 	Generate time.Duration
+	// ModelFit is the part of QTI, Warmup and Generate spent inside
+	// downstream-model Fit calls (pipeline.Evaluator.FitTime), the paper's
+	// cost unit. It is a layer of the three phases, not a fourth phase.
+	ModelFit time.Duration
 }
 
-// Total returns the summed wall time.
+// Total returns the summed wall time of the three phases.
 func (t Timing) Total() time.Duration { return t.QTI + t.Warmup + t.Generate }
 
 // Result is the outcome of a full FeatAug run.
@@ -49,6 +53,7 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	attrs := e.eval.P.PredAttrs
 
 	var templates []TemplateScore
+	fit0 := e.eval.FitTime
 	t0 := time.Now()
 	e.cfg.progress(StageQTI, 0, 1)
 	if e.cfg.DisableQTI {
@@ -68,39 +73,29 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 		e.cfg.logf("feataug: template %v (effectiveness %.4f)", ts.PredAttrs, ts.Score)
 	}
 
-	// Generation; the warm-up time inside GenerateQueries is attributed by
-	// instrumenting the evaluator's proxy counter — warm-up cost is proxy
-	// evaluations plus the priming real evaluations, generation cost is the
-	// rest. For wall-clock purposes we time the two phases directly.
+	// Generation: each template's warm-up (proxy TPE plus the priming real
+	// evaluations) is timed inside generateQueries; the rest is generation.
 	for ti, ts := range templates {
 		e.cfg.progress(StageGenerate, ti, len(templates))
 		tpl := e.Template(ts.PredAttrs)
 		tGen := time.Now()
-		qs, err := e.generateQueries(ctx, tpl, e.cfg.QueriesPerTemplate, ti, len(templates))
+		qs, warmup, err := e.generateQueries(ctx, tpl, e.cfg.QueriesPerTemplate, ti, len(templates))
 		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(tGen)
-		if e.cfg.DisableWarmup {
-			res.Timing.Generate += elapsed
-		} else {
-			// Split proportionally to the iteration budgets; exact per-phase
-			// timers inside GenerateQueries would require plumbing that adds
-			// noise at this scale.
-			w := float64(e.cfg.WarmupIters) / float64(e.cfg.WarmupIters+e.cfg.WarmupTopK+e.cfg.GenIters)
-			res.Timing.Warmup += time.Duration(float64(elapsed) * w)
-			res.Timing.Generate += time.Duration(float64(elapsed) * (1 - w))
-		}
+		res.Timing.Warmup += warmup
+		res.Timing.Generate += time.Since(tGen) - warmup
 		for _, gq := range qs {
 			e.cfg.logf("feataug: generated %s (loss %.4f)", gq.Query.SQL("R"), gq.Loss)
 		}
 		res.Queries = append(res.Queries, qs...)
 	}
 	e.cfg.progress(StageGenerate, len(templates), len(templates))
-	e.cfg.logf("feataug: %d queries in %s (QTI %s, warm-up %s, generate %s)",
+	res.Timing.ModelFit = e.eval.FitTime - fit0
+	e.cfg.logf("feataug: %d queries in %s (QTI %s, warm-up %s, generate %s; model fit %s)",
 		len(res.Queries), res.Timing.Total().Round(time.Millisecond),
 		res.Timing.QTI.Round(time.Millisecond), res.Timing.Warmup.Round(time.Millisecond),
-		res.Timing.Generate.Round(time.Millisecond))
+		res.Timing.Generate.Round(time.Millisecond), res.Timing.ModelFit.Round(time.Millisecond))
 
 	// Materialise every generated feature in one executor batch: the fused
 	// shared-scan path groups them by plan group, so a cold run pays a few

@@ -245,6 +245,35 @@ func TestRunNoWarmupTiming(t *testing.T) {
 	}
 }
 
+// TestRunTimingMeasured checks the measured phase split: warm-up is timed
+// between its progress boundaries (zero when disabled, positive otherwise),
+// and ModelFit is the evaluator's fit time over the run, inside the phases.
+func TestRunTimingMeasured(t *testing.T) {
+	for _, disable := range []bool{true, false} {
+		e := smallEngine(t, Config{DisableWarmup: disable, NoWarmupIters: 6, DisableQTI: true})
+		res, err := e.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := res.Timing
+		if disable && tm.Warmup != 0 {
+			t.Fatalf("DisableWarmup: Warmup = %v, want 0", tm.Warmup)
+		}
+		if !disable && tm.Warmup <= 0 {
+			t.Fatalf("Warmup = %v, want > 0", tm.Warmup)
+		}
+		if tm.Generate <= 0 {
+			t.Fatalf("DisableWarmup=%v: Generate = %v, want > 0", disable, tm.Generate)
+		}
+		if tm.ModelFit <= 0 || tm.ModelFit != e.eval.FitTime {
+			t.Fatalf("DisableWarmup=%v: ModelFit = %v, evaluator fit time %v", disable, tm.ModelFit, e.eval.FitTime)
+		}
+		if tm.ModelFit > tm.Total() {
+			t.Fatalf("DisableWarmup=%v: ModelFit %v exceeds the phases' total %v", disable, tm.ModelFit, tm.Total())
+		}
+	}
+}
+
 func TestRidgePredictor(t *testing.T) {
 	// y = 2*x0 - x1 + 1
 	X := [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {2, 1}, {1, 2}}

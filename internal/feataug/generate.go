@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"time"
 
 	"repro/internal/agg"
 	"repro/internal/hpo"
@@ -62,19 +63,22 @@ type GeneratedQuery struct {
 // real validation losses. Cancelling the context stops the search between
 // evaluations and returns ctx.Err().
 func (e *Engine) GenerateQueries(ctx context.Context, tpl query.Template, k int) ([]GeneratedQuery, error) {
-	return e.generateQueries(ctx, tpl, k, 0, 1)
+	qs, _, err := e.generateQueries(ctx, tpl, k, 0, 1)
+	return qs, err
 }
 
 // generateQueries is GenerateQueries with the template's position in the
 // overall run threaded through, so StageWarmup progress counts done/total
-// templates instead of restarting at 0/1 for every template.
-func (e *Engine) generateQueries(ctx context.Context, tpl query.Template, k, tplIdx, tplTotal int) ([]GeneratedQuery, error) {
+// templates instead of restarting at 0/1 for every template. It also returns
+// the wall time of the warm-up, the interval between the two StageWarmup
+// progress calls (0 under DisableWarmup).
+func (e *Engine) generateQueries(ctx context.Context, tpl query.Template, k, tplIdx, tplTotal int) ([]GeneratedQuery, time.Duration, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	space, err := e.spaces.Space(tpl)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	cards := space.Cardinalities()
 
@@ -102,14 +106,15 @@ func (e *Engine) generateQueries(ctx context.Context, tpl query.Template, k, tpl
 	}
 
 	var gen *hpo.TPE
+	var warmup time.Duration
 	if e.cfg.DisableWarmup {
 		// NoWU ablation: one plain TPE round with the combined budget.
 		gen = hpo.NewTPE(cards, e.rng, e.cfg.TPE)
 		if err := gen.Prime(seedObs); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if _, _, err := hpo.RunContext(ctx, gen, e.cfg.NoWarmupIters, realLoss); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	} else {
 		// Warm-Up Phase: TPE on the low-cost proxy task.
@@ -125,9 +130,10 @@ func (e *Engine) generateQueries(ctx context.Context, tpl query.Template, k, tpl
 			return -score // proxies are higher-is-better
 		}
 		e.cfg.progress(StageWarmup, tplIdx, tplTotal)
+		tWarm := time.Now()
 		warm := hpo.NewTPE(cards, e.rng, e.cfg.TPE)
 		if _, _, err := hpo.RunContext(ctx, warm, e.cfg.WarmupIters, proxyLoss); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 
 		// Evaluate the top-k proxy queries for real and prime the second
@@ -138,24 +144,26 @@ func (e *Engine) generateQueries(ctx context.Context, tpl query.Template, k, tpl
 		prime := make([]hpo.Observation, 0, len(top))
 		for _, o := range top {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			prime = append(prime, hpo.Observation{X: o.X, Loss: realLoss(o.X)})
 		}
+		warmup = time.Since(tWarm)
 		e.cfg.progress(StageWarmup, tplIdx+1, tplTotal)
 		opts := e.cfg.TPE
 		opts.NumStartup = 1 // surrogate is already informed
 		gen = hpo.NewTPE(cards, e.rng, opts)
 		if err := gen.Prime(append(prime, seedObs...)); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		// Query-Generation Phase: TPE on the real objective.
 		if _, _, err := hpo.RunContext(ctx, gen, e.cfg.GenIters, realLoss); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 
-	return bestDistinctQueries(space, gen.History(), k)
+	qs, err := bestDistinctQueries(space, gen.History(), k)
+	return qs, warmup, err
 }
 
 // bestDistinctQueries decodes the optimiser history, deduplicates by query

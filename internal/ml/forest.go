@@ -67,6 +67,7 @@ func (m *RandomForest) Fit(X [][]float64, y []float64) error {
 	}
 	m.trees = m.trees[:0]
 	n := len(X)
+	cols := columns(X)
 	for t := 0; t < m.opts.NumTrees; t++ {
 		rows := make([]int, n)
 		for i := range rows {
@@ -80,7 +81,7 @@ func (m *RandomForest) Fit(X [][]float64, y []float64) error {
 			regression:     m.task == Regression,
 			intn:           rng.Intn,
 		}
-		m.trees = append(m.trees, buildTree(X, y, rows, 0, o))
+		m.trees = append(m.trees, buildTree(cols, y, rows, 0, o))
 	}
 	return nil
 }

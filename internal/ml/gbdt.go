@@ -2,7 +2,7 @@ package ml
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // GBDTOptions configure the gradient-boosted tree ensemble (the paper's XGB
@@ -90,6 +90,7 @@ func (m *GBDT) Fit(X [][]float64, y []float64) error {
 	m.base = make([]float64, m.classes)
 	m.boosters = make([][]gbTree, m.classes)
 	n := len(X)
+	g := newGBGrower(m, columns(X))
 	for c := 0; c < m.classes; c++ {
 		target := make([]float64, n)
 		for i := range target {
@@ -115,103 +116,190 @@ func (m *GBDT) Fit(X [][]float64, y []float64) error {
 		for i := range scores {
 			scores[i] = m.base[c]
 		}
-		grad := make([]float64, n)
-		hess := make([]float64, n)
-		rows := make([]int, n)
-		for i := range rows {
-			rows[i] = i
-		}
 		for round := 0; round < m.opts.NumRounds; round++ {
 			for i := 0; i < n; i++ {
 				if m.task == Regression {
-					grad[i] = scores[i] - target[i]
-					hess[i] = 1
+					g.grad[i] = scores[i] - target[i]
+					g.hess[i] = 1
 				} else {
 					pi := sigmoid(scores[i])
-					grad[i] = pi - target[i]
-					hess[i] = pi * (1 - pi)
-					if hess[i] < 1e-6 {
-						hess[i] = 1e-6
+					g.grad[i] = pi - target[i]
+					g.hess[i] = pi * (1 - pi)
+					if g.hess[i] < 1e-6 {
+						g.hess[i] = 1e-6
 					}
 				}
 			}
-			root := m.growTree(X, grad, hess, rows, 0)
+			for i := range g.rows { // the last tree's partitions reordered them
+				g.rows[i] = i
+			}
+			root := g.grow(g.rows, 0)
 			m.boosters[c] = append(m.boosters[c], gbTree{root: root})
 			for i := 0; i < n; i++ {
-				scores[i] += m.opts.LearningRate * predictGB(root, X[i])
+				scores[i] += m.opts.LearningRate * g.leafWeight[i]
 			}
 		}
 	}
 	return nil
 }
 
-func (m *GBDT) growTree(X [][]float64, grad, hess []float64, rows []int, depth int) *gbNode {
+// gbGrower is one Fit's exact greedy split search and its scratch, shared by
+// every round and every class booster.
+//
+// Tie order is part of the model. A split's GL/HL are summed in the order the
+// sort leaves the node's rows in, and tied values stay wherever pdqsort puts
+// them, so the gains, and with them the chosen splits, depend on pdqsort's
+// exact permutation of the node's values taken in ascending row order. The
+// grower reproduces it: cmpValue answers the same < questions sort.Slice was
+// asked, partitions are stable so a node's rows stay ascending, and sorted
+// orders are memoised by row set, which is exact because the permutation
+// depends only on the value sequence and the data is fixed for the Fit. The
+// root (rows 0..n-1) is thus sorted once, and the child row sets boosting
+// revisits round after round are not sorted again. A stable sort, or a child
+// order filtered from its parent's sorted order, would break ties differently
+// and change the models.
+type gbGrower struct {
+	m          *GBDT
+	cols       [][]float64 // the training matrix, column-major
+	grad, hess []float64
+	rows       []int
+	pairs      []valRow
+	part       []int
+	leafWeight []float64 // per training row: the weight of the leaf it reached this round
+	orders     map[uint64][]*nodeOrders
+	budget     int // bytes the memo may still take
+}
+
+// orderMemoBytes bounds one Fit's sorted-order memo; once it is spent, new
+// row sets are sorted without being kept. The root's orders, the first
+// stored, are kept whatever their size.
+const orderMemoBytes = 8 << 20
+
+// nodeOrders is one row set's sort result: byFeature[j] lists the rows in the
+// order pdqsort leaves feature j's values in, or is nil when the sorted ends
+// are equal (a constant feature, or one a NaN hides the spread of), which the
+// split scan has always skipped.
+type nodeOrders struct {
+	rows      []int
+	byFeature [][]int32
+}
+
+// valRow is one row's feature value, sorted by value.
+type valRow struct {
+	v float64
+	r int32
+}
+
+func newGBGrower(m *GBDT, cols [][]float64) *gbGrower {
+	n := len(cols[0])
+	return &gbGrower{
+		m: m, cols: cols,
+		grad: make([]float64, n), hess: make([]float64, n),
+		rows: make([]int, n), pairs: make([]valRow, n), part: make([]int, 0, n),
+		leafWeight: make([]float64, n),
+		orders:     map[uint64][]*nodeOrders{},
+		budget:     orderMemoBytes,
+	}
+}
+
+// sortedOrders returns the per-feature sorted orders of rows (ascending),
+// from the memo when this row set was sorted before in the Fit.
+func (g *gbGrower) sortedOrders(rows []int) *nodeOrders {
+	h := uint64(14695981039346656037) // FNV-1a over the row indices
+	for _, r := range rows {
+		h = (h ^ uint64(r)) * 1099511628211
+	}
+	for _, o := range g.orders[h] {
+		if slices.Equal(o.rows, rows) {
+			return o
+		}
+	}
+	p := len(g.cols)
+	o := &nodeOrders{rows: slices.Clone(rows), byFeature: make([][]int32, p)}
+	pairs := g.pairs[:len(rows)]
+	for j, col := range g.cols {
+		if constantOn(col, rows) {
+			continue
+		}
+		for k, r := range rows {
+			pairs[k] = valRow{col[r], int32(r)}
+		}
+		slices.SortFunc(pairs, cmpValRow)
+		if pairs[0].v == pairs[len(pairs)-1].v {
+			continue
+		}
+		perm := make([]int32, len(pairs))
+		for k, e := range pairs {
+			perm[k] = e.r
+		}
+		o.byFeature[j] = perm
+	}
+	if cost := len(rows) * (8 + 4*p); cost <= g.budget || len(g.orders) == 0 {
+		g.budget -= cost
+		g.orders[h] = append(g.orders[h], o)
+	}
+	return o
+}
+
+func cmpValRow(a, b valRow) int { return cmpValue(a.v, b.v) }
+
+func (g *gbGrower) grow(rows []int, depth int) *gbNode {
+	o := g.m.opts
 	var G, H float64
 	for _, r := range rows {
-		G += grad[r]
-		H += hess[r]
+		G += g.grad[r]
+		H += g.hess[r]
 	}
 	leaf := func() *gbNode {
-		return &gbNode{isLeaf: true, weight: -G / (H + m.opts.Lambda)}
+		w := -G / (H + o.Lambda)
+		for _, r := range rows {
+			g.leafWeight[r] = w
+		}
+		return &gbNode{isLeaf: true, weight: w}
 	}
-	if depth >= m.opts.MaxDepth || len(rows) < 2 {
+	if depth >= o.MaxDepth || len(rows) < 2 {
 		return leaf()
 	}
 	bestGain := 0.0
 	bestFeat, bestThresh := -1, 0.0
-	parentScore := G * G / (H + m.opts.Lambda)
-	p := len(X[rows[0]])
-	type fgh struct{ v, g, h float64 }
-	vals := make([]fgh, 0, len(rows))
-	for j := 0; j < p; j++ {
-		vals = vals[:0]
-		for _, r := range rows {
-			vals = append(vals, fgh{X[r][j], grad[r], hess[r]})
-		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
-		if vals[0].v == vals[len(vals)-1].v {
-			continue
-		}
+	parentScore := G * G / (H + o.Lambda)
+	for j, perm := range g.sortedOrders(rows).byFeature {
+		col := g.cols[j]
 		var GL, HL float64
-		for i := 0; i < len(vals)-1; i++ {
-			GL += vals[i].g
-			HL += vals[i].h
-			if vals[i].v == vals[i+1].v {
+		for i := 0; i < len(perm)-1; i++ {
+			r := perm[i]
+			GL += g.grad[r]
+			HL += g.hess[r]
+			v, next := col[r], col[perm[i+1]]
+			if v == next {
 				continue
 			}
 			GR, HR := G-GL, H-HL
-			if HL < m.opts.MinChildWeight || HR < m.opts.MinChildWeight {
+			if HL < o.MinChildWeight || HR < o.MinChildWeight {
 				continue
 			}
-			gain := GL*GL/(HL+m.opts.Lambda) + GR*GR/(HR+m.opts.Lambda) - parentScore
+			gain := GL*GL/(HL+o.Lambda) + GR*GR/(HR+o.Lambda) - parentScore
 			if gain > bestGain {
 				bestGain = gain
 				bestFeat = j
-				bestThresh = (vals[i].v + vals[i+1].v) / 2
+				bestThresh = (v + next) / 2
 			}
 		}
 	}
 	if bestFeat < 0 || bestGain <= 1e-12 {
 		return leaf()
 	}
-	var left, right []int
-	for _, r := range rows {
-		if X[r][bestFeat] <= bestThresh {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
-		}
-	}
-	if len(left) == 0 || len(right) == 0 {
+	nl := partitionRows(g.cols[bestFeat], rows, g.part, bestThresh)
+	if nl == 0 || nl == len(rows) {
 		return leaf()
 	}
-	m.gains[bestFeat] += bestGain
+	g.m.gains[bestFeat] += bestGain
 	return &gbNode{
 		feature: bestFeat,
 		thresh:  bestThresh,
 		gain:    bestGain,
-		left:    m.growTree(X, grad, hess, left, depth+1),
-		right:   m.growTree(X, grad, hess, right, depth+1),
+		left:    g.grow(rows[:nl], depth+1),
+		right:   g.grow(rows[nl:], depth+1),
 	}
 }
 

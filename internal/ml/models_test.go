@@ -467,11 +467,11 @@ func TestTreeDepthRespectsLimit(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	root := buildTree(X, y, rows, 0, treeOptions{maxDepth: 3, minSamplesLeaf: 1, classes: 2})
+	root := buildTree(columns(X), y, rows, 0, treeOptions{maxDepth: 3, minSamplesLeaf: 1, classes: 2})
 	if d := root.depth(); d > 4 { // depth limit 3 splits → ≤4 levels
 		t.Fatalf("tree depth = %d", d)
 	}
-	empty := buildTree(X, y, nil, 0, treeOptions{maxDepth: 3, minSamplesLeaf: 1, classes: 2})
+	empty := buildTree(columns(X), y, nil, 0, treeOptions{maxDepth: 3, minSamplesLeaf: 1, classes: 2})
 	if !empty.isLeaf {
 		t.Fatal("empty rows should produce a leaf")
 	}

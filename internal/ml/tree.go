@@ -2,7 +2,7 @@ package ml
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // treeNode is one node of a CART tree. Leaves carry either a class
@@ -30,35 +30,115 @@ type treeOptions struct {
 	intn func(int) int
 }
 
-// buildTree grows a CART tree over the row subset rows.
-func buildTree(X [][]float64, y []float64, rows []int, depth int, o treeOptions) *treeNode {
+// buildTree grows a CART tree over the row subset rows, which it reorders in
+// place. cols is the training matrix column-major (see columns).
+func buildTree(cols [][]float64, y []float64, rows []int, depth int, o treeOptions) *treeNode {
+	b := &cartBuilder{cols: cols, y: y, o: o,
+		vals: make([]fv, len(rows)), part: make([]int, 0, len(rows)), cand: make([]int, len(cols))}
+	return b.grow(rows, depth)
+}
+
+// cartBuilder is one tree's growth state: the scan, partition and candidate
+// buffers are shared by all of its nodes.
+type cartBuilder struct {
+	cols [][]float64
+	y    []float64
+	o    treeOptions
+	vals []fv
+	part []int
+	cand []int
+}
+
+func (b *cartBuilder) grow(rows []int, depth int) *treeNode {
+	o := b.o
 	if len(rows) == 0 {
 		return &treeNode{isLeaf: true, leafDist: make([]float64, o.classes)}
 	}
-	if depth >= o.maxDepth || len(rows) < 2*o.minSamplesLeaf || pure(y, rows) {
-		return makeLeaf(y, rows, o)
+	if depth >= o.maxDepth || len(rows) < 2*o.minSamplesLeaf || pure(b.y, rows) {
+		return makeLeaf(b.y, rows, o)
 	}
-	feat, thresh, ok := bestSplit(X, y, rows, o)
+	feat, thresh, ok := b.bestSplit(rows)
 	if !ok {
-		return makeLeaf(y, rows, o)
+		return makeLeaf(b.y, rows, o)
 	}
-	var left, right []int
+	col := b.cols[feat]
+	nl := 0
 	for _, r := range rows {
-		if X[r][feat] <= thresh {
-			left = append(left, r)
+		if col[r] <= thresh {
+			nl++
+		}
+	}
+	// Checked before partitioning: a regression leaf sums its rows in order.
+	if nl < o.minSamplesLeaf || len(rows)-nl < o.minSamplesLeaf {
+		return makeLeaf(b.y, rows, o)
+	}
+	partitionRows(col, rows, b.part, thresh)
+	return &treeNode{
+		feature: feat,
+		thresh:  thresh,
+		left:    b.grow(rows[:nl], depth+1),
+		right:   b.grow(rows[nl:], depth+1),
+	}
+}
+
+// partitionRows reorders rows in place so that the rows with col[r] <= t
+// come first, each side keeping its relative order (the order appending to
+// two lists gives), and returns how many went left. buf is scratch with
+// capacity for rows.
+func partitionRows(col []float64, rows, buf []int, t float64) int {
+	right := buf[:0]
+	nl := 0
+	for _, r := range rows {
+		if col[r] <= t {
+			rows[nl] = r
+			nl++
 		} else {
 			right = append(right, r)
 		}
 	}
-	if len(left) < o.minSamplesLeaf || len(right) < o.minSamplesLeaf {
-		return makeLeaf(y, rows, o)
+	copy(rows[nl:], right)
+	return nl
+}
+
+// columns returns X column-major: columns(X)[j][r] == X[r][j].
+func columns(X [][]float64) [][]float64 {
+	cols := make([][]float64, len(X[0]))
+	for j := range cols {
+		col := make([]float64, len(X))
+		for r, row := range X {
+			col[r] = row[j]
+		}
+		cols[j] = col
 	}
-	return &treeNode{
-		feature: feat,
-		thresh:  thresh,
-		left:    buildTree(X, y, left, depth+1, o),
-		right:   buildTree(X, y, right, depth+1, o),
+	return cols
+}
+
+// cmpValue is the split searches' sort order: −1 on a < b, +1 on a > b and 0
+// otherwise, so NaN ties with everything. pdqsort asks only whether
+// cmp(a, b) < 0, the same a < b question sort.Slice asked, so it leaves the
+// same permutation, ties included. cmp.Compare would order NaN first and
+// move ties.
+func cmpValue(a, b float64) int {
+	if a < b {
+		return -1
 	}
+	if a > b {
+		return 1
+	}
+	return 0
+}
+
+// constantOn reports whether col[r] == col[rows[0]] for every r in rows, in
+// which case a sort could only leave equal ends and the split scans skip the
+// feature without sorting it. A NaN makes it false.
+func constantOn(col []float64, rows []int) bool {
+	first := col[rows[0]]
+	for _, r := range rows[1:] {
+		if col[r] != first {
+			return false
+		}
+	}
+	return true
 }
 
 func pure(y []float64, rows []int) bool {
@@ -96,9 +176,15 @@ func makeLeaf(y []float64, rows []int, o treeOptions) *treeNode {
 
 // bestSplit scans candidate features for the impurity-minimising threshold.
 // Classification uses Gini; regression uses within-node variance.
-func bestSplit(X [][]float64, y []float64, rows []int, o treeOptions) (feat int, thresh float64, ok bool) {
-	p := len(X[rows[0]])
-	candidates := make([]int, p)
+//
+// The scans accumulate in the order the sort leaves tied values in, so the
+// scores depend on pdqsort's exact permutation of the node's values in row
+// order; any change to the sort or to the node's row order is a model change
+// (see gbGrower).
+func (b *cartBuilder) bestSplit(rows []int) (feat int, thresh float64, ok bool) {
+	o := b.o
+	p := len(b.cols)
+	candidates := b.cand
 	for j := range candidates {
 		candidates[j] = j
 	}
@@ -111,15 +197,18 @@ func bestSplit(X [][]float64, y []float64, rows []int, o treeOptions) (feat int,
 		candidates = candidates[:o.maxFeatures]
 	}
 	bestScore := math.Inf(1)
-	vals := make([]fv, 0, len(rows))
+	vals := b.vals[:len(rows)]
 	for _, j := range candidates {
-		vals = vals[:0]
-		for _, r := range rows {
-			vals = append(vals, fv{X[r][j], y[r]})
+		col := b.cols[j]
+		if constantOn(col, rows) {
+			continue
 		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+		for k, r := range rows {
+			vals[k] = fv{col[r], b.y[r]}
+		}
+		slices.SortFunc(vals, cmpFV)
 		if vals[0].v == vals[len(vals)-1].v {
-			continue // constant feature
+			continue // constant apart from NaN
 		}
 		if o.regression {
 			score, th, found := bestVarianceSplit(vals, o.minSamplesLeaf)
@@ -138,6 +227,8 @@ func bestSplit(X [][]float64, y []float64, rows []int, o treeOptions) (feat int,
 
 // fv pairs one feature value with its target for split scanning.
 type fv struct{ v, y float64 }
+
+func cmpFV(a, b fv) int { return cmpValue(a.v, b.v) }
 
 func bestGiniSplit(vals []fv, classes, minLeaf int) (best, thresh float64, ok bool) {
 	n := len(vals)

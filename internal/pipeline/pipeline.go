@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/dataframe"
 	"repro/internal/ml"
@@ -144,6 +145,8 @@ type Evaluator struct {
 
 	// Evaluations counts real model fits, the paper's cost unit.
 	Evaluations int
+	// FitTime is the wall time spent inside those fits' model.Fit calls.
+	FitTime time.Duration
 	// ProxyEvaluations counts proxy computations.
 	ProxyEvaluations int
 
@@ -404,7 +407,10 @@ func (e *Evaluator) scoreDataset(ds *ml.Dataset, kind ml.Kind) (float64, [2]floa
 	if err != nil {
 		return 0, [2]float64{}, err
 	}
-	if err := model.Fit(split.Train.X, split.Train.Y); err != nil {
+	t0 := time.Now()
+	err = model.Fit(split.Train.X, split.Train.Y)
+	e.FitTime += time.Since(t0)
+	if err != nil {
 		return 0, [2]float64{}, err
 	}
 	e.Evaluations++

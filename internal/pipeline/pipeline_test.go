@@ -240,7 +240,10 @@ func TestQueryLossCachesAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evals := ev.Evaluations
+	evals, fitTime := ev.Evaluations, ev.FitTime
+	if fitTime <= 0 {
+		t.Fatalf("FitTime = %v after a real evaluation", fitTime)
+	}
 	l2, err := ev.QueryLoss(q)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +251,7 @@ func TestQueryLossCachesAndCounts(t *testing.T) {
 	if l1 != l2 {
 		t.Fatal("cached loss differs")
 	}
-	if ev.Evaluations != evals {
+	if ev.Evaluations != evals || ev.FitTime != fitTime {
 		t.Fatal("cache miss on repeated query")
 	}
 	if l1 < 0 || l1 > 1 {
