@@ -1,9 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/dataframe"
+	"repro/internal/datagen"
+	"repro/internal/query"
 )
 
 // benchServer stands up an HTTP server over a 200k-row relevant table with a
@@ -73,4 +81,121 @@ func BenchmarkServeCoalesced16(b *testing.B) {
 func BenchmarkServeSolo16(b *testing.B) {
 	srv, ts := benchServer(b, 1)
 	benchLoad(b, srv, ts)
+}
+
+// codecBenchBodies builds the ingest-clickstream workload's request shapes:
+// a 512-row clickstream append batch with every column by name (NULL cells as
+// JSON null), the transform keys of the users it touched, and a response
+// matrix of 12 features over those users with a tenth of the cells NULL.
+func codecBenchBodies(b *testing.B) (appendBody, keysBody []byte, keys []keyCol, rel *dataframe.Table, m *query.FeatureMatrix, features []string) {
+	cs := datagen.NewClickstream(datagen.Options{TrainRows: 2000, LogsPerKey: 8, Seed: 1})
+	batch := cs.Batch(0, 512)
+	rows := make([]map[string]any, batch.NumRows())
+	users := map[int64]bool{}
+	for i := range rows {
+		row := make(map[string]any, batch.NumCols())
+		for _, c := range batch.Columns() {
+			switch {
+			case c.IsNull(i):
+				row[c.Name()] = nil
+			case c.Kind() == dataframe.KindString:
+				row[c.Name()] = c.Str(i)
+			case c.Kind() == dataframe.KindFloat:
+				v, _ := c.AsFloat(i)
+				row[c.Name()] = v
+			default:
+				row[c.Name()] = c.Int(i)
+			}
+		}
+		rows[i] = row
+	}
+	var err error
+	if appendBody, err = json.Marshal(map[string]any{"rows": rows}); err != nil {
+		b.Fatal(err)
+	}
+	keyName := cs.Keys[0]
+	uids := batch.Column(keyName).IntData()
+	keyRows := []map[string]int64{}
+	for _, u := range uids {
+		if !users[u] {
+			users[u] = true
+			keyRows = append(keyRows, map[string]int64{keyName: u})
+		}
+	}
+	if keysBody, err = json.Marshal(map[string]any{"rows": keyRows}); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	m = query.NewFeatureMatrix(len(keyRows), 12)
+	for j := 0; j < 12; j++ {
+		features = append(features, fmt.Sprintf("feature_%02d_sum_dwell", j))
+		vals, valid := m.Col(j)
+		for i := range vals {
+			vals[i], valid[i] = rng.NormFloat64()*100, rng.Intn(10) != 0
+		}
+	}
+	return appendBody, keysBody, []keyCol{{name: keyName, kind: dataframe.KindInt}}, cs.Relevant, m, features
+}
+
+// BenchmarkCodec times the request decoders and the response encoder on the
+// ingest-clickstream shapes, each against the test-local reflection codec
+// (the -ref variants) it replaced.
+func BenchmarkCodec(b *testing.B) {
+	appendBody, keysBody, keys, rel, m, features := codecBenchBodies(b)
+	layout := newResponseLayout("bench", 1, features)
+	b.Run("decode-append", func(b *testing.B) {
+		b.SetBytes(int64(len(appendBody)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := decodeAppendRows(appendBody, rel); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode-append-ref", func(b *testing.B) {
+		b.SetBytes(int64(len(appendBody)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := refDecodeAppendRows(bytes.NewReader(appendBody), rel); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode-transform", func(b *testing.B) {
+		b.SetBytes(int64(len(keysBody)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := decodeRows(keysBody, keys, DefaultMaxInflightRows); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode-transform-ref", func(b *testing.B) {
+		b.SetBytes(int64(len(keysBody)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := refDecodeRows(bytes.NewReader(keysBody), keys); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := layout.encode(m, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode-ref", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			var buf bytes.Buffer
+			if err := json.NewEncoder(&buf).Encode(transformResponse{
+				Plan: "bench", Version: 1, Features: features, Rows: refEncodeMatrix(m, features),
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

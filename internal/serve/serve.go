@@ -15,11 +15,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -102,6 +102,7 @@ type planState struct {
 	spec     []keyCol
 	features []string
 	keys     []string
+	layout   *responseLayout
 }
 
 // planHandle is the per-name constant half: binding, counters and the state
@@ -178,6 +179,7 @@ func (s *Server) buildState(h *planHandle, planJSON []byte) (*planState, error) 
 		features: tr.FeatureNames(),
 		keys:     keys,
 	}
+	st.layout = newResponseLayout(h.name, st.version, st.features)
 	st.co = newCoalescer(tr, s.cfg.MaxBatchRows, func(waiters, rows int) {
 		if waiters > 1 {
 			h.counters.coalescedBatches.Add(1)
@@ -388,8 +390,16 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	// The state loaded here types the request rows AND serves them: a swap
 	// landing mid-request drains this request on the state it decoded under.
 	st := h.state.Load()
-	tbl, err := decodeRows(limitBody(w, r), st.spec)
+	body, err := readBody(w, r, "reading transform rows")
 	if err != nil {
+		writeError(w, err)
+		return
+	}
+	tbl, err := decodeRows(body, st.spec, s.cfg.MaxInflightRows)
+	if err != nil {
+		if errors.Is(err, ErrOverloaded) {
+			h.counters.rejected.Add(1)
+		}
 		writeError(w, err)
 		return
 	}
@@ -398,13 +408,12 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, transformResponse{
-		Plan:      name,
-		Version:   served.version,
-		Features:  served.features,
-		Rows:      encodeMatrix(m, served.features),
-		Coalesced: coalesced,
-	})
+	resp, err := served.layout.encode(m, coalesced)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, resp)
 }
 
 // transformOn is Transform with the handle and state already resolved — the
@@ -444,7 +453,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: plan %q binds multiple sources; append serves single-table plans", ErrBadRequest, name))
 		return
 	}
-	batch, err := decodeAppendRows(limitBody(w, r), h.binding.Relevant)
+	body, err := readBody(w, r, "reading append rows")
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	batch, err := decodeAppendRows(body, h.binding.Relevant)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -464,9 +478,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(limitBody(w, r))
+	body, err := readBody(w, r, "reading plan body")
 	if err != nil {
-		writeError(w, bodyError("reading plan body", err))
+		writeError(w, err)
 		return
 	}
 	version, err := s.Swap(name, body)
@@ -510,8 +524,22 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, statusOf(err), map[string]string{"error": err.Error()})
 }
 
+// writeJSON encodes v in full before writing anything, so a value that
+// fails to encode becomes a 500 error response, never a status followed by
+// a truncated body.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		writeError(w, fmt.Errorf("serve: encoding response: %w", err))
+		return
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody writes a complete JSON response.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client went away; there is no one to tell.
+	_, _ = w.Write(body)
 }

@@ -780,11 +780,101 @@ func TestServeBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestServeRowCap: the transform decoder counts rows as it scans and refuses
+// a body carrying more than MaxInflightRows rows with the admission 429,
+// without reading past row MaxInflightRows+1 (the malformed tail below is
+// never reached). A body over MaxBodyBytes is refused with 413 first, before
+// any row is counted.
+func TestServeRowCap(t *testing.T) {
+	rel := testRelevant(t, 500, 20, 14)
+	srv := NewServer(Config{MaxInflightRows: 4})
+	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	post := func(body []byte) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plans/p/transform", bytes.NewReader(body)))
+		return rec.Code
+	}
+	rows := func(n int) []byte {
+		return bytes.Repeat([]byte(`{"uid":1},`), n)
+	}
+	atCap := append(append([]byte(`{"rows":[`), rows(3)...), `{"uid":1}]}`...)
+	if code := post(atCap); code != http.StatusOK {
+		t.Errorf("4 rows at a cap of 4 = %d, want 200", code)
+	}
+	overCap := append(append([]byte(`{"rows":[`), rows(4)...), `{"uid":1}]}`...)
+	if code := post(overCap); code != http.StatusTooManyRequests {
+		t.Errorf("5 rows over a cap of 4 = %d, want 429", code)
+	}
+	truncated := append(append([]byte(`{"rows":[`), rows(4)...), `{"uid":`...)
+	if code := post(truncated); code != http.StatusTooManyRequests {
+		t.Errorf("4 rows then a malformed 5th = %d, want 429 (the scan stops at the cap)", code)
+	}
+	if got := srv.Stats().Plans[0].RejectedRequests; got != 2 {
+		t.Errorf("RejectedRequests = %d, want 2", got)
+	}
+	huge := append(append([]byte(`{"rows":[`), rows(MaxBodyBytes/10+1)...), `{"uid":1}]}`...)
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body over the row cap = %d, want 413", len(huge), code)
+	}
+	if _, err := decodeRows(overCap, []keyCol{{name: "uid", kind: dataframe.KindInt}}, 4); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("decodeRows over the cap: err = %v, want ErrOverloaded", err)
+	}
+}
+
+// TestServeNonFiniteFeature: a feature that overflows to +Inf (SUM over two
+// appended 1e308 values) cannot be written as JSON. The transform must fail
+// closed with a complete JSON error response and a non-200 status, not a 200
+// with a truncated body.
+func TestServeNonFiniteFeature(t *testing.T) {
+	rel := testRelevant(t, 500, 20, 15)
+	srv := NewServer(Config{})
+	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(path, body string) (int, []byte) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+	if code, _ := post("/v1/plans/p/transform", `{"rows":[{"uid":1}]}`); code != http.StatusOK {
+		t.Fatalf("transform before the append = %d, want 200", code)
+	}
+	if code, raw := post("/v1/plans/p/append", `{"rows":[{"uid":1,"val":1e308},{"uid":1,"val":1e308}]}`); code != http.StatusOK {
+		t.Fatalf("append = %d (%s)", code, raw)
+	}
+	code, raw := post("/v1/plans/p/transform", `{"rows":[{"uid":1}]}`)
+	if code == http.StatusOK {
+		t.Fatalf("transform of a +Inf feature = 200 (%q), want an error status", raw)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "+Inf") {
+		t.Errorf("error body %q (%v), want a JSON error naming +Inf", raw, err)
+	}
+	// Entities without the overflow still serve.
+	if code, _ := post("/v1/plans/p/transform", `{"rows":[{"uid":2}]}`); code != http.StatusOK {
+		t.Errorf("transform of a finite entity = %d, want 200", code)
+	}
+}
+
 // TestDecodeRows covers the request codec's typed failure modes.
 func TestDecodeRows(t *testing.T) {
 	spec := []keyCol{{name: "uid", kind: dataframe.KindInt}, {name: "tag", kind: dataframe.KindString}}
 	ok := `{"rows":[{"uid":3,"tag":"x"},{"uid":-1,"tag":"y"}]}`
-	tbl, err := decodeRows(strings.NewReader(ok), spec)
+	tbl, err := decodeRows([]byte(ok), spec, DefaultMaxInflightRows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -800,9 +890,13 @@ func TestDecodeRows(t *testing.T) {
 		"fractional int":    `{"rows":[{"uid":3.5,"tag":"x"}]}`,
 		"string for int":    `{"rows":[{"uid":"3","tag":"x"}]}`,
 		"number for string": `{"rows":[{"uid":3,"tag":7}]}`,
+		// Accidents of encoding/json's decoder, rejected on purpose.
+		"trailing bytes":       `{"rows":[{"uid":3,"tag":"x"}]} x`,
+		"case-folded rows key": `{"Rows":[{"uid":3,"tag":"x"}]}`,
+		"repeated rows":        `{"rows":[{"uid":3,"tag":"x"}],"rows":[{"uid":4,"tag":"y"}]}`,
 	}
 	for name, body := range bad {
-		if _, err := decodeRows(strings.NewReader(body), spec); !errors.Is(err, ErrBadRequest) {
+		if _, err := decodeRows([]byte(body), spec, DefaultMaxInflightRows); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
 		}
 	}
