@@ -2,10 +2,10 @@
 // FeaturePlan / MultiFeaturePlan JSON files, binds each to the relevant
 // table(s) of a built-in dataset scenario, and serves entity feature lookups
 // over HTTP with request coalescing, admission control and plan hot-swap
-// (see internal/serve). Coalescing is group commit: each plan runs one
-// transform pass at a time, a request at an idle plan starts its pass at
-// once, and requests arriving during a pass share the next one (at most
-// -max-batch rows each). Request bodies are capped at serve.MaxBodyBytes
+// (see internal/serve). Coalescing is group commit: each plan runs up to
+// GOMAXPROCS transform passes at once, a request that finds a pass slot free
+// starts its pass at once, and requests arriving while every slot is busy
+// share the next pass to finish (at most -max-batch rows each). Request bodies are capped at serve.MaxBodyBytes
 // (413 above it), and slow or idle connections are cut by fixed read and
 // idle timeouts.
 //

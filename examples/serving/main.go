@@ -1,10 +1,12 @@
 // Serving walks the online half of the FeatAug lifecycle end to end: a
 // FeaturePlan is fitted offline (the expensive search runs once), the plan
 // JSON is handed to the feature-serving daemon machinery (internal/serve),
-// and clients look up entity features over HTTP. The server micro-batches
-// concurrent requests into one fused AugmentMatrix pass (request coalescing),
-// rejects load beyond its in-flight budget, and hot-swaps to a new plan
-// version without dropping in-flight traffic.
+// and clients look up entity features over HTTP. The server runs concurrent
+// requests in parallel fused AugmentMatrix passes, up to one per CPU, and
+// micro-batches the requests that arrive while every pass slot is busy into
+// the next pass (request coalescing); it rejects load beyond its in-flight
+// budget, and hot-swaps to a new plan version without dropping in-flight
+// traffic.
 //
 // The same server is what `cmd/feataugd` wraps behind flags; this example
 // drives it in-process so every moving part is visible:
@@ -124,7 +126,7 @@ func main() {
 		fmt.Printf("  row %d: %v\n", i, render(row, tr.Features))
 	}
 
-	// ---- Concurrent clients: the coalescer fuses them into shared passes.
+	// ---- Concurrent clients: parallel passes, fused when every slot is busy.
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
 		wg.Add(1)

@@ -68,6 +68,14 @@ type Column struct {
 	// crossing) rematerialise strs first and drop the flag, preserving the
 	// PR 9 fallback semantics exactly.
 	compact bool
+	// strBytes is MemBytes's raw-string term (see strCellBytes) over
+	// strs[:strCounted]. Appends extend it over the rows they add, so
+	// MemBytes walks only cells no append has counted and stays O(columns)
+	// on a growing table. A freshly built column starts at zero, and so
+	// does a compact one (Compact resets both), which is where
+	// rematerialising starts from.
+	strBytes   int64
+	strCounted int
 }
 
 // NewIntColumn builds an int column. A nil valid slice means all values are
@@ -472,6 +480,7 @@ func (c *Column) AppendNull() {
 	case KindString:
 		if !c.compact { // compact: the NULL lives in the code/validity arrays
 			c.strs = append(c.strs, "")
+			c.countStrs()
 		}
 	case KindBool:
 		c.bools = append(c.bools, false)
@@ -504,6 +513,7 @@ func (c *Column) AppendStr(v string) {
 	c.extendDictStr(v) // may rematerialise a compact column (fallback cases)
 	if !c.compact {
 		c.strs = append(c.strs, v)
+		c.countStrs()
 	}
 	c.valid = append(c.valid, true)
 }
@@ -532,6 +542,7 @@ func (c *Column) appendFrom(o *Column) {
 		c.extendDictBulk(vals, o.valid)
 		if !c.compact { // extendDictBulk rematerialises on fallback
 			c.strs = append(c.strs, vals...)
+			c.countStrs()
 		}
 	case KindBool:
 		c.bools = append(c.bools, o.bools...)

@@ -105,6 +105,7 @@ func (c *Column) Compact() bool {
 		return false
 	}
 	c.strs = nil
+	c.strBytes, c.strCounted = 0, 0 // so rematerialize starts counting afresh
 	c.compact = true
 	return true
 }
@@ -209,8 +210,9 @@ func (c *Column) MemBytes() int64 {
 	case KindBool:
 		b += int64(len(c.bools))
 	case KindString:
-		for _, s := range c.strs {
-			b += 16 + int64(len(s))
+		b += c.strBytes
+		for _, s := range c.strs[c.strCounted:] {
+			b += strCellBytes(s)
 		}
 		if enc := c.builtEnc(); enc != nil {
 			b += 4 * int64(len(enc.codes))
@@ -218,11 +220,25 @@ func (c *Column) MemBytes() int64 {
 			b += 2 * int64(len(enc.codes16))
 			b += 8 * int64(len(enc.validBits))
 			for _, s := range enc.values {
-				b += 16 + int64(len(s))
+				b += strCellBytes(s)
 			}
 		}
 	}
 	return b
+}
+
+// strCellBytes is one raw string cell's estimated footprint: a 16-byte header
+// plus its payload.
+func strCellBytes(s string) int64 { return 16 + int64(len(s)) }
+
+// countStrs extends the running strBytes count over the cells appended since
+// the last count. Appenders call it under the column mutation contract, so
+// MemBytes stays a pure read.
+func (c *Column) countStrs() {
+	for _, s := range c.strs[c.strCounted:] {
+		c.strBytes += strCellBytes(s)
+	}
+	c.strCounted = len(c.strs)
 }
 
 // Compact switches every eligible string column of the table to code-backed

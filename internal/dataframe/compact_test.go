@@ -415,3 +415,105 @@ func TestNewTableOptsCompact(t *testing.T) {
 		t.Fatal("option reordered columns")
 	}
 }
+
+// walkMemBytes is Column.MemBytes with the running raw-string count
+// discarded, so every cell is walked — the reference the count must match.
+func walkMemBytes(c *Column) int64 {
+	cp := *c
+	cp.strBytes, cp.strCounted = 0, 0
+	return cp.MemBytes()
+}
+
+// TestMemBytesRunningCount: the running raw-string byte count covers every
+// raw cell once the table has taken an append, and keeps MemBytes equal to a
+// full walk through random appends (bulk and per value, NULLs,
+// mid-domain values that force a re-encode or rematerialise a compact
+// column, cardinality-cap crossings), compaction, dictionary builds, and the
+// columns derived by filtering, taking, cloning, joining and concatenating.
+func TestMemBytesRunningCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	domain := []string{"a", "c", "e", "gg", "kkk"}
+	value := func(mode int) string {
+		switch mode {
+		case 1: // sorts inside the domain: shifts codes
+			return domain[rng.Intn(len(domain))] + "b"
+		case 2: // distinct every time: crosses MaxDictCardinality eventually
+			return fmt.Sprintf("v%06d", rng.Intn(1000000))
+		}
+		return domain[rng.Intn(len(domain))]
+	}
+	batch := func(n, mode int) *Table {
+		s := make([]string, n)
+		sv := make([]bool, n)
+		x := make([]int64, n)
+		for i := range s {
+			s[i], sv[i], x[i] = value(mode), rng.Float64() > 0.2, int64(rng.Intn(10))
+		}
+		return MustNewTable(NewStringColumn("s", s, sv), NewIntColumn("x", x, nil))
+	}
+	check := func(step int, label string, tbl *Table) {
+		t.Helper()
+		for _, c := range tbl.Columns() {
+			if got, want := c.MemBytes(), walkMemBytes(c); got != want {
+				t.Fatalf("step %d %s column %q: MemBytes %d, full walk %d", step, label, c.Name(), got, want)
+			}
+		}
+	}
+	tbl := batch(200, 0)
+	solo := NewStringColumn("solo", []string{"a", "b"}, nil)
+	right := MustNewTable(NewIntColumn("x", []int64{1, 3, 5}, nil), NewStringColumn("r", []string{"one", "three", "five"}, nil))
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(10); op {
+		case 0, 1, 2:
+			b := batch(1+rng.Intn(40), 0)
+			if rng.Intn(2) == 0 {
+				b.Compact()
+			}
+			if err := tbl.AppendRows(b); err != nil {
+				t.Fatal(err)
+			}
+		case 3:
+			mode := 1
+			if rng.Intn(8) == 0 {
+				mode = 2
+			}
+			if err := tbl.AppendRows(batch(1+rng.Intn(20), mode)); err != nil {
+				t.Fatal(err)
+			}
+		case 4:
+			tbl.Compact()
+			solo.Compact()
+		case 5:
+			tbl.Column("s").Dict()
+			solo.Dict()
+		case 6:
+			switch rng.Intn(3) {
+			case 0:
+				solo.AppendNull()
+			default:
+				solo.AppendStr(value(rng.Intn(2)))
+			}
+			check(step, "solo", MustNewTable(solo))
+		case 7:
+			check(step, "filter", tbl.Filter(func(int) bool { return rng.Intn(3) == 0 }))
+			check(step, "take", tbl.Take([]int{0, tbl.NumRows() - 1, 0}))
+		case 8:
+			check(step, "clone", tbl.Clone())
+			j, err := tbl.LeftJoin(right, []string{"x"}, []string{"x"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(step, "join", j)
+		case 9:
+			cc, err := Concat(tbl, batch(1+rng.Intn(10), 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(step, "concat", cc)
+		}
+		check(step, "table", tbl)
+		if c := tbl.Column("s"); tbl.Epoch() > 0 && c.strCounted != len(c.strs) {
+			t.Fatalf("step %d: %d of %d raw cells counted after an append; MemBytes would walk the rest", step, c.strCounted, len(c.strs))
+		}
+	}
+}

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/agg"
 	"repro/internal/dataframe"
@@ -240,9 +239,11 @@ func (e *Executor) advancePred(ent *predEntry) int64 {
 }
 
 // advanceMask re-intersects a mask's tail words from the advanced predicate
-// bitmaps and re-derives the matching-row tail. The row list is rebuilt into
-// a FRESH slice (prefix copied) because plan entries may alias the old
-// backing array. Idempotent; caller holds the fence in write mode.
+// bitmaps and appends the newly matched rows to the row list in place: an
+// old row's match never changes, so only rows at or past the old coverage
+// are new, and the cost is O(delta), not O(matched rows). Plan entries alias
+// only the prefix they cover and read it only under the read fence, so
+// writing past it is safe. Idempotent; caller holds the fence in write mode.
 func (e *Executor) advanceMask(ent *maskEntry) int64 {
 	if ent.err != nil {
 		return 0
@@ -276,28 +277,23 @@ func (e *Executor) advanceMask(ent *maskEntry) int64 {
 			ent.bits[wi] &= pm[wi]
 		}
 	}
-	cut := sort.SearchInts(ent.rows, lo)
-	tail := matchedRowsFrom(ent.bits, w0)
-	ent.rows = append(ent.rows[:cut:cut], tail...)
+	ent.rows = appendMatchedRows(ent.rows, ent.bits, ent.nrows)
 	delta := int64(n - ent.nrows)
 	ent.nrows = n
 	return delta
 }
 
-// matchedRowsFrom is matchedRows restricted to bitmap words [w0:), returning
-// absolute row indices.
-func matchedRowsFrom(mask []uint64, w0 int) []int {
-	cnt := 0
-	for _, w := range mask[w0:] {
-		cnt += bits.OnesCount64(w)
-	}
-	rows := make([]int, cnt)
-	ri := 0
-	for wi, w := range mask[w0:] {
-		base := (w0 + wi) << 6
+// appendMatchedRows appends to rows, ascending, the indices at or past from
+// that mask selects.
+func appendMatchedRows(rows []int, mask []uint64, from int) []int {
+	for wi := from >> 6; wi < len(mask); wi++ {
+		w := mask[wi]
+		if wi == from>>6 {
+			w &^= 1<<uint(from&63) - 1
+		}
+		base := wi << 6
 		for w != 0 {
-			rows[ri] = base + bits.TrailingZeros64(w)
-			ri++
+			rows = append(rows, base+bits.TrailingZeros64(w))
 			w &= w - 1
 		}
 	}

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -514,5 +515,63 @@ func TestAppendShardedValidation(t *testing.T) {
 	}
 	if err := NewExecutor(sh, WithScanScheduler(sched)).Append(deltaRows(1, 7, "mixed")); err == nil {
 		t.Error("Append on a shard executor: want error directing to AppendSharded")
+	}
+}
+
+// TestMaskAdvanceBytesFlat: advancing a cached WHERE mask over a 1-row append
+// the mask selects allocates the same bytes on a 64k-row table as on a
+// 2k-row one — the matched-row list grows in place by its delta, it is not
+// rebuilt. Each size takes one warm-up append first, so the list has spare
+// capacity the way a served table's does after its first append.
+func TestMaskAdvanceBytesFlat(t *testing.T) {
+	advanceBytes := func(n int) uint64 {
+		tbl := deltaTable(n, 21)
+		ex := NewExecutor(tbl)
+		preds := []Predicate{
+			{Attr: "cat", Kind: PredEq, StrValue: "a"},
+			{Attr: "x", Kind: PredRange, HasLo: true, Lo: 0},
+		}
+		_, me, err := ex.whereEntry(preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// matching returns the first 1-row delta from seed on that the mask
+		// selects: cat "a" and a non-negative x.
+		matching := func(seed int64) *dataframe.Table {
+			for ; ; seed++ {
+				r := deltaRows(1, seed, "mixed")
+				cat, x := r.Column("cat"), r.Column("x")
+				if !cat.IsNull(0) && cat.Str(0) == "a" && !x.IsNull(0) && x.Float(0) >= 0 {
+					return r
+				}
+			}
+		}
+		advance := func(seed int64) uint64 {
+			if err := tbl.AppendRows(matching(seed)); err != nil {
+				t.Fatal(err)
+			}
+			for _, pe := range ex.core.preds {
+				ex.advancePred(pe)
+			}
+			matched := len(me.rows)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ex.advanceMask(me)
+			runtime.ReadMemStats(&after)
+			if me.err != nil || me.nrows != tbl.NumRows() || len(me.rows) != matched+1 {
+				t.Fatalf("mask advance: err %v, covers %d of %d rows, %d matched rows (want %d)",
+					me.err, me.nrows, tbl.NumRows(), len(me.rows), matched+1)
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		advance(1)
+		if cap(me.rows) == len(me.rows) {
+			t.Fatalf("%d rows: no spare row-list capacity after the warm-up append", n)
+		}
+		return advance(1000)
+	}
+	small, large := advanceBytes(2000), advanceBytes(64000)
+	if large > small+1024 {
+		t.Errorf("1-row mask advance allocated %d B at 64k rows vs %d B at 2k rows; want no growth with table size", large, small)
 	}
 }

@@ -193,6 +193,16 @@ func (s *ScanScheduler) AppendStats(t, batch *dataframe.Table) (epoch uint64, ro
 	return t.Epoch(), t.NumRows(), err
 }
 
+// MemBytes returns t's resident-bytes estimate (dataframe.Table.MemBytes)
+// read under the epoch fence, so a stats reader never races an append.
+func (s *ScanScheduler) MemBytes(t *dataframe.Table) int64 {
+	c := s.coreFor(t)
+	c.fence.RLock()
+	defer c.fence.RUnlock()
+	b, _ := t.MemBytes()
+	return b
+}
+
 // Len returns the number of shared cores (for tests).
 func (s *ScanScheduler) Len() int {
 	s.mu.Lock()

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/dataframe"
@@ -10,28 +11,34 @@ import (
 )
 
 // coalescer micro-batches concurrent transform requests against one plan
-// into single fused AugmentMatrix passes by group commit: at most one pass
-// runs at a time, a request that finds no pass running starts one at once on
-// its own goroutine, and requests that arrive while a pass runs queue up.
-// When a pass finishes, the queue runs as the next pass — whole requests up
-// to maxRows (at least one), any remainder left for the pass after — on a
-// fresh goroutine, so the finishing caller returns straight away; the chain
-// of pass goroutines ends when a pass finds the queue empty. There is no
-// timer: a lone request never waits for company, and every queued request
-// has a running pass that will serve it (swap and drain need no flush).
+// into fused AugmentMatrix passes by group commit, with up to limit passes
+// in flight at once (limit is runtime.GOMAXPROCS(0) when the coalescer is
+// built). A request that finds a free pass slot starts its own pass at once
+// on its own goroutine; requests that arrive while every slot is busy queue
+// up. When a pass finishes with a non-empty queue, its slot goes straight to
+// the next pass — whole requests up to maxRows (at least one), any remainder
+// left for the pass after — on a fresh goroutine, so the finishing caller
+// returns straight away; a pass that finds the queue empty frees its slot.
+// The queue is therefore non-empty only while every slot is busy, so a later
+// arrival never overtakes a queued request, and under GOMAXPROCS=1 this is
+// plain one-pass-at-a-time group commit. There is no timer: a lone request
+// never waits for company, and every queued request has running passes that
+// will serve it (swap and drain need no flush).
 //
 // Results are bit-identical to a solo pass — each row's features depend only
 // on its join keys against the relevant table, never on the other rows
-// sharing the pass (the differential test enforces this).
+// sharing the pass (the differential tests enforce this), and Transformer.Matrix
+// is safe for concurrent passes.
 type coalescer struct {
 	tr      Transformer
 	maxRows int
+	limit   int // passes that may run at once
 	// onBatch receives (waiters, rows) after each pass for stats.
 	onBatch func(waiters, rows int)
 
 	mu      sync.Mutex
-	running bool      // a pass is in flight; new requests queue
-	pending []*waiter // requests queued for the next pass, arrival order
+	running int       // passes in flight; at limit, new requests queue
+	pending []*waiter // requests queued for the next passes, arrival order
 }
 
 // waiter is one request: its typed key table and the channel its scattered
@@ -50,18 +57,18 @@ type waitResult struct {
 }
 
 func newCoalescer(tr Transformer, maxRows int, onBatch func(waiters, rows int)) *coalescer {
-	return &coalescer{tr: tr, maxRows: maxRows, onBatch: onBatch}
+	return &coalescer{tr: tr, maxRows: maxRows, limit: runtime.GOMAXPROCS(0), onBatch: onBatch}
 }
 
-// do serves one request table. On an idle coalescer the request runs its own
-// pass inline and returns that pass's result; otherwise it queues for the
-// pass after the running one and blocks until its rows are scattered back or
-// ctx is cancelled (the pass then still serves the other waiters, and this
-// waiter's slice is dropped).
+// do serves one request table. With a pass slot free the request runs its
+// own pass inline and returns that pass's result; otherwise it queues for the
+// next pass to finish and blocks until its rows are scattered back or ctx is
+// cancelled (the pass then still serves the other waiters, and this waiter's
+// slice is dropped).
 func (c *coalescer) do(ctx context.Context, tbl *dataframe.Table) waitResult {
 	w := &waiter{tbl: tbl, rows: tbl.NumRows(), ch: make(chan waitResult, 1)}
 	c.mu.Lock()
-	if c.running {
+	if c.running == c.limit {
 		c.pending = append(c.pending, w)
 		c.mu.Unlock()
 		select {
@@ -71,19 +78,26 @@ func (c *coalescer) do(ctx context.Context, tbl *dataframe.Table) waitResult {
 			return waitResult{err: ctx.Err()}
 		}
 	}
-	c.running = true
+	c.running++
 	c.mu.Unlock()
 	c.pass([]*waiter{w})
 	return <-w.ch
 }
 
-// pass runs one batch, then hands whatever queued meanwhile to the next pass
-// on a new goroutine, or marks the coalescer idle when nothing did.
+// pass runs one batch in a slot the caller holds, then hands the slot on.
 func (c *coalescer) pass(batch []*waiter) {
 	c.run(batch)
+	c.handOff()
+}
+
+// handOff gives up the caller's pass slot: whatever queued meanwhile runs as
+// the next pass in the same slot on a new goroutine, or the slot frees when
+// nothing did. Keeping the slot while the queue is non-empty is what holds
+// the invariant that a queued request never waits while a slot sits idle.
+func (c *coalescer) handOff() {
 	c.mu.Lock()
 	if len(c.pending) == 0 {
-		c.running = false
+		c.running--
 		c.mu.Unlock()
 		return
 	}

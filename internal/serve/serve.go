@@ -3,11 +3,12 @@
 // transformer per named plan — each wired to the process-level join cache
 // and scan scheduler, so the engine state the fit warmed stays hot — and
 // serves entity feature lookups over HTTP. The core primitive is request
-// coalescing by group commit (coalesce.go): each plan runs at most one fused
-// AugmentMatrix pass at a time, a request arriving at an idle plan starts a
-// pass at once, and requests arriving during a pass ride the next one
-// together — no timer, so a lone request pays only its own pass, and a warm
-// pass costs in proportion to the request rows it serves. Around it:
+// coalescing by group commit (coalesce.go): each plan runs up to GOMAXPROCS
+// fused AugmentMatrix passes at once, a request that finds a pass slot free
+// starts a pass at once, and requests arriving while every slot is busy ride
+// the next pass to finish together — no timer, so a lone request pays only
+// its own pass, and a warm pass costs in proportion to the request rows it
+// serves. Around it:
 // bounded-in-flight admission control (typed 429), capped request bodies
 // (typed 413), atomic plan hot-swap with drain-on-old semantics, a stats
 // endpoint merging serve-side counters with engine ExecutorStats, and

@@ -81,13 +81,15 @@ func keyTable(tb testing.TB, uids []int64) *dataframe.Table {
 	return tbl
 }
 
-// gateTransformer fronts a plan's transformer so a test can hold a pass
-// open: it records the rows of every pass in order, and the first pass
-// blocks, after closing entered, until release is closed. Requests arriving
-// meanwhile queue behind it exactly as they would behind a slow pass.
+// gateTransformer fronts a plan's transformer so a test can hold passes
+// open: it records the rows of every pass in order, and each of the first
+// hold passes signals entered, then blocks until release is closed. Requests
+// arriving meanwhile queue behind them exactly as they would behind slow
+// passes.
 type gateTransformer struct {
 	Transformer
-	entered chan struct{}
+	hold    int
+	entered chan struct{} // one send per held pass
 	release chan struct{}
 
 	mu     sync.Mutex
@@ -96,11 +98,11 @@ type gateTransformer struct {
 
 func (g *gateTransformer) Matrix(ctx context.Context, d *dataframe.Table) (*query.FeatureMatrix, error) {
 	g.mu.Lock()
-	first := len(g.passes) == 0
+	held := len(g.passes) < g.hold
 	g.passes = append(g.passes, d.NumRows())
 	g.mu.Unlock()
-	if first {
-		close(g.entered)
+	if held {
+		g.entered <- struct{}{}
 		<-g.release
 	}
 	return g.Transformer.Matrix(ctx, d)
@@ -112,17 +114,44 @@ func (g *gateTransformer) passRows() []int {
 	return append([]int(nil), g.passes...)
 }
 
-// gatePlan installs a gateTransformer in front of plan name's coalescer.
-// Call it before the plan serves any request.
-func gatePlan(srv *Server, name string) *gateTransformer {
-	co := srv.plans[name].state.Load().co
-	g := &gateTransformer{Transformer: co.tr, entered: make(chan struct{}), release: make(chan struct{})}
+// gateCoalescer installs a gateTransformer holding the first hold passes in
+// front of co.
+func gateCoalescer(co *coalescer, hold int) *gateTransformer {
+	g := &gateTransformer{Transformer: co.tr, hold: hold,
+		entered: make(chan struct{}, hold), release: make(chan struct{})}
 	co.tr = g
 	return g
 }
 
+// gatePlan fills every pass slot of plan name's coalescer: all but one are
+// occupied (occupySlots) and the last runs the first request's pass, held by
+// a gateTransformer until release, so later requests queue behind it at any
+// GOMAXPROCS. Call it before the plan serves any request.
+func gatePlan(t *testing.T, srv *Server, name string) *gateTransformer {
+	co := srv.plans[name].state.Load().co
+	occupySlots(t, co, 1)
+	return gateCoalescer(co, 1)
+}
+
+// occupySlots takes all but free of co's pass slots, as passes of other
+// requests would, and gives them back at test cleanup through the hand-off a
+// finishing pass uses. A limit below free is raised to free, so tests of
+// overlapping passes run on a one-CPU host too.
+func occupySlots(t *testing.T, co *coalescer, free int) {
+	co.mu.Lock()
+	co.limit = max(co.limit, free)
+	n := co.limit - free
+	co.running += n
+	co.mu.Unlock()
+	t.Cleanup(func() {
+		for i := 0; i < n; i++ {
+			co.handOff()
+		}
+	})
+}
+
 // waitQueued yields until n requests are queued behind plan name's running
-// pass.
+// passes.
 func waitQueued(t *testing.T, srv *Server, name string, n int) {
 	t.Helper()
 	co := srv.plans[name].state.Load().co
@@ -154,7 +183,7 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 	if err := srv.AddPlan("p", planJSON, PlanBinding{Relevant: rel}); err != nil {
 		t.Fatal(err)
 	}
-	gate := gatePlan(srv, "p")
+	gate := gatePlan(t, srv, "p")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -315,11 +344,12 @@ func TestServeStatsTableBytes(t *testing.T) {
 	}
 }
 
-// TestServeLoneRequestRunsAtOnce: a request arriving at an idle plan starts
-// its pass immediately on its own goroutine — there is no timer to wait out
-// and nothing to queue behind. Even a caller whose context is already
-// cancelled gets its features, because the pass ran before the request could
-// wait on anything.
+// TestServeLoneRequestRunsAtOnce: a request arriving at a plan with a free
+// pass slot starts its pass immediately on its own goroutine — there is no
+// timer to wait out and nothing to queue behind. Every other slot is
+// occupied, so the request takes the last one. Even a caller whose context is
+// already cancelled gets its features, because the pass ran before the
+// request could wait on anything.
 func TestServeLoneRequestRunsAtOnce(t *testing.T) {
 	rel := testRelevant(t, 1000, 50, 3)
 	srv := NewServer(Config{})
@@ -327,6 +357,7 @@ func TestServeLoneRequestRunsAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	co := srv.plans["p"].state.Load().co
+	occupySlots(t, co, 1)
 	probe := &probeTransformer{Transformer: co.tr, co: co}
 	co.tr = probe
 
@@ -342,9 +373,9 @@ func TestServeLoneRequestRunsAtOnce(t *testing.T) {
 	if m.NumRows() != 3 || m.NumFeatures() != 2 {
 		t.Errorf("matrix = %dx%d, want 3x2", m.NumRows(), m.NumFeatures())
 	}
-	if probe.calls != 1 || !probe.sawRunning || probe.sawQueued != 0 {
-		t.Errorf("pass probe: %d calls, running=%v, %d queued; want 1 call, running, 0 queued",
-			probe.calls, probe.sawRunning, probe.sawQueued)
+	if probe.calls != 1 || probe.sawRunning != co.limit || probe.sawQueued != 0 {
+		t.Errorf("pass probe: %d calls, %d of %d slots running, %d queued; want 1 call, every slot running, 0 queued",
+			probe.calls, probe.sawRunning, co.limit, probe.sawQueued)
 	}
 	if st := srv.Stats().Plans[0]; st.SoloBatches != 1 || st.CoalescedBatches != 0 {
 		t.Errorf("batches = %d solo / %d coalesced, want 1/0", st.SoloBatches, st.CoalescedBatches)
@@ -352,8 +383,8 @@ func TestServeLoneRequestRunsAtOnce(t *testing.T) {
 	co.mu.Lock()
 	running := co.running
 	co.mu.Unlock()
-	if running {
-		t.Error("coalescer still marked running after its only pass returned")
+	if running != co.limit-1 {
+		t.Errorf("coalescer still holds %d slots after its only pass returned, want the %d occupied ones", running, co.limit-1)
 	}
 }
 
@@ -363,7 +394,7 @@ type probeTransformer struct {
 	Transformer
 	co         *coalescer
 	calls      int
-	sawRunning bool
+	sawRunning int
 	sawQueued  int
 }
 
@@ -392,12 +423,13 @@ func transformAsync(srv *Server, tbl *dataframe.Table) <-chan asyncResult {
 	return ch
 }
 
-// queueBehindGate holds a 1-row pass open, then queues one request per entry
-// of sizes in that order (each enqueued before the next starts), releases the
-// gate and returns every request's result, the held one first.
+// queueBehindGate fills every pass slot, the last with a held 1-row pass,
+// then queues one request per entry of sizes in that order (each enqueued
+// before the next starts), releases the gate and returns every request's
+// result, the held one first.
 func queueBehindGate(t *testing.T, srv *Server, sizes []int) []asyncResult {
 	t.Helper()
-	gate := gatePlan(srv, "p")
+	gate := gatePlan(t, srv, "p")
 	chans := []<-chan asyncResult{transformAsync(srv, keyTable(t, []int64{0}))}
 	<-gate.entered
 	uid := int64(1)
@@ -472,6 +504,223 @@ func TestServeMaxBatchRowsSplit(t *testing.T) {
 	}
 }
 
+// TestServePassesOverlap: with two pass slots free, two requests on one plan
+// run their passes side by side — both passes enter the transformer before
+// either is let go, and each is served alone.
+func TestServePassesOverlap(t *testing.T) {
+	rel := testRelevant(t, 1000, 50, 16)
+	srv := NewServer(Config{})
+	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	co := srv.plans["p"].state.Load().co
+	occupySlots(t, co, 2)
+	gate := gateCoalescer(co, 2)
+	results := []<-chan asyncResult{
+		transformAsync(srv, keyTable(t, []int64{1})),
+		transformAsync(srv, keyTable(t, []int64{2, 3})),
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-gate.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of 2 passes entered while the first was held — passes did not overlap", i)
+		}
+	}
+	close(gate.release)
+	for i, ch := range results {
+		res := <-ch
+		if res.err != nil {
+			t.Fatalf("request %d: %v", i, res.err)
+		}
+		if res.coalesced || res.m.NumRows() != i+1 {
+			t.Errorf("request %d: %d rows coalesced=%v, want %d rows solo", i, res.m.NumRows(), res.coalesced, i+1)
+		}
+	}
+	if st := srv.Stats().Plans[0]; st.SoloBatches != 2 || st.CoalescedBatches != 0 {
+		t.Errorf("batches = %d solo / %d coalesced, want 2/0", st.SoloBatches, st.CoalescedBatches)
+	}
+}
+
+// stepTransformer reports each pass's first uid on entered as the pass
+// starts, and holds a pass whose first uid has a hold channel until that
+// channel is closed — so a test can finish passes one at a time.
+type stepTransformer struct {
+	Transformer
+	entered chan int64
+	hold    map[int64]chan struct{}
+}
+
+func (s *stepTransformer) Matrix(ctx context.Context, d *dataframe.Table) (*query.FeatureMatrix, error) {
+	uid := d.Column("uid").IntData()[0]
+	s.entered <- uid
+	if ch, ok := s.hold[uid]; ok {
+		<-ch
+	}
+	return s.Transformer.Matrix(ctx, d)
+}
+
+// TestServeQueueOrder: a request arriving while requests are queued waits
+// behind them even as slots turn over — a finishing pass hands its slot to
+// the head of the queue, never to a later arrival. Two slots, one request per
+// pass (MaxBatchRows 1): R1 and R2 hold both slots, Q1 and Q2 queue, R1's
+// slot passes to Q1, then L arrives behind Q2; R2's slot must serve Q2 before
+// L.
+func TestServeQueueOrder(t *testing.T) {
+	rel := testRelevant(t, 1000, 50, 17)
+	srv := NewServer(Config{MaxBatchRows: 1})
+	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	co := srv.plans["p"].state.Load().co
+	occupySlots(t, co, 2)
+	const r1, r2, q1, q2, late = 1, 2, 10, 11, 20
+	step := &stepTransformer{Transformer: co.tr, entered: make(chan int64, 5), // one per request
+		hold: map[int64]chan struct{}{r1: make(chan struct{}), r2: make(chan struct{}), q1: make(chan struct{})}}
+	co.tr = step
+	next := func(want int64) {
+		t.Helper()
+		select {
+		case got := <-step.entered:
+			if got != want {
+				t.Fatalf("pass for uid %d started, want uid %d", got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no pass started, want one for uid %d", want)
+		}
+	}
+	var results []<-chan asyncResult
+	send := func(uid int64) {
+		results = append(results, transformAsync(srv, keyTable(t, []int64{uid})))
+	}
+
+	send(r1)
+	next(r1)
+	send(r2)
+	next(r2)
+	send(q1)
+	waitQueued(t, srv, "p", 1)
+	send(q2)
+	waitQueued(t, srv, "p", 2)
+	close(step.hold[r1])
+	next(q1)
+	send(late)
+	waitQueued(t, srv, "p", 2) // behind q2, not in a pass of its own
+	close(step.hold[r2])
+	next(q2)
+	next(late)
+	close(step.hold[q1])
+	for i, ch := range results {
+		if res := <-ch; res.err != nil {
+			t.Fatalf("request %d: %v", i, res.err)
+		}
+	}
+}
+
+// TestServeConcurrentDifferential: 8 clients × 50 transforms on one plan,
+// over the HTTP handler with overlapping passes, each get exactly the bytes
+// a solo Transformer produces for their rows (up to the coalesced flag).
+func TestServeConcurrentDifferential(t *testing.T) {
+	rel := testRelevant(t, 5000, 200, 18)
+	planJSON := testPlanJSON(t, 5)
+	srv := NewServer(Config{})
+	if err := srv.AddPlan("p", planJSON, PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	co := srv.plans["p"].state.Load().co
+	occupySlots(t, co, 4) // at least 4 slots, all free
+	plan, err := feataug.DecodePlan(planJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := plan.Transformer(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const clients, perClient = 8, 50
+	rng := rand.New(rand.NewSource(19))
+	uidSets := make([][][]int64, clients)
+	for c := range uidSets {
+		uidSets[c] = make([][]int64, perClient)
+		for i := range uidSets[c] {
+			uids := make([]int64, 1+rng.Intn(4))
+			for j := range uids {
+				// Entities 200-219 do not exist: exercises join-miss nulls.
+				uids[j] = int64(rng.Intn(220))
+			}
+			uidSets[c][i] = uids
+		}
+	}
+	bodies := make([][][]byte, clients)
+	h := srv.Handler()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		bodies[c] = make([][]byte, perClient)
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i, uids := range uidSets[c] {
+				var req strings.Builder
+				req.WriteString(`{"rows":[`)
+				for j, uid := range uids {
+					if j > 0 {
+						req.WriteByte(',')
+					}
+					fmt.Fprintf(&req, `{"uid":%d}`, uid)
+				}
+				req.WriteString(`]}`)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plans/p/transform", strings.NewReader(req.String())))
+				if rec.Code != http.StatusOK {
+					bodies[c][i] = []byte(fmt.Sprintf("status %d: %s", rec.Code, rec.Body.String()))
+					continue
+				}
+				bodies[c][i] = rec.Body.Bytes()
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	layout := srv.plans["p"].state.Load().layout
+	for c := range uidSets {
+		for i, uids := range uidSets[c] {
+			want, err := solo.Matrix(context.Background(), keyTable(t, uids))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSolo, err := layout.encode(want, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantFused, err := layout.encode(want, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := bodies[c][i]; !bytes.Equal(got, wantSolo) && !bytes.Equal(got, wantFused) {
+				t.Fatalf("client %d request %d (uids %v):\n got %s\nwant %s", c, i, uids, got, wantSolo)
+			}
+		}
+	}
+	if st := srv.Stats().Plans[0]; st.Requests != clients*perClient {
+		t.Errorf("requests = %d, want %d", st.Requests, clients*perClient)
+	}
+}
+
+// TestCoalescerLimitFollowsGOMAXPROCS: the pass limit is GOMAXPROCS when the
+// coalescer is built, so a one-CPU process keeps one pass at a time.
+func TestCoalescerLimitFollowsGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	if got := newCoalescer(nil, 1, nil).limit; got != 1 {
+		t.Errorf("limit under GOMAXPROCS=1 = %d, want 1", got)
+	}
+	runtime.GOMAXPROCS(3)
+	if got := newCoalescer(nil, 1, nil).limit; got != 3 {
+		t.Errorf("limit under GOMAXPROCS=3 = %d, want 3", got)
+	}
+}
+
 // panicTransformer panics on its first pass and serves normally after.
 type panicTransformer struct {
 	Transformer
@@ -517,7 +766,7 @@ func TestServeAdmissionControl(t *testing.T) {
 	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
 		t.Fatal(err)
 	}
-	gate := gatePlan(srv, "p")
+	gate := gatePlan(t, srv, "p")
 	firstDone := transformAsync(srv, keyTable(t, []int64{1, 2, 3}))
 	<-gate.entered
 
@@ -708,7 +957,7 @@ func TestServeDrain(t *testing.T) {
 	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
 		t.Fatal(err)
 	}
-	gate := gatePlan(srv, "p")
+	gate := gatePlan(t, srv, "p")
 	results := []<-chan asyncResult{transformAsync(srv, keyTable(t, []int64{0}))}
 	<-gate.entered
 	results = append(results, transformAsync(srv, keyTable(t, []int64{1})))
@@ -1086,6 +1335,46 @@ func TestServeAppend(t *testing.T) {
 	}
 	if code := post("/v1/plans/m/append", appendBody); code != http.StatusBadRequest {
 		t.Errorf("multi-source append = %d, want 400", code)
+	}
+}
+
+// TestServeStatsDuringAppends: /v1/stats snapshots taken while appends land
+// read the table under its epoch fence (run under -race, this is the
+// regression test), and the settled TableBytes matches the table's own
+// estimate over every appended row.
+func TestServeStatsDuringAppends(t *testing.T) {
+	rel := testRelevant(t, 1000, 50, 20)
+	srv := NewServer(Config{})
+	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	batches := make([]*dataframe.Table, 20)
+	for i := range batches {
+		batches[i] = testRelevant(t, 8, 60, int64(100+i))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, b := range batches {
+			if _, _, err := srv.Append("p", b); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		if srv.Stats().Plans[0].TableBytes <= 0 {
+			t.Fatal("TableBytes not positive")
+		}
+	}
+	want, _ := rel.MemBytes()
+	if got := srv.Stats().Plans[0].TableBytes; got != want || rel.NumRows() != 1160 {
+		t.Errorf("settled TableBytes = %d over %d rows, want %d over 1160", got, rel.NumRows(), want)
 	}
 }
 

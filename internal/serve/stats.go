@@ -67,7 +67,8 @@ func (h *planHandle) snapshot() PlanStats {
 	var tableBytes int64
 	if h.binding.Relevant != nil {
 		tableEpoch = h.binding.Relevant.Epoch()
-		tableBytes, _ = h.binding.Relevant.MemBytes()
+		// Under the fence: the bound table grows by appends.
+		tableBytes = query.ProcessScanScheduler().MemBytes(h.binding.Relevant)
 	}
 	for _, t := range h.binding.Sources {
 		b, _ := t.MemBytes()
