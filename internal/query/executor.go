@@ -315,6 +315,12 @@ func WithJoinCache(c *JoinCache) ExecutorOption {
 	}
 }
 
+// WithParallelism sets the executor's Parallelism (the bound on its batch
+// worker pool; 1 runs a batch's plan groups inline on the caller).
+func WithParallelism(n int) ExecutorOption {
+	return func(e *Executor) { e.Parallelism = n }
+}
+
 // NewExecutor builds an executor over one relevant table. The table must not
 // be mutated while the executor is in use (caches index into its rows).
 //

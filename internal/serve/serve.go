@@ -196,11 +196,15 @@ func (s *Server) buildState(h *planHandle, planJSON []byte) (*planState, error) 
 // transformer and the tables key kinds resolve against. Every executor is
 // wired to the process-level caches: a serving process holds plans for the
 // long haul, so scan state shared across plans (and with any in-process fit)
-// is exactly what we want.
+// is exactly what we want. Every executor also runs a pass's plan groups
+// inline: the coalescer already runs up to GOMAXPROCS passes at once, and a
+// worker pool inside each pass would only oversubscribe the CPUs and pay a
+// fresh goroutine per plan group.
 func bindPlan(planJSON []byte, binding PlanBinding) (Transformer, []*dataframe.Table, error) {
 	procOpts := []query.ExecutorOption{
 		query.WithJoinCache(query.ProcessJoinCache()),
 		query.WithScanScheduler(query.ProcessScanScheduler()),
+		query.WithParallelism(1),
 	}
 	if binding.Sources != nil {
 		mp, err := feataug.DecodeMultiPlan(planJSON)

@@ -721,6 +721,19 @@ func TestCoalescerLimitFollowsGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestServePassesRunInline: a served plan's executor runs each pass's plan
+// groups inline, so GOMAXPROCS concurrent passes use GOMAXPROCS goroutines,
+// not GOMAXPROCS worker pools.
+func TestServePassesRunInline(t *testing.T) {
+	srv := NewServer(Config{})
+	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: testRelevant(t, 100, 10, 22)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.plans["p"].state.Load().tr.(*feataug.Transformer).Executor().Parallelism; got != 1 {
+		t.Errorf("served executor Parallelism = %d, want 1", got)
+	}
+}
+
 // panicTransformer panics on its first pass and serves normally after.
 type panicTransformer struct {
 	Transformer
