@@ -27,8 +27,8 @@ import (
 //
 // Results are bit-identical to a solo pass — each row's features depend only
 // on its join keys against the relevant table, never on the other rows
-// sharing the pass (the differential tests enforce this), and Transformer.Matrix
-// is safe for concurrent passes.
+// sharing the pass or on passes running beside it (the differential tests
+// enforce this); Transformer.Matrix is safe for concurrent passes.
 type coalescer struct {
 	tr      Transformer
 	maxRows int

@@ -628,7 +628,7 @@ func TestServeConcurrentDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	co := srv.plans["p"].state.Load().co
-	occupySlots(t, co, 4) // at least 4 slots, all free
+	occupySlots(t, co, 4) // four free slots at any GOMAXPROCS
 	plan, err := feataug.DecodePlan(planJSON)
 	if err != nil {
 		t.Fatal(err)
