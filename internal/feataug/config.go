@@ -82,9 +82,11 @@ type Config struct {
 	Logf func(format string, args ...interface{})
 
 	// Progress, when non-nil, receives coarse stage-level progress callbacks
-	// from Run: (stage, done, total) with done in [0, total]. Set it through
-	// WithProgress. Callbacks run synchronously on the search goroutine, so
-	// they must be fast and must not block.
+	// from Run: (stage, done, total) with done in [0, total], never moving
+	// backwards within a stage. StageWarmup and StageGenerate count finished
+	// templates. Set it through WithProgress. Callbacks are serialised but may
+	// come from the goroutines searching templates concurrently; they run
+	// synchronously on them, so they must be fast and must not block.
 	Progress func(stage Stage, done, total int)
 
 	// Stats, when non-nil, receives the run's final executor counters after
@@ -97,6 +99,11 @@ type Config struct {
 	// sets it on sharded-source runs so k shards of one table log one merged
 	// stats block instead of k interleaved ones.
 	suppressStatsLog bool
+
+	// parallel bounds how many template searches (and QTI node searches) a
+	// run evaluates at once; 0 means GOMAXPROCS. FitMulti divides the machine
+	// between its concurrent per-table runs through it.
+	parallel int
 }
 
 // Stage identifies one phase of a FeatAug run for progress reporting.

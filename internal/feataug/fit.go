@@ -55,8 +55,9 @@ func WithConfig(cfg Config) Option {
 }
 
 // WithProgress registers a stage-level progress callback: (stage, done,
-// total) with done in [0, total]. Callbacks run synchronously on the search
-// goroutine.
+// total) with done in [0, total], never moving backwards within a stage.
+// Callbacks are serialised, so fn needs no locking of its own, but they may
+// come from the goroutines that search templates concurrently.
 func WithProgress(fn func(stage Stage, done, total int)) Option {
 	return func(o *fitOptions) { o.cfg.Progress = fn }
 }

@@ -17,7 +17,11 @@ import (
 type Engine struct {
 	eval *pipeline.Evaluator
 	cfg  Config
-	rng  *rand.Rand
+	// rng draws cfg.Seed's stream from src, whose count is the stream
+	// position; Run hands each concurrent search its own generator over the
+	// same stream (see runSplit).
+	rng *rand.Rand
+	src *countingSource
 	// spaces caches per-attribute value domains and whole template spaces
 	// across the many templates QTI and generation visit.
 	spaces *query.SpaceCache
@@ -32,10 +36,12 @@ func NewEngine(eval *pipeline.Evaluator, funcs []agg.Func, cfg Config) *Engine {
 		funcs = agg.All()
 	}
 	cfg = cfg.normalized()
+	src := newCountingSource(cfg.Seed)
 	return &Engine{
 		eval:   eval,
 		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		rng:    rand.New(src),
+		src:    src,
 		spaces: query.NewSpaceCache(eval.P.Relevant, cfg.Space),
 		Funcs:  funcs,
 	}
@@ -63,23 +69,59 @@ type GeneratedQuery struct {
 // real validation losses. Cancelling the context stops the search between
 // evaluations and returns ctx.Err().
 func (e *Engine) GenerateQueries(ctx context.Context, tpl query.Template, k int) ([]GeneratedQuery, error) {
-	qs, _, err := e.generateQueries(ctx, tpl, k, 0, 1)
-	return qs, err
-}
-
-// generateQueries is GenerateQueries with the template's position in the
-// overall run threaded through, so StageWarmup progress counts done/total
-// templates instead of restarting at 0/1 for every template. It also returns
-// the wall time of the warm-up, the interval between the two StageWarmup
-// progress calls (0 under DisableWarmup).
-func (e *Engine) generateQueries(ctx context.Context, tpl query.Template, k, tplIdx, tplTotal int) ([]GeneratedQuery, time.Duration, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	space, err := e.spaces.Space(tpl)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
+	if !e.cfg.DisableWarmup {
+		e.cfg.progress(StageWarmup, 0, 1)
+	}
+	qs, _, err := e.generateQueries(ctx, space, k, e.rng, func() { e.cfg.progress(StageWarmup, 1, 1) })
+	return qs, err
+}
+
+// seedVectors encodes the SeedQueries the template's pool can express.
+func (e *Engine) seedVectors(space *query.Space) [][]int {
+	var out [][]int
+	for _, sq := range e.cfg.SeedQueries {
+		if vec, err := space.Encode(sq); err == nil {
+			out = append(out, vec)
+		}
+	}
+	return out
+}
+
+// genTPE is the generation round's TPE configuration: its surrogate starts
+// out informed by the warm-up's priming evaluations.
+func (e *Engine) genTPE() hpo.TPEOptions {
+	opts := e.cfg.TPE
+	opts.NumStartup = 1
+	return opts
+}
+
+// skipGeneration advances e.rng exactly as generateQueries would over the
+// template's pool (see runSplit): the warm-up from no observations, then the
+// generation round primed with the top-k warm-up points and the expressible
+// seed queries; under DisableWarmup, one round primed with the seeds.
+func (e *Engine) skipGeneration(space *query.Space) {
+	cards := space.Cardinalities()
+	seeds := len(e.seedVectors(space))
+	if e.cfg.DisableWarmup {
+		hpo.SkipSuggestions(e.rng, cards, e.cfg.TPE, seeds, e.cfg.NoWarmupIters)
+		return
+	}
+	hpo.SkipSuggestions(e.rng, cards, e.cfg.TPE, 0, e.cfg.WarmupIters)
+	hpo.SkipSuggestions(e.rng, cards, e.genTPE(), min(e.cfg.WarmupTopK, e.cfg.WarmupIters)+seeds, e.cfg.GenIters)
+}
+
+// generateQueries is one template's search, drawing from rng. warmed is
+// called as the warm-up ends. It also returns the warm-up's
+// wall time, proxy TPE plus the priming real evaluations (0 under
+// DisableWarmup).
+func (e *Engine) generateQueries(ctx context.Context, space *query.Space, k int, rng *rand.Rand, warmed func()) ([]GeneratedQuery, time.Duration, error) {
 	cards := space.Cardinalities()
 
 	realLoss := func(x []int) float64 {
@@ -97,11 +139,7 @@ func (e *Engine) generateQueries(ctx context.Context, tpl query.Template, k, tpl
 	// User-suggested seed queries: evaluate for real and prime whichever
 	// surrogate runs below.
 	var seedObs []hpo.Observation
-	for _, sq := range e.cfg.SeedQueries {
-		vec, err := space.Encode(sq)
-		if err != nil {
-			continue // not expressible in this template's pool
-		}
+	for _, vec := range e.seedVectors(space) {
 		seedObs = append(seedObs, hpo.Observation{X: vec, Loss: realLoss(vec)})
 	}
 
@@ -109,7 +147,7 @@ func (e *Engine) generateQueries(ctx context.Context, tpl query.Template, k, tpl
 	var warmup time.Duration
 	if e.cfg.DisableWarmup {
 		// NoWU ablation: one plain TPE round with the combined budget.
-		gen = hpo.NewTPE(cards, e.rng, e.cfg.TPE)
+		gen = hpo.NewTPE(cards, rng, e.cfg.TPE)
 		if err := gen.Prime(seedObs); err != nil {
 			return nil, 0, err
 		}
@@ -129,9 +167,8 @@ func (e *Engine) generateQueries(ctx context.Context, tpl query.Template, k, tpl
 			}
 			return -score // proxies are higher-is-better
 		}
-		e.cfg.progress(StageWarmup, tplIdx, tplTotal)
 		tWarm := time.Now()
-		warm := hpo.NewTPE(cards, e.rng, e.cfg.TPE)
+		warm := hpo.NewTPE(cards, rng, e.cfg.TPE)
 		if _, _, err := hpo.RunContext(ctx, warm, e.cfg.WarmupIters, proxyLoss); err != nil {
 			return nil, 0, err
 		}
@@ -139,7 +176,8 @@ func (e *Engine) generateQueries(ctx context.Context, tpl query.Template, k, tpl
 		// Evaluate the top-k proxy queries for real and prime the second
 		// round's surrogate with them (Figure 3). Their features are already
 		// in the evaluator's cache from the proxy evaluations, so only the
-		// model fits remain — sequential for determinism.
+		// model fits remain. They run one after another: the template
+		// searches themselves are what runs concurrently.
 		top := hpo.TopK(warm, e.cfg.WarmupTopK)
 		prime := make([]hpo.Observation, 0, len(top))
 		for _, o := range top {
@@ -149,10 +187,8 @@ func (e *Engine) generateQueries(ctx context.Context, tpl query.Template, k, tpl
 			prime = append(prime, hpo.Observation{X: o.X, Loss: realLoss(o.X)})
 		}
 		warmup = time.Since(tWarm)
-		e.cfg.progress(StageWarmup, tplIdx+1, tplTotal)
-		opts := e.cfg.TPE
-		opts.NumStartup = 1 // surrogate is already informed
-		gen = hpo.NewTPE(cards, e.rng, opts)
+		warmed()
+		gen = hpo.NewTPE(cards, rng, e.genTPE())
 		if err := gen.Prime(append(prime, seedObs...)); err != nil {
 			return nil, 0, err
 		}

@@ -156,15 +156,14 @@ func fitMulti(ctx context.Context, base pipeline.Problem, inputs []RelevantInput
 		}
 		if parallel != 1 && len(inputs) > 1 {
 			// The per-table engines run concurrently and each drives its
-			// executor's worker pool; divide the machine between them so k
-			// concurrent searches do not spawn k × GOMAXPROCS scan workers.
-			// Executor results are schedule-independent, so this only shapes
-			// contention, never output.
-			if split := runtime.GOMAXPROCS(0) / len(inputs); split > 0 {
-				ev.Executor().Parallelism = split
-			} else {
-				ev.Executor().Parallelism = 1
-			}
+			// executor's worker pool and its concurrent template searches;
+			// divide the machine between them so k concurrent searches do
+			// not spawn k × GOMAXPROCS workers. Executor results and the
+			// split-stream searches are schedule-independent, so this only
+			// shapes contention, never output.
+			split := max(runtime.GOMAXPROCS(0)/len(inputs), 1)
+			ev.Executor().Parallelism = split
+			cfg.parallel = split
 		}
 		problems[i], evals[i], cfgs[i] = p, ev, cfg
 	}

@@ -3,7 +3,9 @@ package feataug
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sort"
+	"time"
 
 	"repro/internal/hpo"
 	"repro/internal/query"
@@ -22,13 +24,23 @@ type TemplateScore struct {
 // (low-cost proxy instead of real model loss per node) and Optimisation 2
 // (the ridge performance predictor pruning each layer to the top-β nodes
 // before proxy evaluation). It returns the n most promising attribute
-// combinations across all evaluated nodes, best first.
+// combinations across all evaluated nodes, best first. The nodes of a layer
+// are evaluated concurrently, each on its own split of the engine's random
+// stream (see runSplit), so the result does not depend on the schedule.
 func (e *Engine) IdentifyTemplates(ctx context.Context, attrs []string, n int) ([]TemplateScore, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	templates, _, err := e.identifyTemplates(ctx, attrs, n)
+	return templates, err
+}
+
+// identifyTemplates is IdentifyTemplates that also returns by how much the
+// layers' concurrent node evaluations overlapped: the summed node time
+// beyond each layer's wall time, which turns QTI wall time into work time.
+func (e *Engine) identifyTemplates(ctx context.Context, attrs []string, n int) ([]TemplateScore, time.Duration, error) {
 	if len(attrs) == 0 {
-		return nil, fmt.Errorf("%w: no candidate attributes for QTI", ErrNoTemplates)
+		return nil, 0, fmt.Errorf("%w: no candidate attributes for QTI", ErrNoTemplates)
 	}
 	maxDepth := e.cfg.MaxDepth
 	if maxDepth > len(attrs) {
@@ -38,23 +50,63 @@ func (e *Engine) IdentifyTemplates(ctx context.Context, attrs []string, n int) (
 	evaluated := map[string]TemplateScore{}
 	var predictorX [][]float64
 	var predictorY []float64
+	var overlap time.Duration
 
-	evalNode := func(combo []string) (float64, error) {
+	// evalLayer scores a layer's combinations. Those not evaluated before run
+	// concurrently, and their scores fold into evaluated and the predictor's
+	// training set in layer order, as one-by-one evaluation would add them.
+	evalLayer := func(combos [][]string) ([]float64, error) {
 		if err := ctx.Err(); err != nil {
-			return 0, err
+			return nil, err
 		}
-		key := query.CanonicalAttrKey(combo)
-		if ts, ok := evaluated[key]; ok {
-			return ts.Score, nil
+		var fresh [][]string
+		var spaces []*query.Space
+		pending := map[string]bool{}
+		for _, combo := range combos {
+			key := query.CanonicalAttrKey(combo)
+			if _, ok := evaluated[key]; ok || pending[key] {
+				continue
+			}
+			// The shared space cache matters most here: beam search revisits
+			// every attribute in many combinations, and each would otherwise
+			// rescan the relevant table for distinct values / quantile grids.
+			space, err := e.spaces.Space(e.Template(combo))
+			if err != nil {
+				return nil, err
+			}
+			pending[key] = true
+			fresh, spaces = append(fresh, combo), append(spaces, space)
 		}
-		score, err := e.templateEffectiveness(ctx, combo)
+		scores := make([]float64, len(fresh))
+		took := make([]time.Duration, len(fresh))
+		t0 := time.Now()
+		err := e.runSplit(ctx, len(fresh), func(i int) {
+			hpo.SkipSuggestions(e.rng, spaces[i].Cardinalities(), e.qtiTPE(), 0, e.cfg.TemplateProxyIters)
+		}, func(i int, rng *rand.Rand) error {
+			t := time.Now()
+			var err error
+			scores[i], err = e.templateEffectiveness(ctx, spaces[i], rng)
+			took[i] = time.Since(t)
+			return err
+		})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		evaluated[key] = TemplateScore{PredAttrs: append([]string(nil), combo...), Score: score}
-		predictorX = append(predictorX, query.EncodeAttrSet(attrs, combo))
-		predictorY = append(predictorY, score)
-		return score, nil
+		work := -time.Since(t0)
+		for _, d := range took {
+			work += d
+		}
+		overlap += max(work, 0)
+		for i, combo := range fresh {
+			evaluated[query.CanonicalAttrKey(combo)] = TemplateScore{PredAttrs: append([]string(nil), combo...), Score: scores[i]}
+			predictorX = append(predictorX, query.EncodeAttrSet(attrs, combo))
+			predictorY = append(predictorY, scores[i])
+		}
+		out := make([]float64, len(combos))
+		for i, combo := range combos {
+			out[i] = evaluated[query.CanonicalAttrKey(combo)].Score
+		}
+		return out, nil
 	}
 
 	// Layer 1: every single attribute is evaluated (this is also the
@@ -63,13 +115,17 @@ func (e *Engine) IdentifyTemplates(ctx context.Context, attrs []string, n int) (
 		combo []string
 		score float64
 	}
+	singles := make([][]string, len(attrs))
+	for i, a := range attrs {
+		singles[i] = []string{a}
+	}
+	scores, err := evalLayer(singles)
+	if err != nil {
+		return nil, 0, err
+	}
 	var layer []node
-	for _, a := range attrs {
-		s, err := evalNode([]string{a})
-		if err != nil {
-			return nil, err
-		}
-		layer = append(layer, node{combo: []string{a}, score: s})
+	for i, combo := range singles {
+		layer = append(layer, node{combo: combo, score: scores[i]})
 	}
 
 	beam := e.cfg.BeamWidth
@@ -124,13 +180,13 @@ func (e *Engine) IdentifyTemplates(ctx context.Context, attrs []string, n int) (
 			}
 		}
 
+		scores, err := evalLayer(toEval)
+		if err != nil {
+			return nil, 0, err
+		}
 		layer = layer[:0]
-		for _, combo := range toEval {
-			s, err := evalNode(combo)
-			if err != nil {
-				return nil, err
-			}
-			layer = append(layer, node{combo: combo, score: s})
+		for i, combo := range toEval {
+			layer = append(layer, node{combo: combo, score: scores[i]})
 		}
 	}
 
@@ -149,21 +205,20 @@ func (e *Engine) IdentifyTemplates(ctx context.Context, attrs []string, n int) (
 	if n > len(all) {
 		n = len(all)
 	}
-	return all[:n], nil
+	return all[:n], overlap, nil
+}
+
+// qtiTPE is the short template-effectiveness search's TPE configuration.
+func (e *Engine) qtiTPE() hpo.TPEOptions {
+	opts := e.cfg.TPE
+	opts.NumStartup = max(e.cfg.TemplateProxyIters/3, 3)
+	return opts
 }
 
 // templateEffectiveness estimates how good a template's best query is
-// (Definition 5). With Optimisation 1 it runs a short TPE round on the proxy
-// objective; without it, on the real model objective.
-func (e *Engine) templateEffectiveness(ctx context.Context, predAttrs []string) (float64, error) {
-	tpl := e.Template(predAttrs)
-	// The shared space cache matters most here: beam search revisits every
-	// attribute in many combinations, and each would otherwise rescan the
-	// relevant table for distinct values / quantile grids.
-	space, err := e.spaces.Space(tpl)
-	if err != nil {
-		return 0, err
-	}
+// (Definition 5), drawing from rng. With Optimisation 1 it runs a short TPE
+// round on the proxy objective; without it, on the real model objective.
+func (e *Engine) templateEffectiveness(ctx context.Context, space *query.Space, rng *rand.Rand) (float64, error) {
 	objective := func(x []int) float64 {
 		q, err := space.Decode(x)
 		if err != nil {
@@ -182,12 +237,7 @@ func (e *Engine) templateEffectiveness(ctx context.Context, predAttrs []string) 
 		}
 		return -score
 	}
-	opts := e.cfg.TPE
-	opts.NumStartup = e.cfg.TemplateProxyIters / 3
-	if opts.NumStartup < 3 {
-		opts.NumStartup = 3
-	}
-	tpe := hpo.NewTPE(space.Cardinalities(), e.rng, opts)
+	tpe := hpo.NewTPE(space.Cardinalities(), rng, e.qtiTPE())
 	best, ok, err := hpo.RunContext(ctx, tpe, e.cfg.TemplateProxyIters, objective)
 	if err != nil {
 		return 0, err

@@ -150,16 +150,23 @@ func (t *TPE) Observe(o Observation) { t.obs = append(t.obs, o) }
 // History returns all observations (including primed ones).
 func (t *TPE) History() []Observation { return t.obs }
 
+// randomBranch reports whether a TPE holding n observations suggests a
+// uniform random vector rather than consulting its surrogate: during startup,
+// and while fewer than two observations leave the good or the bad set empty
+// (split gives both at least one member from n = 2 on). It depends on the
+// observation count alone, never on the losses, which is what makes
+// SkipSuggestions exact.
+func (o TPEOptions) randomBranch(n int) bool {
+	return n < o.NumStartup || n < 2
+}
+
 // Suggest proposes the next point: random during startup, otherwise the best
 // of NumCandidates samples from the good density under the g/b ratio.
 func (t *TPE) Suggest() []int {
-	if len(t.obs) < t.opts.NumStartup {
+	if t.opts.randomBranch(len(t.obs)) {
 		return t.randomVector()
 	}
 	good, bad := t.split()
-	if len(good) == 0 || len(bad) == 0 {
-		return t.randomVector()
-	}
 	g := t.fit(good)
 	b := t.fit(bad)
 	var best []int
@@ -184,6 +191,29 @@ func (t *TPE) randomVector() []int {
 		x[i] = t.rng.Intn(c)
 	}
 	return x
+}
+
+// SkipSuggestions advances rng exactly as n Suggest calls would on a TPE over
+// cards with opts that starts from primed observations and observes one more
+// after each suggestion: one Intn per dimension on the random branch,
+// NumCandidates Float64 draws per dimension on the surrogate branch. How many
+// draws a suggestion takes depends on the observation count only, so the
+// skip needs no losses, builds no densities and allocates nothing. Callers
+// use it to hand each of several searches that would share one generator in
+// sequence a generator positioned where that search would have started.
+func SkipSuggestions(rng *rand.Rand, cards []int, opts TPEOptions, primed, n int) {
+	opts = opts.normalized()
+	for i := primed; i < primed+n; i++ {
+		if opts.randomBranch(i) {
+			for _, c := range cards {
+				rng.Intn(c)
+			}
+			continue
+		}
+		for k := 0; k < opts.NumCandidates*len(cards); k++ {
+			rng.Float64()
+		}
+	}
 }
 
 // split partitions history into good (lowest-loss ceil(γ·n), at least 1) and

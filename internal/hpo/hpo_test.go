@@ -273,3 +273,97 @@ func TestRunContextCancellation(t *testing.T) {
 		t.Fatalf("history = %d, want 3", len(tpe.History()))
 	}
 }
+
+// drawCounter counts the values drawn from a source.
+type drawCounter struct {
+	src rand.Source
+	n   int
+}
+
+func (c *drawCounter) Int63() int64    { c.n++; return c.src.Int63() }
+func (c *drawCounter) Seed(seed int64) { c.src.Seed(seed) }
+
+// Property: SkipSuggestions leaves a generator exactly where a real primed
+// TPE run leaves an identically seeded one, whatever the losses — ties,
+// sentinel losses and all — because the draw schedule depends on
+// observation counts alone.
+func TestPropertySkipSuggestionsMatchesRun(t *testing.T) {
+	pick := rand.New(rand.NewSource(7))
+	randLoss := func() float64 {
+		switch pick.Intn(4) {
+		case 0:
+			return 1e9 // the evaluator's degenerate sentinel
+		case 1:
+			return 1 // ties
+		default:
+			return pick.Float64()
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		cards := make([]int, 1+pick.Intn(4))
+		for d := range cards {
+			if pick.Intn(3) == 0 {
+				cards[d] = 1 << pick.Intn(6) // powers of two: one draw per Intn
+			} else {
+				cards[d] = 1 + pick.Intn(60)
+			}
+		}
+		opts := TPEOptions{NumStartup: 1 + pick.Intn(12), NumCandidates: 1 + pick.Intn(30)}
+		primed, n := pick.Intn(4), pick.Intn(81)
+		seed := pick.Int63()
+		prime := make([]Observation, primed)
+		for i := range prime {
+			x := make([]int, len(cards))
+			for d, c := range cards {
+				x[d] = pick.Intn(c)
+			}
+			prime[i] = Observation{X: x, Loss: randLoss()}
+		}
+
+		run := rand.New(rand.NewSource(seed))
+		tpe := NewTPE(cards, run, opts)
+		if err := tpe.Prime(prime); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := RunContext(context.Background(), tpe, n, func([]int) float64 { return randLoss() }); err != nil {
+			t.Fatal(err)
+		}
+		skip := rand.New(rand.NewSource(seed))
+		SkipSuggestions(skip, cards, opts, primed, n)
+		for k := 0; k < 3; k++ {
+			if a, b := run.Int63(), skip.Int63(); a != b {
+				t.Fatalf("trial %d (cards %v, opts %+v, primed %d, n %d): streams diverge", trial, cards, opts, primed, n)
+			}
+		}
+	}
+}
+
+// SkipSuggestions follows Intn's rejection sampling too: with a cardinality
+// where a quarter of raw draws are rejected, the skipped generator still
+// lands where the real run's does.
+func TestSkipSuggestionsFollowsIntnRejection(t *testing.T) {
+	cards := []int{3 << 29, 7}
+	opts := TPEOptions{NumStartup: 100} // every suggestion takes the random branch
+	realSrc := &drawCounter{src: rand.NewSource(3)}
+	tpe := NewTPE(cards, rand.New(realSrc), opts)
+	if _, _, err := RunContext(context.Background(), tpe, 60, func([]int) float64 { return 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if realSrc.n <= 60*len(cards) {
+		t.Fatalf("%d draws for %d Intn calls: no rejection exercised", realSrc.n, 60*len(cards))
+	}
+	skipSrc := &drawCounter{src: rand.NewSource(3)}
+	SkipSuggestions(rand.New(skipSrc), cards, opts, 0, 60)
+	if skipSrc.n != realSrc.n {
+		t.Fatalf("skip drew %d values, the run %d", skipSrc.n, realSrc.n)
+	}
+}
+
+// SkipSuggestions allocates nothing, whichever branch it walks.
+func TestSkipSuggestionsAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cards := []int{5, 9, 2}
+	if a := testing.AllocsPerRun(20, func() { SkipSuggestions(rng, cards, TPEOptions{}, 0, 40) }); a != 0 {
+		t.Fatalf("SkipSuggestions allocated %v times per call", a)
+	}
+}

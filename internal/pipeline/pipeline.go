@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/dataframe"
@@ -136,6 +137,11 @@ func (k ProxyKind) String() string {
 // than once per query — and batched calls (FeatureBatch) additionally ride
 // the executor's fused shared-scan path, one set of scans per distinct
 // (keys, WHERE-mask) plan group instead of one per query.
+//
+// An Evaluator is safe for concurrent use. Each cache holds one
+// single-flight entry per query, so concurrent searches that meet the same
+// query materialise and fit it exactly once, and the work counters below
+// come out the same whatever the interleaving.
 type Evaluator struct {
 	P         Problem
 	Model     ml.Kind
@@ -145,21 +151,61 @@ type Evaluator struct {
 
 	// Evaluations counts real model fits, the paper's cost unit.
 	Evaluations int
-	// FitTime is the wall time spent inside those fits' model.Fit calls.
+	// FitTime is the time spent inside those fits' model.Fit calls, summed
+	// over fits (concurrent fits each count in full).
 	FitTime time.Duration
-	// ProxyEvaluations counts proxy computations.
+	// ProxyEvaluations counts proxy computations, the LR proxy's model fits
+	// included.
 	ProxyEvaluations int
+	// The three counters are written under mu; read them once no call is in
+	// flight.
 
-	exec      *query.Executor
-	featCache map[string]cachedFeature
-	lossCache map[string]float64
-	labels    []int
-	yfloat    []float64
+	exec   *query.Executor
+	labels []int
+	yfloat []float64
+
+	mu        sync.Mutex
+	featCache map[string]*featEntry
+	lossCache map[string]*lossEntry
+
+	baseOnce sync.Once
+	base     baseColumns
 }
 
-type cachedFeature struct {
+// featEntry is one query's single-flight feature slot. A slot created by a
+// batch fills from that batch's matrix, which runs once for all its slots.
+type featEntry struct {
+	once  sync.Once
+	batch *featBatch
+	col   int
 	vals  []float64
 	valid []bool
+	err   error
+}
+
+// featBatch is one FeatureBatchContext call's materialisation of its misses.
+type featBatch struct {
+	once sync.Once
+	ctx  context.Context
+	qs   []query.Query
+	m    *query.FeatureMatrix
+	err  error
+}
+
+// lossEntry is one query's single-flight real-loss slot.
+type lossEntry struct {
+	once sync.Once
+	loss float64
+	err  error
+}
+
+// baseColumns are the training table's base features as float views, the
+// fixed part of every candidate dataset.
+type baseColumns struct {
+	names  []string
+	cols   [][]float64
+	valids [][]bool
+	err    error
 }
 
 // NewEvaluator constructs an evaluator for a problem/model pair. The problem
@@ -177,8 +223,8 @@ func NewEvaluator(p Problem, model ml.Kind, seed int64) (*Evaluator, error) {
 		P: p, Model: model, Seed: seed,
 		TrainFrac: 0.6, ValidFrac: 0.2,
 		exec:      query.NewExecutor(p.Relevant),
-		featCache: map[string]cachedFeature{},
-		lossCache: map[string]float64{},
+		featCache: map[string]*featEntry{},
+		lossCache: map[string]*lossEntry{},
 		labels:    p.Labels(),
 		yfloat:    p.YFloat(),
 	}, nil
@@ -191,15 +237,39 @@ func (e *Evaluator) Executor() *query.Executor { return e.exec }
 // training table rows (NULL on join miss), caching by the query's SQL text.
 func (e *Evaluator) Feature(q query.Query) ([]float64, []bool, error) {
 	key := q.SQL("R")
-	if c, ok := e.featCache[key]; ok {
-		return c.vals, c.valid, nil
+	e.mu.Lock()
+	ent, ok := e.featCache[key]
+	if !ok {
+		ent = &featEntry{}
+		e.featCache[key] = ent
 	}
-	vals, valid, err := e.exec.AugmentValues(e.P.Train, q)
-	if err != nil {
-		return nil, nil, err
+	e.mu.Unlock()
+	return e.resolveFeature(key, q, ent)
+}
+
+// resolveFeature fills ent once — from its batch's matrix, or by executing q
+// alone — and returns its contents. A failed slot is dropped from the cache
+// so a later call retries, as an uncached miss would.
+func (e *Evaluator) resolveFeature(key string, q query.Query, ent *featEntry) ([]float64, []bool, error) {
+	ent.once.Do(func() {
+		if b := ent.batch; b != nil {
+			b.once.Do(func() { b.m, b.err = e.exec.AugmentMatrixContext(b.ctx, e.P.Train, b.qs) })
+			if ent.err = b.err; b.err == nil {
+				ent.vals, ent.valid = b.m.Col(ent.col)
+			}
+			return
+		}
+		ent.vals, ent.valid, ent.err = e.exec.AugmentValues(e.P.Train, q)
+	})
+	if ent.err != nil {
+		e.mu.Lock()
+		if e.featCache[key] == ent {
+			delete(e.featCache, key)
+		}
+		e.mu.Unlock()
+		return nil, nil, ent.err
 	}
-	e.featCache[key] = cachedFeature{vals: vals, valid: valid}
-	return vals, valid, nil
+	return ent.vals, ent.valid, nil
 }
 
 // FeatureBatch materialises many candidate features at once: queries missing
@@ -215,36 +285,37 @@ func (e *Evaluator) FeatureBatch(qs []query.Query) ([][]float64, [][]bool, error
 // the executor batch promptly and surfaces ctx.Err().
 func (e *Evaluator) FeatureBatchContext(ctx context.Context, qs []query.Query) ([][]float64, [][]bool, error) {
 	keys := make([]string, len(qs))
-	var missKeys []string
-	var missQs []query.Query
-	seen := map[string]bool{}
+	ents := make([]*featEntry, len(qs))
+	// Columnar bulk materialisation: every miss becomes a slot of one batch,
+	// whose flat buffer the cache then holds views into.
+	b := &featBatch{ctx: ctx}
+	e.mu.Lock()
 	for i, q := range qs {
 		k := q.SQL("R")
 		keys[i] = k
-		if _, ok := e.featCache[k]; ok || seen[k] {
-			continue
+		ent, ok := e.featCache[k]
+		if !ok {
+			ent = &featEntry{batch: b, col: len(b.qs)}
+			e.featCache[k] = ent
+			b.qs = append(b.qs, q)
 		}
-		seen[k] = true
-		missKeys = append(missKeys, k)
-		missQs = append(missQs, q)
+		ents[i] = ent
 	}
-	if len(missQs) > 0 {
-		// Columnar bulk materialisation: one flat buffer for the whole miss
-		// set; the cache holds views into it.
-		m, err := e.exec.AugmentMatrixContext(ctx, e.P.Train, missQs)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i := range missQs {
-			vals, valid := m.Col(i)
-			e.featCache[missKeys[i]] = cachedFeature{vals: vals, valid: valid}
-		}
-	}
+	e.mu.Unlock()
 	outVals := make([][]float64, len(qs))
 	outValid := make([][]bool, len(qs))
-	for i, k := range keys {
-		c := e.featCache[k]
-		outVals[i], outValid[i] = c.vals, c.valid
+	var firstErr error
+	for i, ent := range ents {
+		// Resolve every slot even after a failure, so each failed one is
+		// dropped now rather than handing a stale error to a later caller.
+		vals, valid, err := e.resolveFeature(keys[i], qs[i], ent)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		outVals[i], outValid[i] = vals, valid
+	}
+	if firstErr != nil {
+		return nil, nil, firstErr
 	}
 	return outVals, outValid, nil
 }
@@ -256,7 +327,9 @@ func (e *Evaluator) ProxyScore(q query.Query, kind ProxyKind) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	e.mu.Lock()
 	e.ProxyEvaluations++
+	e.mu.Unlock()
 	switch kind {
 	case ProxyMI:
 		return stats.MIScore(vals, valid, e.labels, stats.DefaultBins), nil
@@ -264,8 +337,9 @@ func (e *Evaluator) ProxyScore(q query.Query, kind ProxyKind) (float64, error) {
 		return math.Abs(stats.Spearman(vals, e.yfloat, valid)), nil
 	case ProxyLR:
 		// Train a logistic/linear model on base features + candidate and
-		// return its validation metric mapped to higher-is-better.
-		loss, err := e.realLossWithFeature(vals, valid, ml.KindLR)
+		// return its validation metric mapped to higher-is-better. The fit
+		// is a proxy computation, not a downstream-model evaluation.
+		loss, err := e.lossWithFeature(vals, valid, ml.KindLR, false)
 		if err != nil {
 			return 0, err
 		}
@@ -279,9 +353,27 @@ func (e *Evaluator) ProxyScore(q query.Query, kind ProxyKind) (float64, error) {
 // Results are cached by query identity.
 func (e *Evaluator) QueryLoss(q query.Query) (float64, error) {
 	key := q.SQL("R")
-	if l, ok := e.lossCache[key]; ok {
-		return l, nil
+	e.mu.Lock()
+	ent, ok := e.lossCache[key]
+	if !ok {
+		ent = &lossEntry{}
+		e.lossCache[key] = ent
 	}
+	e.mu.Unlock()
+	ent.once.Do(func() { ent.loss, ent.err = e.queryLoss(q) })
+	if ent.err != nil {
+		e.mu.Lock()
+		if e.lossCache[key] == ent {
+			delete(e.lossCache, key)
+		}
+		e.mu.Unlock()
+		return 0, ent.err
+	}
+	return ent.loss, nil
+}
+
+// queryLoss is QueryLoss's uncached body, counting the model fit.
+func (e *Evaluator) queryLoss(q query.Query) (float64, error) {
 	vals, valid, err := e.Feature(q)
 	if err != nil {
 		return 0, err
@@ -290,15 +382,9 @@ func (e *Evaluator) QueryLoss(q query.Query) (float64, error) {
 		// An all-NULL or constant feature carries no information; give it a
 		// sentinel loss so search procedures prune it instead of treating it
 		// as a baseline-equivalent "safe" choice.
-		e.lossCache[key] = DegenerateLoss
 		return DegenerateLoss, nil
 	}
-	loss, err := e.realLossWithFeature(vals, valid, e.Model)
-	if err != nil {
-		return 0, err
-	}
-	e.lossCache[key] = loss
-	return loss, nil
+	return e.lossWithFeature(vals, valid, e.Model, true)
 }
 
 // DegenerateLoss is the sentinel loss assigned to queries whose feature is
@@ -324,17 +410,46 @@ func degenerate(vals []float64, valid []bool) bool {
 	return true
 }
 
-// realLossWithFeature trains the given model kind on base features plus one
-// materialised candidate and returns validation loss.
-func (e *Evaluator) realLossWithFeature(vals []float64, valid []bool, kind ml.Kind) (float64, error) {
-	tbl := e.P.Train.Clone()
-	col := dataframe.NewFloatColumn("__cand", vals, valid)
-	if err := tbl.AddColumn(col); err != nil {
+// lossWithFeature trains the given model kind on base features plus one
+// materialised candidate and returns validation loss; counted says whether
+// the fit is a downstream-model evaluation. The dataset is assembled
+// columnar over the base features' cached float views plus the candidate:
+// the values ml.FromTable would read off a table holding the candidate as a
+// column, since the executor already stores NaN aggregates as NULL, as
+// dataframe.NewFloatColumn would.
+func (e *Evaluator) lossWithFeature(vals []float64, valid []bool, kind ml.Kind, counted bool) (float64, error) {
+	base, err := e.baseColumns()
+	if err != nil {
 		return 0, err
 	}
-	feats := append(append([]string(nil), e.P.BaseFeatures...), "__cand")
-	loss, _, err := e.fitAndScore(tbl, feats, kind)
+	n := len(base.names)
+	// Full slice expressions: the appends copy, never writing into the
+	// shared views.
+	ds, err := ml.FromColumns(append(base.names[:n:n], "__cand"),
+		append(base.cols[:n:n], vals), append(base.valids[:n:n], valid),
+		e.P.Train.Column(e.P.Label))
+	if err != nil {
+		return 0, err
+	}
+	loss, _, err := e.scoreDataset(ds, kind, counted)
 	return loss, err
+}
+
+// baseColumns returns the base features' float views, built once.
+func (e *Evaluator) baseColumns() (baseColumns, error) {
+	e.baseOnce.Do(func() {
+		for _, name := range e.P.BaseFeatures {
+			col := e.P.Train.Column(name)
+			if col == nil {
+				e.base.err = fmt.Errorf("ml: no feature column %q", name)
+				return
+			}
+			v, ok := col.Floats()
+			e.base.names = append(e.base.names, name)
+			e.base.cols, e.base.valids = append(e.base.cols, v), append(e.base.valids, ok)
+		}
+	})
+	return e.base, e.base.err
 }
 
 // FeatureSetScores trains the downstream model on base features plus all the
@@ -360,17 +475,12 @@ func (e *Evaluator) QuerySetScores(qs []query.Query) (validMetric, testMetric fl
 	if err != nil {
 		return 0, 0, err
 	}
-	names := make([]string, 0, len(e.P.BaseFeatures)+len(qs))
-	cols := make([][]float64, 0, cap(names))
-	valids := make([][]bool, 0, cap(names))
-	for _, base := range e.P.BaseFeatures {
-		col := e.P.Train.Column(base)
-		if col == nil {
-			return 0, 0, fmt.Errorf("ml: no feature column %q", base)
-		}
-		v, ok := col.Floats()
-		names, cols, valids = append(names, base), append(cols, v), append(valids, ok)
+	base, err := e.baseColumns()
+	if err != nil {
+		return 0, 0, err
 	}
+	n := len(base.names)
+	names, cols, valids := base.names[:n:n], base.cols[:n:n], base.valids[:n:n]
 	for i := range qs {
 		names = append(names, fmt.Sprintf("feat_%d", i))
 		cols, valids = append(cols, vals[i]), append(valids, valid[i])
@@ -379,26 +489,29 @@ func (e *Evaluator) QuerySetScores(qs []query.Query) (validMetric, testMetric fl
 	if err != nil {
 		return 0, 0, err
 	}
-	_, scores, err := e.scoreDataset(ds, e.Model)
+	_, scores, err := e.scoreDataset(ds, e.Model, true)
 	if err != nil {
 		return 0, 0, err
 	}
 	return scores[0], scores[1], nil
 }
 
-// fitAndScore runs the full protocol once: build dataset, split, fit,
-// return validation loss and [validMetric, testMetric].
+// fitAndScore runs the full protocol once on a table the caller already
+// holds (FeatureSetScores, BaselineScores): build dataset, split, fit,
+// return validation loss and [validMetric, testMetric]. It counts the fit.
 func (e *Evaluator) fitAndScore(tbl *dataframe.Table, features []string, kind ml.Kind) (float64, [2]float64, error) {
 	ds, err := ml.FromTable(tbl, features, e.P.Label)
 	if err != nil {
 		return 0, [2]float64{}, err
 	}
-	return e.scoreDataset(ds, kind)
+	return e.scoreDataset(ds, kind, true)
 }
 
 // scoreDataset is the post-assembly half of the protocol, shared by the
-// table path (fitAndScore) and the columnar path (QuerySetScores).
-func (e *Evaluator) scoreDataset(ds *ml.Dataset, kind ml.Kind) (float64, [2]float64, error) {
+// table path (fitAndScore) and the columnar paths. When counted, the model
+// fit adds to FitTime and, if it succeeds, to Evaluations: only
+// downstream-model fits are evaluations.
+func (e *Evaluator) scoreDataset(ds *ml.Dataset, kind ml.Kind, counted bool) (float64, [2]float64, error) {
 	split, err := ml.SplitDataset(ds, e.TrainFrac, e.ValidFrac, e.Seed)
 	if err != nil {
 		return 0, [2]float64{}, err
@@ -409,11 +522,17 @@ func (e *Evaluator) scoreDataset(ds *ml.Dataset, kind ml.Kind) (float64, [2]floa
 	}
 	t0 := time.Now()
 	err = model.Fit(split.Train.X, split.Train.Y)
-	e.FitTime += time.Since(t0)
+	if counted {
+		e.mu.Lock()
+		e.FitTime += time.Since(t0)
+		if err == nil {
+			e.Evaluations++
+		}
+		e.mu.Unlock()
+	}
 	if err != nil {
 		return 0, [2]float64{}, err
 	}
-	e.Evaluations++
 	validPred := model.Predict(split.Valid.X)
 	loss, err := ml.Loss(e.P.Task, validPred, split.Valid.Y)
 	if err != nil {

@@ -1,7 +1,10 @@
 package pipeline
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/agg"
@@ -408,5 +411,146 @@ func TestDegenerateHelper(t *testing.T) {
 	}
 	if !degenerate(nil, nil) {
 		t.Error("empty should be degenerate")
+	}
+}
+
+// The LR proxy trains a model, but it is a proxy computation: it counts in
+// ProxyEvaluations only, never in the downstream-model cost unit.
+func TestLRProxyIsNotAModelEvaluation(t *testing.T) {
+	ev, err := NewEvaluator(tmallProblem(t), ml.KindXGB, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := query.Query{Agg: agg.Count, AggAttr: "price", Keys: ev.P.Keys}
+	if _, err := ev.ProxyScore(q, ProxyLR); err != nil {
+		t.Fatal(err)
+	}
+	if ev.Evaluations != 0 || ev.FitTime != 0 {
+		t.Fatalf("LR proxy counted as a model evaluation: Evaluations %d, FitTime %v", ev.Evaluations, ev.FitTime)
+	}
+	if ev.ProxyEvaluations != 1 {
+		t.Fatalf("ProxyEvaluations = %d, want 1", ev.ProxyEvaluations)
+	}
+}
+
+// concurrencyQueries is 50 distinct candidate queries over the tmall
+// problem, some of them degenerate (SUM over a string column is all-NULL).
+func concurrencyQueries(keys []string) []query.Query {
+	preds := [][]query.Predicate{
+		nil,
+		{{Attr: "action", Kind: query.PredEq, StrValue: "buy"}},
+		{{Attr: "timestamp", Kind: query.PredRange, HasLo: true, Lo: 5000}},
+		{{Attr: "action", Kind: query.PredEq, StrValue: "click"},
+			{Attr: "timestamp", Kind: query.PredRange, HasHi: true, Hi: 6000}},
+		{{Attr: "brand", Kind: query.PredEq, StrValue: "b0"}},
+	}
+	var qs []query.Query
+	for _, f := range agg.Basic() {
+		for _, attr := range []string{"price", "action"} {
+			for _, p := range preds {
+				qs = append(qs, query.Query{Agg: f, AggAttr: attr, Keys: keys, Preds: p})
+			}
+		}
+	}
+	return qs
+}
+
+// Concurrent callers over the same queries must see exactly what one
+// sequential caller sees: the same losses, one model fit per distinct
+// non-degenerate query, and one materialisation per distinct query.
+func TestEvaluatorConcurrentUse(t *testing.T) {
+	p := tmallProblem(t)
+	qs := concurrencyQueries(p.Keys)
+	seq, err := NewEvaluator(p, ml.KindLR, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(qs))
+	nonDegenerate := 0
+	for i, q := range qs {
+		if want[i], err = seq.QueryLoss(q); err != nil {
+			t.Fatal(err)
+		}
+		if want[i] != DegenerateLoss {
+			nonDegenerate++
+		}
+		if _, err := seq.ProxyScore(q, ProxyMI); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if nonDegenerate == 0 || nonDegenerate == len(qs) {
+		t.Fatalf("%d of %d queries non-degenerate; the test needs both kinds", nonDegenerate, len(qs))
+	}
+
+	ev, err := NewEvaluator(p, ml.KindLR, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w == 0 {
+				// One worker materialises the whole set as a batch while the
+				// others ask for single features.
+				if _, _, err := ev.FeatureBatch(qs); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+			for k := range qs {
+				i := (k + w*7) % len(qs) // each worker starts elsewhere
+				loss, err := ev.QueryLoss(qs[i])
+				if err == nil && loss != want[i] {
+					t.Errorf("worker %d query %d: loss %v, sequential %v", w, i, loss, want[i])
+				}
+				if err == nil {
+					_, err = ev.ProxyScore(qs[i], ProxyMI)
+				}
+				if err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ev.Evaluations != nonDegenerate {
+		t.Fatalf("Evaluations = %d, want %d (one per distinct non-degenerate query)", ev.Evaluations, nonDegenerate)
+	}
+	if ev.ProxyEvaluations != workers*len(qs) {
+		t.Fatalf("ProxyEvaluations = %d, want %d", ev.ProxyEvaluations, workers*len(qs))
+	}
+	if got, seqN := ev.Executor().Stats().FusedQueries, seq.Executor().Stats().FusedQueries; got != seqN {
+		t.Fatalf("FusedQueries = %d, sequential %d: some query was materialised twice", got, seqN)
+	}
+}
+
+// A batch cancelled mid-flight leaves nothing stale behind: the same
+// queries materialise normally afterwards, singly or batched.
+func TestFeatureBatchRetriesAfterCancel(t *testing.T) {
+	ev, err := NewEvaluator(tmallProblem(t), ml.KindLR, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := concurrencyQueries(ev.P.Keys)[:6]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := ev.FeatureBatchContext(ctx, qs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batch: err = %v, want context.Canceled", err)
+	}
+	if _, _, err := ev.Feature(qs[0]); err != nil {
+		t.Fatalf("single feature after a cancelled batch: %v", err)
+	}
+	if _, _, err := ev.FeatureBatch(qs); err != nil {
+		t.Fatalf("batch after a cancelled batch: %v", err)
 	}
 }
