@@ -47,10 +47,9 @@
 // passes paid to dictionary-encode string columns, lookups served from an
 // already-built encoding, and predicate bitmaps built through the branch-free
 // dictionary-code kernels (string equality as a single code compare, int/time
-// ranges as a code-interval test) instead of per-row value compares. The
-// encoded and unencoded paths are bit-identical; query.Executor's
-// DisableDictEncoding knob forces the unencoded fallbacks and is swept by the
-// differential tests.
+// ranges as a code-interval test) instead of per-row value compares. String
+// columns above dataframe.MaxDictCardinality stay unencoded and compare per
+// row; the differential tests check both shapes against Query.Execute.
 //
 // -v also prints the relevant table's resident footprint (PR 10): total MB,
 // bytes/row and how many string columns run code-backed compact storage,

@@ -186,8 +186,9 @@ func dictTestTable(tb testing.TB, rows int, seed int64) *Table {
 }
 
 // TestGroupIndexDictEquivalence is the group-build differential: for every key
-// shape the dictionary paths serve, the index must be IDENTICAL — group ids,
-// sizes, representatives and key bytes — to the generic string-keyed build.
+// shape the dictionary paths serve (and the mixed shapes the composite-key
+// path serves), the index must be IDENTICAL — group ids, sizes,
+// representatives and key bytes — to the test-local first-seen grouping.
 func TestGroupIndexDictEquivalence(t *testing.T) {
 	tbl := dictTestTable(t, 3000, 11)
 	keySets := [][]string{
@@ -196,7 +197,7 @@ func TestGroupIndexDictEquivalence(t *testing.T) {
 		{"s3"},             // single value
 		{"s1", "s2"},       // combo: dense code space
 		{"s2", "s1", "s3"}, // combo: order matters
-		{"s1", "iv"},       // mixed kinds: generic in both modes
+		{"s1", "iv"},       // mixed kinds: composite-key path
 		{"iv", "s1", "s2"}, // mixed, string-led radix would differ
 		{"s1", "s1"},       // repeated key column
 	}
@@ -205,32 +206,13 @@ func TestGroupIndexDictEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := tbl.BuildGroupIndexGeneric(keys...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := fmt.Sprintf("%v", keys)
-		if got.NumGroups() != want.NumGroups() {
-			t.Fatalf("%s: %d groups vs generic %d", name, got.NumGroups(), want.NumGroups())
-		}
-		for i := 0; i < tbl.NumRows(); i++ {
-			if got.GroupOf(i) != want.GroupOf(i) {
-				t.Fatalf("%s: row %d gid %d vs generic %d", name, i, got.GroupOf(i), want.GroupOf(i))
-			}
-		}
-		for gid := 0; gid < got.NumGroups(); gid++ {
-			if got.Key(gid) != want.Key(gid) || got.Size(gid) != want.Size(gid) || got.Repr(gid) != want.Repr(gid) {
-				t.Fatalf("%s: group %d (key %q size %d repr %d) vs generic (key %q size %d repr %d)",
-					name, gid, got.Key(gid), got.Size(gid), got.Repr(gid),
-					want.Key(gid), want.Size(gid), want.Repr(gid))
-			}
-		}
+		checkGroupIndexRef(t, fmt.Sprintf("%v", keys), tbl, got, keys...)
 	}
 }
 
 // TestGroupIndexComboOverCap checks an all-string key-set falls back cleanly
-// when one column exceeds the dictionary cap, and still matches the generic
-// build.
+// to the composite-key path when one column exceeds the dictionary cap, and
+// still matches the reference grouping.
 func TestGroupIndexComboOverCap(t *testing.T) {
 	rows := MaxDictCardinality + 100
 	big := make([]string, rows)
@@ -250,16 +232,8 @@ func TestGroupIndexComboOverCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tbl.BuildGroupIndexGeneric("small", "big")
-	if err != nil {
-		t.Fatal(err)
+	if got.NumGroups() != rows {
+		t.Fatalf("groups = %d, want %d", got.NumGroups(), rows)
 	}
-	if got.NumGroups() != want.NumGroups() || got.NumGroups() != rows {
-		t.Fatalf("groups = %d vs generic %d, want %d", got.NumGroups(), want.NumGroups(), rows)
-	}
-	for gid := 0; gid < rows; gid += 97 {
-		if got.Key(gid) != want.Key(gid) {
-			t.Fatalf("group %d key %q vs generic %q", gid, got.Key(gid), want.Key(gid))
-		}
-	}
+	checkGroupIndexRef(t, "[small big]", tbl, got, "small", "big")
 }

@@ -31,18 +31,6 @@ type GroupIndex struct {
 // product is small, a map[uint64]int otherwise). Group numbering, NULL-group
 // handling and Key(gid) bytes are identical across every path.
 func (t *Table) BuildGroupIndex(keyCols ...string) (*GroupIndex, error) {
-	return t.buildGroupIndex(true, keyCols)
-}
-
-// BuildGroupIndexGeneric is BuildGroupIndex with the dictionary-code paths
-// disabled (the single-int fast path predates them and stays). It exists for
-// the encoded-vs-unencoded differential sweeps; production callers want
-// BuildGroupIndex.
-func (t *Table) BuildGroupIndexGeneric(keyCols ...string) (*GroupIndex, error) {
-	return t.buildGroupIndex(false, keyCols)
-}
-
-func (t *Table) buildGroupIndex(useDict bool, keyCols []string) (*GroupIndex, error) {
 	cols, err := t.resolveColumns(keyCols)
 	if err != nil {
 		return nil, err
@@ -56,18 +44,16 @@ func (t *Table) buildGroupIndex(useDict bool, keyCols []string) (*GroupIndex, er
 		g.buildSingleInt(cols[0])
 		return g, nil
 	}
-	if useDict {
-		if len(cols) == 1 && cols[0].Kind() == KindString {
-			if enc := cols[0].Dict(); enc != nil {
-				g.buildSingleString(cols[0], enc)
-				return g, nil
-			}
+	if len(cols) == 1 && cols[0].Kind() == KindString {
+		if enc := cols[0].Dict(); enc != nil {
+			g.buildSingleString(cols[0], enc)
+			return g, nil
 		}
-		if len(cols) > 1 {
-			if encs, ok := comboDicts(cols); ok {
-				g.buildStringCombo(cols, encs)
-				return g, nil
-			}
+	}
+	if len(cols) > 1 {
+		if encs, ok := comboDicts(cols); ok {
+			g.buildStringCombo(cols, encs)
+			return g, nil
 		}
 	}
 	ids := make(map[string]int)

@@ -2,11 +2,12 @@ package dataframe
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // refGroupIndex is the generic string-keyed grouping algorithm, kept inline
-// as the reference the single-int-key fast path must match exactly.
+// as the reference every BuildGroupIndex path must match exactly.
 func refGroupIndex(t *testing.T, tbl *Table, keys ...string) (rowGID []int, keyStrs []string, repr, sizes []int) {
 	t.Helper()
 	cols := make([]*Column, len(keys))
@@ -34,6 +35,26 @@ func refGroupIndex(t *testing.T, tbl *Table, keys ...string) (rowGID []int, keyS
 	return rowGID, keyStrs, repr, sizes
 }
 
+// checkGroupIndexRef compares g against refGroupIndex's first-seen grouping
+// over Table.RowKey: per-row group ids, each group's first row, sizes and
+// Key(gid) bytes.
+func checkGroupIndexRef(t *testing.T, name string, tbl *Table, g *GroupIndex, keys ...string) {
+	t.Helper()
+	rowGID, keyStrs, repr, sizes := refGroupIndex(t, tbl, keys...)
+	if g.NumGroups() != len(repr) {
+		t.Fatalf("%s: %d groups vs reference %d", name, g.NumGroups(), len(repr))
+	}
+	if !slices.Equal(g.RowGroups(), rowGID) {
+		t.Fatalf("%s: row group ids differ from the reference", name)
+	}
+	for gid := range repr {
+		if g.Key(gid) != keyStrs[gid] || g.Size(gid) != sizes[gid] || g.Repr(gid) != repr[gid] {
+			t.Fatalf("%s: group %d (key %q size %d repr %d) vs reference (key %q size %d repr %d)",
+				name, gid, g.Key(gid), g.Size(gid), g.Repr(gid), keyStrs[gid], sizes[gid], repr[gid])
+		}
+	}
+}
+
 // TestBuildGroupIndexIntFastPath checks the map[int64]int fast path for
 // single integer and time keys — including NULL keys, which must form their
 // own group — against the generic composite-string reference, for group ids,
@@ -59,26 +80,7 @@ func TestBuildGroupIndexIntFastPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rowGID, keyStrs, repr, sizes := refGroupIndex(t, tbl, "k")
-		if g.NumGroups() != len(keyStrs) {
-			t.Fatalf("%s: %d groups, want %d", kind, g.NumGroups(), len(keyStrs))
-		}
-		for i := 0; i < n; i++ {
-			if g.GroupOf(i) != rowGID[i] {
-				t.Fatalf("%s: row %d gid %d, want %d", kind, i, g.GroupOf(i), rowGID[i])
-			}
-		}
-		for gid := 0; gid < g.NumGroups(); gid++ {
-			if g.Key(gid) != keyStrs[gid] {
-				t.Fatalf("%s: group %d key %q, want %q", kind, gid, g.Key(gid), keyStrs[gid])
-			}
-			if g.Repr(gid) != repr[gid] {
-				t.Fatalf("%s: group %d repr %d, want %d", kind, gid, g.Repr(gid), repr[gid])
-			}
-			if g.Size(gid) != sizes[gid] {
-				t.Fatalf("%s: group %d size %d, want %d", kind, gid, g.Size(gid), sizes[gid])
-			}
-		}
+		checkGroupIndexRef(t, kind, tbl, g, "k")
 	}
 }
 

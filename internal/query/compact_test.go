@@ -23,8 +23,8 @@ func compacted(t *testing.T, tbl *dataframe.Table) *dataframe.Table {
 
 // TestDifferentialCompactStrings is the compact-storage contract: a table
 // whose string columns are code-backed (no []string), queried through the
-// SWAR kernels, must match a raw unencoded executor bit for bit — across
-// mixed and NULL-heavy tables and morsel sizes {1, 7}.
+// SWAR kernels, must match Query.Execute over the raw table bit for bit —
+// across mixed and NULL-heavy tables and morsel sizes {1, 7}.
 func TestDifferentialCompactStrings(t *testing.T) {
 	builders := map[string]func(int, int64) *dataframe.Table{
 		"mixed":     largeRandomTable,
@@ -41,12 +41,7 @@ func TestDifferentialCompactStrings(t *testing.T) {
 				Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k2"},
 					Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "a"}}},
 			)
-			ref := NewExecutor(build(500, 102))
-			ref.DisableDictEncoding = true
-			want, err := ref.ExecuteBatch(qs, "feature")
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := oracleBatch(t, build(500, 102), qs, "feature")
 			for _, morsel := range []int{1, 7, 0} {
 				tbl := compacted(t, build(500, 102))
 				opts := []ExecutorOption{}
@@ -79,8 +74,8 @@ func TestDifferentialCompactStrings(t *testing.T) {
 // TestDifferentialCompactDelta sweeps the PR 9 append modes over a COMPACT
 // base table: in-domain deltas keep the columns compact; a dict-shifting or
 // cap-crossing delta rematerialises the strings first and then follows the
-// raw fallback — in every case results must equal a fresh raw executor over
-// the concatenated rows.
+// raw fallback — in every case results must equal Query.Execute over the
+// concatenated raw rows.
 func TestDifferentialCompactDelta(t *testing.T) {
 	scenarios := []struct {
 		name         string
@@ -113,12 +108,7 @@ func TestDifferentialCompactDelta(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", round, err)
 				}
-				fresh := NewExecutor(ref, WithMorselRows(64))
-				fresh.DisableDictEncoding = true
-				want, err := fresh.ExecuteBatch(qs, "feature")
-				if err != nil {
-					t.Fatalf("%s: %v", round, err)
-				}
+				want := oracleBatch(t, ref, qs, "feature")
 				for i, q := range qs {
 					sameTable(t, fmt.Sprintf("%s %s", round, q.SQL("r")), got[i], want[i])
 				}
@@ -148,7 +138,7 @@ func TestDifferentialCompactDelta(t *testing.T) {
 
 // TestDifferentialCompactSharded runs compact parents through provenance
 // shards — k ∈ {1, 3}, shared scheduler, concurrent batches under -race —
-// against raw unencoded executors over materialised copies of the same rows.
+// against the Query.Augment oracle over raw copies of the same rows.
 func TestDifferentialCompactSharded(t *testing.T) {
 	d := dupKeyTrainTable(150, 131)
 	rng := rand.New(rand.NewSource(132))
@@ -180,15 +170,11 @@ func TestDifferentialCompactSharded(t *testing.T) {
 				if !ok {
 					t.Fatal("shard lost provenance")
 				}
-				ref := NewExecutor(raw.Take(rows))
-				ref.DisableDictEncoding = true
-				wantV, wantOK, err := ref.AugmentValuesBatch(d, qs)
-				if err != nil {
-					t.Fatalf("shard %d reference: %v", i, err)
-				}
-				for qi := range qs {
-					sameFeature(t, fmt.Sprintf("k=%d shard %d %s", k, i, qs[qi].SQL("r")),
-						gotV[i][qi], wantV[qi], gotOK[i][qi], wantOK[qi])
+				ref := raw.Take(rows)
+				for qi, q := range qs {
+					wantV, wantOK := oracleFeature(t, q, d, ref)
+					sameFeature(t, fmt.Sprintf("k=%d shard %d %s", k, i, q.SQL("r")),
+						gotV[i][qi], wantV, gotOK[i][qi], wantOK)
 				}
 			}
 		})
@@ -197,8 +183,8 @@ func TestDifferentialCompactSharded(t *testing.T) {
 
 // TestDifferentialCompactConcat checks query results over spliced compact
 // tables: concatenating compact parts sharing one domain keeps the output
-// compact (code-splice fast path) and queries over it must match a raw
-// executor over the same rows.
+// compact (code-splice fast path) and queries over it must match
+// Query.Execute over the raw concatenation of the same rows.
 func TestDifferentialCompactConcat(t *testing.T) {
 	partsRaw := []*dataframe.Table{
 		largeRandomTable(300, 140),
@@ -225,12 +211,7 @@ func TestDifferentialCompactConcat(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(143))
 	qs := randomPool(rng, 80)
-	ref := NewExecutor(refTbl)
-	ref.DisableDictEncoding = true
-	want, err := ref.ExecuteBatch(qs, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleBatch(t, refTbl, qs, "feature")
 	got, err := NewExecutor(gotTbl).ExecuteBatch(qs, "feature")
 	if err != nil {
 		t.Fatal(err)

@@ -66,38 +66,32 @@ func orderStatsPool(attrs []string) []Query {
 	return out
 }
 
-// TestDifferentialCountingSort requires the counting path to reproduce the
-// comparison sort bit for bit across every order-statistics aggregate, on
-// small-int, categorical and bool domains, and to agree with the independent
-// Query.Execute.
+// TestDifferentialCountingSort requires every order-statistics aggregate to
+// match Query.Execute bit for bit, both on the small-int, categorical and
+// bool domains the counting path serves and on the float, wide-range and
+// huge-magnitude domains the probe rejects (the comparison sort).
 func TestDifferentialCountingSort(t *testing.T) {
 	r := lowCardTable(600, 201)
-	qs := orderStatsPool([]string{"code", "cat", "flag", "wide", "huge", "x"})
-
-	counting := NewExecutor(r)
-	got, err := counting.ExecuteBatch(qs, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	generic := NewExecutor(r)
-	generic.DisableCountingSort = true
-	want, err := generic.ExecuteBatch(qs, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range qs {
-		sameTable(t, q.SQL("r"), got[i], want[i])
-		indep, err := q.Execute(r, "f")
+	for _, tc := range []struct {
+		attrs    []string
+		counting bool
+	}{
+		{[]string{"code", "cat", "flag"}, true},
+		{[]string{"wide", "huge", "x"}, false},
+	} {
+		qs := orderStatsPool(tc.attrs)
+		ex := NewExecutor(r)
+		got, err := ex.ExecuteBatch(qs, "f")
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameTable(t, q.SQL("r")+" vs-independent", got[i], indep)
-	}
-	if s := counting.Stats(); s.CountingScans == 0 {
-		t.Fatal("counting executor served no scans through the counting path")
-	}
-	if s := generic.Stats(); s.CountingScans != 0 {
-		t.Fatalf("DisableCountingSort executor still ran %d counting scans", s.CountingScans)
+		want := oracleBatch(t, r, qs, "f")
+		for i, q := range qs {
+			sameTable(t, q.SQL("r"), got[i], want[i])
+		}
+		if n := ex.Stats().CountingScans; (n > 0) != tc.counting {
+			t.Errorf("%v: CountingScans = %d, want counting path %v", tc.attrs, n, tc.counting)
+		}
 	}
 }
 
@@ -140,18 +134,16 @@ func TestCountingSortMixedWithStreaming(t *testing.T) {
 	for _, fn := range []agg.Func{agg.Sum, agg.VarSample, agg.Kurtosis, agg.Median, agg.Entropy} {
 		qs = append(qs, Query{Agg: fn, AggAttr: "code", Keys: []string{"k1"}})
 	}
-	counting := NewExecutor(r)
-	got, err := counting.ExecuteBatch(qs, "f")
+	ex := NewExecutor(r)
+	got, err := ex.ExecuteBatch(qs, "f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	generic := NewExecutor(r)
-	generic.DisableCountingSort = true
-	want, err := generic.ExecuteBatch(qs, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleBatch(t, r, qs, "f")
 	for i, q := range qs {
 		sameTable(t, q.SQL("r"), got[i], want[i])
+	}
+	if ex.Stats().CountingScans == 0 {
+		t.Error("code attribute's sorted runs never took the counting path")
 	}
 }

@@ -4,9 +4,9 @@ package query
 // (dataframe.Table.AppendRows bumps a monotone epoch); this file teaches the
 // whole cache stack to ADVANCE over just the appended rows instead of
 // rebuilding, with results bit-identical to a full recompute — the
-// differential suite sweeps append sizes, NULL densities, new-group and
-// dictionary-crossing deltas against DisableDeltaMaintenance and against
-// fresh executors to enforce it.
+// differential suite and FuzzAppendMatchesOracle sweep append sizes, NULL
+// densities, new-group and dictionary-crossing deltas against fresh
+// executors and Query.Execute over the concatenated table to enforce it.
 //
 // Synchronisation is the core's epoch fence (tableCore.fence): every scan
 // entry point takes it in read mode for the whole pass, appends and advances
@@ -84,26 +84,17 @@ func (e *Executor) advanceLocked() {
 	var scanned int64
 	var rebuilds int64
 	if c.epoch != cur {
-		if e.DisableDeltaMaintenance {
-			c.wipe()
-			rebuilds++
-		} else {
-			scanned += e.advanceCore(&rebuilds)
-		}
+		scanned += e.advanceCore(&rebuilds)
 		c.epoch = cur
 	}
 	apps := int64(cur - e.epoch)
 	if e.epoch != cur {
-		if e.DisableDeltaMaintenance || c.shiftEpoch > e.epoch {
-			// Knob-forced rebuild, or a dictionary re-encode shifted codes in
-			// the window this executor missed: plan discovery (rows filtered
-			// through code-keyed masks) is stale wholesale. Joins survive a
-			// shift — they key on composite value strings — but not the knob.
+		if c.shiftEpoch > e.epoch {
+			// A dictionary re-encode shifted codes in the window this
+			// executor missed: plan discovery (rows filtered through
+			// code-keyed masks) is stale wholesale. Joins survive — they key
+			// on composite value strings.
 			e.plans = map[planKey]*planEntry{}
-			if e.DisableDeltaMaintenance {
-				e.joins = nil
-				rebuilds++
-			}
 		} else {
 			scanned += e.advancePrivate()
 		}
@@ -114,20 +105,6 @@ func (e *Executor) advanceLocked() {
 	e.stats.DeltaRowsScanned += scanned
 	e.stats.FullRebuilds += rebuilds
 	e.mu.Unlock()
-}
-
-// wipe drops every shared-core cache entry (the DisableDeltaMaintenance
-// baseline: the next scans rebuild from scratch over the grown table).
-func (c *tableCore) wipe() {
-	c.mu.Lock()
-	c.groups = map[string]*groupEntry{}
-	c.preds = map[string]*predEntry{}
-	c.masks = map[string]*maskEntry{}
-	c.views = nil
-	c.domains = nil
-	c.dicts = nil
-	c.allRows = nil
-	c.mu.Unlock()
 }
 
 // advanceCore advances every shared-core entry over the appended rows, in

@@ -1,9 +1,7 @@
 package query
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/agg"
 	"repro/internal/datagen"
@@ -12,10 +10,9 @@ import (
 // The append-then-query workload behind BENCH_9.json: a clickstream relevant
 // table of ≥200k rows absorbing 512-row appends (well inside one 4096-row
 // morsel), each followed by a warm batch of streaming-friendly per-user
-// aggregates plus a couple of sorted ones. The delta executor advances its
-// caches over the 512 new rows; the DisableDeltaMaintenance executor wipes
-// and rebuilds them from all ~200k rows — the PR 9 acceptance bar is ≥ 3×
-// append-then-query throughput for the delta path.
+// aggregates plus a couple of sorted ones. The executor advances its caches
+// over the 512 new rows. perfbench's ingest-clickstream workload measures the
+// same shape end to end, behind loopback HTTP.
 const deltaBenchAppendRows = 512
 
 func deltaBenchStream() *datagen.Clickstream {
@@ -52,13 +49,13 @@ func deltaBenchQueries() []Query {
 	return qs
 }
 
-// benchAppendThenQuery drives one executor through the stream: per iteration
-// one 512-row append then the full warm query batch.
-func benchAppendThenQuery(b *testing.B, disableDelta bool) {
+// BenchmarkAppendThenQueryDelta drives one executor through the stream: per
+// iteration one 512-row append then the full warm query batch, with caches
+// advanced over the appended rows only.
+func BenchmarkAppendThenQueryDelta(b *testing.B) {
 	cs := deltaBenchStream()
 	qs := deltaBenchQueries()
 	ex := NewExecutor(cs.Relevant)
-	ex.DisableDeltaMaintenance = disableDelta
 	if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
 		b.Fatal(err)
 	}
@@ -77,62 +74,4 @@ func benchAppendThenQuery(b *testing.B, disableDelta bool) {
 	}
 	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "appends/s")
-}
-
-// BenchmarkAppendThenQueryDelta measures the delta-maintained path: caches
-// advance over the 512 appended rows only.
-func BenchmarkAppendThenQueryDelta(b *testing.B) {
-	benchAppendThenQuery(b, false)
-}
-
-// BenchmarkAppendThenQueryFullRebuild measures the invalidation baseline:
-// every append wipes the caches and the next batch rebuilds them from
-// scratch over the whole table.
-func BenchmarkAppendThenQueryFullRebuild(b *testing.B) {
-	benchAppendThenQuery(b, true)
-}
-
-// BenchmarkAppendThenQuerySpeedup runs both variants over identical streams
-// and reports the throughput ratio; the PR 9 acceptance bar is ≥ 3×.
-func BenchmarkAppendThenQuerySpeedup(b *testing.B) {
-	csDelta, csFull := deltaBenchStream(), deltaBenchStream()
-	qs := deltaBenchQueries()
-	exDelta := NewExecutor(csDelta.Relevant)
-	exFull := NewExecutor(csFull.Relevant)
-	exFull.DisableDeltaMaintenance = true
-	for _, ex := range []*Executor{exDelta, exFull} {
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var delta, full time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		batchD, batchF := csDelta.Batch(i, deltaBenchAppendRows), csFull.Batch(i, deltaBenchAppendRows)
-		b.StartTimer()
-		t0 := time.Now()
-		if err := exDelta.Append(batchD); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := exDelta.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-		delta += time.Since(t0)
-		t1 := time.Now()
-		if err := exFull.Append(batchF); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := exFull.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-		full += time.Since(t1)
-	}
-	if delta > 0 {
-		b.ReportMetric(full.Seconds()/delta.Seconds(), "speedup_delta_vs_rebuild")
-	}
-	s := exDelta.Stats()
-	if s.FullRebuilds != 0 {
-		b.Fatal(fmt.Sprintf("delta executor fell back to %d full rebuilds", s.FullRebuilds))
-	}
 }

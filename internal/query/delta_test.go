@@ -85,7 +85,7 @@ func deltaRows(n int, seed int64, mode string) *dataframe.Table {
 
 // deltaQueryPool decodes nq deterministic random queries over the delta
 // schema, spanning every aggregation function, predicate kind and key subset.
-func deltaQueryPool(t *testing.T, r *dataframe.Table, nq int, seed int64) []Query {
+func deltaQueryPool(t testing.TB, r *dataframe.Table, nq int, seed int64) []Query {
 	t.Helper()
 	tpl := Template{
 		Funcs:     agg.All(),
@@ -109,27 +109,28 @@ func deltaQueryPool(t *testing.T, r *dataframe.Table, nq int, seed int64) []Quer
 	return qs
 }
 
-// TestDeltaDifferential is the tentpole's enforcement: after every append, a
-// delta-maintained executor, a full-rebuild executor (DisableDeltaMaintenance)
-// and a from-scratch executor over the concatenated rows must return
-// row-for-row identical batches. The sweep covers append sizes 1, 7, a
-// morsel-boundary batch and a multi-morsel batch (morsel size 64), NULL-heavy
-// deltas, deltas creating new groups and widening integer domains, a
-// dictionary re-encode (mid-domain value) and a dictionary-cardinality-cap
-// crossing.
+// TestDeltaDifferential enforces delta maintenance: after every append, a
+// delta-maintained executor and a from-scratch executor over the concatenated
+// rows must return row-for-row identical batches. The sweep covers append
+// sizes 1, 7, a morsel-boundary batch and a multi-morsel batch (morsel size
+// 64), NULL-heavy deltas, deltas creating new groups and widening integer
+// domains, a dictionary re-encode (mid-domain value) and a
+// dictionary-cardinality-cap crossing. Only the last two drop caches
+// wholesale (FullRebuilds).
 func TestDeltaDifferential(t *testing.T) {
 	scenarios := []struct {
-		name  string
-		mode  string
-		sizes []int
+		name    string
+		mode    string
+		sizes   []int
+		rebuild bool // a dictionary re-encode drops the code-keyed caches
 	}{
 		// Base 400 + 48 = 448 = 7×64: exactly morsel-aligned, then +1 starts
 		// a fresh word and morsel, then a multi-morsel batch.
-		{"mixed", "mixed", []int{48, 1, 7, 200}},
-		{"null-heavy", "nulls", []int{7, 64}},
-		{"new-groups", "newgroups", []int{1, 7, 64}},
-		{"dict-shift", "dictshift", []int{1, 7}},
-		{"dict-cap", "dictcap", []int{1100}},
+		{"mixed", "mixed", []int{48, 1, 7, 200}, false},
+		{"null-heavy", "nulls", []int{7, 64}, false},
+		{"new-groups", "newgroups", []int{1, 7, 64}, false},
+		{"dict-shift", "dictshift", []int{1, 7}, true},
+		{"dict-cap", "dictcap", []int{1100}, true},
 	}
 	for _, sc := range scenarios {
 		sc := sc
@@ -139,18 +140,12 @@ func TestDeltaDifferential(t *testing.T) {
 			qs := deltaQueryPool(t, deltaTable(nBase, seed), 60, seed+1)
 
 			exDelta := NewExecutor(deltaTable(nBase, seed), WithMorselRows(64))
-			exFull := NewExecutor(deltaTable(nBase, seed), WithMorselRows(64))
-			exFull.DisableDeltaMaintenance = true
 			parts := []*dataframe.Table{deltaTable(nBase, seed)}
 
 			check := func(round string) {
 				got, err := exDelta.ExecuteBatch(qs, "feature")
 				if err != nil {
 					t.Fatalf("%s: delta: %v", round, err)
-				}
-				full, err := exFull.ExecuteBatch(qs, "feature")
-				if err != nil {
-					t.Fatalf("%s: full-rebuild: %v", round, err)
 				}
 				ref, err := dataframe.Concat(parts...)
 				if err != nil {
@@ -162,7 +157,6 @@ func TestDeltaDifferential(t *testing.T) {
 				}
 				for i, q := range qs {
 					sameTable(t, fmt.Sprintf("%s delta-vs-fresh %s", round, q.SQL("r")), got[i], fresh[i])
-					sameTable(t, fmt.Sprintf("%s full-vs-fresh %s", round, q.SQL("r")), full[i], fresh[i])
 				}
 			}
 
@@ -170,9 +164,6 @@ func TestDeltaDifferential(t *testing.T) {
 			for bi, size := range sc.sizes {
 				bseed := seed + 100 + int64(bi)
 				if err := exDelta.Append(deltaRows(size, bseed, sc.mode)); err != nil {
-					t.Fatal(err)
-				}
-				if err := exFull.Append(deltaRows(size, bseed, sc.mode)); err != nil {
 					t.Fatal(err)
 				}
 				parts = append(parts, deltaRows(size, bseed, sc.mode))
@@ -185,8 +176,8 @@ func TestDeltaDifferential(t *testing.T) {
 				t.Errorf("delta executor absorbed %d appends, want %d",
 					exDelta.Stats().DeltaAppends, len(sc.sizes))
 			}
-			if got := exFull.Stats().FullRebuilds; got < int64(len(sc.sizes)) {
-				t.Errorf("full-rebuild executor counted %d rebuilds, want >= %d", got, len(sc.sizes))
+			if got := exDelta.Stats().FullRebuilds; (got > 0) != sc.rebuild {
+				t.Errorf("delta executor counted %d full rebuilds, want rebuilds %v", got, sc.rebuild)
 			}
 		})
 	}
@@ -342,7 +333,8 @@ func TestDeltaShardedDifferential(t *testing.T) {
 
 // TestDeltaStatsGolden pins the delta counters on a deterministic scenario,
 // and that a warm batch with no intervening append serves every aggregate from
-// retained state (no new fused scans).
+// retained state (no new fused scans). An in-domain append advances in place;
+// a mid-domain dictionary value is the one remaining full rebuild.
 func TestDeltaStatsGolden(t *testing.T) {
 	qs := []Query{
 		{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"}},
@@ -389,25 +381,44 @@ func TestDeltaStatsGolden(t *testing.T) {
 			s.FusedScans-warm.FusedScans)
 	}
 
-	exF := NewExecutor(deltaTable(256, 3), WithMorselRows(64))
-	exF.DisableDeltaMaintenance = true
-	if _, err := exF.ExecuteBatch(qs, "f"); err != nil {
+	// A cat predicate puts cat's dictionary in the core; one appended
+	// mid-domain value ("a0", between "a" and "b") re-encodes it and shifts
+	// codes, so the code-keyed caches and the executor's plans drop. "a0"
+	// takes the code "b" had, so a kept plan would answer cat = 'a0' with
+	// cat = 'b' rows.
+	catQuery := func(fn agg.Func, v string) Query {
+		return Query{Agg: fn, AggAttr: "x", Keys: []string{"k1"},
+			Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: v}}}
+	}
+	shiftQs := []Query{catQuery(agg.Sum, "b"), catQuery(agg.Median, "b")}
+	exS := NewExecutor(deltaTable(256, 3), WithMorselRows(64))
+	if _, err := exS.ExecuteBatch(shiftQs, "f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := exF.Append(deltaRows(5, 99, "mixed")); err != nil {
+	before := exS.Stats()
+	if err := exS.Append(deltaRows(1, 99, "dictshift")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exF.ExecuteBatch(qs, "f"); err != nil {
+	shiftQs = append(shiftQs, catQuery(agg.Sum, "a0"), catQuery(agg.Median, "a0"))
+	got, err := exS.ExecuteBatch(shiftQs, "f")
+	if err != nil {
 		t.Fatal(err)
 	}
-	sf := exF.Stats()
-	if sf.DeltaAppends != 1 || sf.FullRebuilds != 2 {
-		t.Errorf("knob executor DeltaAppends/FullRebuilds = %d/%d, want 1/2 (core wipe + private wipe)",
-			sf.DeltaAppends, sf.FullRebuilds)
+	ss := exS.Stats()
+	if ss.DeltaAppends != 1 || ss.FullRebuilds != 1 {
+		t.Errorf("dict-shift DeltaAppends/FullRebuilds = %d/%d, want 1/1", ss.DeltaAppends, ss.FullRebuilds)
 	}
-	if sf.DeltaRowsScanned != 0 || sf.DirtyGroupResorts != 0 {
-		t.Errorf("knob executor scanned %d delta rows / %d resorts, want 0/0",
-			sf.DeltaRowsScanned, sf.DirtyGroupResorts)
+	if ss.PlanMisses != before.PlanMisses+2 || ss.PlanHits != before.PlanHits {
+		t.Errorf("dict-shift plans %d/%d -> %d/%d (hit/miss), want both plans discovered afresh",
+			before.PlanHits, before.PlanMisses, ss.PlanHits, ss.PlanMisses)
+	}
+	ref, err := dataframe.Concat(deltaTable(256, 3), deltaRows(1, 99, "dictshift"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracleBatch(t, ref, shiftQs, "f")
+	for i, q := range shiftQs {
+		sameTable(t, "dict-shift "+q.SQL("r"), got[i], want[i])
 	}
 }
 

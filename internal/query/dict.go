@@ -13,8 +13,9 @@ package query
 // dictEntry per (core, column), and the entry's build defers to
 // Column.Dict(), which caches on the column itself — so executors over
 // different cores of the same physical table (shard subscribers, served
-// plans) still share one encode pass. DisableDictEncoding on the executor
-// forces every unencoded fallback; the differential tests sweep it.
+// plans) still share one encode pass. Columns above MaxDictCardinality get no
+// encoding and take the unencoded fallbacks; the differential tests compare
+// both shapes against Query.Execute.
 
 import (
 	"math"

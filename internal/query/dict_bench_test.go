@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/agg"
 	"repro/internal/dataframe"
@@ -83,47 +82,4 @@ func BenchmarkStringPredHeavyDict(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkStringPredHeavyNoDict is the same workload with DisableDictEncoding
-// forcing the generic paths: string-keyed group hashing and per-row string
-// compares in the predicate loop.
-func BenchmarkStringPredHeavyNoDict(b *testing.B) {
-	r, qs := dictBenchPool(200, 2400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(r)
-		ex.DisableDictEncoding = true
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkStringPredHeavySpeedup times both variants on the same cold batch
-// and reports the throughput ratio; the acceptance bar for this subsystem is
-// ≥ 1.3×.
-func BenchmarkStringPredHeavySpeedup(b *testing.B) {
-	r, qs := dictBenchPool(200, 2400)
-	var withDict, without time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plain := NewExecutor(r)
-		plain.DisableDictEncoding = true
-		t0 := time.Now()
-		if _, err := plain.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-		without += time.Since(t0)
-		enc := NewExecutor(r)
-		t1 := time.Now()
-		if _, err := enc.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-		withDict += time.Since(t1)
-	}
-	if withDict > 0 {
-		b.ReportMetric(without.Seconds()/withDict.Seconds(), "speedup_dict_vs_nodict")
-	}
 }

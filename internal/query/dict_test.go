@@ -51,11 +51,12 @@ func dictVariantTable(n int, seed int64, variant string) *dataframe.Table {
 	)
 }
 
-// TestDifferentialDictEncoding is the encoded-vs-unencoded contract: with
-// dictionary encoding on (default) and off (DisableDictEncoding), random
+// TestDifferentialDictEncoding is the dictionary-encoding contract: random
 // batches over mixed, NULL-heavy, all-NULL-string, single-value and
-// above-the-cap tables must produce bit-identical result tables — including
-// string group keys and order-statistics aggregates over strings.
+// above-the-cap tables must match Query.Execute bit for bit — including
+// string group keys and order-statistics aggregates over strings. The
+// above-the-cap table takes the unencoded fallbacks (composite-key grouping,
+// per-row string compares), so both shapes are checked.
 func TestDifferentialDictEncoding(t *testing.T) {
 	tables := map[string]*dataframe.Table{
 		"mixed":     largeRandomTable(500, 71),
@@ -80,12 +81,7 @@ func TestDifferentialDictEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain := NewExecutor(r, WithScanScheduler(NewScanScheduler()))
-			plain.DisableDictEncoding = true
-			want, err := plain.ExecuteBatch(qs, "feature")
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := oracleBatch(t, r, qs, "feature")
 			for i, q := range qs {
 				sameTable(t, q.SQL("r"), got[i], want[i])
 			}
@@ -96,9 +92,6 @@ func TestDifferentialDictEncoding(t *testing.T) {
 			}
 			for i, q := range qs {
 				sameTable(t, "warm "+q.SQL("r"), again[i], want[i])
-			}
-			if st := plain.Stats(); st.DictEncodes != 0 || st.CodePredScans != 0 {
-				t.Errorf("disabled executor touched the dictionary paths: %+v", st)
 			}
 			if name == "mixed" {
 				if st := enc.Stats(); st.DictEncodes == 0 || st.CodePredScans == 0 {
@@ -111,6 +104,27 @@ func TestDifferentialDictEncoding(t *testing.T) {
 				if st := enc.Stats(); st.DictEncodes == 0 {
 					t.Errorf("highcard: no encode attempt recorded: %+v", st)
 				}
+				// cat predicates alone (one operand present, one absent) build
+				// their bitmaps through the per-row string compare.
+				catQs := []Query{
+					{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"},
+						Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "u00007"}}},
+					{Agg: agg.Count, AggAttr: "x", Keys: []string{"k2"},
+						Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "a"}}},
+				}
+				ex := NewExecutor(r, WithScanScheduler(NewScanScheduler()))
+				got, err := ex.ExecuteBatch(catQs, "feature")
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := oracleBatch(t, r, catQs, "feature")
+				for i, q := range catQs {
+					sameTable(t, q.SQL("r"), got[i], want[i])
+				}
+				if st := ex.Stats(); st.CodePredScans != 0 || st.PredMisses != 2 {
+					t.Errorf("highcard cat predicates: CodePredScans/PredMisses = %d/%d, want 0/2",
+						st.CodePredScans, st.PredMisses)
+				}
 			}
 		})
 	}
@@ -118,8 +132,8 @@ func TestDifferentialDictEncoding(t *testing.T) {
 
 // TestDifferentialDictSharded runs the encoded path across provenance shards
 // of one parent — executors sharing a fresh scheduler, scanning concurrently,
-// k ∈ {1, 3} — against unencoded executors over materialised copies of the
-// same rows.
+// k ∈ {1, 3} — against the Query.Augment oracle over materialised copies of
+// the same rows.
 func TestDifferentialDictSharded(t *testing.T) {
 	tables := map[string]*dataframe.Table{
 		"mixed":     largeRandomTable(400, 81),
@@ -157,15 +171,11 @@ func TestDifferentialDictSharded(t *testing.T) {
 						if !ok {
 							t.Fatal("shard lost provenance")
 						}
-						ref := NewExecutor(r.Take(rows))
-						ref.DisableDictEncoding = true
-						wantV, wantOK, err := ref.AugmentValuesBatch(d, qs)
-						if err != nil {
-							t.Fatalf("k=%d %s shard %d reference: %v", k, kind, i, err)
-						}
-						for qi := range qs {
-							sameFeature(t, fmt.Sprintf("k=%d %s shard %d %s", k, kind, i, qs[qi].SQL("r")),
-								gotV[i][qi], wantV[qi], gotOK[i][qi], wantOK[qi])
+						ref := r.Take(rows)
+						for qi, q := range qs {
+							wantV, wantOK := oracleFeature(t, q, d, ref)
+							sameFeature(t, fmt.Sprintf("k=%d %s shard %d %s", k, kind, i, q.SQL("r")),
+								gotV[i][qi], wantV, gotOK[i][qi], wantOK)
 						}
 					}
 				}
@@ -260,14 +270,8 @@ func TestPredKeyCanonical(t *testing.T) {
 	if st := e.Stats(); st.CodePredScans != 1 {
 		t.Errorf("CodePredScans = %d, want 1 shared bitmap build", st.CodePredScans)
 	}
-	// And the shared entry serves the correct rows: differential against the
-	// disabled executor.
-	plain := NewExecutor(r, WithScanScheduler(NewScanScheduler()))
-	plain.DisableDictEncoding = true
-	want, err := plain.ExecuteBatch(qs, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// And the shared entry serves the correct rows.
+	want := oracleBatch(t, r, qs, "feature")
 	for i, q := range qs {
 		sameTable(t, q.SQL("r"), got[i], want[i])
 	}

@@ -153,6 +153,20 @@ func sameTable(t *testing.T, label string, got, want *dataframe.Table) {
 	}
 }
 
+// oracleBatch evaluates every query of qs with Query.Execute over r: the one
+// reference the executor's fast paths are checked against.
+func oracleBatch(t *testing.T, r *dataframe.Table, qs []Query, featureName string) []*dataframe.Table {
+	t.Helper()
+	want := make([]*dataframe.Table, len(qs))
+	for i, q := range qs {
+		var err error
+		if want[i], err = q.Execute(r, featureName); err != nil {
+			t.Fatalf("oracle %s: %v", q.SQL("r"), err)
+		}
+	}
+	return want
+}
+
 // TestDifferentialBatchExecutor runs batches of random queries — spanning all
 // 15 aggregation functions, every predicate kind and random key subsets, over
 // several random tables — through Executor.ExecuteBatch and requires each

@@ -59,26 +59,6 @@ type Executor struct {
 	optMorselRows int            // WithMorselRows, private cores only
 	// Parallelism bounds the batch worker pool; 0 means GOMAXPROCS.
 	Parallelism int
-	// DisableCountingSort forces the fused per-group sort through the generic
-	// comparison sort even when the aggregation attribute has a cached
-	// low-cardinality domain. Differential tests and benchmarks flip it.
-	DisableCountingSort bool
-	// DisableDictEncoding forces the unencoded scan kernels: string equality
-	// predicates compare Go strings row by row, int/time ranges scan the
-	// float view, and group indexes hash composite keys instead of mapping
-	// dictionary codes. Results are bit-identical either way (the
-	// differential tests sweep this knob); the counting-sort path keeps its
-	// own knob and is unaffected.
-	DisableDictEncoding bool
-	// DisableDeltaMaintenance forces a full cache rebuild whenever the scan
-	// table's epoch advances (see delta.go): every shared-core entry and
-	// every private plan/join entry is dropped instead of advanced over the
-	// delta rows, and no aggregate state is retained across batches. Results
-	// are bit-identical either way — the differential tests and the
-	// append-then-query benchmarks sweep it. Note the wipe hits the SHARED
-	// core, so flipping it on one executor degrades (never corrupts) its
-	// core-sharing siblings; it is a test/bench knob, not a production mode.
-	DisableDeltaMaintenance bool
 
 	// epoch is the scan-table epoch this executor's PRIVATE caches (plans,
 	// joins, aggregate state) cover; the shared core tracks its own. Guarded
@@ -154,8 +134,7 @@ type ExecutorStats struct {
 	// scans visited (summed across the entries each advance touched),
 	// DirtyGroupResorts the per-group sorted runs re-sorted because a delta
 	// landed in the group, and FullRebuilds the advances that dropped caches
-	// wholesale instead (DisableDeltaMaintenance, or a dictionary re-encode
-	// shifting codes).
+	// wholesale instead because a dictionary re-encode shifted codes.
 	DeltaAppends, DeltaRowsScanned int64
 	DirtyGroupResorts              int64
 	FullRebuilds                   int64
@@ -223,9 +202,12 @@ func (e *Executor) Stats() ExecutorStats {
 
 // Cache bounds. Entries are pure caches, so when a bound is hit the whole map
 // is dropped (the pattern the join cache established): in-flight holders keep
-// their references, and the steady-state search workload — a few key-sets, a
-// few dozen masks — never comes near the bounds. The bounds exist for
-// long-lived serving executors fed unbounded query streams.
+// their references, and a dropped entry costs only its rediscovery. The search
+// workload does reach the plan bound: `feataug -fit student -rows 150 -seed 1
+// -v` makes ~510-530 plan misses against maxPlanEntries and 1-2 evictions.
+// With templates searched concurrently the counts vary from run to run at
+// GOMAXPROCS > 1, while the fitted plan stays identical. Entry counts do not
+// bound memory on large tables; a byte budget is an open roadmap item.
 const (
 	maxPredEntries = 2048
 	maxMaskEntries = 512
@@ -426,10 +408,6 @@ func (e *Executor) groupIndex(keys []string) (*dataframe.GroupIndex, error) {
 	c.mu.Unlock()
 	e.noteShared(hit, evicted, ent.owner, &e.stats.GroupHits, &e.stats.GroupMisses, true)
 	ent.once.Do(func() {
-		if e.DisableDictEncoding {
-			ent.idx, ent.err = c.t.BuildGroupIndexGeneric(keys...)
-			return
-		}
 		// Route string key encodes through dictFor first, so the encode is
 		// charged to the executor's counters before the build consumes it.
 		for _, name := range keys {
@@ -492,15 +470,13 @@ func (e *Executor) predKey(p Predicate) string {
 	b = append(b, p.Attr...)
 	switch col.Kind() {
 	case dataframe.KindString:
-		if !e.DisableDictEncoding {
-			if enc := e.dictFor(col); enc != nil {
-				if code, ok := enc.CodeOf(p.StrValue); ok {
-					b = append(b, "=c"...)
-					return string(strconv.AppendUint(b, uint64(code), 10))
-				}
-				// Operands outside the dictionary select zero rows each;
-				// distinct literals stay distinct (identical, empty) entries.
+		if enc := e.dictFor(col); enc != nil {
+			if code, ok := enc.CodeOf(p.StrValue); ok {
+				b = append(b, "=c"...)
+				return string(strconv.AppendUint(b, uint64(code), 10))
 			}
+			// Operands outside the dictionary select zero rows each;
+			// distinct literals stay distinct (identical, empty) entries.
 		}
 		b = append(b, "=s"...)
 		return string(append(b, p.StrValue...))
@@ -581,11 +557,12 @@ func (e *Executor) floatView(col *dataframe.Column) []float64 {
 // per-row AsFloat calls). Semantics match Eval exactly: NULL rows never
 // match, bounds are inclusive.
 //
-// When the executor's dictionary kernels are enabled (the default), string
-// equality resolves the operand to its code and compares narrow integers,
-// and int/time ranges compare exact integer bounds — both branch-free, word
-// at a time (see dict.go). The fallbacks below remain the reference
-// semantics the differential tests sweep against.
+// String equality on a dictionary-encoded column resolves the operand to its
+// code and compares narrow integers, and int/time ranges whose domain probe
+// admits them compare exact integer bounds — both branch-free, word at a
+// time (see dict.go). The input alone picks the fallbacks below: a string
+// column above MaxDictCardinality, or a float column or a domain the probe
+// rejects.
 func (e *Executor) buildPredBits(p Predicate) ([]uint64, error) {
 	n := e.core.t.NumRows()
 	bm := make([]uint64, (n+63)/64)
@@ -612,20 +589,17 @@ func (e *Executor) buildPredBitsFrom(p Predicate, lo int, bm []uint64) error {
 	case PredEq:
 		switch col.Kind() {
 		case dataframe.KindString:
-			if !e.DisableDictEncoding {
-				if enc := e.dictFor(col); enc != nil {
-					e.noteCodePred()
-					if code, ok := enc.CodeOf(p.StrValue); ok {
-						if dictEqBitsFrom(enc, code, bm, lo) {
-							e.noteSwarPred()
-						}
+			if enc := e.dictFor(col); enc != nil {
+				e.noteCodePred()
+				if code, ok := enc.CodeOf(p.StrValue); ok {
+					if dictEqBitsFrom(enc, code, bm, lo) {
+						e.noteSwarPred()
 					}
-					// Operand not in the dictionary: no row matches.
-					return nil
 				}
+				// Operand not in the dictionary: no row matches.
+				return nil
 			}
-			// col.Str decodes per row, so this fallback also serves compact
-			// columns (whose StrData is nil) when encoding kernels are off.
+			// Columns above the dictionary cardinality cap compare row by row.
 			for i := lo; i < n; i++ {
 				if valid[i] && col.Str(i) == p.StrValue {
 					set(i)
@@ -645,7 +619,7 @@ func (e *Executor) buildPredBitsFrom(p Predicate, lo int, bm []uint64) error {
 		if !col.Kind().IsNumeric() {
 			return fmt.Errorf("query: range predicate on %s column %q", col.Kind(), p.Attr)
 		}
-		if k := col.Kind(); !e.DisableDictEncoding && (p.HasLo || p.HasHi) &&
+		if k := col.Kind(); (p.HasLo || p.HasHi) &&
 			(k == dataframe.KindInt || k == dataframe.KindTime) {
 			if dom := e.domain(col); dom.intOK {
 				e.noteCodePred()
@@ -1130,10 +1104,10 @@ func (e *Executor) AugmentBatchContext(ctx context.Context, d *dataframe.Table, 
 
 // AugmentValuesBatch is AugmentValues over a slice of queries through the
 // fused path: per-query feature slices aligned with d's rows, in input order.
-// On the fused (default) path the returned slices are read-only views into
-// one flat batch buffer (a FeatureMatrix), so retaining any one of them
-// keeps the whole batch's buffer reachable; callers that keep a few columns
-// of a large batch long-term should copy them out.
+// The returned slices are read-only views into one flat batch buffer (a
+// FeatureMatrix), so retaining any one of them keeps the whole batch's buffer
+// reachable; callers that keep a few columns of a large batch long-term
+// should copy them out.
 func (e *Executor) AugmentValuesBatch(d *dataframe.Table, qs []Query) ([][]float64, [][]bool, error) {
 	return e.AugmentValuesBatchContext(context.Background(), d, qs)
 }

@@ -257,18 +257,15 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntr
 
 	// Snapshot the plan's retained aggregate state (delta.go): attributes whose
 	// every requested function the state covers are served without rescanning.
-	useState := !e.DisableDeltaMaintenance
 	var cached map[string]*attrState
-	if useState {
-		pe.amu.Lock()
-		if len(pe.aggs) > 0 {
-			cached = make(map[string]*attrState, len(pe.aggs))
-			for k, v := range pe.aggs {
-				cached[k] = v
-			}
+	pe.amu.Lock()
+	if len(pe.aggs) > 0 {
+		cached = make(map[string]*attrState, len(pe.aggs))
+		for k, v := range pe.aggs {
+			cached[k] = v
 		}
-		pe.amu.Unlock()
 	}
+	pe.amu.Unlock()
 
 	// Organise the group's pairs by attribute; direct pairs (COUNT, undefined
 	// string aggregates) resolve immediately, the rest collect per attribute.
@@ -360,7 +357,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntr
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if as.needBuf && !e.DisableCountingSort {
+			if as.needBuf {
 				if dom := e.domain(as.col); dom.ok {
 					as.dom = dom
 				}
@@ -373,7 +370,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntr
 
 	// Retain the scanned attributes' state for later batches and for delta
 	// advances; a rescan replaces the old (narrower) state wholesale.
-	if useState && len(scanList) > 0 {
+	if len(scanList) > 0 {
 		pe.amu.Lock()
 		if pe.aggs == nil {
 			pe.aggs = make(map[string]*attrState, len(scanList))

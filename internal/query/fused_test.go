@@ -294,26 +294,6 @@ func TestMaskCacheBounded(t *testing.T) {
 	}
 }
 
-// TestPR1BaselineMatchesFused keeps the benchmark's PR 1 baseline honest: it
-// must produce row-for-row identical results to the fused path on the exact
-// benchmark pool, so the reported speedup compares equal work.
-func TestPR1BaselineMatchesFused(t *testing.T) {
-	r, _, qs := fusedBenchPool(200, 600)
-	fused := NewExecutor(r)
-	got, err := fused.ExecuteBatch(qs, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr1 := newPR1Executor(r)
-	for i, q := range qs {
-		want, err := pr1.execute(q, "feature")
-		if err != nil {
-			t.Fatalf("%s: %v", q.SQL("r"), err)
-		}
-		sameTable(t, q.SQL("r"), got[i], want)
-	}
-}
-
 // TestExecutorStatsCounters sanity-checks the snapshot arithmetic: a cold
 // batch misses, a warm identical batch hits.
 func TestExecutorStatsCounters(t *testing.T) {

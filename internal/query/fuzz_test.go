@@ -1,9 +1,11 @@
 package query
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/agg"
+	"repro/internal/dataframe"
 )
 
 // fuzzQuery decodes bytes into a well-formed query over largeRandomTable's
@@ -98,5 +100,64 @@ func FuzzExecuteMatchesOracle(f *testing.F) {
 		}
 		wantV, wantOK := oracleFeature(t, q, d, r)
 		sameFeature(t, "augment "+q.SQL("r"), gotV, wantV, gotOK, wantOK)
+	})
+}
+
+// appendModes are deltaRows' delta shapes, in fuzz-byte order.
+var appendModes = []string{"mixed", "nulls", "newgroups", "dictshift", "dictcap"}
+
+// FuzzAppendMatchesOracle drives one executor through a decoded sequence of
+// up to four appends — each byte pair picks a deltaRows mode, row seed and
+// size — and after every append requires its batch over the delta-advanced
+// caches to match Query.Execute over the concatenation of the parts. Sizes 1..130
+// cross 64-row words and morsels; a dictcap append always crosses
+// MaxDictCardinality, and a dictshift append re-encodes cat's dictionary, so
+// both the in-place advances and the full-rebuild drop are checked.
+func FuzzAppendMatchesOracle(f *testing.F) {
+	for mode := range appendModes {
+		m := byte(mode)
+		f.Add([]byte{m, 0, m, 63, m, 64})
+		f.Add([]byte{0, 6, m, 1, 1, 129})
+	}
+	f.Add([]byte{})
+	const nBase = 200
+	qs := deltaQueryPool(f, deltaTable(nBase, 31), 24, 32)
+	// cat = 'a0' takes the dictionary code of cat = 'b' once a dictshift
+	// append re-encodes cat: a stale code-keyed entry would answer it wrongly.
+	for _, v := range []string{"b", "a0"} {
+		qs = append(qs, Query{Agg: agg.Median, AggAttr: "x", Keys: []string{"k1"},
+			Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: v}}})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ex := NewExecutor(deltaTable(nBase, 31), WithMorselRows(64))
+		parts := []*dataframe.Table{deltaTable(nBase, 31)}
+		check := func(round string) {
+			got, err := ex.ExecuteBatch(qs, "feature")
+			if err != nil {
+				t.Fatalf("%s: %v", round, err)
+			}
+			ref, err := dataframe.Concat(parts...)
+			if err != nil {
+				t.Fatalf("%s: %v", round, err)
+			}
+			want := oracleBatch(t, ref, qs, "feature")
+			for i, q := range qs {
+				sameTable(t, round+" "+q.SQL("r"), got[i], want[i])
+			}
+		}
+		check("cold")
+		for i := 0; i+1 < len(data) && i < 8; i += 2 {
+			mode := appendModes[int(data[i])%len(appendModes)]
+			size := 1 + int(data[i+1])%130
+			if mode == "dictcap" {
+				size += dataframe.MaxDictCardinality
+			}
+			seed := int64(data[i])/int64(len(appendModes))*8 + int64(i)
+			if err := ex.Append(deltaRows(size, seed, mode)); err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, deltaRows(size, seed, mode))
+			check(fmt.Sprintf("append %d (%s, +%d rows)", i/2, mode, size))
+		}
 	})
 }

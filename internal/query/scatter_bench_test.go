@@ -84,18 +84,3 @@ func BenchmarkSortCounting(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
 }
-
-// BenchmarkSortGeneric is the same workload through the comparison sort
-// (DisableCountingSort) — the PR 3 behaviour.
-func BenchmarkSortGeneric(b *testing.B) {
-	r, qs := lowCardSortPool(8000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(r)
-		ex.DisableCountingSort = true
-		if _, err := ex.ExecuteBatch(qs, "f"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
