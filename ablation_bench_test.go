@@ -122,7 +122,8 @@ func BenchmarkAblationTPEvsRandom(b *testing.B) {
 		for s := int64(0); s < seeds; s++ {
 			tpe := hpo.NewTPE(space.Cardinalities(), rand.New(rand.NewSource(100+s)), hpo.TPEOptions{})
 			bestT, _ := hpo.Run(tpe, iters, objective)
-			rs := hpo.NewRandomSearch(space.Cardinalities(), rand.New(rand.NewSource(100+s)))
+			// A TPE that never leaves its startup phase is uniform random search.
+			rs := hpo.NewTPE(space.Cardinalities(), rand.New(rand.NewSource(100+s)), hpo.TPEOptions{NumStartup: iters})
 			bestR, _ := hpo.Run(rs, iters, objective)
 			sum += bestT.Loss - bestR.Loss
 		}
@@ -145,21 +146,6 @@ func BenchmarkQueryExecution(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := q.Execute(p.Relevant, "f"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGroupByAggregate measures the dataframe group-by path.
-func BenchmarkGroupByAggregate(b *testing.B) {
-	p := benchProblem(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := p.Relevant.GroupBy(p.Keys...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := g.Aggregate(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,11 +50,6 @@ func (k SelectorKind) String() string {
 	return fmt.Sprintf("SelectorKind(%d)", int(k))
 }
 
-// AllSelectors lists every FT+X selector (not SelectorNone).
-func AllSelectors() []SelectorKind {
-	return []SelectorKind{SelectorLR, SelectorGBDT, SelectorMI, SelectorChi2, SelectorGini, SelectorForward, SelectorBackward}
-}
-
 // SupportsTask reports whether the selector applies to a task: Chi2 and Gini
 // are classification-only (the paper leaves their regression cells blank),
 // and the wrapper selectors apply everywhere.

@@ -166,27 +166,6 @@ func spliceStringColumns(srcs []*Column) *Column {
 	return col
 }
 
-// TableOption configures table construction (NewTableOpts).
-type TableOption func(*Table)
-
-// WithCompactStrings compacts every eligible string column as soon as the
-// table is assembled, so the []string backings never survive construction.
-func WithCompactStrings() TableOption {
-	return func(t *Table) { t.Compact() }
-}
-
-// NewTableOpts is NewTable plus construction options.
-func NewTableOpts(cols []*Column, opts ...TableOption) (*Table, error) {
-	t, err := NewTable(cols...)
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range opts {
-		o(t)
-	}
-	return t, nil
-}
-
 // ColumnMemory is one row of Table.MemBytes's per-column breakdown.
 type ColumnMemory struct {
 	Name    string

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -161,9 +160,9 @@ func TestCompactAppendSemantics(t *testing.T) {
 	}
 }
 
-// TestCompactTakeCloneSort checks the derived-column paths keep compact
-// storage and bit-identical ordering semantics.
-func TestCompactTakeCloneSort(t *testing.T) {
+// TestCompactTakeClone checks the derived-column paths keep compact storage
+// and read back the same strings as the raw column.
+func TestCompactTakeClone(t *testing.T) {
 	raw, comp := compactPair(t, 400, 2)
 	idx := []int{5, 0, 399, 17, 17, 250, 3}
 	rt, ct := raw.Take(idx), comp.Take(idx)
@@ -181,21 +180,6 @@ func TestCompactTakeCloneSort(t *testing.T) {
 	// append-safe).
 	cc.AppendStr("aa")
 	sameStringColumn(t, "clone-after-append", raw.Column("s"), comp.Column("s"))
-
-	rs, err := raw.SortBy("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := comp.SortBy("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameStringColumn(t, "sortby", rs.Column("s"), cs.Column("s"))
-	for i := 0; i < rs.NumRows(); i++ {
-		if rs.Column("x").Int(i) != cs.Column("x").Int(i) {
-			t.Fatalf("sort permutation diverged at row %d", i)
-		}
-	}
 }
 
 // TestConcatCompactSplice is the Concat fast-path satellite: equal-domain
@@ -316,25 +300,21 @@ func TestCompactCSVAndGrouping(t *testing.T) {
 		t.Fatal("CSV output diverges between raw and compact")
 	}
 
-	rg, err := raw.GroupBy("s")
+	rg, err := raw.BuildGroupIndex("s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, err := comp.GroupBy("s")
+	cg, err := comp.BuildGroupIndex("s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm := map[string]int{}
-	rg.Each(func(key string, rows []int) { rm[key] = len(rows) })
-	cn := 0
-	cg.Each(func(key string, rows []int) {
-		if rm[key] != len(rows) {
-			t.Errorf("group %q: %d rows vs raw %d", key, len(rows), rm[key])
+	if cg.NumGroups() != rg.NumGroups() {
+		t.Fatalf("group count %d vs raw %d", cg.NumGroups(), rg.NumGroups())
+	}
+	for gid := 0; gid < rg.NumGroups(); gid++ {
+		if cg.Key(gid) != rg.Key(gid) || cg.Size(gid) != rg.Size(gid) {
+			t.Errorf("group %d: %q/%d rows vs raw %q/%d", gid, cg.Key(gid), cg.Size(gid), rg.Key(gid), rg.Size(gid))
 		}
-		cn++
-	})
-	if cn != len(rm) {
-		t.Fatalf("group count %d vs raw %d", cn, len(rm))
 	}
 
 	right := MustNewTable(
@@ -392,27 +372,6 @@ func TestMemBytesCompactReduction(t *testing.T) {
 	}
 	if comp.Column("x").MemBytes() != raw.Column("x").MemBytes() {
 		t.Error("non-string column accounting diverges")
-	}
-}
-
-// TestNewTableOptsCompact covers the construction-time option.
-func TestNewTableOptsCompact(t *testing.T) {
-	cols := []*Column{
-		NewStringColumn("s", []string{"b", "a", "b"}, nil),
-		NewIntColumn("x", []int64{1, 2, 3}, nil),
-	}
-	tbl, err := NewTableOpts(cols, WithCompactStrings())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.Column("s").IsCompact() {
-		t.Fatal("WithCompactStrings left the string column raw")
-	}
-	if tbl.Column("s").Str(1) != "a" {
-		t.Fatal("compact-at-construction column misreads")
-	}
-	if strings.Join(tbl.ColumnNames(), ",") != "s,x" {
-		t.Fatal("option reordered columns")
 	}
 }
 

@@ -5,9 +5,9 @@ import "sync"
 // GroupIndex is a precomputed partition of a table's rows by a key-set: every
 // row is assigned an integer group id (numbered in first-seen order), so
 // repeated grouping work against the same (table, key-set) pair reduces to
-// integer array lookups instead of string-keyed hashing. It is the shared
-// substrate of both GroupBy and the query executor: computed once, reused by
-// every query that groups on the same keys.
+// integer array lookups instead of string-keyed hashing. The query executor
+// computes one per (table, key-set) and reuses it for every query that groups
+// on the same keys.
 type GroupIndex struct {
 	src     *Table
 	keys    []*Column
@@ -341,9 +341,6 @@ func (g *GroupIndex) NumGroups() int { return len(g.repr) }
 
 // NumRows returns the number of rows in the indexed table.
 func (g *GroupIndex) NumRows() int { return len(g.rowGID) }
-
-// GroupOf returns the group id of a row.
-func (g *GroupIndex) GroupOf(row int) int { return g.rowGID[row] }
 
 // RowGroups exposes the per-row group-id slice. The slice is shared; callers
 // must not mutate it.

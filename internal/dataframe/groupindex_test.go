@@ -55,6 +55,47 @@ func checkGroupIndexRef(t *testing.T, name string, tbl *Table, g *GroupIndex, ke
 	}
 }
 
+// TestGroupByCountsAndOrder checks GROUP BY semantics on a string key:
+// groups are numbered in first-seen order and sized by their rows.
+func TestGroupByCountsAndOrder(t *testing.T) {
+	g, err := logsTable(t).BuildGroupIndex("cname")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumGroups() != 2 {
+		t.Fatalf("NumGroups = %d", g.NumGroups())
+	}
+	if g.Key(0) != "salice" || g.Key(1) != "sbob" {
+		t.Fatalf("first-seen order = %q, %q", g.Key(0), g.Key(1))
+	}
+	if g.Size(0) != 3 || g.Size(1) != 2 {
+		t.Fatal("group sizes wrong")
+	}
+	if _, ok := g.Lookup("ghost"); ok {
+		t.Fatal("missing key should not resolve")
+	}
+}
+
+func TestGroupByUnknownColumn(t *testing.T) {
+	if _, err := logsTable(t).BuildGroupIndex("ghost"); err == nil {
+		t.Fatal("unknown key should fail")
+	}
+}
+
+func TestGroupByNullKeysFormOwnGroup(t *testing.T) {
+	tbl := MustNewTable(
+		NewStringColumn("k", []string{"a", "", "a"}, []bool{true, false, true}),
+		NewFloatColumn("v", []float64{1, 2, 3}, nil),
+	)
+	g, err := tbl.BuildGroupIndex("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumGroups() != 2 {
+		t.Fatalf("NumGroups = %d, want 2 (value group + NULL group)", g.NumGroups())
+	}
+}
+
 // TestBuildGroupIndexIntFastPath checks the map[int64]int fast path for
 // single integer and time keys — including NULL keys, which must form their
 // own group — against the generic composite-string reference, for group ids,

@@ -97,29 +97,3 @@ func takeWithMisses(c *Column, idx []int) *Column {
 	}
 	return out
 }
-
-// InnerJoin joins t with right keeping only matching rows; like LeftJoin it
-// uses the first right match per key. Used by the dataset generators when
-// flattening multi-table schemas into a single relevant table (the paper
-// joins e.g. the Instacart order/product/department tables the same way).
-func (t *Table) InnerJoin(right *Table, leftOn, rightOn []string) (*Table, error) {
-	joined, err := t.LeftJoin(right, leftOn, rightOn)
-	if err != nil {
-		return nil, err
-	}
-	lcols, err := t.resolveColumns(leftOn)
-	if err != nil {
-		return nil, err
-	}
-	rcols, err := right.resolveColumns(rightOn)
-	if err != nil {
-		return nil, err
-	}
-	lookup := make(map[string]bool, right.nrows)
-	for i := 0; i < right.nrows; i++ {
-		lookup[right.RowKey(i, rcols)] = true
-	}
-	return joined.Filter(func(row int) bool {
-		return lookup[t.RowKey(row, lcols)]
-	}), nil
-}

@@ -3,7 +3,6 @@ package dataframe
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -15,11 +14,8 @@ type Table struct {
 	nrows int
 	fp    atomic.Uint64 // lazily assigned identity fingerprint; 0 = unassigned
 
-	// Epoch state (AppendRows): epoch counts completed append batches and
-	// epochRows[e] is the row count as of epoch e (nil until the first
-	// append, meaning epoch 0 with the current row count).
-	epoch     atomic.Uint64
-	epochRows []int
+	// epoch counts completed append batches (AppendRows).
+	epoch atomic.Uint64
 
 	// Shard provenance (set by Shard, nil otherwise): the parent table this
 	// table's rows were taken from, and the parent row index behind each row.
@@ -123,28 +119,16 @@ func (t *Table) Fingerprint() uint64 {
 // Epoch returns the table's append epoch: 0 at construction, +1 per
 // AppendRows batch. Fingerprint stays the cache identity of the table;
 // Epoch versions its grow-only content, so a cache entry keyed on the
-// fingerprint can tell how many rows it has already absorbed via
-// RowsAtEpoch and advance over just the delta. Safe for concurrent use.
+// fingerprint can tell whether rows have landed since it was built and
+// advance over just the appended suffix. Safe for concurrent use.
 func (t *Table) Epoch() uint64 { return t.epoch.Load() }
-
-// RowsAtEpoch returns the table's row count as of epoch e. It panics when e
-// exceeds the current epoch.
-func (t *Table) RowsAtEpoch(e uint64) int {
-	if t.epochRows == nil {
-		if e != 0 {
-			panic(fmt.Sprintf("dataframe: epoch %d beyond table epoch 0", e))
-		}
-		return t.nrows
-	}
-	return t.epochRows[e]
-}
 
 // AppendRows appends every row of batch to the table and bumps the epoch.
 // The batch must carry exactly the table's columns by name and kind (any
 // order); extra or missing columns fail without mutating the table. Existing
 // rows keep their positions and values — columns grow by a stable prefix —
-// so caches built at an earlier epoch remain valid over rows
-// [0, RowsAtEpoch(thatEpoch)) and only need to scan the appended suffix.
+// so caches built at an earlier epoch remain valid over the rows they saw
+// and only need to scan the appended suffix.
 //
 // Appends are mutations: the caller must hold exclusive access to the table
 // (no scans in flight), the same contract as the per-value Append* methods.
@@ -215,13 +199,9 @@ func (t *Table) AppendShardRows(batch *Table, parentRows []int) error {
 	return nil
 }
 
-// recordEpoch advances the epoch ledger after rows appended rows landed.
+// recordEpoch counts rows newly appended rows and bumps the epoch.
 func (t *Table) recordEpoch(rows int) {
-	if t.epochRows == nil {
-		t.epochRows = append(t.epochRows, t.nrows)
-	}
 	t.nrows += rows
-	t.epochRows = append(t.epochRows, t.nrows)
 	t.epoch.Add(1)
 }
 
@@ -342,57 +322,6 @@ func (t *Table) Clone() *Table {
 		out.cols = append(out.cols, cc)
 	}
 	return out
-}
-
-// SortBy returns a copy of the table sorted ascending by the named column;
-// NULLs sort last. Only numeric and string columns are supported.
-func (t *Table) SortBy(name string) (*Table, error) {
-	c := t.Column(name)
-	if c == nil {
-		return nil, fmt.Errorf("dataframe: no column %q", name)
-	}
-	idx := make([]int, t.nrows)
-	for i := range idx {
-		idx[i] = i
-	}
-	switch {
-	case c.kind.IsNumeric() || c.kind == KindBool:
-		sort.SliceStable(idx, func(a, b int) bool {
-			va, oka := c.AsFloat(idx[a])
-			vb, okb := c.AsFloat(idx[b])
-			if oka != okb {
-				return oka // non-null first
-			}
-			return va < vb
-		})
-	case c.kind == KindString:
-		if c.compact {
-			// Codes rank in domain order and the domain is sorted, so code
-			// compares give the exact string order without materialising.
-			codes := c.dict.enc.codes
-			sort.SliceStable(idx, func(a, b int) bool {
-				ia, ib := idx[a], idx[b]
-				if c.valid[ia] != c.valid[ib] {
-					return c.valid[ia]
-				}
-				return codes[ia] < codes[ib]
-			})
-			break
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ia, ib := idx[a], idx[b]
-			if c.valid[ia] != c.valid[ib] {
-				return c.valid[ia]
-			}
-			if !c.valid[ia] {
-				return false // NULL rows are unreadable: keep input order
-			}
-			return c.strs[ia] < c.strs[ib]
-		})
-	default:
-		return nil, fmt.Errorf("dataframe: cannot sort by %s column %q", c.kind, name)
-	}
-	return t.Take(idx), nil
 }
 
 // RowKey builds the composite group/join key for a row over the given

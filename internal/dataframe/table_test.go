@@ -120,34 +120,6 @@ func TestCloneTableIsDeep(t *testing.T) {
 	}
 }
 
-func TestSortByNumericNullsLast(t *testing.T) {
-	tbl := sampleTable(t)
-	s, err := tbl.SortBy("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := s.Column("id")
-	// x: 1.5,2.5,NULL,4.5 → sorted ids 1,2,4 then null id=3 last
-	if ids.Int(0) != 1 || ids.Int(1) != 2 || ids.Int(2) != 4 || ids.Int(3) != 3 {
-		t.Fatalf("sorted ids = %d %d %d %d", ids.Int(0), ids.Int(1), ids.Int(2), ids.Int(3))
-	}
-}
-
-func TestSortByString(t *testing.T) {
-	tbl := sampleTable(t)
-	s, err := tbl.SortBy("cat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := s.Column("cat")
-	if c.Str(0) != "a" || c.Str(1) != "a" || c.Str(2) != "b" || c.Str(3) != "c" {
-		t.Fatal("string sort broken")
-	}
-	if _, err := tbl.SortBy("ghost"); err == nil {
-		t.Fatal("unknown sort column should fail")
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	tbl := sampleTable(t)
 	out := tbl.String()

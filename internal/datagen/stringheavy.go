@@ -32,9 +32,9 @@ func stringHeavyDomain(prefix string, n int) []string {
 
 // StringHeavy is the compact-storage scale scenario (PR 10): an event log
 // where five of the eight relevant columns are strings, so the []string
-// backings dominate the table's footprint. The relevant table is built with
-// WithCompactStrings — dictionary codes are its primary storage and the raw
-// []string arrays never survive construction. At the 10⁷-row scale the
+// backings dominate the table's footprint. The relevant table is compacted
+// as soon as it is built — dictionary codes are its primary storage and the
+// raw []string arrays never survive construction. At the 10⁷-row scale the
 // benchmarks use (TrainRows=250000, LogsPerKey=40), the raw layout needs
 // roughly 16 header bytes per string cell (~640 MB across the string columns
 // alone) while the compact layout stores one narrow code per cell, which is
@@ -112,7 +112,7 @@ func StringHeavy(opts Options) *Dataset {
 		dataframe.NewIntColumn("visits", visits, nil),
 		dataframe.NewIntColumn("label", labels, nil),
 	)
-	relevant, err := dataframe.NewTableOpts([]*dataframe.Column{
+	relevant := dataframe.MustNewTable(
 		dataframe.NewIntColumn("user_id", lUser, nil),
 		dataframe.NewStringColumn("event", lEvent, nil),
 		dataframe.NewStringColumn("channel", lChannel, nil),
@@ -121,11 +121,8 @@ func StringHeavy(opts Options) *Dataset {
 		dataframe.NewStringColumn("sku_family", lSKU, nil),
 		dataframe.NewFloatColumn("spend", lSpend, nil),
 		dataframe.NewTimeColumn("ts", lTS, nil),
-	}, dataframe.WithCompactStrings())
-	if err != nil {
-		// Cannot happen: columns are equal-length by construction.
-		panic(err)
-	}
+	)
+	relevant.Compact()
 	return &Dataset{
 		Name:         "stringheavy",
 		Train:        train,

@@ -7,46 +7,24 @@ import (
 	"sort"
 )
 
-// SuccessiveHalving implements the Hyperband-style bracket the paper's
+// SuccessiveHalvingBatch implements the Hyperband-style bracket the paper's
 // related-work section points at (Li et al. 2017, Falkner et al. 2018) as a
 // future alternative to plain TPE: n uniformly drawn configurations are
 // evaluated at increasing fidelity, keeping the top 1/eta fraction per rung.
 //
-// eval receives the configuration and the rung fidelity in (0, 1]; fidelity
-// 1 is a full-cost evaluation. For predicate-aware query generation the
-// natural fidelity axis is the evaluation cost of a query: low rungs use the
-// low-cost proxy, the final rung the real model loss — the same cheap-to-
-// expensive laddering as the paper's warm-up, but within one bracket.
+// evalBatch receives every surviving configuration of one rung at once, with
+// the rung fidelity in (0, 1], and returns their losses in order; fidelity 1
+// is a full-cost evaluation. For predicate-aware query generation the natural
+// fidelity axis is the evaluation cost of a query: low rungs use the low-cost
+// proxy, the final rung the real model loss — the same cheap-to-expensive
+// laddering as the paper's warm-up, but within one bracket. Callers use the
+// batch boundary to prewarm shared state — e.g. materialise all candidate
+// features through the query executor's fused shared-scan batch path, which
+// collapses a rung of near-identical queries to one set of scans per distinct
+// WHERE mask — before scoring.
 //
-// Cancellation is checked between configurations and between rungs; a
-// cancelled bracket returns ctx.Err().
-func SuccessiveHalving(ctx context.Context, cards []int, rng *rand.Rand, n, eta int, eval func(x []int, fidelity float64) float64) (Observation, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return SuccessiveHalvingBatch(ctx, cards, rng, n, eta, func(xs [][]int, fidelity float64) []float64 {
-		out := make([]float64, len(xs))
-		for i, x := range xs {
-			if ctx.Err() != nil {
-				// Leave the remaining losses at zero; the rung-level check in
-				// SuccessiveHalvingBatch surfaces the cancellation before the
-				// partial losses can influence a survivor selection.
-				return out
-			}
-			out[i] = eval(x, fidelity)
-		}
-		return out
-	})
-}
-
-// SuccessiveHalvingBatch is SuccessiveHalving with rung-level batch
-// evaluation: evalBatch receives every surviving configuration of one rung at
-// once and returns their losses in order. Callers use the batch boundary to
-// prewarm shared state — e.g. materialise all candidate features through the
-// query executor's fused shared-scan batch path, which collapses a rung of
-// near-identical queries to one set of scans per distinct WHERE mask — before
-// scoring; configurations are drawn and ranked exactly as in
-// SuccessiveHalving, so results are unchanged.
+// Cancellation is checked before and after every rung; a cancelled bracket
+// returns ctx.Err() and a rung cut short never picks survivors.
 func SuccessiveHalvingBatch(ctx context.Context, cards []int, rng *rand.Rand, n, eta int, evalBatch func(xs [][]int, fidelity float64) []float64) (Observation, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -103,31 +81,4 @@ func SuccessiveHalvingBatch(ctx context.Context, cards []int, rng *rand.Rand, n,
 	}
 	best := pop[0]
 	return Observation{X: best.x, Loss: best.loss}, nil
-}
-
-// Hyperband runs multiple successive-halving brackets with different
-// aggressiveness, returning the best observation across brackets.
-func Hyperband(ctx context.Context, cards []int, rng *rand.Rand, maxN, eta int, eval func(x []int, fidelity float64) float64) (Observation, error) {
-	if maxN < 1 {
-		return Observation{}, fmt.Errorf("hpo: maxN must be positive")
-	}
-	if eta < 2 {
-		eta = 3
-	}
-	best := Observation{Loss: 1e308}
-	found := false
-	for n := maxN; n >= 1; n = n / eta {
-		obs, err := SuccessiveHalving(ctx, cards, rng, n, eta, eval)
-		if err != nil {
-			return Observation{}, err
-		}
-		if !found || obs.Loss < best.Loss {
-			best = obs
-			found = true
-		}
-		if n == 1 {
-			break
-		}
-	}
-	return best, nil
 }

@@ -7,6 +7,17 @@ import (
 	"testing"
 )
 
+// each lifts a per-configuration loss into a rung-level batch evaluation.
+func each(eval func(x []int, fidelity float64) float64) func([][]int, float64) []float64 {
+	return func(xs [][]int, fidelity float64) []float64 {
+		out := make([]float64, len(xs))
+		for i, x := range xs {
+			out[i] = eval(x, fidelity)
+		}
+		return out
+	}
+}
+
 func TestSuccessiveHalvingFindsGoodPoint(t *testing.T) {
 	cards := []int{21, 21}
 	// Noisy at low fidelity, exact at fidelity 1.
@@ -17,7 +28,7 @@ func TestSuccessiveHalvingFindsGoodPoint(t *testing.T) {
 		noise := (1 - fidelity) * 20
 		return loss + noise*0.5
 	}
-	best, err := SuccessiveHalving(context.Background(), cards, rand.New(rand.NewSource(1)), 64, 3, eval)
+	best, err := SuccessiveHalvingBatch(context.Background(), cards, rand.New(rand.NewSource(1)), 64, 3, each(eval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,15 +39,15 @@ func TestSuccessiveHalvingFindsGoodPoint(t *testing.T) {
 }
 
 func TestSuccessiveHalvingValidation(t *testing.T) {
-	if _, err := SuccessiveHalving(context.Background(), []int{2}, rand.New(rand.NewSource(1)), 0, 3, nil); err == nil {
+	if _, err := SuccessiveHalvingBatch(context.Background(), []int{2}, rand.New(rand.NewSource(1)), 0, 3, nil); err == nil {
 		t.Fatal("n=0 should fail")
 	}
 }
 
 func TestSuccessiveHalvingSingleCandidate(t *testing.T) {
 	evals := 0
-	best, err := SuccessiveHalving(context.Background(), []int{3}, rand.New(rand.NewSource(1)), 1, 3,
-		func(x []int, f float64) float64 { evals++; return 1 })
+	best, err := SuccessiveHalvingBatch(context.Background(), []int{3}, rand.New(rand.NewSource(1)), 1, 3,
+		each(func(x []int, f float64) float64 { evals++; return 1 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +58,11 @@ func TestSuccessiveHalvingSingleCandidate(t *testing.T) {
 
 func TestSuccessiveHalvingFidelityIncreases(t *testing.T) {
 	var fidelities []float64
-	_, err := SuccessiveHalving(context.Background(), []int{4}, rand.New(rand.NewSource(2)), 9, 3,
-		func(x []int, f float64) float64 {
+	_, err := SuccessiveHalvingBatch(context.Background(), []int{4}, rand.New(rand.NewSource(2)), 9, 3,
+		each(func(x []int, f float64) float64 {
 			fidelities = append(fidelities, f)
 			return float64(x[0])
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,61 +78,17 @@ func TestSuccessiveHalvingFidelityIncreases(t *testing.T) {
 }
 
 func TestSuccessiveHalvingDefaultEta(t *testing.T) {
-	if _, err := SuccessiveHalving(context.Background(), []int{2}, rand.New(rand.NewSource(1)), 4, 0,
-		func(x []int, f float64) float64 { return 0 }); err != nil {
+	if _, err := SuccessiveHalvingBatch(context.Background(), []int{2}, rand.New(rand.NewSource(1)), 4, 0,
+		each(func(x []int, f float64) float64 { return 0 })); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHyperband(t *testing.T) {
-	cards := []int{15}
-	eval := func(x []int, fidelity float64) float64 {
-		d := float64(x[0]) - 7
-		return d * d
-	}
-	best, err := Hyperband(context.Background(), cards, rand.New(rand.NewSource(3)), 27, 3, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Loss > 4 {
-		t.Fatalf("hyperband best loss = %v", best.Loss)
-	}
-	if _, err := Hyperband(context.Background(), cards, rand.New(rand.NewSource(3)), 0, 3, eval); err == nil {
-		t.Fatal("maxN=0 should fail")
-	}
-}
-
-func TestHyperbandBeatsSingleBracketOnNoisyLowFidelity(t *testing.T) {
-	// When low fidelity is misleading, smaller brackets (higher starting
-	// fidelity) help; Hyperband should do no worse than the most aggressive
-	// single bracket.
-	cards := []int{31}
-	mislead := func(x []int, fidelity float64) float64 {
-		d := float64(x[0]) - 15
-		true_ := d * d
-		if fidelity < 0.5 {
-			return -true_ // inverted signal at low fidelity
-		}
-		return true_
-	}
-	hb, err := Hyperband(context.Background(), cards, rand.New(rand.NewSource(4)), 27, 3, mislead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := SuccessiveHalving(context.Background(), cards, rand.New(rand.NewSource(4)), 27, 3, mislead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hb.Loss > sh.Loss {
-		t.Fatalf("hyperband %v should be <= single bracket %v", hb.Loss, sh.Loss)
 	}
 }
 
 func TestSuccessiveHalvingCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SuccessiveHalving(ctx, []int{4}, rand.New(rand.NewSource(1)), 16, 3,
-		func(x []int, f float64) float64 { return 0 })
+	_, err := SuccessiveHalvingBatch(ctx, []int{4}, rand.New(rand.NewSource(1)), 16, 3,
+		each(func(x []int, f float64) float64 { return 0 }))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -130,19 +97,19 @@ func TestSuccessiveHalvingCancellation(t *testing.T) {
 func TestSuccessiveHalvingCancelMidBracket(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	evals := 0
-	_, err := SuccessiveHalving(ctx, []int{4}, rand.New(rand.NewSource(1)), 27, 3,
-		func(x []int, f float64) float64 {
+	_, err := SuccessiveHalvingBatch(ctx, []int{4}, rand.New(rand.NewSource(1)), 27, 3,
+		each(func(x []int, f float64) float64 {
 			evals++
 			if evals == 5 {
 				cancel()
 			}
 			return float64(x[0])
-		})
+		}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The first rung has 27 configurations; cancelling at the 5th evaluation
-	// must stop the bracket well before a full run's worth of evaluations.
+	// The first rung has 27 configurations; a cancellation inside it must
+	// stop the bracket at the rung boundary, before any later rung runs.
 	if evals > 27 {
 		t.Fatalf("ran %d evaluations after cancellation", evals)
 	}

@@ -1,7 +1,7 @@
 // Package hpo implements the hyper-parameter optimisation machinery of
-// Section V: random search and a Tree-structured Parzen Estimator (TPE) over
-// discrete search spaces, plus the warm-start hook the paper's warm-up phase
-// uses to transfer knowledge from a low-cost proxy task (Section V.C).
+// Section V: a Tree-structured Parzen Estimator (TPE) over discrete search
+// spaces, plus the warm-start hook the paper's warm-up phase uses to transfer
+// knowledge from a low-cost proxy task (Section V.C).
 //
 // Every dimension is categorical with a known cardinality — exactly the shape
 // query.Space exposes — so the Parzen estimators are smoothed categorical
@@ -34,34 +34,6 @@ type Optimizer interface {
 	// History returns all observations so far (shared slice, do not mutate).
 	History() []Observation
 }
-
-// RandomSearch samples uniformly, the paper's "Random" baseline.
-type RandomSearch struct {
-	cards []int
-	rng   *rand.Rand
-	obs   []Observation
-}
-
-// NewRandomSearch builds a uniform sampler over the given per-dimension
-// cardinalities.
-func NewRandomSearch(cards []int, rng *rand.Rand) *RandomSearch {
-	return &RandomSearch{cards: append([]int(nil), cards...), rng: rng}
-}
-
-// Suggest returns a uniform random vector.
-func (r *RandomSearch) Suggest() []int {
-	x := make([]int, len(r.cards))
-	for i, c := range r.cards {
-		x[i] = r.rng.Intn(c)
-	}
-	return x
-}
-
-// Observe records the observation.
-func (r *RandomSearch) Observe(o Observation) { r.obs = append(r.obs, o) }
-
-// History returns all observations.
-func (r *RandomSearch) History() []Observation { return r.obs }
 
 // TPEOptions tune the Tree-structured Parzen Estimator.
 type TPEOptions struct {

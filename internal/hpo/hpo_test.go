@@ -23,9 +23,12 @@ func quadLoss(cards []int) func(x []int) float64 {
 	}
 }
 
+// TestRandomSearchBounds checks that uniform random search — a TPE that
+// never leaves its startup phase, the reference TPE is measured against —
+// stays inside the space and records what it observes.
 func TestRandomSearchBounds(t *testing.T) {
 	cards := []int{3, 5, 2}
-	rs := NewRandomSearch(cards, rand.New(rand.NewSource(1)))
+	rs := NewTPE(cards, rand.New(rand.NewSource(1)), TPEOptions{NumStartup: 1000})
 	for i := 0; i < 200; i++ {
 		x := rs.Suggest()
 		for d, v := range x {
@@ -33,9 +36,9 @@ func TestRandomSearchBounds(t *testing.T) {
 				t.Fatalf("out of bounds: %v", x)
 			}
 		}
+		rs.Observe(Observation{X: x, Loss: float64(i % 7)})
 	}
-	rs.Observe(Observation{X: []int{0, 0, 0}, Loss: 1})
-	if len(rs.History()) != 1 {
+	if len(rs.History()) != 200 {
 		t.Fatal("history not recorded")
 	}
 }
@@ -62,7 +65,8 @@ func TestTPEBeatsRandomOnStructuredObjective(t *testing.T) {
 		seed := int64(100 + trial)
 		tpe := NewTPE(cards, rand.New(rand.NewSource(seed)), TPEOptions{})
 		bestT, _ := Run(tpe, iters, loss)
-		rs := NewRandomSearch(cards, rand.New(rand.NewSource(seed)))
+		// A TPE that never leaves its startup phase is uniform random search.
+		rs := NewTPE(cards, rand.New(rand.NewSource(seed)), TPEOptions{NumStartup: iters})
 		bestR, _ := Run(rs, iters, loss)
 		if bestT.Loss <= bestR.Loss {
 			tpeWins++
@@ -150,22 +154,22 @@ func TestTPEPrimeValidation(t *testing.T) {
 }
 
 func TestBestAndTopK(t *testing.T) {
-	rs := NewRandomSearch([]int{2}, rand.New(rand.NewSource(1)))
-	if _, ok := Best(rs); ok {
+	opt := NewTPE([]int{2}, rand.New(rand.NewSource(1)), TPEOptions{})
+	if _, ok := Best(opt); ok {
 		t.Fatal("Best on empty history should report !ok")
 	}
-	rs.Observe(Observation{X: []int{0}, Loss: 3})
-	rs.Observe(Observation{X: []int{1}, Loss: 1})
-	rs.Observe(Observation{X: []int{0}, Loss: 2})
-	best, ok := Best(rs)
+	opt.Observe(Observation{X: []int{0}, Loss: 3})
+	opt.Observe(Observation{X: []int{1}, Loss: 1})
+	opt.Observe(Observation{X: []int{0}, Loss: 2})
+	best, ok := Best(opt)
 	if !ok || best.Loss != 1 {
 		t.Fatalf("Best = %v", best)
 	}
-	top := TopK(rs, 2)
+	top := TopK(opt, 2)
 	if len(top) != 2 || top[0].Loss != 1 || top[1].Loss != 2 {
 		t.Fatalf("TopK = %v", top)
 	}
-	if got := TopK(rs, 10); len(got) != 3 {
+	if got := TopK(opt, 10); len(got) != 3 {
 		t.Fatalf("TopK over-length = %d", len(got))
 	}
 }
@@ -229,20 +233,20 @@ func TestPropertySuggestInBounds(t *testing.T) {
 // Property: Best always returns the minimum of the recorded losses.
 func TestPropertyBestIsMinimum(t *testing.T) {
 	f := func(losses []float64) bool {
-		rs := NewRandomSearch([]int{2}, rand.New(rand.NewSource(1)))
+		opt := NewTPE([]int{2}, rand.New(rand.NewSource(1)), TPEOptions{})
 		min := math.Inf(1)
 		for _, l := range losses {
 			if math.IsNaN(l) {
 				continue
 			}
-			rs.Observe(Observation{X: []int{0}, Loss: l})
+			opt.Observe(Observation{X: []int{0}, Loss: l})
 			if l < min {
 				min = l
 			}
 		}
-		best, ok := Best(rs)
+		best, ok := Best(opt)
 		if !ok {
-			return len(rs.History()) == 0
+			return len(opt.History()) == 0
 		}
 		return best.Loss == min
 	}

@@ -60,20 +60,6 @@ func RMSE(pred, y []float64) float64 {
 	return math.Sqrt(s / float64(len(pred)))
 }
 
-// Accuracy returns the fraction of correct argmax predictions.
-func Accuracy(pred []int, y []float64) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	c := 0
-	for i := range pred {
-		if pred[i] == int(y[i]) {
-			c++
-		}
-	}
-	return float64(c) / float64(len(pred))
-}
-
 // F1Macro returns the macro-averaged F1 over classes 0..k-1 (classes absent
 // from both prediction and truth contribute 0, scikit-learn's zero_division
 // default).
@@ -106,24 +92,6 @@ func F1Macro(pred []int, y []float64, k int) float64 {
 		}
 	}
 	return f1 / float64(k)
-}
-
-// LogLoss returns the mean negative log-likelihood of binary probabilities.
-func LogLoss(scores, y []float64) float64 {
-	if len(scores) != len(y) || len(scores) == 0 {
-		return math.NaN()
-	}
-	const eps = 1e-12
-	s := 0.0
-	for i := range scores {
-		p := math.Min(math.Max(scores[i], eps), 1-eps)
-		if y[i] >= 0.5 {
-			s -= math.Log(p)
-		} else {
-			s -= math.Log(1 - p)
-		}
-	}
-	return s / float64(len(scores))
 }
 
 // Argmax converts probability rows to class predictions.

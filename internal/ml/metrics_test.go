@@ -73,27 +73,6 @@ func TestF1Macro(t *testing.T) {
 	}
 }
 
-func TestAccuracy(t *testing.T) {
-	if got := Accuracy([]int{1, 0, 1}, []float64{1, 1, 1}); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("accuracy = %v", got)
-	}
-	if got := Accuracy(nil, nil); got != 0 {
-		t.Errorf("empty accuracy = %v", got)
-	}
-}
-
-func TestLogLoss(t *testing.T) {
-	if got := LogLoss([]float64{1, 0}, []float64{1, 0}); got > 1e-9 {
-		t.Errorf("perfect logloss = %v", got)
-	}
-	if got := LogLoss([]float64{0.5}, []float64{1}); math.Abs(got-math.Ln2) > 1e-12 {
-		t.Errorf("0.5 logloss = %v", got)
-	}
-	if !math.IsNaN(LogLoss(nil, nil)) {
-		t.Error("empty logloss should be NaN")
-	}
-}
-
 func TestArgmax(t *testing.T) {
 	got := Argmax([][]float64{{0.1, 0.9}, {0.7, 0.3}})
 	if got[0] != 1 || got[1] != 0 {

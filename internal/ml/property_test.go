@@ -87,11 +87,17 @@ func TestPropertyGBDTMoreRoundsFitBetter(t *testing.T) {
 		if err := m.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
-		scores := make([]float64, len(X))
+		// Mean negative log-likelihood of the training labels.
+		ll := 0.0
 		for i, row := range m.Predict(X) {
-			scores[i] = row[0]
+			p := math.Min(math.Max(row[0], 1e-12), 1-1e-12)
+			if y[i] >= 0.5 {
+				ll -= math.Log(p)
+			} else {
+				ll -= math.Log(1 - p)
+			}
 		}
-		ll := LogLoss(scores, y)
+		ll /= float64(len(X))
 		if ll > prev+1e-9 {
 			t.Fatalf("training log-loss rose from %v to %v at %d rounds", prev, ll, rounds)
 		}

@@ -452,19 +452,6 @@ func (e *Evaluator) baseColumns() (baseColumns, error) {
 	return e.base, e.base.err
 }
 
-// FeatureSetScores trains the downstream model on base features plus all the
-// named feature columns of tbl and returns (validation metric, test metric).
-// This is the paper's final-table protocol: the numbers in Tables III/VI are
-// metrics of the model trained with the generated features.
-func (e *Evaluator) FeatureSetScores(tbl *dataframe.Table, features []string) (validMetric, testMetric float64, err error) {
-	feats := append(append([]string(nil), e.P.BaseFeatures...), features...)
-	_, scores, err := e.fitAndScore(tbl, feats, e.Model)
-	if err != nil {
-		return 0, 0, err
-	}
-	return scores[0], scores[1], nil
-}
-
 // QuerySetScores materialises all queries as feature vectors — in one fused
 // executor batch rather than query by query — and evaluates base features
 // plus the whole set. The dataset is assembled columnar (ml.FromColumns over
@@ -496,19 +483,8 @@ func (e *Evaluator) QuerySetScores(qs []query.Query) (validMetric, testMetric fl
 	return scores[0], scores[1], nil
 }
 
-// fitAndScore runs the full protocol once on a table the caller already
-// holds (FeatureSetScores, BaselineScores): build dataset, split, fit,
-// return validation loss and [validMetric, testMetric]. It counts the fit.
-func (e *Evaluator) fitAndScore(tbl *dataframe.Table, features []string, kind ml.Kind) (float64, [2]float64, error) {
-	ds, err := ml.FromTable(tbl, features, e.P.Label)
-	if err != nil {
-		return 0, [2]float64{}, err
-	}
-	return e.scoreDataset(ds, kind, true)
-}
-
 // scoreDataset is the post-assembly half of the protocol, shared by the
-// table path (fitAndScore) and the columnar paths. When counted, the model
+// table path (BaselineScores) and the columnar paths. When counted, the model
 // fit adds to FitTime and, if it succeeds, to Evaluations: only
 // downstream-model fits are evaluations.
 func (e *Evaluator) scoreDataset(ds *ml.Dataset, kind ml.Kind, counted bool) (float64, [2]float64, error) {
@@ -556,7 +532,11 @@ func (e *Evaluator) BaselineScores() (validMetric, testMetric float64, err error
 	if len(e.P.BaseFeatures) == 0 {
 		return 0, 0, fmt.Errorf("pipeline: no base features to evaluate")
 	}
-	_, scores, err := e.fitAndScore(e.P.Train, e.P.BaseFeatures, e.Model)
+	ds, err := ml.FromTable(e.P.Train, e.P.BaseFeatures, e.P.Label)
+	if err != nil {
+		return 0, 0, err
+	}
+	_, scores, err := e.scoreDataset(ds, e.Model, true)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -10,8 +10,10 @@ import (
 )
 
 // naiveExecute recomputes a query with the generic dataframe primitives
-// (mask → FilterMask → GroupBy → Aggregate), a deliberately slow reference
-// implementation used to differential-test the fused executor.
+// (mask → FilterMask → group rows by Table.RowKey → aggregate), a
+// deliberately slow reference implementation used to differential-test the
+// fused executor. It groups with a plain map, so it shares no code with
+// GroupIndex.
 func naiveExecute(t *testing.T, q Query, r *dataframe.Table) map[string]float64 {
 	t.Helper()
 	mask := make([]bool, r.NumRows())
@@ -24,16 +26,20 @@ func naiveExecute(t *testing.T, q Query, r *dataframe.Table) map[string]float64 
 		}
 	}
 	filtered := r.FilterMask(mask)
-	out := map[string]float64{}
-	if filtered.NumRows() == 0 {
-		return out
+	keyCols := make([]*dataframe.Column, len(q.Keys))
+	for i, k := range q.Keys {
+		if keyCols[i] = filtered.Column(k); keyCols[i] == nil {
+			t.Fatalf("no key column %q", k)
+		}
 	}
-	g, err := filtered.GroupBy(q.Keys...)
-	if err != nil {
-		t.Fatal(err)
+	groups := map[string][]int{}
+	for row := 0; row < filtered.NumRows(); row++ {
+		key := filtered.RowKey(row, keyCols)
+		groups[key] = append(groups[key], row)
 	}
 	aggCol := filtered.Column(q.AggAttr)
-	g.Each(func(key string, rows []int) {
+	out := map[string]float64{}
+	for key, rows := range groups {
 		if aggCol.Kind() == dataframe.KindString {
 			var vals []string
 			for _, row := range rows {
@@ -44,7 +50,7 @@ func naiveExecute(t *testing.T, q Query, r *dataframe.Table) map[string]float64 
 			if v, ok := q.Agg.StringApply(vals, len(rows)); ok {
 				out[key] = v
 			}
-			return
+			continue
 		}
 		var vals []float64
 		for _, row := range rows {
@@ -55,7 +61,7 @@ func naiveExecute(t *testing.T, q Query, r *dataframe.Table) map[string]float64 
 		if v, ok := q.Agg.Apply(vals, len(rows)); ok {
 			out[key] = v
 		}
-	})
+	}
 	return out
 }
 
@@ -169,8 +175,9 @@ func oracleBatch(t *testing.T, r *dataframe.Table, qs []Query, featureName strin
 
 // TestDifferentialBatchExecutor runs batches of random queries — spanning all
 // 15 aggregation functions, every predicate kind and random key subsets, over
-// several random tables — through Executor.ExecuteBatch and requires each
-// result to be row-for-row identical to the per-query Query.Execute path.
+// several random tables, plus bound-less ranges on a float and a time column —
+// through Executor.ExecuteBatch and requires each result to be row-for-row
+// identical to the per-query Query.Execute path.
 func TestDifferentialBatchExecutor(t *testing.T) {
 	tpl := Template{
 		Funcs:     agg.All(),
@@ -192,6 +199,16 @@ func TestDifferentialBatchExecutor(t *testing.T) {
 				t.Fatal(err)
 			}
 			qs[i] = q
+		}
+		// Bound-less ranges never come out of a Space, but a plan file or a
+		// hand-built Query can carry one: it matches every non-NULL row of
+		// its attribute, alone or next to a real bound.
+		for _, attr := range []string{"x", "ts"} {
+			all := Predicate{Attr: attr, Kind: PredRange}
+			qs = append(qs,
+				Query{Agg: agg.Count, AggAttr: "ts", Keys: []string{"k1"}, Preds: []Predicate{all}},
+				Query{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1", "k2"}, Preds: []Predicate{all,
+					{Attr: "ts", Kind: PredRange, HasLo: true, Lo: 50000}}})
 		}
 		ex := NewExecutor(r)
 		batch, err := ex.ExecuteBatch(qs, "feature")

@@ -629,18 +629,9 @@ func (e *Executor) buildPredBitsFrom(p Predicate, lo int, bm []uint64) error {
 				return nil
 			}
 		}
+		// p is at most one-sided: every caller passes decomposePreds output.
 		vals := e.floatView(col)
 		switch {
-		case p.HasLo && p.HasHi:
-			// Normally unreachable: whereEntry decomposes two-sided ranges
-			// into their one-sided halves before the bitmap cache (so BETWEEN
-			// masks are never cached whole). Kept correct for any future
-			// caller that skips decomposition.
-			for i := lo; i < n; i++ {
-				if valid[i] && vals[i] >= p.Lo && vals[i] <= p.Hi {
-					set(i)
-				}
-			}
 		case p.HasLo:
 			for i := lo; i < n; i++ {
 				if valid[i] && vals[i] >= p.Lo {

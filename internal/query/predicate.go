@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro/internal/dataframe"
 )
@@ -62,12 +61,6 @@ func (p Predicate) String() string {
 }
 
 func fmtBound(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
-
-// StringTime renders a bound as RFC3339 when the caller knows the column is a
-// timestamp; used only for pretty-printing SQL.
-func StringTime(v float64) string {
-	return time.Unix(int64(v), 0).UTC().Format("2006-01-02")
-}
 
 // Trivial reports whether the predicate filters nothing (a range with no
 // bounds). Trivial predicates are dropped from queries.

@@ -459,9 +459,6 @@ func TestQuerySQLAndName(t *testing.T) {
 	if strings.ContainsAny(name, " \"=<>") {
 		t.Errorf("Name not sanitised: %q", name)
 	}
-	if StringTime(0) != "1970-01-01" {
-		t.Errorf("StringTime(0) = %s", StringTime(0))
-	}
 }
 
 // Regression: predicates differing only in operator or sign must yield

@@ -242,11 +242,3 @@ func (s *Schema) flattenChain(name string, visited map[string]bool) (*dataframe.
 	}
 	return cur, nil
 }
-
-// DecomposeManyToMany splits a many-to-many relationship realised by a
-// bridge table into the two scenarios the paper describes: the bridge joined
-// with the far side (N:1) becomes a single one-to-many relevant table for
-// the near side.
-func DecomposeManyToMany(bridge, far *dataframe.Table, bridgeFarKeys, farKeys []string) (*dataframe.Table, error) {
-	return bridge.LeftJoin(far, bridgeFarKeys, farKeys)
-}

@@ -215,21 +215,3 @@ func TestFlattenDetectsCycles(t *testing.T) {
 		t.Fatal("cycle should be detected")
 	}
 }
-
-func TestDecomposeManyToMany(t *testing.T) {
-	bridge := dataframe.MustNewTable(
-		dataframe.NewIntColumn("user_id", []int64{1, 1, 2}, nil),
-		dataframe.NewIntColumn("group_id", []int64{10, 11, 10}, nil),
-	)
-	groups := dataframe.MustNewTable(
-		dataframe.NewIntColumn("gid", []int64{10, 11}, nil),
-		dataframe.NewStringColumn("gname", []string{"sports", "music"}, nil),
-	)
-	flat, err := DecomposeManyToMany(bridge, groups, []string{"group_id"}, []string{"gid"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.NumRows() != 3 || !flat.HasColumn("gname") {
-		t.Fatalf("decomposed table wrong: %v rows, cols %v", flat.NumRows(), flat.ColumnNames())
-	}
-}
