@@ -35,11 +35,11 @@
 // The -data scenario must regenerate the same relevant table(s) the plan was
 // fitted against (same dataset, -rows, -logs, -seed), mirroring a production
 // serving process pointed at the feature store the plan was learned on. At
-// bind time the daemon eagerly dictionary-encodes the bound tables' string
-// columns, so the first request hits the branch-free code kernels instead of
-// paying the encode pass; GET /v1/stats surfaces the per-plan executor
-// counters (DictEncodes, DictHits, CodePredScans) alongside the scatter and
-// shared-scan ones. A
+// bind time the daemon compacts the bound tables' string columns to their
+// dictionary codes, so the first request hits the branch-free code kernels
+// instead of paying the encode pass and the []string backings are dropped;
+// GET /v1/stats surfaces the per-plan executor counters (DictEncodes,
+// DictHits, CodePredScans) alongside the scatter and shared-scan ones. A
 // dataset:split=column scenario rebuilds the per-value shards of the
 // relevant table and binds a MultiFeaturePlan across them.
 //

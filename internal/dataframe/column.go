@@ -334,7 +334,7 @@ func (c *Column) Take(idx []int) *Column {
 			nv := len(src.values)
 			enc := &DictEncoding{
 				values:    src.values[:nv:nv],
-				codes:     make([]uint32, len(idx)),
+				codes:     make([]uint16, len(idx)),
 				validBits: make([]uint64, (len(idx)+63)/64),
 			}
 			for j, i := range idx {
@@ -346,7 +346,6 @@ func (c *Column) Take(idx []int) *Column {
 					enc.nulls++
 				}
 			}
-			enc.rebuildMirrors()
 			out.dict = newBuiltDict(enc)
 			out.compact = true
 			break

@@ -2,16 +2,15 @@ package dataframe
 
 import "slices"
 
-// Compact string storage (PR 10): dictionary codes as the PRIMARY
-// representation. A raw encoded string column carries BOTH the []string
-// backing (~16 bytes of header plus payload per row) and the code arrays;
-// Compact drops the strings and keeps only codes + domain + validity, with
-// per-row reads decoding domain[code] lazily. That is the storage half of
-// ROADMAP open item 4: a 10⁷-row string-heavy table that would blow past CI
-// memory raw fits comfortably compact (~6 bytes/row for a uint8-lane column
-// vs ~25+ raw).
+// Compact string storage: dictionary codes as the PRIMARY representation. A
+// raw encoded string column carries BOTH the []string backing (~16 bytes of
+// header plus payload per row) and the uint16 code array; Compact drops the
+// strings and keeps only codes + domain + validity, with per-row reads
+// decoding domain[code] lazily — ~3 bytes/row (2 of code, 1 of validity)
+// instead of ~20+ raw. The serving daemon compacts every table it binds;
+// Fit keeps raw columns, whose dictionaries build lazily on first scan.
 //
-// The PR 9 append semantics are preserved verbatim: an append that would
+// Appends keep the raw column's semantics verbatim: an append that would
 // invalidate the encoding (mid-domain value shifting codes, or a delta
 // pushing past MaxDictCardinality) REMATERIALISES the strings from the codes
 // first and clears the compact flag, then follows the raw column's fallback
@@ -77,9 +76,7 @@ func (d *DictEncoding) clone() *DictEncoding {
 	nv := len(d.values)
 	out := &DictEncoding{
 		values:    d.values[:nv:nv],
-		codes:     append([]uint32(nil), d.codes...),
-		codes8:    append([]uint8(nil), d.codes8...),
-		codes16:   append([]uint16(nil), d.codes16...),
+		codes:     append([]uint16(nil), d.codes...),
 		validBits: append([]uint64(nil), d.validBits...),
 		nulls:     d.nulls,
 	}
@@ -137,7 +134,7 @@ func spliceStringColumns(srcs []*Column) *Column {
 	nv := len(encs[0].values)
 	out := &DictEncoding{
 		values:    encs[0].values[:nv:nv],
-		codes:     make([]uint32, 0, total),
+		codes:     make([]uint16, 0, total),
 		validBits: make([]uint64, (total+63)/64),
 	}
 	valid := make([]bool, 0, total)
@@ -154,7 +151,6 @@ func spliceStringColumns(srcs []*Column) *Column {
 		}
 		valid = append(valid, srcs[si].valid...)
 	}
-	out.rebuildMirrors()
 	col := &Column{name: srcs[0].name, kind: KindString, valid: valid, dict: newBuiltDict(out), compact: true}
 	if !allCompact {
 		col.compact = false
@@ -175,8 +171,8 @@ type ColumnMemory struct {
 }
 
 // MemBytes estimates the column's resident heap bytes: value storage plus
-// validity plus, for string columns, the dictionary encoding (codes, narrow
-// mirror, validity bitmap, domain) when built. String headers count 16 bytes
+// validity plus, for string columns, the dictionary encoding (codes, validity
+// bitmap, domain) when built. String headers count 16 bytes
 // each (8-byte pointer + 8-byte length on 64-bit) plus payload.
 func (c *Column) MemBytes() int64 {
 	n := int64(len(c.valid))
@@ -194,9 +190,7 @@ func (c *Column) MemBytes() int64 {
 			b += strCellBytes(s)
 		}
 		if enc := c.builtEnc(); enc != nil {
-			b += 4 * int64(len(enc.codes))
-			b += int64(len(enc.codes8))
-			b += 2 * int64(len(enc.codes16))
+			b += 2 * int64(len(enc.codes))
 			b += 8 * int64(len(enc.validBits))
 			for _, s := range enc.values {
 				b += strCellBytes(s)

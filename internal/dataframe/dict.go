@@ -1,14 +1,15 @@
 package dataframe
 
 // Dictionary encoding of string columns. A DictEncoding replaces per-row Go
-// strings with small integer codes over the sorted distinct domain: predicates
-// become integer compares, grouping becomes dense-array arithmetic, and the
-// counting-sort path reads the codes it used to re-derive per probe. The
-// encoding is cached on the column behind a sync.Once, so every consumer of
-// the same column — executors, shard subscribers, served plans — shares one
-// encode pass.
+// strings with one uint16 code array over the sorted distinct domain (the
+// cardinality cap keeps every code in range, so there is no other width):
+// predicates become integer compares, grouping becomes dense-array
+// arithmetic, and the counting-sort path reads the codes it used to re-derive
+// per probe. The encoding is cached on the column behind a sync.Once, so
+// every consumer of the same column — executors, shard subscribers, served
+// plans — shares one encode pass.
 //
-// Appends (PR 9) extend a built encoding IN PLACE whenever the delta keeps
+// Appends extend a built encoding IN PLACE whenever the delta keeps
 // existing codes stable: appended values already in the domain reuse their
 // code, and values sorting strictly after the current maximum join the end
 // of the sorted domain with the next codes — in both cases the extended
@@ -34,17 +35,16 @@ import (
 // for string columns.
 const MaxDictCardinality = 1024
 
+// Every code fits the uint16 code array (compile-time check).
+const _ = uint16(MaxDictCardinality - 1)
+
 // DictEncoding is the immutable dictionary form of one string column: the
-// sorted distinct non-null values, a per-row []uint32 code (rank in the
-// sorted domain; unspecified at NULL rows), a validity bitmap (LSB-first
-// within each word, matching the query layer's predicate bitmaps), and —
-// when the cardinality admits — a narrow uint8 or uint16 mirror of the codes
-// for width-specialised kernels.
+// sorted distinct non-null values, a per-row uint16 code (rank in the sorted
+// domain; unspecified at NULL rows) and a validity bitmap (LSB-first within
+// each word, matching the query layer's predicate bitmaps).
 type DictEncoding struct {
 	values    []string
-	codes     []uint32
-	codes8    []uint8  // non-nil when Cardinality() <= 256
-	codes16   []uint16 // non-nil when Cardinality() in (256, 65536]
+	codes     []uint16
 	validBits []uint64
 	nulls     int
 }
@@ -55,15 +55,7 @@ func (d *DictEncoding) Values() []string { return d.values }
 
 // Codes returns the per-row codes. Values at NULL rows are unspecified;
 // callers gate on ValidBits. The slice is shared and read-only.
-func (d *DictEncoding) Codes() []uint32 { return d.codes }
-
-// Codes8 returns the uint8 mirror of Codes, or nil when the cardinality
-// exceeds the uint8 range.
-func (d *DictEncoding) Codes8() []uint8 { return d.codes8 }
-
-// Codes16 returns the uint16 mirror of Codes, or nil when a narrower or no
-// mirror exists.
-func (d *DictEncoding) Codes16() []uint16 { return d.codes16 }
+func (d *DictEncoding) Codes() []uint16 { return d.codes }
 
 // ValidBits returns the validity bitmap: bit i (LSB-first within word i/64)
 // is set iff row i is non-NULL. The slice is shared and read-only.
@@ -79,10 +71,10 @@ func (d *DictEncoding) NullCount() int { return d.nulls }
 func (d *DictEncoding) NumRows() int { return len(d.codes) }
 
 // CodeOf returns the code of value s and whether s is in the dictionary.
-func (d *DictEncoding) CodeOf(s string) (uint32, bool) {
+func (d *DictEncoding) CodeOf(s string) (uint16, bool) {
 	i := sort.SearchStrings(d.values, s)
 	if i < len(d.values) && d.values[i] == s {
-		return uint32(i), true
+		return uint16(i), true
 	}
 	return 0, false
 }
@@ -117,7 +109,7 @@ func (c *Column) Dict() *DictEncoding {
 // more for the codes. maxCard above the cap returns nil. An all-NULL (or
 // empty) column yields a valid encoding with an empty dictionary.
 func (c *Column) buildDictEncoding(maxCard int) *DictEncoding {
-	ranks := make(map[string]uint32)
+	ranks := make(map[string]uint16)
 	for i, s := range c.strs {
 		if !c.valid[i] {
 			continue
@@ -135,43 +127,29 @@ func (c *Column) buildDictEncoding(maxCard int) *DictEncoding {
 	}
 	slices.Sort(values)
 	for rank, s := range values {
-		ranks[s] = uint32(rank)
+		ranks[s] = uint16(rank)
 	}
 
 	n := len(c.strs)
 	d := &DictEncoding{
 		values:    values,
-		codes:     make([]uint32, n),
+		codes:     make([]uint16, n),
 		validBits: make([]uint64, (n+63)/64),
-	}
-	switch {
-	case len(values) <= 1<<8:
-		d.codes8 = make([]uint8, n)
-	case len(values) <= 1<<16:
-		d.codes16 = make([]uint16, n)
 	}
 	for i, s := range c.strs {
 		if !c.valid[i] {
 			d.nulls++
 			continue
 		}
-		code := ranks[s]
-		d.codes[i] = code
+		d.codes[i] = ranks[s]
 		d.validBits[i>>6] |= 1 << uint(i&63)
-		if d.codes8 != nil {
-			d.codes8[i] = uint8(code)
-		} else if d.codes16 != nil {
-			d.codes16[i] = uint16(code)
-		}
 	}
 	return d
 }
 
 // appendCode appends one row to the encoding: its code (pass 0 for NULL)
-// and validity, growing the validity bitmap and keeping the narrow code
-// mirrors in step — including rebuilding them when an extended domain
-// crosses a width boundary.
-func (d *DictEncoding) appendCode(code uint32, valid bool) {
+// and validity, growing the validity bitmap.
+func (d *DictEncoding) appendCode(code uint16, valid bool) {
 	i := len(d.codes)
 	d.codes = append(d.codes, code)
 	if i&63 == 0 {
@@ -181,34 +159,6 @@ func (d *DictEncoding) appendCode(code uint32, valid bool) {
 		d.validBits[i>>6] |= 1 << uint(i&63)
 	} else {
 		d.nulls++
-	}
-	card := len(d.values)
-	switch {
-	case d.codes8 != nil && card <= 1<<8:
-		d.codes8 = append(d.codes8, uint8(code))
-	case d.codes16 != nil && card <= 1<<16:
-		d.codes16 = append(d.codes16, uint16(code))
-	default:
-		d.rebuildMirrors()
-	}
-}
-
-// rebuildMirrors re-derives the narrow code mirrors from the full-width
-// codes after a cardinality crossing.
-func (d *DictEncoding) rebuildMirrors() {
-	n := len(d.codes)
-	d.codes8, d.codes16 = nil, nil
-	switch {
-	case len(d.values) <= 1<<8:
-		d.codes8 = make([]uint8, n)
-		for i, c := range d.codes {
-			d.codes8[i] = uint8(c)
-		}
-	case len(d.values) <= 1<<16:
-		d.codes16 = make([]uint16, n)
-		for i, c := range d.codes {
-			d.codes16[i] = uint16(c)
-		}
 	}
 }
 
@@ -239,7 +189,7 @@ func (c *Column) extendDictStr(v string) {
 			d.enc = nil // from-scratch over the grown column is unencodable too
 			return
 		}
-		code = uint32(len(enc.values))
+		code = uint16(len(enc.values))
 		enc.values = append(enc.values, v)
 	}
 	enc.appendCode(code, true)
@@ -305,19 +255,4 @@ func (c *Column) extendDictBulk(vals []string, valid []bool) {
 		code, _ := enc.CodeOf(s)
 		enc.appendCode(code, true)
 	}
-}
-
-// EncodeDicts eagerly builds the dictionary of every string column ("eagerly
-// at load"): long-lived consumers — the serving daemon binding a plan, a CLI
-// about to run a large batch — call it once so no query pays the first-scan
-// encode. Columns above the cardinality cap are skipped. It returns the
-// number of columns now carrying an encoding.
-func (t *Table) EncodeDicts() int {
-	n := 0
-	for _, c := range t.cols {
-		if c.Dict() != nil {
-			n++
-		}
-	}
-	return n
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestDictEncodingBuild pins the encoding of a small column with NULLs: sorted
-// domain, rank codes, narrow mirror, validity bitmap and null count.
+// domain, rank codes, validity bitmap and null count.
 func TestDictEncodingBuild(t *testing.T) {
 	c := NewStringColumn("s",
 		[]string{"pear", "apple", "", "pear", "fig", "apple"},
@@ -24,7 +24,7 @@ func TestDictEncodingBuild(t *testing.T) {
 	if enc.Cardinality() != 3 || enc.NullCount() != 1 || enc.NumRows() != 6 {
 		t.Fatalf("card/nulls/rows = %d/%d/%d, want 3/1/6", enc.Cardinality(), enc.NullCount(), enc.NumRows())
 	}
-	wantCodes := []uint32{2, 0, 0, 2, 1, 0} // row 2 is NULL: unspecified, builder leaves 0
+	wantCodes := []uint16{2, 0, 0, 2, 1, 0} // row 2 is NULL: unspecified, builder leaves 0
 	for i, w := range wantCodes {
 		if i == 2 {
 			continue
@@ -32,19 +32,13 @@ func TestDictEncodingBuild(t *testing.T) {
 		if enc.Codes()[i] != w {
 			t.Errorf("Codes()[%d] = %d, want %d", i, enc.Codes()[i], w)
 		}
-		if enc.Codes8() == nil || uint32(enc.Codes8()[i]) != w {
-			t.Errorf("Codes8()[%d] mismatch", i)
-		}
-	}
-	if enc.Codes16() != nil {
-		t.Error("Codes16() non-nil alongside Codes8()")
 	}
 	if want := uint64(0b111011); enc.ValidBits()[0] != want {
 		t.Errorf("ValidBits()[0] = %b, want %b", enc.ValidBits()[0], want)
 	}
 	for _, tc := range []struct {
 		s    string
-		code uint32
+		code uint16
 		ok   bool
 	}{{"apple", 0, true}, {"fig", 1, true}, {"pear", 2, true}, {"plum", 0, false}, {"", 0, false}} {
 		code, ok := enc.CodeOf(tc.s)
@@ -57,39 +51,16 @@ func TestDictEncodingBuild(t *testing.T) {
 	}
 }
 
-// TestDictEncodingWidths checks the narrow-mirror selection at the uint8 and
-// uint16 boundaries and the cardinality cap.
-func TestDictEncodingWidths(t *testing.T) {
-	mk := func(card int) *Column {
-		vals := make([]string, card)
-		for i := range vals {
-			vals[i] = fmt.Sprintf("v%06d", i)
-		}
-		return NewStringColumn("s", vals, nil)
-	}
-	if enc := mk(256).Dict(); enc == nil || enc.Codes8() == nil || enc.Codes16() != nil {
-		t.Error("card 256: want a uint8 mirror")
-	}
-	if enc := mk(257).Dict(); enc == nil || enc.Codes8() != nil || enc.Codes16() == nil {
-		t.Error("card 257: want a uint16 mirror")
-	}
-	if enc := mk(MaxDictCardinality).Dict(); enc == nil || enc.Cardinality() != MaxDictCardinality {
-		t.Error("card at the cap: want an encoding")
-	}
-	if enc := mk(MaxDictCardinality + 1).Dict(); enc != nil {
-		t.Error("card above the cap: want nil (generic fallback)")
-	}
-}
-
 // TestDictEncodingEdges covers the degenerate shapes the differential sweep
-// leans on: all-NULL (empty dictionary), single-value, and empty columns.
+// leans on: all-NULL (empty dictionary), single-value, and empty columns, plus
+// a domain exactly at the cardinality cap and one past it.
 func TestDictEncodingEdges(t *testing.T) {
 	allNull := NewStringColumn("s", []string{"x", "y"}, []bool{false, false})
 	if enc := allNull.Dict(); enc == nil || enc.Cardinality() != 0 || enc.NullCount() != 2 {
 		t.Errorf("all-NULL: enc = %+v, want empty dictionary with 2 nulls", enc)
 	}
 	single := NewStringColumn("s", []string{"k", "k", "k"}, nil)
-	if enc := single.Dict(); enc == nil || enc.Cardinality() != 1 || enc.Codes8()[2] != 0 {
+	if enc := single.Dict(); enc == nil || enc.Cardinality() != 1 || enc.Codes()[2] != 0 {
 		t.Error("single-value: want cardinality 1, code 0 everywhere")
 	}
 	empty := NewStringColumn("s", nil, nil)
@@ -98,6 +69,20 @@ func TestDictEncodingEdges(t *testing.T) {
 	}
 	if enc := NewIntColumn("i", []int64{1}, nil).Dict(); enc != nil {
 		t.Error("non-string column: Dict() must be nil")
+	}
+	mk := func(card int) *Column {
+		vals := make([]string, card)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("v%06d", i)
+		}
+		return NewStringColumn("s", vals, nil)
+	}
+	if enc := mk(MaxDictCardinality).Dict(); enc == nil || enc.Cardinality() != MaxDictCardinality ||
+		enc.Codes()[MaxDictCardinality-1] != MaxDictCardinality-1 {
+		t.Error("card at the cap: want an encoding with the top code in range")
+	}
+	if enc := mk(MaxDictCardinality + 1).Dict(); enc != nil {
+		t.Error("card above the cap: want nil (generic fallback)")
 	}
 }
 
@@ -123,8 +108,8 @@ func TestDictExtendOnAppend(t *testing.T) {
 		t.Errorf("extended encoding = %d rows / %d card / %d nulls, want 5/3/1",
 			second.NumRows(), second.Cardinality(), second.NullCount())
 	}
-	if want := []uint8{0, 1, 2, 0, 0}; !slices.Equal(second.Codes8(), want) {
-		t.Errorf("extended codes = %v, want %v", second.Codes8(), want)
+	if want := []uint16{0, 1, 2, 0, 0}; !slices.Equal(second.Codes(), want) {
+		t.Errorf("extended codes = %v, want %v", second.Codes(), want)
 	}
 	c.AppendStr("ab") // mid-domain: would shift codes of "b" and "c"
 	third := c.Dict()
@@ -134,26 +119,6 @@ func TestDictExtendOnAppend(t *testing.T) {
 	if third.NumRows() != 6 || third.Cardinality() != 4 || third.NullCount() != 1 {
 		t.Errorf("rebuilt encoding = %d rows / %d card / %d nulls, want 6/4/1",
 			third.NumRows(), third.Cardinality(), third.NullCount())
-	}
-}
-
-// TestEncodeDicts checks the eager table-level pass counts encodable columns
-// only.
-func TestEncodeDicts(t *testing.T) {
-	big := make([]string, MaxDictCardinality+1)
-	for i := range big {
-		big[i] = fmt.Sprintf("u%05d", i)
-	}
-	tbl, err := NewTable(
-		NewStringColumn("lo", append([]string{"a", "a"}, big[:MaxDictCardinality-1]...), nil),
-		NewStringColumn("hi", big, nil),
-		NewIntColumn("n", make([]int64, MaxDictCardinality+1), nil),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := tbl.EncodeDicts(); n != 1 {
-		t.Errorf("EncodeDicts() = %d, want 1 (lo encodable, hi over cap, n non-string)", n)
 	}
 }
 

@@ -12,8 +12,6 @@ type GroupIndex struct {
 	src     *Table
 	keys    []*Column
 	rowGID  []int    // group id per row
-	repr    []int    // first row of each group
-	sizes   []int    // rows per group
 	keyStrs []string // composite key string per group, first-seen order
 
 	idsOnce sync.Once
@@ -64,15 +62,12 @@ func (t *Table) BuildGroupIndex(keyCols ...string) (*GroupIndex, error) {
 		// only materialised when a new group is created.
 		gid, ok := ids[string(buf)]
 		if !ok {
-			gid = len(g.repr)
+			gid = len(g.keyStrs)
 			k := string(buf)
 			ids[k] = gid
-			g.repr = append(g.repr, i)
-			g.sizes = append(g.sizes, 0)
 			g.keyStrs = append(g.keyStrs, k)
 		}
 		g.rowGID[i] = gid
-		g.sizes[gid]++
 	}
 	return g, nil
 }
@@ -104,31 +99,16 @@ func (g *GroupIndex) buildSingleInt(c *Column) {
 			gid = id
 		}
 		g.rowGID[i] = gid
-		g.sizes[gid]++
 	}
 }
 
 // buildSingleString is the dictionary fast path for one string key column:
 // rows index a dense code->gid table (one extra slot for the NULL group)
 // instead of hashing, with the composite key string still materialised once
-// per group so Key(gid) stays byte-identical with the generic path. The loop
-// is width-dispatched over the narrowest packed code lane the encoding
-// carries (uint8/uint16/uint32), so the sequential load per row is 1–4 bytes.
+// per group so Key(gid) stays byte-identical with the generic path.
 func (g *GroupIndex) buildSingleString(c *Column, enc *DictEncoding) {
 	card := enc.Cardinality()
-	switch {
-	case enc.Codes8() != nil:
-		buildSingleStringLanes(g, c, enc.Codes8(), card)
-	case enc.Codes16() != nil:
-		buildSingleStringLanes(g, c, enc.Codes16(), card)
-	default:
-		buildSingleStringLanes(g, c, enc.Codes(), card)
-	}
-}
-
-// buildSingleStringLanes is buildSingleString's width-generic body.
-func buildSingleStringLanes[T uint8 | uint16 | uint32](g *GroupIndex, c *Column, codes []T, card int) {
-	valid := c.ValidData()
+	codes, valid := enc.Codes(), c.ValidData()
 	gidOf := make([]int, card+1) // slot card = NULL
 	for i := range gidOf {
 		gidOf[i] = -1
@@ -144,7 +124,6 @@ func buildSingleStringLanes[T uint8 | uint16 | uint32](g *GroupIndex, c *Column,
 			gidOf[slot] = gid
 		}
 		g.rowGID[i] = gid
-		g.sizes[gid]++
 	}
 }
 
@@ -183,12 +162,12 @@ func comboDicts(cols []*Column) ([]*DictEncoding, bool) {
 // built, and Key(gid) bytes still come from appendRowKey once per group.
 func (g *GroupIndex) buildStringCombo(cols []*Column, encs []*DictEncoding) {
 	n := len(g.rowGID)
-	lanes := make([]codeLanes, len(encs))
+	codes := make([][]uint16, len(encs))
 	valids := make([][]bool, len(encs))
 	cards := make([]uint64, len(encs))
 	space := uint64(1)
 	for j, enc := range encs {
-		lanes[j] = lanesOf(enc)
+		codes[j] = enc.Codes()
 		valids[j] = cols[j].ValidData()
 		cards[j] = uint64(enc.Cardinality())
 		space *= cards[j] + 1
@@ -198,7 +177,7 @@ func (g *GroupIndex) buildStringCombo(cols []*Column, encs []*DictEncoding) {
 		for j := range encs {
 			slot := cards[j]
 			if valids[j][i] {
-				slot = lanes[j].at(i)
+				slot = uint64(codes[j][i])
 			}
 			code = code*(cards[j]+1) + slot
 		}
@@ -219,7 +198,6 @@ func (g *GroupIndex) buildStringCombo(cols []*Column, encs []*DictEncoding) {
 				gidOf[code] = gid
 			}
 			g.rowGID[i] = gid
-			g.sizes[gid]++
 		}
 		return
 	}
@@ -232,44 +210,12 @@ func (g *GroupIndex) buildStringCombo(cols []*Column, encs []*DictEncoding) {
 			ids[code] = gid
 		}
 		g.rowGID[i] = gid
-		g.sizes[gid]++
 	}
-}
-
-// codeLanes reads a column's codes through its narrowest packed lane, so the
-// combo build touches 1–4 bytes per row per key instead of a fixed 4.
-type codeLanes struct {
-	c8  []uint8
-	c16 []uint16
-	c32 []uint32
-}
-
-func lanesOf(enc *DictEncoding) codeLanes {
-	switch {
-	case enc.Codes8() != nil:
-		return codeLanes{c8: enc.Codes8()}
-	case enc.Codes16() != nil:
-		return codeLanes{c16: enc.Codes16()}
-	default:
-		return codeLanes{c32: enc.Codes()}
-	}
-}
-
-func (l codeLanes) at(i int) uint64 {
-	if l.c8 != nil {
-		return uint64(l.c8[i])
-	}
-	if l.c16 != nil {
-		return uint64(l.c16[i])
-	}
-	return uint64(l.c32[i])
 }
 
 // newGroupRow is newGroup over a composite key-set.
 func (g *GroupIndex) newGroupRow(i int, cols []*Column) int {
-	gid := len(g.repr)
-	g.repr = append(g.repr, i)
-	g.sizes = append(g.sizes, 0)
+	gid := len(g.keyStrs)
 	g.keyStrs = append(g.keyStrs, string(appendRowKey(nil, i, cols)))
 	return gid
 }
@@ -277,9 +223,7 @@ func (g *GroupIndex) newGroupRow(i int, cols []*Column) int {
 // newGroup registers row i as the representative of a fresh group and returns
 // its id.
 func (g *GroupIndex) newGroup(i int, c *Column) int {
-	gid := len(g.repr)
-	g.repr = append(g.repr, i)
-	g.sizes = append(g.sizes, 0)
+	gid := len(g.keyStrs)
 	g.keyStrs = append(g.keyStrs, string(c.AppendKey(nil, i)))
 	return gid
 }
@@ -306,15 +250,12 @@ func (g *GroupIndex) Extend() {
 		buf = appendRowKey(buf[:0], i, g.keys)
 		gid, ok := g.ids[string(buf)]
 		if !ok {
-			gid = len(g.repr)
+			gid = len(g.keyStrs)
 			k := string(buf)
 			g.ids[k] = gid
-			g.repr = append(g.repr, i)
-			g.sizes = append(g.sizes, 0)
 			g.keyStrs = append(g.keyStrs, k)
 		}
 		g.rowGID = append(g.rowGID, gid)
-		g.sizes[gid]++
 	}
 }
 
@@ -337,7 +278,7 @@ func (g *GroupIndex) Lookup(key string) (int, bool) {
 }
 
 // NumGroups returns the number of distinct composite keys.
-func (g *GroupIndex) NumGroups() int { return len(g.repr) }
+func (g *GroupIndex) NumGroups() int { return len(g.keyStrs) }
 
 // NumRows returns the number of rows in the indexed table.
 func (g *GroupIndex) NumRows() int { return len(g.rowGID) }
@@ -345,12 +286,6 @@ func (g *GroupIndex) NumRows() int { return len(g.rowGID) }
 // RowGroups exposes the per-row group-id slice. The slice is shared; callers
 // must not mutate it.
 func (g *GroupIndex) RowGroups() []int { return g.rowGID }
-
-// Repr returns the representative (first) row of a group.
-func (g *GroupIndex) Repr(gid int) int { return g.repr[gid] }
-
-// Size returns the number of rows in a group.
-func (g *GroupIndex) Size(gid int) int { return g.sizes[gid] }
 
 // Key returns the composite key string of a group.
 func (g *GroupIndex) Key(gid int) string { return g.keyStrs[gid] }

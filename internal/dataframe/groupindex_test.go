@@ -8,7 +8,7 @@ import (
 
 // refGroupIndex is the generic string-keyed grouping algorithm, kept inline
 // as the reference every BuildGroupIndex path must match exactly.
-func refGroupIndex(t *testing.T, tbl *Table, keys ...string) (rowGID []int, keyStrs []string, repr, sizes []int) {
+func refGroupIndex(t *testing.T, tbl *Table, keys ...string) (rowGID []int, keyStrs []string, sizes []int) {
 	t.Helper()
 	cols := make([]*Column, len(keys))
 	for i, k := range keys {
@@ -26,31 +26,40 @@ func refGroupIndex(t *testing.T, tbl *Table, keys ...string) (rowGID []int, keyS
 			gid = len(keyStrs)
 			ids[k] = gid
 			keyStrs = append(keyStrs, k)
-			repr = append(repr, i)
 			sizes = append(sizes, 0)
 		}
 		rowGID[i] = gid
 		sizes[gid]++
 	}
-	return rowGID, keyStrs, repr, sizes
+	return rowGID, keyStrs, sizes
+}
+
+// groupSizes counts each group's rows from the index's per-row group ids.
+func groupSizes(g *GroupIndex) []int {
+	sizes := make([]int, g.NumGroups())
+	for _, gid := range g.RowGroups() {
+		sizes[gid]++
+	}
+	return sizes
 }
 
 // checkGroupIndexRef compares g against refGroupIndex's first-seen grouping
-// over Table.RowKey: per-row group ids, each group's first row, sizes and
-// Key(gid) bytes.
+// over Table.RowKey: per-row group ids (which fix each group's first row),
+// sizes and Key(gid) bytes.
 func checkGroupIndexRef(t *testing.T, name string, tbl *Table, g *GroupIndex, keys ...string) {
 	t.Helper()
-	rowGID, keyStrs, repr, sizes := refGroupIndex(t, tbl, keys...)
-	if g.NumGroups() != len(repr) {
-		t.Fatalf("%s: %d groups vs reference %d", name, g.NumGroups(), len(repr))
+	rowGID, keyStrs, sizes := refGroupIndex(t, tbl, keys...)
+	if g.NumGroups() != len(keyStrs) {
+		t.Fatalf("%s: %d groups vs reference %d", name, g.NumGroups(), len(keyStrs))
 	}
 	if !slices.Equal(g.RowGroups(), rowGID) {
 		t.Fatalf("%s: row group ids differ from the reference", name)
 	}
-	for gid := range repr {
-		if g.Key(gid) != keyStrs[gid] || g.Size(gid) != sizes[gid] || g.Repr(gid) != repr[gid] {
-			t.Fatalf("%s: group %d (key %q size %d repr %d) vs reference (key %q size %d repr %d)",
-				name, gid, g.Key(gid), g.Size(gid), g.Repr(gid), keyStrs[gid], sizes[gid], repr[gid])
+	gotSizes := groupSizes(g)
+	for gid := range keyStrs {
+		if g.Key(gid) != keyStrs[gid] || gotSizes[gid] != sizes[gid] {
+			t.Fatalf("%s: group %d (key %q size %d) vs reference (key %q size %d)",
+				name, gid, g.Key(gid), gotSizes[gid], keyStrs[gid], sizes[gid])
 		}
 	}
 }
@@ -68,8 +77,8 @@ func TestGroupByCountsAndOrder(t *testing.T) {
 	if g.Key(0) != "salice" || g.Key(1) != "sbob" {
 		t.Fatalf("first-seen order = %q, %q", g.Key(0), g.Key(1))
 	}
-	if g.Size(0) != 3 || g.Size(1) != 2 {
-		t.Fatal("group sizes wrong")
+	if sizes := groupSizes(g); sizes[0] != 3 || sizes[1] != 2 {
+		t.Fatalf("group sizes = %v, want [3 2]", sizes)
 	}
 	if _, ok := g.Lookup("ghost"); ok {
 		t.Fatal("missing key should not resolve")
@@ -145,8 +154,8 @@ func TestBuildGroupIndexFastPathJoinCompatible(t *testing.T) {
 		lookup[gr.Key(gid)] = gid
 	}
 	wants := map[int64]bool{3: true, 7: true, 1: false}
-	for gid := 0; gid < gl.NumGroups(); gid++ {
-		v := left.Column("k").Int(gl.Repr(gid))
+	for i, gid := range gl.RowGroups() {
+		v := left.Column("k").Int(i)
 		if _, ok := lookup[gl.Key(gid)]; ok != wants[v] {
 			t.Fatalf("key %d: join match %v, want %v", v, ok, wants[v])
 		}

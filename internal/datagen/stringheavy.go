@@ -7,9 +7,9 @@ import (
 	"repro/internal/ml"
 )
 
-// stringHeavy* are the fixed value domains of the StringHeavy event log. The
-// first four fit uint8 dictionary codes; skuFamilies crosses 255 on purpose
-// so the uint16 code lane (and the 4-lane SWAR kernels) get exercised too.
+// stringHeavy* are the fixed value domains of the StringHeavy event log: four
+// small domains and one (skuFamilies) of 300 values, every one under the
+// dictionary cap, so each column compacts to its uint16 code array.
 var (
 	stringHeavyEvents   = []string{"view", "search", "add", "remove", "order", "return", "review", "support"}
 	stringHeavyChannels = []string{"web", "app", "email", "ads", "partner"}
@@ -37,7 +37,7 @@ func stringHeavyDomain(prefix string, n int) []string {
 // raw []string arrays never survive construction. At the 10⁷-row scale the
 // benchmarks use (TrainRows=250000, LogsPerKey=40), the raw layout needs
 // roughly 16 header bytes per string cell (~640 MB across the string columns
-// alone) while the compact layout stores one narrow code per cell, which is
+// alone) while the compact layout stores one 2-byte code per cell, which is
 // what lets the scenario fit CI memory at all.
 //
 // Planted signal: each user's latent propensity drives the rate of "order"

@@ -24,17 +24,6 @@ type Observation struct {
 	Loss float64
 }
 
-// Optimizer is a sequential model-based optimiser: it suggests points and
-// learns from their observed losses.
-type Optimizer interface {
-	// Suggest proposes the next vector to evaluate.
-	Suggest() []int
-	// Observe records the loss of an evaluated vector.
-	Observe(Observation)
-	// History returns all observations so far (shared slice, do not mutate).
-	History() []Observation
-}
-
 // TPEOptions tune the Tree-structured Parzen Estimator.
 type TPEOptions struct {
 	// Gamma is the good/bad quantile boundary; the paper cites the typical
@@ -119,7 +108,8 @@ func (t *TPE) check(x []int) error {
 // Observe records an evaluated point.
 func (t *TPE) Observe(o Observation) { t.obs = append(t.obs, o) }
 
-// History returns all observations (including primed ones).
+// History returns all observations (including primed ones). The slice is
+// shared; callers must not mutate it.
 func (t *TPE) History() []Observation { return t.obs }
 
 // randomBranch reports whether a TPE holding n observations suggests a
@@ -261,7 +251,7 @@ func (t *TPE) sampleFrom(dens [][]float64) []int {
 
 // Best returns the observation with the lowest loss, or ok=false when the
 // optimiser has no history.
-func Best(o Optimizer) (Observation, bool) {
+func Best(o *TPE) (Observation, bool) {
 	h := o.History()
 	if len(h) == 0 {
 		return Observation{}, false
@@ -277,7 +267,7 @@ func Best(o Optimizer) (Observation, bool) {
 
 // TopK returns the k lowest-loss observations (fewer when history is short),
 // best first. Used by the warm-up phase to pick the top-k proxy queries.
-func TopK(o Optimizer, k int) []Observation {
+func TopK(o *TPE, k int) []Observation {
 	h := append([]Observation(nil), o.History()...)
 	sort.SliceStable(h, func(a, b int) bool { return h[a].Loss < h[b].Loss })
 	if k > len(h) {
@@ -289,7 +279,7 @@ func TopK(o Optimizer, k int) []Observation {
 // Run drives an optimiser for n iterations against an evaluation function,
 // returning the best observation. Duplicate suggestions are still evaluated
 // (the objective may be noisy, matching HPO practice).
-func Run(o Optimizer, n int, eval func(x []int) float64) (Observation, bool) {
+func Run(o *TPE, n int, eval func(x []int) float64) (Observation, bool) {
 	obs, ok, _ := RunContext(context.Background(), o, n, eval)
 	return obs, ok
 }
@@ -298,7 +288,7 @@ func Run(o Optimizer, n int, eval func(x []int) float64) (Observation, bool) {
 // every suggestion and returns ctx.Err() as soon as it observes one, so a
 // long search stops after at most one in-flight evaluation. The best
 // observation gathered so far is still returned alongside the error.
-func RunContext(ctx context.Context, o Optimizer, n int, eval func(x []int) float64) (Observation, bool, error) {
+func RunContext(ctx context.Context, o *TPE, n int, eval func(x []int) float64) (Observation, bool, error) {
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			best, ok := Best(o)

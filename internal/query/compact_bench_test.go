@@ -1,11 +1,9 @@
 package query
 
 import (
-	"math/rand"
 	"sync"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/agg"
 	"repro/internal/dataframe"
@@ -26,7 +24,7 @@ func compactBenchPool(tb testing.TB, nQueries, nRows int) (compact, raw *datafra
 	}
 	// Scan-bound aggregates only: filtered COUNTs and numeric reductions.
 	// BENCH_8 already covers the string-aggregation mix; BENCH_10 measures
-	// the predicate/scan side the SWAR kernels accelerate.
+	// the predicate/scan side the code kernels serve.
 	numAggs := []agg.Func{agg.Sum, agg.Avg, agg.Max, agg.Std}
 	for i := range qs {
 		if i%2 == 0 {
@@ -38,11 +36,10 @@ func compactBenchPool(tb testing.TB, nQueries, nRows int) (compact, raw *datafra
 	return compact, raw, qs
 }
 
-// BenchmarkStringHeavyCompactSwar is the BENCH_10 headline: compact storage
-// with the word-parallel kernels on, a cold executor per iteration. String
-// equalities resolve 8 (uint8 lanes) or 4 (uint16 lanes) rows per 64-bit
-// word and filtered COUNTs come straight out of the plan's group counts.
-func BenchmarkStringHeavyCompactSwar(b *testing.B) {
+// BenchmarkStringHeavyCompact is the BENCH_10 headline: compact storage, a
+// cold executor per iteration. String equalities compare the columns' uint16
+// codes and filtered COUNTs come straight out of the plan's group counts.
+func BenchmarkStringHeavyCompact(b *testing.B) {
 	compact, _, qs := compactBenchPool(b, 200, 2400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,54 +64,6 @@ func BenchmarkStringHeavyDictBaseline(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkSwarKernelSpeedup pins the kernels themselves on a 2²⁰-code
-// array, scalar and SWAR timed back to back: equality and range tests over
-// both lane widths. These ratios are what the word-parallel rewrite buys
-// before executor overheads dilute it (~3.4× on the 8-lane equality path).
-func BenchmarkSwarKernelSpeedup(b *testing.B) {
-	const n = 1 << 20
-	rng := rand.New(rand.NewSource(205))
-	c8 := make([]uint8, n)
-	c16 := make([]uint16, n)
-	for i := range c8 {
-		c8[i] = uint8(rng.Intn(256))
-		c16[i] = uint16(rng.Intn(65536))
-	}
-	vb := make([]uint64, n/64)
-	for i := range vb {
-		vb[i] = rng.Uint64()
-	}
-	bm := make([]uint64, n/64)
-	var tS8, tC8, tS16, tC16, tR8, tRC8 time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		swarEqBits8(c8, vb, 42, bm)
-		tS8 += time.Since(t0)
-		t1 := time.Now()
-		eqCodeBits(c8, vb, 42, bm)
-		tC8 += time.Since(t1)
-		t2 := time.Now()
-		swarEqBits16(c16, vb, 300, bm)
-		tS16 += time.Since(t2)
-		t3 := time.Now()
-		eqCodeBits(c16, vb, 300, bm)
-		tC16 += time.Since(t3)
-		t4 := time.Now()
-		swarRangeBits8(c8, vb, 10, 200, bm)
-		tR8 += time.Since(t4)
-		t5 := time.Now()
-		rangeCodeBits(c8, vb, 10, 200, bm)
-		tRC8 += time.Since(t5)
-	}
-	if tS8 > 0 {
-		b.ReportMetric(tC8.Seconds()/tS8.Seconds(), "speedup_eq8")
-		b.ReportMetric(tC16.Seconds()/tS16.Seconds(), "speedup_eq16")
-		b.ReportMetric(tRC8.Seconds()/tR8.Seconds(), "speedup_range8")
-		b.ReportMetric(float64(n)*float64(b.N)/tS8.Seconds()/1e9, "swar_eq8_grows/s")
-	}
 }
 
 // rawRematerialized rebuilds a table with []string backings from a compact

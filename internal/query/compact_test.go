@@ -23,7 +23,7 @@ func compacted(t *testing.T, tbl *dataframe.Table) *dataframe.Table {
 
 // TestDifferentialCompactStrings is the compact-storage contract: a table
 // whose string columns are code-backed (no []string), queried through the
-// SWAR kernels, must match Query.Execute over the raw table bit for bit —
+// code kernels, must match Query.Execute over the raw table bit for bit —
 // across mixed and NULL-heavy tables and morsel sizes {1, 7}.
 func TestDifferentialCompactStrings(t *testing.T) {
 	builders := map[string]func(int, int64) *dataframe.Table{
@@ -63,8 +63,8 @@ func TestDifferentialCompactStrings(t *testing.T) {
 						t.Errorf("%s: column %q lost compact storage during the batch", label, cn)
 					}
 				}
-				if st := e.Stats(); st.SwarPredScans == 0 {
-					t.Errorf("%s: SwarPredScans = 0, want > 0 (narrow code columns present)", label)
+				if st := e.Stats(); st.CodePredScans == 0 {
+					t.Errorf("%s: CodePredScans = 0, want > 0 (encoded string columns present)", label)
 				}
 			}
 		})
@@ -221,10 +221,10 @@ func TestDifferentialCompactConcat(t *testing.T) {
 	}
 }
 
-// TestCompactStatsGolden pins the new counters on fixed workloads so the
-// accounting cannot drift: every narrow code-kernel bitmap is a SWAR scan
-// (SwarPredScans ⊆ CodePredScans), and COUNT queries — batched or single —
-// are served with no value pass.
+// TestCompactStatsGolden pins the counters on fixed workloads so the
+// accounting cannot drift: each string-equality bitmap is one code-kernel
+// scan, and COUNT queries — batched or single — are served with no value
+// pass.
 func TestCompactStatsGolden(t *testing.T) {
 	qs := []Query{
 		{Agg: agg.Count, AggAttr: "x", Keys: []string{"k2"},
@@ -237,9 +237,8 @@ func TestCompactStatsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.CodePredScans != 2 || st.SwarPredScans != 2 {
-		t.Errorf("CodePredScans/SwarPredScans = %d/%d, want 2/2 (cat is a uint8-lane column)",
-			st.CodePredScans, st.SwarPredScans)
+	if st.CodePredScans != 2 {
+		t.Errorf("CodePredScans = %d, want 2 (one per cat equality)", st.CodePredScans)
 	}
 	if st.CountOnlyQueries != 1 {
 		t.Errorf("batch CountOnlyQueries = %d, want 1 (one COUNT in the batch)", st.CountOnlyQueries)

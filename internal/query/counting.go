@@ -11,6 +11,11 @@ package query
 // restricted to domains whose values round-trip exactly through float64
 // (strings via a dictionary; int/time/bool with a small range and |value| ≤
 // 2³¹), so rewritten segments are bit-identical to the sorted originals.
+// String attributes scatter the dictionary's uint16 codes, not strings, and
+// expand them in rank order; numeric ones count value-base offsets of the
+// float view. The same probe also carries the int/time columns' exact-integer
+// state (bounds, backing ints, validity bitmap) for the range kernel in
+// dict.go.
 
 import (
 	"slices"
@@ -30,7 +35,7 @@ const maxCountingDomain = dataframe.MaxDictCardinality
 const maxCountingAbs = int64(1) << 31
 
 // maxExactIntAbs bounds |value| so float64(value) is exact, which makes the
-// integer-compare range kernels (dict.go) equivalent to the float-view loops.
+// integer-compare range kernel (dict.go) equivalent to the float-view loops.
 const maxExactIntAbs = int64(1) << 53
 
 // domainEntry is the cached cardinality probe of one aggregation attribute.
@@ -42,19 +47,17 @@ type domainEntry struct {
 	k     int      // code domain size: codes are 0..k-1
 	base  int64    // numeric columns: code = int64(value) - base
 	svals []string // string columns: distinct values ascending; code = rank
-	codes []uint32 // string columns: per-row code (the dictionary's, shared)
+	codes []uint16 // string columns: per-row code (the dictionary's, shared)
 
 	// Integer predicate-kernel state (int/time columns; see dict.go). intOK
 	// marks every value within maxExactIntAbs, so integer compares against
 	// exact bounds reproduce the float-view semantics bit for bit.
-	intOK    bool
-	seen     bool     // int/time: some non-null value observed (mn/mx defined)
-	nrows    int      // rows the probe state covers (for delta advances)
-	mn, mx   int64    // observed non-null min/max (valid when seen)
-	ivals    []int64  // backing ints (shared with the column)
-	vbits    []uint64 // validity bitmap, LSB-first per word
-	ncodes8  []uint8  // value-base codes when ok and the width fits uint8
-	ncodes16 []uint16 // value-base codes when ok with a wider domain
+	intOK  bool
+	seen   bool     // int/time: some non-null value observed (mn/mx defined)
+	nrows  int      // rows the probe state covers (for delta advances)
+	mn, mx int64    // observed non-null min/max (valid when seen)
+	ivals  []int64  // backing ints (shared with the column)
+	vbits  []uint64 // validity bitmap, LSB-first per word
 }
 
 // countingScan bumps the counting-path counter (one attrScan whose per-group
@@ -121,7 +124,7 @@ func (ent *domainEntry) probe(col *dataframe.Column) {
 		}
 		ent.seen, ent.mn, ent.mx = true, mn, mx
 		if mn >= -maxExactIntAbs && mx <= maxExactIntAbs {
-			// The integer range kernels can serve this column: record the
+			// The integer range kernel can serve this column: record the
 			// bounds, backing ints and a validity bitmap (see dict.go).
 			ent.intOK, ent.ivals = true, vals
 			ent.vbits = make([]uint64, (len(vals)+63)/64)
@@ -136,24 +139,6 @@ func (ent *domainEntry) probe(col *dataframe.Column) {
 		}
 		if width := mx - mn + 1; width <= maxCountingDomain {
 			ent.ok, ent.base, ent.k = true, mn, int(width)
-			// Narrow-int detection: the counting-eligible width also fits a
-			// uint8/uint16 code array, giving range predicates a code-interval
-			// kernel over one byte (or two) per row.
-			if width <= 1<<8 {
-				ent.ncodes8 = make([]uint8, len(vals))
-				for i, v := range vals {
-					if valid[i] {
-						ent.ncodes8[i] = uint8(v - mn)
-					}
-				}
-			} else {
-				ent.ncodes16 = make([]uint16, len(vals))
-				for i, v := range vals {
-					if valid[i] {
-						ent.ncodes16[i] = uint16(v - mn)
-					}
-				}
-			}
 		}
 	case dataframe.KindString:
 		// The dictionary (dict.go) is the probe: its cardinality cap equals
@@ -176,7 +161,6 @@ func (ent *domainEntry) reset() {
 	ent.intOK, ent.seen, ent.nrows = false, false, 0
 	ent.mn, ent.mx = 0, 0
 	ent.ivals, ent.vbits = nil, nil
-	ent.ncodes8, ent.ncodes16 = nil, nil
 }
 
 // advance absorbs rows appended to col since the probe (or the last advance),
@@ -231,49 +215,11 @@ func (ent *domainEntry) advance(col *dataframe.Column) {
 			}
 		}
 		if ent.ok {
-			width := mx - mn + 1
-			switch {
-			case mn < -maxCountingAbs || mx > maxCountingAbs || width > maxCountingDomain:
+			// The base follows the minimum down, as a fresh probe's would.
+			if width := mx - mn + 1; mn < -maxCountingAbs || mx > maxCountingAbs || width > maxCountingDomain {
 				ent.ok, ent.k, ent.base = false, 0, 0
-				ent.ncodes8, ent.ncodes16 = nil, nil
-			case ent.ncodes8 != nil && mn == ent.base && width <= 1<<8:
-				ent.k = int(width)
-				for i := ent.nrows; i < n; i++ {
-					var c uint8
-					if valid[i] {
-						c = uint8(vals[i] - mn)
-					}
-					ent.ncodes8 = append(ent.ncodes8, c)
-				}
-			case ent.ncodes16 != nil && mn == ent.base:
-				ent.k = int(width)
-				for i := ent.nrows; i < n; i++ {
-					var c uint16
-					if valid[i] {
-						c = uint16(vals[i] - mn)
-					}
-					ent.ncodes16 = append(ent.ncodes16, c)
-				}
-			default:
-				// Base shifted down or the width crossed the uint8 boundary:
-				// re-derive the code array over all rows, as a fresh probe would.
+			} else {
 				ent.base, ent.k = mn, int(width)
-				ent.ncodes8, ent.ncodes16 = nil, nil
-				if width <= 1<<8 {
-					ent.ncodes8 = make([]uint8, n)
-					for i, v := range vals {
-						if valid[i] {
-							ent.ncodes8[i] = uint8(v - mn)
-						}
-					}
-				} else {
-					ent.ncodes16 = make([]uint16, n)
-					for i, v := range vals {
-						if valid[i] {
-							ent.ncodes16[i] = uint16(v - mn)
-						}
-					}
-				}
 			}
 		}
 	case dataframe.KindString:
@@ -331,7 +277,7 @@ func (as *attrScan) countingSortFloats(seg []float64, base int64, k int) {
 // scattered codes: count the segment's codes, then emit each distinct value's
 // run in rank order — the exact output slices.Sort would produce over the
 // scattered strings, with int32 moves instead of string compares.
-func (as *attrScan) countingFillStrings(dst []string, codeSeg []uint32, svals []string, k int) {
+func (as *attrScan) countingFillStrings(dst []string, codeSeg []uint16, svals []string, k int) {
 	cnt := as.countScratch(k)
 	touched := as.touched[:0]
 	for _, c := range codeSeg {

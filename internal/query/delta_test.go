@@ -12,7 +12,7 @@ import (
 )
 
 // deltaTable builds the delta suite's base table: the differential schema plus
-// a small-domain int column ("lvl", 0..9) so the narrow-code kernels and the
+// a small-domain int column ("lvl", 0..9) so the integer range kernel and the
 // counting-sort path participate in the append sweeps.
 func deltaTable(n int, seed int64) *dataframe.Table {
 	return deltaRows(n, seed, "base")
@@ -24,12 +24,13 @@ func deltaTable(n int, seed int64) *dataframe.Table {
 //	mixed      same distribution (in-domain appends: stable dictionaries)
 //	nulls      NULL-heavy x and cat
 //	newgroups  unseen k1 values, ts and lvl beyond their observed domains
-//	            (new groups; in-place narrow-code extension for lvl)
+//	            (new groups; lvl's counting domain widens in place)
 //	dictshift  a cat value sorting inside the existing dictionary domain
 //	            (forces a re-encode: codes shift) and negative lvl values
-//	            (code base shifts: full code-array re-derivation)
+//	            (lvl's counting base follows the minimum down)
 //	dictcap    over MaxDictCardinality distinct cat values (the dictionary
-//	            drops) and lvl values crossing the uint8 code width
+//	            drops) and lvl values widening its counting domain to
+//	            ~1000 values, still under the cap
 func deltaRows(n int, seed int64, mode string) *dataframe.Table {
 	rng := rand.New(rand.NewSource(seed))
 	k1 := make([]int64, n)

@@ -105,17 +105,14 @@ type ExecutorStats struct {
 	// Dictionary encoding (see dict.go): DictEncodes counts first-use
 	// dictionary builds charged to this executor's core, DictHits counts
 	// lookups served by an existing encoding, and CodePredScans counts
-	// predicate bitmaps built through the branch-free code kernels instead
-	// of the row-at-a-time comparison loops.
+	// predicate bitmaps built through the branch-free kernels (string
+	// equality over uint16 codes, int/time ranges over exact int64 bounds)
+	// instead of the row-at-a-time comparison loops.
 	DictEncodes, DictHits int64
 	CodePredScans         int64
-	// Word-parallel kernels (PR 10, see swar.go): SwarPredScans counts
-	// predicate bitmaps built 8×uint8 / 4×uint16 codes per 64-bit word (a
-	// subset of CodePredScans — wide uint32 code columns and 64-bit integer
-	// ranges fall back to the scalar loops), and CountOnlyQueries counts the
-	// fused COUNT queries served straight from the plan's group counts with
-	// no value pass at all (one per query, as FusedQueries counts).
-	SwarPredScans    int64
+	// CountOnlyQueries counts the fused COUNT queries served straight from
+	// the plan's group counts with no value pass at all (one per query, as
+	// FusedQueries counts).
 	CountOnlyQueries int64
 	// Cross-executor scan sharing (ScanScheduler): full-table passes this
 	// executor ran to build a shared-core entry (group index, predicate
@@ -165,7 +162,6 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 	s.DictEncodes += o.DictEncodes
 	s.DictHits += o.DictHits
 	s.CodePredScans += o.CodePredScans
-	s.SwarPredScans += o.SwarPredScans
 	s.CountOnlyQueries += o.CountOnlyQueries
 	s.SharedScanPasses += o.SharedScanPasses
 	s.SharedScanSubscribers += o.SharedScanSubscribers
@@ -181,13 +177,13 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 // String renders the snapshot as one compact log line.
 func (s ExecutorStats) String() string {
 	return fmt.Sprintf(
-		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d shared-joins %d/%d (hit/miss), fused %d queries (%d count-only) over %d scans (%d counting), scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds, %d swar), shared-scans %d passes / %d subscribed, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
+		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d shared-joins %d/%d (hit/miss), fused %d queries (%d count-only) over %d scans (%d counting), scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds), shared-scans %d passes / %d subscribed, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
 		s.GroupHits, s.GroupMisses, s.MaskHits, s.MaskMisses, s.PredHits, s.PredMisses,
 		s.PlanHits, s.PlanMisses, s.JoinHits, s.JoinMisses,
 		s.SharedJoinHits, s.SharedJoinMisses,
 		s.FusedQueries, s.CountOnlyQueries, s.FusedScans, s.CountingScans,
 		s.ScatterQueries, s.ScatterPasses,
-		s.DictEncodes, s.DictHits, s.CodePredScans, s.SwarPredScans,
+		s.DictEncodes, s.DictHits, s.CodePredScans,
 		s.SharedScanPasses, s.SharedScanSubscribers, s.MorselsScanned,
 		s.DeltaAppends, s.DeltaRowsScanned, s.DirtyGroupResorts, s.FullRebuilds,
 		s.Evictions+s.SharedJoinEvictions)
@@ -558,7 +554,7 @@ func (e *Executor) floatView(col *dataframe.Column) []float64 {
 // match, bounds are inclusive.
 //
 // String equality on a dictionary-encoded column resolves the operand to its
-// code and compares narrow integers, and int/time ranges whose domain probe
+// code and compares the uint16 codes, and int/time ranges whose domain probe
 // admits them compare exact integer bounds — both branch-free, word at a
 // time (see dict.go). The input alone picks the fallbacks below: a string
 // column above MaxDictCardinality, or a float column or a domain the probe
@@ -592,9 +588,7 @@ func (e *Executor) buildPredBitsFrom(p Predicate, lo int, bm []uint64) error {
 			if enc := e.dictFor(col); enc != nil {
 				e.noteCodePred()
 				if code, ok := enc.CodeOf(p.StrValue); ok {
-					if dictEqBitsFrom(enc, code, bm, lo) {
-						e.noteSwarPred()
-					}
+					dictEqBitsFrom(enc, code, bm, lo)
 				}
 				// Operand not in the dictionary: no row matches.
 				return nil
@@ -623,9 +617,7 @@ func (e *Executor) buildPredBitsFrom(p Predicate, lo int, bm []uint64) error {
 			(k == dataframe.KindInt || k == dataframe.KindTime) {
 			if dom := e.domain(col); dom.intOK {
 				e.noteCodePred()
-				if intRangeBitsFrom(dom, p, bm, lo) {
-					e.noteSwarPred()
-				}
+				intRangeBitsFrom(dom, p, bm, lo)
 				return nil
 			}
 		}

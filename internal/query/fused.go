@@ -216,7 +216,7 @@ type attrScan struct {
 	dom     *domainEntry
 	cnt     []int32
 	touched []int32
-	cbuf    []uint32
+	cbuf    []uint16
 }
 
 // streamable reports whether fn is served by the streaming passes (A/B) on a
@@ -444,7 +444,7 @@ func (as *attrScan) scan(ctx context.Context, e *Executor, pe *planEntry, ngroup
 			// no string moves in the scatter, no string compares at all.
 			e.countingScan()
 			if cap(as.cbuf) < as.offs[ngroups] {
-				as.cbuf = make([]uint32, as.offs[ngroups])
+				as.cbuf = make([]uint16, as.offs[ngroups])
 			}
 			cbuf := as.cbuf[:as.offs[ngroups]]
 			codes, fill := as.dom.codes, as.fill

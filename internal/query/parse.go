@@ -23,7 +23,11 @@ import (
 //	attr >= v | attr <= v | attr BETWEEN lo AND hi
 //
 // where range bounds are numbers, RFC3339 timestamps or YYYY-MM-DD dates
-// (converted to unix seconds). Returns the query and the relation name.
+// (converted to unix seconds). A double-quoted value is a Go string literal,
+// escapes included (Query.SQL renders values that way); a single-quoted one
+// is taken verbatim. Identifiers (keys, attributes, the relation) are bare
+// tokens: not quoted, not punctuation or an operator. Returns the query and
+// the relation name.
 func ParseSQL(sql string) (Query, string, error) {
 	p := &sqlParser{toks: tokenize(sql)}
 	q, rel, err := p.parse()
@@ -79,6 +83,9 @@ func (p *sqlParser) parse() (Query, string, error) {
 			q.Agg = fn
 			p.pos++ // consume '('
 			q.AggAttr = p.next()
+			if !isIdent(q.AggAttr) {
+				return q, "", fmt.Errorf("bad aggregation attribute %q", q.AggAttr)
+			}
 			if err := p.expect(")"); err != nil {
 				return q, "", err
 			}
@@ -86,6 +93,9 @@ func (p *sqlParser) parse() (Query, string, error) {
 		}
 		if tok == "," {
 			continue
+		}
+		if !isIdent(tok) {
+			return q, "", fmt.Errorf("bad key %q", tok)
 		}
 		q.Keys = append(q.Keys, tok)
 	}
@@ -97,8 +107,8 @@ func (p *sqlParser) parse() (Query, string, error) {
 		return q, "", err
 	}
 	rel := p.next()
-	if rel == "" {
-		return q, "", fmt.Errorf("missing relation name")
+	if !isIdent(rel) {
+		return q, "", fmt.Errorf("bad relation name %q", rel)
 	}
 	if strings.EqualFold(p.peek(), "WHERE") {
 		p.pos++
@@ -130,6 +140,9 @@ func (p *sqlParser) parse() (Query, string, error) {
 		if tok == "," {
 			continue
 		}
+		if !isIdent(tok) {
+			return q, "", fmt.Errorf("bad GROUP BY key %q", tok)
+		}
 		groupKeys = append(groupKeys, tok)
 	}
 	if len(groupKeys) == 0 {
@@ -145,8 +158,8 @@ func (p *sqlParser) parse() (Query, string, error) {
 
 func (p *sqlParser) parsePredicate() (Predicate, error) {
 	attr := p.next()
-	if attr == "" {
-		return Predicate{}, fmt.Errorf("missing predicate attribute")
+	if !isIdent(attr) {
+		return Predicate{}, fmt.Errorf("bad predicate attribute %q", attr)
 	}
 	op := p.next()
 	switch strings.ToUpper(op) {
@@ -212,10 +225,22 @@ func parseBound(tok string) (float64, error) {
 	return 0, fmt.Errorf("bound %q is not a number, RFC3339 time or date", tok)
 }
 
+// isIdent reports whether tok is a bare token: Query.SQL writes identifiers
+// verbatim, and only a bare token reads back as itself.
+func isIdent(tok string) bool {
+	return tok != "" && !strings.ContainsAny(tok[:1], `(),'"<>=`)
+}
+
+// unquote strips a quoted token: a double-quoted one is a Go string literal,
+// a single-quoted one is taken verbatim. ok is false for anything else,
+// including an unterminated or malformed literal.
 func unquote(s string) (string, bool) {
-	if len(s) >= 2 {
-		if (s[0] == '"' && s[len(s)-1] == '"') || (s[0] == '\'' && s[len(s)-1] == '\'') {
-			return s[1 : len(s)-1], true
+	if len(s) >= 2 && s[0] == '\'' && s[len(s)-1] == '\'' {
+		return s[1 : len(s)-1], true
+	}
+	if len(s) >= 2 && s[0] == '"' {
+		if u, err := strconv.Unquote(s); err == nil {
+			return u, true
 		}
 	}
 	return s, false
@@ -236,9 +261,14 @@ func tokenize(sql string) []string {
 			toks = append(toks, string(r))
 			i++
 		case r == '\'' || r == '"':
+			// A backslash inside double quotes escapes the next rune, so an
+			// escaped quote does not end the literal.
 			quote := r
 			j := i + 1
 			for j < len(rs) && rs[j] != quote {
+				if quote == '"' && rs[j] == '\\' && j+1 < len(rs) {
+					j++
+				}
 				j++
 			}
 			if j < len(rs) {

@@ -8,10 +8,46 @@ import (
 	"repro/internal/agg"
 )
 
+// paperExampleSQL is the paper's Figure 1 query.
+const paperExampleSQL = `SELECT cname, AVG(pprice) AS avgprice FROM User_Logs ` +
+	`WHERE department = "Electronics" AND timestamp >= 2023-07-01 GROUP BY cname`
+
+// variantSQL parses; errorSQL must not. Both seed FuzzParseSQL.
+var (
+	variantSQL = []string{
+		`SELECT k, COUNT(x) AS feature FROM r GROUP BY k`,
+		`SELECT k, SUM(x) FROM r WHERE flag = true GROUP BY k`,
+		`SELECT k, MAX(x) FROM r WHERE a = 'v' AND b <= 10 GROUP BY k`,
+		`SELECT k, MIN(x) FROM r WHERE t BETWEEN 1 AND 5 GROUP BY k`,
+		`SELECT u, m, COUNT_DISTINCT(x) FROM r GROUP BY u, m`,
+		`select k, avg(x) from r group by k`, // case-insensitive keywords
+		`SELECT user_id, merchant_id, SUM(price) FROM logs GROUP BY user_id, merchant_id`,
+		`SELECT k, SUM(x) FROM r WHERE t >= 2023-07-01T00:00:00Z GROUP BY k`,
+		`SELECT k, SUM(x) FROM r WHERE t <= "42.5" GROUP BY k`,
+		`SELECT k, SUM(x) FROM r WHERE s = "say \"hi\"\n" AND u = 'it"s' GROUP BY k`,
+	}
+	errorSQL = []string{
+		``,
+		`UPDATE r SET x = 1`,
+		`SELECT k, NOPE(x) FROM r GROUP BY k`,
+		`SELECT k, SUM(x FROM r GROUP BY k`,
+		`SELECT k, SUM(x) FROM r WHERE a ~ 1 GROUP BY k`,
+		`SELECT k, SUM(x) FROM r WHERE a = unquoted GROUP BY k`,
+		`SELECT k, SUM(x) FROM r WHERE a >= notanumber GROUP BY k`,
+		`SELECT k, SUM(x) FROM r WHERE t BETWEEN 5 AND 1 GROUP BY k`,
+		`SELECT k, SUM(x) FROM r WHERE t BETWEEN 1 OR 5 GROUP BY k`,
+		`SELECT k, SUM(x) FROM r GROUP BY`,
+		`SELECT k, SUM(x) FROM r GROUP BY other`,
+		`SELECT k, SUM(x) FROM r`,
+		`SELECT k, SUM(x) FROM r WHERE a = "bad \q escape" GROUP BY k`,
+		`SELECT k, SUM(x) FROM r WHERE a = "unterminated GROUP BY k`,
+		`SELECT SUM(x) FROM r GROUP BY "k`,
+		`SELECT k, SUM(x) FROM ( GROUP BY k`,
+	}
+)
+
 func TestParseSQLPaperExample(t *testing.T) {
-	sql := `SELECT cname, AVG(pprice) AS avgprice FROM User_Logs ` +
-		`WHERE department = "Electronics" AND timestamp >= 2023-07-01 GROUP BY cname`
-	q, rel, err := ParseSQL(sql)
+	q, rel, err := ParseSQL(paperExampleSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +76,7 @@ func TestParseSQLPaperExample(t *testing.T) {
 }
 
 func TestParseSQLVariants(t *testing.T) {
-	cases := []string{
-		`SELECT k, COUNT(x) AS feature FROM r GROUP BY k`,
-		`SELECT k, SUM(x) FROM r WHERE flag = true GROUP BY k`,
-		`SELECT k, MAX(x) FROM r WHERE a = 'v' AND b <= 10 GROUP BY k`,
-		`SELECT k, MIN(x) FROM r WHERE t BETWEEN 1 AND 5 GROUP BY k`,
-		`SELECT u, m, COUNT_DISTINCT(x) FROM r GROUP BY u, m`,
-		`select k, avg(x) from r group by k`, // case-insensitive keywords
-	}
-	for _, sql := range cases {
+	for _, sql := range variantSQL {
 		if _, _, err := ParseSQL(sql); err != nil {
 			t.Errorf("%s: %v", sql, err)
 		}
@@ -66,24 +94,34 @@ func TestParseSQLCompositeKeys(t *testing.T) {
 }
 
 func TestParseSQLErrors(t *testing.T) {
-	cases := []string{
-		``,
-		`UPDATE r SET x = 1`,
-		`SELECT k, NOPE(x) FROM r GROUP BY k`,
-		`SELECT k, SUM(x FROM r GROUP BY k`,
-		`SELECT k, SUM(x) FROM r WHERE a ~ 1 GROUP BY k`,
-		`SELECT k, SUM(x) FROM r WHERE a = unquoted GROUP BY k`,
-		`SELECT k, SUM(x) FROM r WHERE a >= notanumber GROUP BY k`,
-		`SELECT k, SUM(x) FROM r WHERE t BETWEEN 5 AND 1 GROUP BY k`,
-		`SELECT k, SUM(x) FROM r WHERE t BETWEEN 1 OR 5 GROUP BY k`,
-		`SELECT k, SUM(x) FROM r GROUP BY`,
-		`SELECT k, SUM(x) FROM r GROUP BY other`,
-		`SELECT k, SUM(x) FROM r`,
-	}
-	for _, sql := range cases {
+	for _, sql := range errorSQL {
 		if _, _, err := ParseSQL(sql); err == nil {
 			t.Errorf("%q should fail", sql)
 		}
+	}
+}
+
+// TestParseSQLQuotedValues: Query.SQL renders string operands as Go string
+// literals, and ParseSQL reads them back exactly — quotes, backslashes and
+// control characters included — while single-quoted operands stay verbatim.
+func TestParseSQLQuotedValues(t *testing.T) {
+	for _, v := range []string{`say "hi"`, `C:\dir`, "tab\there\n", "\x00", `it's`} {
+		orig := Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k"},
+			Preds: []Predicate{{Attr: "s", Kind: PredEq, StrValue: v}}}
+		q, _, err := ParseSQL(orig.SQL("r"))
+		if err != nil {
+			t.Fatalf("%q: %v", v, err)
+		}
+		if got := q.Preds[0].StrValue; got != v {
+			t.Errorf("operand %q re-parses as %q", v, got)
+		}
+	}
+	q, _, err := ParseSQL(`SELECT k, SUM(x) FROM r WHERE s = 'a\"b' GROUP BY k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q.Preds[0].StrValue; got != `a\"b` {
+		t.Errorf("single-quoted operand = %q, want verbatim", got)
 	}
 }
 
@@ -192,4 +230,32 @@ func TestTokenize(t *testing.T) {
 	if toks[1] != "<" || toks[3] != ">" {
 		t.Fatalf("bare comparison toks = %v", toks)
 	}
+}
+
+// FuzzParseSQL: ParseSQL never panics, and any query it accepts renders
+// (Query.SQL) to text that parses back to the same relation and renders
+// identically again — render is a fixed point of parse→render.
+func FuzzParseSQL(f *testing.F) {
+	f.Add(paperExampleSQL)
+	for _, sql := range append(append([]string(nil), variantSQL...), errorSQL...) {
+		f.Add(sql)
+	}
+	f.Add(`SELECT k, SUM(x) FROM r WHERE s = "hello world" AND t >= 5 GROUP BY k`)
+	f.Fuzz(func(t *testing.T, sql string) {
+		q, rel, err := ParseSQL(sql)
+		if err != nil {
+			return
+		}
+		out := q.SQL(rel)
+		q2, rel2, err := ParseSQL(out)
+		if err != nil {
+			t.Fatalf("rendered %q does not parse: %v", out, err)
+		}
+		if rel2 != rel {
+			t.Fatalf("relation %q re-parses as %q from %q", rel, rel2, out)
+		}
+		if again := q2.SQL(rel2); again != out {
+			t.Fatalf("render is not a fixed point:\n%s\n%s", out, again)
+		}
+	})
 }

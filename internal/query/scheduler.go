@@ -203,6 +203,16 @@ func (s *ScanScheduler) MemBytes(t *dataframe.Table) int64 {
 	return b
 }
 
+// Compact switches t's eligible string columns to code-backed storage (see
+// dataframe.Table.Compact) under the epoch fence of t's shared core, so it
+// never races a scan by an executor sharing this scheduler.
+func (s *ScanScheduler) Compact(t *dataframe.Table) {
+	c := s.coreFor(t)
+	c.fence.Lock()
+	defer c.fence.Unlock()
+	t.Compact()
+}
+
 // Len returns the number of shared cores (for tests).
 func (s *ScanScheduler) Len() int {
 	s.mu.Lock()

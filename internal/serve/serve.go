@@ -219,7 +219,7 @@ func bindPlan(planJSON []byte, binding PlanBinding) (Transformer, []*dataframe.T
 		for _, src := range mp.Sources {
 			tables = append(tables, binding.Sources[src.Name])
 		}
-		return tr, encodeDicts(tables), nil
+		return tr, compactTables(tables), nil
 	}
 	if binding.Relevant == nil {
 		return nil, nil, fmt.Errorf("serve: binding has neither Relevant nor Sources")
@@ -232,15 +232,18 @@ func bindPlan(planJSON []byte, binding PlanBinding) (Transformer, []*dataframe.T
 	if err != nil {
 		return nil, nil, err
 	}
-	return tr, encodeDicts([]*dataframe.Table{binding.Relevant}), nil
+	return tr, compactTables([]*dataframe.Table{binding.Relevant}), nil
 }
 
-// encodeDicts eagerly dictionary-encodes the bound tables' string columns
-// (dataframe.Table.EncodeDicts), so a freshly added or swapped plan pays its
-// encode passes at bind time instead of on the first serving request.
-func encodeDicts(tables []*dataframe.Table) []*dataframe.Table {
+// compactTables switches the bound tables' string columns at or under the
+// dictionary cap to code-backed storage (dataframe.Table.Compact): a freshly
+// added or swapped plan pays its encode passes at bind time instead of on the
+// first serving request, and the long-lived tables drop their []string
+// backings. It runs under each table's epoch fence, so a rebind never races
+// the passes of other plans serving the same table.
+func compactTables(tables []*dataframe.Table) []*dataframe.Table {
 	for _, t := range tables {
-		t.EncodeDicts()
+		query.ProcessScanScheduler().Compact(t)
 	}
 	return tables
 }

@@ -308,10 +308,11 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 }
 
 // TestServeStatsTableBytes checks the /v1/stats residency gauge: TableBytes
-// reports the bound relevant table's resident estimate, and compacting the
-// table's string columns (code-backed storage, PR 10) shows up as a drop on
-// the very next snapshot — the gauge reads live table state, not a cached
-// figure from bind time.
+// reports the bound relevant table's resident estimate — compact from bind —
+// and an append that rematerialises the string column (a mid-domain value)
+// shows up on the very next snapshot as a rise of over 12 B/row (a 16-byte
+// string header per row replaces 2 bytes of code): the gauge reads live
+// table state, not a cached figure from bind time.
 func TestServeStatsTableBytes(t *testing.T) {
 	rel := testRelevant(t, 2000, 50, 3)
 	srv := NewServer(Config{})
@@ -320,17 +321,22 @@ func TestServeStatsTableBytes(t *testing.T) {
 	}
 	want, _ := rel.MemBytes()
 	before := srv.Stats().Plans[0].TableBytes
-	if before != want || before <= 0 {
-		t.Fatalf("TableBytes = %d, want %d (> 0)", before, want)
+	if before != want || before <= 0 || !rel.Column("cat").IsCompact() {
+		t.Fatalf("TableBytes = %d, want %d (> 0) over a compact table", before, want)
 	}
-	if n := rel.Compact(); n == 0 {
-		t.Fatal("relevant table did not compact")
+	batch := dataframe.MustNewTable(
+		dataframe.NewIntColumn("uid", []int64{1}, nil),
+		dataframe.NewFloatColumn("val", []float64{2}, nil),
+		dataframe.NewStringColumn("cat", []string{"bb"}, nil),
+	)
+	if _, _, err := srv.Append("p", batch); err != nil {
+		t.Fatal(err)
 	}
 	after := srv.Stats().Plans[0].TableBytes
-	if after >= before {
-		t.Errorf("TableBytes after Compact = %d, want < %d", after, before)
+	if rel.Column("cat").IsCompact() || after < before+12*2000 {
+		t.Errorf("TableBytes after a rematerialising append = %d, want >= %d", after, before+12*2000)
 	}
-	// The compacted table still serves: transform a batch and confirm the
+	// The table still serves: transform a batch and confirm the
 	// endpoint-side JSON carries the gauge.
 	if _, _, err := srv.Transform(context.Background(), "p", keyTable(t, []int64{1, 2})); err != nil {
 		t.Fatal(err)
@@ -1351,6 +1357,126 @@ func TestServeAppend(t *testing.T) {
 	}
 }
 
+// TestServeBindCompactsTable: binding a plan compacts the relevant table's
+// string column, and an append carrying a mid-domain value — which shifts
+// codes and so rematerialises the column — leaves the served features equal
+// to Query.Execute of each planned query over a raw copy of the grown rows,
+// bit for bit, with unseen entities NULL.
+func TestServeBindCompactsTable(t *testing.T) {
+	rel := testRelevant(t, 1500, 60, 12)
+	srv := NewServer(Config{})
+	if err := srv.AddPlan("p", testPlanJSON(t, 5), PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	if !rel.Column("cat").IsCompact() {
+		t.Fatal("bound table's string column is not compact")
+	}
+	uids := []int64{0, 3, 7, 59, 61}
+	// Warm the caches so the append runs the delta path, not a cold build.
+	if _, _, err := srv.Transform(context.Background(), "p", keyTable(t, uids)); err != nil {
+		t.Fatal(err)
+	}
+	batch := dataframe.MustNewTable(
+		dataframe.NewIntColumn("uid", []int64{3, 7, 61}, nil),
+		dataframe.NewFloatColumn("val", []float64{4.5, -1, 9}, nil),
+		dataframe.NewStringColumn("cat", []string{"bb", "a", "bb"}, nil),
+	)
+	if _, _, err := srv.Append("p", batch); err != nil {
+		t.Fatal(err)
+	}
+	if rel.Column("cat").IsCompact() {
+		t.Fatal("mid-domain append left the column compact")
+	}
+	got, _, err := srv.Transform(context.Background(), "p", keyTable(t, uids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := dataframe.Concat(testRelevant(t, 1500, 60, 12), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, pq := range testQueries(5) {
+		res, err := pq.Query.Execute(grown, pq.Feature)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[int64]float64{}
+		keys := res.Column("uid")
+		for r := 0; r < res.NumRows(); r++ {
+			if v, ok := res.Column(pq.Feature).AsFloat(r); ok {
+				want[keys.Int(r)] = v
+			}
+		}
+		gvals, gvalid := got.Col(j)
+		for i, uid := range uids {
+			w, ok := want[uid]
+			if gvalid[i] != ok || (ok && gvals[i] != w) {
+				t.Errorf("uid %d %s: got (%v,%v), Query.Execute (%v,%v)", uid, pq.Feature, gvals[i], gvalid[i], w, ok)
+			}
+		}
+	}
+}
+
+// TestServeRebindCompactsDuringTransforms: two plans serve one table; while
+// plan b's transforms run — scanning the string column as an aggregation
+// attribute on every pass — plan a takes mid-domain appends (each
+// rematerialises the column) and swaps (each rebind compacts it again). Run
+// under -race, this checks the rebind compacts under the table's epoch fence
+// rather than racing b's passes.
+func TestServeRebindCompactsDuringTransforms(t *testing.T) {
+	rel := testRelevant(t, 2000, 100, 13)
+	planJSON := testPlanJSON(t, 4)
+	planB := &feataug.FeaturePlan{Version: feataug.PlanVersion, Keys: []string{"uid"}, Queries: append(testQueries(1),
+		feataug.PlannedQuery{Feature: "nd", Query: query.Query{Agg: agg.CountDistinct, AggAttr: "cat", Keys: []string{"uid"}}})}
+	planBJSON, err := planB.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(Config{})
+	if err := srv.AddPlan("a", planJSON, PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddPlan("b", planBJSON, PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	const workers, perWorker = 2, 60
+	var wg sync.WaitGroup
+	errCh := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if _, _, err := srv.Transform(context.Background(), "b", keyTable(t, []int64{int64(i), int64(w)})); err != nil {
+					errCh <- fmt.Errorf("worker %d req %d: %w", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 5; i++ {
+		batch := dataframe.MustNewTable(
+			dataframe.NewIntColumn("uid", []int64{int64(i)}, nil),
+			dataframe.NewFloatColumn("val", []float64{float64(i)}, nil),
+			dataframe.NewStringColumn("cat", []string{fmt.Sprintf("b%d", i)}, nil), // sorts between "b" and "c"
+		)
+		if _, _, err := srv.Append("a", batch); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		if _, err := srv.Swap("a", planJSON); err != nil {
+			t.Fatalf("swap %d: %v", i, err)
+		}
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+	if !rel.Column("cat").IsCompact() {
+		t.Error("column not compact after the last rebind")
+	}
+}
+
 // TestServeStatsDuringAppends: /v1/stats snapshots taken while appends land
 // read the table under its epoch fence (run under -race, this is the
 // regression test), and the settled TableBytes matches the table's own
@@ -1391,20 +1517,20 @@ func TestServeStatsDuringAppends(t *testing.T) {
 	}
 }
 
-// TestServeStatsDictCounters pins the PR 8 dictionary counters on the stats
-// surface: the /v1/stats JSON must carry the new executor fields, binding a
-// plan must eagerly encode the relevant table's string columns, and serving
-// a plan with string-equality predicates must route them through the
-// dictionary-code kernels.
+// TestServeStatsDictCounters pins the dictionary counters on the stats
+// surface: the /v1/stats JSON must carry the executor fields, binding a plan
+// must compact the relevant table's string columns, and serving a plan with
+// string-equality predicates must route them through the dictionary-code
+// kernels.
 func TestServeStatsDictCounters(t *testing.T) {
 	rel := testRelevant(t, 500, 20, 9)
 	srv := NewServer(Config{})
 	if err := srv.AddPlan("p", testPlanJSON(t, 4), PlanBinding{Relevant: rel}); err != nil {
 		t.Fatal(err)
 	}
-	// AddPlan encodes at bind; the table's one string column is encodable.
-	if n := rel.EncodeDicts(); n != 1 {
-		t.Errorf("EncodeDicts = %d encoded columns, want 1", n)
+	// AddPlan compacts at bind; the table's one string column is encodable.
+	if !rel.Column("cat").IsCompact() {
+		t.Error("bound table's string column is not compact")
 	}
 
 	ts := httptest.NewServer(srv.Handler())
