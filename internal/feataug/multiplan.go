@@ -299,10 +299,10 @@ func (t *MultiTransformer) Transform(ctx context.Context, d *dataframe.Table) (*
 	}
 	out := d.Clone()
 	for i, tr := range t.sources {
-		// Keys were checked once above for every source; go straight to the
-		// executor's columnar bulk batch. Each source's features arrive in
-		// one flat buffer and append in bulk.
-		m, err := tr.exec.AugmentMatrixContext(ctx, d, tr.queries)
+		// Keys were checked once above for every source; go straight to a
+		// pass of the source's prepared batch. Each source's features arrive
+		// in one flat buffer and append in bulk.
+		m, err := tr.prep.AugmentMatrix(ctx, d)
 		if err != nil {
 			return nil, fmt.Errorf("feataug: source %q: %w", t.plan.Sources[i].Name, err)
 		}
@@ -329,7 +329,7 @@ func (t *MultiTransformer) Matrix(ctx context.Context, d *dataframe.Table) (*que
 	out := query.NewFeatureMatrix(d.NumRows(), len(t.plan.FeatureNames()))
 	col := 0
 	for i, tr := range t.sources {
-		m, err := tr.exec.AugmentMatrixContext(ctx, d, tr.queries)
+		m, err := tr.prep.AugmentMatrix(ctx, d)
 		if err != nil {
 			return nil, fmt.Errorf("feataug: source %q: %w", t.plan.Sources[i].Name, err)
 		}

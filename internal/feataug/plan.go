@@ -184,21 +184,25 @@ func (p *FeaturePlan) Transformer(relevant *dataframe.Table, opts ...query.Execu
 	// cache across its sources — pass their own option, which applies later
 	// and wins.
 	opts = append([]query.ExecutorOption{query.WithJoinCache(query.NewJoinCache())}, opts...)
-	return &Transformer{
-		plan:    p,
-		exec:    query.NewExecutor(relevant, opts...),
-		queries: p.QueryList(),
-	}, nil
+	exec := query.NewExecutor(relevant, opts...)
+	queries := p.QueryList()
+	prep, err := exec.Prepare(queries)
+	if err != nil {
+		return nil, err
+	}
+	return &Transformer{plan: p, exec: exec, prep: prep, queries: queries}, nil
 }
 
 // Transformer applies a fitted FeaturePlan to new tables. It is the online
 // half of the fit/transform lifecycle: construction pays the plan validation
-// once, and each Transform call materialises every planned feature onto the
-// given table through the shared cached batch executor. Safe for concurrent
-// Transform calls.
+// and prepares the plan's queries as one batch (query.Prepared) once, and
+// each Transform call runs a pass of that batch — its plan groups resolved
+// once and reused — through the shared cached batch executor. Safe for
+// concurrent Transform calls.
 type Transformer struct {
 	plan    *FeaturePlan
 	exec    *query.Executor
+	prep    *query.Prepared // the plan's queries, prepared on exec
 	queries []query.Query
 }
 
@@ -252,7 +256,7 @@ func (t *Transformer) matrix(ctx context.Context, d *dataframe.Table) (*query.Fe
 	if err := t.checkKeys(d); err != nil {
 		return nil, err
 	}
-	return t.exec.AugmentMatrixContext(ctx, d, t.queries)
+	return t.prep.AugmentMatrix(ctx, d)
 }
 
 // Matrix materialises the planned feature vectors for d as one columnar bulk

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/agg"
+	"repro/internal/dataframe"
 	"repro/internal/datagen"
 	"repro/internal/ml"
 	"repro/internal/query"
@@ -552,5 +553,53 @@ func TestFeatureBatchRetriesAfterCancel(t *testing.T) {
 	}
 	if _, _, err := ev.FeatureBatch(qs); err != nil {
 		t.Fatalf("batch after a cancelled batch: %v", err)
+	}
+}
+
+// TestFeatureCacheKeepsFullBoundPrecision: the feature cache is keyed by
+// Query.SQL, so two range bounds that agree to ten significant digits — here
+// millisecond timestamps one apart — must render distinct SQL and yield
+// their own features, not share one cached entry.
+func TestFeatureCacheKeepsFullBoundPrecision(t *testing.T) {
+	const t0 = 1_700_000_000_000
+	p := Problem{
+		Train: dataframe.MustNewTable(
+			dataframe.NewIntColumn("k", []int64{1, 2}, nil),
+			dataframe.NewIntColumn("label", []int64{0, 1}, nil),
+		),
+		Relevant: dataframe.MustNewTable(
+			dataframe.NewIntColumn("k", []int64{1, 1, 2, 2}, nil),
+			dataframe.NewIntColumn("ms", []int64{t0, t0 + 1, t0, t0 + 2}, nil),
+			dataframe.NewFloatColumn("x", []float64{1, 2, 3, 4}, nil),
+		),
+		Label: "label", Task: ml.Binary, Keys: []string{"k"},
+		AggAttrs: []string{"x"}, PredAttrs: []string{"ms"},
+	}
+	ev, err := NewEvaluator(p, ml.KindLR, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(lo float64) query.Query {
+		return query.Query{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k"},
+			Preds: []query.Predicate{{Attr: "ms", Kind: query.PredRange, HasLo: true, Lo: lo}}}
+	}
+	q1, q2 := at(t0+1), at(t0+2)
+	if q1.SQL("R") == q2.SQL("R") {
+		t.Fatalf("bounds %v and %v render the same SQL: %s", q1.Preds[0].Lo, q2.Preds[0].Lo, q1.SQL("R"))
+	}
+	v1, ok1, err := ev.Feature(q1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, ok2, err := ev.Feature(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ms >= t0+1 keeps x = 2 (k 1) and 4 (k 2); ms >= t0+2 keeps only x = 4.
+	if !ok1[0] || v1[0] != 2 || !ok1[1] || v1[1] != 4 {
+		t.Errorf("%s = %v %v, want [2 4] both valid", q1.SQL("R"), v1, ok1)
+	}
+	if ok2[0] || !ok2[1] || v2[1] != 4 {
+		t.Errorf("%s = %v %v, want [NULL 4]", q2.SQL("R"), v2, ok2)
 	}
 }

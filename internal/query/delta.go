@@ -92,9 +92,11 @@ func (e *Executor) advanceLocked() {
 		if c.shiftEpoch > e.epoch {
 			// A dictionary re-encode shifted codes in the window this
 			// executor missed: plan discovery (rows filtered through
-			// code-keyed masks) is stale wholesale. Joins survive — they key
+			// code-keyed masks) is stale wholesale, and so is every prepared
+			// partition (its plan keys hold codes). Joins survive — they key
 			// on composite value strings.
 			e.plans = map[planKey]*planEntry{}
+			e.planGen.Add(1)
 		} else {
 			scanned += e.advancePrivate()
 		}
@@ -292,6 +294,7 @@ func (e *Executor) advancePrivate() int64 {
 		d, ok := e.advancePlan(ent)
 		if !ok {
 			delete(e.plans, pk)
+			e.planGen.Add(1)
 			continue
 		}
 		scanned += d

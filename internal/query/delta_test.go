@@ -543,7 +543,7 @@ func TestMaskAdvanceBytesFlat(t *testing.T) {
 			{Attr: "cat", Kind: PredEq, StrValue: "a"},
 			{Attr: "x", Kind: PredRange, HasLo: true, Lo: 0},
 		}
-		_, me, err := ex.whereEntry(preds)
+		me, err := ex.whereEntry(ex.maskSig(preds), preds)
 		if err != nil {
 			t.Fatal(err)
 		}

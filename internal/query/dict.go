@@ -125,15 +125,14 @@ const twoPow63 = float64(1<<62) * 2
 // intRangeBounds converts a float range predicate into the equivalent
 // inclusive int64 interval: float64(v) >= Lo iff v >= ceil(Lo), float64(v)
 // <= Hi iff v <= floor(Hi) — exact whenever |v| <= 2^53, which the intOK
-// probe gate guarantees. empty means no integer can satisfy the predicate
-// (NaN bounds included, matching the float kernels where every compare
-// against NaN fails).
+// probe gate guarantees. empty means no integer can satisfy the predicate.
+// Bounds are never NaN here: decomposePreds drops a NaN bound.
 func intRangeBounds(p Predicate) (lo, hi int64, empty bool) {
 	lo, hi = math.MinInt64, math.MaxInt64
 	if p.HasLo {
 		c := math.Ceil(p.Lo)
 		switch {
-		case math.IsNaN(c) || c >= twoPow63:
+		case c >= twoPow63:
 			return 0, 0, true
 		case c >= -twoPow63:
 			lo = int64(c)
@@ -142,7 +141,7 @@ func intRangeBounds(p Predicate) (lo, hi int64, empty bool) {
 	if p.HasHi {
 		f := math.Floor(p.Hi)
 		switch {
-		case math.IsNaN(f) || f < -twoPow63:
+		case f < -twoPow63:
 			return 0, 0, true
 		case f < twoPow63:
 			hi = int64(f)

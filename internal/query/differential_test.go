@@ -175,8 +175,9 @@ func oracleBatch(t *testing.T, r *dataframe.Table, qs []Query, featureName strin
 
 // TestDifferentialBatchExecutor runs batches of random queries — spanning all
 // 15 aggregation functions, every predicate kind and random key subsets, over
-// several random tables, plus bound-less ranges on a float and a time column —
-// through Executor.ExecuteBatch and requires each result to be row-for-row
+// several random tables, plus bound-less ranges on a float and a time column
+// and NaN bounds on a float, a time and an int column — through
+// Executor.ExecuteBatch and requires each result to be row-for-row
 // identical to the per-query Query.Execute path.
 func TestDifferentialBatchExecutor(t *testing.T) {
 	tpl := Template{
@@ -209,6 +210,21 @@ func TestDifferentialBatchExecutor(t *testing.T) {
 				Query{Agg: agg.Count, AggAttr: "ts", Keys: []string{"k1"}, Preds: []Predicate{all}},
 				Query{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1", "k2"}, Preds: []Predicate{all,
 					{Attr: "ts", Kind: PredRange, HasLo: true, Lo: 50000}}})
+		}
+		// A NaN bound compares false both ways, so Query.Execute rejects no
+		// row on it: on the float x, the time ts and the int k1 it must act
+		// as no bound, alone or beside a real one.
+		nan := math.NaN()
+		for _, attr := range []string{"x", "ts", "k1"} {
+			qs = append(qs,
+				Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k2"}, Preds: []Predicate{
+					{Attr: attr, Kind: PredRange, HasLo: true, Lo: nan}}},
+				Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k2"}, Preds: []Predicate{
+					{Attr: attr, Kind: PredRange, HasHi: true, Hi: nan}}},
+				Query{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"}, Preds: []Predicate{
+					{Attr: attr, Kind: PredRange, HasLo: true, Lo: nan, HasHi: true, Hi: 10}}},
+				Query{Agg: agg.Max, AggAttr: "ts", Keys: []string{"k1"}, Preds: []Predicate{
+					{Attr: attr, Kind: PredRange, HasLo: true, Lo: -10, HasHi: true, Hi: nan}}})
 		}
 		ex := NewExecutor(r)
 		batch, err := ex.ExecuteBatch(qs, "feature")

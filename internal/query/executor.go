@@ -3,11 +3,13 @@ package query
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataframe"
 )
@@ -29,7 +31,12 @@ import (
 //     cached mask never re-walks its bitmap;
 //   - a plan-group entry per (key-set, WHERE-mask) pair caching the
 //     group-discovery result (local / repr / counts), so any later query —
-//     or whole batch — on the same plan group skips discovery entirely.
+//     or whole batch — on the same plan group skips discovery entirely;
+//   - a prepared batch (Prepared) holding its plan groups and their plan
+//     entries across passes, so a fixed batch run again and again — a
+//     served plan — skips the lookups above as well. Its snapshot is
+//     stamped with the plan generation, which rises whenever a plan entry
+//     leaves the plan map; a stale snapshot is prepared again.
 //
 // The table-scoped caches (group indexes, bitmaps, masks, float views, domain
 // probes) live in a tableCore (see scheduler.go). An ordinary executor owns a
@@ -39,12 +46,12 @@ import (
 // them. Scans walk the table morsel by morsel (dataframe.MorselBounds),
 // observing cancellation at every boundary.
 //
-// On top of the caches, every entry point runs fused: a batch is grouped by
-// plan group and each group's aggregates stream through shared scans instead
-// of one two-pass scan per query (see fused.go). The single-query Execute,
-// AugmentValues and Augment are batches of one, so the search loop's
-// one-candidate-at-a-time calls reuse plan groups and retained aggregate
-// state like any batch. All methods are safe for concurrent use; batches
+// On top of the caches, every entry point runs fused: a batch is prepared,
+// then run — grouped by plan group, each group's aggregates streaming through
+// shared scans instead of one two-pass scan per query (see fused.go). The
+// single-query Execute, AugmentValues and Augment are batches of one, so the
+// search loop's one-candidate-at-a-time calls reuse plan groups and retained
+// aggregate state like any batch. All methods are safe for concurrent use; batches
 // evaluate on a bounded worker pool.
 type Executor struct {
 	r    *dataframe.Table
@@ -71,6 +78,10 @@ type Executor struct {
 	plans map[planKey]*planEntry
 	joins map[joinKey]*joinEntry
 	stats ExecutorStats
+
+	// planGen is the plan generation: it rises whenever an entry leaves
+	// plans, which makes every Prepared snapshot stamped before it stale.
+	planGen atomic.Uint64
 }
 
 // ExecutorStats is a point-in-time snapshot of the executor's cache and scan
@@ -341,23 +352,25 @@ func NewExecutor(r *dataframe.Table, opts ...ExecutorOption) *Executor {
 func (e *Executor) Table() *dataframe.Table { return e.r }
 
 // boundedGet returns m's entry for k, creating it with mk on a miss and
-// dropping the whole map first when the bound is hit. Caller must hold e.mu.
-func boundedGet[K comparable, V any](m *map[K]*V, k K, max int, hits, misses, evictions *int64, mk func() *V) *V {
+// dropping the whole map first when the bound is hit; evicted reports the
+// drop. Caller must hold e.mu.
+func boundedGet[K comparable, V any](m *map[K]*V, k K, max int, hits, misses, evictions *int64, mk func() *V) (ent *V, evicted bool) {
 	if *m == nil {
 		*m = map[K]*V{}
 	}
 	if ent, ok := (*m)[k]; ok {
 		*hits++
-		return ent
+		return ent, false
 	}
 	*misses++
 	if len(*m) >= max {
 		*m = make(map[K]*V, max/4)
 		*evictions++
+		evicted = true
 	}
-	ent := mk()
+	ent = mk()
 	(*m)[k] = ent
-	return ent
+	return ent, evicted
 }
 
 // noteShared records the outcome of one shared-core cache lookup: hits count
@@ -655,15 +668,25 @@ func (e *Executor) buildPredBitsFrom(p Predicate, lo int, bm []uint64) error {
 // per attribute but only ~2g one-sided bounds, so the bitmap cache converges
 // after a handful of misses instead of one per bound pair. The intersection
 // is exact — a NULL row fails both halves, matching SQL three-valued logic
-// just like the combined predicate.
+// just like the combined predicate. A NaN bound is dropped first: every
+// comparison with NaN is false, so Predicate.Eval never rejects a row on it,
+// and the range takes the same path as one without that bound.
 func decomposePreds(preds []Predicate) []Predicate {
 	out := make([]Predicate, 0, len(preds)+2)
 	for _, p := range preds {
-		if p.Kind == PredRange && p.HasLo && p.HasHi {
-			out = append(out,
-				Predicate{Attr: p.Attr, Kind: PredRange, HasLo: true, Lo: p.Lo},
-				Predicate{Attr: p.Attr, Kind: PredRange, HasHi: true, Hi: p.Hi})
-			continue
+		if p.Kind == PredRange {
+			if p.HasLo && math.IsNaN(p.Lo) {
+				p.HasLo, p.Lo = false, 0
+			}
+			if p.HasHi && math.IsNaN(p.Hi) {
+				p.HasHi, p.Hi = false, 0
+			}
+			if p.HasLo && p.HasHi {
+				out = append(out,
+					Predicate{Attr: p.Attr, Kind: PredRange, HasLo: true, Lo: p.Lo},
+					Predicate{Attr: p.Attr, Kind: PredRange, HasHi: true, Hi: p.Hi})
+				continue
+			}
 		}
 		out = append(out, p)
 	}
@@ -695,13 +718,13 @@ func (e *Executor) maskSig(preds []Predicate) string {
 	return strings.Join(uniq, "\x1e")
 }
 
-// whereEntry returns the cached combined mask of a predicate list — bitmap
-// plus matching-row indices — building it from the per-predicate bitmaps on
-// first use. A predicate-free query returns (sig "", nil, nil): all rows.
-func (e *Executor) whereEntry(preds []Predicate) (string, *maskEntry, error) {
-	sig := e.maskSig(preds)
+// whereEntry returns the cached combined mask of a predicate list whose
+// signature (maskSig) is sig — bitmap plus matching-row indices — building it
+// from the per-predicate bitmaps on first use. The empty signature returns
+// (nil, nil): all rows.
+func (e *Executor) whereEntry(sig string, preds []Predicate) (*maskEntry, error) {
 	if sig == "" {
-		return "", nil, nil
+		return nil, nil
 	}
 	c := e.core
 	c.mu.Lock()
@@ -732,7 +755,7 @@ func (e *Executor) whereEntry(preds []Predicate) (string, *maskEntry, error) {
 		ent.rows = matchedRows(mask)
 		ent.nrows = e.core.t.NumRows()
 	})
-	return sig, ent, ent.err
+	return ent, ent.err
 }
 
 // matchedRows materialises the row indices a bitmap selects, in ascending
@@ -777,26 +800,30 @@ func shardMaskRows(shardRows []int, bits []uint64) []int {
 	return rows
 }
 
-// plan returns the cached plan-group entry for (keys, preds), running the
-// group-discovery scan on first use: the non-empty groups under the WHERE
-// mask in first-seen order over the matching rows (matching Query.Execute's
-// output order), with total matching rows per group. Later queries on the
-// same plan group — from any batch — skip straight to their value passes.
-// A shard executor's plans cover only its shard's rows; the row list is
-// pre-split into morsel segments, the unit every downstream scan walks.
-func (e *Executor) plan(keys []string, preds []Predicate) (*planEntry, error) {
+// plan returns the cached plan-group entry for (keys, preds), whose plan key
+// (groupBatch) is pk, running the group-discovery scan on first use: the
+// non-empty groups under the WHERE mask in first-seen order over the matching
+// rows (matching Query.Execute's output order), with total matching rows per
+// group. Later queries on the same plan group — from any batch — skip
+// straight to their value passes. A shard executor's plans cover only its
+// shard's rows; the row list is pre-split into morsel segments, the unit
+// every downstream scan walks. A whole-map drop at the bound raises the plan
+// generation.
+func (e *Executor) plan(pk planKey, keys []string, preds []Predicate) (*planEntry, error) {
 	gi, err := e.groupIndex(keys)
 	if err != nil {
 		return nil, err
 	}
-	sig, me, err := e.whereEntry(preds)
+	me, err := e.whereEntry(pk.sig, preds)
 	if err != nil {
 		return nil, err
 	}
-	pk := planKey{keys: strings.Join(keys, "\x1f"), sig: sig}
 	e.mu.Lock()
-	ent := boundedGet(&e.plans, pk, maxPlanEntries, &e.stats.PlanHits, &e.stats.PlanMisses, &e.stats.Evictions,
+	ent, evicted := boundedGet(&e.plans, pk, maxPlanEntries, &e.stats.PlanHits, &e.stats.PlanMisses, &e.stats.Evictions,
 		func() *planEntry { return &planEntry{} })
+	if evicted {
+		e.planGen.Add(1)
+	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
 		ent.gi = gi
@@ -913,7 +940,7 @@ type joinKey struct {
 func (e *Executor) joinIndex(d *dataframe.Table, keys []string) (*joinEntry, error) {
 	k := joinKey{d: d, keys: strings.Join(keys, "\x1f")}
 	e.mu.Lock()
-	ent := boundedGet(&e.joins, k, maxJoinEntries, &e.stats.JoinHits, &e.stats.JoinMisses, &e.stats.Evictions,
+	ent, _ := boundedGet(&e.joins, k, maxJoinEntries, &e.stats.JoinHits, &e.stats.JoinMisses, &e.stats.Evictions,
 		func() *joinEntry { return &joinEntry{} })
 	e.mu.Unlock()
 	ent.once.Do(func() {
@@ -1045,8 +1072,12 @@ func (e *Executor) ExecuteBatch(qs []Query, featureName string) ([]*dataframe.Ta
 // started when the context is cancelled are skipped and the context error is
 // returned, so a long batch aborts after at most the in-flight scans.
 func (e *Executor) ExecuteBatchContext(ctx context.Context, qs []Query, featureName string) ([]*dataframe.Table, error) {
+	p, err := e.Prepare(qs)
+	if err != nil {
+		return nil, err
+	}
 	defer e.beginScan()()
-	ers, err := e.executeBatchCore(ctx, qs)
+	ers, err := p.execute(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -1111,14 +1142,9 @@ func validateJoinKeys(d *dataframe.Table, qs []Query) error {
 // AugmentValuesBatchContext is AugmentValuesBatch under a context (see
 // ExecuteBatchContext for the cancellation contract).
 func (e *Executor) AugmentValuesBatchContext(ctx context.Context, d *dataframe.Table, qs []Query) ([][]float64, [][]bool, error) {
-	if err := validateJoinKeys(d, qs); err != nil {
-		return nil, nil, err
-	}
-	defer e.beginScan()()
 	// Every column lands in one flat matrix and the caller gets per-query
-	// views into it — the same shared scatter as AugmentMatrix (keys were
-	// validated above).
-	m, err := e.augmentMatrixCore(ctx, d, qs)
+	// views into it — the same shared scatter as AugmentMatrix.
+	m, err := e.AugmentMatrixContext(ctx, d, qs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1139,22 +1165,27 @@ func (e *Executor) AugmentMatrix(d *dataframe.Table, qs []Query) (*FeatureMatrix
 }
 
 // AugmentMatrixContext is AugmentMatrix under a context (see
-// ExecuteBatchContext for the cancellation contract).
+// ExecuteBatchContext for the cancellation contract): a Prepare followed by
+// one pass.
 func (e *Executor) AugmentMatrixContext(ctx context.Context, d *dataframe.Table, qs []Query) (*FeatureMatrix, error) {
-	if err := validateJoinKeys(d, qs); err != nil {
+	p, err := e.Prepare(qs)
+	if err != nil {
 		return nil, err
 	}
-	defer e.beginScan()()
-	return e.augmentMatrixCore(ctx, d, qs)
+	return p.AugmentMatrix(ctx, d)
 }
 
-// augmentMatrixCore is AugmentMatrixContext after key validation.
-func (e *Executor) augmentMatrixCore(ctx context.Context, d *dataframe.Table, qs []Query) (*FeatureMatrix, error) {
-	m := newFeatureMatrix(d.NumRows(), len(qs))
-	if err := e.checkBatch(qs); err != nil {
+// AugmentMatrix runs one pass of the prepared batch against training table
+// d: every query's feature, left-joined onto d's rows, in one column-major
+// FeatureMatrix (see Executor.AugmentMatrix). Cancellation follows
+// ExecuteBatchContext's contract.
+func (p *Prepared) AugmentMatrix(ctx context.Context, d *dataframe.Table) (*FeatureMatrix, error) {
+	if err := validateJoinKeys(d, p.qs); err != nil {
 		return nil, err
 	}
-	if err := e.augmentGrouped(ctx, d, e.groupBatch(qs), m); err != nil {
+	defer p.e.beginScan()()
+	m := newFeatureMatrix(d.NumRows(), len(p.qs))
+	if err := p.augment(ctx, d, m); err != nil {
 		return nil, err
 	}
 	return m, nil

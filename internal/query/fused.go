@@ -27,6 +27,22 @@ package query
 // bit-identical to it (the differential tests enforce this). A single query
 // is a batch of one: its plan group's discovery and retained attribute state
 // serve every later query — single or batched — on the same group.
+//
+// Every batch is prepared, then run (Executor.Prepare, Prepared). The first
+// pass of a Prepared partitions the batch into plan groups, derives each
+// group's planKey once and resolves each group's planEntry; the partition and
+// the entries are published as one immutable snapshot stamped with the
+// executor's plan generation. Later passes reuse the snapshot while its stamp
+// is current, so a served plan's passes skip the WHERE-signature derivation
+// and the group-index, mask and plan lookups altogether. The plan generation
+// rises whenever an entry leaves the executor's plan map (a whole-map drop at
+// the bound, the dictionary-shift wipe, an entry that cannot be advanced); a
+// pass that finds a stale stamp prepares again, since predKey codes may have
+// moved. A held entry stays valid while its stamp is current because appends
+// advance every entry of the plan map in place, under the write fence that
+// each pass excludes by holding the read side. The one-shot entry points
+// (ExecuteBatch, AugmentValuesBatch, AugmentMatrix and everything riding
+// them) are a Prepare followed by one pass.
 
 import (
 	"context"
@@ -34,6 +50,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/agg"
 	"repro/internal/dataframe"
@@ -55,9 +72,13 @@ type pairResult struct {
 }
 
 // fusedGroup collects the batch slots of one plan group: which queries landed
-// in it and which deduplicated agg pairs they need. The partition is computed
-// once per batch (groupBatch) and shared by the execute and scatter stages.
+// in it and which deduplicated agg pairs they need, with the group's plan key
+// and resolved plan entry. The partition is computed once per prepared
+// snapshot (groupBatch) and shared by the execute and scatter stages; it is
+// read-only once published.
 type fusedGroup struct {
+	pk      planKey
+	pe      *planEntry // set by the pass that resolves the snapshot
 	keys    []string
 	preds   []Predicate // representative predicate set (first query's)
 	rep     Query       // representative query, for error context
@@ -69,7 +90,8 @@ type fusedGroup struct {
 // groupBatch partitions a batch by plan group — one (key-set, canonical
 // WHERE-mask signature) pair — deduplicating agg pairs within each group.
 // Signatures come from the executor's kind-aware predKey, matching the plan
-// cache's identity exactly.
+// cache's identity exactly. Caller holds the read fence (predKey reads
+// dictionary codes).
 func (e *Executor) groupBatch(qs []Query) []*fusedGroup {
 	groups := map[planKey]*fusedGroup{}
 	var order []*fusedGroup
@@ -78,6 +100,7 @@ func (e *Executor) groupBatch(qs []Query) []*fusedGroup {
 		g, ok := groups[pk]
 		if !ok {
 			g = &fusedGroup{
+				pk:      pk,
 				keys:    q.Keys,
 				preds:   q.Preds,
 				rep:     q,
@@ -96,28 +119,85 @@ func (e *Executor) groupBatch(qs []Query) []*fusedGroup {
 	return order
 }
 
-// executeBatchCore evaluates a batch of queries, fused by plan group, and
-// returns one execResult per query in input order. Results of queries sharing
-// a plan group and agg pair share their slices (read-only), and every query of
-// a plan group shares its key columns, materialised once.
-func (e *Executor) executeBatchCore(ctx context.Context, qs []Query) ([]execResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([]execResult, len(qs))
+// Prepared is a batch of queries prepared on one executor: the batch is
+// validated once, and its plan-group partition and plan entries are resolved
+// by its first pass and reused by every later pass while the executor's plan
+// generation is unchanged (see the file comment). A serving transformer
+// holds one for the life of its plan. A Prepared runs only on the executor
+// that prepared it; it is safe for concurrent passes.
+type Prepared struct {
+	e    *Executor
+	qs   []Query
+	snap atomic.Pointer[preparedSnap]
+}
+
+// preparedSnap is one immutable resolution of a Prepared: the plan-group
+// partition with every group's plan entry, valid while gen equals the
+// executor's plan generation.
+type preparedSnap struct {
+	gen    uint64
+	groups []*fusedGroup
+}
+
+// Prepare validates a batch for repeated passes on this executor. The
+// queries are copied; the plan groups are resolved by the first pass.
+func (e *Executor) Prepare(qs []Query) (*Prepared, error) {
 	if err := e.checkBatch(qs); err != nil {
 		return nil, err
 	}
-	order := e.groupBatch(qs)
+	return &Prepared{e: e, qs: slices.Clone(qs)}, nil
+}
 
+// eachGroup runs visit on every plan group of the batch, on the executor's
+// worker pool, with each group's plan entry resolved. A current snapshot is
+// reused as is, counting one PlanHits per group; otherwise the batch is
+// partitioned again, each worker resolves its group's entry before visiting
+// it, and a pass that completes publishes the new snapshot, stamped with the
+// generation read before its first lookup (so a drop during the pass leaves
+// it stale). Caller holds the read fence.
+func (p *Prepared) eachGroup(ctx context.Context, visit func(g *fusedGroup) error) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	e := p.e
+	if s := p.snap.Load(); s != nil && s.gen == e.planGen.Load() {
+		e.mu.Lock()
+		e.stats.PlanHits += int64(len(s.groups))
+		e.mu.Unlock()
+		return par.ForEachCtx(ctx, e.Parallelism, len(s.groups), func(gidx int) error {
+			return visit(s.groups[gidx])
+		})
+	}
+	gen := e.planGen.Load()
+	groups := e.groupBatch(p.qs)
+	err := par.ForEachCtx(ctx, e.Parallelism, len(groups), func(gidx int) error {
+		g := groups[gidx]
+		pe, err := e.plan(g.pk, g.keys, g.preds)
+		if err != nil {
+			return fmt.Errorf("%s: %w", g.rep.SQL("R"), err)
+		}
+		g.pe = pe
+		return visit(g)
+	})
+	if err != nil {
+		return err
+	}
+	p.snap.Store(&preparedSnap{gen: gen, groups: groups})
+	return nil
+}
+
+// execute evaluates the batch, fused by plan group, and returns one
+// execResult per query in input order. Results of queries sharing a plan
+// group and agg pair share their slices (read-only), and every query of a
+// plan group shares its key columns, materialised once. Caller holds the
+// read fence.
+func (p *Prepared) execute(ctx context.Context) ([]execResult, error) {
+	e := p.e
+	results := make([]execResult, len(p.qs))
 	// Every group of the plan is touched: results carry one row per
 	// non-empty group.
-	err := par.ForEachCtx(ctx, e.Parallelism, len(order), func(gidx int) error {
-		g := order[gidx]
-		pe, err := e.groupPlan(g)
-		if err != nil {
-			return err
-		}
+	err := p.eachGroup(ctx, func(g *fusedGroup) error {
+		pe := g.pe
 		prs, err := e.runPlanGroup(ctx, g, pe, allGroups(len(pe.repr)))
 		if err != nil {
 			return err
@@ -139,7 +219,7 @@ func (e *Executor) executeBatchCore(ctx context.Context, qs []Query) ([]execResu
 
 // checkBatch is the fused paths' cheap per-query validation, run up front so
 // plan groups can assume well-formed members and errors carry the offending
-// query's SQL.
+// query's SQL. It reads only the table's schema, which appends never change.
 func (e *Executor) checkBatch(qs []Query) error {
 	for _, q := range qs {
 		if len(q.Keys) == 0 {
@@ -150,16 +230,6 @@ func (e *Executor) checkBatch(qs []Query) error {
 		}
 	}
 	return nil
-}
-
-// groupPlan returns a plan group's cached discovery entry, with errors
-// carrying the group's representative SQL.
-func (e *Executor) groupPlan(g *fusedGroup) (*planEntry, error) {
-	pe, err := e.plan(g.keys, g.preds)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", g.rep.SQL("R"), err)
-	}
-	return pe, nil
 }
 
 // allGroups lists local groups 0..n-1: the touched set of a caller that

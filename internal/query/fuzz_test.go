@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/agg"
@@ -11,8 +12,9 @@ import (
 // fuzzQuery decodes bytes into a well-formed query over largeRandomTable's
 // schema: aggregation function, aggregation attribute, GROUP BY key subset,
 // and up to two predicates (string/bool equalities — including an operand
-// outside the domain — and one- or two-sided float/time/int ranges). Missing
-// bytes read as zero, so every input decodes.
+// outside the domain — and one- or two-sided float/time/int ranges, where a
+// bound byte of 255 decodes as a NaN bound). Missing bytes read as zero, so
+// every input decodes.
 func fuzzQuery(data []byte) Query {
 	at := func(i int) byte {
 		if i < len(data) {
@@ -48,15 +50,21 @@ func fuzzQuery(data []byte) Query {
 			case 5:
 				attr, scale, shift = "k1", 0.1, -2
 			}
+			bound := func(v byte) float64 {
+				if v == 255 {
+					return math.NaN()
+				}
+				return float64(v)*scale + shift
+			}
 			pr = Predicate{Attr: attr, Kind: PredRange}
 			switch (sel / 6) % 3 {
 			case 0:
-				pr.HasLo, pr.Lo = true, float64(v1)*scale+shift
+				pr.HasLo, pr.Lo = true, bound(v1)
 			case 1:
-				pr.HasHi, pr.Hi = true, float64(v2)*scale+shift
+				pr.HasHi, pr.Hi = true, bound(v2)
 			default:
-				pr.HasLo, pr.Lo = true, float64(v1)*scale+shift
-				pr.HasHi, pr.Hi = true, float64(v2)*scale+shift
+				pr.HasLo, pr.Lo = true, bound(v1)
+				pr.HasHi, pr.Hi = true, bound(v2)
 			}
 		}
 		q.Preds = append(q.Preds, pr)
@@ -76,6 +84,14 @@ func FuzzExecuteMatchesOracle(f *testing.F) {
 		f.Add([]byte{b, b, b, b % 3, b, b * 13, b * 29, b + 3, b * 7, 255 - b})
 	}
 	f.Add([]byte{})
+	// COUNT(x) ... WHERE a >= NaN GROUP BY k1, on the float x (sel 3), the
+	// time ts (sel 4) and the int k1 (sel 5); then <= NaN and BETWEEN with
+	// one NaN bound on x.
+	for sel := byte(3); sel <= 5; sel++ {
+		f.Add([]byte{byte(agg.Count), 0, 0, 1, sel, 255, 0})
+	}
+	f.Add([]byte{byte(agg.Count), 0, 0, 1, 9, 0, 255})
+	f.Add([]byte{byte(agg.Sum), 0, 0, 1, 15, 255, 200})
 	r := largeRandomTable(300, 17)
 	d := largeRandomTable(60, 18)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -109,10 +125,12 @@ var appendModes = []string{"mixed", "nulls", "newgroups", "dictshift", "dictcap"
 // FuzzAppendMatchesOracle drives one executor through a decoded sequence of
 // up to four appends — each byte pair picks a deltaRows mode, row seed and
 // size — and after every append requires its batch over the delta-advanced
-// caches to match Query.Execute over the concatenation of the parts. Sizes 1..130
-// cross 64-row words and morsels; a dictcap append always crosses
-// MaxDictCardinality, and a dictshift append re-encodes cat's dictionary, so
-// both the in-place advances and the full-rebuild drop are checked.
+// caches to match Query.Execute over the concatenation of the parts, and a
+// pass of one Prepared of the same batch, held across the whole sequence, to
+// match Query.Augment over it. Sizes 1..130 cross 64-row words and morsels; a
+// dictcap append always crosses MaxDictCardinality, and a dictshift append
+// re-encodes cat's dictionary, so both the in-place advances and the
+// full-rebuild drop are checked, for one-shot batches and held plan groups.
 func FuzzAppendMatchesOracle(f *testing.F) {
 	for mode := range appendModes {
 		m := byte(mode)
@@ -121,17 +139,17 @@ func FuzzAppendMatchesOracle(f *testing.F) {
 	}
 	f.Add([]byte{})
 	const nBase = 200
-	qs := deltaQueryPool(f, deltaTable(nBase, 31), 24, 32)
-	// cat = 'a0' takes the dictionary code of cat = 'b' once a dictshift
-	// append re-encodes cat: a stale code-keyed entry would answer it wrongly.
-	for _, v := range []string{"b", "a0"} {
-		qs = append(qs, Query{Agg: agg.Median, AggAttr: "x", Keys: []string{"k1"},
-			Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: v}}})
-	}
+	qs := preparedPool(f, deltaTable(nBase, 31), 24, 32)
+	d := preparedTrain()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ex := NewExecutor(deltaTable(nBase, 31), WithMorselRows(64))
 		parts := []*dataframe.Table{deltaTable(nBase, 31)}
+		prep, err := ex.Prepare(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		check := func(round string) {
+			checkPrepared(t, round+" prepared", prep, qs, d, parts)
 			got, err := ex.ExecuteBatch(qs, "feature")
 			if err != nil {
 				t.Fatalf("%s: %v", round, err)

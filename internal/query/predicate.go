@@ -60,7 +60,10 @@ func (p Predicate) String() string {
 	return "?"
 }
 
-func fmtBound(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
+// fmtBound renders a range bound in the shortest form that parses back to
+// the same float64, so distinct bounds always render distinct SQL (the text
+// keys the evaluator's caches and the generator's dedup).
+func fmtBound(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Trivial reports whether the predicate filters nothing (a range with no
 // bounds). Trivial predicates are dropped from queries.

@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"repro/internal/dataframe"
-	"repro/internal/par"
 )
 
 // FeatureMatrix is a columnar bulk feature output: NumFeatures() feature
@@ -101,22 +100,19 @@ type scatterCol struct {
 	valid []bool
 }
 
-// augmentGrouped is the fused augment: per plan group of the batch partition
-// (order), the join resolves d's train groups to the plan's local groups
-// (touchedGroups), runPlanGroup extracts every pair for those groups only,
-// and one shared pass over d scatters them into m's columns. Each distinct
-// (plan group, agg pair) is scattered once, into its first query's column;
-// duplicate queries are filled by copy. Every step is sized by d — its rows
-// and the groups they join — so a warm pass for a few request rows costs a
-// few rows' work however large the relevant table is.
-func (e *Executor) augmentGrouped(ctx context.Context, d *dataframe.Table, order []*fusedGroup, m *FeatureMatrix) error {
+// augment is the fused augment: per plan group of the prepared batch, the
+// join resolves d's train groups to the plan's local groups (touchedGroups),
+// runPlanGroup extracts every pair for those groups only, and one shared pass
+// over d scatters them into m's columns. Each distinct (plan group, agg pair)
+// is scattered once, into its first query's column; duplicate queries are
+// filled by copy. Every step is sized by d — its rows and the groups they
+// join — so a warm pass for a few request rows costs a few rows' work however
+// large the relevant table is. Caller holds the read fence.
+func (p *Prepared) augment(ctx context.Context, d *dataframe.Table, m *FeatureMatrix) error {
+	e := p.e
 	n := d.NumRows()
-	return par.ForEachCtx(ctx, e.Parallelism, len(order), func(gidx int) error {
-		g := order[gidx]
-		pe, err := e.groupPlan(g)
-		if err != nil {
-			return err
-		}
+	return p.eachGroup(ctx, func(g *fusedGroup) error {
+		pe := g.pe
 		jn, err := e.joinIndex(d, g.rep.Keys)
 		if err != nil {
 			return fmt.Errorf("%s: %w", g.rep.SQL("R"), err)

@@ -441,7 +441,7 @@ func TestAugmentRequestSizedPass(t *testing.T) {
 	// The touched set of a 3-row request names at most 3 local groups, and
 	// the dedupe marks are left all zero for the next caller.
 	sub := d.Take([]int{5, 5, 17})
-	pe, err := ex.plan([]string{"k1"}, nil)
+	pe, err := ex.plan(planKey{keys: "k1"}, []string{"k1"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package serve is the online half the paper never reaches: a long-lived
 // feature-serving layer over fitted FeatAug plans. A Server holds one warm
-// transformer per named plan — each wired to the process-level join cache
-// and scan scheduler, so the engine state the fit warmed stays hot — and
-// serves entity feature lookups over HTTP. The core primitive is request
+// transformer per named plan — each wired to the process-level scan
+// scheduler, so the scan state the fit warmed stays hot, and each running a
+// prepared batch whose plan groups are resolved once — and serves entity
+// feature lookups over HTTP. The core primitive is request
 // coalescing by group commit (coalesce.go): each plan runs up to GOMAXPROCS
 // fused AugmentMatrix passes at once, a request that finds a pass slot free
 // starts a pass at once, and requests arriving while every slot is busy ride
@@ -136,9 +137,10 @@ func NewServer(cfg Config) *Server {
 
 // AddPlan decodes planJSON (a FeaturePlan if binding.Relevant is set, a
 // MultiFeaturePlan if binding.Sources is) and starts serving it under name.
-// The bound executors are wired to the process-level JoinCache and
-// ScanScheduler, so every plan over the same relevant tables shares warm
-// scan state. Fails with feataug's typed errors on bad plans (ErrPlanCorrupt,
+// The bound executors are wired to the process-level ScanScheduler, so every
+// plan over the same relevant tables shares warm scan state; train-side join
+// indexes stay in each transformer's own cache, since every request brings a
+// new training table. Fails with feataug's typed errors on bad plans (ErrPlanCorrupt,
 // ErrPlanVersion, ErrSchemaMismatch, ...).
 func (s *Server) AddPlan(name string, planJSON []byte, binding PlanBinding) error {
 	if name == "" {
@@ -194,15 +196,18 @@ func (s *Server) buildState(h *planHandle, planJSON []byte) (*planState, error) 
 
 // bindPlan decodes and binds plan bytes under a binding, returning the
 // transformer and the tables key kinds resolve against. Every executor is
-// wired to the process-level caches: a serving process holds plans for the
-// long haul, so scan state shared across plans (and with any in-process fit)
-// is exactly what we want. Every executor also runs a pass's plan groups
-// inline: the coalescer already runs up to GOMAXPROCS passes at once, and a
-// worker pool inside each pass would only oversubscribe the CPUs and pay a
-// fresh goroutine per plan group.
+// wired to the process-level scan scheduler: a serving process holds plans
+// for the long haul, so scan state shared across plans (and with any
+// in-process fit) is exactly what we want. Join indexes are not shared
+// process-wide: they are keyed by the training table, which in serving is a
+// request table, new on every pass, so the process cache would only pin dead
+// request tables. A single-table transformer keeps its own scoped join
+// cache and a multi-table one its one cache shared by its sources. Every
+// executor also runs a pass's plan groups inline: the coalescer already runs
+// up to GOMAXPROCS passes at once, and a worker pool inside each pass would
+// only oversubscribe the CPUs and pay a fresh goroutine per plan group.
 func bindPlan(planJSON []byte, binding PlanBinding) (Transformer, []*dataframe.Table, error) {
 	procOpts := []query.ExecutorOption{
-		query.WithJoinCache(query.ProcessJoinCache()),
 		query.WithScanScheduler(query.ProcessScanScheduler()),
 		query.WithParallelism(1),
 	}

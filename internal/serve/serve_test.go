@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1572,5 +1573,127 @@ func TestServeStatsDictCounters(t *testing.T) {
 	}
 	if ex.CodePredScans == 0 {
 		t.Errorf("string-equality predicates did not use the code kernels: %+v", ex)
+	}
+}
+
+// TestServePreparedConcurrentAppends: clients transform through one plan —
+// each pass reusing the transformer's prepared plan groups — while appends
+// land, among them two mid-domain values that re-encode the category
+// dictionary and so make the prepared snapshot stale. Every response must
+// equal Query.Execute of each planned query over the table as some append
+// left it, and each client's responses must never step back to an earlier
+// table. Run under -race, it also checks the snapshot swap against the
+// passes reading it.
+func TestServePreparedConcurrentAppends(t *testing.T) {
+	const seed = 27
+	rel := testRelevant(t, 2000, 100, seed)
+	srv := NewServer(Config{})
+	if err := srv.AddPlan("p", testPlanJSON(t, 5), PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	batches := make([]*dataframe.Table, 0, 5)
+	for i, cat := range []string{"a", "bb", "d", "ab", "c"} { // "bb" and "ab" sort mid-domain
+		uid := []int64{int64(3 * i), 100 + int64(i), int64(3*i + 1)} // 100+ are new entities
+		batches = append(batches, dataframe.MustNewTable(
+			dataframe.NewIntColumn("uid", uid, nil),
+			dataframe.NewFloatColumn("val", []float64{float64(50 + i), -float64(i), 0.5}, nil),
+			dataframe.NewStringColumn("cat", []string{cat, cat, "b"}, nil),
+		))
+	}
+
+	// want[k][j] maps uid -> feature j over the table after k appends.
+	queries := testQueries(5)
+	want := make([][]map[int64]float64, len(batches)+1)
+	parts := []*dataframe.Table{testRelevant(t, 2000, 100, seed)}
+	for k := range want {
+		if k > 0 {
+			parts = append(parts, batches[k-1])
+		}
+		grown, err := dataframe.Concat(parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = make([]map[int64]float64, len(queries))
+		for j, pq := range queries {
+			res, err := pq.Query.Execute(grown, pq.Feature)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := map[int64]float64{}
+			for r := 0; r < res.NumRows(); r++ {
+				if v, ok := res.Column(pq.Feature).AsFloat(r); ok {
+					m[res.Column("uid").Int(r)] = v
+				}
+			}
+			want[k][j] = m
+		}
+	}
+	matches := func(k int, uids []int64, got *query.FeatureMatrix) bool {
+		for j := range queries {
+			vals, valid := got.Col(j)
+			for i, uid := range uids {
+				w, ok := want[k][j][uid]
+				if valid[i] != ok || (ok && vals[i] != w) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+
+	const clients, perClient = 3, 40
+	var wg sync.WaitGroup
+	var done atomic.Int64 // requests answered so far, failed ones included
+	errCh := make(chan error, clients*perClient)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			seen := 0 // earliest table this client may still observe
+			for i := 0; i < perClient; i++ {
+				uids := []int64{int64((c*7 + i) % 20), 100 + int64(i%6), int64(i % 3)}
+				got, _, err := srv.Transform(context.Background(), "p", keyTable(t, uids))
+				k := seen
+				for err == nil && k < len(want) && !matches(k, uids, got) {
+					k++
+				}
+				switch {
+				case err != nil:
+					errCh <- fmt.Errorf("client %d request %d: %w", c, i, err)
+				case k == len(want):
+					errCh <- fmt.Errorf("client %d request %d (uids %v): matches no table from append %d on", c, i, uids, seen)
+				default:
+					seen = k
+				}
+				done.Add(1)
+			}
+		}(c)
+	}
+	// Spread the appends over the clients' requests, so passes run before,
+	// between and after them.
+	for i, b := range batches {
+		for done.Load() < int64((i+1)*clients*perClient/(len(batches)+1)) {
+			runtime.Gosched()
+		}
+		if _, _, err := srv.Append("p", b); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+	// Settled: the table after every append.
+	uids := []int64{0, 3, 100, 101, 104, 13}
+	got, _, err := srv.Transform(context.Background(), "p", keyTable(t, uids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matches(len(batches), uids, got) {
+		t.Error("settled response does not match the fully grown table")
+	}
+	if st := srv.Stats().Plans[0].Executor; st.FullRebuilds == 0 {
+		t.Error("no append re-encoded the dictionary; the test lost its stale-snapshot case")
 	}
 }

@@ -9,8 +9,8 @@ import (
 // planCounters is the serve-side counter block of one plan handle. Counters
 // live on the handle, not the swappable state, so a hot-swap never resets
 // them; executor counters are read from whichever transformer currently
-// serves (handles wire every bound executor to the same process-level
-// caches, so the engine-side story stays coherent across swaps).
+// serves (handles wire every bound executor to the same process-level scan
+// scheduler, so the engine-side story stays coherent across swaps).
 type planCounters struct {
 	requests         atomic.Int64
 	rows             atomic.Int64
