@@ -16,11 +16,14 @@ import (
 	"repro/internal/query"
 )
 
-// fitGoldenCase is one pinned Fit configuration on a 150-row student problem.
+// fitGoldenCase is one pinned Fit configuration on a 150-row student problem,
+// or, with split set, one pinned FitMulti on a 150-row tmall problem whose
+// relevant table is split by the values of that column.
 type fitGoldenCase struct {
 	name  string
 	model ml.Kind
 	cfg   Config
+	split string
 }
 
 // fitGoldenCounts are the evaluator's work counters after a pinned fit.
@@ -42,6 +45,7 @@ func fitGoldenCases() []fitGoldenCase {
 		{name: "student_nowu_seeds", model: ml.KindLR,
 			cfg: Config{Seed: 1, DisableWarmup: true, SeedQueries: seeds}},
 		{name: "student_noqti", model: ml.KindLR, cfg: Config{Seed: 1, DisableQTI: true}},
+		{name: "tmall_split_action", model: ml.KindLR, cfg: multiTestConfig(), split: "action"},
 	}
 }
 
@@ -55,9 +59,13 @@ func studentGoldenProblem() pipeline.Problem {
 }
 
 // runGoldenFit runs the steps Fit runs, keeping the evaluator so its work
-// counters can be compared too.
+// counters can be compared too. A split case runs FitMulti, whose evaluators
+// stay internal, and reports zero counts.
 func runGoldenFit(t *testing.T, c fitGoldenCase) ([]byte, fitGoldenCounts) {
 	t.Helper()
+	if c.split != "" {
+		return runGoldenFitMulti(t, c), fitGoldenCounts{}
+	}
 	p := studentGoldenProblem()
 	ev, err := pipeline.NewEvaluator(p, c.model, c.cfg.Seed)
 	if err != nil {
@@ -74,9 +82,42 @@ func runGoldenFit(t *testing.T, c fitGoldenCase) ([]byte, fitGoldenCounts) {
 	return append(data, '\n'), fitGoldenCounts{Evaluations: ev.Evaluations, ProxyEvaluations: ev.ProxyEvaluations}
 }
 
+// runGoldenFitMulti fits a multi-table plan over the tmall relevant table
+// split by c.split, one source per split value, with the split column dropped
+// from the predicate attributes (the cmd/feataug split scenario).
+func runGoldenFitMulti(t *testing.T, c fitGoldenCase) []byte {
+	t.Helper()
+	d := datagen.Tmall(datagen.Options{TrainRows: 150, Seed: 1})
+	base := pipeline.Problem{
+		Train: d.Train, Relevant: d.Relevant, Label: d.Label, Task: d.Task,
+		Keys: d.Keys, AggAttrs: d.AggAttrs, PredAttrs: d.PredAttrs,
+		BaseFeatures: d.BaseFeatures,
+	}
+	var predAttrs []string
+	for _, a := range d.PredAttrs {
+		if a != c.split {
+			predAttrs = append(predAttrs, a)
+		}
+	}
+	st, _, err := NewShardedTableByValues(d.Relevant, c.split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := FitMulti(context.Background(), base, st.Inputs(d.Keys, d.AggAttrs, predAttrs),
+		WithConfig(c.cfg), WithModel(c.model), WithAggFuncs(agg.Basic()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := plan.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, '\n')
+}
+
 // TestFitPlansPinned pins whole Fit runs: the plan bytes and the evaluator's
-// work counters of three configurations must match checked-in fixtures at
-// every GOMAXPROCS, so running the template searches concurrently can never
+// work counters of three Fit configurations, and the plan of one split-scenario
+// FitMulti, must match checked-in fixtures at every GOMAXPROCS, so running the template searches concurrently can never
 // change what a fit learns. Regenerate (only for a deliberate plan change)
 // with UPDATE_GOLDEN=1 go test ./internal/feataug -run TestFitPlansPinned.
 func TestFitPlansPinned(t *testing.T) {
@@ -88,7 +129,9 @@ func TestFitPlansPinned(t *testing.T) {
 			if err := os.WriteFile(filepath.Join("testdata", "fit_golden_"+c.name+".json"), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			counts[c.name] = n
+			if c.split == "" {
+				counts[c.name] = n
+			}
 		}
 		data, err := json.MarshalIndent(counts, "", "  ")
 		if err != nil {
