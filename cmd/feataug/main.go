@@ -18,11 +18,9 @@
 // A multi-table scenario spec, dataset:split=column, shards the dataset's
 // relevant table into one relevant table per distinct value of a string
 // column (Section III's multiple-relevant-tables decomposition) and runs the
-// per-table searches concurrently through FitMulti / MultiFeaturePlan. The
-// shards carry provenance (dataframe.Shard), so the per-shard executors
-// automatically share one morsel-driven pass over the parent table instead
-// of scanning it once per shard, and -v prints one merged executor-stats
-// block for the set:
+// per-table searches concurrently through FitMulti / MultiFeaturePlan. Each
+// relevant table is a plain table holding its rows, scanned by its own
+// executor, and -v prints one executor-stats block merged over the set:
 //
 //	feataug -fit tmall:split=action -rows 400 -seed 1 -plan-out multi.json
 //	feataug -plan-in multi.json -transform tmall:split=action -rows 400 -seed 2 -out batch.csv
@@ -91,7 +89,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("feataug", flag.ContinueOnError)
 	var (
 		exp       = fs.String("exp", "table3", "experiment: table1|table2|table3|table6|table7|table8|fig5|fig6|fig7|fig8|fig9|all")
-		fit       = fs.String("fit", "", "fit mode: dataset (or dataset:split=column multi-table scenario; shards share one scan over the parent table) to learn a plan from (requires -plan-out)")
+		fit       = fs.String("fit", "", "fit mode: dataset (or dataset:split=column multi-table scenario, one relevant table per split value) to learn a plan from (requires -plan-out)")
 		planOut   = fs.String("plan-out", "", "fit mode: write the learned plan JSON to this file")
 		planIn    = fs.String("plan-in", "", "transform mode: load a plan JSON from this file")
 		transform = fs.String("transform", "", "transform mode: dataset (or dataset:split=column scenario) to apply the loaded plan to")
@@ -348,52 +346,26 @@ func parseScenario(spec string) (dataset, splitCol string, err error) {
 // column should fail loudly instead of launching hundreds of searches.
 const maxSplitShards = 16
 
-// splitColumn resolves and checks a split column: present and string-typed.
-func splitColumn(d *datagen.Dataset, splitCol string) (*dataframe.Column, error) {
-	col := d.Relevant.Column(splitCol)
-	if col == nil {
-		return nil, fmt.Errorf("split column %q not in relevant table (columns: %v)",
-			splitCol, d.Relevant.ColumnNames())
-	}
-	if col.Kind() != dataframe.KindString {
-		return nil, fmt.Errorf("split column %q is %s; splitting needs a string column", splitCol, col.Kind())
-	}
-	return col, nil
-}
-
-// shardBy builds a provenance-carrying shard of the relevant table holding
-// the rows with one split value (NULLs match no shard). Because the shard
-// remembers its parent (dataframe.Shard), every executor over it shares the
-// parent's scan state through the process ScanScheduler.
-func shardBy(d *datagen.Dataset, col *dataframe.Column, value string) *dataframe.Table {
-	var rows []int
-	for i := 0; i < d.Relevant.NumRows(); i++ {
-		if !col.IsNull(i) && col.Str(i) == value {
-			rows = append(rows, i)
-		}
-	}
-	return d.Relevant.Shard(rows)
-}
-
-// splitInputs shards a dataset's relevant table by the distinct values of a
-// string column through the ShardedTable router: one RelevantInput per value
-// (sorted for determinism), named by the value, with the split column removed
-// from the predicate attributes (it is constant within a shard). The second
-// result is the number of rows whose split value is NULL — they land in no
-// shard, and the caller should say so.
+// splitInputs splits a dataset's relevant table by the distinct values of a
+// string column: one RelevantInput per value (sorted for determinism), named
+// by the value, with the split column removed from the predicate attributes
+// (it is constant within a part). The second result is the number of rows
+// whose split value is NULL — they land in no part, and the caller should say
+// so.
 func splitInputs(d *datagen.Dataset, splitCol string) ([]repro.RelevantInput, int, error) {
-	if _, err := splitColumn(d, splitCol); err != nil {
-		return nil, 0, err
-	}
-	st, nulls, err := repro.NewShardedTableByValues(d.Relevant, splitCol)
+	names, err := repro.SplitValues(d.Relevant, splitCol)
 	if err != nil {
 		return nil, 0, err
 	}
-	if st.NumShards() < 2 {
-		return nil, 0, fmt.Errorf("split column %q has %d distinct value(s); a multi-table scenario needs at least 2", splitCol, st.NumShards())
+	if len(names) < 2 {
+		return nil, 0, fmt.Errorf("split column %q has %d distinct value(s); a multi-table scenario needs at least 2", splitCol, len(names))
 	}
-	if st.NumShards() > maxSplitShards {
-		return nil, 0, fmt.Errorf("split column %q has %d distinct values (max %d); pick a lower-cardinality column", splitCol, st.NumShards(), maxSplitShards)
+	if len(names) > maxSplitShards {
+		return nil, 0, fmt.Errorf("split column %q has %d distinct values (max %d); pick a lower-cardinality column", splitCol, len(names), maxSplitShards)
+	}
+	parts, nulls, err := repro.SplitByValue(d.Relevant, splitCol, names)
+	if err != nil {
+		return nil, 0, err
 	}
 	var predAttrs []string
 	for _, a := range d.PredAttrs {
@@ -401,28 +373,11 @@ func splitInputs(d *datagen.Dataset, splitCol string) ([]repro.RelevantInput, in
 			predAttrs = append(predAttrs, a)
 		}
 	}
-	return st.Inputs(d.Keys, d.AggAttrs, predAttrs), nulls, nil
-}
-
-// shardsForPlan rebuilds the relevant-table shards a multi plan binds to,
-// keyed by the plan's fit-time source names — NOT by the values present in
-// the fresh batch. A source with no matching rows binds an empty shard (its
-// features come back NULL) rather than failing the transform: serving must
-// tolerate a small batch that happens to miss a fit-time shard. The second
-// result counts rows matching no source (NULL or values unseen at fit time).
-func shardsForPlan(d *datagen.Dataset, splitCol string, names []string) (map[string]*dataframe.Table, int, error) {
-	col, err := splitColumn(d, splitCol)
-	if err != nil {
-		return nil, 0, err
+	inputs := make([]repro.RelevantInput, len(names))
+	for i, name := range names {
+		inputs[i] = repro.RelevantInput{Name: name, Table: parts[name], Keys: d.Keys, AggAttrs: d.AggAttrs, PredAttrs: predAttrs}
 	}
-	m := make(map[string]*dataframe.Table, len(names))
-	matched := 0
-	for _, name := range names {
-		shard := shardBy(d, col, name)
-		matched += shard.NumRows()
-		m[name] = shard
-	}
-	return m, d.Relevant.NumRows() - matched, nil
+	return inputs, nulls, nil
 }
 
 // fitSetup resolves the flag subset shared by the fit modes: the downstream
@@ -478,9 +433,8 @@ func runFit(ctx context.Context, spec, planPath string, fo fitOpts, out, stderr 
 		// -v surfaces the engine's log lines — including the executor's
 		// cache/scan stats printed at the end of the run — on stderr. For a
 		// multi-table scenario each line is scoped "[source] ..." by FitMulti,
-		// except the executor stats: sharded sources share scan state, so
-		// FitMulti prints one merged stats block for the whole set instead of
-		// k interleaved per-shard blocks.
+		// except the executor stats: FitMulti prints one block merged over
+		// the whole set instead of k interleaved per-source blocks.
 		opts = append(opts, feataug.WithLogf(func(format string, args ...interface{}) {
 			fmt.Fprintf(stderr, format+"\n", args...)
 		}))
@@ -593,7 +547,10 @@ func runTransform(ctx context.Context, planPath, spec string, fo fitOpts, shared
 			}
 			return err
 		}
-		shards, unmatched, err := shardsForPlan(d, splitCol, plan.SourceNames())
+		// Bind by the plan's fit-time source names, not by the values in the
+		// fresh batch: a source with no matching rows binds an empty table
+		// (its features come back NULL) rather than failing the transform.
+		shards, unmatched, err := repro.SplitByValue(d.Relevant, splitCol, plan.SourceNames())
 		if err != nil {
 			return err
 		}
@@ -679,7 +636,8 @@ func printFusionStats(stderr io.Writer, mode string, s repro.ExecutorStats) {
 		s.SharedJoinHits, s.SharedJoinMisses, s.CountingScans)
 	// The morsel-driven shared-scan counters: full-table passes the executor
 	// set paid, cache entries served to executors that did not build them
-	// (shards subscribing to a sibling's pass), and morsels walked in total.
+	// (executors sharing a scan scheduler's core), and morsels walked in
+	// total.
 	fmt.Fprintf(stderr, "%s: shared scans: %d passes, %d subscribed, %d morsels scanned\n",
 		mode, s.SharedScanPasses, s.SharedScanSubscribers, s.MorselsScanned)
 	// The dictionary-encoding counters: encode passes this executor set paid,

@@ -40,8 +40,9 @@
 // instead of paying the encode pass and the []string backings are dropped;
 // GET /v1/stats surfaces the per-plan executor counters (DictEncodes,
 // DictHits, CodePredScans) alongside the scatter and shared-scan ones. A
-// dataset:split=column scenario rebuilds the per-value shards of the
-// relevant table and binds a MultiFeaturePlan across them.
+// dataset:split=column scenario splits the relevant table into one table per
+// split value and binds a MultiFeaturePlan across them; each is compacted
+// and scanned as its own table.
 //
 // SIGTERM / SIGINT shut the daemon down gracefully: the listener stops,
 // in-flight and queued requests finish on their plans' running passes, and
@@ -232,9 +233,9 @@ func parseScenario(spec string) (dataset, splitCol string, err error) {
 }
 
 // bindingFor builds the plan's relevant-table binding from the dataset
-// scenario: the whole relevant table for a single-table scenario, or the
-// per-source shards a MultiFeaturePlan names for a split scenario (a source
-// with no matching rows binds an empty shard; its features serve NULL).
+// scenario: the whole relevant table for a single-table scenario, or one
+// table per source a MultiFeaturePlan names for a split scenario (a source
+// with no matching rows binds an empty table; its features serve NULL).
 func bindingFor(d *datagen.Dataset, splitCol string, planJSON []byte) (serve.PlanBinding, error) {
 	if splitCol == "" {
 		return serve.PlanBinding{Relevant: d.Relevant}, nil
@@ -243,22 +244,9 @@ func bindingFor(d *datagen.Dataset, splitCol string, planJSON []byte) (serve.Pla
 	if err != nil {
 		return serve.PlanBinding{}, fmt.Errorf("split scenario needs a multi-table plan: %w", err)
 	}
-	col := d.Relevant.Column(splitCol)
-	if col == nil {
-		return serve.PlanBinding{}, fmt.Errorf("split column %q not in relevant table", splitCol)
-	}
-	if col.Kind() != dataframe.KindString {
-		return serve.PlanBinding{}, fmt.Errorf("split column %q is %s; splitting needs a string column", splitCol, col.Kind())
-	}
-	sources := make(map[string]*dataframe.Table, len(mp.Sources))
-	for _, name := range mp.SourceNames() {
-		var idx []int
-		for i := 0; i < d.Relevant.NumRows(); i++ {
-			if !col.IsNull(i) && col.Str(i) == name {
-				idx = append(idx, i)
-			}
-		}
-		sources[name] = d.Relevant.Shard(idx)
+	sources, _, err := feataug.SplitByValue(d.Relevant, splitCol, mp.SourceNames())
+	if err != nil {
+		return serve.PlanBinding{}, err
 	}
 	return serve.PlanBinding{Sources: sources}, nil
 }

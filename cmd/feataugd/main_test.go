@@ -16,9 +16,13 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/dataframe"
 	"repro/internal/datagen"
 	"repro/internal/feataug"
+	"repro/internal/ml"
+	"repro/internal/pipeline"
 	"repro/internal/query"
+	"repro/internal/serve"
 )
 
 // studentPlanJSON handcrafts a small plan over the student dataset's schema
@@ -277,4 +281,104 @@ func (s syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
+}
+
+// TestBindSplitPlanServes binds a split-scenario plan the way the daemon does
+// (bindingFor, then AddPlan) and requires every source table to be compact
+// after bind, and the served features to equal a MultiTransformer's over
+// uncompacted tables split from a fresh copy of the same dataset.
+func TestBindSplitPlanServes(t *testing.T) {
+	opts := datagen.Options{TrainRows: 150, Seed: 1}
+	d := datagen.Tmall(opts)
+	names, err := feataug.SplitValues(d.Relevant, "action")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, _, err := feataug.SplitByValue(d.Relevant, "action", names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]feataug.RelevantInput, len(names))
+	for i, name := range names {
+		inputs[i] = feataug.RelevantInput{Name: name, Table: parts[name], Keys: d.Keys, AggAttrs: d.AggAttrs, PredAttrs: d.PredAttrs}
+	}
+	base := pipeline.Problem{
+		Train: d.Train, Relevant: d.Relevant, Label: d.Label, Task: d.Task,
+		Keys: d.Keys, AggAttrs: d.AggAttrs, PredAttrs: d.PredAttrs, BaseFeatures: d.BaseFeatures,
+	}
+	cfg := feataug.Config{Seed: 1, WarmupIters: 6, WarmupTopK: 2, GenIters: 3,
+		NumTemplates: 1, QueriesPerTemplate: 2, MaxDepth: 1, TemplateProxyIters: 3}
+	mp, err := feataug.FitMulti(context.Background(), base, inputs,
+		feataug.WithConfig(cfg), feataug.WithModel(ml.KindLR), feataug.WithAggFuncs(agg.Basic()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planJSON, err := mp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	binding, err := bindingFor(d, "action", planJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.NewServer(serve.Config{})
+	if err := srv.AddPlan("split", planJSON, binding); err != nil {
+		t.Fatal(err)
+	}
+	if len(binding.Sources) != len(names) {
+		t.Fatalf("binding has %d sources, want %d", len(binding.Sources), len(names))
+	}
+	for name, tbl := range binding.Sources {
+		for _, c := range tbl.Columns() {
+			if c.Kind() == dataframe.KindString && !c.IsCompact() {
+				t.Errorf("source %q column %q is not compact after bind", name, c.Name())
+			}
+		}
+	}
+
+	keys, err := d.Train.SelectColumns(d.Keys...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := srv.Transform(context.Background(), "split", keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := datagen.Tmall(opts)
+	raw, _, err := feataug.SplitByValue(fresh.Relevant, "action", names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range raw {
+		if tbl.Column("category").IsCompact() {
+			t.Fatal("reference table is compact")
+		}
+	}
+	tr, err := mp.Transformer(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tr.Transform(context.Background(), fresh.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := tr.FeatureNames()
+	if len(feats) == 0 {
+		t.Fatal("plan has no features")
+	}
+	if got.NumFeatures() != len(feats) || got.NumRows() != want.NumRows() {
+		t.Fatalf("served %d features x %d rows, want %d x %d", got.NumFeatures(), got.NumRows(), len(feats), want.NumRows())
+	}
+	for j, name := range feats {
+		vals, valid := got.Col(j)
+		col := want.Column(name)
+		for row := range vals {
+			w, ok := col.AsFloat(row)
+			if valid[row] != ok || (ok && vals[row] != w) {
+				t.Fatalf("%s row %d: served (%v, %v), MultiTransformer (%v, %v)", name, row, vals[row], valid[row], w, ok)
+			}
+		}
+	}
 }

@@ -1,61 +1,18 @@
 package dataframe
 
 // Morsel-driven scan units. A morsel is a fixed-size contiguous row range of
-// one physical table — the granularity at which the query engine runs its
-// scans: each full-table pass walks the table morsel by morsel, checking
-// cancellation and bumping scan counters at every boundary, and executors
-// whose tables are shards of one fingerprinted parent subscribe to passes over
-// the parent's morsels instead of scanning privately (see
-// internal/query.ScanScheduler). Column accessors serve a morsel zero-copy:
-// the bulk slices (FloatData, IntData, StrData, BoolData, ValidData) subslice
-// to [lo:hi] without copying, so a morsel is pure bookkeeping.
+// one table — the granularity at which the query engine runs its scans: each
+// full-table pass walks the table morsel by morsel, checking cancellation and
+// bumping scan counters at every boundary. Column accessors serve a morsel
+// zero-copy: the bulk slices (FloatData, IntData, StrData, BoolData,
+// ValidData) subslice to [lo:hi] without copying, so a morsel is pure
+// bookkeeping.
 
 // DefaultMorselRows is the default morsel size. Large enough that per-morsel
 // bookkeeping (a counter bump and a cancellation check) is noise, small enough
 // that a scan over a large table observes cancellation promptly and a future
 // delta-maintenance or mmap layer can work in morsel units.
 const DefaultMorselRows = 4096
-
-// MorselID is the stable identity of one morsel: the owning table's identity
-// fingerprint plus the row range. Two executors scanning shards of the same
-// parent derive identical IDs for the parent's morsels, which is what lets a
-// scan scheduler share one pass between them.
-type MorselID struct {
-	Table  uint64 // Table.Fingerprint of the owning table
-	Lo, Hi int    // row range [Lo, Hi)
-}
-
-// Morsel is one fixed-size row range of a table. The zero value is invalid;
-// build morsels with Table.Morsels.
-type Morsel struct {
-	t      *Table
-	lo, hi int
-}
-
-// Table returns the owning table.
-func (m Morsel) Table() *Table { return m.t }
-
-// Bounds returns the morsel's row range [lo, hi).
-func (m Morsel) Bounds() (lo, hi int) { return m.lo, m.hi }
-
-// Len returns the number of rows in the morsel.
-func (m Morsel) Len() int { return m.hi - m.lo }
-
-// ID returns the morsel's stable identity (fingerprint-derived).
-func (m Morsel) ID() MorselID {
-	return MorselID{Table: m.t.Fingerprint(), Lo: m.lo, Hi: m.hi}
-}
-
-// Morsels splits the table into fixed-size morsels (the last one may be
-// short). size <= 0 means DefaultMorselRows.
-func (t *Table) Morsels(size int) []Morsel {
-	bounds := MorselBounds(t.nrows, size)
-	ms := make([]Morsel, len(bounds))
-	for i, b := range bounds {
-		ms[i] = Morsel{t: t, lo: b[0], hi: b[1]}
-	}
-	return ms
-}
 
 // MorselBounds returns the [lo, hi) row ranges a table of nrows rows splits
 // into under the given morsel size; size <= 0 means DefaultMorselRows. The
@@ -76,30 +33,4 @@ func MorselBounds(nrows, size int) [][2]int {
 		bounds = append(bounds, [2]int{lo, hi})
 	}
 	return bounds
-}
-
-// Shard materialises the listed rows as a new table (like Take) and records
-// shard provenance: the new table remembers its parent and the parent row each
-// of its rows came from, in order. The query engine uses the provenance to
-// scan the shared parent instead of the private copy, so k executors over k
-// shards of one table run one set of table passes between them. rows is
-// copied; it need not be sorted, and duplicates are legal at this layer
-// (the sharded-executor router rejects overlapping shards itself).
-func (t *Table) Shard(rows []int) *Table {
-	out := t.Take(rows)
-	out.parent = t
-	out.parentRows = make([]int, len(rows))
-	copy(out.parentRows, rows)
-	return out
-}
-
-// ShardOf returns the shard provenance recorded by Shard: the parent table and
-// the parent row indices this table's rows came from, in row order. ok is
-// false for tables not built by Shard. The returned slice is the table's own
-// record; callers must not mutate it.
-func (t *Table) ShardOf() (parent *Table, rows []int, ok bool) {
-	if t.parent == nil {
-		return nil, nil, false
-	}
-	return t.parent, t.parentRows, true
 }

@@ -96,8 +96,8 @@ type Config struct {
 	Stats func(query.ExecutorStats)
 
 	// suppressStatsLog drops the per-run executor-stats log line. FitMulti
-	// sets it on sharded-source runs so k shards of one table log one merged
-	// stats block instead of k interleaved ones.
+	// sets it on every per-source run and logs one line merged over the set
+	// instead of k interleaved ones.
 	suppressStatsLog bool
 
 	// parallel bounds how many template searches (and QTI node searches) a

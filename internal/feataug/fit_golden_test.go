@@ -99,11 +99,19 @@ func runGoldenFitMulti(t *testing.T, c fitGoldenCase) []byte {
 			predAttrs = append(predAttrs, a)
 		}
 	}
-	st, _, err := NewShardedTableByValues(d.Relevant, c.split)
+	values, err := SplitValues(d.Relevant, c.split)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := FitMulti(context.Background(), base, st.Inputs(d.Keys, d.AggAttrs, predAttrs),
+	parts, _, err := SplitByValue(d.Relevant, c.split, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]RelevantInput, len(values))
+	for i, v := range values {
+		inputs[i] = RelevantInput{Name: v, Table: parts[v], Keys: d.Keys, AggAttrs: d.AggAttrs, PredAttrs: predAttrs}
+	}
+	plan, err := FitMulti(context.Background(), base, inputs,
 		WithConfig(c.cfg), WithModel(c.model), WithAggFuncs(agg.Basic()...))
 	if err != nil {
 		t.Fatal(err)

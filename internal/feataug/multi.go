@@ -131,7 +131,6 @@ func fitMulti(ctx context.Context, base pipeline.Problem, inputs []RelevantInput
 	problems := make([]pipeline.Problem, len(inputs))
 	evals := make([]*pipeline.Evaluator, len(inputs))
 	cfgs := make([]Config, len(inputs))
-	sharded := shardedInputs(inputs)
 	var mu sync.Mutex
 	for i, in := range inputs {
 		p := base
@@ -143,12 +142,10 @@ func fitMulti(ctx context.Context, base pipeline.Problem, inputs []RelevantInput
 		cfg := o.cfg
 		cfg.Seed = sourceSeed(o.cfg.Seed, in.Name)
 		cfg = scopeConfig(cfg, in.Name, &mu, o.sourceProgress)
-		// Shards of one table share scan state (the executors adopt the
-		// process ScanScheduler through their provenance); log one merged
-		// stats block for the set below instead of k interleaved ones.
-		cfg.suppressStatsLog = sharded
-		// The Stats callback gets one merged delivery after every search
-		// finishes (below), never k concurrent per-source calls.
+		// The executor stats are logged and delivered once, merged over
+		// every source, after every search finishes (below): never k
+		// interleaved per-source log lines or concurrent Stats calls.
+		cfg.suppressStatsLog = true
 		cfg.Stats = nil
 		ev, err := pipeline.NewEvaluator(p, o.model, cfg.Seed)
 		if err != nil {
@@ -186,33 +183,9 @@ func fitMulti(ctx context.Context, base pipeline.Problem, inputs []RelevantInput
 	for _, ev := range evals {
 		merged = merged.Add(ev.Executor().Stats())
 	}
-	if sharded {
-		o.cfg.logf("feataug: merged executor stats (%d sharded sources): %s", len(inputs), merged)
-	}
+	o.cfg.logf("feataug: merged executor stats (%d sources): %s", len(inputs), merged)
 	o.cfg.stats(merged)
 	return newMultiPlan(base, inputs, problems, results), results, nil
-}
-
-// shardedInputs reports whether every input's table is a shard of one common
-// parent (at least two inputs) — the ShardedTable.Inputs shape, where the
-// per-source executors share one scan core.
-func shardedInputs(inputs []RelevantInput) bool {
-	if len(inputs) < 2 {
-		return false
-	}
-	var parent *dataframe.Table
-	for _, in := range inputs {
-		p, _, ok := in.Table.ShardOf()
-		if !ok {
-			return false
-		}
-		if parent == nil {
-			parent = p
-		} else if p != parent {
-			return false
-		}
-	}
-	return true
 }
 
 // FitMulti runs the complete FeatAug search once per relevant table — the

@@ -217,21 +217,19 @@ func (p *MultiFeaturePlan) NamedQueries() []NamedQuery {
 // schema fingerprint (ErrSchemaMismatch). Tables for names the plan does not
 // mention are ignored. Each source gets its own cached batch executor, built
 // once and shared across Transform calls. Extra executor options apply to
-// every per-source executor after the shared join cache / scan scheduler, so
-// a caller can rewire the sources onto process-level caches
-// (query.WithJoinCache(query.ProcessJoinCache())) when that is what it wants.
+// every per-source executor after the shared join cache, so a caller can
+// rewire the sources onto process-level caches
+// (query.WithJoinCache(query.ProcessJoinCache()),
+// query.WithScanScheduler(query.ProcessScanScheduler())) when that is what
+// it wants.
 func (p *MultiFeaturePlan) Transformer(relevantByName map[string]*dataframe.Table, opts ...query.ExecutorOption) (*MultiTransformer, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	// One join cache and one scan scheduler across every per-source
-	// executor: the sources serve shards of one training table, so the
-	// train-side join index is built once per (training table, key-set)
-	// instead of once per source, and when the relevant tables are shards
-	// of one parent (dataframe.Shard provenance) their group indexes,
-	// predicate bitmaps and float views are built once per parent too.
+	// One join cache across every per-source executor: the sources serve
+	// one training table, so the train-side join index is built once per
+	// (training table, key-set) instead of once per source.
 	joins := query.NewJoinCache()
-	scans := query.NewScanScheduler()
 	mt := &MultiTransformer{plan: p}
 	for i := range p.Sources {
 		src := &p.Sources[i]
@@ -242,7 +240,7 @@ func (p *MultiFeaturePlan) Transformer(relevantByName map[string]*dataframe.Tabl
 		if tbl == nil {
 			return nil, fmt.Errorf("%w: relevant table %q", ErrNilTable, src.Name)
 		}
-		srcOpts := append([]query.ExecutorOption{query.WithJoinCache(joins), query.WithScanScheduler(scans)}, opts...)
+		srcOpts := append([]query.ExecutorOption{query.WithJoinCache(joins)}, opts...)
 		tr, err := src.Plan.Transformer(tbl, srcOpts...)
 		if err != nil {
 			return nil, fmt.Errorf("feataug: source %q: %w", src.Name, err)

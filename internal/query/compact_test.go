@@ -46,7 +46,7 @@ func TestDifferentialCompactStrings(t *testing.T) {
 				tbl := compacted(t, build(500, 102))
 				opts := []ExecutorOption{}
 				if morsel > 0 {
-					opts = append(opts, WithMorselRows(morsel))
+					opts = append(opts, withMorselRows(morsel))
 				}
 				e := NewExecutor(tbl, opts...)
 				got, err := e.ExecuteBatch(qs, "feature")
@@ -96,7 +96,7 @@ func TestDifferentialCompactDelta(t *testing.T) {
 			qs := deltaQueryPool(t, deltaTable(nBase, seed), 50, seed+1)
 
 			base := compacted(t, deltaTable(nBase, seed))
-			exDelta := NewExecutor(base, WithMorselRows(64))
+			exDelta := NewExecutor(base, withMorselRows(64))
 			parts := []*dataframe.Table{deltaTable(nBase, seed)}
 
 			check := func(round string) {
@@ -136,9 +136,10 @@ func TestDifferentialCompactDelta(t *testing.T) {
 	}
 }
 
-// TestDifferentialCompactSharded runs compact parents through provenance
-// shards — k ∈ {1, 3}, shared scheduler, concurrent batches under -race —
-// against the Query.Augment oracle over raw copies of the same rows.
+// TestDifferentialCompactSharded takes interleaved partitions of a compact
+// table — k ∈ {1, 3}, each partition keeping codes over the whole table's
+// domain — and runs their executors concurrently under -race against the
+// Query.Augment oracle over raw copies of the same rows.
 func TestDifferentialCompactSharded(t *testing.T) {
 	d := dupKeyTrainTable(150, 131)
 	rng := rand.New(rand.NewSource(132))
@@ -146,34 +147,32 @@ func TestDifferentialCompactSharded(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			r := compacted(t, largeRandomTable(400, 130))
-			shards := interleavedShards(r, k)
-			sched := NewScanScheduler()
-			gotV := make([][][]float64, len(shards))
-			gotOK := make([][][]bool, len(shards))
-			errs := make([]error, len(shards))
+			parts := interleavedParts(r.NumRows(), k)
+			gotV := make([][][]float64, len(parts))
+			gotOK := make([][][]bool, len(parts))
+			errs := make([]error, len(parts))
 			var wg sync.WaitGroup
-			for i, sh := range shards {
+			for i, rows := range parts {
+				part := r.Take(rows)
+				if !part.Column("cat").IsCompact() {
+					t.Fatal("Take of a compact column lost compact storage")
+				}
 				wg.Add(1)
-				go func(i int, sh *dataframe.Table) {
+				go func(i int) {
 					defer wg.Done()
-					e := NewExecutor(sh, WithScanScheduler(sched))
-					gotV[i], gotOK[i], errs[i] = e.AugmentValuesBatch(d, qs)
-				}(i, sh)
+					gotV[i], gotOK[i], errs[i] = NewExecutor(part).AugmentValuesBatch(d, qs)
+				}(i)
 			}
 			wg.Wait()
 			raw := largeRandomTable(400, 130)
-			for i, sh := range shards {
+			for i, rows := range parts {
 				if errs[i] != nil {
-					t.Fatalf("shard %d: %v", i, errs[i])
-				}
-				_, rows, ok := sh.ShardOf()
-				if !ok {
-					t.Fatal("shard lost provenance")
+					t.Fatalf("part %d: %v", i, errs[i])
 				}
 				ref := raw.Take(rows)
 				for qi, q := range qs {
 					wantV, wantOK := oracleFeature(t, q, d, ref)
-					sameFeature(t, fmt.Sprintf("k=%d shard %d %s", k, i, q.SQL("r")),
+					sameFeature(t, fmt.Sprintf("k=%d part %d %s", k, i, q.SQL("r")),
 						gotV[i][qi], wantV, gotOK[i][qi], wantOK)
 				}
 			}

@@ -69,8 +69,8 @@ func (e *Executor) countingScan() {
 }
 
 // domain returns the cached probe for col, running it on first use. Probes
-// live in the shared core (they depend only on the column), so sibling shard
-// executors run each probe — a full-table pass — once between them.
+// live in the core (they depend only on the column), so executors sharing a
+// core run each probe — a full-table pass — once between them.
 func (e *Executor) domain(col *dataframe.Column) *domainEntry {
 	c := e.core
 	c.mu.Lock()

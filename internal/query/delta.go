@@ -32,7 +32,6 @@ package query
 // ascending permutation of each group's multiset.
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -43,13 +42,8 @@ import (
 // Append appends batch to the executor's scan table through the core's epoch
 // fence: it waits out in-flight scans of every executor sharing the core and
 // blocks new ones until the rows have landed. Cache entries advance lazily on
-// the next scan (back-to-back appends coalesce into one advance). Shard
-// executors reject direct appends — grow the whole family through
-// AppendSharded so the parent and every shard stay consistent.
+// the next scan (back-to-back appends coalesce into one advance).
 func (e *Executor) Append(batch *dataframe.Table) error {
-	if e.sharded {
-		return fmt.Errorf("query: Append on a shard executor; use AppendSharded")
-	}
 	c := e.core
 	c.fence.Lock()
 	defer c.fence.Unlock()
@@ -283,13 +277,6 @@ func appendMatchedRows(rows []int, mask []uint64, from int) []int {
 // appended rows. Caller holds the fence in write mode.
 func (e *Executor) advancePrivate() int64 {
 	var scanned int64
-	if e.sharded {
-		// The shard's parent-row list may have grown (AppendSharded) or been
-		// reallocated; refetch the current header.
-		if _, rows, ok := e.r.ShardOf(); ok {
-			e.shardRows = rows
-		}
-	}
 	for pk, ent := range e.plans {
 		d, ok := e.advancePlan(ent)
 		if !ok {
@@ -322,21 +309,12 @@ func (e *Executor) advancePlan(ent *planEntry) (int64, bool) {
 	// The group index may have left the core map (eviction); extend directly.
 	ent.gi.Extend()
 	oldLen := len(ent.rows)
-	me := ent.me
-	switch {
-	case me != nil && e.sharded:
-		if e.advanceMask(me); me.err != nil {
-			return 0, false
-		}
-		ent.rows = shardMaskRows(e.shardRows, me.bits)
-	case me != nil:
+	if me := ent.me; me != nil {
 		if e.advanceMask(me); me.err != nil {
 			return 0, false
 		}
 		ent.rows = me.rows
-	case e.sharded:
-		ent.rows = e.shardRows
-	default:
+	} else {
 		ent.rows = e.core.rowIdentity()
 	}
 	// Bit-identity invariant: the advanced row list's prefix equals the old

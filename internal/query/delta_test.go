@@ -140,7 +140,7 @@ func TestDeltaDifferential(t *testing.T) {
 			seed := int64(500)
 			qs := deltaQueryPool(t, deltaTable(nBase, seed), 60, seed+1)
 
-			exDelta := NewExecutor(deltaTable(nBase, seed), WithMorselRows(64))
+			exDelta := NewExecutor(deltaTable(nBase, seed), withMorselRows(64))
 			parts := []*dataframe.Table{deltaTable(nBase, seed)}
 
 			check := func(round string) {
@@ -152,7 +152,7 @@ func TestDeltaDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", round, err)
 				}
-				fresh, err := NewExecutor(ref, WithMorselRows(64)).ExecuteBatch(qs, "feature")
+				fresh, err := NewExecutor(ref, withMorselRows(64)).ExecuteBatch(qs, "feature")
 				if err != nil {
 					t.Fatalf("%s: fresh: %v", round, err)
 				}
@@ -202,7 +202,7 @@ func TestDeltaAugmentDifferential(t *testing.T) {
 		dataframe.NewIntColumn("k1", k1, nil),
 		dataframe.NewStringColumn("k2", k2, nil),
 	)
-	ex := NewExecutor(deltaTable(nBase, seed), WithMorselRows(64))
+	ex := NewExecutor(deltaTable(nBase, seed), withMorselRows(64))
 	parts := []*dataframe.Table{deltaTable(nBase, seed)}
 	if _, _, err := ex.AugmentValuesBatch(d, qs); err != nil {
 		t.Fatal(err) // warm the caches pre-append
@@ -221,7 +221,7 @@ func TestDeltaAugmentDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wvals, wvalid, err := NewExecutor(ref, WithMorselRows(64)).AugmentValuesBatch(d, qs)
+		wvals, wvalid, err := NewExecutor(ref, withMorselRows(64)).AugmentValuesBatch(d, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,97 +236,62 @@ func TestDeltaAugmentDifferential(t *testing.T) {
 	}
 }
 
-// TestDeltaShardedDifferential appends through AppendSharded and requires
-// every shard executor — and the union router — to match from-scratch
-// executors over the grown shard contents, for k in {1, 3}.
+// TestDeltaShardedDifferential routes appends to interleaved partitions of
+// one table — batch row i lands on partition (table row index mod k) — and
+// requires every partition's executor to match the Query.Execute oracle over
+// the partition's grown rows, for k in {1, 3}.
 func TestDeltaShardedDifferential(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		k := k
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			const nBase = 300
 			seed := int64(900 + k)
-			qs := deltaQueryPool(t, deltaTable(nBase, seed), 40, seed+1)
+			full := deltaTable(nBase, seed)
+			qs := deltaQueryPool(t, full, 40, seed+1)
 
-			parent := deltaTable(nBase, seed)
-			sched := NewScanScheduler()
-			sched.MorselRows = 64
-			shards := make([]*dataframe.Table, k)
-			shardRows := make([][]int, k)
-			for i := 0; i < nBase; i++ {
-				shardRows[i%k] = append(shardRows[i%k], i)
-			}
 			exs := make([]*Executor, k)
-			for j := range shards {
-				shards[j] = parent.Shard(shardRows[j])
-				exs[j] = NewExecutor(shards[j], WithScanScheduler(sched))
+			pieces := make([][]*dataframe.Table, k) // per partition, for Concat
+			for j, rows := range interleavedParts(nBase, k) {
+				exs[j] = NewExecutor(full.Take(rows), withMorselRows(64))
+				pieces[j] = []*dataframe.Table{full.Take(rows)}
 			}
-			router, err := NewShardedExecutor(shards, WithScanScheduler(sched))
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts := []*dataframe.Table{deltaTable(nBase, seed)}
 
 			check := func(round string) {
-				ref, err := dataframe.Concat(parts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				freshSched := NewScanScheduler()
-				freshSched.MorselRows = 64
 				for j, ex := range exs {
 					got, err := ex.ExecuteBatch(qs, "feature")
 					if err != nil {
-						t.Fatalf("%s: shard %d: %v", round, j, err)
+						t.Fatalf("%s: part %d: %v", round, j, err)
 					}
-					fresh := NewExecutor(ref.Shard(shardRows[j]), WithScanScheduler(freshSched))
-					want, err := fresh.ExecuteBatch(qs, "feature")
+					ref, err := dataframe.Concat(pieces[j]...)
 					if err != nil {
-						t.Fatalf("%s: fresh shard %d: %v", round, j, err)
+						t.Fatal(err)
 					}
+					want := oracleBatch(t, ref, qs, "feature")
 					for i, q := range qs {
-						sameTable(t, fmt.Sprintf("%s shard %d %s", round, j, q.SQL("r")), got[i], want[i])
+						sameTable(t, fmt.Sprintf("%s part %d %s", round, j, q.SQL("r")), got[i], want[i])
 					}
-				}
-				got, err := router.ExecuteBatch(qs, "feature")
-				if err != nil {
-					t.Fatalf("%s: router: %v", round, err)
-				}
-				want, err := NewExecutor(ref, WithMorselRows(64)).ExecuteBatch(qs, "feature")
-				if err != nil {
-					t.Fatalf("%s: fresh union: %v", round, err)
-				}
-				for i, q := range qs {
-					sameTable(t, fmt.Sprintf("%s router %s", round, q.SQL("r")), got[i], want[i])
 				}
 			}
 
 			check("cold")
-			sizes := []int{1, 9, 64}
-			for bi, size := range sizes {
-				bseed := seed + 20 + int64(bi)
-				batch := deltaRows(size, bseed, "mixed")
-				route := make([]int, size)
-				oldN := parent.NumRows()
-				for i := range route {
-					route[i] = (oldN + i) % k
-					shardRows[route[i]] = append(shardRows[route[i]], oldN+i)
+			n := nBase
+			for bi, size := range []int{1, 9, 64} {
+				batch := deltaRows(size, seed+20+int64(bi), "mixed")
+				routed := make([][]int, k)
+				for i := 0; i < size; i++ {
+					routed[(n+i)%k] = append(routed[(n+i)%k], i)
 				}
-				if err := AppendSharded(sched, shards, batch, route); err != nil {
-					t.Fatal(err)
-				}
-				parts = append(parts, deltaRows(size, bseed, "mixed"))
-				check(fmt.Sprintf("append %d (+%d rows)", bi, size))
-			}
-			for j, sh := range shards {
-				_, rows, _ := sh.ShardOf()
-				if len(rows) != len(shardRows[j]) {
-					t.Fatalf("shard %d holds %d parent rows, want %d", j, len(rows), len(shardRows[j]))
-				}
-				for i := range rows {
-					if rows[i] != shardRows[j][i] {
-						t.Fatalf("shard %d parent row %d = %d, want %d", j, i, rows[i], shardRows[j][i])
+				n += size
+				for j, idx := range routed {
+					if len(idx) == 0 {
+						continue
 					}
+					if err := exs[j].Append(batch.Take(idx)); err != nil {
+						t.Fatal(err)
+					}
+					pieces[j] = append(pieces[j], batch.Take(idx))
 				}
+				check(fmt.Sprintf("append %d (+%d rows)", bi, size))
 			}
 		})
 	}
@@ -341,7 +306,7 @@ func TestDeltaStatsGolden(t *testing.T) {
 		{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"}},
 		{Agg: agg.Median, AggAttr: "x", Keys: []string{"k1"}},
 	}
-	ex := NewExecutor(deltaTable(256, 3), WithMorselRows(64))
+	ex := NewExecutor(deltaTable(256, 3), withMorselRows(64))
 	if _, err := ex.ExecuteBatch(qs, "f"); err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +357,7 @@ func TestDeltaStatsGolden(t *testing.T) {
 			Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: v}}}
 	}
 	shiftQs := []Query{catQuery(agg.Sum, "b"), catQuery(agg.Median, "b")}
-	exS := NewExecutor(deltaTable(256, 3), WithMorselRows(64))
+	exS := NewExecutor(deltaTable(256, 3), withMorselRows(64))
 	if _, err := exS.ExecuteBatch(shiftQs, "f"); err != nil {
 		t.Fatal(err)
 	}
@@ -493,40 +458,6 @@ func TestConcurrentAppendsVsScans(t *testing.T) {
 		for i, q := range qs {
 			sameTable(t, "settled "+q.SQL("r"), got[i], want[i])
 		}
-	}
-}
-
-// TestAppendShardedValidation pins AppendSharded's error contract: validation
-// failures mutate nothing.
-func TestAppendShardedValidation(t *testing.T) {
-	parent := deltaTable(40, 5)
-	sh := parent.Shard([]int{0, 2, 4})
-	sched := NewScanScheduler()
-	batch := deltaRows(4, 6, "mixed")
-	if err := AppendSharded(sched, nil, batch, nil); err == nil {
-		t.Error("no shards: want error")
-	}
-	if err := AppendSharded(sched, []*dataframe.Table{sh}, batch, []int{0}); err == nil {
-		t.Error("route length mismatch: want error")
-	}
-	if err := AppendSharded(sched, []*dataframe.Table{sh}, batch, []int{0, 0, 1, 0}); err == nil {
-		t.Error("route out of range: want error")
-	}
-	if err := AppendSharded(sched, []*dataframe.Table{parent}, batch, []int{0, 0, 0, 0}); err == nil {
-		t.Error("non-shard table: want error")
-	}
-	if parent.NumRows() != 40 || sh.NumRows() != 3 {
-		t.Fatalf("failed validation mutated the family: parent %d rows, shard %d rows",
-			parent.NumRows(), sh.NumRows())
-	}
-	if err := AppendSharded(sched, []*dataframe.Table{sh}, batch, []int{0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if parent.NumRows() != 44 || sh.NumRows() != 7 {
-		t.Fatalf("append landed %d parent / %d shard rows, want 44 / 7", parent.NumRows(), sh.NumRows())
-	}
-	if err := NewExecutor(sh, WithScanScheduler(sched)).Append(deltaRows(1, 7, "mixed")); err == nil {
-		t.Error("Append on a shard executor: want error directing to AppendSharded")
 	}
 }
 

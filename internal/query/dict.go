@@ -11,8 +11,8 @@ package query
 // Encodings are owned at the tableCore layer: dictFor hands out one
 // dictEntry per (core, column), and the entry's build defers to
 // Column.Dict(), which caches on the column itself — so executors over
-// different cores of the same physical table (shard subscribers, served
-// plans) still share one encode pass. Columns above MaxDictCardinality get no
+// different cores of the same table (a private and a scheduler-shared one,
+// say) still share one encode pass. Columns above MaxDictCardinality get no
 // encoding and take the unencoded fallbacks; the differential tests compare
 // both shapes against Query.Execute.
 

@@ -130,10 +130,9 @@ func TestDifferentialDictEncoding(t *testing.T) {
 	}
 }
 
-// TestDifferentialDictSharded runs the encoded path across provenance shards
-// of one parent — executors sharing a fresh scheduler, scanning concurrently,
-// k ∈ {1, 3} — against the Query.Augment oracle over materialised copies of
-// the same rows.
+// TestDifferentialDictSharded runs the encoded path over range and
+// interleaved partitions of one table, k ∈ {1, 3}, their executors scanning
+// concurrently, against the Query.Augment oracle over the same rows.
 func TestDifferentialDictSharded(t *testing.T) {
 	tables := map[string]*dataframe.Table{
 		"mixed":     largeRandomTable(400, 81),
@@ -145,36 +144,31 @@ func TestDifferentialDictSharded(t *testing.T) {
 			rng := rand.New(rand.NewSource(84))
 			qs := randomPool(rng, 60)
 			for _, k := range []int{1, 3} {
-				for kind, shards := range map[string][]*dataframe.Table{
-					"range":      rangeShards(r, k),
-					"interleave": interleavedShards(r, k),
+				for kind, parts := range map[string][][]int{
+					"range":      rangeParts(r.NumRows(), k),
+					"interleave": interleavedParts(r.NumRows(), k),
 				} {
-					sched := NewScanScheduler()
-					gotV := make([][][]float64, len(shards))
-					gotOK := make([][][]bool, len(shards))
-					errs := make([]error, len(shards))
+					tables := make([]*dataframe.Table, len(parts))
+					gotV := make([][][]float64, len(parts))
+					gotOK := make([][][]bool, len(parts))
+					errs := make([]error, len(parts))
 					var wg sync.WaitGroup
-					for i, sh := range shards {
+					for i, rows := range parts {
+						tables[i] = r.Take(rows)
 						wg.Add(1)
-						go func(i int, sh *dataframe.Table) {
+						go func(i int) {
 							defer wg.Done()
-							e := NewExecutor(sh, WithScanScheduler(sched))
-							gotV[i], gotOK[i], errs[i] = e.AugmentValuesBatch(d, qs)
-						}(i, sh)
+							gotV[i], gotOK[i], errs[i] = NewExecutor(tables[i]).AugmentValuesBatch(d, qs)
+						}(i)
 					}
 					wg.Wait()
-					for i, sh := range shards {
+					for i, part := range tables {
 						if errs[i] != nil {
-							t.Fatalf("k=%d %s shard %d: %v", k, kind, i, errs[i])
+							t.Fatalf("k=%d %s part %d: %v", k, kind, i, errs[i])
 						}
-						_, rows, ok := sh.ShardOf()
-						if !ok {
-							t.Fatal("shard lost provenance")
-						}
-						ref := r.Take(rows)
 						for qi, q := range qs {
-							wantV, wantOK := oracleFeature(t, q, d, ref)
-							sameFeature(t, fmt.Sprintf("k=%d %s shard %d %s", k, kind, i, q.SQL("r")),
+							wantV, wantOK := oracleFeature(t, q, d, part)
+							sameFeature(t, fmt.Sprintf("k=%d %s part %d %s", k, kind, i, q.SQL("r")),
 								gotV[i][qi], wantV, gotOK[i][qi], wantOK)
 						}
 					}

@@ -39,12 +39,11 @@ import (
 //     leaves the plan map; a stale snapshot is prepared again.
 //
 // The table-scoped caches (group indexes, bitmaps, masks, float views, domain
-// probes) live in a tableCore (see scheduler.go). An ordinary executor owns a
-// private core; an executor over a shard table (dataframe.Shard) scans its
-// parent through a ScanScheduler-shared core, restricted to the shard's rows,
-// so k executors over shards of one table run each table pass once between
-// them. Scans walk the table morsel by morsel (dataframe.MorselBounds),
-// observing cancellation at every boundary.
+// probes) live in a tableCore (see scheduler.go). An executor owns a private
+// core unless WithScanScheduler hands it one shared with every executor over
+// the same table, so they run each table pass once between them. Scans walk
+// the table morsel by morsel (dataframe.MorselBounds), observing
+// cancellation at every boundary.
 //
 // On top of the caches, every entry point runs fused: a batch is prepared,
 // then run — grouped by plan group, each group's aggregates streaming through
@@ -54,16 +53,10 @@ import (
 // aggregate state like any batch. All methods are safe for concurrent use; batches
 // evaluate on a bounded worker pool.
 type Executor struct {
-	r    *dataframe.Table
-	core *tableCore // scan-side caches of the physical table core.t
-	// Shard restriction: when the executor's table is a shard, core.t is the
-	// parent and shardRows lists the parent rows the shard holds, in shard row
-	// order; scans visit only those rows. sharded distinguishes an empty shard
-	// from no shard.
-	shardRows     []int
-	sharded       bool
-	sched         *ScanScheduler // nil = private core
-	optMorselRows int            // WithMorselRows, private cores only
+	r          *dataframe.Table
+	core       *tableCore     // scan-side caches of r
+	sched      *ScanScheduler // nil = private core
+	morselRows int            // private core's morsel size (set by tests); 0 = default
 	// Parallelism bounds the batch worker pool; 0 means GOMAXPROCS.
 	Parallelism int
 
@@ -126,12 +119,12 @@ type ExecutorStats struct {
 	// FusedQueries counts).
 	CountOnlyQueries int64
 	// Cross-executor scan sharing (ScanScheduler): full-table passes this
-	// executor ran to build a shared-core entry (group index, predicate
-	// bitmap, float view, domain probe) vs lookups that subscribed to an entry
-	// another executor over the same core had already built. k executors over
-	// shards of one table converge on one set of passes between them, so
-	// summed SharedScanPasses stays near a single executor's count while
-	// SharedScanSubscribers absorbs the rest.
+	// executor ran to build a core entry (group index, predicate bitmap,
+	// float view, domain probe) vs lookups that subscribed to an entry
+	// another executor over the same core had already built. k executors
+	// over one table on one scheduler converge on one set of passes between
+	// them, so summed SharedScanPasses stays near a single executor's count
+	// while SharedScanSubscribers absorbs the rest.
 	SharedScanPasses, SharedScanSubscribers int64
 	// MorselsScanned counts the morsel segments the executor's scans walked
 	// (discovery, attribute and scatter passes all run morsel by morsel).
@@ -294,8 +287,8 @@ type ExecutorOption func(*Executor)
 
 // WithJoinCache makes the executor share train-side join indexes through the
 // given cache instead of the process-level default. Multi-table transformers
-// pass one cache to every per-source executor, so k executors serving shards
-// of one training table build its index once between them.
+// pass one cache to every per-source executor, so the k sources of one
+// training table build its index once between them.
 func WithJoinCache(c *JoinCache) ExecutorOption {
 	return func(e *Executor) {
 		if c != nil {
@@ -312,13 +305,6 @@ func WithParallelism(n int) ExecutorOption {
 
 // NewExecutor builds an executor over one relevant table. The table must not
 // be mutated while the executor is in use (caches index into its rows).
-//
-// A table built by dataframe.Shard is scanned through its PARENT: the
-// executor restricts every plan to the shard's rows but takes its scan-side
-// caches from a scheduler-shared core of the parent (the process-level
-// scheduler unless WithScanScheduler overrides it), so executors over sibling
-// shards share table passes. Results are bit-identical to an executor over
-// the materialised shard (the differential tests enforce it).
 func NewExecutor(r *dataframe.Table, opts ...ExecutorOption) *Executor {
 	e := &Executor{
 		r:         r,
@@ -328,23 +314,14 @@ func NewExecutor(r *dataframe.Table, opts ...ExecutorOption) *Executor {
 	for _, opt := range opts {
 		opt(e)
 	}
-	scan := r
-	if parent, rows, ok := r.ShardOf(); ok {
-		scan = parent
-		e.shardRows = rows
-		e.sharded = true
-		if e.sched == nil {
-			e.sched = processScheduler
-		}
-	}
 	if e.sched != nil {
-		e.core = e.sched.coreFor(scan)
+		e.core = e.sched.coreFor(r)
 	} else {
-		e.core = newTableCore(scan, e.optMorselRows)
+		e.core = newTableCore(r, e.morselRows)
 	}
 	// A fresh executor's (empty) private caches vacuously cover the current
 	// epoch; the first scan advances the shared core if it is behind.
-	e.epoch = scan.Epoch()
+	e.epoch = r.Epoch()
 	return e
 }
 
@@ -406,8 +383,8 @@ func (e *Executor) noteMorsel() {
 
 // groupIndex returns the cached GroupIndex for a key-set, building it on
 // first use. Key order matters (it fixes the output column order), so the
-// cache key preserves it. The index lives in the shared core and covers the
-// full scan table (the parent, for shard executors).
+// cache key preserves it. The index lives in the core and covers the whole
+// table.
 func (e *Executor) groupIndex(keys []string) (*dataframe.GroupIndex, error) {
 	k := strings.Join(keys, "\x1f")
 	c := e.core
@@ -787,28 +764,14 @@ func (e *Executor) countScan() {
 	e.mu.Unlock()
 }
 
-// shardMaskRows filters the shard's row list by a WHERE bitmap over the
-// parent table, preserving shard row order — the exact row sequence an
-// executor over the materialised shard would scan for the same mask.
-func shardMaskRows(shardRows []int, bits []uint64) []int {
-	rows := make([]int, 0, len(shardRows))
-	for _, i := range shardRows {
-		if bits[i>>6]&(1<<uint(i&63)) != 0 {
-			rows = append(rows, i)
-		}
-	}
-	return rows
-}
-
 // plan returns the cached plan-group entry for (keys, preds), whose plan key
 // (groupBatch) is pk, running the group-discovery scan on first use: the
 // non-empty groups under the WHERE mask in first-seen order over the matching
 // rows (matching Query.Execute's output order), with total matching rows per
 // group. Later queries on the same plan group — from any batch — skip
-// straight to their value passes. A shard executor's plans cover only its
-// shard's rows; the row list is pre-split into morsel segments, the unit
-// every downstream scan walks. A whole-map drop at the bound raises the plan
-// generation.
+// straight to their value passes. The row list is pre-split into morsel
+// segments, the unit every downstream scan walks. A whole-map drop at the
+// bound raises the plan generation.
 func (e *Executor) plan(pk planKey, keys []string, preds []Predicate) (*planEntry, error) {
 	gi, err := e.groupIndex(keys)
 	if err != nil {
@@ -830,14 +793,9 @@ func (e *Executor) plan(pk planKey, keys []string, preds []Predicate) (*planEntr
 		ent.keys = append([]string(nil), keys...)
 		ent.me = me
 		ent.nrows = e.core.t.NumRows()
-		switch {
-		case me != nil && e.sharded:
-			ent.rows = shardMaskRows(e.shardRows, me.bits)
-		case me != nil:
+		if me != nil {
 			ent.rows = me.rows
-		case e.sharded:
-			ent.rows = e.shardRows
-		default:
+		} else {
 			ent.rows = e.core.rowIdentity()
 		}
 		ent.segs = morselSegments(ent.rows, e.core.morselRows)

@@ -142,7 +142,7 @@ func FuzzAppendMatchesOracle(f *testing.F) {
 	qs := preparedPool(f, deltaTable(nBase, 31), 24, 32)
 	d := preparedTrain()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ex := NewExecutor(deltaTable(nBase, 31), WithMorselRows(64))
+		ex := NewExecutor(deltaTable(nBase, 31), withMorselRows(64))
 		parts := []*dataframe.Table{deltaTable(nBase, 31)}
 		prep, err := ex.Prepare(qs)
 		if err != nil {

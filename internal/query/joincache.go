@@ -10,7 +10,7 @@ import (
 // The train-side join index — a GroupIndex over the training table's key
 // columns — depends only on (training table, key columns), not on the
 // relevant table an executor is bound to. Before this cache every executor
-// rebuilt it privately, so k executors serving shards of one training table
+// rebuilt it privately, so the k per-source executors of one training table
 // (the MultiFeaturePlan shape, cmd/feataug's :split= scenarios) paid k
 // identical full-table grouping passes. JoinCache hoists that index to a
 // shareable, process-level cache keyed by (table identity fingerprint,

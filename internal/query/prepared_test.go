@@ -67,7 +67,7 @@ func TestPreparedMatchesOracle(t *testing.T) {
 	seed := int64(901)
 	qs := preparedPool(t, deltaTable(nBase, seed), 30, seed+1)
 	d := preparedTrain()
-	ex := NewExecutor(deltaTable(nBase, seed), WithMorselRows(64))
+	ex := NewExecutor(deltaTable(nBase, seed), withMorselRows(64))
 	parts := []*dataframe.Table{deltaTable(nBase, seed)}
 	p, err := ex.Prepare(qs)
 	if err != nil {

@@ -1,21 +1,17 @@
 package query
 
-// The scan scheduler: cross-executor sharing of table-scan state. PRs 3/5
-// fused scans *within* one executor; every executor still owned its group
-// indexes, predicate bitmaps, WHERE masks, float views and domain probes
-// privately, so k executors over shards of one physical table ran k identical
-// full-table passes. This file hoists that state into a tableCore — the
-// scan-side cache of ONE physical table — and a ScanScheduler that hands
-// executors a shared core keyed by the table's identity fingerprint (the
-// JoinCache pattern, applied to the relevant-table side).
+// The scan scheduler: cross-executor sharing of table-scan state. A tableCore
+// holds the scan-side caches of ONE table — group indexes, predicate bitmaps,
+// WHERE masks, float views, domain probes and dictionaries — and a
+// ScanScheduler hands executors over the same table one shared core, keyed by
+// the table's identity fingerprint (the JoinCache pattern, applied to the
+// relevant-table side). Served plans and cmd/feataug's process caches use it
+// so that every executor over a table builds each entry once between them.
+// The core also carries the table's epoch fence, which orders appends,
+// compaction and size reads against scans.
 //
-// An executor over a shard (a table built by dataframe.Shard) scans its
-// PARENT table through the parent's shared core, restricted to its shard's
-// rows: group indexes, bitmaps, views and domains are built once per parent
-// across all of its shards' executors, and each executor's plan groups
-// subscribe to those passes instead of re-running them. The new
-// ExecutorStats counters make the sharing observable: SharedScanPasses counts
-// full-table passes this executor ran to build a core entry, and
+// ExecutorStats make the sharing observable: SharedScanPasses counts
+// full-table passes an executor ran to build a core entry, and
 // SharedScanSubscribers counts cache hits on entries another executor built.
 // MorselsScanned counts the morsel segments its scans actually walked (scans
 // run morsel by morsel; see dataframe.MorselBounds).
@@ -26,11 +22,11 @@ import (
 	"repro/internal/dataframe"
 )
 
-// tableCore is the shared scan-side state of one physical table: every cache
-// whose contents depend only on the table (not on the executor or its shard)
-// lives here. Executors over the same core share entries; entries record the
-// executor that created them so subscribers can be counted. All maps are
-// guarded by mu; the entries themselves synchronise through their once.
+// tableCore is the scan-side state of one table: every cache whose contents
+// depend only on the table (not on the executor) lives here. Executors over
+// the same core share entries; entries record the executor that created them
+// so subscribers can be counted. All maps are guarded by mu; the entries
+// themselves synchronise through their once.
 type tableCore struct {
 	t          *dataframe.Table
 	morselRows int
@@ -119,18 +115,10 @@ func (c *tableCore) rowIdentity() []int {
 const maxCoreEntries = 64
 
 // ScanScheduler shares tableCores across executors, keyed by table identity
-// fingerprint: two executors whose (parent) tables are the same physical table
-// get the same core and therefore share every table pass. MorselRows sets the
-// morsel size of cores built by this scheduler; 0 means
-// dataframe.DefaultMorselRows. All methods are safe for concurrent use.
-//
-// Executors over shard tables (dataframe.Shard) default to the process-level
-// scheduler, so cmd/feataug's :split= scenarios and ShardedTable routers share
-// scans with no configuration; executors over ordinary tables keep a private
-// core unless WithScanScheduler opts them in.
+// fingerprint: two executors over the same table get the same core and
+// therefore share every table pass. Executors keep a private core unless
+// WithScanScheduler opts them in. All methods are safe for concurrent use.
 type ScanScheduler struct {
-	MorselRows int
-
 	mu    sync.Mutex
 	cores map[uint64]*tableCore
 }
@@ -140,11 +128,11 @@ func NewScanScheduler() *ScanScheduler {
 	return &ScanScheduler{cores: map[uint64]*tableCore{}}
 }
 
-// processScheduler is the process-level default shard executors adopt.
+// processScheduler is the process-level scheduler.
 var processScheduler = NewScanScheduler()
 
-// ProcessScanScheduler returns the process-level scheduler that executors over
-// shard tables default to.
+// ProcessScanScheduler returns the process-level scheduler: served plans and
+// cmd/feataug's combined fit+transform share scan state through it.
 func ProcessScanScheduler() *ScanScheduler { return processScheduler }
 
 // coreFor returns the scheduler's shared core for t, building it on first use.
@@ -161,7 +149,7 @@ func (s *ScanScheduler) coreFor(t *dataframe.Table) *tableCore {
 	if len(s.cores) >= maxCoreEntries {
 		s.cores = make(map[uint64]*tableCore, maxCoreEntries/4)
 	}
-	c := newTableCore(t, s.MorselRows)
+	c := newTableCore(t, 0)
 	s.cores[fp] = c
 	return c
 }
@@ -222,8 +210,8 @@ func (s *ScanScheduler) Len() int {
 
 // WithScanScheduler makes the executor take its scan-side caches from the
 // given scheduler's shared core instead of a private one, so executors over
-// the same physical table (or shards of it) share group indexes, predicate
-// bitmaps, masks, float views and domain probes. nil is ignored.
+// the same table share group indexes, predicate bitmaps, masks, float views
+// and domain probes. nil is ignored.
 func WithScanScheduler(s *ScanScheduler) ExecutorOption {
 	return func(e *Executor) {
 		if s != nil {
@@ -232,19 +220,8 @@ func WithScanScheduler(s *ScanScheduler) ExecutorOption {
 	}
 }
 
-// WithMorselRows sets the morsel size of the executor's PRIVATE scan core
-// (n <= 0 means dataframe.DefaultMorselRows). Executors on a shared core take
-// the scheduler's MorselRows instead — set it there. Differential tests use
-// small sizes to exercise morsel boundaries; production callers leave the
-// default.
-func WithMorselRows(n int) ExecutorOption {
-	return func(e *Executor) {
-		e.optMorselRows = n
-	}
-}
-
 // morselSegments splits a matching-row list into maximal runs that stay
-// within one morsel of the scan table: segs[i] = [lo, hi) index range into
+// within one morsel of the table: segs[i] = [lo, hi) index range into
 // rows. Scans walk the list segment by segment — the per-morsel unit at which
 // they observe cancellation and count MorselsScanned — while their
 // accumulators carry across segments in row order, which keeps every
