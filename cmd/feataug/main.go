@@ -26,10 +26,11 @@
 //	feataug -plan-in multi.json -transform tmall:split=action -rows 400 -seed 2 -out batch.csv
 //
 // Combining -fit and -transform in one invocation runs both halves in one
-// process: the plan is still persisted via -plan-out, and the transform side
-// shares the fit side's process-level join cache and scan scheduler (and,
-// when the scenarios match, the generated dataset itself), so the join
-// indexes and scan state the search warmed are reused instead of rebuilt:
+// process: the plan is still persisted via -plan-out, and when the scenarios
+// match the transform reuses the dataset instance the fit generated instead
+// of generating it again. That instance, with the dictionary encodings its
+// columns carry, is all the two halves share: the transform builds its own
+// executors, join indexes and scan state:
 //
 //	feataug -fit tmall -rows 400 -seed 1 -plan-out plan.json -transform tmall -out batch.csv -v
 //
@@ -40,16 +41,17 @@
 // counts with no value pass, S the shared discovery and attribute scans they
 // cost between them.
 //
-// The -v executor-stats block also reports the dictionary-encoding counters
-// (PR 8): "dict: N encodes / M hits, K code-kernel predicates" — encode
-// passes paid to dictionary-encode string columns, lookups served from an
-// already-built encoding, and predicate bitmaps built through the branch-free
-// dictionary-code kernels (string equality as a single code compare, int/time
-// ranges as a code-interval test) instead of per-row value compares. String
-// columns above dataframe.MaxDictCardinality stay unencoded and compare per
-// row; the differential tests check both shapes against Query.Execute.
+// The -v executor-stats block also reports the dictionary-encoding counters:
+// "dict: N encodes / M hits, K code-kernel predicates" — encode passes paid
+// to dictionary-encode string columns, lookups served from an already-built
+// encoding, and predicate bitmaps built through the branch-free kernels
+// (string equality as a single code compare, int/time ranges as raw int64
+// compares against exact integer bounds) instead of per-row value compares.
+// String columns above dataframe.MaxDictCardinality stay unencoded and
+// compare per row; the differential tests check both shapes against
+// Query.Execute.
 //
-// -v also prints the relevant table's resident footprint (PR 10): total MB,
+// -v also prints the relevant table's resident footprint: total MB,
 // bytes/row and how many string columns run code-backed compact storage,
 // where the dictionary codes are the column — the []string backing is
 // dropped and per-row reads decode from the domain.
@@ -150,20 +152,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if *transform == "" {
 				return nil
 			}
-			// Combined fit+transform: one process serves both halves, so the
-			// transform reuses the fit's process-level join cache and scan
-			// scheduler — and, when the scenarios match, the very dataset the
-			// fit generated (cache identity is per table instance).
+			// Combined fit+transform: when the scenarios match, the transform
+			// reuses the dataset instance the fit generated.
 			shared := d
 			if *transform != *fit {
 				shared = nil
 			}
-			return runTransform(ctx, *planOut, *transform, fo, shared, true, out, stderr)
+			return runTransform(ctx, *planOut, *transform, fo, shared, out, stderr)
 		default:
 			if *transform == "" {
 				return fmt.Errorf("-plan-in requires -transform")
 			}
-			return runTransform(ctx, *planIn, *transform, fo, nil, false, out, stderr)
+			return runTransform(ctx, *planIn, *transform, fo, nil, out, stderr)
 		}
 	}
 
@@ -510,11 +510,10 @@ func runFit(ctx context.Context, spec, planPath string, fo fitOpts, out, stderr 
 // relevant-table shards to bind it to.
 //
 // In a combined fit+transform invocation, shared is the dataset the fit just
-// generated (nil when the scenarios differ) and procCaches opts the
-// transformer into the process-level join cache and scan scheduler, so join
-// indexes and scan state warmed by the search are reused — caches key on
-// table identity, which is why the shared instance matters.
-func runTransform(ctx context.Context, planPath, spec string, fo fitOpts, shared *datagen.Dataset, procCaches bool, out, stderr io.Writer) error {
+// generated (nil when the scenarios differ), used instead of generating the
+// batch again. Only that dataset instance is shared with the fit: the
+// transformer builds its own executors.
+func runTransform(ctx context.Context, planPath, spec string, fo fitOpts, shared *datagen.Dataset, out, stderr io.Writer) error {
 	dataset, splitCol, err := parseScenario(spec)
 	if err != nil {
 		return err
@@ -529,13 +528,6 @@ func runTransform(ctx context.Context, planPath, spec string, fo fitOpts, shared
 			return err
 		}
 	}
-	var exOpts []repro.ExecutorOption
-	if procCaches {
-		exOpts = append(exOpts,
-			repro.WithJoinCache(repro.ProcessJoinCache()),
-			repro.WithScanScheduler(repro.ProcessScanScheduler()))
-	}
-
 	var augmented *repro.Table
 	var nfeats int
 	var stats func() repro.ExecutorStats
@@ -557,7 +549,7 @@ func runTransform(ctx context.Context, planPath, spec string, fo fitOpts, shared
 		if unmatched > 0 {
 			fmt.Fprintf(stderr, "transform: warning: %d relevant row(s) match no plan source (NULL or %q values unseen at fit time) and are excluded\n", unmatched, splitCol)
 		}
-		tr, err := plan.Transformer(shards, exOpts...)
+		tr, err := plan.Transformer(shards)
 		if err != nil {
 			return err
 		}
@@ -574,7 +566,7 @@ func runTransform(ctx context.Context, planPath, spec string, fo fitOpts, shared
 			}
 			return err
 		}
-		tr, err := plan.Transformer(d.Relevant, exOpts...)
+		tr, err := plan.Transformer(d.Relevant)
 		if err != nil {
 			return err
 		}
@@ -598,7 +590,7 @@ func runTransform(ctx context.Context, planPath, spec string, fo fitOpts, shared
 }
 
 // printTableMemory spells out the relevant table's resident footprint — the
-// -v observability line behind the compact-storage work (PR 10): total
+// -v observability line behind the compact-storage work: total
 // bytes, bytes/row, and how many of the string columns are code-backed
 // (compact columns hold dictionary codes only; no []string survives).
 func printTableMemory(stderr io.Writer, mode string, t *dataframe.Table) {
@@ -625,15 +617,15 @@ func printTableMemory(stderr io.Writer, mode string, t *dataframe.Table) {
 // work.
 func printFusionStats(stderr io.Writer, mode string, s repro.ExecutorStats) {
 	// The serving-side fusion counters: how many feature columns each
-	// training-table pass served, and how often the shared train-side join
-	// index was reused across executors.
+	// training-table pass served, and how often a pass found its train-side
+	// join entry already built.
 	passes := s.ScatterPasses
 	if passes == 0 {
 		passes = 1
 	}
-	fmt.Fprintf(stderr, "%s: scatter: %d columns over %d passes (%.1f cols/pass), shared join index %d hits / %d misses, %d counting sorts\n",
+	fmt.Fprintf(stderr, "%s: scatter: %d columns over %d passes (%.1f cols/pass), join index %d hits / %d misses, %d counting sorts\n",
 		mode, s.ScatterQueries, s.ScatterPasses, float64(s.ScatterQueries)/float64(passes),
-		s.SharedJoinHits, s.SharedJoinMisses, s.CountingScans)
+		s.JoinHits, s.JoinMisses, s.CountingScans)
 	// The morsel-driven shared-scan counters: full-table passes the executor
 	// set paid, cache entries served to executors that did not build them
 	// (executors sharing a scan scheduler's core), and morsels walked in

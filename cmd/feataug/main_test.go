@@ -187,8 +187,8 @@ func TestFitTransformRoundTrip(t *testing.T) {
 
 // TestFitTransformCombined exercises the combined -fit -transform invocation:
 // one process fits the plan, persists it, and materialises the features onto
-// the same dataset through the process-level caches — the saved plan and the
-// CSV both land, and -v shows the transform reusing the fit's join indexes.
+// the same dataset instance — the saved plan and the CSV both land, and -v
+// prints both halves' counters.
 func TestFitTransformCombined(t *testing.T) {
 	dir := t.TempDir()
 	planPath := filepath.Join(dir, "plan.json")
@@ -224,13 +224,6 @@ func TestFitTransformCombined(t *testing.T) {
 	if !strings.Contains(errOut, "fit: delta: 0 appends absorbed") ||
 		!strings.Contains(errOut, "0 group resorts, 0 full rebuilds") {
 		t.Fatalf("-v missing or non-zero delta counters line: %s", errOut)
-	}
-	// The transform joins features onto the SAME training table the fit
-	// warmed the process join cache with, so the shared index must hit.
-	tail := errOut[strings.Index(errOut, "transform: scatter:"):]
-	line, _, _ := strings.Cut(tail, "\n")
-	if strings.Contains(line, "shared join index 0 hits") {
-		t.Fatalf("combined transform did not reuse the fit's join index: %s", line)
 	}
 }
 

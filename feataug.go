@@ -12,8 +12,7 @@
 //     streaming shared scans per plan group instead of one scan per query —
 //     the engine, the baselines and the evaluator all execute queries
 //     through it; scans proceed morsel by morsel (fixed row ranges, prompt
-//     cancellation), and executors over the same table can share its scan
-//     state through a ScanScheduler,
+//     cancellation),
 //   - a TPE hyper-parameter optimiser with warm-starting,
 //   - LR / RF / XGBoost-style GBDT / DeepFM downstream models and metrics,
 //   - the FeatAug engine itself (SQL query generation + query template
@@ -104,12 +103,8 @@ type (
 	// ExecutorStats is a snapshot of an Executor's cache and fused-scan
 	// counters (Executor.Stats), for perf observability.
 	ExecutorStats = query.ExecutorStats
-	// ExecutorOption configures NewExecutor (e.g. WithJoinCache).
+	// ExecutorOption configures NewExecutor.
 	ExecutorOption = query.ExecutorOption
-	// JoinCache shares train-side join indexes across executors; executors
-	// default to one process-level instance, so any two executors joining
-	// features onto the same training table build its group index once.
-	JoinCache = query.JoinCache
 	// FeatureMatrix is the columnar bulk output of Executor.AugmentMatrix:
 	// every feature column of a batch in one flat column-major buffer.
 	FeatureMatrix = query.FeatureMatrix
@@ -119,43 +114,8 @@ type (
 // construct their own internally; use this to run query batches directly.
 func NewExecutor(r *Table, opts ...ExecutorOption) *Executor { return query.NewExecutor(r, opts...) }
 
-// NewJoinCache builds an empty train-side join-index cache for executors that
-// must not share with the process-level default.
-func NewJoinCache() *JoinCache { return query.NewJoinCache() }
-
-// ProcessJoinCache returns the process-level join cache executors adopt by
-// default. Pass it explicitly (WithJoinCache) to opt a transformer built
-// through an API that defaults to a private cache back into process-wide
-// sharing — e.g. a transform phase reusing join indexes a fit phase built.
-func ProcessJoinCache() *JoinCache { return query.ProcessJoinCache() }
-
-// WithJoinCache makes an executor share train-side join indexes through the
-// given cache instead of the process-level default.
-func WithJoinCache(c *JoinCache) ExecutorOption { return query.WithJoinCache(c) }
-
-// Shared scans.
-type (
-	// ScanScheduler shares relevant-table scan state (group indexes,
-	// predicate bitmaps, float views, counting-sort domains) across
-	// executors over the same table.
-	ScanScheduler = query.ScanScheduler
-)
-
 // DefaultMorselRows is the row count of one scan morsel.
 const DefaultMorselRows = dataframe.DefaultMorselRows
-
-// NewScanScheduler builds an empty scan-state scheduler for executor sets
-// that must not share with the process-level default.
-func NewScanScheduler() *ScanScheduler { return query.NewScanScheduler() }
-
-// ProcessScanScheduler returns the process-level scheduler. Pass it
-// explicitly (WithScanScheduler) to share scan state process-wide, across
-// every executor over the same table.
-func ProcessScanScheduler() *ScanScheduler { return query.ProcessScanScheduler() }
-
-// WithScanScheduler makes an executor share scan state through the given
-// scheduler instead of private per-executor caches.
-func WithScanScheduler(s *ScanScheduler) ExecutorOption { return query.WithScanScheduler(s) }
 
 // SplitValues returns the distinct non-NULL values of a string column in
 // ascending order.

@@ -216,20 +216,13 @@ func (p *MultiFeaturePlan) NamedQueries() []NamedQuery {
 // FeaturePlan.Transformer), and the column kinds must match the fit-time
 // schema fingerprint (ErrSchemaMismatch). Tables for names the plan does not
 // mention are ignored. Each source gets its own cached batch executor, built
-// once and shared across Transform calls. Extra executor options apply to
-// every per-source executor after the shared join cache, so a caller can
-// rewire the sources onto process-level caches
-// (query.WithJoinCache(query.ProcessJoinCache()),
-// query.WithScanScheduler(query.ProcessScanScheduler())) when that is what
-// it wants.
+// once and shared across Transform calls. Executor options apply to every
+// per-source executor, so a caller can put the sources on a shared scan
+// scheduler (query.WithScanScheduler).
 func (p *MultiFeaturePlan) Transformer(relevantByName map[string]*dataframe.Table, opts ...query.ExecutorOption) (*MultiTransformer, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	// One join cache across every per-source executor: the sources serve
-	// one training table, so the train-side join index is built once per
-	// (training table, key-set) instead of once per source.
-	joins := query.NewJoinCache()
 	mt := &MultiTransformer{plan: p}
 	for i := range p.Sources {
 		src := &p.Sources[i]
@@ -240,8 +233,7 @@ func (p *MultiFeaturePlan) Transformer(relevantByName map[string]*dataframe.Tabl
 		if tbl == nil {
 			return nil, fmt.Errorf("%w: relevant table %q", ErrNilTable, src.Name)
 		}
-		srcOpts := append([]query.ExecutorOption{query.WithJoinCache(joins)}, opts...)
-		tr, err := src.Plan.Transformer(tbl, srcOpts...)
+		tr, err := src.Plan.Transformer(tbl, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("feataug: source %q: %w", src.Name, err)
 		}

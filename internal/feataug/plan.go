@@ -152,9 +152,7 @@ func (p *FeaturePlan) FeatureNames() []string {
 // returned Transformer shares one batch query executor across every
 // Transform call, so group indexes and predicate bitmaps are built once and
 // reused across batches — the serving fast path. Executor options (e.g.
-// query.WithJoinCache) are forwarded to the underlying executor;
-// MultiFeaturePlan.Transformer threads one shared join cache through every
-// per-source executor this way.
+// query.WithScanScheduler) are forwarded to the underlying executor.
 func (p *FeaturePlan) Transformer(relevant *dataframe.Table, opts ...query.ExecutorOption) (*Transformer, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -177,13 +175,6 @@ func (p *FeaturePlan) Transformer(relevant *dataframe.Table, opts ...query.Execu
 			}
 		}
 	}
-	// Default to a transformer-scoped join cache: a single-table transformer
-	// has one executor (whose own join entries already cache repeat tables),
-	// so the process-level cache would only accumulate indexes of discarded
-	// batch tables. Callers that do share — MultiFeaturePlan threads one
-	// cache across its sources — pass their own option, which applies later
-	// and wins.
-	opts = append([]query.ExecutorOption{query.WithJoinCache(query.NewJoinCache())}, opts...)
 	exec := query.NewExecutor(relevant, opts...)
 	queries := p.QueryList()
 	prep, err := exec.Prepare(queries)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/agg"
+	"repro/internal/dataframe"
 )
 
 // TestExecutorConcurrentUse drives one shared Executor from many goroutines
@@ -179,22 +180,49 @@ func TestExecutorBatchCancellation(t *testing.T) {
 }
 
 // TestJoinIndexCacheBounded feeds one executor a stream of distinct batch
-// tables (the Transformer serving pattern) and asserts the train-side join
-// cache stays bounded instead of retaining every batch.
+// tables (the Transformer serving pattern) and asserts it keeps one join
+// entry per key-set — the last training table's — with every pass equal to
+// the Query.Augment oracle. It then alternates two tables: each switch must
+// rebuild the join (one JoinMisses), and a repeat of the current table must
+// hit, so an executor that kept earlier tables' entries fails.
 func TestJoinIndexCacheBounded(t *testing.T) {
 	r := largeRandomTable(120, 11)
 	ex := NewExecutor(r)
 	q := Query{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"}}
-	for batch := 0; batch < 3*maxJoinEntries; batch++ {
-		d := largeRandomTable(20, int64(batch))
-		if _, _, err := ex.AugmentValues(d, q); err != nil {
+	augment := func(d *dataframe.Table) {
+		t.Helper()
+		v, ok, err := ex.AugmentValues(d, q)
+		if err != nil {
 			t.Fatal(err)
 		}
+		wantV, wantOK := oracleFeature(t, q, d, r)
+		sameFeature(t, "join pass", v, wantV, ok, wantOK)
+	}
+	for batch := 0; batch < 192; batch++ {
+		augment(largeRandomTable(20, int64(batch)))
 	}
 	ex.mu.Lock()
 	n := len(ex.joins)
 	ex.mu.Unlock()
-	if n > maxJoinEntries {
-		t.Fatalf("join cache grew to %d entries, bound is %d", n, maxJoinEntries)
+	if n > 1 {
+		t.Fatalf("executor holds %d join entries, want at most 1 (one key-set)", n)
+	}
+
+	a, b := largeRandomTable(20, 1001), largeRandomTable(20, 1002)
+	for i := 0; i < 6; i++ {
+		d := a
+		if i%2 == 1 {
+			d = b
+		}
+		before := ex.Stats()
+		augment(d)
+		augment(d)
+		after := ex.Stats()
+		if got := after.JoinMisses - before.JoinMisses; got != 1 {
+			t.Fatalf("switch %d: %d join misses, want 1", i, got)
+		}
+		if got := after.JoinHits - before.JoinHits; got != 1 {
+			t.Fatalf("switch %d: %d join hits on the repeat pass, want 1", i, got)
+		}
 	}
 }

@@ -65,11 +65,9 @@ type Executor struct {
 	// by core.fence.
 	epoch uint64
 
-	joinCache *JoinCache // train-side index sharing; ProcessJoinCache by default
-
 	mu    sync.Mutex
 	plans map[planKey]*planEntry
-	joins map[joinKey]*joinEntry
+	joins map[string]*joinEntry // key-set -> join onto the last training table
 	stats ExecutorStats
 
 	// planGen is the plan generation: it rises whenever an entry leaves
@@ -86,15 +84,9 @@ type ExecutorStats struct {
 	PredHits, PredMisses   int64 // per-predicate bitmaps
 	MaskHits, MaskMisses   int64 // combined WHERE masks (bitmap + row list)
 	PlanHits, PlanMisses   int64 // plan-group discovery results
-	JoinHits, JoinMisses   int64 // per-executor join entries (rToD mappings)
-	// Shared train-side index cache (JoinCache): lookups this executor made
-	// that found an index another executor (or an earlier join entry) already
-	// built, lookups that had to build one, and whole-cache drops this
-	// executor triggered.
-	SharedJoinHits, SharedJoinMisses int64
-	SharedJoinEvictions              int64
-	FusedScans                       int64 // shared scans run by the fused batch path
-	FusedQueries                     int64 // queries answered through a fused plan group
+	JoinHits, JoinMisses   int64 // train-side join entries (see joinIndex)
+	FusedScans             int64 // shared scans run by the fused batch path
+	FusedQueries           int64 // queries answered through a fused plan group
 	// CoreQueries is no longer incremented: every query, single or batched,
 	// runs through a fused plan group and counts in FusedQueries. It stays
 	// for snapshot readers that still report it.
@@ -154,9 +146,6 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 	s.PlanMisses += o.PlanMisses
 	s.JoinHits += o.JoinHits
 	s.JoinMisses += o.JoinMisses
-	s.SharedJoinHits += o.SharedJoinHits
-	s.SharedJoinMisses += o.SharedJoinMisses
-	s.SharedJoinEvictions += o.SharedJoinEvictions
 	s.FusedScans += o.FusedScans
 	s.FusedQueries += o.FusedQueries
 	s.CoreQueries += o.CoreQueries
@@ -181,16 +170,15 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 // String renders the snapshot as one compact log line.
 func (s ExecutorStats) String() string {
 	return fmt.Sprintf(
-		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d shared-joins %d/%d (hit/miss), fused %d queries (%d count-only) over %d scans (%d counting), scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds), shared-scans %d passes / %d subscribed, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
+		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d (hit/miss), fused %d queries (%d count-only) over %d scans (%d counting), scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds), shared-scans %d passes / %d subscribed, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
 		s.GroupHits, s.GroupMisses, s.MaskHits, s.MaskMisses, s.PredHits, s.PredMisses,
 		s.PlanHits, s.PlanMisses, s.JoinHits, s.JoinMisses,
-		s.SharedJoinHits, s.SharedJoinMisses,
 		s.FusedQueries, s.CountOnlyQueries, s.FusedScans, s.CountingScans,
 		s.ScatterQueries, s.ScatterPasses,
 		s.DictEncodes, s.DictHits, s.CodePredScans,
 		s.SharedScanPasses, s.SharedScanSubscribers, s.MorselsScanned,
 		s.DeltaAppends, s.DeltaRowsScanned, s.DirtyGroupResorts, s.FullRebuilds,
-		s.Evictions+s.SharedJoinEvictions)
+		s.Evictions)
 }
 
 // Stats returns a snapshot of the executor's counters.
@@ -201,7 +189,7 @@ func (e *Executor) Stats() ExecutorStats {
 }
 
 // Cache bounds. Entries are pure caches, so when a bound is hit the whole map
-// is dropped (the pattern the join cache established): in-flight holders keep
+// is dropped: in-flight holders keep
 // their references, and a dropped entry costs only its rediscovery. The search
 // workload does reach the plan bound: `feataug -fit student -rows 150 -seed 1
 // -v` makes ~510-530 plan misses against maxPlanEntries and 1-2 evictions.
@@ -212,7 +200,6 @@ const (
 	maxPredEntries = 2048
 	maxMaskEntries = 512
 	maxPlanEntries = 256
-	maxJoinEntries = 64
 )
 
 type groupEntry struct {
@@ -285,18 +272,6 @@ type planEntry struct {
 // ExecutorOption configures NewExecutor.
 type ExecutorOption func(*Executor)
 
-// WithJoinCache makes the executor share train-side join indexes through the
-// given cache instead of the process-level default. Multi-table transformers
-// pass one cache to every per-source executor, so the k sources of one
-// training table build its index once between them.
-func WithJoinCache(c *JoinCache) ExecutorOption {
-	return func(e *Executor) {
-		if c != nil {
-			e.joinCache = c
-		}
-	}
-}
-
 // WithParallelism sets the executor's Parallelism (the bound on its batch
 // worker pool; 1 runs a batch's plan groups inline on the caller).
 func WithParallelism(n int) ExecutorOption {
@@ -307,9 +282,9 @@ func WithParallelism(n int) ExecutorOption {
 // be mutated while the executor is in use (caches index into its rows).
 func NewExecutor(r *dataframe.Table, opts ...ExecutorOption) *Executor {
 	e := &Executor{
-		r:         r,
-		joinCache: processJoins,
-		plans:     map[planKey]*planEntry{},
+		r:     r,
+		plans: map[planKey]*planEntry{},
+		joins: map[string]*joinEntry{},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -872,47 +847,42 @@ func takeKeyCols(gi *dataframe.GroupIndex, repr []int) []*dataframe.Column {
 }
 
 // joinEntry caches the training-table side of Augment's join for one
-// (training table, key-set) pair: the train-side group index plus each train
-// group's relevant-side group id. With it, joining a query's feature onto the
-// training table is pure integer indexing — the per-query string re-hash of
-// the whole training table that LeftJoin would do is paid once per key-set
-// instead. The index itself comes from the shared JoinCache (it depends only
-// on d and the keys), so executors over different relevant tables reuse each
-// other's build; only the dToR mapping is computed per executor, by probing
-// the relevant-side index's retained key lookup (GroupIndex.Lookup) with each
-// train group's key. An entry therefore costs O(train groups) — a handful
-// for a serving request — however many groups the relevant table holds.
+// (training table, key-set) pair: d's group index over the keys plus each
+// train group's relevant-side group id. With it, joining a query's feature
+// onto the training table is pure integer indexing — the per-query string
+// re-hash of the whole training table that LeftJoin would do is paid once per
+// key-set instead. dToR is computed by probing the relevant-side index's
+// retained key lookup (GroupIndex.Lookup) with each train group's key, so the
+// probe costs O(train groups) however many groups the relevant table holds.
 type joinEntry struct {
 	once sync.Once
+	d    *dataframe.Table      // training table the entry joins
 	keys []string              // join key-set (for delta advances)
-	idx  *dataframe.GroupIndex // over d's key columns, from the shared cache
+	idx  *dataframe.GroupIndex // over d's key columns
 	dToR []int                 // train gid -> relevant gid, -1 = no match
 	err  error
 }
 
-type joinKey struct {
-	d    *dataframe.Table
-	keys string
-}
-
+// joinIndex returns the join entry of (d, keys). The executor keeps one entry
+// per key-set, for the training table it last joined: an evaluator joins its
+// one training table on every pass and always hits, while a served pass's
+// request table, which no later pass sees, replaces the entry instead of
+// accumulating next to it. A miss builds d's group index afresh; it is
+// O(rows(d)), which the pass's scatter walks anyway.
 func (e *Executor) joinIndex(d *dataframe.Table, keys []string) (*joinEntry, error) {
-	k := joinKey{d: d, keys: strings.Join(keys, "\x1f")}
+	k := strings.Join(keys, "\x1f")
 	e.mu.Lock()
-	ent, _ := boundedGet(&e.joins, k, maxJoinEntries, &e.stats.JoinHits, &e.stats.JoinMisses, &e.stats.Evictions,
-		func() *joinEntry { return &joinEntry{} })
+	ent := e.joins[k]
+	if ent != nil && ent.d == d {
+		e.stats.JoinHits++
+	} else {
+		e.stats.JoinMisses++
+		ent = &joinEntry{d: d}
+		e.joins[k] = ent
+	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
-		idx, hit, evicted, err := e.joinCache.trainIndex(d, keys)
-		e.mu.Lock()
-		if hit {
-			e.stats.SharedJoinHits++
-		} else {
-			e.stats.SharedJoinMisses++
-		}
-		if evicted {
-			e.stats.SharedJoinEvictions++
-		}
-		e.mu.Unlock()
+		idx, err := d.BuildGroupIndex(keys...)
 		if err != nil {
 			ent.err = err
 			return

@@ -25,7 +25,7 @@ func BenchmarkServingScatterFused(b *testing.B) {
 	r, d, qs := servingBenchPool(200, 2400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(r, WithJoinCache(NewJoinCache()))
+		ex := NewExecutor(r)
 		if _, _, err := ex.AugmentValuesBatch(d, qs); err != nil {
 			b.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func BenchmarkServingMatrixFused(b *testing.B) {
 	r, d, qs := servingBenchPool(200, 2400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(r, WithJoinCache(NewJoinCache()))
+		ex := NewExecutor(r)
 		if _, err := ex.AugmentMatrix(d, qs); err != nil {
 			b.Fatal(err)
 		}

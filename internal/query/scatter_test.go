@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -186,40 +187,62 @@ func TestFusedScanCancellation(t *testing.T) {
 
 // TestScatterConcurrentServing hammers one executor with concurrent fused
 // batch serving calls (the MultiTransformer shape) under -race and requires
-// every call to reproduce the single-threaded reference bit for bit.
+// every call to reproduce the single-threaded reference bit for bit. Half the
+// goroutines join the shared training table; the rest each join their own
+// request table (a Take of d's rows, as a served pass does), so passes keep
+// replacing each other's join entry for the one key-set.
 func TestScatterConcurrentServing(t *testing.T) {
 	r := largeRandomTable(300, 131)
 	d := dupKeyTrainTable(160, 132)
 	rng := rand.New(rand.NewSource(133))
 	qs := randomPool(rng, 60)
-	refV, refOK, err := NewExecutor(r).AugmentValuesBatch(d, qs)
-	if err != nil {
-		t.Fatal(err)
+	const shared, own = 8, 4
+	tables := []*dataframe.Table{d}
+	for g := 0; g < own; g++ {
+		rows := make([]int, 5+rng.Intn(30))
+		for i := range rows {
+			rows[i] = rng.Intn(d.NumRows())
+		}
+		tables = append(tables, d.Take(rows))
+	}
+	refV := make([][][]float64, len(tables))
+	refOK := make([][][]bool, len(tables))
+	for ti, tbl := range tables {
+		v, ok, err := NewExecutor(r).AugmentValuesBatch(tbl, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refV[ti], refOK[ti] = v, ok
 	}
 	ex := NewExecutor(r)
 	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for g := 0; g < 8; g++ {
+	errs := make([]error, shared+own)
+	for g := 0; g < shared+own; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			ti := 0
+			if g >= shared {
+				ti = 1 + g - shared
+			}
+			tbl, wantV, wantOK := tables[ti], refV[ti], refOK[ti]
 			for it := 0; it < 3; it++ {
 				if g%2 == 0 {
-					v, ok, err := ex.AugmentValuesBatch(d, qs)
+					v, ok, err := ex.AugmentValuesBatch(tbl, qs)
 					if err != nil {
 						errs[g] = err
 						return
 					}
 					for i := range qs {
 						for row := range v[i] {
-							if v[i][row] != refV[i][row] || ok[i][row] != refOK[i][row] {
-								errs[g] = errors.New("concurrent batch diverged from reference")
+							if v[i][row] != wantV[i][row] || ok[i][row] != wantOK[i][row] {
+								errs[g] = fmt.Errorf("table %d: concurrent batch diverged from reference", ti)
 								return
 							}
 						}
 					}
 				} else {
-					m, err := ex.AugmentMatrix(d, qs)
+					m, err := ex.AugmentMatrix(tbl, qs)
 					if err != nil {
 						errs[g] = err
 						return
@@ -227,8 +250,8 @@ func TestScatterConcurrentServing(t *testing.T) {
 					for i := range qs {
 						mv, mok := m.Col(i)
 						for row := range mv {
-							if mv[row] != refV[i][row] || mok[row] != refOK[i][row] {
-								errs[g] = errors.New("concurrent matrix diverged from reference")
+							if mv[row] != wantV[i][row] || mok[row] != wantOK[i][row] {
+								errs[g] = fmt.Errorf("table %d: concurrent matrix diverged from reference", ti)
 								return
 							}
 						}
@@ -245,77 +268,13 @@ func TestScatterConcurrentServing(t *testing.T) {
 	}
 }
 
-// TestSharedJoinCache requires the train-side index to be built once across
-// executors over different relevant tables joining the same training table —
-// both through an explicit cache and through the process-level default — and
-// requires WithJoinCache to isolate executors handed different caches.
-func TestSharedJoinCache(t *testing.T) {
-	r1 := largeRandomTable(200, 141)
-	r2 := nullHeavyTable(200, 142)
-	d := dupKeyTrainTable(100, 143)
-	q := Query{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"}}
-
-	t.Run("explicit", func(t *testing.T) {
-		jc := NewJoinCache()
-		e1 := NewExecutor(r1, WithJoinCache(jc))
-		e2 := NewExecutor(r2, WithJoinCache(jc))
-		if _, _, err := e1.AugmentValues(d, q); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := e2.AugmentValues(d, q); err != nil {
-			t.Fatal(err)
-		}
-		s1, s2 := e1.Stats(), e2.Stats()
-		if s1.SharedJoinMisses != 1 || s1.SharedJoinHits != 0 {
-			t.Fatalf("first executor: shared joins %d hits / %d misses, want 0/1", s1.SharedJoinHits, s1.SharedJoinMisses)
-		}
-		if s2.SharedJoinHits != 1 || s2.SharedJoinMisses != 0 {
-			t.Fatalf("second executor: shared joins %d hits / %d misses, want 1/0", s2.SharedJoinHits, s2.SharedJoinMisses)
-		}
-		if jc.Len() != 1 {
-			t.Fatalf("cache holds %d entries, want 1", jc.Len())
-		}
-	})
-
-	t.Run("process-default", func(t *testing.T) {
-		dd := dupKeyTrainTable(100, 144) // fresh identity: no cross-test interference
-		e1, e2 := NewExecutor(r1), NewExecutor(r2)
-		if _, _, err := e1.AugmentValues(dd, q); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := e2.AugmentValues(dd, q); err != nil {
-			t.Fatal(err)
-		}
-		if s2 := e2.Stats(); s2.SharedJoinHits != 1 {
-			t.Fatalf("process-level cache not shared: second executor got %d hits", s2.SharedJoinHits)
-		}
-	})
-
-	t.Run("isolated", func(t *testing.T) {
-		dd := dupKeyTrainTable(100, 145)
-		e1 := NewExecutor(r1, WithJoinCache(NewJoinCache()))
-		e2 := NewExecutor(r2, WithJoinCache(NewJoinCache()))
-		if _, _, err := e1.AugmentValues(dd, q); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := e2.AugmentValues(dd, q); err != nil {
-			t.Fatal(err)
-		}
-		if s2 := e2.Stats(); s2.SharedJoinHits != 0 || s2.SharedJoinMisses != 1 {
-			t.Fatalf("isolated caches leaked: second executor shared joins %d hits / %d misses, want 0/1",
-				s2.SharedJoinHits, s2.SharedJoinMisses)
-		}
-	})
-}
-
 // TestScatterStatsGolden pins the exact counter values of a fixed serving
 // workload, so the observability surface cannot silently drift: 2 plan
-// groups, 3 distinct scatter columns, one duplicate query, one shared join
-// index.
+// groups, 3 distinct scatter columns, one duplicate query, one join entry.
 func TestScatterStatsGolden(t *testing.T) {
 	r := largeRandomTable(200, 151)
 	d := dupKeyTrainTable(100, 152)
-	ex := NewExecutor(r, WithJoinCache(NewJoinCache()))
+	ex := NewExecutor(r)
 	qs := []Query{
 		{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"}}, // group A, col 1
 		{Agg: agg.Avg, AggAttr: "x", Keys: []string{"k1"}}, // group A, col 2
@@ -332,9 +291,6 @@ func TestScatterStatsGolden(t *testing.T) {
 	}
 	if s.ScatterQueries != 4 {
 		t.Errorf("ScatterQueries = %d, want 4", s.ScatterQueries)
-	}
-	if s.SharedJoinMisses != 1 || s.SharedJoinHits != 0 {
-		t.Errorf("shared joins %d hits / %d misses, want 0 / 1", s.SharedJoinHits, s.SharedJoinMisses)
 	}
 	if s.JoinMisses != 1 || s.JoinHits != 1 {
 		t.Errorf("join entries %d hits / %d misses, want 1 / 1 (two groups, one key-set)", s.JoinHits, s.JoinMisses)
@@ -364,8 +320,8 @@ func TestScatterStatsGolden(t *testing.T) {
 	if s.ScatterPasses != 4 || s.ScatterQueries != 8 {
 		t.Errorf("after second batch: scatter %d queries / %d passes, want 8 / 4", s.ScatterQueries, s.ScatterPasses)
 	}
-	if s.SharedJoinMisses != 1 {
-		t.Errorf("after second batch: SharedJoinMisses = %d, want still 1", s.SharedJoinMisses)
+	if s.JoinMisses != 1 {
+		t.Errorf("after second batch: JoinMisses = %d, want still 1", s.JoinMisses)
 	}
 	// Discovery and the core entries are cached, and group A's Sum/Avg are
 	// served from the retained aggregate state (PR 9) without rescanning, so
@@ -388,7 +344,7 @@ func TestAugmentRequestSizedPass(t *testing.T) {
 	r := largeRandomTable(2000, 161)
 	d := dupKeyTrainTable(240, 162)
 	qs := randomPool(rand.New(rand.NewSource(163)), 60)
-	ex := NewExecutor(r, WithJoinCache(NewJoinCache()))
+	ex := NewExecutor(r)
 	full, err := ex.AugmentMatrix(d, qs)
 	if err != nil {
 		t.Fatal(err)

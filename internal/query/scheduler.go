@@ -4,9 +4,8 @@ package query
 // holds the scan-side caches of ONE table — group indexes, predicate bitmaps,
 // WHERE masks, float views, domain probes and dictionaries — and a
 // ScanScheduler hands executors over the same table one shared core, keyed by
-// the table's identity fingerprint (the JoinCache pattern, applied to the
-// relevant-table side). Served plans and cmd/feataug's process caches use it
-// so that every executor over a table builds each entry once between them.
+// the table's identity fingerprint. Served plans use it so that every
+// executor over a table builds each entry once between them.
 // The core also carries the table's epoch fence, which orders appends,
 // compaction and size reads against scans.
 //
@@ -131,8 +130,8 @@ func NewScanScheduler() *ScanScheduler {
 // processScheduler is the process-level scheduler.
 var processScheduler = NewScanScheduler()
 
-// ProcessScanScheduler returns the process-level scheduler: served plans and
-// cmd/feataug's combined fit+transform share scan state through it.
+// ProcessScanScheduler returns the process-level scheduler: served plans
+// share scan state through it.
 func ProcessScanScheduler() *ScanScheduler { return processScheduler }
 
 // coreFor returns the scheduler's shared core for t, building it on first use.

@@ -138,10 +138,11 @@ func NewServer(cfg Config) *Server {
 // AddPlan decodes planJSON (a FeaturePlan if binding.Relevant is set, a
 // MultiFeaturePlan if binding.Sources is) and starts serving it under name.
 // The bound executors are wired to the process-level ScanScheduler, so every
-// plan over the same relevant tables shares warm scan state; train-side join
-// indexes stay in each transformer's own cache, since every request brings a
-// new training table. Fails with feataug's typed errors on bad plans (ErrPlanCorrupt,
-// ErrPlanVersion, ErrSchemaMismatch, ...).
+// plan over the same relevant tables shares warm scan state; each executor
+// keeps one train-side join per key-set, for the request it last served,
+// since every request brings a new training table. Fails with feataug's
+// typed errors on bad plans (ErrPlanCorrupt, ErrPlanVersion,
+// ErrSchemaMismatch, ...).
 func (s *Server) AddPlan(name string, planJSON []byte, binding PlanBinding) error {
 	if name == "" {
 		return fmt.Errorf("serve: empty plan name")
@@ -198,11 +199,10 @@ func (s *Server) buildState(h *planHandle, planJSON []byte) (*planState, error) 
 // transformer and the tables key kinds resolve against. Every executor is
 // wired to the process-level scan scheduler: a serving process holds plans
 // for the long haul, so scan state shared across plans (and with any
-// in-process fit) is exactly what we want. Join indexes are not shared
-// process-wide: they are keyed by the training table, which in serving is a
-// request table, new on every pass, so the process cache would only pin dead
-// request tables. A single-table transformer keeps its own scoped join
-// cache and a multi-table one its one cache shared by its sources. Every
+// in-process fit) is exactly what we want. Joins are not shared: each
+// executor keeps one join entry per key-set, for the training table it last
+// joined, which in serving is a request table new on every pass, so a pass
+// replaces the previous request's entry rather than pinning it. Every
 // executor also runs a pass's plan groups inline: the coalescer already runs
 // up to GOMAXPROCS passes at once, and a worker pool inside each pass would
 // only oversubscribe the CPUs and pay a fresh goroutine per plan group.
