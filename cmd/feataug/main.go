@@ -618,7 +618,7 @@ func printTableMemory(stderr io.Writer, mode string, t *dataframe.Table) {
 func printFusionStats(stderr io.Writer, mode string, s repro.ExecutorStats) {
 	// The serving-side fusion counters: how many feature columns each
 	// training-table pass served, and how often a pass found its train-side
-	// join entry already built.
+	// join entry already built (counted once per key set per pass).
 	passes := s.ScatterPasses
 	if passes == 0 {
 		passes = 1

@@ -103,8 +103,6 @@ type (
 	// ExecutorStats is a snapshot of an Executor's cache and fused-scan
 	// counters (Executor.Stats), for perf observability.
 	ExecutorStats = query.ExecutorStats
-	// ExecutorOption configures NewExecutor.
-	ExecutorOption = query.ExecutorOption
 	// FeatureMatrix is the columnar bulk output of Executor.AugmentMatrix:
 	// every feature column of a batch in one flat column-major buffer.
 	FeatureMatrix = query.FeatureMatrix
@@ -112,7 +110,7 @@ type (
 
 // NewExecutor builds a batch executor over one relevant table. Evaluators
 // construct their own internally; use this to run query batches directly.
-func NewExecutor(r *Table, opts ...ExecutorOption) *Executor { return query.NewExecutor(r, opts...) }
+func NewExecutor(r *Table) *Executor { return query.NewExecutor(r) }
 
 // DefaultMorselRows is the row count of one scan morsel.
 const DefaultMorselRows = dataframe.DefaultMorselRows

@@ -32,6 +32,7 @@ package query
 // ascending permutation of each group's multiset.
 
 import (
+	"maps"
 	"math/bits"
 	"slices"
 
@@ -354,11 +355,21 @@ func (e *Executor) advancePlan(ent *planEntry) (int64, bool) {
 		ent.counts[li-1]++
 	}
 
+	// Retained states advance in place: the write fence excludes every
+	// reader. A state that cannot advance leaves through a copy of the map.
 	var resorts int64
-	for attr, st := range ent.aggs {
+	aggs := ent.retained()
+	var kept map[string]*attrState
+	for attr, st := range aggs {
 		if !st.advance(e, ent, attr, delta, &resorts) {
-			delete(ent.aggs, attr)
+			if kept == nil {
+				kept = maps.Clone(aggs)
+			}
+			delete(kept, attr)
 		}
+	}
+	if kept != nil {
+		ent.aggs.Store(&kept)
 	}
 	if resorts > 0 {
 		e.mu.Lock()
@@ -404,9 +415,10 @@ func (e *Executor) advanceJoin(ent *joinEntry) {
 // shared with extractPair, the accumulator update mirrors streamScan's loop,
 // and a re-sorted run is the same ascending multiset a full sort produces.
 //
-// The map holding these (planEntry.aggs) is guarded by the plan's amu at
-// query time; states themselves are read-only between advances (which run
-// under the write fence, excluding readers).
+// The map holding these (planEntry.aggs) is immutable once published: a pass
+// reads it with one atomic load, and a scan that captures new state publishes
+// a copy (retain). States themselves are read-only between advances, which
+// run under the write fence, excluding readers.
 type attrState struct {
 	useString  bool
 	hasVals    bool // nvalid/sum/min/max populated
@@ -452,15 +464,14 @@ func (st *attrState) servesAll(fns []agg.Func) bool {
 }
 
 // extract serves one function from the retained state for the touched local
-// groups (result t is group touched[t]), through the same helpers the scan
-// path's extractPair uses — expression-identical, so served values match a
-// fresh scan bit for bit.
-func (st *attrState) extract(fn agg.Func, counts []int, touched []int) pairResult {
+// groups, writing group touched[t]'s result to vals[t] and valid[t], through
+// the same helpers the scan path's extractPair uses — expression-identical,
+// so served values match a fresh scan bit for bit.
+func (st *attrState) extract(fn agg.Func, counts []int, touched []int, vals []float64, valid []bool) {
 	if !st.useString && streamable(fn) {
-		return streamExtract(fn, st.nvalid, st.sum, st.min, st.max, st.ss, st.m4, touched)
+		streamExtract(fn, st.nvalid, st.sum, st.min, st.max, st.ss, st.m4, touched, vals, valid)
+		return
 	}
-	vals := make([]float64, len(touched))
-	valid := make([]bool, len(touched))
 	var devbuf []float64
 	for t, li := range touched {
 		if st.useString {
@@ -469,7 +480,31 @@ func (st *attrState) extract(fn agg.Func, counts []int, touched []int) pairResul
 			vals[t], valid[t] = sortedFloatAgg(fn, &devbuf, st.sortF[li], counts[li])
 		}
 	}
-	return pairResult{vals: vals, valid: valid}
+}
+
+// retained returns the plan's retained aggregate state by attribute (nil if
+// none): one atomic load, no lock and no copy. The map is read-only.
+func (pe *planEntry) retained() map[string]*attrState {
+	if m := pe.aggs.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// retain captures freshly scanned attributes' state and publishes it
+// copy-on-write, so passes still reading the old map are undisturbed. A
+// rescan replaces the attribute's old (narrower) state wholesale. amu orders
+// concurrent publishers, which all hold the read fence.
+func (pe *planEntry) retain(scanned []*attrScan) {
+	pe.amu.Lock()
+	defer pe.amu.Unlock()
+	old := pe.retained()
+	next := make(map[string]*attrState, len(old)+len(scanned))
+	maps.Copy(next, old)
+	for _, as := range scanned {
+		next[as.col.Name()] = captureAttrState(as, len(pe.repr))
+	}
+	pe.aggs.Store(&next)
 }
 
 // captureAttrState snapshots an attrScan's post-scan accumulators and sorted

@@ -32,9 +32,10 @@ import (
 //   - a plan-group entry per (key-set, WHERE-mask) pair caching the
 //     group-discovery result (local / repr / counts), so any later query —
 //     or whole batch — on the same plan group skips discovery entirely;
-//   - a prepared batch (Prepared) holding its plan groups and their plan
-//     entries across passes, so a fixed batch run again and again — a
-//     served plan — skips the lookups above as well. Its snapshot is
+//   - a prepared batch (Prepared) holding its plan groups, their static
+//     layouts and their plan entries across passes, so a fixed batch run
+//     again and again — a served plan — skips the lookups above and the
+//     per-pass organisation as well. Its snapshot is
 //     stamped with the plan generation, which rises whenever a plan entry
 //     leaves the plan map; a stale snapshot is prepared again.
 //
@@ -84,7 +85,7 @@ type ExecutorStats struct {
 	PredHits, PredMisses   int64 // per-predicate bitmaps
 	MaskHits, MaskMisses   int64 // combined WHERE masks (bitmap + row list)
 	PlanHits, PlanMisses   int64 // plan-group discovery results
-	JoinHits, JoinMisses   int64 // train-side join entries (see joinIndex)
+	JoinHits, JoinMisses   int64 // train-side join entries, once per key set per pass (see joinIndex)
 	FusedScans             int64 // shared scans run by the fused batch path
 	FusedQueries           int64 // queries answered through a fused plan group
 	// CoreQueries is no longer incremented: every query, single or batched,
@@ -251,7 +252,8 @@ type planKey struct {
 // are read-only after the once completes, except under the core's epoch fence
 // where delta advances extend them in place (keys/me/nrows describe what to
 // advance; see delta.go), and aggs, the per-attribute aggregate state retained
-// across batches, which is guarded by amu at query time.
+// across batches: an immutable map published through an atomic pointer and
+// replaced copy-on-write (retain), with amu ordering the replacements.
 type planEntry struct {
 	once   sync.Once
 	gi     *dataframe.GroupIndex
@@ -266,7 +268,7 @@ type planEntry struct {
 	err    error
 
 	amu  sync.Mutex
-	aggs map[string]*attrState // per aggregation attribute (see delta.go)
+	aggs atomic.Pointer[map[string]*attrState] // per aggregation attribute (see delta.go)
 }
 
 // ExecutorOption configures NewExecutor.
@@ -863,22 +865,25 @@ type joinEntry struct {
 	err  error
 }
 
-// joinIndex returns the join entry of (d, keys). The executor keeps one entry
-// per key-set, for the training table it last joined: an evaluator joins its
-// one training table on every pass and always hits, while a served pass's
-// request table, which no later pass sees, replaces the entry instead of
-// accumulating next to it. A miss builds d's group index afresh; it is
-// O(rows(d)), which the pass's scatter walks anyway.
-func (e *Executor) joinIndex(d *dataframe.Table, keys []string) (*joinEntry, error) {
-	k := strings.Join(keys, "\x1f")
+// joinIndex returns the join entry of d on the key-set keys, whose join-map
+// key (the names joined by \x1f) is id; keys must not be modified afterwards.
+// A pass resolves each of its key sets once, before its plan groups run, and
+// hands the entry to every group on that key set, so JoinHits and JoinMisses
+// count once per key set per pass. The executor keeps one entry per key-set,
+// for the training table it last joined: an evaluator joins its one training
+// table on every pass and always hits, while a served pass's request table,
+// which no later pass sees, replaces the entry instead of accumulating next
+// to it. A miss builds d's group index afresh; it is O(rows(d)), which the
+// pass's scatter walks anyway.
+func (e *Executor) joinIndex(d *dataframe.Table, id string, keys []string) (*joinEntry, error) {
 	e.mu.Lock()
-	ent := e.joins[k]
+	ent := e.joins[id]
 	if ent != nil && ent.d == d {
 		e.stats.JoinHits++
 	} else {
 		e.stats.JoinMisses++
-		ent = &joinEntry{d: d}
-		e.joins[k] = ent
+		ent = &joinEntry{d: d, keys: keys}
+		e.joins[id] = ent
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
@@ -888,7 +893,6 @@ func (e *Executor) joinIndex(d *dataframe.Table, keys []string) (*joinEntry, err
 			return
 		}
 		ent.idx = idx
-		ent.keys = append([]string(nil), keys...)
 		rIdx, err := e.groupIndex(keys)
 		if err != nil {
 			ent.err = err
@@ -920,32 +924,25 @@ func (e *Executor) AugmentValues(d *dataframe.Table, q Query) ([]float64, []bool
 	return vals[0], valid[0], nil
 }
 
-// scatterScratch holds the fused scatter's train-group mapping, per-row local
-// map and touched-group marks, recycled through a pool so a plan group's
-// scatter allocates no O(train groups) or O(rows(D)) scratch per use.
+// scatterScratch holds a plan group's per-pass working set in the fused
+// scatter — the train-group mapping, touched list and marks, the pair result
+// slab, the projection slab and the per-row local map — recycled through a
+// pool so a warm plan group allocates nothing per use.
 type scatterScratch struct {
 	dgToLocal []int
-	rowLocal  []int32
+	touched   []int
 	mark      []int32 // local group -> touched position + 1; all zero between uses
+	vals      []float64
+	valid     []bool
+	proj      []projSlot
+	rowLocal  []int32
 }
 
-// grabInts returns a zeroed length-n int slice backed by *buf, growing it as
-// needed.
-func grabInts(buf *[]int, n int) []int {
+// grab returns a length-n slice backed by *buf, growing it as needed;
+// contents are unspecified (callers overwrite every slot).
+func grab[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int, n)
-		return *buf
-	}
-	s := (*buf)[:n]
-	clear(s)
-	return s
-}
-
-// grabInts32 returns a length-n int32 slice backed by *buf; contents are
-// unspecified (callers overwrite every slot).
-func grabInts32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
+		*buf = make([]T, n)
 		return *buf
 	}
 	return (*buf)[:n]

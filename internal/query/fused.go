@@ -30,19 +30,32 @@ package query
 //
 // Every batch is prepared, then run (Executor.Prepare, Prepared). The first
 // pass of a Prepared partitions the batch into plan groups, derives each
-// group's planKey once and resolves each group's planEntry; the partition and
-// the entries are published as one immutable snapshot stamped with the
-// executor's plan generation. Later passes reuse the snapshot while its stamp
-// is current, so a served plan's passes skip the WHERE-signature derivation
-// and the group-index, mask and plan lookups altogether. The plan generation
-// rises whenever an entry leaves the executor's plan map (a whole-map drop at
-// the bound, the dictionary-shift wipe, an entry that cannot be advanced); a
-// pass that finds a stale stamp prepares again, since predKey codes may have
-// moved. A held entry stays valid while its stamp is current because appends
-// advance every entry of the plan map in place, under the write fence that
-// each pass excludes by holding the read side. The one-shot entry points
-// (ExecuteBatch, AugmentValuesBatch, AugmentMatrix and everything riding
-// them) are a Prepare followed by one pass.
+// group's planKey once, resolves each group's planEntry, and lays each group
+// out: its deduplicated pairs grouped by attribute, in slices rather than
+// maps; the COUNT pairs and the undefined string-aggregate pairs routed up
+// front; each pair's range in a pass's result slab and its FeatureMatrix
+// slots; and the batch's distinct key sets, with each group's key set. The
+// partition, layouts and entries are published as one immutable snapshot
+// stamped with the executor's plan generation. Later passes reuse the
+// snapshot while its stamp is current, so a served plan's passes skip the
+// WHERE-signature derivation, the group-index, mask and plan lookups and the
+// per-pass organisation altogether. A warm augment joins each key set once,
+// then per plan group resolves the touched groups, extracts every pair from
+// the plan's retained state (one atomic load, no lock, no copy) straight into
+// the slab and scatters: with its working set in pooled scratch, it allocates
+// only its join entries and its output. The layout names attributes, never
+// column data: appends and Compact can replace a *Column, its float view or
+// its code slice, so only the scan branch resolves them, per pass.
+//
+// The plan generation rises whenever an entry leaves the executor's plan map
+// (a whole-map drop at the bound, the dictionary-shift wipe, an entry that
+// cannot be advanced); a pass that finds a stale stamp prepares again, layout
+// included, since predKey codes may have moved. A held entry stays valid
+// while its stamp is current because appends advance every entry of the plan
+// map in place, under the write fence that each pass excludes by holding the
+// read side. The one-shot entry points (ExecuteBatch, AugmentValuesBatch,
+// AugmentMatrix and everything riding them) are a Prepare followed by one
+// pass.
 
 import (
 	"context"
@@ -64,79 +77,141 @@ type aggPair struct {
 	fn   agg.Func
 }
 
-// pairResult is the per-group output of one aggPair, shared by every query of
-// the plan group that requested the pair.
-type pairResult struct {
-	vals  []float64
-	valid []bool
+// fusedGroup is one plan group of a prepared batch with its static layout:
+// which queries landed in it, which deduplicated agg pairs they need, and how
+// a pass routes those pairs. Everything but pe is fixed by the batch and the
+// table's schema, so it is built once per snapshot (groupBatch) and read-only
+// once published. The layout names attributes, never columns: appends and
+// Compact can replace a column's storage, so only the scan branch resolves
+// columns and their views, per pass.
+type fusedGroup struct {
+	pk     planKey
+	pe     *planEntry // set by the pass that resolves the snapshot
+	keySet int        // the group's key set in the snapshot's keySets
+	rep    Query      // representative query (first): predicates, error context
+
+	// order lists the deduped pairs in first-seen order; pair pi's results
+	// sit at [pi*nt, (pi+1)*nt) of a pass's result slab (nt touched groups),
+	// and slots[pi] names the batch slots (FeatureMatrix columns) it serves.
+	order []aggPair
+	slots [][]int
+	// Pairs routed up front: COUNT pairs read the plan's group counts,
+	// numeric aggregates over a string attribute are all-NULL, and the rest
+	// read their attribute's retained state or a fresh scan.
+	counts []int
+	nulls  []int
+	attrs  []attrPairs
+
+	nqueries int // batch slots the group serves (FusedQueries per pass)
+	ncount   int // of which COUNT queries (CountOnlyQueries per pass)
 }
 
-// fusedGroup collects the batch slots of one plan group: which queries landed
-// in it and which deduplicated agg pairs they need, with the group's plan key
-// and resolved plan entry. The partition is computed once per prepared
-// snapshot (groupBatch) and shared by the execute and scatter stages; it is
-// read-only once published.
-type fusedGroup struct {
-	pk      planKey
-	pe      *planEntry // set by the pass that resolves the snapshot
-	keys    []string
-	preds   []Predicate // representative predicate set (first query's)
-	rep     Query       // representative query, for error context
-	repSlot int         // representative batch slot
-	order   []aggPair   // deduped pairs in first-seen order
-	slots   map[aggPair][]int
+// attrPairs is the pairs of a plan group that read one aggregation
+// attribute: its name and, in first-seen order, each pair's function and
+// index in the group's order.
+type attrPairs struct {
+	name  string
+	fns   []agg.Func
+	pairs []int
+}
+
+// keySet is one distinct GROUP BY key-set of a prepared batch: the join
+// map's key (the names joined by \x1f), an owned copy of the names, and the
+// first query on it, for error context.
+type keySet struct {
+	id   string
+	keys []string
+	rep  Query
 }
 
 // groupBatch partitions a batch by plan group — one (key-set, canonical
-// WHERE-mask signature) pair — deduplicating agg pairs within each group.
-// Signatures come from the executor's kind-aware predKey, matching the plan
-// cache's identity exactly. Caller holds the read fence (predKey reads
-// dictionary codes).
-func (e *Executor) groupBatch(qs []Query) []*fusedGroup {
+// WHERE-mask signature) pair — deduplicating agg pairs within each group, and
+// lays each group out (see fusedGroup). It also lists the batch's distinct
+// key sets, in first-seen order. Signatures come from the executor's
+// kind-aware predKey, matching the plan cache's identity exactly. Caller
+// holds the read fence (predKey reads dictionary codes).
+func (e *Executor) groupBatch(qs []Query) ([]*fusedGroup, []keySet) {
+	type groupPair struct {
+		g    *fusedGroup
+		pair aggPair
+	}
 	groups := map[planKey]*fusedGroup{}
+	pairAt := map[groupPair]int{}
+	setAt := map[string]int{}
 	var order []*fusedGroup
+	var sets []keySet
 	for i, q := range qs {
 		pk := planKey{keys: strings.Join(q.Keys, "\x1f"), sig: e.maskSig(q.Preds)}
 		g, ok := groups[pk]
 		if !ok {
-			g = &fusedGroup{
-				pk:      pk,
-				keys:    q.Keys,
-				preds:   q.Preds,
-				rep:     q,
-				repSlot: i,
-				slots:   map[aggPair][]int{},
+			ks, ok := setAt[pk.keys]
+			if !ok {
+				ks = len(sets)
+				setAt[pk.keys] = ks
+				sets = append(sets, keySet{id: pk.keys, keys: slices.Clone(q.Keys), rep: q})
 			}
+			g = &fusedGroup{pk: pk, keySet: ks, rep: q}
 			groups[pk] = g
 			order = append(order, g)
 		}
-		pair := aggPair{attr: q.AggAttr, fn: q.Agg}
-		if _, seen := g.slots[pair]; !seen {
-			g.order = append(g.order, pair)
+		gp := groupPair{g, aggPair{attr: q.AggAttr, fn: q.Agg}}
+		pi, seen := pairAt[gp]
+		if !seen {
+			pi = len(g.order)
+			pairAt[gp] = pi
+			g.order = append(g.order, gp.pair)
+			g.slots = append(g.slots, nil)
 		}
-		g.slots[pair] = append(g.slots[pair], i)
+		g.slots[pi] = append(g.slots[pi], i)
 	}
-	return order
+	for _, g := range order {
+		attrAt := map[string]int{}
+		for pi, pair := range g.order {
+			g.nqueries += len(g.slots[pi])
+			switch {
+			case e.core.t.Column(pair.attr).Kind() == dataframe.KindString && !pair.fn.SupportsStrings():
+				// A numeric aggregate over a categorical attribute is
+				// undefined: an all-NULL feature, no scan work.
+				g.nulls = append(g.nulls, pi)
+			case pair.fn == agg.Count:
+				// COUNT depends only on the (cached) per-group row counts.
+				g.counts = append(g.counts, pi)
+				g.ncount += len(g.slots[pi])
+			default:
+				ai, ok := attrAt[pair.attr]
+				if !ok {
+					ai = len(g.attrs)
+					attrAt[pair.attr] = ai
+					g.attrs = append(g.attrs, attrPairs{name: pair.attr})
+				}
+				a := &g.attrs[ai]
+				a.fns = append(a.fns, pair.fn)
+				a.pairs = append(a.pairs, pi)
+			}
+		}
+	}
+	return order, sets
 }
 
 // Prepared is a batch of queries prepared on one executor: the batch is
-// validated once, and its plan-group partition and plan entries are resolved
-// by its first pass and reused by every later pass while the executor's plan
-// generation is unchanged (see the file comment). A serving transformer
-// holds one for the life of its plan. A Prepared runs only on the executor
-// that prepared it; it is safe for concurrent passes.
+// validated once, and its plan-group partition, layout and plan entries are
+// resolved by its first pass and reused by every later pass while the
+// executor's plan generation is unchanged (see the file comment). A serving
+// transformer holds one for the life of its plan. A Prepared runs only on
+// the executor that prepared it; it is safe for concurrent passes.
 type Prepared struct {
 	e    *Executor
 	qs   []Query
 	snap atomic.Pointer[preparedSnap]
 }
 
-// preparedSnap is one immutable resolution of a Prepared: the plan-group
-// partition with every group's plan entry, valid while gen equals the
-// executor's plan generation.
+// preparedSnap is one immutable resolution of a Prepared: the plan groups
+// with their layouts and plan entries, and the batch's distinct key sets,
+// valid while gen equals the executor's plan generation.
 type preparedSnap struct {
-	gen    uint64
-	groups []*fusedGroup
+	gen     uint64
+	groups  []*fusedGroup
+	keySets []keySet
 }
 
 // Prepare validates a batch for repeated passes on this executor. The
@@ -148,19 +223,32 @@ func (e *Executor) Prepare(qs []Query) (*Prepared, error) {
 	return &Prepared{e: e, qs: slices.Clone(qs)}, nil
 }
 
-// eachGroup runs visit on every plan group of the batch, on the executor's
+// snapshot returns the current snapshot and true or, when there is none, a
+// new one and false: partitioned and laid out, stamped with the generation
+// read before its first lookup (so a drop during the pass leaves it stale),
+// with no plan entry resolved yet. eachGroup resolves and publishes it.
+// Caller holds the read fence.
+func (p *Prepared) snapshot() (*preparedSnap, bool) {
+	e := p.e
+	if s := p.snap.Load(); s != nil && s.gen == e.planGen.Load() {
+		return s, true
+	}
+	s := &preparedSnap{gen: e.planGen.Load()}
+	s.groups, s.keySets = e.groupBatch(p.qs)
+	return s, false
+}
+
+// eachGroup runs visit on every plan group of snapshot s, on the executor's
 // worker pool, with each group's plan entry resolved. A current snapshot is
-// reused as is, counting one PlanHits per group; otherwise the batch is
-// partitioned again, each worker resolves its group's entry before visiting
-// it, and a pass that completes publishes the new snapshot, stamped with the
-// generation read before its first lookup (so a drop during the pass leaves
-// it stale). Caller holds the read fence.
-func (p *Prepared) eachGroup(ctx context.Context, visit func(g *fusedGroup) error) error {
+// reused as is, counting one PlanHits per group. Otherwise each worker
+// resolves its group's entry before visiting it, and a pass that completes
+// publishes s. Caller holds the read fence.
+func (p *Prepared) eachGroup(ctx context.Context, s *preparedSnap, current bool, visit func(g *fusedGroup) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	e := p.e
-	if s := p.snap.Load(); s != nil && s.gen == e.planGen.Load() {
+	if current {
 		e.mu.Lock()
 		e.stats.PlanHits += int64(len(s.groups))
 		e.mu.Unlock()
@@ -168,11 +256,9 @@ func (p *Prepared) eachGroup(ctx context.Context, visit func(g *fusedGroup) erro
 			return visit(s.groups[gidx])
 		})
 	}
-	gen := e.planGen.Load()
-	groups := e.groupBatch(p.qs)
-	err := par.ForEachCtx(ctx, e.Parallelism, len(groups), func(gidx int) error {
-		g := groups[gidx]
-		pe, err := e.plan(g.pk, g.keys, g.preds)
+	err := par.ForEachCtx(ctx, e.Parallelism, len(s.groups), func(gidx int) error {
+		g := s.groups[gidx]
+		pe, err := e.plan(g.pk, s.keySets[g.keySet].keys, g.rep.Preds)
 		if err != nil {
 			return fmt.Errorf("%s: %w", g.rep.SQL("R"), err)
 		}
@@ -182,31 +268,34 @@ func (p *Prepared) eachGroup(ctx context.Context, visit func(g *fusedGroup) erro
 	if err != nil {
 		return err
 	}
-	p.snap.Store(&preparedSnap{gen: gen, groups: groups})
+	p.snap.Store(s)
 	return nil
 }
 
 // execute evaluates the batch, fused by plan group, and returns one
-// execResult per query in input order. Results of queries sharing a plan
-// group and agg pair share their slices (read-only), and every query of a
-// plan group shares its key columns, materialised once. Caller holds the
-// read fence.
+// execResult per query in input order. Each group's pairs fill one result
+// slab, pair by pair; queries sharing a plan group and agg pair share their
+// slab range (read-only), and every query of a plan group shares its key
+// columns, materialised once. Caller holds the read fence.
 func (p *Prepared) execute(ctx context.Context) ([]execResult, error) {
 	e := p.e
+	s, current := p.snapshot()
 	results := make([]execResult, len(p.qs))
 	// Every group of the plan is touched: results carry one row per
 	// non-empty group.
-	err := p.eachGroup(ctx, func(g *fusedGroup) error {
+	err := p.eachGroup(ctx, s, current, func(g *fusedGroup) error {
 		pe := g.pe
-		prs, err := e.runPlanGroup(ctx, g, pe, allGroups(len(pe.repr)))
-		if err != nil {
+		nt := len(pe.repr)
+		vals := make([]float64, len(g.order)*nt)
+		valid := make([]bool, len(g.order)*nt)
+		if err := e.runPlanGroup(ctx, g, pe, allGroups(nt), vals, valid); err != nil {
 			return err
 		}
 		keyCols := takeKeyCols(pe.gi, pe.repr)
-		for _, pair := range g.order {
-			pr := prs[pair]
-			for _, qi := range g.slots[pair] {
-				results[qi] = execResult{keyCols: keyCols, vals: pr.vals, valid: pr.valid}
+		for pi, slots := range g.slots {
+			lo, hi := pi*nt, (pi+1)*nt
+			for _, qi := range slots {
+				results[qi] = execResult{keyCols: keyCols, vals: vals[lo:hi:hi], valid: valid[lo:hi:hi]}
 			}
 		}
 		return nil
@@ -249,9 +338,6 @@ func allGroups(n int) []int {
 type attrScan struct {
 	useString bool
 	col       *dataframe.Column // the aggregation attribute
-
-	stream   []agg.Func // served by pass A (and B for the moment family)
-	buffered []agg.Func // served by the sorted per-group value buffers
 
 	needVals    bool // pass A accumulates sum/min/max (any stream func)
 	needBuf     bool // pass A also fills flat value buffers (buffered funcs)
@@ -309,166 +395,117 @@ func needsMoments(fn agg.Func) bool {
 	return false
 }
 
-// runPlanGroup evaluates one plan group over its discovery entry pe: the
-// shared passes feeding every requested (attr, func) pair — skipped for
-// attributes whose retained state already serves them — then extraction of
-// each pair for the local groups in touched only. Results are indexed like
-// touched, so a warm pass costs O(len(touched)) however many groups the plan
-// holds: ExecuteBatch touches every group, an augment only the groups its
-// training rows join. Each group's value is computed alone, so a touched
-// subset is bit-identical to the same groups of a full extraction. The
-// context is observed between the per-attribute scans, so a batch that
-// collapsed into one huge plan group still cancels promptly (the per-worker
-// check in the batch loop runs only once for such a batch).
-func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntry, touched []int) (map[aggPair]pairResult, error) {
-	ngroups := len(pe.repr)
+// runPlanGroup evaluates one plan group over its plan entry pe for the local
+// groups in touched, writing pair pi's value and validity for touched group t
+// to vals[pi*nt+t] and valid[pi*nt+t] (nt = len(touched)); every slot is
+// written. It follows the group's layout: COUNT and all-NULL pairs resolve
+// directly, and each attribute is served from the plan's retained state when
+// that covers every function the group asks of it — a warm pass, which
+// allocates nothing here and costs O(len(touched)) however many groups the
+// plan holds — and otherwise takes the scan branch: resolve the column and its
+// view, run the shared scans, extract, and retain the new state. Each group's
+// value is computed alone through the same helpers either way, so a touched
+// subset is bit-identical to the same groups of a full extraction.
+// ExecuteBatch touches every group, an augment only the groups its training
+// rows join. The context is observed between the per-attribute scans, so a
+// batch that collapsed into one huge plan group still cancels promptly (the
+// per-worker check in the batch loop runs only once for such a batch).
+func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntry, touched []int, vals []float64, valid []bool) error {
 	nt := len(touched)
-	out := make(map[aggPair]pairResult, len(g.order))
-
-	// Snapshot the plan's retained aggregate state (delta.go): attributes whose
-	// every requested function the state covers are served without rescanning.
-	var cached map[string]*attrState
-	pe.amu.Lock()
-	if len(pe.aggs) > 0 {
-		cached = make(map[string]*attrState, len(pe.aggs))
-		for k, v := range pe.aggs {
-			cached[k] = v
-		}
+	dst := func(pi int) ([]float64, []bool) {
+		return vals[pi*nt : (pi+1)*nt], valid[pi*nt : (pi+1)*nt]
 	}
-	pe.amu.Unlock()
-
-	// Organise the group's pairs by attribute; direct pairs (COUNT, undefined
-	// string aggregates) resolve immediately, the rest collect per attribute.
-	attrs := map[string]*attrScan{}
-	var attrOrder []string
-	pending := map[string][]agg.Func{}
-	countOnly := 0
-	for _, pair := range g.order {
-		as, ok := attrs[pair.attr]
-		if !ok {
-			col := e.core.t.Column(pair.attr)
-			as = &attrScan{
-				useString: col.Kind() == dataframe.KindString,
-				col:       col,
-				valid:     col.ValidData(),
-			}
-			if as.useString {
-				as.strs = col.StrData()
-			} else {
-				as.fvals = e.floatView(col)
-			}
-			attrs[pair.attr] = as
-			attrOrder = append(attrOrder, pair.attr)
-		}
-		fn := pair.fn
-		switch {
-		case as.useString && !fn.SupportsStrings():
-			// A numeric aggregate over a categorical attribute is undefined:
-			// an all-NULL feature, no scan work.
-			out[pair] = pairResult{vals: make([]float64, nt), valid: make([]bool, nt)}
-		case fn == agg.Count:
-			// COUNT depends only on the (cached) per-group row counts.
-			vals := make([]float64, nt)
-			valid := make([]bool, nt)
-			for t, li := range touched {
-				vals[t], valid[t] = float64(pe.counts[li]), true
-			}
-			out[pair] = pairResult{vals: vals, valid: valid}
-			countOnly += len(g.slots[pair])
-		default:
-			pending[pair.attr] = append(pending[pair.attr], fn)
+	for _, pi := range g.nulls {
+		v, ok := dst(pi)
+		clear(v)
+		clear(ok)
+	}
+	for _, pi := range g.counts {
+		v, ok := dst(pi)
+		for t, li := range touched {
+			v[t], ok[t] = float64(pe.counts[li]), true
 		}
 	}
 
-	// Decide per attribute: serve every pending function from the retained
-	// state, or classify into the scan shapes — unioning the old state's
-	// capabilities into the scan's so the replacement state never loses what
-	// its predecessor could serve.
-	served := map[string]*attrState{}
-	var scanList []*attrScan
-	for _, attr := range attrOrder {
-		fns := pending[attr]
-		if len(fns) == 0 {
+	aggs := pe.retained()
+	var scanned []*attrScan
+	for ai := range g.attrs {
+		a := &g.attrs[ai]
+		st := aggs[a.name]
+		if st != nil && st.servesAll(a.fns) {
+			for k, pi := range a.pairs {
+				v, ok := dst(pi)
+				st.extract(a.fns[k], pe.counts, touched, v, ok)
+			}
 			continue
 		}
-		as := attrs[attr]
-		if st := cached[attr]; st != nil && st.servesAll(fns) {
-			served[attr] = st
-			continue
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		for _, fn := range fns {
-			if !as.useString && streamable(fn) {
-				as.stream = append(as.stream, fn)
-				as.needVals = true
-				if needsMoments(fn) {
-					as.needMoments = true
-				}
-				if fn == agg.Kurtosis {
-					as.needM4 = true
-				}
-			} else {
-				as.buffered = append(as.buffered, fn)
-				as.needBuf = true
-			}
+		as, err := e.scanAttr(ctx, pe, a, st)
+		if err != nil {
+			return err
 		}
-		if st := cached[attr]; st != nil && !as.useString {
-			as.needVals = as.needVals || st.hasVals
-			as.needMoments = as.needMoments || st.hasMoments
-			as.needM4 = as.needM4 || st.hasM4
-			as.needBuf = as.needBuf || st.hasBuf
+		for k, pi := range a.pairs {
+			v, ok := dst(pi)
+			extractPair(a.fns[k], as, pe.counts, touched, v, ok)
 		}
-		scanList = append(scanList, as)
+		scanned = append(scanned, as)
+	}
+	if len(scanned) > 0 {
+		pe.retain(scanned)
 	}
 
-	if len(scanList) > 0 && ngroups > 0 {
-		for _, as := range scanList {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if as.needBuf {
-				if dom := e.domain(as.col); dom.ok {
-					as.dom = dom
-				}
-			}
-			if err := as.scan(ctx, e, pe, ngroups); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Retain the scanned attributes' state for later batches and for delta
-	// advances; a rescan replaces the old (narrower) state wholesale.
-	if len(scanList) > 0 {
-		pe.amu.Lock()
-		if pe.aggs == nil {
-			pe.aggs = make(map[string]*attrState, len(scanList))
-		}
-		for _, as := range scanList {
-			pe.aggs[as.col.Name()] = captureAttrState(as, ngroups)
-		}
-		pe.amu.Unlock()
-	}
-
-	// Extract every remaining pair's result from the retained state or the
-	// fresh accumulators/buffers — shared helpers either way, so served values
-	// are bit-identical to scanned ones.
-	for _, pair := range g.order {
-		if _, done := out[pair]; done {
-			continue
-		}
-		if st := served[pair.attr]; st != nil {
-			out[pair] = st.extract(pair.fn, pe.counts, touched)
-			continue
-		}
-		out[pair] = extractPair(pair.fn, attrs[pair.attr], pe.counts, touched)
-	}
 	e.mu.Lock()
-	for _, pair := range g.order {
-		e.stats.FusedQueries += int64(len(g.slots[pair]))
-	}
-	e.stats.CountOnlyQueries += int64(countOnly)
+	e.stats.FusedQueries += int64(g.nqueries)
+	e.stats.CountOnlyQueries += int64(g.ncount)
 	e.mu.Unlock()
-	return out, nil
+	return nil
+}
+
+// scanAttr is runPlanGroup's scan branch for one attribute: it resolves the
+// column and its float view, classifies the requested functions into the
+// scan shapes — unioning the capabilities of the attribute's old retained
+// state st (nil if none), so the replacement never serves less than its
+// predecessor — and runs the shared scans.
+func (e *Executor) scanAttr(ctx context.Context, pe *planEntry, a *attrPairs, st *attrState) (*attrScan, error) {
+	col := e.core.t.Column(a.name)
+	as := &attrScan{
+		useString: col.Kind() == dataframe.KindString,
+		col:       col,
+		valid:     col.ValidData(),
+	}
+	if as.useString {
+		as.strs = col.StrData()
+	} else {
+		as.fvals = e.floatView(col)
+	}
+	for _, fn := range a.fns {
+		if !as.useString && streamable(fn) {
+			as.needVals = true
+			as.needMoments = as.needMoments || needsMoments(fn)
+			as.needM4 = as.needM4 || fn == agg.Kurtosis
+		} else {
+			as.needBuf = true
+		}
+	}
+	if st != nil && !as.useString {
+		as.needVals = as.needVals || st.hasVals
+		as.needMoments = as.needMoments || st.hasMoments
+		as.needM4 = as.needM4 || st.hasM4
+		as.needBuf = as.needBuf || st.hasBuf
+	}
+	if ngroups := len(pe.repr); ngroups > 0 {
+		if as.needBuf {
+			if dom := e.domain(col); dom.ok {
+				as.dom = dom
+			}
+		}
+		if err := as.scan(ctx, e, pe, ngroups); err != nil {
+			return nil, err
+		}
+	}
+	return as, nil
 }
 
 // scan runs the attribute's shared table scan(s) and extraction. When any
@@ -739,19 +776,19 @@ func (as *attrScan) streamScan(ctx context.Context, e *Executor, pe *planEntry, 
 }
 
 // extractPair turns one attribute's accumulators (or sorted buffers) into the
-// final values of one aggregation function for the touched local groups
-// (result t is group touched[t]), reproducing agg.Func.Apply's formulas —
-// including expression order, so floats match bit for bit.
-func extractPair(fn agg.Func, as *attrScan, counts []int, touched []int) pairResult {
+// final values of one aggregation function for the touched local groups,
+// writing group touched[t]'s result to vals[t] and valid[t]. It reproduces
+// agg.Func.Apply's formulas — including expression order, so floats match
+// bit for bit.
+func extractPair(fn agg.Func, as *attrScan, counts []int, touched []int, vals []float64, valid []bool) {
 	if !as.useString && streamable(fn) {
-		return streamExtract(fn, as.nvalid, as.sum, as.min, as.max, as.ss, as.m4, touched)
+		streamExtract(fn, as.nvalid, as.sum, as.min, as.max, as.ss, as.m4, touched, vals, valid)
+		return
 	}
 	// Buffered path: compute from the group's sorted value segment. Each
 	// extractor reproduces its agg.Func counterpart exactly — same empty-group
 	// conventions, same tie-breaks, same floating-point accumulation order
 	// (distinct values ascending, the order agg sorts its map keys into).
-	vals := make([]float64, len(touched))
-	valid := make([]bool, len(touched))
 	for t, li := range touched {
 		seg := as.offs[li]
 		end := as.fill[li]
@@ -761,59 +798,50 @@ func extractPair(fn agg.Func, as *attrScan, counts []int, touched []int) pairRes
 			vals[t], valid[t] = sortedFloatAgg(fn, &as.devbuf, as.fbuf[seg:end], counts[li])
 		}
 	}
-	return pairResult{vals: vals, valid: valid}
 }
 
 // streamExtract serves one streamable function from per-group accumulators
-// for the touched local groups (result t is group touched[t]), reproducing
+// for the touched local groups, writing group touched[t]'s result to vals[t]
+// and valid[t] ((0, false) where the aggregate is undefined). It reproduces
 // agg.Func.Apply's formulas — including expression order, so floats match
 // bit for bit. Shared by the fresh-scan path (extractPair) and the
 // retained-state path (attrState.extract in delta.go).
-func streamExtract(fn agg.Func, nvalid []int, sum, mn, mx, ss, m4 []float64, touched []int) pairResult {
-	vals := make([]float64, len(touched))
-	valid := make([]bool, len(touched))
+func streamExtract(fn agg.Func, nvalid []int, sum, mn, mx, ss, m4 []float64, touched []int, vals []float64, valid []bool) {
 	for t, li := range touched {
-		nv := nvalid[li]
-		if nv == 0 {
-			continue // (0, false): aggregate of an all-NULL group
+		v, ok := 0.0, false
+		// nv == 0 leaves (0, false): the aggregate of an all-NULL group.
+		if nv := nvalid[li]; nv > 0 {
+			nvf := float64(nv)
+			switch fn {
+			case agg.Sum:
+				v, ok = sum[li], true
+			case agg.Min:
+				v, ok = mn[li], true
+			case agg.Max:
+				v, ok = mx[li], true
+			case agg.Avg:
+				v, ok = sum[li]/nvf, true
+			case agg.Var:
+				v, ok = ss[li]/nvf, true
+			case agg.VarSample:
+				if nv >= 2 {
+					v, ok = ss[li]/nvf*nvf/float64(nv-1), true
+				}
+			case agg.Std:
+				v, ok = math.Sqrt(ss[li]/nvf), true
+			case agg.StdSample:
+				if nv >= 2 {
+					v, ok = math.Sqrt(ss[li]/nvf*nvf/float64(nv-1)), true
+				}
+			case agg.Kurtosis:
+				if m2 := ss[li] / nvf; nv >= 4 && m2 != 0 {
+					k4 := m4[li] / nvf
+					v, ok = k4/(m2*m2)-3, true
+				}
+			}
 		}
-		nvf := float64(nv)
-		switch fn {
-		case agg.Sum:
-			vals[t], valid[t] = sum[li], true
-		case agg.Min:
-			vals[t], valid[t] = mn[li], true
-		case agg.Max:
-			vals[t], valid[t] = mx[li], true
-		case agg.Avg:
-			vals[t], valid[t] = sum[li]/nvf, true
-		case agg.Var:
-			vals[t], valid[t] = ss[li]/nvf, true
-		case agg.VarSample:
-			if nv < 2 {
-				continue
-			}
-			vals[t], valid[t] = ss[li]/nvf*nvf/float64(nv-1), true
-		case agg.Std:
-			vals[t], valid[t] = math.Sqrt(ss[li]/nvf), true
-		case agg.StdSample:
-			if nv < 2 {
-				continue
-			}
-			vals[t], valid[t] = math.Sqrt(ss[li]/nvf*nvf/float64(nv-1)), true
-		case agg.Kurtosis:
-			if nv < 4 {
-				continue
-			}
-			m2 := ss[li] / nvf
-			if m2 == 0 {
-				continue
-			}
-			k4 := m4[li] / nvf
-			vals[t], valid[t] = k4/(m2*m2)-3, true
-		}
+		vals[t], valid[t] = v, ok
 	}
-	return pairResult{vals: vals, valid: valid}
 }
 
 // medianSorted is agg's median over an already-sorted slice.

@@ -2,6 +2,9 @@ package query
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/agg"
@@ -181,5 +184,100 @@ func TestPrepareValidatesAndCopies(t *testing.T) {
 	if _, err := p.AugmentMatrix(context.Background(), dataframe.MustNewTable(
 		dataframe.NewIntColumn("other", []int64{1}, nil))); err == nil {
 		t.Error("a pass accepted a training table without the join key")
+	}
+}
+
+// TestPreparedWarmPassAllocs pins the allocations of one warm served pass at
+// warmPassShape (12 plan groups over 3 key sets, 4-row request tables): at
+// most half of the 187 this loop measured when every plan group rebuilt its
+// layout maps, copied the retained state and joined its key set on its own
+// (320 at 24 groups). With the layout in the snapshot a pass makes 51, at 12
+// groups and at 24: the pass's 3 join entries (each a group index over the
+// request table), its output matrix and a few closures. Doubling the plan
+// groups on the same key sets may add at most one allocation per added group.
+func TestPreparedWarmPassAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch at random, so allocation counts are not stable")
+	}
+	allocs := func(nGroups int) float64 {
+		r, qs, reqs := warmPassShape(nGroups)
+		p := warmPrepared(t, r, qs, reqs[0])
+		i := 0
+		return testing.AllocsPerRun(64, func() {
+			i++
+			if _, err := p.AugmentMatrix(context.Background(), reqs[i%len(reqs)]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base, doubled := allocs(12), allocs(24)
+	t.Logf("warm pass: %v allocations at 12 plan groups, %v at 24", base, doubled)
+	if base > 186/2 {
+		t.Errorf("warm pass made %v allocations, want at most %d", base, 186/2)
+	}
+	if per := (doubled - base) / 12; per > 1 {
+		t.Errorf("12 more plan groups on the same key sets added %v allocations per group (%v -> %v), want at most 1",
+			per, base, doubled)
+	}
+}
+
+// TestPreparedConcurrentJoins: a pass joins each of its key sets once,
+// however many plan groups share it, and a pass over a request table no
+// other pass uses hits no entry. N passes over N distinct request tables,
+// first one after another and then split over 2 goroutines, each cost
+// exactly N × key sets JoinMisses and no JoinHits, and every pass equals the
+// Query.Augment oracle.
+func TestPreparedConcurrentJoins(t *testing.T) {
+	const keySets = 3
+	r, qs, reqs := warmPassShape(12)
+	warm, reqs := reqs[len(reqs)-1], reqs[:len(reqs)-1]
+	type feature struct {
+		vals  []float64
+		valid []bool
+	}
+	want := make([][]feature, len(reqs))
+	for i, d := range reqs {
+		for _, q := range qs {
+			v, ok := oracleFeature(t, q, d, r)
+			want[i] = append(want[i], feature{v, ok})
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		p := warmPrepared(t, r, qs, warm)
+		before := p.e.Stats()
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(reqs); i += workers {
+					m, err := p.AugmentMatrix(context.Background(), reqs[i])
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					for j, f := range want[i] {
+						gv, gok := m.Col(j)
+						if !slices.Equal(gv, f.vals) || !slices.Equal(gok, f.valid) {
+							errs[w] = fmt.Errorf("request %d: %s diverged from the oracle", i, qs[j].SQL("r"))
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("%d goroutines: %v", workers, err)
+			}
+		}
+		after := p.e.Stats()
+		hits, misses := after.JoinHits-before.JoinHits, after.JoinMisses-before.JoinMisses
+		if want := int64(len(reqs) * keySets); misses != want || hits != 0 {
+			t.Errorf("%d goroutines: %d passes made %d join hits / %d misses, want 0 / %d",
+				workers, len(reqs), hits, misses, want)
+		}
 	}
 }

@@ -3,7 +3,8 @@ package query
 // The fused train-side scatter, the only one the executor has: a single
 // AugmentValues is a batch of one. Plan-group fusion extends across the
 // train-side boundary: the batch is grouped by the same (key-set, WHERE-mask
-// signature) plan groups as the execute path, and each group builds ONE
+// signature) plan groups as the execute path, each of the batch's key sets
+// is joined onto the training table once per pass, and each group builds ONE
 // train-group mapping and runs ONE pass over the training table that writes
 // every query's feature column in the same loop. Queries sharing a (plan
 // group, agg pair) are served by one column, matching the slice sharing of
@@ -90,58 +91,54 @@ type projSlot struct {
 	ok bool
 }
 
-// scatterCol is one distinct output column of a plan group's shared scatter
-// pass: its projection table (a view into a per-group slab, so a group costs
-// a constant number of allocations however many columns it serves) plus the
-// destination matrix column.
-type scatterCol struct {
-	proj  []projSlot
-	vals  []float64
-	valid []bool
-}
-
-// augment is the fused augment: per plan group of the prepared batch, the
-// join resolves d's train groups to the plan's local groups (touchedGroups),
-// runPlanGroup extracts every pair for those groups only, and one shared pass
-// over d scatters them into m's columns. Each distinct (plan group, agg pair)
-// is scattered once, into its first query's column; duplicate queries are
-// filled by copy. Every step is sized by d — its rows and the groups they
-// join — so a warm pass for a few request rows costs a few rows' work however
-// large the relevant table is. Caller holds the read fence.
+// augment is the fused augment. It resolves each of the batch's key sets
+// through joinIndex once, before the plan groups run; then, per plan group,
+// the join maps d's train groups to the plan's local groups (touchedGroups),
+// runPlanGroup extracts every pair for those groups only into the result
+// slab, and one shared pass over d scatters them into m's columns. Each
+// distinct (plan group, agg pair) is scattered once, into its first query's
+// column; duplicate queries are filled by copy. Every step is sized by d —
+// its rows and the groups they join — so a warm pass for a few request rows
+// costs a few rows' work however large the relevant table is, and, with the
+// group's layout held in the snapshot and its working set in pooled scratch,
+// allocates only the pass's join entries and its output. Caller holds the
+// read fence.
 func (p *Prepared) augment(ctx context.Context, d *dataframe.Table, m *FeatureMatrix) error {
 	e := p.e
-	n := d.NumRows()
-	return p.eachGroup(ctx, func(g *fusedGroup) error {
-		pe := g.pe
-		jn, err := e.joinIndex(d, g.rep.Keys)
+	s, current := p.snapshot()
+	joins := make([]*joinEntry, len(s.keySets))
+	for i, ks := range s.keySets {
+		jn, err := e.joinIndex(d, ks.id, ks.keys)
 		if err != nil {
-			return fmt.Errorf("%s: %w", g.rep.SQL("R"), err)
+			return fmt.Errorf("%s: %w", ks.rep.SQL("R"), err)
 		}
+		joins[i] = jn
+	}
+	n, mr := d.NumRows(), e.core.morselRows
+	return p.eachGroup(ctx, s, current, func(g *fusedGroup) error {
+		pe, jn := g.pe, joins[g.keySet]
 		sc := scatterPool.Get().(*scatterScratch)
 		defer scatterPool.Put(sc)
 		touched, dgToT := sc.touchedGroups(pe, jn)
-		prs, err := e.runPlanGroup(ctx, g, pe, touched)
-		if err != nil {
+		nt, np := len(touched), len(g.order)
+		vals, valid := grab(&sc.vals, np*nt), grab(&sc.valid, np*nt)
+		if err := e.runPlanGroup(ctx, g, pe, touched, vals, valid); err != nil {
 			return err
 		}
-		nt := len(touched)
-		ncols := len(g.order)
-		// One slab holds every column's projection table: slot t+1 serves
+		// One slab holds every pair's projection table: slot t+1 serves
 		// touched group t, slot 0 a join miss.
-		pslab := make([]projSlot, (nt+1)*ncols)
-		cols := make([]scatterCol, ncols)
-		for ci, pair := range g.order {
-			pr := prs[pair]
-			c := &cols[ci]
-			lo := ci * (nt + 1)
-			c.proj = pslab[lo : lo+nt+1 : lo+nt+1]
-			for t, v := range pr.vals {
+		proj := grab(&sc.proj, np*(nt+1))
+		for pi := 0; pi < np; pi++ {
+			pp := proj[pi*(nt+1) : (pi+1)*(nt+1)]
+			pp[0] = projSlot{}
+			for t, v := range vals[pi*nt : (pi+1)*nt] {
 				// NaN aggregates are NULL, matching NewFloatColumn + Floats.
-				if pr.valid[t] && !math.IsNaN(v) {
-					c.proj[t+1] = projSlot{v: v, ok: true}
+				if valid[pi*nt+t] && !math.IsNaN(v) {
+					pp[t+1] = projSlot{v: v, ok: true}
+				} else {
+					pp[t+1] = projSlot{}
 				}
 			}
-			c.vals, c.valid = m.Col(g.slots[pair][0])
 		}
 
 		// The shared pass over the training table: resolve each row's touched
@@ -149,15 +146,15 @@ func (p *Prepared) augment(ctx context.Context, d *dataframe.Table, m *FeatureMa
 		// group -> plan-group slot), shared by every column of the group —
 		// into a compact sequential map. The pass walks the training
 		// table morsel by morsel, observing the context at each boundary.
-		bounds := dataframe.MorselBounds(n, e.core.morselRows)
 		dRowGID := jn.idx.RowGroups()
-		rowLocal := grabInts32(&sc.rowLocal, n)
-		for _, bl := range bounds {
+		rowLocal := grab(&sc.rowLocal, n)
+		var morsels int64
+		for lo := 0; lo < n; lo += mr {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			e.noteMorsel()
-			for row := bl[0]; row < bl[1]; row++ {
+			morsels++
+			for row := lo; row < min(lo+mr, n); row++ {
 				rowLocal[row] = int32(dgToT[dRowGID[row]])
 			}
 		}
@@ -166,36 +163,30 @@ func (p *Prepared) augment(ctx context.Context, d *dataframe.Table, m *FeatureMa
 		// the miss/NULL branches pre-folded into the projection tables. The
 		// context is observed per (column, morsel), so a huge single-group
 		// batch still cancels inside the batch loop.
-		for ci := range cols {
-			c := &cols[ci]
-			proj, cv, cok := c.proj, c.vals, c.valid
-			for _, bl := range bounds {
+		for pi, slots := range g.slots {
+			pp := proj[pi*(nt+1) : (pi+1)*(nt+1)]
+			cv, cok := m.Col(slots[0])
+			for lo := 0; lo < n; lo += mr {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				for row := bl[0]; row < bl[1]; row++ {
-					p := proj[rowLocal[row]]
+				for row := lo; row < min(lo+mr, n); row++ {
+					p := pp[rowLocal[row]]
 					cv[row] = p.v
 					cok[row] = p.ok
 				}
 			}
-		}
-
-		served := 0
-		for ci, pair := range g.order {
-			c := &cols[ci]
-			for si, slot := range g.slots[pair] {
-				if si > 0 {
-					mv, mok := m.Col(slot)
-					copy(mv, c.vals)
-					copy(mok, c.valid)
-				}
-				served++
+			for _, slot := range slots[1:] {
+				mv, mok := m.Col(slot)
+				copy(mv, cv)
+				copy(mok, cok)
 			}
 		}
+
 		e.mu.Lock()
 		e.stats.ScatterPasses++
-		e.stats.ScatterQueries += int64(served)
+		e.stats.ScatterQueries += int64(g.nqueries)
+		e.stats.MorselsScanned += morsels
 		e.mu.Unlock()
 		return nil
 	})
@@ -207,14 +198,16 @@ func (p *Prepared) augment(ctx context.Context, d *dataframe.Table, m *FeatureMa
 // 1-based position in touched of train group dg's local group, 0 on a join
 // miss or a group empty under the plan's mask. The cost is O(train groups):
 // sc.mark dedupes local groups and is reset entry by entry afterwards, so no
-// O(plan groups) array is cleared per call.
+// O(plan groups) array is cleared per call. Both slices are backed by sc and
+// valid until its next use.
 func (sc *scatterScratch) touchedGroups(pe *planEntry, jn *joinEntry) ([]int, []int) {
 	if len(sc.mark) < len(pe.repr) {
 		sc.mark = make([]int32, len(pe.repr))
 	}
 	mark := sc.mark
-	dgToT := grabInts(&sc.dgToLocal, len(jn.dToR))
-	touched := make([]int, 0, min(len(jn.dToR), len(pe.repr)))
+	dgToT := grab(&sc.dgToLocal, len(jn.dToR))
+	clear(dgToT)
+	touched := sc.touched[:0]
 	for dg, rg := range jn.dToR {
 		if rg < 0 || rg >= len(pe.local) || pe.local[rg] == 0 {
 			continue
@@ -231,5 +224,6 @@ func (sc *scatterScratch) touchedGroups(pe *planEntry, jn *joinEntry) ([]int, []
 	for _, li := range touched {
 		mark[li] = 0
 	}
+	sc.touched = touched
 	return touched, dgToT
 }

@@ -292,8 +292,8 @@ func TestScatterStatsGolden(t *testing.T) {
 	if s.ScatterQueries != 4 {
 		t.Errorf("ScatterQueries = %d, want 4", s.ScatterQueries)
 	}
-	if s.JoinMisses != 1 || s.JoinHits != 1 {
-		t.Errorf("join entries %d hits / %d misses, want 1 / 1 (two groups, one key-set)", s.JoinHits, s.JoinMisses)
+	if s.JoinMisses != 1 || s.JoinHits != 0 {
+		t.Errorf("join entries %d hits / %d misses, want 0 / 1 (two groups, one key-set joined once per pass)", s.JoinHits, s.JoinMisses)
 	}
 	if s.FusedQueries != 4 || s.CoreQueries != 0 {
 		t.Errorf("fused %d / core %d queries, want 4 / 0", s.FusedQueries, s.CoreQueries)
@@ -401,7 +401,7 @@ func TestAugmentRequestSizedPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jn, err := ex.joinIndex(sub, []string{"k1"})
+	jn, err := ex.joinIndex(sub, "k1", []string{"k1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,7 +202,8 @@ func (s *Server) buildState(h *planHandle, planJSON []byte) (*planState, error) 
 // in-process fit) is exactly what we want. Joins are not shared: each
 // executor keeps one join entry per key-set, for the training table it last
 // joined, which in serving is a request table new on every pass, so a pass
-// replaces the previous request's entry rather than pinning it. Every
+// joins each key set once and replaces the previous request's entry rather
+// than pinning it. Every
 // executor also runs a pass's plan groups inline: the coalescer already runs
 // up to GOMAXPROCS passes at once, and a worker pool inside each pass would
 // only oversubscribe the CPUs and pay a fresh goroutine per plan group.
