@@ -28,11 +28,16 @@
 // Combining -fit and -transform in one invocation runs both halves in one
 // process: the plan is still persisted via -plan-out, and when the scenarios
 // match the transform reuses the dataset instance the fit generated instead
-// of generating it again. That instance, with the dictionary encodings its
-// columns carry, is all the two halves share: the transform builds its own
-// executors, join indexes and scan state:
+// of generating it again. A table owns its scan state (group indexes,
+// predicate bitmaps, masks, float views, dictionaries), so a single-table
+// transform runs on the relevant table the search already scanned and its -v
+// "shared scans" line counts only the passes the search did not pay (the
+// transform still builds its own executor and join indexes):
 //
 //	feataug -fit tmall -rows 400 -seed 1 -plan-out plan.json -transform tmall -out batch.csv -v
+//
+// A split scenario rebuilds its per-value tables at transform time, so its
+// transform starts cold.
 //
 // Every query the engine answers — each search candidate as well as each
 // transform feature — runs through the executor's fused plan groups, so the
@@ -412,8 +417,9 @@ func (fo fitOpts) fitSetup() (ml.Kind, feataug.Config, bool, error) {
 
 // runFit learns a FeaturePlan (or, for a split scenario, a MultiFeaturePlan)
 // and writes it as JSON. It returns the dataset it generated so a combined
-// fit+transform invocation can materialise onto the same table instances the
-// search warmed the process caches with.
+// fit+transform invocation can materialise onto the same table instances:
+// the relevant table keeps the scan state the search built, which a
+// single-table transform reuses.
 func runFit(ctx context.Context, spec, planPath string, fo fitOpts, out, stderr io.Writer) (*datagen.Dataset, error) {
 	dataset, splitCol, err := parseScenario(spec)
 	if err != nil {
@@ -511,8 +517,9 @@ func runFit(ctx context.Context, spec, planPath string, fo fitOpts, out, stderr 
 //
 // In a combined fit+transform invocation, shared is the dataset the fit just
 // generated (nil when the scenarios differ), used instead of generating the
-// batch again. Only that dataset instance is shared with the fit: the
-// transformer builds its own executors.
+// batch again. The transformer builds its own executors; a single-table one
+// scans shared.Relevant through the scan state the search left on it, while
+// a split scenario's freshly built tables start cold.
 func runTransform(ctx context.Context, planPath, spec string, fo fitOpts, shared *datagen.Dataset, out, stderr io.Writer) error {
 	dataset, splitCol, err := parseScenario(spec)
 	if err != nil {
@@ -627,11 +634,11 @@ func printFusionStats(stderr io.Writer, mode string, s repro.ExecutorStats) {
 		mode, s.ScatterQueries, s.ScatterPasses, float64(s.ScatterQueries)/float64(passes),
 		s.JoinHits, s.JoinMisses, s.CountingScans)
 	// The morsel-driven shared-scan counters: full-table passes the executor
-	// set paid, cache entries served to executors that did not build them
-	// (executors sharing a scan scheduler's core), and morsels walked in
-	// total.
-	fmt.Fprintf(stderr, "%s: shared scans: %d passes, %d subscribed, %d morsels scanned\n",
-		mode, s.SharedScanPasses, s.SharedScanSubscribers, s.MorselsScanned)
+	// set paid to build the relevant tables' scan state (a pass already paid
+	// by another executor over the same table is not paid again), and
+	// morsels walked in total.
+	fmt.Fprintf(stderr, "%s: shared scans: %d passes, %d morsels scanned\n",
+		mode, s.SharedScanPasses, s.MorselsScanned)
 	// The dictionary-encoding counters: encode passes this executor set paid,
 	// lookups served from an existing encoding, and predicate bitmaps built
 	// through the branch-free code kernels instead of value compares.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,6 +225,47 @@ func TestFitTransformCombined(t *testing.T) {
 	if !strings.Contains(errOut, "fit: delta: 0 appends absorbed") ||
 		!strings.Contains(errOut, "0 group resorts, 0 full rebuilds") {
 		t.Fatalf("-v missing or non-zero delta counters line: %s", errOut)
+	}
+}
+
+// TestFitTransformSharesScanState checks that a combined -fit -transform run
+// transforms on the scan state the search built: the relevant table owns its
+// scan caches, so the transform's executor finds the plan's group indexes and
+// predicate bitmaps already built, and its -v "shared scans" line reports
+// fewer passes than a transform-only run of the same plan over the same data.
+func TestFitTransformSharesScanState(t *testing.T) {
+	dir := t.TempDir()
+	planPath := filepath.Join(dir, "plan.json")
+	passes := func(errOut string) int {
+		t.Helper()
+		_, line, ok := strings.Cut(errOut, "transform: shared scans: ")
+		if !ok {
+			t.Fatalf("-v missing the transform shared-scan line: %s", errOut)
+		}
+		var n int
+		if _, err := fmt.Sscanf(line, "%d passes", &n); err != nil {
+			t.Fatalf("unparsable shared-scan line %.60q: %v", line, err)
+		}
+		return n
+	}
+	data := []string{"-rows", "150", "-seed", "1"}
+	var buf, errBuf bytes.Buffer
+	err := run(context.Background(), append([]string{
+		"-fit", "tmall", "-models", "LR", "-warmup", "8", "-gen", "3", "-templates", "1", "-queries", "2",
+		"-plan-out", planPath, "-transform", "tmall", "-v"}, data...), &buf, &errBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	combined := passes(errBuf.String())
+	buf.Reset()
+	errBuf.Reset()
+	if err := run(context.Background(), append([]string{
+		"-plan-in", planPath, "-transform", "tmall", "-v"}, data...), &buf, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	cold := passes(errBuf.String())
+	if cold == 0 || combined >= cold {
+		t.Errorf("transform passes: %d after the fit, %d cold; want fewer after the fit", combined, cold)
 	}
 }
 

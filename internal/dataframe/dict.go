@@ -6,8 +6,8 @@ package dataframe
 // predicates become integer compares, grouping becomes dense-array
 // arithmetic, and the counting-sort path reads the codes it used to re-derive
 // per probe. The encoding is cached on the column behind a sync.Once, so
-// every consumer of the same column — executors, executors sharing a scan
-// scheduler's core, served plans — shares one encode pass.
+// every consumer of the same column — executors, the tables that share it,
+// served plans — shares one encode pass.
 //
 // Appends extend a built encoding IN PLACE whenever the delta keeps
 // existing codes stable: appended values already in the domain reuse their

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -12,10 +13,13 @@ type Table struct {
 	cols  []*Column
 	index map[string]int
 	nrows int
-	fp    atomic.Uint64 // lazily assigned identity fingerprint; 0 = unassigned
 
 	// epoch counts completed append batches (AppendRows).
 	epoch atomic.Uint64
+
+	// scan is the table's scan-state slot (ScanState), set once.
+	scanOnce sync.Once
+	scan     any
 }
 
 // NewTable builds a table from columns, which must share a length and have
@@ -90,31 +94,20 @@ func (t *Table) AddColumn(c *Column) error {
 	return nil
 }
 
-// fingerprints hands out process-unique table identity tokens.
-var fingerprints atomic.Uint64
-
-// Fingerprint returns a process-unique identity token for the table, assigned
-// lazily on first call and stable for the table's lifetime. Two distinct
-// Table values never share a fingerprint, and derived tables (Take, Clone,
-// ...) get identities of their own, so the token is safe to use as the key of
-// cross-executor caches over table-derived artefacts (the train-side join
-// index cache keys on it). Tables used that way must not be mutated after the
-// first keyed use — the same contract executors already impose.
-func (t *Table) Fingerprint() uint64 {
-	if v := t.fp.Load(); v != 0 {
-		return v
-	}
-	next := fingerprints.Add(1)
-	if t.fp.CompareAndSwap(0, next) {
-		return next
-	}
-	return t.fp.Load()
+// ScanState returns the table's scan-state slot, setting it to mk() on the
+// first call; every later call returns that value and ignores mk. The slot is
+// opaque to this package: the query layer keeps the table's scan caches and
+// their epoch fence there, so they live and die with the table. Derived
+// tables (Take, Clone, Concat, SelectColumns, ...) start with an empty slot.
+// Safe for concurrent use.
+func (t *Table) ScanState(mk func() any) any {
+	t.scanOnce.Do(func() { t.scan = mk() })
+	return t.scan
 }
 
 // Epoch returns the table's append epoch: 0 at construction, +1 per
-// AppendRows batch. Fingerprint stays the cache identity of the table;
-// Epoch versions its grow-only content, so a cache entry keyed on the
-// fingerprint can tell whether rows have landed since it was built and
+// AppendRows batch. It versions the table's grow-only content, so a cache
+// built at an earlier epoch can tell whether rows have landed since and
 // advance over just the appended suffix. Safe for concurrent use.
 func (t *Table) Epoch() uint64 { return t.epoch.Load() }
 
@@ -127,9 +120,10 @@ func (t *Table) Epoch() uint64 { return t.epoch.Load() }
 //
 // Appends are mutations: the caller must hold exclusive access to the table
 // (no scans in flight), the same contract as the per-value Append* methods.
-// Query-layer consumers go through their scheduler's epoch fence instead of
-// calling this directly. Tables sharing columns with a larger table
-// (SelectColumns views) must not be appended through.
+// Query-layer consumers append through query.Append, which holds the
+// table's epoch fence, instead of calling this directly. Tables sharing
+// columns with a larger table (SelectColumns views) must not be appended
+// through.
 func (t *Table) AppendRows(batch *Table) error {
 	src := make([]*Column, len(t.cols))
 	for i, c := range t.cols {

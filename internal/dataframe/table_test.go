@@ -154,24 +154,40 @@ func TestPropertyFilterExtremes(t *testing.T) {
 	}
 }
 
-func TestTableFingerprint(t *testing.T) {
+func TestTableScanState(t *testing.T) {
 	a := MustNewTable(NewIntColumn("k", []int64{1, 2}, nil))
-	b := MustNewTable(NewIntColumn("k", []int64{1, 2}, nil))
-	if a.Fingerprint() == 0 || b.Fingerprint() == 0 {
-		t.Fatal("fingerprints must be non-zero")
+	calls := 0
+	mk := func() any { calls++; return &calls }
+	first := a.ScanState(mk)
+	if a.ScanState(mk) != first || calls != 1 {
+		t.Fatalf("slot set %d times, want once and stable", calls)
 	}
-	if a.Fingerprint() != a.Fingerprint() {
-		t.Fatal("fingerprint not stable across calls")
+	// Derived tables start with an empty slot of their own.
+	cc, err := Concat(a, a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("distinct tables share a fingerprint")
+	sel, err := a.SelectColumns("k")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Derived tables are new identities.
-	if c := a.Clone(); c.Fingerprint() == a.Fingerprint() {
-		t.Fatal("Clone shares the source fingerprint")
+	for name, d := range map[string]*Table{"Clone": a.Clone(), "Take": a.Take([]int{0}), "Concat": cc, "SelectColumns": sel} {
+		mine := new(int)
+		if got := d.ScanState(func() any { return mine }); got != mine {
+			t.Errorf("%s inherited the source's scan state", name)
+		}
 	}
-	if tk := a.Take([]int{0}); tk.Fingerprint() == a.Fingerprint() {
-		t.Fatal("Take shares the source fingerprint")
+	// Concurrent first calls agree on one value.
+	b := MustNewTable(NewIntColumn("k", []int64{1}, nil))
+	got := make(chan any, 8)
+	for i := 0; i < 8; i++ {
+		go func() { got <- b.ScanState(func() any { return new(int) }) }()
+	}
+	v := <-got
+	for i := 1; i < 8; i++ {
+		if <-got != v {
+			t.Fatal("concurrent first calls set different values")
+		}
 	}
 }
 

@@ -216,9 +216,9 @@ func (p *MultiFeaturePlan) NamedQueries() []NamedQuery {
 // FeaturePlan.Transformer), and the column kinds must match the fit-time
 // schema fingerprint (ErrSchemaMismatch). Tables for names the plan does not
 // mention are ignored. Each source gets its own cached batch executor, built
-// once and shared across Transform calls. Executor options apply to every
-// per-source executor, so a caller can put the sources on a shared scan
-// scheduler (query.WithScanScheduler).
+// once and shared across Transform calls, whose scan state lives with its
+// source table. Executor options (e.g. query.WithParallelism) apply to every
+// per-source executor.
 func (p *MultiFeaturePlan) Transformer(relevantByName map[string]*dataframe.Table, opts ...query.ExecutorOption) (*MultiTransformer, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -151,8 +151,10 @@ func (p *FeaturePlan) FeatureNames() []string {
 // aggregation and predicate attributes (ErrSchemaMismatch otherwise). The
 // returned Transformer shares one batch query executor across every
 // Transform call, so group indexes and predicate bitmaps are built once and
-// reused across batches — the serving fast path. Executor options (e.g.
-// query.WithScanScheduler) are forwarded to the underlying executor.
+// reused across batches — the serving fast path. The executor takes its scan
+// state from the relevant table, so it starts warm on a table a fit (or
+// another transformer) has already scanned. Executor options (e.g.
+// query.WithParallelism) are forwarded to the underlying executor.
 func (p *FeaturePlan) Transformer(relevant *dataframe.Table, opts ...query.ExecutorOption) (*Transformer, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -117,7 +117,7 @@ func TestDifferentialCompactDelta(t *testing.T) {
 			check("cold")
 			for bi, size := range sc.sizes {
 				bseed := seed + 100 + int64(bi)
-				if err := exDelta.Append(deltaRows(size, bseed, sc.mode)); err != nil {
+				if _, _, err := Append(exDelta.Table(), deltaRows(size, bseed, sc.mode)); err != nil {
 					t.Fatal(err)
 				}
 				parts = append(parts, deltaRows(size, bseed, sc.mode))

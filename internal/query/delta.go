@@ -8,10 +8,12 @@ package query
 // densities, new-group and dictionary-crossing deltas against fresh
 // executors and Query.Execute over the concatenated table to enforce it.
 //
-// Synchronisation is the core's epoch fence (tableCore.fence): every scan
-// entry point takes it in read mode for the whole pass, appends and advances
-// take it in write mode, so scans never observe a half-appended table or
-// half-advanced entries. Advance is two-layered, matching cache ownership:
+// Synchronisation is the table's epoch fence (tableCore.fence; the core lives
+// in the table's scan-state slot, so a table has exactly one): every scan
+// entry point takes it in read mode for the whole pass, appends (Append) and
+// advances take it in write mode, so scans never observe a half-appended
+// table or half-advanced entries. Advance is two-layered, matching cache
+// ownership:
 //
 //	core     dictionaries re-pointed (a re-encode that shifted codes wipes
 //	         the code-keyed predicate/mask maps), domain probes merged,
@@ -25,7 +27,7 @@ package query
 //
 // Every advance helper is idempotent (entries record the rows they cover),
 // so a plan advance can refresh a mask or group index that was evicted from
-// its map, and cores shared by executors at different epochs converge
+// its map, and a core shared by executors at different epochs converges
 // correctly. Bit-identity rests on three invariants the build paths already
 // hold: accumulators run in matching-row order (never per-morsel partials),
 // groups are numbered in first-seen order, and sorted runs are the unique
@@ -40,19 +42,8 @@ import (
 	"repro/internal/dataframe"
 )
 
-// Append appends batch to the executor's scan table through the core's epoch
-// fence: it waits out in-flight scans of every executor sharing the core and
-// blocks new ones until the rows have landed. Cache entries advance lazily on
-// the next scan (back-to-back appends coalesce into one advance).
-func (e *Executor) Append(batch *dataframe.Table) error {
-	c := e.core
-	c.fence.Lock()
-	defer c.fence.Unlock()
-	return c.t.AppendRows(batch)
-}
-
 // beginScan takes the core's epoch fence in read mode, first advancing the
-// shared core and this executor's private caches if appends have landed since
+// table's core and this executor's private caches if appends have landed since
 // their last scan. The returned function releases the fence; every scan entry
 // point runs `defer e.beginScan()()`. Internal helpers must NOT call it — the
 // fence is not reentrant, and a nested read-lock behind a waiting append
@@ -71,7 +62,7 @@ func (e *Executor) beginScan() func() {
 	}
 }
 
-// advanceLocked brings the shared core and this executor's private caches up
+// advanceLocked brings the table's core and this executor's private caches up
 // to the table's current epoch. Caller holds the core's fence in write mode.
 func (e *Executor) advanceLocked() {
 	c := e.core
@@ -104,7 +95,7 @@ func (e *Executor) advanceLocked() {
 	e.mu.Unlock()
 }
 
-// advanceCore advances every shared-core entry over the appended rows, in
+// advanceCore advances every core entry over the appended rows, in
 // dependency order: dictionaries first (predicate advances read codes),
 // domains and views next (predicate kernels read them), group indexes, then
 // predicate bitmaps, masks and the identity row list. Caller holds the fence
@@ -329,12 +320,12 @@ func (e *Executor) advancePlan(ent *planEntry) (int64, bool) {
 	if len(ent.segs) > 0 {
 		start := ent.segs[len(ent.segs)-1][0]
 		segs := ent.segs[: len(ent.segs)-1 : len(ent.segs)-1]
-		for _, sg := range morselSegments(ent.rows[start:], e.core.morselRows) {
+		for _, sg := range morselSegments(ent.rows[start:], e.morselRows) {
 			segs = append(segs, [2]int{sg[0] + start, sg[1] + start})
 		}
 		ent.segs = segs
 	} else {
-		ent.segs = morselSegments(ent.rows, e.core.morselRows)
+		ent.segs = morselSegments(ent.rows, e.morselRows)
 	}
 
 	// Discovery delta: identical to the build loop restricted to new rows —

@@ -65,7 +65,7 @@ func BenchmarkAppendThenQueryDelta(b *testing.B) {
 		b.StopTimer()
 		batch := cs.Batch(i, deltaBenchAppendRows)
 		b.StartTimer()
-		if err := ex.Append(batch); err != nil {
+		if _, _, err := Append(ex.Table(), batch); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {

@@ -164,7 +164,7 @@ func TestDeltaDifferential(t *testing.T) {
 			check("cold")
 			for bi, size := range sc.sizes {
 				bseed := seed + 100 + int64(bi)
-				if err := exDelta.Append(deltaRows(size, bseed, sc.mode)); err != nil {
+				if _, _, err := Append(exDelta.Table(), deltaRows(size, bseed, sc.mode)); err != nil {
 					t.Fatal(err)
 				}
 				parts = append(parts, deltaRows(size, bseed, sc.mode))
@@ -209,7 +209,7 @@ func TestDeltaAugmentDifferential(t *testing.T) {
 	}
 	for bi, mode := range []string{"mixed", "newgroups", "nulls"} {
 		bseed := seed + 50 + int64(bi)
-		if err := ex.Append(deltaRows(40, bseed, mode)); err != nil {
+		if _, _, err := Append(ex.Table(), deltaRows(40, bseed, mode)); err != nil {
 			t.Fatal(err)
 		}
 		parts = append(parts, deltaRows(40, bseed, mode))
@@ -286,7 +286,7 @@ func TestDeltaShardedDifferential(t *testing.T) {
 					if len(idx) == 0 {
 						continue
 					}
-					if err := exs[j].Append(batch.Take(idx)); err != nil {
+					if _, _, err := Append(exs[j].Table(), batch.Take(idx)); err != nil {
 						t.Fatal(err)
 					}
 					pieces[j] = append(pieces[j], batch.Take(idx))
@@ -323,7 +323,7 @@ func TestDeltaStatsGolden(t *testing.T) {
 		t.Errorf("warm batch ran %d new fused scans, want 0 (served from retained state)",
 			warm.FusedScans-cold.FusedScans)
 	}
-	if err := ex.Append(deltaRows(5, 99, "mixed")); err != nil {
+	if _, _, err := Append(ex.Table(), deltaRows(5, 99, "mixed")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ex.ExecuteBatch(qs, "f"); err != nil {
@@ -362,7 +362,7 @@ func TestDeltaStatsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := exS.Stats()
-	if err := exS.Append(deltaRows(1, 99, "dictshift")); err != nil {
+	if _, _, err := Append(exS.Table(), deltaRows(1, 99, "dictshift")); err != nil {
 		t.Fatal(err)
 	}
 	shiftQs = append(shiftQs, catQuery(agg.Sum, "a0"), catQuery(agg.Median, "a0"))
@@ -389,7 +389,7 @@ func TestDeltaStatsGolden(t *testing.T) {
 }
 
 // TestConcurrentAppendsVsScans races appends against in-flight shared scans:
-// two executors over one scheduler-shared core run batches while the table
+// two executors over one table (so one core) run batches while the table
 // grows underneath them through the epoch fence. Run under -race this is the
 // fence's regression test; results after the dust settles must match a fresh
 // executor over the final rows.
@@ -398,9 +398,8 @@ func TestConcurrentAppendsVsScans(t *testing.T) {
 	seed := int64(11)
 	base := deltaTable(nBase, seed)
 	qs := deltaQueryPool(t, base, 30, seed+1)
-	sched := NewScanScheduler()
-	ex1 := NewExecutor(base, WithScanScheduler(sched))
-	ex2 := NewExecutor(base, WithScanScheduler(sched))
+	ex1 := NewExecutor(base)
+	ex2 := NewExecutor(base)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -426,13 +425,7 @@ func TestConcurrentAppendsVsScans(t *testing.T) {
 	parts := []*dataframe.Table{deltaTable(nBase, seed)}
 	for i := 0; i < nAppends; i++ {
 		bseed := int64(100 + i)
-		var err error
-		if i%2 == 0 {
-			err = sched.Append(base, deltaRows(37, bseed, "mixed"))
-		} else {
-			err = ex1.Append(deltaRows(37, bseed, "mixed"))
-		}
-		if err != nil {
+		if _, _, err := Append(base, deltaRows(37, bseed, "mixed")); err != nil {
 			t.Error(err)
 		}
 		parts = append(parts, deltaRows(37, bseed, "mixed"))

@@ -9,12 +9,11 @@ package query
 // per-row branch misprediction and no string compares at all.
 //
 // Encodings are owned at the tableCore layer: dictFor hands out one
-// dictEntry per (core, column), and the entry's build defers to
-// Column.Dict(), which caches on the column itself — so executors over
-// different cores of the same table (a private and a scheduler-shared one,
-// say) still share one encode pass. Columns above MaxDictCardinality get no
-// encoding and take the unencoded fallbacks; the differential tests compare
-// both shapes against Query.Execute.
+// dictEntry per (table, column), and the entry's build defers to
+// Column.Dict(), which caches on the column itself — so tables sharing a
+// column (SelectColumns views) still share one encode pass. Columns above
+// MaxDictCardinality get no encoding and take the unencoded fallbacks; the
+// differential tests compare both shapes against Query.Execute.
 
 import (
 	"math"
@@ -31,8 +30,8 @@ type dictEntry struct {
 
 // dictFor returns the column's dictionary encoding through the core cache,
 // or nil when the column is unencodable (non-string or above the cardinality
-// cap). DictEncodes counts first-use builds charged to this executor's core;
-// DictHits counts lookups served by an existing entry.
+// cap). DictEncodes counts the first-use lookups this executor paid in the
+// table's core; DictHits counts lookups served by an existing entry.
 func (e *Executor) dictFor(col *dataframe.Column) *dataframe.DictEncoding {
 	c := e.core
 	c.mu.Lock()

@@ -76,7 +76,8 @@ func TestDifferentialDictEncoding(t *testing.T) {
 				Query{Agg: agg.Mode, AggAttr: "cat", Keys: []string{"k2", "cat"}},
 				Query{Agg: agg.CountDistinct, AggAttr: "x", Keys: []string{"cat"}},
 			)
-			enc := NewExecutor(r, WithScanScheduler(NewScanScheduler()))
+			// Executors over a clone start from a cold core of their own.
+			enc := NewExecutor(r.Clone())
 			got, err := enc.ExecuteBatch(qs, "feature")
 			if err != nil {
 				t.Fatal(err)
@@ -112,7 +113,7 @@ func TestDifferentialDictEncoding(t *testing.T) {
 					{Agg: agg.Count, AggAttr: "x", Keys: []string{"k2"},
 						Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "a"}}},
 				}
-				ex := NewExecutor(r, WithScanScheduler(NewScanScheduler()))
+				ex := NewExecutor(r.Clone())
 				got, err := ex.ExecuteBatch(catQs, "feature")
 				if err != nil {
 					t.Fatal(err)
@@ -184,7 +185,7 @@ func TestDifferentialDictSharded(t *testing.T) {
 // bitmap through the code kernels exactly once.
 func TestDictStatsGolden(t *testing.T) {
 	r := largeRandomTable(300, 91)
-	e := NewExecutor(r, WithScanScheduler(NewScanScheduler()))
+	e := NewExecutor(r.Clone())
 	qs := []Query{
 		{Agg: agg.Count, AggAttr: "x", Keys: []string{"k2"},
 			Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "a"}}},
@@ -224,7 +225,7 @@ func TestDictStatsGolden(t *testing.T) {
 // out-of-dictionary operands stay distinct.
 func TestPredKeyCanonical(t *testing.T) {
 	r := largeRandomTable(300, 92)
-	e := NewExecutor(r, WithScanScheduler(NewScanScheduler()))
+	e := NewExecutor(r.Clone())
 
 	pa := Predicate{Attr: "cat", Kind: PredEq, StrValue: "a"}
 	paNoise := Predicate{Attr: "cat", Kind: PredEq, StrValue: "a", BoolValue: true}

@@ -40,11 +40,10 @@ import (
 //     leaves the plan map; a stale snapshot is prepared again.
 //
 // The table-scoped caches (group indexes, bitmaps, masks, float views, domain
-// probes) live in a tableCore (see scheduler.go). An executor owns a private
-// core unless WithScanScheduler hands it one shared with every executor over
-// the same table, so they run each table pass once between them. Scans walk
-// the table morsel by morsel (dataframe.MorselBounds), observing
-// cancellation at every boundary.
+// probes, dictionaries) live in the table's own tableCore (see core.go),
+// shared by every executor over the table, so they run each table pass once
+// between them. Scans walk the table morsel by morsel
+// (dataframe.MorselBounds), observing cancellation at every boundary.
 //
 // On top of the caches, every entry point runs fused: a batch is prepared,
 // then run — grouped by plan group, each group's aggregates streaming through
@@ -55,14 +54,13 @@ import (
 // evaluate on a bounded worker pool.
 type Executor struct {
 	r          *dataframe.Table
-	core       *tableCore     // scan-side caches of r
-	sched      *ScanScheduler // nil = private core
-	morselRows int            // private core's morsel size (set by tests); 0 = default
+	core       *tableCore // r's scan-side caches, shared with every executor over r
+	morselRows int        // rows per morsel of plan and scatter scans (tests set it)
 	// Parallelism bounds the batch worker pool; 0 means GOMAXPROCS.
 	Parallelism int
 
 	// epoch is the scan-table epoch this executor's PRIVATE caches (plans,
-	// joins, aggregate state) cover; the shared core tracks its own. Guarded
+	// joins, aggregate state) cover; the table's core tracks its own. Guarded
 	// by core.fence.
 	epoch uint64
 
@@ -111,14 +109,11 @@ type ExecutorStats struct {
 	// the plan's group counts with no value pass at all (one per query, as
 	// FusedQueries counts).
 	CountOnlyQueries int64
-	// Cross-executor scan sharing (ScanScheduler): full-table passes this
-	// executor ran to build a core entry (group index, predicate bitmap,
-	// float view, domain probe) vs lookups that subscribed to an entry
-	// another executor over the same core had already built. k executors
-	// over one table on one scheduler converge on one set of passes between
-	// them, so summed SharedScanPasses stays near a single executor's count
-	// while SharedScanSubscribers absorbs the rest.
-	SharedScanPasses, SharedScanSubscribers int64
+	// SharedScanPasses counts the full-table passes this executor paid to
+	// build a core entry (group index, predicate bitmap, float view, domain
+	// probe). The core belongs to the table, so k executors over one table
+	// pay one set of passes between them.
+	SharedScanPasses int64
 	// MorselsScanned counts the morsel segments the executor's scans walked
 	// (discovery, attribute and scatter passes all run morsel by morsel).
 	MorselsScanned int64
@@ -158,7 +153,6 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 	s.CodePredScans += o.CodePredScans
 	s.CountOnlyQueries += o.CountOnlyQueries
 	s.SharedScanPasses += o.SharedScanPasses
-	s.SharedScanSubscribers += o.SharedScanSubscribers
 	s.MorselsScanned += o.MorselsScanned
 	s.Evictions += o.Evictions
 	s.DeltaAppends += o.DeltaAppends
@@ -171,13 +165,13 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 // String renders the snapshot as one compact log line.
 func (s ExecutorStats) String() string {
 	return fmt.Sprintf(
-		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d (hit/miss), fused %d queries (%d count-only) over %d scans (%d counting), scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds), shared-scans %d passes / %d subscribed, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
+		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d (hit/miss), fused %d queries (%d count-only) over %d scans (%d counting), scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds), shared-scans %d passes, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
 		s.GroupHits, s.GroupMisses, s.MaskHits, s.MaskMisses, s.PredHits, s.PredMisses,
 		s.PlanHits, s.PlanMisses, s.JoinHits, s.JoinMisses,
 		s.FusedQueries, s.CountOnlyQueries, s.FusedScans, s.CountingScans,
 		s.ScatterQueries, s.ScatterPasses,
 		s.DictEncodes, s.DictHits, s.CodePredScans,
-		s.SharedScanPasses, s.SharedScanSubscribers, s.MorselsScanned,
+		s.SharedScanPasses, s.MorselsScanned,
 		s.DeltaAppends, s.DeltaRowsScanned, s.DirtyGroupResorts, s.FullRebuilds,
 		s.Evictions)
 }
@@ -204,10 +198,9 @@ const (
 )
 
 type groupEntry struct {
-	once  sync.Once
-	owner *Executor // executor that created the entry (subscriber accounting)
-	idx   *dataframe.GroupIndex
-	err   error
+	once sync.Once
+	idx  *dataframe.GroupIndex
+	err  error
 }
 
 // predEntry caches the full-table row bitmap of one predicate. p and nrows
@@ -217,7 +210,6 @@ type groupEntry struct {
 // core's epoch fence after the once completes.
 type predEntry struct {
 	once  sync.Once
-	owner *Executor
 	p     Predicate
 	bits  []uint64 // 1 bit per row, LSB-first within each word
 	nrows int      // rows covered by bits
@@ -230,7 +222,6 @@ type predEntry struct {
 // decomposed predicate list and nrows the coverage, for delta advances.
 type maskEntry struct {
 	once  sync.Once
-	owner *Executor
 	preds []Predicate // decomposed one-sided form
 	bits  []uint64
 	rows  []int
@@ -280,24 +271,24 @@ func WithParallelism(n int) ExecutorOption {
 	return func(e *Executor) { e.Parallelism = n }
 }
 
-// NewExecutor builds an executor over one relevant table. The table must not
-// be mutated while the executor is in use (caches index into its rows).
+// NewExecutor builds an executor over one relevant table. Its scan-side
+// caches live in the table's core, shared with every other executor over r
+// and kept for as long as r lives. Outside Append and Compact, the table must
+// not be mutated once an executor has been built over it (caches index into
+// its rows and outlive the executor).
 func NewExecutor(r *dataframe.Table, opts ...ExecutorOption) *Executor {
 	e := &Executor{
-		r:     r,
-		plans: map[planKey]*planEntry{},
-		joins: map[string]*joinEntry{},
+		r:          r,
+		core:       coreOf(r),
+		morselRows: dataframe.DefaultMorselRows,
+		plans:      map[planKey]*planEntry{},
+		joins:      map[string]*joinEntry{},
 	}
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.sched != nil {
-		e.core = e.sched.coreFor(r)
-	} else {
-		e.core = newTableCore(r, e.morselRows)
-	}
 	// A fresh executor's (empty) private caches vacuously cover the current
-	// epoch; the first scan advances the shared core if it is behind.
+	// epoch; the first scan advances the table's core if it is behind.
 	e.epoch = r.Epoch()
 	return e
 }
@@ -327,18 +318,13 @@ func boundedGet[K comparable, V any](m *map[K]*V, k K, max int, hits, misses, ev
 	return ent, evicted
 }
 
-// noteShared records the outcome of one shared-core cache lookup: hits count
-// as usual and additionally as SharedScanSubscribers when the entry was built
-// by a different executor over the same core; misses count as usual and, when
-// the entry's build is a full-table pass (group index, predicate bitmap — not
-// a mask intersection), as SharedScanPasses.
-func (e *Executor) noteShared(hit, evicted bool, owner *Executor, hits, misses *int64, pass bool) {
+// noteShared records the outcome of one core cache lookup: hits and misses
+// count as usual, and a miss whose build is a full-table pass (group index,
+// predicate bitmap — not a mask intersection) counts as SharedScanPasses.
+func (e *Executor) noteShared(hit, evicted bool, hits, misses *int64, pass bool) {
 	e.mu.Lock()
 	if hit {
 		*hits++
-		if owner != e {
-			e.stats.SharedScanSubscribers++
-		}
 	} else {
 		*misses++
 		if pass {
@@ -367,9 +353,9 @@ func (e *Executor) groupIndex(keys []string) (*dataframe.GroupIndex, error) {
 	c := e.core
 	c.mu.Lock()
 	ent, hit, evicted := coreGet(&c.groups, k, 1<<20,
-		func() *groupEntry { return &groupEntry{owner: e} })
+		func() *groupEntry { return &groupEntry{} })
 	c.mu.Unlock()
-	e.noteShared(hit, evicted, ent.owner, &e.stats.GroupHits, &e.stats.GroupMisses, true)
+	e.noteShared(hit, evicted, &e.stats.GroupHits, &e.stats.GroupMisses, true)
 	ent.once.Do(func() {
 		// Route string key encodes through dictFor first, so the encode is
 		// charged to the executor's counters before the build consumes it.
@@ -459,9 +445,9 @@ func (e *Executor) predMask(p Predicate) ([]uint64, error) {
 	c := e.core
 	c.mu.Lock()
 	ent, hit, evicted := coreGet(&c.preds, k, maxPredEntries,
-		func() *predEntry { return &predEntry{owner: e} })
+		func() *predEntry { return &predEntry{} })
 	c.mu.Unlock()
-	e.noteShared(hit, evicted, ent.owner, &e.stats.PredHits, &e.stats.PredMisses, true)
+	e.noteShared(hit, evicted, &e.stats.PredHits, &e.stats.PredMisses, true)
 	ent.once.Do(func() {
 		ent.p = p
 		ent.bits, ent.err = e.buildPredBits(p)
@@ -683,10 +669,10 @@ func (e *Executor) whereEntry(sig string, preds []Predicate) (*maskEntry, error)
 	c := e.core
 	c.mu.Lock()
 	ent, hit, evicted := coreGet(&c.masks, sig, maxMaskEntries,
-		func() *maskEntry { return &maskEntry{owner: e} })
+		func() *maskEntry { return &maskEntry{} })
 	c.mu.Unlock()
 	// Mask intersection is bitmap arithmetic, not a table pass (pass=false).
-	e.noteShared(hit, evicted, ent.owner, &e.stats.MaskHits, &e.stats.MaskMisses, false)
+	e.noteShared(hit, evicted, &e.stats.MaskHits, &e.stats.MaskMisses, false)
 	ent.once.Do(func() {
 		ent.preds = decomposePreds(preds)
 		var mask []uint64
@@ -775,7 +761,7 @@ func (e *Executor) plan(pk planKey, keys []string, preds []Predicate) (*planEntr
 		} else {
 			ent.rows = e.core.rowIdentity()
 		}
-		ent.segs = morselSegments(ent.rows, e.core.morselRows)
+		ent.segs = morselSegments(ent.rows, e.morselRows)
 		e.countScan()
 		rowGID := gi.RowGroups()
 		local := make([]int, gi.NumGroups())

@@ -171,7 +171,7 @@ func FuzzAppendMatchesOracle(f *testing.F) {
 				size += dataframe.MaxDictCardinality
 			}
 			seed := int64(data[i])/int64(len(appendModes))*8 + int64(i)
-			if err := ex.Append(deltaRows(size, seed, mode)); err != nil {
+			if _, _, err := Append(ex.Table(), deltaRows(size, seed, mode)); err != nil {
 				t.Fatal(err)
 			}
 			parts = append(parts, deltaRows(size, seed, mode))

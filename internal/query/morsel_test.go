@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// withMorselRows sets the morsel size of the executor's private scan core
-// (n <= 0 means dataframe.DefaultMorselRows). Tests use small sizes so scans
-// cross many morsel boundaries; production code keeps the default.
+// withMorselRows sets the executor's morsel size (n > 0) for its plan and
+// scatter scans. Tests use small sizes so scans cross many morsel
+// boundaries; production code keeps dataframe.DefaultMorselRows.
 func withMorselRows(n int) ExecutorOption {
 	return func(e *Executor) { e.morselRows = n }
 }

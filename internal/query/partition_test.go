@@ -4,8 +4,9 @@ package query
 // a plain table (Take of a row list), and an executor over it must agree with
 // the Query.Execute oracle over the same rows. The shapes are contiguous
 // ranges, round-robin interleaves that cross every morsel boundary, and empty
-// and single-row partitions. The scheduler tests at the end cover executors
-// sharing one table's scan core, the sharing served plans rely on.
+// and single-row partitions. The tests at the end cover executors sharing one
+// table's scan core, the sharing served plans and fit-then-transform runs
+// rely on.
 
 import (
 	"errors"
@@ -116,50 +117,53 @@ func TestShardEmptyAndSingleRow(t *testing.T) {
 	}
 }
 
-// TestSharedScanCounters requires two executors over one table on one
-// scheduler to pay the table passes once between them, with the second
-// executor's lookups visible as subscriber hits, where executors on separate
-// schedulers each pay every pass.
+// TestSharedScanCounters requires two executors over one table to pay the
+// table passes once between them — the second one pays none and hits the
+// entries the first built — where executors over a table and its Clone each
+// pay every pass.
 func TestSharedScanCounters(t *testing.T) {
-	r := largeRandomTable(400, 171)
 	rng := rand.New(rand.NewSource(172))
 	qs := randomPool(rng, 60)
-	const k = 2
 
-	run := func(sched func() *ScanScheduler) (passes, subs int64) {
-		for i := 0; i < k; i++ {
-			e := NewExecutor(r, WithScanScheduler(sched()))
+	run := func(a, b *dataframe.Table) [2]ExecutorStats {
+		var st [2]ExecutorStats
+		for i, tbl := range []*dataframe.Table{a, b} {
+			e := NewExecutor(tbl)
 			if _, err := e.ExecuteBatch(qs, "f"); err != nil {
 				t.Fatal(err)
 			}
-			s := e.Stats()
-			passes += s.SharedScanPasses
-			subs += s.SharedScanSubscribers
+			st[i] = e.Stats()
 		}
-		return passes, subs
+		return st
 	}
 
-	shared := NewScanScheduler()
-	sharedPasses, sharedSubs := run(func() *ScanScheduler { return shared })
-	isoPasses, _ := run(NewScanScheduler)
+	r := largeRandomTable(400, 171)
+	shared := run(r, r)
+	iso := largeRandomTable(400, 171)
+	isolated := run(iso, iso.Clone())
 
-	if sharedSubs == 0 {
-		t.Error("no subscriber hits: the executors did not share scan state")
+	full := shared[0].SharedScanPasses
+	if full == 0 || shared[1].SharedScanPasses != 0 {
+		t.Errorf("executors over one table paid %d and %d passes, want all of them by the first",
+			full, shared[1].SharedScanPasses)
 	}
-	if isoPasses != k*sharedPasses {
-		t.Errorf("isolated passes = %d, want k×shared = %d (identical batches per executor)", isoPasses, k*sharedPasses)
+	if s := shared[1]; s.GroupHits == 0 || s.GroupMisses != 0 || s.PredMisses != 0 {
+		t.Errorf("second executor over one table: groups %d/%d, pred misses %d; want hits only",
+			s.GroupHits, s.GroupMisses, s.PredMisses)
 	}
-	if shared.Len() != 1 {
-		t.Errorf("scheduler holds %d cores, want 1 (one table)", shared.Len())
+	for i, s := range isolated {
+		if s.SharedScanPasses != full {
+			t.Errorf("executor %d over a table or its clone paid %d passes, want %d", i, s.SharedScanPasses, full)
+		}
 	}
 }
 
-// TestShardConcurrentScanSharing runs two executors over one table on one
-// scheduler concurrently (under -race) — plan groups from both subscribing to
-// the same core entries while they are being built — and requires every
-// result to match the oracle bit for bit. The tiny morsel size maximises
-// segment-boundary traffic.
-func TestShardConcurrentScanSharing(t *testing.T) {
+// TestConcurrentScanSharing runs two executors over one table concurrently
+// (under -race) — plan groups from both hitting the same core entries while
+// they are being built — and requires every result to match the oracle bit
+// for bit, and both executors to hold the table's one core. The tiny morsel
+// size maximises segment-boundary traffic.
+func TestConcurrentScanSharing(t *testing.T) {
 	r := largeRandomTable(300, 181)
 	d := dupKeyTrainTable(150, 182)
 	rng := rand.New(rand.NewSource(183))
@@ -170,16 +174,16 @@ func TestShardConcurrentScanSharing(t *testing.T) {
 		refV[qi], refOK[qi] = oracleFeature(t, q, d, r)
 	}
 
-	sched := NewScanScheduler()
-	sched.coreFor(r).morselRows = 7
 	const k = 2
 	var wg sync.WaitGroup
 	errs := make([]error, k)
+	cores := make([]*tableCore, k)
 	for i := 0; i < k; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e := NewExecutor(r, WithScanScheduler(sched))
+			e := NewExecutor(r, withMorselRows(7))
+			cores[i] = e.core
 			for it := 0; it < 3; it++ {
 				v, ok, err := e.AugmentValuesBatch(d, qs)
 				if err != nil {
@@ -203,7 +207,7 @@ func TestShardConcurrentScanSharing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sched.Len() != 1 {
-		t.Errorf("scheduler holds %d cores, want 1 (one table)", sched.Len())
+	if cores[0] != cores[1] || cores[0] != coreOf(r) {
+		t.Error("executors over one table hold different cores")
 	}
 }

@@ -104,7 +104,7 @@ func TestPreparedMatchesOracle(t *testing.T) {
 
 	appendRows := func(mode string, n int, bseed int64) {
 		t.Helper()
-		if err := ex.Append(deltaRows(n, bseed, mode)); err != nil {
+		if _, _, err := Append(ex.Table(), deltaRows(n, bseed, mode)); err != nil {
 			t.Fatal(err)
 		}
 		parts = append(parts, deltaRows(n, bseed, mode))

@@ -114,7 +114,7 @@ func (p *Prepared) augment(ctx context.Context, d *dataframe.Table, m *FeatureMa
 		}
 		joins[i] = jn
 	}
-	n, mr := d.NumRows(), e.core.morselRows
+	n, mr := d.NumRows(), e.morselRows
 	return p.eachGroup(ctx, s, current, func(g *fusedGroup) error {
 		pe, jn := g.pe, joins[g.keySet]
 		sc := scatterPool.Get().(*scatterScratch)

@@ -298,15 +298,16 @@ func TestScatterStatsGolden(t *testing.T) {
 	if s.FusedQueries != 4 || s.CoreQueries != 0 {
 		t.Errorf("fused %d / core %d queries, want 4 / 0", s.FusedQueries, s.CoreQueries)
 	}
-	// Shared-scan counters: the private core pays one pass for the k1 group
-	// index and one for the x>=0 predicate bitmap ("x" is already a float
-	// column, so no view build); nothing is subscribed — one executor owns
-	// every entry. Both tables fit in one morsel, so MorselsScanned counts
+	// Shared-scan counters: the table's cold core costs one pass for the k1
+	// group index and one for the x>=0 predicate bitmap ("x" is already a
+	// float column, so no view build) — its only two misses, both paid by
+	// this executor. Both tables fit in one morsel, so MorselsScanned counts
 	// scans: discovery for each of the 2 plan groups, one streaming
 	// accumulator pass for group A (Sum/Avg share it; group B's Count needs
 	// no attribute scan), and one scatter resolve block per group.
-	if s.SharedScanPasses != 2 || s.SharedScanSubscribers != 0 {
-		t.Errorf("shared scans %d passes / %d subscribed, want 2 / 0", s.SharedScanPasses, s.SharedScanSubscribers)
+	if s.SharedScanPasses != 2 || s.GroupMisses != 1 || s.PredMisses != 1 {
+		t.Errorf("shared scans %d passes (group / pred misses %d / %d), want 2 (1 / 1)",
+			s.SharedScanPasses, s.GroupMisses, s.PredMisses)
 	}
 	if s.MorselsScanned != 5 {
 		t.Errorf("MorselsScanned = %d, want 5", s.MorselsScanned)
@@ -326,12 +327,22 @@ func TestScatterStatsGolden(t *testing.T) {
 	// Discovery and the core entries are cached, and group A's Sum/Avg are
 	// served from the retained aggregate state (PR 9) without rescanning, so
 	// the warm batch adds only the two scatter resolves (2 more morsels).
-	if s.SharedScanPasses != 2 || s.SharedScanSubscribers != 0 {
-		t.Errorf("after second batch: shared scans %d passes / %d subscribed, want still 2 / 0",
-			s.SharedScanPasses, s.SharedScanSubscribers)
+	if s.SharedScanPasses != 2 || s.GroupMisses != 1 || s.PredMisses != 1 {
+		t.Errorf("after second batch: shared scans %d passes (group / pred misses %d / %d), want still 2 (1 / 1)",
+			s.SharedScanPasses, s.GroupMisses, s.PredMisses)
 	}
 	if s.MorselsScanned != 7 {
 		t.Errorf("after second batch: MorselsScanned = %d, want 7", s.MorselsScanned)
+	}
+	// A second executor over the same table finds both core entries built:
+	// it pays no pass.
+	ex2 := NewExecutor(r)
+	if _, _, err := ex2.AugmentValuesBatch(d, qs); err != nil {
+		t.Fatal(err)
+	}
+	if s := ex2.Stats(); s.SharedScanPasses != 0 || s.GroupMisses != 0 || s.PredMisses != 0 || s.GroupHits == 0 {
+		t.Errorf("second executor: %d passes, group %d/%d, pred misses %d; want 0 passes, hits only",
+			s.SharedScanPasses, s.GroupHits, s.GroupMisses, s.PredMisses)
 	}
 }
 

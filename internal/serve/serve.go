@@ -1,15 +1,15 @@
 // Package serve is the online half the paper never reaches: a long-lived
 // feature-serving layer over fitted FeatAug plans. A Server holds one warm
-// transformer per named plan — each wired to the process-level scan
-// scheduler, so the scan state the fit warmed stays hot, and each running a
-// prepared batch whose plan groups are resolved once — and serves entity
-// feature lookups over HTTP. The core primitive is request
-// coalescing by group commit (coalesce.go): each plan runs up to GOMAXPROCS
-// fused AugmentMatrix passes at once, a request that finds a pass slot free
-// starts a pass at once, and requests arriving while every slot is busy ride
-// the next pass to finish together — no timer, so a lone request pays only
-// its own pass, and a warm pass costs in proportion to the request rows it
-// serves. Around it:
+// transformer per named plan — each scanning its table through the scan
+// state the table owns, so whatever a fit or another plan warmed on that
+// table stays hot, and each running a prepared batch whose plan groups are
+// resolved once — and serves entity feature lookups over HTTP. The core
+// primitive is request coalescing by group commit (coalesce.go): each plan
+// runs up to GOMAXPROCS fused AugmentMatrix passes at once, a request that
+// finds a pass slot free starts a pass at once, and requests arriving while
+// every slot is busy ride the next pass to finish together — no timer, so a
+// lone request pays only its own pass, and a warm pass costs in proportion
+// to the request rows it serves. Around it:
 // bounded-in-flight admission control (typed 429), capped request bodies
 // (typed 413), atomic plan hot-swap with drain-on-old semantics, a stats
 // endpoint merging serve-side counters with engine ExecutorStats, and
@@ -137,10 +137,10 @@ func NewServer(cfg Config) *Server {
 
 // AddPlan decodes planJSON (a FeaturePlan if binding.Relevant is set, a
 // MultiFeaturePlan if binding.Sources is) and starts serving it under name.
-// The bound executors are wired to the process-level ScanScheduler, so every
-// plan over the same relevant tables shares warm scan state; each executor
-// keeps one train-side join per key-set, for the request it last served,
-// since every request brings a new training table. Fails with feataug's
+// The bound executors take their scan state from the tables themselves, so
+// every plan over the same relevant tables shares warm scan state; each
+// executor keeps one train-side join per key-set, for the request it last
+// served, since every request brings a new training table. Fails with feataug's
 // typed errors on bad plans (ErrPlanCorrupt, ErrPlanVersion,
 // ErrSchemaMismatch, ...).
 func (s *Server) AddPlan(name string, planJSON []byte, binding PlanBinding) error {
@@ -196,28 +196,25 @@ func (s *Server) buildState(h *planHandle, planJSON []byte) (*planState, error) 
 }
 
 // bindPlan decodes and binds plan bytes under a binding, returning the
-// transformer and the tables key kinds resolve against. Every executor is
-// wired to the process-level scan scheduler: a serving process holds plans
-// for the long haul, so scan state shared across plans (and with any
-// in-process fit) is exactly what we want. Joins are not shared: each
-// executor keeps one join entry per key-set, for the training table it last
-// joined, which in serving is a request table new on every pass, so a pass
-// joins each key set once and replaces the previous request's entry rather
-// than pinning it. Every
-// executor also runs a pass's plan groups inline: the coalescer already runs
-// up to GOMAXPROCS passes at once, and a worker pool inside each pass would
-// only oversubscribe the CPUs and pay a fresh goroutine per plan group.
+// transformer and the tables key kinds resolve against. Every executor
+// shares its table's scan state (group indexes, bitmaps, masks, views,
+// dictionaries) with every other executor over that table: the other plans
+// bound to it and any in-process fit. Joins are not shared: each executor
+// keeps one join entry per key-set, for the training table it last joined,
+// which in serving is a request table new on every pass, so a pass joins
+// each key set once and replaces the previous request's entry rather than
+// pinning it. Every executor also runs a pass's plan groups inline: the
+// coalescer already runs up to GOMAXPROCS passes at once, and a worker pool
+// inside each pass would only oversubscribe the CPUs and pay a fresh
+// goroutine per plan group.
 func bindPlan(planJSON []byte, binding PlanBinding) (Transformer, []*dataframe.Table, error) {
-	procOpts := []query.ExecutorOption{
-		query.WithScanScheduler(query.ProcessScanScheduler()),
-		query.WithParallelism(1),
-	}
+	inline := query.WithParallelism(1)
 	if binding.Sources != nil {
 		mp, err := feataug.DecodeMultiPlan(planJSON)
 		if err != nil {
 			return nil, nil, err
 		}
-		tr, err := mp.Transformer(binding.Sources, procOpts...)
+		tr, err := mp.Transformer(binding.Sources, inline)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -234,7 +231,7 @@ func bindPlan(planJSON []byte, binding PlanBinding) (Transformer, []*dataframe.T
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := p.Transformer(binding.Relevant, procOpts...)
+	tr, err := p.Transformer(binding.Relevant, inline)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -245,11 +242,11 @@ func bindPlan(planJSON []byte, binding PlanBinding) (Transformer, []*dataframe.T
 // dictionary cap to code-backed storage (dataframe.Table.Compact): a freshly
 // added or swapped plan pays its encode passes at bind time instead of on the
 // first serving request, and the long-lived tables drop their []string
-// backings. It runs under each table's epoch fence, so a rebind never races
-// the passes of other plans serving the same table.
+// backings. It runs under each table's epoch fence (query.Compact), so a
+// rebind never races the passes of other plans serving the same table.
 func compactTables(tables []*dataframe.Table) []*dataframe.Table {
 	for _, t := range tables {
-		query.ProcessScanScheduler().Compact(t)
+		query.Compact(t)
 	}
 	return tables
 }
@@ -293,11 +290,11 @@ func (s *Server) Transform(ctx context.Context, name string, tbl *dataframe.Tabl
 }
 
 // Append absorbs a batch of relevant-table rows into plan name's bound table
-// — the streaming ingest path (PR 9). The append runs through the
-// process-level scan scheduler's epoch fence, so it waits out in-flight
-// transform passes of every plan bound to the same table, and those plans'
-// caches advance incrementally over the delta rows on their next request: no
-// rebind, no swap, no full recompute. Single-table plans only (a multi-source
+// — the streaming ingest path. The append runs through the table's epoch
+// fence (query.Append), so it waits out in-flight transform passes of every
+// plan bound to the same table, and those plans' caches advance
+// incrementally over the delta rows on their next request: no rebind, no
+// swap, no full recompute. Single-table plans only (a multi-source
 // plan doesn't say which source the rows target). Returns the table's
 // post-append epoch and total row count.
 func (s *Server) Append(name string, batch *dataframe.Table) (epoch uint64, tableRows int, err error) {
@@ -313,7 +310,7 @@ func (s *Server) Append(name string, batch *dataframe.Table) (epoch uint64, tabl
 	if h.binding.Relevant == nil {
 		return 0, 0, fmt.Errorf("%w: plan %q binds multiple sources; append serves single-table plans", ErrBadRequest, name)
 	}
-	epoch, tableRows, err = query.ProcessScanScheduler().AppendStats(h.binding.Relevant, batch)
+	epoch, tableRows, err = query.Append(h.binding.Relevant, batch)
 	if err != nil {
 		return epoch, tableRows, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}

@@ -1697,3 +1697,83 @@ func TestServePreparedConcurrentAppends(t *testing.T) {
 		t.Error("no append re-encoded the dictionary; the test lost its stale-snapshot case")
 	}
 }
+
+// TestServeAppendFenceManyTables binds a plan, then 64 more plans over tables
+// of their own, and races appends to the first plan's table against its
+// transforms. Every bound table must keep one epoch fence however many other
+// tables the process has bound since, so under -race an append never
+// overlaps a pass over the rows it grows, and the settled answer matches the
+// oracle over the grown table. Three rounds, each on a fresh server, keep the
+// race detector's odds of seeing an unfenced append high.
+func TestServeAppendFenceManyTables(t *testing.T) {
+	const rounds, extra, appends, transforms = 3, 64, 20, 40
+	q := testQueries(1)[0]
+	for round := 0; round < rounds; round++ {
+		seed := int64(100 + round)
+		rel := testRelevant(t, 1000, 50, seed)
+		srv := NewServer(Config{})
+		if err := srv.AddPlan("p", testPlanJSON(t, 1), PlanBinding{Relevant: rel}); err != nil {
+			t.Fatal(err)
+		}
+		uids := []int64{0, 7, 49, 50, 51}
+		if _, _, err := srv.Transform(context.Background(), "p", keyTable(t, uids)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < extra; i++ {
+			other := testRelevant(t, 20, 5, seed*1000+int64(i))
+			if err := srv.AddPlan(fmt.Sprintf("x%d", i), testPlanJSON(t, 1), PlanBinding{Relevant: other}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		parts := []*dataframe.Table{testRelevant(t, 1000, 50, seed)}
+		for i := 0; i < appends; i++ {
+			parts = append(parts, dataframe.MustNewTable(
+				dataframe.NewIntColumn("uid", []int64{int64(i % 50), 50 + int64(i%2)}, nil),
+				dataframe.NewFloatColumn("val", []float64{float64(i), -float64(i)}, nil),
+				dataframe.NewStringColumn("cat", []string{"a", "c"}, nil),
+			))
+		}
+		errCh := make(chan error, 1)
+		go func() {
+			for _, b := range parts[1:] {
+				if _, _, err := srv.Append("p", b); err != nil {
+					errCh <- err
+					return
+				}
+			}
+			errCh <- nil
+		}()
+		for i := 0; i < transforms; i++ {
+			if _, _, err := srv.Transform(context.Background(), "p", keyTable(t, uids)); err != nil {
+				t.Fatalf("round %d transform %d: %v", round, i, err)
+			}
+		}
+		if err := <-errCh; err != nil {
+			t.Fatalf("round %d append: %v", round, err)
+		}
+		grown, err := dataframe.Concat(parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := q.Query.Execute(grown, q.Feature)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[int64]float64{}
+		for r := 0; r < res.NumRows(); r++ {
+			if v, ok := res.Column(q.Feature).AsFloat(r); ok {
+				want[res.Column("uid").Int(r)] = v
+			}
+		}
+		got, _, err := srv.Transform(context.Background(), "p", keyTable(t, uids))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, valid := got.Col(0)
+		for i, uid := range uids {
+			if w, ok := want[uid]; valid[i] != ok || (ok && vals[i] != w) {
+				t.Errorf("round %d uid %d: got %v (valid %v), want %v (valid %v)", round, uid, vals[i], valid[i], w, ok)
+			}
+		}
+	}
+}

@@ -9,8 +9,8 @@ import (
 // planCounters is the serve-side counter block of one plan handle. Counters
 // live on the handle, not the swappable state, so a hot-swap never resets
 // them; executor counters are read from whichever transformer currently
-// serves (handles wire every bound executor to the same process-level scan
-// scheduler, so the engine-side story stays coherent across swaps).
+// serves (every executor over a bound table shares the scan state that
+// table owns, so the engine-side story stays coherent across swaps).
 type planCounters struct {
 	requests         atomic.Int64
 	rows             atomic.Int64
@@ -66,14 +66,13 @@ func (h *planHandle) snapshot() PlanStats {
 	st := h.state.Load()
 	var tableEpoch uint64
 	var tableBytes int64
+	// Every bound table is read under its own epoch fence (query.MemBytes).
 	if h.binding.Relevant != nil {
 		tableEpoch = h.binding.Relevant.Epoch()
-		// Under the fence: the bound table grows by appends.
-		tableBytes = query.ProcessScanScheduler().MemBytes(h.binding.Relevant)
+		tableBytes = query.MemBytes(h.binding.Relevant)
 	}
 	for _, t := range h.binding.Sources {
-		b, _ := t.MemBytes()
-		tableBytes += b
+		tableBytes += query.MemBytes(t)
 	}
 	return PlanStats{
 		Plan:             h.name,
