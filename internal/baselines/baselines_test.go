@@ -136,6 +136,29 @@ func TestWrapperSelectors(t *testing.T) {
 	}
 }
 
+// TestForwardSelectTiesGoToLowestIndex: candidates whose WHERE clauses match
+// no relevant row all yield the same all-NULL feature, so every trial ties.
+// Forward selection must then pick the lowest indices, on every run.
+func TestForwardSelectTiesGoToLowestIndex(t *testing.T) {
+	e := evaluator(t)
+	var cands []query.Query
+	for _, v := range []string{"no-such-action-a", "no-such-action-b", "no-such-action-c", "no-such-action-d"} {
+		cands = append(cands, query.Query{
+			Agg: agg.Count, AggAttr: "price", Keys: e.P.Keys,
+			Preds: []query.Predicate{{Attr: "action", Kind: query.PredEq, StrValue: v}},
+		})
+	}
+	for run := 0; run < 10; run++ {
+		got, err := SelectFeatures(e, cands, SelectorForward, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 || got[0].SQL("R") != cands[0].SQL("R") || got[1].SQL("R") != cands[1].SQL("R") {
+			t.Fatalf("run %d: forward selection over tied candidates picked %v, want candidates 0 and 1", run, got)
+		}
+	}
+}
+
 func TestSelectorValidation(t *testing.T) {
 	e := evaluator(t)
 	cands := DFS(e.P, agg.Basic())

@@ -217,15 +217,16 @@ func (fm *FeatureMatrix) denseMatrix(e *pipeline.Evaluator) ([][]float64, []floa
 
 // forwardSelect greedily adds the feature with the best validation
 // improvement until k features are chosen (Section VII.A.3 Forward).
+// Candidates are tried in index order, so a tie goes to the lowest index.
 func forwardSelect(e *pipeline.Evaluator, fm *FeatureMatrix, k int) ([]query.Query, error) {
 	chosen := []int{}
-	remaining := map[int]bool{}
-	for i := range fm.Queries {
-		remaining[i] = true
-	}
-	for len(chosen) < k && len(remaining) > 0 {
+	used := make([]bool, len(fm.Queries))
+	for len(chosen) < k && len(chosen) < len(fm.Queries) {
 		bestIdx, bestMetric := -1, math.Inf(-1)
-		for i := range remaining {
+		for i := range fm.Queries {
+			if used[i] {
+				continue
+			}
 			trial := append(append([]int(nil), chosen...), i)
 			valid, _, err := e.QuerySetScores(fm.Select(trial))
 			if err != nil {
@@ -237,7 +238,7 @@ func forwardSelect(e *pipeline.Evaluator, fm *FeatureMatrix, k int) ([]query.Que
 			}
 		}
 		chosen = append(chosen, bestIdx)
-		delete(remaining, bestIdx)
+		used[bestIdx] = true
 	}
 	sort.Ints(chosen)
 	return fm.Select(chosen), nil

@@ -312,9 +312,11 @@ func TestCompactCSVAndGrouping(t *testing.T) {
 		t.Fatalf("group count %d vs raw %d", cg.NumGroups(), rg.NumGroups())
 	}
 	cs, rs := groupSizes(cg), groupSizes(rg)
+	cr, rr := reprRows(cg), reprRows(rg)
 	for gid := 0; gid < rg.NumGroups(); gid++ {
-		if cg.Key(gid) != rg.Key(gid) || cs[gid] != rs[gid] {
-			t.Errorf("group %d: %q/%d rows vs raw %q/%d", gid, cg.Key(gid), cs[gid], rg.Key(gid), rs[gid])
+		ck, rk := comp.RowKey(cr[gid], cg.KeyColumns()), raw.RowKey(rr[gid], rg.KeyColumns())
+		if cr[gid] != rr[gid] || ck != rk || cs[gid] != rs[gid] {
+			t.Errorf("group %d: row %d %q/%d rows vs raw row %d %q/%d", gid, cr[gid], ck, cs[gid], rr[gid], rk, rs[gid])
 		}
 	}
 

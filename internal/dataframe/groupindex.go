@@ -1,111 +1,106 @@
 package dataframe
 
-import "sync"
-
 // GroupIndex is a precomputed partition of a table's rows by a key-set: every
 // row is assigned an integer group id (numbered in first-seen order), so
 // repeated grouping work against the same (table, key-set) pair reduces to
-// integer array lookups instead of string-keyed hashing. The query executor
-// computes one per (table, key-set) and reuses it for every query that groups
-// on the same keys.
+// integer array lookups instead of hashing. The index keeps the map that
+// identifies each group by its key values — raw int64s for an all-int/time
+// key set of up to maxIntKeys columns, the composite RowKey string for any
+// other — so appended rows (Extend) and another table's rows (LookupRow)
+// resolve to their group with one probe and no key formatting on the int
+// path. The query executor computes one per (table, key-set), reuses it for
+// every query that groups on the same keys, and joins training and request
+// rows straight into it.
 type GroupIndex struct {
 	src     *Table
 	keys    []*Column
-	rowGID  []int    // group id per row
-	keyStrs []string // composite key string per group, first-seen order
+	rowGID  []int // group id per row
+	ngroups int
 
-	idsOnce sync.Once
-	ids     map[string]int // key string -> gid, built by the first Lookup or Extend
+	// The group identity map; exactly one is set, by key shape.
+	ints    map[int64]int    // one int/time key; its NULL group is nullGID
+	nullGID int              // -1 until a NULL key is seen
+	tuples  map[intTuple]int // 2..maxIntKeys int/time keys
+	strs    map[string]int   // any other key set, by RowKey string
+}
+
+// maxIntKeys bounds the width of an all-int/time key set keyed by raw
+// values; wider sets key RowKey strings.
+const maxIntKeys = 4
+
+// intTuple is the raw identity of one row under an all-int/time key set:
+// bit j of null is set (and v[j] left zero) when key j is NULL.
+type intTuple struct {
+	v    [maxIntKeys]int64
+	null uint8
+}
+
+// intKey returns the intTuple of a row of cols, or false when some non-NULL
+// key is not an int or time — a value no all-int/time key equals.
+func intKey(cols []*Column, row int) (intTuple, bool) {
+	var k intTuple
+	for j, c := range cols {
+		switch {
+		case !c.valid[row]:
+			k.null |= 1 << j
+		case c.kind == KindInt || c.kind == KindTime:
+			k.v[j] = c.ints[row]
+		default:
+			return k, false
+		}
+	}
+	return k, true
 }
 
 // BuildGroupIndex scans the table once and assigns every row its group id
 // under the composite value of the named key columns. NULL keys form their
 // own group, matching SQL GROUP BY semantics.
 //
-// Key shapes with integer structure skip the composite string keys entirely:
-// a single int/time key hashes raw int64s, a single dictionary-encoded string
-// key indexes a dense code table, and an all-string key-set whose every
-// column carries a dictionary maps composite codes (dense when the code-space
-// product is small, a map[uint64]int otherwise). Group numbering, NULL-group
-// handling and Key(gid) bytes are identical across every path.
+// All-int/time key sets (int and time values compare equal, as in RowKey)
+// hash raw values: a single key a map[int64]int, up to maxIntKeys keys a
+// fixed tuple with a NULL mask. Every other key set is identified by its
+// RowKey string; a single dictionary-encoded string key indexes a dense code
+// table, and an all-string key-set whose every column carries a dictionary
+// maps composite codes (dense when the code-space product is small, a
+// map[uint64]int otherwise), so those builds format one key per group, not
+// per row. Group numbering and NULL-group handling are identical across
+// every path.
 func (t *Table) BuildGroupIndex(keyCols ...string) (*GroupIndex, error) {
 	cols, err := t.resolveColumns(keyCols)
 	if err != nil {
 		return nil, err
 	}
-	g := &GroupIndex{
-		src:    t,
-		keys:   cols,
-		rowGID: make([]int, t.nrows),
+	g := &GroupIndex{src: t, keys: cols, nullGID: -1}
+	intKeyed := len(cols) <= maxIntKeys
+	for _, c := range cols {
+		intKeyed = intKeyed && (c.kind == KindInt || c.kind == KindTime)
 	}
-	if len(cols) == 1 && (cols[0].Kind() == KindInt || cols[0].Kind() == KindTime) {
-		g.buildSingleInt(cols[0])
-		return g, nil
-	}
-	if len(cols) == 1 && cols[0].Kind() == KindString {
-		if enc := cols[0].Dict(); enc != nil {
-			g.buildSingleString(cols[0], enc)
-			return g, nil
+	switch {
+	case intKeyed && len(cols) == 1:
+		g.ints = make(map[int64]int)
+	case intKeyed:
+		g.tuples = make(map[intTuple]int)
+	default:
+		g.strs = make(map[string]int)
+		if len(cols) == 1 && cols[0].kind == KindString {
+			if enc := cols[0].Dict(); enc != nil {
+				g.buildSingleString(cols[0], enc)
+				return g, nil
+			}
 		}
-	}
-	if len(cols) > 1 {
 		if encs, ok := comboDicts(cols); ok {
 			g.buildStringCombo(cols, encs)
 			return g, nil
 		}
 	}
-	ids := make(map[string]int)
-	buf := make([]byte, 0, 48)
-	for i := 0; i < t.nrows; i++ {
-		buf = appendRowKey(buf[:0], i, cols)
-		// string(buf) in the lookup does not allocate; the key string is
-		// only materialised when a new group is created.
-		gid, ok := ids[string(buf)]
-		if !ok {
-			gid = len(g.keyStrs)
-			k := string(buf)
-			ids[k] = gid
-			g.keyStrs = append(g.keyStrs, k)
-		}
-		g.rowGID[i] = gid
-	}
+	g.rowGID = make([]int, 0, t.nrows)
+	g.Extend()
 	return g, nil
-}
-
-// buildSingleInt is the fast path for the most common key shape — one integer
-// (or timestamp) key column: rows hash through a map[int64]int instead of
-// composite string keys, skipping the per-row key formatting entirely. The
-// composite key string is still materialised once per group (not per row), so
-// Key(gid) stays byte-identical with the generic path.
-func (g *GroupIndex) buildSingleInt(c *Column) {
-	vals, valid := c.IntData(), c.ValidData()
-	ids := make(map[int64]int)
-	nullGID := -1
-	for i := range g.rowGID {
-		var gid int
-		if !valid[i] {
-			// NULL keys form their own single group, as in the generic path.
-			if nullGID < 0 {
-				nullGID = g.newGroup(i, c)
-			}
-			gid = nullGID
-		} else {
-			v := vals[i]
-			id, ok := ids[v]
-			if !ok {
-				id = g.newGroup(i, c)
-				ids[v] = id
-			}
-			gid = id
-		}
-		g.rowGID[i] = gid
-	}
 }
 
 // buildSingleString is the dictionary fast path for one string key column:
 // rows index a dense code->gid table (one extra slot for the NULL group)
-// instead of hashing, with the composite key string still materialised once
-// per group so Key(gid) stays byte-identical with the generic path.
+// instead of hashing.
 func (g *GroupIndex) buildSingleString(c *Column, enc *DictEncoding) {
 	card := enc.Cardinality()
 	codes, valid := enc.Codes(), c.ValidData()
@@ -113,6 +108,7 @@ func (g *GroupIndex) buildSingleString(c *Column, enc *DictEncoding) {
 	for i := range gidOf {
 		gidOf[i] = -1
 	}
+	g.rowGID = make([]int, g.src.nrows)
 	for i := range g.rowGID {
 		slot := card
 		if valid[i] {
@@ -120,7 +116,7 @@ func (g *GroupIndex) buildSingleString(c *Column, enc *DictEncoding) {
 		}
 		gid := gidOf[slot]
 		if gid < 0 {
-			gid = g.newGroup(i, c)
+			gid = g.newStrGroup(i)
 			gidOf[slot] = gid
 		}
 		g.rowGID[i] = gid
@@ -131,10 +127,14 @@ func (g *GroupIndex) buildSingleString(c *Column, enc *DictEncoding) {
 // stride arithmetic below cannot overflow; beyond it the generic path runs.
 const comboDictBound = uint64(1) << 62
 
-// comboDicts returns the dictionary of every key column when ALL of them are
-// dictionary-encoded strings and the composite code space stays within
-// comboDictBound; (nil, false) sends the build down the generic path.
+// comboDicts returns the dictionary of every key column when there are
+// several, ALL of them dictionary-encoded strings, and the composite code
+// space stays within comboDictBound; (nil, false) sends the build down the
+// generic path.
 func comboDicts(cols []*Column) ([]*DictEncoding, bool) {
+	if len(cols) < 2 {
+		return nil, false
+	}
 	encs := make([]*DictEncoding, len(cols))
 	space := uint64(1)
 	for j, c := range cols {
@@ -159,9 +159,9 @@ func comboDicts(cols []*Column) ([]*DictEncoding, bool) {
 // each row's composite code is the mixed-radix number of its per-column
 // slots (code, or cardinality for NULL). Small code spaces index a dense
 // table; larger ones hash the uint64 — either way no per-row key string is
-// built, and Key(gid) bytes still come from appendRowKey once per group.
+// built.
 func (g *GroupIndex) buildStringCombo(cols []*Column, encs []*DictEncoding) {
-	n := len(g.rowGID)
+	n := g.src.nrows
 	codes := make([][]uint16, len(encs))
 	valids := make([][]bool, len(encs))
 	cards := make([]uint64, len(encs))
@@ -183,6 +183,7 @@ func (g *GroupIndex) buildStringCombo(cols []*Column, encs []*DictEncoding) {
 		}
 		return code
 	}
+	g.rowGID = make([]int, n)
 	// Dense only when the code space is commensurate with the table; a
 	// sparse huge domain would spend more on clearing than it saves.
 	if space <= uint64(4*n)+1024 {
@@ -194,7 +195,7 @@ func (g *GroupIndex) buildStringCombo(cols []*Column, encs []*DictEncoding) {
 			code := rowCode(i)
 			gid := gidOf[code]
 			if gid < 0 {
-				gid = g.newGroupRow(i, cols)
+				gid = g.newStrGroup(i)
 				gidOf[code] = gid
 			}
 			g.rowGID[i] = gid
@@ -206,79 +207,115 @@ func (g *GroupIndex) buildStringCombo(cols []*Column, encs []*DictEncoding) {
 		code := rowCode(i)
 		gid, ok := ids[code]
 		if !ok {
-			gid = g.newGroupRow(i, cols)
+			gid = g.newStrGroup(i)
 			ids[code] = gid
 		}
 		g.rowGID[i] = gid
 	}
 }
 
-// newGroupRow is newGroup over a composite key-set.
-func (g *GroupIndex) newGroupRow(i int, cols []*Column) int {
-	gid := len(g.keyStrs)
-	g.keyStrs = append(g.keyStrs, string(appendRowKey(nil, i, cols)))
+// newStrGroup registers row i's RowKey string as a fresh group and returns
+// its id.
+func (g *GroupIndex) newStrGroup(i int) int {
+	gid := g.newGroup()
+	g.strs[string(appendRowKey(nil, i, g.keys))] = gid
 	return gid
 }
 
-// newGroup registers row i as the representative of a fresh group and returns
-// its id.
-func (g *GroupIndex) newGroup(i int, c *Column) int {
-	gid := len(g.keyStrs)
-	g.keyStrs = append(g.keyStrs, string(c.AppendKey(nil, i)))
-	return gid
+// newGroup returns the next group id.
+func (g *GroupIndex) newGroup() int {
+	g.ngroups++
+	return g.ngroups - 1
 }
 
 // Extend advances the index over the rows appended to the source table since
-// the build (or the last Extend), assigning new composite keys fresh group
-// ids in first-seen order. Because every build path numbers groups in
-// first-seen order and materialises identical Key(gid) bytes, an extended
-// index is identical to one rebuilt from scratch over the grown table — for
-// any build path, including after a dictionary re-encode (extension keys on
-// composite values, not codes). The first Extend re-derives a key→gid map
-// from keyStrs (O(groups)) unless Lookup already did; later calls pay
-// O(delta). Must run under the table's mutation contract (no concurrent
-// scans or Lookups).
+// the build (or the last Extend), probing the group identity map with each
+// new row and assigning new keys fresh group ids in first-seen order — the
+// same loop the build runs over every row, so an extended index is identical
+// to one rebuilt from scratch over the grown table, for any build path and
+// across a dictionary re-encode (the map holds key values, not codes). It
+// costs O(delta). Must run under the table's mutation contract (no
+// concurrent scans or lookups).
 func (g *GroupIndex) Extend() {
 	n := g.src.nrows
-	old := len(g.rowGID)
-	if old >= n {
-		return
-	}
-	g.idsOnce.Do(g.buildIDs)
-	buf := make([]byte, 0, 48)
-	for i := old; i < n; i++ {
-		buf = appendRowKey(buf[:0], i, g.keys)
-		gid, ok := g.ids[string(buf)]
-		if !ok {
-			gid = len(g.keyStrs)
-			k := string(buf)
-			g.ids[k] = gid
-			g.keyStrs = append(g.keyStrs, k)
+	switch {
+	case g.ints != nil:
+		c := g.keys[0]
+		for i := len(g.rowGID); i < n; i++ {
+			var gid int
+			if !c.valid[i] {
+				if g.nullGID < 0 {
+					g.nullGID = g.newGroup()
+				}
+				gid = g.nullGID
+			} else {
+				var ok bool
+				if gid, ok = g.ints[c.ints[i]]; !ok {
+					gid = g.newGroup()
+					g.ints[c.ints[i]] = gid
+				}
+			}
+			g.rowGID = append(g.rowGID, gid)
 		}
-		g.rowGID = append(g.rowGID, gid)
+	case g.tuples != nil:
+		for i := len(g.rowGID); i < n; i++ {
+			k, _ := intKey(g.keys, i)
+			gid, ok := g.tuples[k]
+			if !ok {
+				gid = g.newGroup()
+				g.tuples[k] = gid
+			}
+			g.rowGID = append(g.rowGID, gid)
+		}
+	default:
+		buf := make([]byte, 0, 48)
+		for i := len(g.rowGID); i < n; i++ {
+			buf = appendRowKey(buf[:0], i, g.keys)
+			// string(buf) in the lookup does not allocate; the key string
+			// is only materialised when a new group is created.
+			gid, ok := g.strs[string(buf)]
+			if !ok {
+				gid = g.newGroup()
+				g.strs[string(buf)] = gid
+			}
+			g.rowGID = append(g.rowGID, gid)
+		}
 	}
 }
 
-// buildIDs derives the key -> gid map from keyStrs.
-func (g *GroupIndex) buildIDs() {
-	g.ids = make(map[string]int, len(g.keyStrs))
-	for gid, k := range g.keyStrs {
-		g.ids[k] = gid
+// LookupRow returns the group whose key equals row `row` of cols — another
+// table's columns, one per key column of the index, in order — under
+// LeftJoin's key equality: int and time values compare equal, NULL matches
+// the NULL group, and a non-NULL value never matches a key of another kind.
+// It is one map probe; on the int path it formats nothing. Safe for
+// concurrent use with other reads of the index.
+func (g *GroupIndex) LookupRow(cols []*Column, row int) (int, bool) {
+	switch {
+	case g.ints != nil:
+		c := cols[0]
+		if !c.valid[row] {
+			return g.nullGID, g.nullGID >= 0
+		}
+		if c.kind != KindInt && c.kind != KindTime {
+			return -1, false
+		}
+		gid, ok := g.ints[c.ints[row]]
+		return gid, ok
+	case g.tuples != nil:
+		k, ok := intKey(cols, row)
+		if !ok {
+			return -1, false
+		}
+		gid, ok := g.tuples[k]
+		return gid, ok
 	}
-}
-
-// Lookup returns the id of the group whose composite key string (Key's
-// bytes) is key. The first Lookup builds the key map in O(groups); every
-// later one is a single map probe, and Extend keeps the map current. Safe
-// for concurrent use with other reads of the index.
-func (g *GroupIndex) Lookup(key string) (int, bool) {
-	g.idsOnce.Do(g.buildIDs)
-	gid, ok := g.ids[key]
+	var buf [64]byte
+	gid, ok := g.strs[string(appendRowKey(buf[:0], row, cols))]
 	return gid, ok
 }
 
 // NumGroups returns the number of distinct composite keys.
-func (g *GroupIndex) NumGroups() int { return len(g.keyStrs) }
+func (g *GroupIndex) NumGroups() int { return g.ngroups }
 
 // NumRows returns the number of rows in the indexed table.
 func (g *GroupIndex) NumRows() int { return len(g.rowGID) }
@@ -286,9 +323,6 @@ func (g *GroupIndex) NumRows() int { return len(g.rowGID) }
 // RowGroups exposes the per-row group-id slice. The slice is shared; callers
 // must not mutate it.
 func (g *GroupIndex) RowGroups() []int { return g.rowGID }
-
-// Key returns the composite key string of a group.
-func (g *GroupIndex) Key(gid int) string { return g.keyStrs[gid] }
 
 // KeyColumns returns the key columns the index was built over. The slice is
 // shared; callers must not mutate it.

@@ -3,6 +3,7 @@ package dataframe
 import (
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -43,9 +44,23 @@ func groupSizes(g *GroupIndex) []int {
 	return sizes
 }
 
+// reprRows returns each group's representative row: its first row.
+func reprRows(g *GroupIndex) []int {
+	repr := make([]int, g.NumGroups())
+	for i := range repr {
+		repr[i] = -1
+	}
+	for i, gid := range g.RowGroups() {
+		if repr[gid] < 0 {
+			repr[gid] = i
+		}
+	}
+	return repr
+}
+
 // checkGroupIndexRef compares g against refGroupIndex's first-seen grouping
 // over Table.RowKey: per-row group ids (which fix each group's first row),
-// sizes and Key(gid) bytes.
+// sizes and each group's representative-row key.
 func checkGroupIndexRef(t *testing.T, name string, tbl *Table, g *GroupIndex, keys ...string) {
 	t.Helper()
 	rowGID, keyStrs, sizes := refGroupIndex(t, tbl, keys...)
@@ -56,10 +71,10 @@ func checkGroupIndexRef(t *testing.T, name string, tbl *Table, g *GroupIndex, ke
 		t.Fatalf("%s: row group ids differ from the reference", name)
 	}
 	gotSizes := groupSizes(g)
-	for gid := range keyStrs {
-		if g.Key(gid) != keyStrs[gid] || gotSizes[gid] != sizes[gid] {
+	for gid, row := range reprRows(g) {
+		if k := tbl.RowKey(row, g.KeyColumns()); k != keyStrs[gid] || gotSizes[gid] != sizes[gid] {
 			t.Fatalf("%s: group %d (key %q size %d) vs reference (key %q size %d)",
-				name, gid, g.Key(gid), gotSizes[gid], keyStrs[gid], sizes[gid])
+				name, gid, k, gotSizes[gid], keyStrs[gid], sizes[gid])
 		}
 	}
 }
@@ -74,13 +89,15 @@ func TestGroupByCountsAndOrder(t *testing.T) {
 	if g.NumGroups() != 2 {
 		t.Fatalf("NumGroups = %d", g.NumGroups())
 	}
-	if g.Key(0) != "salice" || g.Key(1) != "sbob" {
-		t.Fatalf("first-seen order = %q, %q", g.Key(0), g.Key(1))
+	tbl, repr := g.src, reprRows(g)
+	if k0, k1 := tbl.RowKey(repr[0], g.KeyColumns()), tbl.RowKey(repr[1], g.KeyColumns()); k0 != "salice" || k1 != "sbob" {
+		t.Fatalf("first-seen order = %q, %q", k0, k1)
 	}
 	if sizes := groupSizes(g); sizes[0] != 3 || sizes[1] != 2 {
 		t.Fatalf("group sizes = %v, want [3 2]", sizes)
 	}
-	if _, ok := g.Lookup("ghost"); ok {
+	ghost := []*Column{NewStringColumn("cname", []string{"ghost"}, nil)}
+	if _, ok := g.LookupRow(ghost, 0); ok {
 		t.Fatal("missing key should not resolve")
 	}
 }
@@ -149,15 +166,140 @@ func TestBuildGroupIndexFastPathJoinCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lookup := map[string]int{}
-	for gid := 0; gid < gr.NumGroups(); gid++ {
-		lookup[gr.Key(gid)] = gid
-	}
 	wants := map[int64]bool{3: true, 7: true, 1: false}
-	for i, gid := range gl.RowGroups() {
+	rrepr := reprRows(gr)
+	for i := range gl.RowGroups() {
 		v := left.Column("k").Int(i)
-		if _, ok := lookup[gl.Key(gid)]; ok != wants[v] {
+		rg, ok := gr.LookupRow(gl.KeyColumns(), i)
+		if ok != wants[v] {
 			t.Fatalf("key %d: join match %v, want %v", v, ok, wants[v])
 		}
+		if ok && right.Column("k").Int(rrepr[rg]) != v {
+			t.Fatalf("key %d joined group %d of key %d", v, rg, right.Column("k").Int(rrepr[rg]))
+		}
 	}
+}
+
+// FuzzGroupIndexMatchesRowKey builds a group index over 1-3 key columns of
+// int, time or string kind (NULLs included), extends it over two appended
+// batches and probes it with another table's rows, whose columns are of any
+// kind (float, string and bool as well). Group ids and sizes must equal the
+// first-seen grouping of Table.RowKey strings, and every probe must find
+// exactly the group whose RowKey string equals the probe row's — LeftJoin's
+// key equality: int and time compare equal, NULL matches NULL, and values of
+// other kinds never match.
+func FuzzGroupIndexMatchesRowKey(f *testing.F) {
+	f.Add([]byte{0, 0, 20, 8, 16, 9, 17, 25, 33, 8, 0, 41, 9, 17, 3, 0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{1, 0, 1, 30, 10, 20, 9, 10, 11, 12, 13, 0, 8, 9, 17, 0, 1, 0, 2, 3, 4, 0, 3, 1})
+	f.Add([]byte{2, 4, 1, 0, 24, 5, 12, 16, 24, 8, 0, 8, 16, 1, 9, 17, 25, 33, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{1, 2, 4, 36, 3, 30, 0, 40, 8, 16, 24, 32, 9, 17, 3, 4, 2, 3, 1, 0, 9, 8, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		kinds := []Kind{KindInt, KindTime, KindString, KindFloat, KindBool}
+		// gen draws a column: 1 in 8 values NULL, the rest in -2..2.
+		gen := func(name string, kind Kind, rows int) *Column {
+			valid := make([]bool, rows)
+			ints := make([]int64, rows)
+			for i := range ints {
+				b := next()
+				valid[i] = b%8 != 0
+				ints[i] = int64(b>>3)%5 - 2
+			}
+			switch kind {
+			case KindInt:
+				return NewIntColumn(name, ints, valid)
+			case KindTime:
+				return NewTimeColumn(name, ints, valid)
+			case KindFloat:
+				fs := make([]float64, rows)
+				for i, v := range ints {
+					fs[i] = float64(v)
+				}
+				return NewFloatColumn(name, fs, valid)
+			case KindBool:
+				bs := make([]bool, rows)
+				for i, v := range ints {
+					bs[i] = v > 0
+				}
+				return NewBoolColumn(name, bs, valid)
+			}
+			ss := make([]string, rows)
+			for i, v := range ints {
+				ss[i] = strconv.FormatInt(v, 10)
+			}
+			return NewStringColumn(name, ss, valid)
+		}
+
+		w := 1 + next()%3
+		keys := make([]string, w)
+		keyKinds := make([]Kind, w)
+		for j := range keys {
+			keys[j] = "k" + strconv.Itoa(j)
+			// Mostly int and time keys; string keys reach the string path.
+			keyKinds[j] = []Kind{KindInt, KindTime, KindInt, KindTime, KindString}[next()%5]
+		}
+		n := next() % 48
+		cut1 := next() % (n + 1)
+		cut2 := cut1 + next()%(n-cut1+1)
+		cols := make([]*Column, w)
+		for j := range cols {
+			cols[j] = gen(keys[j], keyKinds[j], n)
+		}
+		full := MustNewTable(cols...)
+		span := func(lo, hi int) *Table {
+			idx := make([]int, hi-lo)
+			for i := range idx {
+				idx[i] = lo + i
+			}
+			return full.Take(idx)
+		}
+		tbl := span(0, cut1)
+		g, err := tbl.BuildGroupIndex(keys...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []*Table{span(cut1, cut2), span(cut2, n)} {
+			if err := tbl.AppendRows(b); err != nil {
+				t.Fatal(err)
+			}
+			g.Extend()
+		}
+		checkGroupIndexRef(t, "built+extended", tbl, g, keys...)
+		rowGID, keyStrs, _ := refGroupIndex(t, tbl, keys...)
+		for i := range rowGID {
+			if gid, ok := g.LookupRow(g.KeyColumns(), i); !ok || gid != rowGID[i] {
+				t.Fatalf("own row %d: LookupRow = %d, %v; want %d", i, gid, ok, rowGID[i])
+			}
+		}
+
+		ref := make(map[string]int, len(keyStrs))
+		for gid, k := range keyStrs {
+			ref[k] = gid
+		}
+		m := next() % 24
+		probeCols := make([]*Column, w)
+		for j := range probeCols {
+			kind := keyKinds[j]
+			if b := next(); b%2 == 1 {
+				kind = kinds[(b/2)%len(kinds)]
+			}
+			probeCols[j] = gen(keys[j], kind, m)
+		}
+		probe := MustNewTable(probeCols...)
+		for i := 0; i < m; i++ {
+			k := probe.RowKey(i, probeCols)
+			want, wok := ref[k]
+			got, ok := g.LookupRow(probeCols, i)
+			if ok != wok || (ok && got != want) {
+				t.Fatalf("probe row %d (key %q): LookupRow = %d, %v; want %d, %v", i, k, got, ok, want, wok)
+			}
+		}
+	})
 }

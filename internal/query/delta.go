@@ -22,8 +22,8 @@ package query
 //	         re-intersected over the same tail, identity rows grown;
 //	private  per-executor plan discovery extended over the delta rows, the
 //	         per-plan aggregate state (attrState) advanced in row order with
-//	         only dirty groups re-sorted, unmatched train groups of join
-//	         entries re-resolved against the grown relevant side.
+//	         only dirty groups re-sorted, unmatched training rows of join
+//	         entries re-resolved against the grown relevant index.
 //
 // Every advance helper is idempotent (entries record the rows they cover),
 // so a plan advance can refresh a mask or group index that was evicted from
@@ -372,24 +372,24 @@ func (e *Executor) advancePlan(ent *planEntry) (int64, bool) {
 	return scanned, true
 }
 
-// advanceJoin re-resolves the train groups that had no relevant-side match
-// through the (extended) relevant-side key lookup: the delta may have created
-// their group. Existing matches never change — appends never renumber groups,
-// and the training table itself is frozen from this executor's perspective.
+// advanceJoin re-resolves the training rows that had no relevant-side match
+// through the (extended) relevant index: the delta may have created their
+// group. Existing matches never change — appends never renumber groups, and
+// the training table itself is frozen from this executor's perspective.
 // Caller holds the fence in write mode.
 func (e *Executor) advanceJoin(ent *joinEntry) {
 	if ent.err != nil {
 		return
 	}
-	rIdx, err := e.groupIndex(ent.keys)
+	rIdx, err := e.groupIndex(ent.id, ent.keys)
 	if err != nil {
 		ent.err = err
 		return
 	}
-	for dg, rg := range ent.dToR {
+	for row, rg := range ent.rowToR {
 		if rg < 0 {
-			if rg, ok := rIdx.Lookup(ent.idx.Key(dg)); ok {
-				ent.dToR[dg] = rg
+			if rg, ok := rIdx.LookupRow(ent.cols, row); ok {
+				ent.rowToR[row] = rg
 			}
 		}
 	}

@@ -345,14 +345,14 @@ func (e *Executor) noteMorsel() {
 }
 
 // groupIndex returns the cached GroupIndex for a key-set, building it on
-// first use. Key order matters (it fixes the output column order), so the
-// cache key preserves it. The index lives in the core and covers the whole
-// table.
-func (e *Executor) groupIndex(keys []string) (*dataframe.GroupIndex, error) {
-	k := strings.Join(keys, "\x1f")
+// first use; id is the key-set's identity, its names joined by \x1f (as in
+// planKey.keys). Key order matters (it fixes the output column order), so
+// the identity preserves it. The index lives in the core and covers the
+// whole table.
+func (e *Executor) groupIndex(id string, keys []string) (*dataframe.GroupIndex, error) {
 	c := e.core
 	c.mu.Lock()
-	ent, hit, evicted := coreGet(&c.groups, k, 1<<20,
+	ent, hit, evicted := coreGet(&c.groups, id, 1<<20,
 		func() *groupEntry { return &groupEntry{} })
 	c.mu.Unlock()
 	e.noteShared(hit, evicted, &e.stats.GroupHits, &e.stats.GroupMisses, true)
@@ -736,7 +736,7 @@ func (e *Executor) countScan() {
 // segments, the unit every downstream scan walks. A whole-map drop at the
 // bound raises the plan generation.
 func (e *Executor) plan(pk planKey, keys []string, preds []Predicate) (*planEntry, error) {
-	gi, err := e.groupIndex(keys)
+	gi, err := e.groupIndex(pk.keys, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -835,20 +835,20 @@ func takeKeyCols(gi *dataframe.GroupIndex, repr []int) []*dataframe.Column {
 }
 
 // joinEntry caches the training-table side of Augment's join for one
-// (training table, key-set) pair: d's group index over the keys plus each
-// train group's relevant-side group id. With it, joining a query's feature
-// onto the training table is pure integer indexing — the per-query string
-// re-hash of the whole training table that LeftJoin would do is paid once per
-// key-set instead. dToR is computed by probing the relevant-side index's
-// retained key lookup (GroupIndex.Lookup) with each train group's key, so the
-// probe costs O(train groups) however many groups the relevant table holds.
+// (training table, key-set) pair: each training row's relevant-side group,
+// resolved through the relevant index's typed key map (GroupIndex.LookupRow)
+// with LeftJoin's key equality. With it, joining a query's feature onto the
+// training table is pure integer indexing — the per-query re-hash of the
+// whole training table that LeftJoin would do is paid once per key-set
+// instead, and on an int key set it formats no key at all.
 type joinEntry struct {
-	once sync.Once
-	d    *dataframe.Table      // training table the entry joins
-	keys []string              // join key-set (for delta advances)
-	idx  *dataframe.GroupIndex // over d's key columns
-	dToR []int                 // train gid -> relevant gid, -1 = no match
-	err  error
+	once   sync.Once
+	d      *dataframe.Table    // training table the entry joins
+	id     string              // join key-set identity (for delta advances)
+	keys   []string            // join key-set
+	cols   []*dataframe.Column // d's key columns
+	rowToR []int               // training row -> relevant gid, -1 = no match
+	err    error
 }
 
 // joinIndex returns the join entry of d on the key-set keys, whose join-map
@@ -859,8 +859,8 @@ type joinEntry struct {
 // for the training table it last joined: an evaluator joins its one training
 // table on every pass and always hits, while a served pass's request table,
 // which no later pass sees, replaces the entry instead of accumulating next
-// to it. A miss builds d's group index afresh; it is O(rows(d)), which the
-// pass's scatter walks anyway.
+// to it. A miss probes the relevant index once per row of d: O(rows(d)),
+// which the pass's scatter walks anyway.
 func (e *Executor) joinIndex(d *dataframe.Table, id string, keys []string) (*joinEntry, error) {
 	e.mu.Lock()
 	ent := e.joins[id]
@@ -868,28 +868,26 @@ func (e *Executor) joinIndex(d *dataframe.Table, id string, keys []string) (*joi
 		e.stats.JoinHits++
 	} else {
 		e.stats.JoinMisses++
-		ent = &joinEntry{d: d, keys: keys}
+		ent = &joinEntry{d: d, id: id, keys: keys}
 		e.joins[id] = ent
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
-		idx, err := d.BuildGroupIndex(keys...)
+		ent.cols, ent.err = resolve(d, keys)
+		if ent.err != nil {
+			return
+		}
+		rIdx, err := e.groupIndex(id, keys)
 		if err != nil {
 			ent.err = err
 			return
 		}
-		ent.idx = idx
-		rIdx, err := e.groupIndex(keys)
-		if err != nil {
-			ent.err = err
-			return
-		}
-		ent.dToR = make([]int, idx.NumGroups())
-		for dg := range ent.dToR {
-			if rg, ok := rIdx.Lookup(idx.Key(dg)); ok {
-				ent.dToR[dg] = rg
+		ent.rowToR = make([]int, d.NumRows())
+		for row := range ent.rowToR {
+			if rg, ok := rIdx.LookupRow(ent.cols, row); ok {
+				ent.rowToR[row] = rg
 			} else {
-				ent.dToR[dg] = -1
+				ent.rowToR[row] = -1
 			}
 		}
 	})
@@ -911,17 +909,16 @@ func (e *Executor) AugmentValues(d *dataframe.Table, q Query) ([]float64, []bool
 }
 
 // scatterScratch holds a plan group's per-pass working set in the fused
-// scatter — the train-group mapping, touched list and marks, the pair result
-// slab, the projection slab and the per-row local map — recycled through a
-// pool so a warm plan group allocates nothing per use.
+// scatter — the touched list and marks, the per-row local map, the pair
+// result slab and the projection slab — recycled through a pool so a warm
+// plan group allocates nothing per use.
 type scatterScratch struct {
-	dgToLocal []int
-	touched   []int
-	mark      []int32 // local group -> touched position + 1; all zero between uses
-	vals      []float64
-	valid     []bool
-	proj      []projSlot
-	rowLocal  []int32
+	touched  []int
+	mark     []int32 // local group -> touched position + 1; all zero between uses
+	rowLocal []int32
+	vals     []float64
+	valid    []bool
+	proj     []projSlot
 }
 
 // grab returns a length-n slice backed by *buf, growing it as needed;

@@ -4,13 +4,15 @@ package query
 // AugmentValues is a batch of one. Plan-group fusion extends across the
 // train-side boundary: the batch is grouped by the same (key-set, WHERE-mask
 // signature) plan groups as the execute path, each of the batch's key sets
-// is joined onto the training table once per pass, and each group builds ONE
-// train-group mapping and runs ONE pass over the training table that writes
-// every query's feature column in the same loop. Queries sharing a (plan
-// group, agg pair) are served by one column, matching the slice sharing of
-// the fused execute path. The mapping names only the plan groups the training
-// rows join (touchedGroups), and aggregates are extracted for those alone, so
-// the pass is sized by the training table, not the relevant one. Results are
+// is joined onto the training table once per pass — every training row
+// resolved straight to its relevant group through the relevant index's typed
+// key map (joinIndex) — and each group builds ONE row-to-local-group mapping
+// and runs ONE pass over the training table that writes every query's
+// feature column in the same loop. Queries sharing a (plan group, agg pair)
+// are served by one column, matching the slice sharing of the fused execute
+// path. The mapping names only the plan groups the training rows join
+// (touchedGroups), and aggregates are extracted for those alone, so the pass
+// is sized by the training table, not the relevant one. Results are
 // bit-identical to Query.Augment (the differential tests enforce it): the
 // per-group projection tables fold the NULL/NaN convention before the pass,
 // so the row loop is branch-free integer indexing.
@@ -93,7 +95,7 @@ type projSlot struct {
 
 // augment is the fused augment. It resolves each of the batch's key sets
 // through joinIndex once, before the plan groups run; then, per plan group,
-// the join maps d's train groups to the plan's local groups (touchedGroups),
+// the join maps d's rows to the plan's local groups (touchedGroups),
 // runPlanGroup extracts every pair for those groups only into the result
 // slab, and one shared pass over d scatters them into m's columns. Each
 // distinct (plan group, agg pair) is scattered once, into its first query's
@@ -119,7 +121,14 @@ func (p *Prepared) augment(ctx context.Context, d *dataframe.Table, m *FeatureMa
 		pe, jn := g.pe, joins[g.keySet]
 		sc := scatterPool.Get().(*scatterScratch)
 		defer scatterPool.Put(sc)
-		touched, dgToT := sc.touchedGroups(pe, jn)
+		// The shared pass over the training table: resolve each row's
+		// touched slot once — the random-access half of the scatter (row ->
+		// relevant group -> plan-group slot), shared by every column of the
+		// group — into a compact sequential map.
+		touched, rowLocal, morsels, err := sc.touchedGroups(ctx, pe, jn, mr)
+		if err != nil {
+			return err
+		}
 		nt, np := len(touched), len(g.order)
 		vals, valid := grab(&sc.vals, np*nt), grab(&sc.valid, np*nt)
 		if err := e.runPlanGroup(ctx, g, pe, touched, vals, valid); err != nil {
@@ -138,24 +147,6 @@ func (p *Prepared) augment(ctx context.Context, d *dataframe.Table, m *FeatureMa
 				} else {
 					pp[t+1] = projSlot{}
 				}
-			}
-		}
-
-		// The shared pass over the training table: resolve each row's touched
-		// slot once — the random-access half of the scatter (row -> train
-		// group -> plan-group slot), shared by every column of the group —
-		// into a compact sequential map. The pass walks the training
-		// table morsel by morsel, observing the context at each boundary.
-		dRowGID := jn.idx.RowGroups()
-		rowLocal := grab(&sc.rowLocal, n)
-		var morsels int64
-		for lo := 0; lo < n; lo += mr {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			morsels++
-			for row := lo; row < min(lo+mr, n); row++ {
-				rowLocal[row] = int32(dgToT[dRowGID[row]])
 			}
 		}
 
@@ -192,38 +183,49 @@ func (p *Prepared) augment(ctx context.Context, d *dataframe.Table, m *FeatureMa
 	})
 }
 
-// touchedGroups resolves d's train groups through the join to the plan
-// group's local groups. touched lists each local group some train group
-// joins, in order of first join over train group ids; dgToT[dg] is the
-// 1-based position in touched of train group dg's local group, 0 on a join
-// miss or a group empty under the plan's mask. The cost is O(train groups):
-// sc.mark dedupes local groups and is reset entry by entry afterwards, so no
-// O(plan groups) array is cleared per call. Both slices are backed by sc and
-// valid until its next use.
-func (sc *scatterScratch) touchedGroups(pe *planEntry, jn *joinEntry) ([]int, []int) {
+// touchedGroups resolves d's rows through the join entry's row map to the
+// plan group's local groups, walking d morsel by morsel and observing the
+// context at each boundary. touched lists each local group some row joins,
+// in order of first join over d's rows; rowLocal[row] is the 1-based
+// position in touched of the row's local group, 0 on a join miss or a group
+// empty under the plan's mask. The cost is O(rows(d)): sc.mark dedupes local
+// groups and is reset entry by entry afterwards, so no O(plan groups) array
+// is cleared per call. Both slices are backed by sc and valid until its next
+// use; morsels counts the morsels walked.
+func (sc *scatterScratch) touchedGroups(ctx context.Context, pe *planEntry, jn *joinEntry, mr int) ([]int, []int32, int64, error) {
 	if len(sc.mark) < len(pe.repr) {
 		sc.mark = make([]int32, len(pe.repr))
 	}
 	mark := sc.mark
-	dgToT := grab(&sc.dgToLocal, len(jn.dToR))
-	clear(dgToT)
+	n := len(jn.rowToR)
+	rowLocal := grab(&sc.rowLocal, n)
 	touched := sc.touched[:0]
-	for dg, rg := range jn.dToR {
-		if rg < 0 || rg >= len(pe.local) || pe.local[rg] == 0 {
-			continue
+	var morsels int64
+	var err error
+	for lo := 0; lo < n; lo += mr {
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		li := pe.local[rg] - 1
-		t := mark[li]
-		if t == 0 {
-			touched = append(touched, li)
-			t = int32(len(touched))
-			mark[li] = t
+		morsels++
+		for row := lo; row < min(lo+mr, n); row++ {
+			rg := jn.rowToR[row]
+			if rg < 0 || rg >= len(pe.local) || pe.local[rg] == 0 {
+				rowLocal[row] = 0
+				continue
+			}
+			li := pe.local[rg] - 1
+			t := mark[li]
+			if t == 0 {
+				touched = append(touched, li)
+				t = int32(len(touched))
+				mark[li] = t
+			}
+			rowLocal[row] = t
 		}
-		dgToT[dg] = int(t)
 	}
 	for _, li := range touched {
 		mark[li] = 0
 	}
 	sc.touched = touched
-	return touched, dgToT
+	return touched, rowLocal, morsels, err
 }

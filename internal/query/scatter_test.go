@@ -405,8 +405,10 @@ func TestAugmentRequestSizedPass(t *testing.T) {
 		}
 	}
 
-	// The touched set of a 3-row request names at most 3 local groups, and
-	// the dedupe marks are left all zero for the next caller.
+	// The join maps each request row straight to its relevant group: a
+	// non-NULL k1 (0-7, all present in r) to one, the two copies of row 5 to
+	// the same one, and the missing key 999 and the NULL key (no relevant
+	// row has one) to none.
 	sub := d.Take([]int{5, 5, 17})
 	pe, err := ex.plan(planKey{keys: "k1"}, []string{"k1"}, nil)
 	if err != nil {
@@ -416,10 +418,32 @@ func TestAugmentRequestSizedPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(jn.rowToR) != 3 || jn.rowToR[1] != jn.rowToR[0] {
+		t.Fatalf("rowToR = %v, want 3 rows, the first two on one group", jn.rowToR)
+	}
+	for i, rg := range jn.rowToR {
+		if null := sub.Column("k1").IsNull(i); null != (rg < 0) {
+			t.Errorf("row %d (NULL key %v) joined relevant group %d", i, null, rg)
+		}
+	}
+	jm, err := ex.joinIndex(missing, "k1", []string{"k1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jm.rowToR[0] < 0 || jm.rowToR[1] != -1 || jm.rowToR[2] != -1 {
+		t.Errorf("rowToR over k1 = 3, 999, NULL is %v, want [>=0 -1 -1]", jm.rowToR)
+	}
+
+	// The touched set of a 3-row request names at most 3 local groups, and
+	// the dedupe marks are left all zero for the next caller.
 	sc := &scatterScratch{}
-	touched, dgToT := sc.touchedGroups(pe, jn)
-	if len(touched) == 0 || len(touched) > 2 || len(dgToT) != jn.idx.NumGroups() {
-		t.Errorf("touched = %v, dgToT = %v over %d train groups; want 1-2 groups", touched, dgToT, jn.idx.NumGroups())
+	touched, rowLocal, morsels, err := sc.touchedGroups(context.Background(), pe, jn, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(touched) == 0 || len(touched) > 2 || len(rowLocal) != 3 || rowLocal[0] != rowLocal[1] || morsels != 2 {
+		t.Errorf("touched = %v, rowLocal = %v over %d morsels; want 1-2 groups, rows 0 and 1 alike, 2 morsels",
+			touched, rowLocal, morsels)
 	}
 	for li, m := range sc.mark {
 		if m != 0 {

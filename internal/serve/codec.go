@@ -769,8 +769,14 @@ func (l *responseLayout) encode(m *query.FeatureMatrix, coalesced bool) ([]byte,
 // appendFloat appends a finite f as encoding/json writes a float64: the
 // shortest round-trip digits, in 'e' form below 1e-6 and from 1e21 in
 // magnitude, with a one-digit negative exponent unpadded (e-7, not e-07).
+// Integral values below 2^53 in magnitude — every integer there is a float64,
+// so its shortest digits are its exact decimal ones — are written as
+// integers, except -0, which encoding/json writes as "-0".
 func appendFloat(b []byte, f float64) []byte {
 	abs := math.Abs(f)
+	if abs < 1<<53 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(b, int64(f), 10)
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -579,3 +579,26 @@ func TestEncodeMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendFloatMatchesEncodingJSON pins appendFloat to encoding/json's
+// float64 output at the integral fast path's edges (zero and negative zero,
+// ±(2^53-1), ±2^53, 1e15, 1e21), on random integral values of every
+// magnitude and on random non-integral ones.
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53),
+		1<<53 + 2, 1e15, -1e15, 1e21, -1e21, 1e20, 0.5, -0.5, 1e-7}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 2000; i++ {
+		v := math.Trunc(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(24))))
+		vals = append(vals, v, v+0.25, math.Nextafter(v, math.Inf(1)))
+	}
+	for _, v := range vals {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFloat(nil, v); string(got) != string(want) {
+			t.Fatalf("appendFloat(%v) = %s, encoding/json writes %s", v, got, want)
+		}
+	}
+}
