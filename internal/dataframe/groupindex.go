@@ -4,13 +4,12 @@ package dataframe
 // row is assigned an integer group id (numbered in first-seen order), so
 // repeated grouping work against the same (table, key-set) pair reduces to
 // integer array lookups instead of hashing. The index keeps the map that
-// identifies each group by its key values — raw int64s for an all-int/time
-// key set of up to maxIntKeys columns, the composite RowKey string for any
-// other — so appended rows (Extend) and another table's rows (LookupRow)
-// resolve to their group with one probe and no key formatting on the int
-// path. The query executor computes one per (table, key-set), reuses it for
-// every query that groups on the same keys, and joins training and request
-// rows straight into it.
+// identifies each group by its key values — raw int64s for a single int/time
+// key, the composite RowKey string for any other key set — so appended rows
+// (Extend) and another table's rows (LookupRow) resolve to their group with
+// one probe. The query executor computes one per (table, key-set), reuses it
+// for every query that groups on the same keys, and joins training and
+// request rows straight into it.
 type GroupIndex struct {
 	src     *Table
 	keys    []*Column
@@ -18,69 +17,32 @@ type GroupIndex struct {
 	ngroups int
 
 	// The group identity map; exactly one is set, by key shape.
-	ints    map[int64]int    // one int/time key; its NULL group is nullGID
-	nullGID int              // -1 until a NULL key is seen
-	tuples  map[intTuple]int // 2..maxIntKeys int/time keys
-	strs    map[string]int   // any other key set, by RowKey string
-}
-
-// maxIntKeys bounds the width of an all-int/time key set keyed by raw
-// values; wider sets key RowKey strings.
-const maxIntKeys = 4
-
-// intTuple is the raw identity of one row under an all-int/time key set:
-// bit j of null is set (and v[j] left zero) when key j is NULL.
-type intTuple struct {
-	v    [maxIntKeys]int64
-	null uint8
-}
-
-// intKey returns the intTuple of a row of cols, or false when some non-NULL
-// key is not an int or time — a value no all-int/time key equals.
-func intKey(cols []*Column, row int) (intTuple, bool) {
-	var k intTuple
-	for j, c := range cols {
-		switch {
-		case !c.valid[row]:
-			k.null |= 1 << j
-		case c.kind == KindInt || c.kind == KindTime:
-			k.v[j] = c.ints[row]
-		default:
-			return k, false
-		}
-	}
-	return k, true
+	ints    map[int64]int  // one int/time key; its NULL group is nullGID
+	nullGID int            // -1 until a NULL key is seen
+	strs    map[string]int // any other key set, by RowKey string
 }
 
 // BuildGroupIndex scans the table once and assigns every row its group id
 // under the composite value of the named key columns. NULL keys form their
 // own group, matching SQL GROUP BY semantics.
 //
-// All-int/time key sets (int and time values compare equal, as in RowKey)
-// hash raw values: a single key a map[int64]int, up to maxIntKeys keys a
-// fixed tuple with a NULL mask. Every other key set is identified by its
-// RowKey string; a single dictionary-encoded string key indexes a dense code
-// table, and an all-string key-set whose every column carries a dictionary
-// maps composite codes (dense when the code-space product is small, a
-// map[uint64]int otherwise), so those builds format one key per group, not
-// per row. Group numbering and NULL-group handling are identical across
-// every path.
+// A single int/time key hashes raw values in a map[int64]int. Every other
+// key set is identified by its RowKey string (int and time values compare
+// equal there too); a single dictionary-encoded string key indexes a dense
+// code table, and an all-string key-set whose every column carries a
+// dictionary maps composite codes (dense when the code-space product is
+// small, a map[uint64]int otherwise), so those builds format one key per
+// group, not per row. Group numbering and NULL-group handling are identical
+// across every path.
 func (t *Table) BuildGroupIndex(keyCols ...string) (*GroupIndex, error) {
 	cols, err := t.resolveColumns(keyCols)
 	if err != nil {
 		return nil, err
 	}
 	g := &GroupIndex{src: t, keys: cols, nullGID: -1}
-	intKeyed := len(cols) <= maxIntKeys
-	for _, c := range cols {
-		intKeyed = intKeyed && (c.kind == KindInt || c.kind == KindTime)
-	}
-	switch {
-	case intKeyed && len(cols) == 1:
+	if len(cols) == 1 && (cols[0].kind == KindInt || cols[0].kind == KindTime) {
 		g.ints = make(map[int64]int)
-	case intKeyed:
-		g.tuples = make(map[intTuple]int)
-	default:
+	} else {
 		g.strs = make(map[string]int)
 		if len(cols) == 1 && cols[0].kind == KindString {
 			if enc := cols[0].Dict(); enc != nil {
@@ -257,16 +219,6 @@ func (g *GroupIndex) Extend() {
 			}
 			g.rowGID = append(g.rowGID, gid)
 		}
-	case g.tuples != nil:
-		for i := len(g.rowGID); i < n; i++ {
-			k, _ := intKey(g.keys, i)
-			gid, ok := g.tuples[k]
-			if !ok {
-				gid = g.newGroup()
-				g.tuples[k] = gid
-			}
-			g.rowGID = append(g.rowGID, gid)
-		}
 	default:
 		buf := make([]byte, 0, 48)
 		for i := len(g.rowGID); i < n; i++ {
@@ -287,11 +239,10 @@ func (g *GroupIndex) Extend() {
 // table's columns, one per key column of the index, in order — under
 // LeftJoin's key equality: int and time values compare equal, NULL matches
 // the NULL group, and a non-NULL value never matches a key of another kind.
-// It is one map probe; on the int path it formats nothing. Safe for
-// concurrent use with other reads of the index.
+// It is one map probe; a RowKey probe is formatted into a stack buffer. Safe
+// for concurrent use with other reads of the index.
 func (g *GroupIndex) LookupRow(cols []*Column, row int) (int, bool) {
-	switch {
-	case g.ints != nil:
+	if g.ints != nil {
 		c := cols[0]
 		if !c.valid[row] {
 			return g.nullGID, g.nullGID >= 0
@@ -300,13 +251,6 @@ func (g *GroupIndex) LookupRow(cols []*Column, row int) (int, bool) {
 			return -1, false
 		}
 		gid, ok := g.ints[c.ints[row]]
-		return gid, ok
-	case g.tuples != nil:
-		k, ok := intKey(cols, row)
-		if !ok {
-			return -1, false
-		}
-		gid, ok := g.tuples[k]
 		return gid, ok
 	}
 	var buf [64]byte

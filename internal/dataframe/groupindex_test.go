@@ -122,10 +122,10 @@ func TestGroupByNullKeysFormOwnGroup(t *testing.T) {
 	}
 }
 
-// TestBuildGroupIndexIntFastPath checks the map[int64]int fast path for
-// single integer and time keys — including NULL keys, which must form their
-// own group — against the generic composite-string reference, for group ids,
-// key strings, representatives and sizes alike.
+// TestBuildGroupIndexIntFastPath checks the map[int64]int path for single
+// integer and time keys — including NULL keys, which must form their own
+// group — against the RowKey-string reference: group ids, each group's
+// representative row's key, and sizes.
 func TestBuildGroupIndexIntFastPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 400
@@ -151,10 +151,10 @@ func TestBuildGroupIndexIntFastPath(t *testing.T) {
 	}
 }
 
-// TestBuildGroupIndexFastPathJoinCompatible ensures the fast path's key
-// strings still line up with a generic-path index over equivalent string
-// spellings — the property the executor's join mapping relies on when both
-// sides group on the same key-set.
+// TestBuildGroupIndexFastPathJoinCompatible checks LookupRow on the int
+// path: each row of another table resolves to the group whose representative
+// row holds the same key, and a key the index lacks misses — the property the
+// executor's join row map relies on.
 func TestBuildGroupIndexFastPathJoinCompatible(t *testing.T) {
 	left := MustNewTable(NewIntColumn("k", []int64{3, 1, 3, 7}, nil))
 	right := MustNewTable(NewIntColumn("k", []int64{7, 3}, nil))

@@ -836,11 +836,11 @@ func takeKeyCols(gi *dataframe.GroupIndex, repr []int) []*dataframe.Column {
 
 // joinEntry caches the training-table side of Augment's join for one
 // (training table, key-set) pair: each training row's relevant-side group,
-// resolved through the relevant index's typed key map (GroupIndex.LookupRow)
-// with LeftJoin's key equality. With it, joining a query's feature onto the
+// resolved through the relevant index's key map (GroupIndex.LookupRow) with
+// LeftJoin's key equality. With it, joining a query's feature onto the
 // training table is pure integer indexing — the per-query re-hash of the
 // whole training table that LeftJoin would do is paid once per key-set
-// instead, and on an int key set it formats no key at all.
+// instead, and the probe allocates nothing.
 type joinEntry struct {
 	once   sync.Once
 	d      *dataframe.Table    // training table the entry joins

@@ -19,8 +19,9 @@ func servingBenchPool(nQueries, nRows int) (*dataframe.Table, *dataframe.Table, 
 }
 
 // BenchmarkServingScatterFused measures the plan-group-shared scatter on a
-// cold executor each iteration: one dgToLocal mapping and one pass over the
-// training table per plan group, every column written in the same loop.
+// cold executor each iteration: per plan group, one walk of the join's row
+// map that builds the per-row touched-group slots, then one pass over the
+// training table writing every column in the same loop.
 func BenchmarkServingScatterFused(b *testing.B) {
 	r, d, qs := servingBenchPool(200, 2400)
 	b.ResetTimer()

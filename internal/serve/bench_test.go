@@ -198,4 +198,34 @@ func BenchmarkCodec(b *testing.B) {
 			}
 		}
 	})
+	// An ingest response's values are mostly integral (COUNT, and MIN, MAX
+	// and SUM of a timestamp); this matrix holds ~73% of them, which
+	// appendFloat writes with strconv.AppendInt instead of shortest-digit
+	// float formatting.
+	integral := query.NewFeatureMatrix(m.NumRows(), len(features))
+	rng := rand.New(rand.NewSource(2))
+	for j := range features {
+		vals, valid := integral.Col(j)
+		for i := range vals {
+			switch r := rng.Float64(); {
+			case r < 0.25:
+				vals[i] = float64(rng.Intn(200))
+			case r < 0.50:
+				vals[i] = float64(1_700_000_000 + rng.Intn(10_000_000))
+			case r < 0.73:
+				vals[i] = float64(rng.Intn(200)) * 1_700_000_000
+			default:
+				vals[i] = rng.NormFloat64() * 100
+			}
+			valid[i] = rng.Intn(10) != 0
+		}
+	}
+	b.Run("encode-integral", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := layout.encode(integral, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
