@@ -1,12 +1,14 @@
 package query
 
 // Table scan state. A tableCore holds the scan-side caches of ONE table —
-// group indexes, predicate bitmaps, WHERE masks, float views, domain probes
-// and dictionaries — and lives in the table's own scan-state slot
-// (dataframe.Table.ScanState), so every executor over a table shares it and
-// builds each entry once between them, and the core dies with the table.
+// group indexes, predicate bitmaps, WHERE masks, float views, domain probes,
+// dictionaries and search-space predicate domains — and lives in the table's
+// own scan-state slot (dataframe.Table.ScanState), so every executor (and
+// every search space) over a table shares it and builds each entry once
+// between them, and the core dies with the table.
 // The core also carries the table's epoch fence, which orders appends,
-// compaction and size reads (Append, Compact, MemBytes) against scans.
+// compaction and size reads (Append, Compact, MemBytes) against scans and
+// search-space builds.
 //
 // ExecutorStats make the sharing observable: SharedScanPasses counts the
 // full-table passes an executor paid to build a core entry, and
@@ -46,6 +48,8 @@ type tableCore struct {
 	domains map[string]*domainEntry // per-column low-cardinality domain probes
 	dicts   map[string]*dictEntry   // per-column dictionary encodings (see dict.go)
 	allRows []int                   // lazily built identity row list
+
+	spaceDims map[spaceDimKey]*spaceDimEntry // predicate value domains (see spacecache.go)
 }
 
 // viewEntry is one cached column float view (see Executor.floatView).

@@ -545,7 +545,6 @@ func (st *attrState) advance(e *Executor, pe *planEntry, attr string, delta []in
 		return false
 	}
 	ngroups := len(pe.repr)
-	dirty := make([]bool, ngroups)
 	local, rowGID := pe.local, pe.gi.RowGroups()
 	valid := col.ValidData()
 
@@ -554,6 +553,7 @@ func (st *attrState) advance(e *Executor, pe *planEntry, attr string, delta []in
 			st.sortS = append(st.sortS, nil)
 		}
 		// Str reads the []string backing or decodes a compact column's codes.
+		dirty := make([]bool, ngroups)
 		nd := 0
 		for _, i := range delta {
 			if !valid[i] {
@@ -596,6 +596,12 @@ func (st *attrState) advance(e *Executor, pe *planEntry, attr string, delta []in
 			st.sortF = append(st.sortF, nil)
 		}
 	}
+	// Only sorted runs and centered moments revisit dirty groups; a
+	// streaming-only state advances in O(delta), without per-group flags.
+	var dirty []bool
+	if st.hasBuf || st.hasMoments {
+		dirty = make([]bool, ngroups)
+	}
 	fv := e.floatView(col)
 	for _, i := range delta {
 		if !valid[i] {
@@ -621,17 +627,12 @@ func (st *attrState) advance(e *Executor, pe *planEntry, attr string, delta []in
 		if st.hasBuf {
 			st.sortF[li] = append(st.sortF[li], v)
 		}
-		dirty[li] = true
-	}
-
-	any := false
-	for _, d := range dirty {
-		if d {
-			any = true
-			break
+		if dirty != nil {
+			dirty[li] = true
 		}
 	}
-	if any && st.hasMoments {
+
+	if st.hasMoments && slices.Contains(dirty, true) {
 		// Centered moments restart for dirty groups: zero them, derive the new
 		// means, then one pass over the plan's rows accumulating only dirty
 		// groups — the same expression, in the same row order, as the scan.

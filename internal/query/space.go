@@ -72,19 +72,16 @@ type Space struct {
 // attribute dimension, per-predicate value dimensions (categorical domains
 // get an equality dimension with a None option; numeric/datetime attributes
 // get lower- and upper-bound dimensions over a quantile grid, each with a
-// None option), and one binary dimension per foreign-key attribute.
+// None option), and one binary dimension per foreign-key attribute. The
+// value domains come from the table's scan state, so every BuildSpace and
+// SpaceCache over one table computes each (attribute, options) domain once
+// per table epoch. It reads r under r's epoch fence, so it may run
+// concurrently with Append.
 func BuildSpace(r *dataframe.Table, t Template, opts SpaceOptions) (*Space, error) {
 	opts = opts.normalized()
-	return assembleSpace(r, t, func(attr string) (predDim, error) {
-		return buildPredDim(r, attr, opts)
-	})
-}
-
-// assembleSpace lays out a template's dimensions, taking the per-attribute
-// value domains from dim — the one space constructor shared by BuildSpace
-// (fresh domains) and SpaceCache (cached domains), so the vector layout can
-// never diverge between the two.
-func assembleSpace(r *dataframe.Table, t Template, dim func(attr string) (predDim, error)) (*Space, error) {
+	c := coreOf(r)
+	c.fence.RLock()
+	defer c.fence.RUnlock()
 	if err := t.Validate(r); err != nil {
 		return nil, err
 	}
@@ -94,7 +91,7 @@ func assembleSpace(r *dataframe.Table, t Template, dim func(attr string) (predDi
 		Dim{Name: "agg_attr", Card: len(t.AggAttrs)},
 	)
 	for _, attr := range t.PredAttrs {
-		pd, err := dim(attr)
+		pd, err := c.predDim(attr, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -104,9 +101,9 @@ func assembleSpace(r *dataframe.Table, t Template, dim func(attr string) (predDi
 	return s, nil
 }
 
-// buildPredDim derives the value domain of one predicate attribute — the
-// per-attribute work of BuildSpace (distinct-value scan or quantile grid),
-// shared with SpaceCache so it is computed once per (table, attribute).
+// buildPredDim derives the value domain of one predicate attribute (a
+// distinct-value scan or a quantile grid). tableCore.predDim caches its
+// result in the table's scan state.
 func buildPredDim(r *dataframe.Table, attr string, opts SpaceOptions) (predDim, error) {
 	col := r.Column(attr)
 	pd := predDim{attr: attr}
@@ -153,7 +150,7 @@ func (s *Space) finish(keys []string) {
 // quantileGrid returns up to n distinct empirical quantiles of a numeric
 // column (non-null values).
 func quantileGrid(col *dataframe.Column, n int) []float64 {
-	var vals []float64
+	vals := make([]float64, 0, col.Len())
 	for i := 0; i < col.Len(); i++ {
 		if v, ok := col.AsFloat(i); ok {
 			vals = append(vals, v)

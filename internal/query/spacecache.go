@@ -7,38 +7,32 @@ import (
 	"repro/internal/dataframe"
 )
 
-// SpaceCache builds template search spaces over one relevant table, caching
-// the expensive per-attribute work (distinct-value scans, quantile grids)
-// across templates. Query template identification walks an attribute-subset
-// tree where every attribute reappears in many combinations, so without the
-// cache the same column is scanned once per tree node; with it, once per
-// table. Whole spaces are cached too, keyed on the template's exact layout.
-// Safe for concurrent use.
+// SpaceCache builds template search spaces over one relevant table and
+// caches whole spaces, keyed on the template's exact layout. Query template
+// identification walks an attribute-subset tree where every template
+// reappears across layers and generation, so each layout is assembled once.
+// The per-attribute value domains beneath come from the table's scan state
+// (see tableCore.predDim), shared with BuildSpace and every other cache
+// over the table. A cached space keeps the domains of the table epoch it was
+// built at. Safe for concurrent use.
 type SpaceCache struct {
 	r    *dataframe.Table
 	opts SpaceOptions
 
 	mu     sync.Mutex
-	dims   map[string]predDim
 	spaces map[string]*Space
 }
 
 // NewSpaceCache builds a cache over one relevant table with fixed
 // discretisation options.
 func NewSpaceCache(r *dataframe.Table, opts SpaceOptions) *SpaceCache {
-	return &SpaceCache{
-		r:      r,
-		opts:   opts.normalized(),
-		dims:   map[string]predDim{},
-		spaces: map[string]*Space{},
-	}
+	return &SpaceCache{r: r, opts: opts.normalized(), spaces: map[string]*Space{}}
 }
 
 // Space returns the search space of a template's query pool, equivalent to
-// BuildSpace(r, t, opts) but reusing cached per-attribute domains. Spaces and
-// domains build outside the lock; when two callers race to build the same
-// one, the first to store it wins and both return the stored value, so every
-// caller sees one instance per key.
+// BuildSpace(r, t, opts). Spaces build outside the lock; when two callers
+// race to build the same one, the first to store it wins and both return the
+// stored value, so every caller sees one instance per key.
 func (c *SpaceCache) Space(t Template) (*Space, error) {
 	key := templateKey(t)
 	c.mu.Lock()
@@ -48,7 +42,7 @@ func (c *SpaceCache) Space(t Template) (*Space, error) {
 	}
 	c.mu.Unlock()
 
-	s, err := assembleSpace(c.r, t, c.predDim)
+	s, err := BuildSpace(c.r, t, c.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -62,25 +56,50 @@ func (c *SpaceCache) Space(t Template) (*Space, error) {
 	return s, nil
 }
 
-// predDim returns the cached value domain of one predicate attribute.
-func (c *SpaceCache) predDim(attr string) (predDim, error) {
+// spaceDimKey identifies one predicate value domain of a table: the
+// attribute and the normalised options that shape it.
+type spaceDimKey struct {
+	attr string
+	opts SpaceOptions
+}
+
+// spaceDimEntry is one cached predicate value domain, stamped with the table
+// epoch it covers. An entry behind the table's epoch is rebuilt on its next
+// use; advanceCore never touches it, so appends pay nothing for domains.
+type spaceDimEntry struct {
+	mu    sync.Mutex
+	built bool
+	epoch uint64
+	pd    predDim
+}
+
+// predDim returns attr's value domain under opts (normalised), computing it
+// on its first use at the table's current epoch. Caller holds the fence in
+// read mode, which holds the table — and so its epoch — still; the entry's
+// lock makes concurrent callers wait for one build instead of racing two.
+func (c *tableCore) predDim(attr string, opts SpaceOptions) (predDim, error) {
+	k := spaceDimKey{attr: attr, opts: opts}
 	c.mu.Lock()
-	pd, ok := c.dims[attr]
+	if c.spaceDims == nil {
+		c.spaceDims = map[spaceDimKey]*spaceDimEntry{}
+	}
+	ent, ok := c.spaceDims[k]
+	if !ok {
+		ent = &spaceDimEntry{}
+		c.spaceDims[k] = ent
+	}
 	c.mu.Unlock()
-	if ok {
-		return pd, nil
+
+	ent.mu.Lock()
+	defer ent.mu.Unlock()
+	if cur := c.t.Epoch(); !ent.built || ent.epoch != cur {
+		pd, err := buildPredDim(c.t, attr, opts)
+		if err != nil {
+			return predDim{}, err
+		}
+		ent.pd, ent.epoch, ent.built = pd, cur, true
 	}
-	pd, err := buildPredDim(c.r, attr, c.opts)
-	if err != nil {
-		return predDim{}, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if stored, ok := c.dims[attr]; ok {
-		return stored, nil
-	}
-	c.dims[attr] = pd
-	return pd, nil
+	return ent.pd, nil
 }
 
 // templateKey is an exact identity for a template's space layout: every

@@ -728,12 +728,12 @@ func newResponseLayout(plan string, version int64, features []string) *responseL
 // included. A valid non-finite value, which JSON cannot carry, fails the
 // whole response before anything is written.
 func (l *responseLayout) encode(m *query.FeatureMatrix, coalesced bool) ([]byte, error) {
-	n := m.NumRows()
-	rowBytes := 2
-	for _, mb := range l.members {
-		rowBytes += len(mb.prefix) + 24
+	size, err := l.size(m)
+	if err != nil {
+		return nil, err
 	}
-	b := make([]byte, 0, len(l.head)+n*rowBytes+32)
+	n := m.NumRows()
+	b := make([]byte, 0, size)
 	b = append(b, l.head...)
 	for i := 0; i < n; i++ {
 		if i > 0 {
@@ -750,11 +750,7 @@ func (l *responseLayout) encode(m *query.FeatureMatrix, coalesced bool) ([]byte,
 				b = append(b, "null"...)
 				continue
 			}
-			v := vals[i]
-			if math.IsInf(v, 0) || math.IsNaN(v) {
-				return nil, fmt.Errorf("serve: feature %q of row %d is %v, which JSON cannot carry", mb.name, i, v)
-			}
-			b = appendFloat(b, v)
+			b = appendFloat(b, vals[i])
 		}
 		b = append(b, '}')
 	}
@@ -764,6 +760,62 @@ func (l *responseLayout) encode(m *query.FeatureMatrix, coalesced bool) ([]byte,
 		b = append(b, `],"coalesced":false}`+"\n"...)
 	}
 	return b, nil
+}
+
+// size bounds from above the bytes encode writes for m, so the response is
+// written into one allocation without over-reserving for short values. It
+// fails on the first valid non-finite value in row order, as encode's
+// output would reach it.
+func (l *responseLayout) size(m *query.FeatureMatrix) (int, error) {
+	n := m.NumRows()
+	// Braces, commas between members, and a comma after every row (one
+	// more than encode writes).
+	perRow := 2 + len(l.members)
+	for _, mb := range l.members {
+		perRow += len(mb.prefix)
+	}
+	size := len(l.head) + n*perRow + len(`],"coalesced":false}`+"\n")
+	badRow, badK := n, 0
+	for k, mb := range l.members {
+		vals, valid := m.Col(mb.col)
+		for i, v := range vals {
+			switch {
+			case !valid[i]:
+				size += len("null")
+			case math.IsInf(v, 0) || math.IsNaN(v):
+				if i < badRow {
+					badRow, badK = i, k
+				}
+			default:
+				size += floatLen(v)
+			}
+		}
+	}
+	if badRow < n {
+		v, _ := m.Col(l.members[badK].col)
+		return 0, fmt.Errorf("serve: feature %q of row %d is %v, which JSON cannot carry", l.members[badK].name, badRow, v[badRow])
+	}
+	return size, nil
+}
+
+// floatLen bounds from above the bytes appendFloat writes for a finite f,
+// from its bits alone: a sign and the digits of 2^(e+1)-1 for an integral
+// |f| in [2^e, 2^(e+1)) below 2^53 (at most one byte over); otherwise a sign
+// and at most 17 significant digits, with a point for a fraction above 1,
+// or with leading zeros or an exponent below 1 or from 2^53.
+func floatLen(f float64) int {
+	b := math.Float64bits(f)
+	sign := int(b >> 63)
+	e := int(b>>52&0x7ff) - 1023
+	switch {
+	case b<<1 == 0: // ±0
+		return 1 + sign
+	case e < 0 || e > 52:
+		return 25
+	case b&(1<<(52-e)-1) != 0: // bits below the point
+		return 19
+	}
+	return (e+1)*1233>>12 + 1 + sign // 1233/4096 ≈ log10(2)
 }
 
 // appendFloat appends a finite f as encoding/json writes a float64: the

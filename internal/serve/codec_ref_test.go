@@ -602,3 +602,50 @@ func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestFloatLenBoundsAppendFloat checks that floatLen bounds appendFloat's
+// output from above at every magnitude and both signs, within one byte on
+// the integral fast path, and that encode's buffer never regrows.
+func TestFloatLenBoundsAppendFloat(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53),
+		1<<53 - 0.5, 1 - 1.0/(1<<53), math.Nextafter(1e21, 0), 1e21, -1e21, 1e-6, math.Nextafter(1e-6, 0),
+		-math.Nextafter(1e-6, 1), 5e-324, -math.MaxFloat64, 1.0 / 3, -2.0 / 3 * 1e-5}
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 5000; i++ {
+		v := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(600)-300))
+		vals = append(vals, v, math.Trunc(v))
+	}
+	for _, v := range vals {
+		got, bound := len(appendFloat(nil, v)), floatLen(v)
+		if got > bound || (math.Abs(v) < 1<<53 && v == math.Trunc(v) && bound > got+1) {
+			t.Fatalf("floatLen(%v) = %d, appendFloat writes %d bytes", v, bound, got)
+		}
+	}
+
+	// Every value of the second matrix takes the integral fast path and has
+	// as many digits as the bound allows, so the bound overshoots only by the
+	// comma after the last row.
+	integral := []float64{0, math.Copysign(0, -1), 7, -12, 1<<53 - 1, -1e15, 120, 1000, 1e9}
+	l := newResponseLayout("p", 1, []string{"a", "bb", "a"})
+	for _, tc := range []struct {
+		vals  []float64
+		exact bool
+	}{{vals, false}, {integral, true}} {
+		m := query.NewFeatureMatrix(len(tc.vals)/3, 3)
+		copy(m.Vals, tc.vals)
+		for i := range m.Valid {
+			m.Valid[i] = i%5 != 0
+		}
+		size, err := l.size(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := l.encode(m, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) > size || cap(b) != size || (tc.exact && len(b) != size-1) {
+			t.Fatalf("encode wrote %d bytes into cap %d, size bound %d", len(b), cap(b), size)
+		}
+	}
+}
