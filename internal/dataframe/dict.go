@@ -25,6 +25,7 @@ package dataframe
 import (
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -105,44 +106,52 @@ func (c *Column) Dict() *DictEncoding {
 	return d.enc
 }
 
-// buildDictEncoding scans the column once for its distinct domain and once
-// more for the codes. maxCard above the cap returns nil. An all-NULL (or
-// empty) column yields a valid encoding with an empty dictionary.
+// buildDictEncoding encodes the column in one pass: each distinct value gets
+// a code in first-seen order, then the distinct values are sorted and the
+// codes remapped to their ranks (NULL rows keep code 0). It returns nil once
+// a value beyond maxCard distinct ones appears. An all-NULL (or empty)
+// column yields a valid encoding with an empty dictionary.
 func (c *Column) buildDictEncoding(maxCard int) *DictEncoding {
-	ranks := make(map[string]uint16)
-	for i, s := range c.strs {
-		if !c.valid[i] {
-			continue
-		}
-		if _, dup := ranks[s]; !dup {
-			if len(ranks) >= maxCard {
-				return nil
-			}
-			ranks[s] = 0
-		}
-	}
-	values := make([]string, 0, len(ranks))
-	for s := range ranks {
-		values = append(values, s)
-	}
-	slices.Sort(values)
-	for rank, s := range values {
-		ranks[s] = uint16(rank)
-	}
-
 	n := len(c.strs)
 	d := &DictEncoding{
-		values:    values,
 		codes:     make([]uint16, n),
 		validBits: make([]uint64, (n+63)/64),
 	}
+	seen := make(map[string]uint16)
+	var firstSeen []string
 	for i, s := range c.strs {
 		if !c.valid[i] {
 			d.nulls++
 			continue
 		}
-		d.codes[i] = ranks[s]
+		code, ok := seen[s]
+		if !ok {
+			if len(firstSeen) >= maxCard {
+				return nil
+			}
+			code = uint16(len(firstSeen))
+			seen[s] = code
+			firstSeen = append(firstSeen, s)
+		}
+		d.codes[i] = code
 		d.validBits[i>>6] |= 1 << uint(i&63)
+	}
+
+	order := make([]uint16, len(firstSeen))
+	for code := range order {
+		order[code] = uint16(code)
+	}
+	slices.SortFunc(order, func(a, b uint16) int { return strings.Compare(firstSeen[a], firstSeen[b]) })
+	d.values = make([]string, len(order))
+	rank := make([]uint16, len(order))
+	for r, code := range order {
+		d.values[r] = firstSeen[code]
+		rank[code] = uint16(r)
+	}
+	for i, code := range d.codes {
+		if c.valid[i] {
+			d.codes[i] = rank[code]
+		}
 	}
 	return d
 }

@@ -50,14 +50,15 @@ func NewClickstream(opts Options) *Clickstream {
 	userIDs := make([]int64, n)
 	visits := make([]int64, n)
 	labels := make([]int64, n)
-	var (
-		lUser  []int64
-		lEvent []string
-		lPage  []string
-		lDwell []float64
-		lValid []bool
-		lTS    []int64
-	)
+	// A user logs LogsPerKey noise events and one buy on average; a row per
+	// user to spare lets the log grow without reallocating.
+	rows := n * (opts.LogsPerKey + 2)
+	lUser := make([]int64, 0, rows)
+	lEvent := make([]string, 0, rows)
+	lPage := make([]string, 0, rows)
+	lDwell := make([]float64, 0, rows)
+	lValid := make([]bool, 0, rows)
+	lTS := make([]int64, 0, rows)
 	for i := 0; i < n; i++ {
 		userIDs[i] = int64(i)
 		visits[i] = int64(1 + rng.Intn(30))

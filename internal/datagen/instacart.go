@@ -31,12 +31,18 @@ func Instacart(opts Options) *Dataset {
 	orderCounts := make([]int64, n)
 	labels := make([]int64, n)
 
-	var (
-		lUser, lHour, lDays  []int64
-		lProd, lAisle, lDept []string
-		lReordered           []bool
-		lAddToCart           []float64
-	)
+	// A user logs LogsPerKey noise, 1.5 signal and 2 dilution purchases on
+	// average; a row and a half per user to spare lets the log grow without
+	// reallocating.
+	rows := n * (opts.LogsPerKey + 5)
+	lUser := make([]int64, 0, rows)
+	lHour := make([]int64, 0, rows)
+	lDays := make([]int64, 0, rows)
+	lProd := make([]string, 0, rows)
+	lAisle := make([]string, 0, rows)
+	lDept := make([]string, 0, rows)
+	lReordered := make([]bool, 0, rows)
+	lAddToCart := make([]float64, 0, rows)
 
 	for i := 0; i < n; i++ {
 		userIDs[i] = int64(i)

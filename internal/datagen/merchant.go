@@ -31,12 +31,17 @@ func Merchant(opts Options) *Dataset {
 	activeMonths := make([]int64, n)
 	targets := make([]float64, n)
 
-	var (
-		lMerchant, lInstallments, lMonthLag []int64
-		lCategory, lCity                    []string
-		lAmount                             []float64
-		lApproved                           []bool
-	)
+	// A merchant logs 5 recent, LogsPerKey old and 2 declined transactions
+	// on average; a row per merchant to spare lets the log grow without
+	// reallocating.
+	rows := n * (opts.LogsPerKey + 8)
+	lMerchant := make([]int64, 0, rows)
+	lInstallments := make([]int64, 0, rows)
+	lMonthLag := make([]int64, 0, rows)
+	lCategory := make([]string, 0, rows)
+	lCity := make([]string, 0, rows)
+	lAmount := make([]float64, 0, rows)
+	lApproved := make([]bool, 0, rows)
 
 	for i := 0; i < n; i++ {
 		merchantIDs[i] = int64(i)

@@ -30,11 +30,17 @@ func Student(opts Options) *Dataset {
 	grades := make([]int64, n)
 	labels := make([]int64, n)
 
-	var (
-		lSession, lLevel, lElapsed []int64
-		lEvent                     []string
-		lRoomX, lRoomY, lHover     []float64
-	)
+	// A session logs LogsPerKey noise events, 2 fast and 3 slow checkpoints
+	// on average; a row per session to spare lets the log grow without
+	// reallocating.
+	rows := n * (opts.LogsPerKey + 6)
+	lSession := make([]int64, 0, rows)
+	lLevel := make([]int64, 0, rows)
+	lElapsed := make([]int64, 0, rows)
+	lEvent := make([]string, 0, rows)
+	lRoomX := make([]float64, 0, rows)
+	lRoomY := make([]float64, 0, rows)
+	lHover := make([]float64, 0, rows)
 
 	for i := 0; i < n; i++ {
 		sessionIDs[i] = int64(i)

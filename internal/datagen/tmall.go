@@ -40,11 +40,17 @@ func Tmall(opts Options) *Dataset {
 	genders := make([]int64, n)
 	labels := make([]int64, n)
 
-	var (
-		lUser, lMerchant, lTS []int64
-		lAction, lCat, lBrand []string
-		lPrice                []float64
-	)
+	// A pair logs LogsPerKey noise actions, 1.5 recent and 1.5 stale
+	// purchases on average; a row per pair to spare lets the log grow
+	// without reallocating.
+	rows := n * (opts.LogsPerKey + 4)
+	lUser := make([]int64, 0, rows)
+	lMerchant := make([]int64, 0, rows)
+	lTS := make([]int64, 0, rows)
+	lAction := make([]string, 0, rows)
+	lCat := make([]string, 0, rows)
+	lBrand := make([]string, 0, rows)
+	lPrice := make([]float64, 0, rows)
 
 	for i := 0; i < n; i++ {
 		userIDs[i] = int64(i)

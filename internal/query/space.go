@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dataframe"
@@ -148,31 +149,146 @@ func (s *Space) finish(keys []string) {
 }
 
 // quantileGrid returns up to n distinct empirical quantiles of a numeric
-// column (non-null values).
+// column (non-null values): for q = i/(n-1) (q = 1/2 when n is 1), the value
+// at rank int(q*(m-1)) of the m values in sort.Float64s order, consecutive
+// repeats dropped. The ranks are picked by selection (selectRanks), not a
+// full sort. That picks exactly the values the sort would, because values
+// the sort's order ties have identical bits, with two exceptions: -0 ties
+// +0, and NaNs tie one another. Which of such a tie lands at a rank depends
+// on the sort's permutation, so a column holding both zeros or any NaN is
+// fully sorted instead.
 func quantileGrid(col *dataframe.Column, n int) []float64 {
-	vals := make([]float64, 0, col.Len())
-	for i := 0; i < col.Len(); i++ {
-		if v, ok := col.AsFloat(i); ok {
-			vals = append(vals, v)
-		}
-	}
+	vals, tied := gridValues(col)
 	if len(vals) == 0 {
 		return nil
 	}
-	sort.Float64s(vals)
-	grid := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
+	ranks := make([]int, n)
+	for i := range ranks {
 		q := float64(i) / float64(n-1)
 		if n == 1 {
 			q = 0.5
 		}
-		idx := int(q * float64(len(vals)-1))
+		ranks[i] = int(q * float64(len(vals)-1))
+	}
+	if tied {
+		sort.Float64s(vals)
+	} else {
+		selectRanks(vals, ranks)
+	}
+	grid := make([]float64, 0, n)
+	for _, idx := range ranks {
 		v := vals[idx]
 		if len(grid) == 0 || grid[len(grid)-1] != v {
 			grid = append(grid, v)
 		}
 	}
 	return grid
+}
+
+// gridValues copies a numeric column's non-null values as floats and reports
+// whether they hold a tie that is not bitwise: both -0 and +0, or a NaN.
+func gridValues(col *dataframe.Column) (vals []float64, tied bool) {
+	valid := col.ValidData()
+	vals = make([]float64, 0, len(valid))
+	if col.Kind() != dataframe.KindFloat {
+		for i, v := range col.IntData() { // int and time columns
+			if valid[i] {
+				vals = append(vals, float64(v))
+			}
+		}
+		return vals, false
+	}
+	var negZero, posZero, nan bool
+	for i, v := range col.FloatData() {
+		if !valid[i] {
+			continue
+		}
+		switch {
+		case v == 0 && math.Signbit(v):
+			negZero = true
+		case v == 0:
+			posZero = true
+		case v != v:
+			nan = true
+		}
+		vals = append(vals, v)
+	}
+	return vals, negZero && posZero || nan
+}
+
+// selectSortMax is the sub-range length that selectRanks sorts outright.
+const selectSortMax = 32
+
+// selectRanks permutes a so that each of the given ascending ranks holds the
+// value a full sort would put there (Hoare's FIND, CACM 1961, for several
+// ranks at once). Each step partitions a around a median-of-three pivot and
+// goes on only into the parts holding a wanted rank, so the expected cost is
+// linear; a range nested too deep for its length is sorted instead, which
+// bounds the worst case at O(m log m). a must hold no NaN.
+func selectRanks(a []float64, ranks []int) {
+	depth := 0
+	for m := len(a); m > 0; m >>= 1 {
+		depth += 2
+	}
+	selectIn(a, 0, ranks, depth)
+}
+
+// selectIn places the ranks (offsets into the whole slice, off being a[0]'s)
+// that fall in a.
+func selectIn(a []float64, off int, ranks []int, depth int) {
+	for len(ranks) > 0 {
+		if len(a) <= selectSortMax {
+			insertionSort(a)
+			return
+		}
+		if depth == 0 {
+			slices.Sort(a)
+			return
+		}
+		depth--
+		p := hoarePartition(a) + 1 // a[:p] <= pivot <= a[p:]
+		split := sort.SearchInts(ranks, off+p)
+		if split > 0 {
+			selectIn(a[:p], off, ranks[:split], depth)
+		}
+		a, off, ranks = a[p:], off+p, ranks[split:]
+	}
+}
+
+// hoarePartition partitions a (len > 2) around the median of its first,
+// middle and last values and returns j with a[:j+1] <= pivot <= a[j+1:],
+// both parts non-empty.
+func hoarePartition(a []float64) int {
+	lo, mid, hi := 0, len(a)/2, len(a)-1
+	if a[mid] < a[lo] {
+		a[mid], a[lo] = a[lo], a[mid]
+	}
+	if a[hi] < a[mid] {
+		a[hi], a[mid] = a[mid], a[hi]
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+	}
+	pivot := a[mid]
+	i, j := -1, len(a)
+	for {
+		for i++; a[i] < pivot; i++ {
+		}
+		for j--; a[j] > pivot; j-- {
+		}
+		if i >= j {
+			return j
+		}
+		a[i], a[j] = a[j], a[i]
+	}
+}
+
+func insertionSort(a []float64) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
 }
 
 // NumDims returns the vector length.
