@@ -25,7 +25,6 @@ package dataframe
 import (
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -137,16 +136,12 @@ func (c *Column) buildDictEncoding(maxCard int) *DictEncoding {
 		d.validBits[i>>6] |= 1 << uint(i&63)
 	}
 
-	order := make([]uint16, len(firstSeen))
-	for code := range order {
-		order[code] = uint16(code)
-	}
-	slices.SortFunc(order, func(a, b uint16) int { return strings.Compare(firstSeen[a], firstSeen[b]) })
-	d.values = make([]string, len(order))
-	rank := make([]uint16, len(order))
-	for r, code := range order {
-		d.values[r] = firstSeen[code]
-		rank[code] = uint16(r)
+	d.values = make([]string, len(firstSeen))
+	copy(d.values, firstSeen)
+	slices.Sort(d.values)
+	rank := make([]uint16, len(d.values))
+	for r, s := range d.values {
+		rank[seen[s]] = uint16(r)
 	}
 	for i, code := range d.codes {
 		if c.valid[i] {
