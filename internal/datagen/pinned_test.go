@@ -55,9 +55,9 @@ func tableDigest(t *dataframe.Table) string {
 }
 
 // TestGeneratorsPinned pins every generator's train and relevant tables,
-// column by column, at two seeds. The digests were taken before the
-// generators presized their relevant-table slices, so any change to the
-// random draw order or the values drawn shows up here.
+// column by column, at two seeds, so a change to a generator's random draw
+// order or to the values it draws fails here, while one that only changes
+// how its columns are allocated passes.
 func TestGeneratorsPinned(t *testing.T) {
 	gens := map[string]Generator{
 		"clickstream": func(o Options) *Dataset { return NewClickstream(o).Dataset },
