@@ -13,6 +13,7 @@ package repro
 // Budgets are deliberately small; use cmd/feataug -paper for full-scale runs.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -274,26 +275,29 @@ func BenchmarkExecutePerQuery(b *testing.B) {
 	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkExecuteBatch is the executor path over the same pool. The executor
-// is rebuilt every iteration, so each measured batch starts with cold caches;
-// the speedup comes from intra-batch sharing of group indexes and predicate
-// bitmaps plus the worker pool.
-func BenchmarkExecuteBatch(b *testing.B) {
+// BenchmarkExecutorAugmentMatrix is the executor path over the same pool,
+// joined onto the relevant table itself so every group is extracted. The
+// executor is rebuilt every iteration, so each measured batch starts with
+// cold caches; the speedup comes from intra-batch sharing of group indexes
+// and predicate bitmaps plus the worker pool.
+func BenchmarkExecutorAugmentMatrix(b *testing.B) {
 	r, qs := benchQueryPool(b, 120)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := query.NewExecutor(r)
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), r, qs); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkExecuteBatchSpeedup times both paths on one batch of ≥100 queries
+// BenchmarkExecutorSpeedup times both paths on one batch of ≥100 queries
 // against one relevant table and reports the throughput ratio; the
-// acceptance bar for this subsystem is ≥2×.
-func BenchmarkExecuteBatchSpeedup(b *testing.B) {
+// acceptance bar for this subsystem is ≥2×. The executor also joins every
+// feature onto the table's rows, work the per-query path skips, so the ratio
+// understates the sharing.
+func BenchmarkExecutorSpeedup(b *testing.B) {
 	r, qs := benchQueryPool(b, 120)
 	var ratio float64
 	b.ResetTimer()
@@ -307,7 +311,7 @@ func BenchmarkExecuteBatchSpeedup(b *testing.B) {
 		perQuery := time.Since(t0)
 		ex := query.NewExecutor(r)
 		t1 := time.Now()
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), r, qs); err != nil {
 			b.Fatal(err)
 		}
 		batch := time.Since(t1)

@@ -8,7 +8,8 @@
 //   - predicate-aware SQL query objects, templates and pools, plus a cached
 //     fused batch executor: one shared group index per key-set, one bitmap
 //     per predicate, one cached group-discovery per (keys, WHERE-mask) plan
-//     group, and batch entry points (ExecuteBatch) that run one set of
+//     group, and one output (AugmentMatrix: every query's feature joined
+//     onto a training table in one FeatureMatrix) computed by one set of
 //     streaming shared scans per plan group instead of one scan per query —
 //     the engine, the baselines and the evaluator all execute queries
 //     through it; scans proceed morsel by morsel (fixed row ranges, prompt
@@ -96,15 +97,19 @@ type (
 	Space = query.Space
 	// Executor is the cached, parallel batch query executor: group indexes,
 	// predicate bitmaps and plan-group discoveries are computed once per
-	// relevant table and shared by every query executed through it, and
-	// batch calls run fused — one set of shared scans per distinct
-	// (GROUP BY keys, WHERE mask) plan group instead of one scan per query.
+	// relevant table and shared by every query executed through it. Its one
+	// output is Executor.AugmentMatrix (or Prepare, then
+	// Prepared.AugmentMatrix per pass): a batch's features joined onto a
+	// training table's rows, run fused — one set of shared scans per
+	// distinct (GROUP BY keys, WHERE mask) plan group instead of one scan
+	// per query. A lone query is a batch of one; Query.Execute and
+	// Query.Augment are the unshared reference paths.
 	Executor = query.Executor
 	// ExecutorStats is a snapshot of an Executor's cache and fused-scan
 	// counters (Executor.Stats), for perf observability.
 	ExecutorStats = query.ExecutorStats
-	// FeatureMatrix is the columnar bulk output of Executor.AugmentMatrix:
-	// every feature column of a batch in one flat column-major buffer.
+	// FeatureMatrix is the Executor's output: every feature column of a
+	// batch, one row per training row, in one flat column-major buffer.
 	FeatureMatrix = query.FeatureMatrix
 )
 

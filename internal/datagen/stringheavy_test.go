@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/agg"
@@ -65,10 +66,11 @@ func TestStringHeavyPlantedSignal(t *testing.T) {
 			{Attr: "event", Kind: query.PredEq, StrValue: "order"},
 			{Attr: "channel", Kind: query.PredEq, StrValue: "app"},
 		}}
-	vals, ok, err := e.AugmentValues(d.Train, q)
+	m, err := e.AugmentMatrix(context.Background(), d.Train, []query.Query{q})
 	if err != nil {
 		t.Fatal(err)
 	}
+	vals, ok := m.Col(0)
 	labels := d.Train.Column("label")
 	var sum1, n1, sum0, n0 float64
 	for i := range vals {

@@ -47,7 +47,7 @@ func multiBenchOptions() fitOptions {
 }
 
 // BenchmarkFitMultiSequential runs the 3-table search one table at a time —
-// the PR 3 AugmentMulti schedule, the baseline for BENCH_4.json.
+// the sequential schedule the concurrent FitMulti is read against.
 func BenchmarkFitMultiSequential(b *testing.B) {
 	base, inputs := multiBenchPool(b)
 	o := multiBenchOptions()

@@ -250,13 +250,16 @@ func (e *Evaluator) Feature(q query.Query) ([]float64, []bool, error) {
 func (e *Evaluator) resolveFeature(key string, q query.Query, ent *featEntry) ([]float64, []bool, error) {
 	ent.once.Do(func() {
 		if b := ent.batch; b != nil {
-			b.once.Do(func() { b.m, b.err = e.exec.AugmentMatrixContext(b.ctx, e.P.Train, b.qs) })
+			b.once.Do(func() { b.m, b.err = e.exec.AugmentMatrix(b.ctx, e.P.Train, b.qs) })
 			if ent.err = b.err; b.err == nil {
 				ent.vals, ent.valid = b.m.Col(ent.col)
 			}
 			return
 		}
-		ent.vals, ent.valid, ent.err = e.exec.AugmentValues(e.P.Train, q)
+		m, err := e.exec.AugmentMatrix(context.Background(), e.P.Train, []query.Query{q})
+		if ent.err = err; err == nil {
+			ent.vals, ent.valid = m.Col(0)
+		}
 	})
 	if ent.err != nil {
 		e.mu.Lock()

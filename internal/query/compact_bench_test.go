@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"sync"
 	"syscall"
 	"testing"
@@ -10,12 +11,12 @@ import (
 	"repro/internal/datagen"
 )
 
-// compactBenchPool is the BENCH_10 workload: the BENCH_8 string-predicate
-// pool with half the aggregates switched to filtered COUNTs (the paper's
-// headline query shape — COUNT WHERE pred GROUP BY key), served from two
-// tables holding identical rows: one compact (dictionary codes are the
-// storage, no []string survives) and one raw (the PR 8 dict-on-demand
-// baseline). Seeds are fixed so snapshots are comparable across commits.
+// compactBenchPool is dictBenchPool's string-predicate pool with half the
+// aggregates switched to filtered COUNTs (the paper's headline query shape —
+// COUNT WHERE pred GROUP BY key), served from two tables holding identical
+// rows: one compact (dictionary codes are the storage, no []string survives)
+// and one raw (dictionaries built on demand next to resident strings). Seeds
+// are fixed so runs are comparable across commits.
 func compactBenchPool(tb testing.TB, nQueries, nRows int) (compact, raw *dataframe.Table, qs []Query) {
 	raw, qs = dictBenchPool(nQueries, nRows)
 	compact, _ = dictBenchPool(nQueries, nRows)
@@ -23,8 +24,8 @@ func compactBenchPool(tb testing.TB, nQueries, nRows int) (compact, raw *datafra
 		tb.Fatal("benchmark table did not compact")
 	}
 	// Scan-bound aggregates only: filtered COUNTs and numeric reductions.
-	// BENCH_8 already covers the string-aggregation mix; BENCH_10 measures
-	// the predicate/scan side the code kernels serve.
+	// BenchmarkStringPredHeavyDict already covers the string-aggregation mix;
+	// this pool measures the predicate/scan side the code kernels serve.
 	numAggs := []agg.Func{agg.Sum, agg.Avg, agg.Max, agg.Std}
 	for i := range qs {
 		if i%2 == 0 {
@@ -36,15 +37,16 @@ func compactBenchPool(tb testing.TB, nQueries, nRows int) (compact, raw *datafra
 	return compact, raw, qs
 }
 
-// BenchmarkStringHeavyCompact is the BENCH_10 headline: compact storage, a
-// cold executor per iteration. String equalities compare the columns' uint16
-// codes and filtered COUNTs come straight out of the plan's group counts.
+// BenchmarkStringHeavyCompact runs the pool over compact storage, a cold
+// executor per iteration, joined onto the table itself. String equalities
+// compare the columns' uint16 codes and filtered COUNTs come straight out of
+// the plan's group counts.
 func BenchmarkStringHeavyCompact(b *testing.B) {
 	compact, _, qs := compactBenchPool(b, 200, 2400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := NewExecutor(compact)
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), compact, qs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,14 +54,14 @@ func BenchmarkStringHeavyCompact(b *testing.B) {
 }
 
 // BenchmarkStringHeavyDictBaseline runs the same query mix against the raw
-// table through the PR 8 path (strings resident, dictionaries built on
-// demand) — the baseline the compact numbers are read against.
+// table (strings resident, dictionaries built on demand) — the baseline the
+// compact numbers are read against.
 func BenchmarkStringHeavyDictBaseline(b *testing.B) {
 	_, raw, qs := compactBenchPool(b, 200, 2400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := NewExecutor(raw)
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), raw, qs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +130,7 @@ func stringHeavyQueries() []Query {
 // is mem_reduction ≥ 2×.
 func BenchmarkStringHeavyMemBytes(b *testing.B) {
 	d := datagen.StringHeavy(datagen.Options{TrainRows: 20000, LogsPerKey: 20, Seed: 1})
-	compact := d.Relevant
+	compact, train := d.Relevant, d.Train
 	raw := rawRematerialized(b, compact)
 	rows := float64(compact.NumRows())
 	cBytes, _ := compact.MemBytes()
@@ -137,7 +139,7 @@ func BenchmarkStringHeavyMemBytes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := NewExecutor(compact)
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), train, qs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,15 +155,21 @@ func BenchmarkStringHeavyMemBytes(b *testing.B) {
 var (
 	stringHeavy10MOnce  sync.Once
 	stringHeavy10MTable *dataframe.Table
+	stringHeavy10MTrain *dataframe.Table
 )
 
 // BenchmarkStringHeavy10M runs the filtered-COUNT batch over the 10⁷-row
 // compact string-heavy log and reports resident bytes/row plus the process
-// peak RSS. Run with -benchtime=1x: one build, one measured batch.
+// peak RSS. Run with -benchtime=1x: one build, one measured batch, joined
+// onto the 250k-user training table. -short skips it: the build peaks at
+// about 2 GB of RSS.
 func BenchmarkStringHeavy10M(b *testing.B) {
+	if testing.Short() {
+		b.Skip("10⁷-row table: skipped under -short")
+	}
 	stringHeavy10MOnce.Do(func() {
 		d := datagen.StringHeavy(datagen.Options{TrainRows: 250000, LogsPerKey: 40, Seed: 1})
-		stringHeavy10MTable = d.Relevant
+		stringHeavy10MTable, stringHeavy10MTrain = d.Relevant, d.Train
 	})
 	tbl := stringHeavy10MTable
 	total, _ := tbl.MemBytes()
@@ -169,7 +177,7 @@ func BenchmarkStringHeavy10M(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := NewExecutor(tbl)
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), stringHeavy10MTrain, qs); err != nil {
 			b.Fatal(err)
 		}
 	}

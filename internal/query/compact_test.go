@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -23,7 +24,7 @@ func compacted(t *testing.T, tbl *dataframe.Table) *dataframe.Table {
 
 // TestDifferentialCompactStrings is the compact-storage contract: a table
 // whose string columns are code-backed (no []string), queried through the
-// code kernels, must match Query.Execute over the raw table bit for bit —
+// code kernels, must match the oracle over the raw table bit for bit —
 // across mixed and NULL-heavy tables and morsel sizes {1, 7}.
 func TestDifferentialCompactStrings(t *testing.T) {
 	builders := map[string]func(int, int64) *dataframe.Table{
@@ -41,7 +42,7 @@ func TestDifferentialCompactStrings(t *testing.T) {
 				Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k2"},
 					Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "a"}}},
 			)
-			want := oracleBatch(t, build(500, 102), qs, "feature")
+			raw := build(500, 102)
 			for _, morsel := range []int{1, 7, 0} {
 				tbl := compacted(t, build(500, 102))
 				opts := []ExecutorOption{}
@@ -49,14 +50,8 @@ func TestDifferentialCompactStrings(t *testing.T) {
 					opts = append(opts, withMorselRows(morsel))
 				}
 				e := NewExecutor(tbl, opts...)
-				got, err := e.ExecuteBatch(qs, "feature")
-				if err != nil {
-					t.Fatal(err)
-				}
 				label := fmt.Sprintf("morsel=%d", morsel)
-				for i, q := range qs {
-					sameTable(t, label+" "+q.SQL("r"), got[i], want[i])
-				}
+				checkGroups(t, label, e, qs, raw)
 				// In-domain work must leave the columns compact.
 				for _, cn := range []string{"k2", "cat"} {
 					if !tbl.Column(cn).IsCompact() {
@@ -74,7 +69,7 @@ func TestDifferentialCompactStrings(t *testing.T) {
 // TestDifferentialCompactDelta sweeps the PR 9 append modes over a COMPACT
 // base table: in-domain deltas keep the columns compact; a dict-shifting or
 // cap-crossing delta rematerialises the strings first and then follows the
-// raw fallback — in every case results must equal Query.Execute over the
+// raw fallback — in every case results must equal the oracle over the
 // concatenated raw rows.
 func TestDifferentialCompactDelta(t *testing.T) {
 	scenarios := []struct {
@@ -100,18 +95,11 @@ func TestDifferentialCompactDelta(t *testing.T) {
 			parts := []*dataframe.Table{deltaTable(nBase, seed)}
 
 			check := func(round string) {
-				got, err := exDelta.ExecuteBatch(qs, "feature")
-				if err != nil {
-					t.Fatalf("%s: %v", round, err)
-				}
 				ref, err := dataframe.Concat(parts...)
 				if err != nil {
 					t.Fatalf("%s: %v", round, err)
 				}
-				want := oracleBatch(t, ref, qs, "feature")
-				for i, q := range qs {
-					sameTable(t, fmt.Sprintf("%s %s", round, q.SQL("r")), got[i], want[i])
-				}
+				checkGroups(t, round, exDelta, qs, ref)
 			}
 
 			check("cold")
@@ -148,8 +136,7 @@ func TestDifferentialCompactSharded(t *testing.T) {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			r := compacted(t, largeRandomTable(400, 130))
 			parts := interleavedParts(r.NumRows(), k)
-			gotV := make([][][]float64, len(parts))
-			gotOK := make([][][]bool, len(parts))
+			ms := make([]*FeatureMatrix, len(parts))
 			errs := make([]error, len(parts))
 			var wg sync.WaitGroup
 			for i, rows := range parts {
@@ -160,7 +147,7 @@ func TestDifferentialCompactSharded(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					gotV[i], gotOK[i], errs[i] = NewExecutor(part).AugmentValuesBatch(d, qs)
+					ms[i], errs[i] = NewExecutor(part).AugmentMatrix(context.Background(), d, qs)
 				}(i)
 			}
 			wg.Wait()
@@ -171,9 +158,10 @@ func TestDifferentialCompactSharded(t *testing.T) {
 				}
 				ref := raw.Take(rows)
 				for qi, q := range qs {
+					gotV, gotOK := ms[i].Col(qi)
 					wantV, wantOK := oracleFeature(t, q, d, ref)
 					sameFeature(t, fmt.Sprintf("k=%d part %d %s", k, i, q.SQL("r")),
-						gotV[i][qi], wantV, gotOK[i][qi], wantOK)
+						gotV, wantV, gotOK, wantOK)
 				}
 			}
 		})
@@ -182,8 +170,8 @@ func TestDifferentialCompactSharded(t *testing.T) {
 
 // TestDifferentialCompactConcat checks query results over spliced compact
 // tables: concatenating compact parts sharing one domain keeps the output
-// compact (code-splice fast path) and queries over it must match
-// Query.Execute over the raw concatenation of the same rows.
+// compact (code-splice fast path) and queries over it must match the oracle
+// over the raw concatenation of the same rows.
 func TestDifferentialCompactConcat(t *testing.T) {
 	partsRaw := []*dataframe.Table{
 		largeRandomTable(300, 140),
@@ -210,14 +198,7 @@ func TestDifferentialCompactConcat(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(143))
 	qs := randomPool(rng, 80)
-	want := oracleBatch(t, refTbl, qs, "feature")
-	got, err := NewExecutor(gotTbl).ExecuteBatch(qs, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range qs {
-		sameTable(t, q.SQL("r"), got[i], want[i])
-	}
+	checkGroups(t, "concat", NewExecutor(gotTbl), qs, refTbl)
 }
 
 // TestCompactStatsGolden pins the counters on fixed workloads so the
@@ -232,7 +213,7 @@ func TestCompactStatsGolden(t *testing.T) {
 			Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "b"}}},
 	}
 	e := NewExecutor(compacted(t, largeRandomTable(300, 91)))
-	if _, err := e.ExecuteBatch(qs, "feature"); err != nil {
+	if _, err := e.AugmentMatrix(context.Background(), e.Table(), qs); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -244,19 +225,11 @@ func TestCompactStatsGolden(t *testing.T) {
 	}
 
 	// A single-query COUNT is a batch of one: served from the plan's group
-	// counts (CountOnlyQueries), and identical to the Query.Execute oracle.
+	// counts (CountOnlyQueries), and identical to the oracle.
 	cq := Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k1"},
 		Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "c"}}}
-	got, err := e.Execute(cq, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkGroups(t, "count", e, []Query{cq}, largeRandomTable(300, 91))
 	if n := e.Stats().CountOnlyQueries; n != 2 {
 		t.Errorf("CountOnlyQueries = %d, want 2", n)
 	}
-	want, err := cq.Execute(largeRandomTable(300, 91), "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTable(t, cq.SQL("r"), got, want)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // TestExecutorConcurrentUse drives one shared Executor from many goroutines
-// — mixed single-query and batch entry points over a shared query pool — so
+// — whole batches and batches of one over a shared query pool — so
 // the race detector can see the group-index, predicate-bitmap and join-index
 // caches under contention. Results are cross-checked against a sequential
 // baseline executor.
@@ -44,11 +45,11 @@ func TestExecutorConcurrentUse(t *testing.T) {
 	baseVals := make([][]float64, len(pool))
 	baseValid := make([][]bool, len(pool))
 	for i, q := range pool {
-		v, ok, err := base.AugmentValues(d, q)
+		m, err := base.AugmentMatrix(context.Background(), d, []Query{q})
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseVals[i], baseValid[i] = v, ok
+		baseVals[i], baseValid[i] = m.Col(0)
 	}
 
 	shared := NewExecutor(r)
@@ -62,14 +63,15 @@ func TestExecutorConcurrentUse(t *testing.T) {
 			// Even workers run batches, odd workers hammer single queries,
 			// all through the same caches.
 			if w%2 == 0 {
-				vals, valid, err := shared.AugmentValuesBatch(d, pool)
+				m, err := shared.AugmentMatrix(context.Background(), d, pool)
 				if err != nil {
 					errs[w] = err
 					return
 				}
 				for i := range pool {
-					for row := range vals[i] {
-						if vals[i][row] != baseVals[i][row] || valid[i][row] != baseValid[i][row] {
+					vals, valid := m.Col(i)
+					for row := range vals {
+						if vals[row] != baseVals[i][row] || valid[row] != baseValid[i][row] {
 							t.Errorf("worker %d query %d row %d diverged", w, i, row)
 							return
 						}
@@ -77,11 +79,12 @@ func TestExecutorConcurrentUse(t *testing.T) {
 				}
 			} else {
 				for i := w; i < len(pool); i += 3 {
-					v, ok, err := shared.AugmentValues(d, pool[i])
+					m, err := shared.AugmentMatrix(context.Background(), d, pool[i:i+1])
 					if err != nil {
 						errs[w] = err
 						return
 					}
+					v, ok := m.Col(0)
 					for row := range v {
 						if v[row] != baseVals[i][row] || ok[row] != baseValid[i][row] {
 							t.Errorf("worker %d query %d row %d diverged", w, i, row)
@@ -168,14 +171,8 @@ func TestExecutorBatchCancellation(t *testing.T) {
 	ex := NewExecutor(r)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ex.AugmentValuesBatchContext(ctx, d, qs); !errors.Is(err, context.Canceled) {
+	if _, err := ex.AugmentMatrix(ctx, d, qs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if _, err := ex.ExecuteBatchContext(ctx, qs, "f"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("execute err = %v, want context.Canceled", err)
-	}
-	if _, err := ex.AugmentBatchContext(ctx, d, qs, "f"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("augment err = %v, want context.Canceled", err)
 	}
 }
 
@@ -191,10 +188,11 @@ func TestJoinIndexCacheBounded(t *testing.T) {
 	q := Query{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"}}
 	augment := func(d *dataframe.Table) {
 		t.Helper()
-		v, ok, err := ex.AugmentValues(d, q)
+		m, err := ex.AugmentMatrix(context.Background(), d, []Query{q})
 		if err != nil {
 			t.Fatal(err)
 		}
+		v, ok := m.Col(0)
 		wantV, wantOK := oracleFeature(t, q, d, r)
 		sameFeature(t, "join pass", v, wantV, ok, wantOK)
 	}
@@ -224,5 +222,50 @@ func TestJoinIndexCacheBounded(t *testing.T) {
 		if got := after.JoinHits - before.JoinHits; got != 1 {
 			t.Fatalf("switch %d: %d join hits on the repeat pass, want 1", i, got)
 		}
+	}
+}
+
+// TestJoinIndexTrainingTableGrows appends rows to a training table between two
+// passes — a separate table, and the relevant table joined onto itself — and
+// requires the second pass to join the grown table afresh, every column equal
+// to Query.Augment over it (checkPrepared). A join entry reused after its
+// training table grew (it hit on the table alone) sized the pass by its stale
+// row map and panicked.
+func TestJoinIndexTrainingTableGrows(t *testing.T) {
+	for _, self := range []bool{false, true} {
+		name := "separate"
+		if self {
+			name = "self"
+		}
+		t.Run(name, func(t *testing.T) {
+			r := deltaTable(200, 61)
+			qs := preparedPool(t, r, 8, 62)
+			d := preparedTrain()
+			grow := dataframe.MustNewTable(
+				dataframe.NewIntColumn("k1", []int64{3, 104, 7, 999}, nil),
+				dataframe.NewStringColumn("k2", []string{"a", "b", "c", "a"}, nil),
+			)
+			if self {
+				d, grow = r, deltaRows(40, 63, "newgroups")
+			}
+			ex := NewExecutor(r)
+			p, err := ex.Prepare(qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPrepared(t, "before", p, qs, d, []*dataframe.Table{r})
+			misses := ex.Stats().JoinMisses
+			if _, _, err := Append(d, grow); err != nil {
+				t.Fatal(err)
+			}
+			checkPrepared(t, "after", p, qs, d, []*dataframe.Table{r})
+			keySets := map[string]bool{}
+			for _, q := range qs {
+				keySets[strings.Join(q.Keys, ",")] = true
+			}
+			if got := ex.Stats().JoinMisses - misses; got != int64(len(keySets)) {
+				t.Errorf("pass over the grown table: %d join misses, want %d (one per key set)", got, len(keySets))
+			}
+		})
 	}
 }

@@ -67,9 +67,10 @@ func orderStatsPool(attrs []string) []Query {
 }
 
 // TestDifferentialCountingSort requires every order-statistics aggregate to
-// match Query.Execute bit for bit, both on the small-int, categorical and
-// bool domains the counting path serves and on the float, wide-range and
-// huge-magnitude domains the probe rejects (the comparison sort).
+// match the oracle bit for bit (checkGroups), both on the small-int,
+// categorical and bool domains the counting path serves and on the float,
+// wide-range and huge-magnitude domains the probe rejects (the comparison
+// sort).
 func TestDifferentialCountingSort(t *testing.T) {
 	r := lowCardTable(600, 201)
 	for _, tc := range []struct {
@@ -81,14 +82,7 @@ func TestDifferentialCountingSort(t *testing.T) {
 	} {
 		qs := orderStatsPool(tc.attrs)
 		ex := NewExecutor(r)
-		got, err := ex.ExecuteBatch(qs, "f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := oracleBatch(t, r, qs, "f")
-		for i, q := range qs {
-			sameTable(t, q.SQL("r"), got[i], want[i])
-		}
+		checkGroups(t, "batch", ex, qs, r)
 		if n := ex.Stats().CountingScans; (n > 0) != tc.counting {
 			t.Errorf("%v: CountingScans = %d, want counting path %v", tc.attrs, n, tc.counting)
 		}
@@ -135,14 +129,7 @@ func TestCountingSortMixedWithStreaming(t *testing.T) {
 		qs = append(qs, Query{Agg: fn, AggAttr: "code", Keys: []string{"k1"}})
 	}
 	ex := NewExecutor(r)
-	got, err := ex.ExecuteBatch(qs, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracleBatch(t, r, qs, "f")
-	for i, q := range qs {
-		sameTable(t, q.SQL("r"), got[i], want[i])
-	}
+	checkGroups(t, "batch", ex, qs, r)
 	if ex.Stats().CountingScans == 0 {
 		t.Error("code attribute's sorted runs never took the counting path")
 	}

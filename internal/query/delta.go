@@ -338,9 +338,8 @@ func (e *Executor) advancePlan(ent *planEntry) (int64, bool) {
 		gid := rowGID[i]
 		li := ent.local[gid]
 		if li == 0 {
-			ent.repr = append(ent.repr, i)
 			ent.counts = append(ent.counts, 0)
-			li = len(ent.repr)
+			li = len(ent.counts)
 			ent.local[gid] = li
 		}
 		ent.counts[li-1]++
@@ -374,9 +373,9 @@ func (e *Executor) advancePlan(ent *planEntry) (int64, bool) {
 
 // advanceJoin re-resolves the training rows that had no relevant-side match
 // through the (extended) relevant index: the delta may have created their
-// group. Existing matches never change — appends never renumber groups, and
-// the training table itself is frozen from this executor's perspective.
-// Caller holds the fence in write mode.
+// group. Existing matches never change — appends never renumber groups. Rows
+// appended to the training table itself are not covered: joinIndex joins a
+// grown training table afresh. Caller holds the fence in write mode.
 func (e *Executor) advanceJoin(ent *joinEntry) {
 	if ent.err != nil {
 		return
@@ -493,7 +492,7 @@ func (pe *planEntry) retain(scanned []*attrScan) {
 	next := make(map[string]*attrState, len(old)+len(scanned))
 	maps.Copy(next, old)
 	for _, as := range scanned {
-		next[as.col.Name()] = captureAttrState(as, len(pe.repr))
+		next[as.col.Name()] = captureAttrState(as, len(pe.counts))
 	}
 	pe.aggs.Store(&next)
 }
@@ -544,7 +543,7 @@ func (st *attrState) advance(e *Executor, pe *planEntry, attr string, delta []in
 	if col == nil {
 		return false
 	}
-	ngroups := len(pe.repr)
+	ngroups := len(pe.counts)
 	local, rowGID := pe.local, pe.gi.RowGroups()
 	valid := col.ValidData()
 

@@ -1,18 +1,19 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/datagen"
 )
 
-// The append-then-query workload behind BENCH_9.json: a clickstream relevant
-// table of ≥200k rows absorbing 512-row appends (well inside one 4096-row
-// morsel), each followed by a warm batch of streaming-friendly per-user
-// aggregates plus a couple of sorted ones. The executor advances its caches
-// over the 512 new rows. perfbench's ingest-clickstream workload measures the
-// same shape end to end, behind loopback HTTP.
+// The append-then-query workload: a clickstream relevant table of ≥200k rows
+// absorbing 512-row appends (well inside one 4096-row morsel), each followed
+// by a warm batch of streaming-friendly per-user aggregates plus a couple of
+// sorted ones, joined onto the ~10k-user training table. The executor
+// advances its caches over the 512 new rows. perfbench's ingest-clickstream
+// workload measures the same shape end to end, behind loopback HTTP.
 const deltaBenchAppendRows = 512
 
 func deltaBenchStream() *datagen.Clickstream {
@@ -56,7 +57,7 @@ func BenchmarkAppendThenQueryDelta(b *testing.B) {
 	cs := deltaBenchStream()
 	qs := deltaBenchQueries()
 	ex := NewExecutor(cs.Relevant)
-	if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
+	if _, err := ex.AugmentMatrix(context.Background(), cs.Train, qs); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -68,7 +69,7 @@ func BenchmarkAppendThenQueryDelta(b *testing.B) {
 		if _, _, err := Append(ex.Table(), batch); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), cs.Train, qs); err != nil {
 			b.Fatal(err)
 		}
 	}

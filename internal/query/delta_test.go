@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -144,7 +145,7 @@ func TestDeltaDifferential(t *testing.T) {
 			parts := []*dataframe.Table{deltaTable(nBase, seed)}
 
 			check := func(round string) {
-				got, err := exDelta.ExecuteBatch(qs, "feature")
+				got, err := exDelta.AugmentMatrix(context.Background(), exDelta.Table(), qs)
 				if err != nil {
 					t.Fatalf("%s: delta: %v", round, err)
 				}
@@ -152,13 +153,11 @@ func TestDeltaDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", round, err)
 				}
-				fresh, err := NewExecutor(ref, withMorselRows(64)).ExecuteBatch(qs, "feature")
+				fresh, err := NewExecutor(ref, withMorselRows(64)).AugmentMatrix(context.Background(), ref, qs)
 				if err != nil {
 					t.Fatalf("%s: fresh: %v", round, err)
 				}
-				for i, q := range qs {
-					sameTable(t, fmt.Sprintf("%s delta-vs-fresh %s", round, q.SQL("r")), got[i], fresh[i])
-				}
+				sameMatrix(t, round+" delta-vs-fresh", got, fresh, qs)
 			}
 
 			check("cold")
@@ -204,7 +203,7 @@ func TestDeltaAugmentDifferential(t *testing.T) {
 	)
 	ex := NewExecutor(deltaTable(nBase, seed), withMorselRows(64))
 	parts := []*dataframe.Table{deltaTable(nBase, seed)}
-	if _, _, err := ex.AugmentValuesBatch(d, qs); err != nil {
+	if _, err := ex.AugmentMatrix(context.Background(), d, qs); err != nil {
 		t.Fatal(err) // warm the caches pre-append
 	}
 	for bi, mode := range []string{"mixed", "newgroups", "nulls"} {
@@ -213,7 +212,7 @@ func TestDeltaAugmentDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		parts = append(parts, deltaRows(40, bseed, mode))
-		vals, valid, err := ex.AugmentValuesBatch(d, qs)
+		got, err := ex.AugmentMatrix(context.Background(), d, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,25 +220,19 @@ func TestDeltaAugmentDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wvals, wvalid, err := NewExecutor(ref, withMorselRows(64)).AugmentValuesBatch(d, qs)
+		fresh, err := NewExecutor(ref, withMorselRows(64)).AugmentMatrix(context.Background(), d, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range qs {
-			for row := range wvals[i] {
-				if valid[i][row] != wvalid[i][row] || vals[i][row] != wvals[i][row] {
-					t.Fatalf("append %d: %s row %d = (%v, %v), fresh (%v, %v)",
-						bi, qs[i].SQL("r"), row, vals[i][row], valid[i][row], wvals[i][row], wvalid[i][row])
-				}
-			}
-		}
+		sameMatrix(t, fmt.Sprintf("append %d", bi), got, fresh, qs)
 	}
 }
 
 // TestDeltaShardedDifferential routes appends to interleaved partitions of
 // one table — batch row i lands on partition (table row index mod k) — and
-// requires every partition's executor to match the Query.Execute oracle over
-// the partition's grown rows, for k in {1, 3}.
+// requires every partition's executor, joined onto its own partition
+// (checkGroups), to match the Query.Augment oracle over the partition's grown
+// rows, for k in {1, 3}.
 func TestDeltaShardedDifferential(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		k := k
@@ -258,18 +251,11 @@ func TestDeltaShardedDifferential(t *testing.T) {
 
 			check := func(round string) {
 				for j, ex := range exs {
-					got, err := ex.ExecuteBatch(qs, "feature")
-					if err != nil {
-						t.Fatalf("%s: part %d: %v", round, j, err)
-					}
 					ref, err := dataframe.Concat(pieces[j]...)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := oracleBatch(t, ref, qs, "feature")
-					for i, q := range qs {
-						sameTable(t, fmt.Sprintf("%s part %d %s", round, j, q.SQL("r")), got[i], want[i])
-					}
+					checkGroups(t, fmt.Sprintf("%s part %d", round, j), ex, qs, ref)
 				}
 			}
 
@@ -307,7 +293,7 @@ func TestDeltaStatsGolden(t *testing.T) {
 		{Agg: agg.Median, AggAttr: "x", Keys: []string{"k1"}},
 	}
 	ex := NewExecutor(deltaTable(256, 3), withMorselRows(64))
-	if _, err := ex.ExecuteBatch(qs, "f"); err != nil {
+	if _, err := ex.AugmentMatrix(context.Background(), ex.Table(), qs); err != nil {
 		t.Fatal(err)
 	}
 	cold := ex.Stats()
@@ -315,7 +301,7 @@ func TestDeltaStatsGolden(t *testing.T) {
 		t.Fatalf("cold delta counters = %d/%d/%d, want 0/0/0",
 			cold.DeltaAppends, cold.DeltaRowsScanned, cold.FullRebuilds)
 	}
-	if _, err := ex.ExecuteBatch(qs, "f"); err != nil {
+	if _, err := ex.AugmentMatrix(context.Background(), ex.Table(), qs); err != nil {
 		t.Fatal(err)
 	}
 	warm := ex.Stats()
@@ -326,7 +312,7 @@ func TestDeltaStatsGolden(t *testing.T) {
 	if _, _, err := Append(ex.Table(), deltaRows(5, 99, "mixed")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.ExecuteBatch(qs, "f"); err != nil {
+	if _, err := ex.AugmentMatrix(context.Background(), ex.Table(), qs); err != nil {
 		t.Fatal(err)
 	}
 	s := ex.Stats()
@@ -358,7 +344,7 @@ func TestDeltaStatsGolden(t *testing.T) {
 	}
 	shiftQs := []Query{catQuery(agg.Sum, "b"), catQuery(agg.Median, "b")}
 	exS := NewExecutor(deltaTable(256, 3), withMorselRows(64))
-	if _, err := exS.ExecuteBatch(shiftQs, "f"); err != nil {
+	if _, err := exS.AugmentMatrix(context.Background(), exS.Table(), shiftQs); err != nil {
 		t.Fatal(err)
 	}
 	before := exS.Stats()
@@ -366,10 +352,11 @@ func TestDeltaStatsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	shiftQs = append(shiftQs, catQuery(agg.Sum, "a0"), catQuery(agg.Median, "a0"))
-	got, err := exS.ExecuteBatch(shiftQs, "f")
+	ref, err := dataframe.Concat(deltaTable(256, 3), deltaRows(1, 99, "dictshift"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGroups(t, "dict-shift", exS, shiftQs, ref)
 	ss := exS.Stats()
 	if ss.DeltaAppends != 1 || ss.FullRebuilds != 1 {
 		t.Errorf("dict-shift DeltaAppends/FullRebuilds = %d/%d, want 1/1", ss.DeltaAppends, ss.FullRebuilds)
@@ -378,21 +365,13 @@ func TestDeltaStatsGolden(t *testing.T) {
 		t.Errorf("dict-shift plans %d/%d -> %d/%d (hit/miss), want both plans discovered afresh",
 			before.PlanHits, before.PlanMisses, ss.PlanHits, ss.PlanMisses)
 	}
-	ref, err := dataframe.Concat(deltaTable(256, 3), deltaRows(1, 99, "dictshift"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracleBatch(t, ref, shiftQs, "f")
-	for i, q := range shiftQs {
-		sameTable(t, "dict-shift "+q.SQL("r"), got[i], want[i])
-	}
 }
 
 // TestConcurrentAppendsVsScans races appends against in-flight shared scans:
 // two executors over one table (so one core) run batches while the table
 // grows underneath them through the epoch fence. Run under -race this is the
-// fence's regression test; results after the dust settles must match a fresh
-// executor over the final rows.
+// fence's regression test; results after the dust settles must match the
+// Query.Augment oracle over the final rows.
 func TestConcurrentAppendsVsScans(t *testing.T) {
 	const nBase = 500
 	seed := int64(11)
@@ -414,7 +393,7 @@ func TestConcurrentAppendsVsScans(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := ex.ExecuteBatch(qs, "f"); err != nil {
+				if _, err := ex.AugmentMatrix(context.Background(), ex.Table(), qs); err != nil {
 					t.Errorf("concurrent batch: %v", err)
 					return
 				}
@@ -439,18 +418,8 @@ func TestConcurrentAppendsVsScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewExecutor(ref).ExecuteBatch(qs, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, ex := range []*Executor{ex1, ex2} {
-		got, err := ex.ExecuteBatch(qs, "feature")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range qs {
-			sameTable(t, "settled "+q.SQL("r"), got[i], want[i])
-		}
+		checkGroups(t, "settled", ex, qs, ref)
 	}
 }
 

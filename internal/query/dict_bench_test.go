@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,12 +10,12 @@ import (
 	"repro/internal/dataframe"
 )
 
-// dictBenchPool is the string-predicate-heavy workload behind BENCH_8.json:
-// categorical columns at cardinality 8 / 50 / 300, every WHERE mask carrying
-// at least one string equality, string group keys (single and composite), and
-// an agg mix of order statistics over strings plus Sum/Avg over floats — the
-// shape where dictionary codes replace the most string hashing and comparing.
-// Seeds are fixed so runs are comparable across commits.
+// dictBenchPool is the string-predicate-heavy workload: categorical columns
+// at cardinality 8 / 50 / 300, every WHERE mask carrying at least one string
+// equality, string group keys (single and composite), and an agg mix of order
+// statistics over strings plus Sum/Avg over floats — the shape where
+// dictionary codes replace the most string hashing and comparing. Seeds are
+// fixed so runs are comparable across commits.
 func dictBenchPool(nQueries, nRows int) (*dataframe.Table, []Query) {
 	rng := rand.New(rand.NewSource(201))
 	k1 := make([]int64, nRows)
@@ -70,14 +71,15 @@ func dictBenchPool(nQueries, nRows int) (*dataframe.Table, []Query) {
 }
 
 // BenchmarkStringPredHeavyDict measures the dictionary-encoded hot path on a
-// cold executor each iteration: group builds walk dense code tables and every
-// string equality resolves through the branch-free code kernels.
+// cold executor each iteration, joined onto the relevant table itself: group
+// builds walk dense code tables and every string equality resolves through
+// the branch-free code kernels.
 func BenchmarkStringPredHeavyDict(b *testing.B) {
 	r, qs := dictBenchPool(200, 2400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := NewExecutor(r)
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), r, qs); err != nil {
 			b.Fatal(err)
 		}
 	}

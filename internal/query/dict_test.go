@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -78,22 +79,9 @@ func TestDifferentialDictEncoding(t *testing.T) {
 			)
 			// Executors over a clone start from a cold core of their own.
 			enc := NewExecutor(r.Clone())
-			got, err := enc.ExecuteBatch(qs, "feature")
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := oracleBatch(t, r, qs, "feature")
-			for i, q := range qs {
-				sameTable(t, q.SQL("r"), got[i], want[i])
-			}
+			checkGroups(t, "cold", enc, qs, r)
 			// A warm batch reuses cached plans and must still match.
-			again, err := enc.ExecuteBatch(qs, "feature")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, q := range qs {
-				sameTable(t, "warm "+q.SQL("r"), again[i], want[i])
-			}
+			checkGroups(t, "warm", enc, qs, r)
 			if name == "mixed" {
 				if st := enc.Stats(); st.DictEncodes == 0 || st.CodePredScans == 0 {
 					t.Errorf("encoded executor never used the code kernels: %+v", st)
@@ -114,14 +102,7 @@ func TestDifferentialDictEncoding(t *testing.T) {
 						Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "a"}}},
 				}
 				ex := NewExecutor(r.Clone())
-				got, err := ex.ExecuteBatch(catQs, "feature")
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := oracleBatch(t, r, catQs, "feature")
-				for i, q := range catQs {
-					sameTable(t, q.SQL("r"), got[i], want[i])
-				}
+				checkGroups(t, "highcard", ex, catQs, r)
 				if st := ex.Stats(); st.CodePredScans != 0 || st.PredMisses != 2 {
 					t.Errorf("highcard cat predicates: CodePredScans/PredMisses = %d/%d, want 0/2",
 						st.CodePredScans, st.PredMisses)
@@ -150,8 +131,7 @@ func TestDifferentialDictSharded(t *testing.T) {
 					"interleave": interleavedParts(r.NumRows(), k),
 				} {
 					tables := make([]*dataframe.Table, len(parts))
-					gotV := make([][][]float64, len(parts))
-					gotOK := make([][][]bool, len(parts))
+					ms := make([]*FeatureMatrix, len(parts))
 					errs := make([]error, len(parts))
 					var wg sync.WaitGroup
 					for i, rows := range parts {
@@ -159,7 +139,7 @@ func TestDifferentialDictSharded(t *testing.T) {
 						wg.Add(1)
 						go func(i int) {
 							defer wg.Done()
-							gotV[i], gotOK[i], errs[i] = NewExecutor(tables[i]).AugmentValuesBatch(d, qs)
+							ms[i], errs[i] = NewExecutor(tables[i]).AugmentMatrix(context.Background(), d, qs)
 						}(i)
 					}
 					wg.Wait()
@@ -168,9 +148,10 @@ func TestDifferentialDictSharded(t *testing.T) {
 							t.Fatalf("k=%d %s part %d: %v", k, kind, i, errs[i])
 						}
 						for qi, q := range qs {
+							gotV, gotOK := ms[i].Col(qi)
 							wantV, wantOK := oracleFeature(t, q, d, part)
 							sameFeature(t, fmt.Sprintf("k=%d %s part %d %s", k, kind, i, q.SQL("r")),
-								gotV[i][qi], wantV, gotOK[i][qi], wantOK)
+								gotV, wantV, gotOK, wantOK)
 						}
 					}
 				}
@@ -193,7 +174,7 @@ func TestDictStatsGolden(t *testing.T) {
 			Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "b"}}},
 		{Agg: agg.Avg, AggAttr: "x", Keys: []string{"cat"}},
 	}
-	if _, err := e.ExecuteBatch(qs, "feature"); err != nil {
+	if _, err := e.AugmentMatrix(context.Background(), e.Table(), qs); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -207,7 +188,7 @@ func TestDictStatsGolden(t *testing.T) {
 		t.Errorf("DictHits = 0, want repeated lookups to hit the shared entry")
 	}
 	// The same batch warm: every dictionary lookup hits, no new code preds.
-	if _, err := e.ExecuteBatch(qs, "feature"); err != nil {
+	if _, err := e.AugmentMatrix(context.Background(), e.Table(), qs); err != nil {
 		t.Fatal(err)
 	}
 	st2 := e.Stats()
@@ -258,16 +239,9 @@ func TestPredKeyCanonical(t *testing.T) {
 		{Agg: agg.Count, AggAttr: "x", Keys: []string{"k1"}, Preds: []Predicate{pa}},
 		{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"}, Preds: []Predicate{paNoise}},
 	}
-	got, err := e.ExecuteBatch(qs, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The shared entry serves the correct rows.
+	checkGroups(t, "shared bitmap", e, qs, r)
 	if st := e.Stats(); st.CodePredScans != 1 {
 		t.Errorf("CodePredScans = %d, want 1 shared bitmap build", st.CodePredScans)
-	}
-	// And the shared entry serves the correct rows.
-	want := oracleBatch(t, r, qs, "feature")
-	for i, q := range qs {
-		sameTable(t, q.SQL("r"), got[i], want[i])
 	}
 }

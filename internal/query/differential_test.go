@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -127,58 +128,45 @@ func TestDifferentialExecutor(t *testing.T) {
 	}
 }
 
-// sameTable requires two result tables to be row-for-row identical: same
-// columns in order, same rows in order, same values and null flags.
-func sameTable(t *testing.T, label string, got, want *dataframe.Table) {
+// checkGroups runs qs through one AugmentMatrix pass of ex with the relevant
+// table itself as the training table: every row joins its own group, so each
+// query's column covers every non-empty group under its mask. Each column
+// must equal Query.Augment of its query over ref, which holds the relevant
+// table's rows (its concatenated parts, after appends).
+func checkGroups(t *testing.T, label string, ex *Executor, qs []Query, ref *dataframe.Table) {
 	t.Helper()
-	gn, wn := got.ColumnNames(), want.ColumnNames()
-	if len(gn) != len(wn) {
-		t.Fatalf("%s: %d columns vs %d", label, len(gn), len(wn))
+	d := ex.Table()
+	m, err := ex.AugmentMatrix(context.Background(), d, qs)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	for i := range gn {
-		if gn[i] != wn[i] {
-			t.Fatalf("%s: column %d = %q, want %q", label, i, gn[i], wn[i])
-		}
-	}
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("%s: %d rows vs %d", label, got.NumRows(), want.NumRows())
-	}
-	for _, name := range wn {
-		gc, wc := got.Column(name), want.Column(name)
-		for row := 0; row < want.NumRows(); row++ {
-			if gc.IsNull(row) != wc.IsNull(row) {
-				t.Fatalf("%s: %s[%d] null %v, want %v", label, name, row, gc.IsNull(row), wc.IsNull(row))
-			}
-			if gc.IsNull(row) {
-				continue
-			}
-			if gv, wv := gc.Value(row), wc.Value(row); gv != wv {
-				t.Fatalf("%s: %s[%d] = %v, want %v", label, name, row, gv, wv)
-			}
-		}
+	for i, q := range qs {
+		gv, gok := m.Col(i)
+		wv, wok := oracleFeature(t, q, d, ref)
+		sameFeature(t, label+" "+q.SQL("r"), gv, wv, gok, wok)
 	}
 }
 
-// oracleBatch evaluates every query of qs with Query.Execute over r: the one
-// reference the executor's fast paths are checked against.
-func oracleBatch(t *testing.T, r *dataframe.Table, qs []Query, featureName string) []*dataframe.Table {
+// sameMatrix requires two feature matrices to be bit-identical, column by
+// column; qs labels the columns.
+func sameMatrix(t *testing.T, label string, got, want *FeatureMatrix, qs []Query) {
 	t.Helper()
-	want := make([]*dataframe.Table, len(qs))
-	for i, q := range qs {
-		var err error
-		if want[i], err = q.Execute(r, featureName); err != nil {
-			t.Fatalf("oracle %s: %v", q.SQL("r"), err)
-		}
+	if got.NumRows() != want.NumRows() || got.NumFeatures() != want.NumFeatures() {
+		t.Fatalf("%s: %dx%d matrix, want %dx%d", label, got.NumRows(), got.NumFeatures(), want.NumRows(), want.NumFeatures())
 	}
-	return want
+	for i, q := range qs {
+		gv, gok := got.Col(i)
+		wv, wok := want.Col(i)
+		sameFeature(t, label+" "+q.SQL("r"), gv, wv, gok, wok)
+	}
 }
 
 // TestDifferentialBatchExecutor runs batches of random queries — spanning all
 // 15 aggregation functions, every predicate kind and random key subsets, over
 // several random tables, plus bound-less ranges on a float and a time column
 // and NaN bounds on a float, a time and an int column — through
-// Executor.ExecuteBatch and requires each result to be row-for-row
-// identical to the per-query Query.Execute path.
+// Executor.AugmentMatrix over the relevant table itself (checkGroups), cold
+// and warm, and requires every column to equal Query.Augment.
 func TestDifferentialBatchExecutor(t *testing.T) {
 	tpl := Template{
 		Funcs:     agg.All(),
@@ -227,31 +215,15 @@ func TestDifferentialBatchExecutor(t *testing.T) {
 					{Attr: attr, Kind: PredRange, HasLo: true, Lo: -10, HasHi: true, Hi: nan}}})
 		}
 		ex := NewExecutor(r)
-		batch, err := ex.ExecuteBatch(qs, "feature")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range qs {
-			want, err := q.Execute(r, "feature")
-			if err != nil {
-				t.Fatalf("%s: %v", q.SQL("r"), err)
-			}
-			sameTable(t, q.SQL("r"), batch[i], want)
-		}
+		checkGroups(t, "cold", ex, qs, r)
 		// The caches must be idempotent: a second batch over the same pool
 		// (now fully warm) returns identical results.
-		again, err := ex.ExecuteBatch(qs, "feature")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range qs {
-			sameTable(t, "warm "+q.SQL("r"), again[i], batch[i])
-		}
+		checkGroups(t, "warm", ex, qs, r)
 	}
 }
 
-// TestExecutorAugmentMatchesQueryAugment checks the join side: joining a
-// batch-executed feature onto a training table equals Query.Augment.
+// TestExecutorAugmentMatchesQueryAugment checks the join side: a lone query's
+// feature joined onto a training table equals Query.Augment.
 func TestExecutorAugmentMatchesQueryAugment(t *testing.T) {
 	r := largeRandomTable(300, 5)
 	// A training table keyed like the relevant table.
@@ -282,15 +254,13 @@ func TestExecutorAugmentMatchesQueryAugment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ex.Augment(d, q, "f")
+		m, err := ex.AugmentMatrix(context.Background(), d, []Query{q})
 		if err != nil {
 			t.Fatalf("%s: %v", q.SQL("r"), err)
 		}
-		want, err := q.Augment(d, r, "f")
-		if err != nil {
-			t.Fatalf("%s: %v", q.SQL("r"), err)
-		}
-		sameTable(t, q.SQL("r"), got, want)
+		gv, gok := m.Col(0)
+		wv, wok := oracleFeature(t, q, d, r)
+		sameFeature(t, q.SQL("r"), gv, wv, gok, wok)
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 //     intersected bitmap and the materialised matching-row list, so a
 //     cached mask never re-walks its bitmap;
 //   - a plan-group entry per (key-set, WHERE-mask) pair caching the
-//     group-discovery result (local / repr / counts), so any later query —
+//     group-discovery result (local / counts), so any later query —
 //     or whole batch — on the same plan group skips discovery entirely;
 //   - a prepared batch (Prepared) holding its plan groups, their static
 //     layouts and their plan entries across passes, so a fixed batch run
@@ -45,13 +45,14 @@ import (
 // between them. Scans walk the table morsel by morsel
 // (dataframe.MorselBounds), observing cancellation at every boundary.
 //
-// On top of the caches, every entry point runs fused: a batch is prepared,
-// then run — grouped by plan group, each group's aggregates streaming through
-// shared scans instead of one two-pass scan per query (see fused.go). The
-// single-query Execute, AugmentValues and Augment are batches of one, so the
-// search loop's one-candidate-at-a-time calls reuse plan groups and retained
-// aggregate state like any batch. All methods are safe for concurrent use; batches
-// evaluate on a bounded worker pool.
+// On top of the caches, every pass runs fused: a batch is prepared, then run
+// — grouped by plan group, each group's aggregates streaming through shared
+// scans instead of one two-pass scan per query (see fused.go) — and its
+// features land in one FeatureMatrix joined onto a training table, the
+// executor's only output. A lone query is a batch of one, so the search
+// loop's one-candidate-at-a-time calls reuse plan groups and retained
+// aggregate state like any batch. All methods are safe for concurrent use;
+// batches evaluate on a bounded worker pool.
 type Executor struct {
 	r          *dataframe.Table
 	core       *tableCore // r's scan-side caches, shared with every executor over r
@@ -253,8 +254,7 @@ type planEntry struct {
 	rows   []int      // matching rows in scan order; identity list when mask-free
 	segs   [][2]int   // morsel segments of rows (index ranges; see morselSegments)
 	local  []int      // gid -> local index + 1; 0 = group empty under the mask
-	repr   []int      // local -> representative (first matching) row
-	counts []int      // local -> total matching rows
+	counts []int      // local -> total matching rows; len = non-empty groups
 	nrows  int        // scan-table rows the discovery covers
 	err    error
 
@@ -730,11 +730,10 @@ func (e *Executor) countScan() {
 // plan returns the cached plan-group entry for (keys, preds), whose plan key
 // (groupBatch) is pk, running the group-discovery scan on first use: the
 // non-empty groups under the WHERE mask in first-seen order over the matching
-// rows (matching Query.Execute's output order), with total matching rows per
-// group. Later queries on the same plan group — from any batch — skip
-// straight to their value passes. The row list is pre-split into morsel
-// segments, the unit every downstream scan walks. A whole-map drop at the
-// bound raises the plan generation.
+// rows, with total matching rows per group. Later queries on the same plan
+// group — from any batch — skip straight to their value passes. The row list
+// is pre-split into morsel segments, the unit every downstream scan walks. A
+// whole-map drop at the bound raises the plan generation.
 func (e *Executor) plan(pk planKey, keys []string, preds []Predicate) (*planEntry, error) {
 	gi, err := e.groupIndex(pk.keys, keys)
 	if err != nil {
@@ -765,76 +764,26 @@ func (e *Executor) plan(pk planKey, keys []string, preds []Predicate) (*planEntr
 		e.countScan()
 		rowGID := gi.RowGroups()
 		local := make([]int, gi.NumGroups())
-		var repr, counts []int
+		var counts []int
 		for _, sg := range ent.segs {
 			e.noteMorsel()
 			for _, i := range ent.rows[sg[0]:sg[1]] {
 				gid := rowGID[i]
 				li := local[gid]
 				if li == 0 {
-					repr = append(repr, i)
 					counts = append(counts, 0)
-					li = len(repr)
+					li = len(counts)
 					local[gid] = li
 				}
 				counts[li-1]++
 			}
 		}
-		ent.local, ent.repr, ent.counts = local, repr, counts
+		ent.local, ent.counts = local, counts
 	})
 	return ent, ent.err
 }
 
-// execResult is the group-level outcome of one query: the group-key columns,
-// aggregate value and validity per non-empty group, in first-seen order over
-// the matching rows. Slices and columns are shared across the queries of one
-// plan group; they are read-only.
-type execResult struct {
-	keyCols []*dataframe.Column
-	vals    []float64
-	valid   []bool
-}
-
-// Execute evaluates one query against the executor's table, producing the
-// same result table as Query.Execute — one row per non-empty group, in
-// first-seen order over the matching rows — as a batch of one through the
-// fused path, so it shares plan groups and retained state with every batch.
-func (e *Executor) Execute(q Query, featureName string) (*dataframe.Table, error) {
-	res, err := e.ExecuteBatch([]Query{q}, featureName)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// resultTable materialises an execution result as a (keys..., feature) table.
-func resultTable(er execResult, featureName string) (*dataframe.Table, error) {
-	out := dataframe.MustNewTable()
-	for _, kc := range er.keyCols {
-		if err := out.AddColumn(kc); err != nil {
-			return nil, err
-		}
-	}
-	if featureName == "" {
-		featureName = "feature"
-	}
-	if err := out.AddColumn(dataframe.NewFloatColumn(featureName, er.vals, er.valid)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// takeKeyCols materialises the group-key columns of a result (one row per
-// non-empty group, representative-row values).
-func takeKeyCols(gi *dataframe.GroupIndex, repr []int) []*dataframe.Column {
-	cols := make([]*dataframe.Column, 0, len(gi.KeyColumns()))
-	for _, kc := range gi.KeyColumns() {
-		cols = append(cols, kc.Take(repr))
-	}
-	return cols
-}
-
-// joinEntry caches the training-table side of Augment's join for one
+// joinEntry caches the training-table side of a pass's join for one
 // (training table, key-set) pair: each training row's relevant-side group,
 // resolved through the relevant index's key map (GroupIndex.LookupRow) with
 // LeftJoin's key equality. With it, joining a query's feature onto the
@@ -844,6 +793,7 @@ func takeKeyCols(gi *dataframe.GroupIndex, repr []int) []*dataframe.Column {
 type joinEntry struct {
 	once   sync.Once
 	d      *dataframe.Table    // training table the entry joins
+	epoch  uint64              // d's epoch when the entry was built
 	id     string              // join key-set identity (for delta advances)
 	keys   []string            // join key-set
 	cols   []*dataframe.Column // d's key columns
@@ -859,16 +809,19 @@ type joinEntry struct {
 // for the training table it last joined: an evaluator joins its one training
 // table on every pass and always hits, while a served pass's request table,
 // which no later pass sees, replaces the entry instead of accumulating next
-// to it. A miss probes the relevant index once per row of d: O(rows(d)),
-// which the pass's scatter walks anyway.
+// to it. An entry hits only at the epoch of d it was built at: rows appended
+// to d since then have no entry, so a grown d is joined again. A miss probes
+// the relevant index once per row of d: O(rows(d)), which the pass's scatter
+// walks anyway.
 func (e *Executor) joinIndex(d *dataframe.Table, id string, keys []string) (*joinEntry, error) {
+	epoch := d.Epoch()
 	e.mu.Lock()
 	ent := e.joins[id]
-	if ent != nil && ent.d == d {
+	if ent != nil && ent.d == d && ent.epoch == epoch {
 		e.stats.JoinHits++
 	} else {
 		e.stats.JoinMisses++
-		ent = &joinEntry{d: d, id: id, keys: keys}
+		ent = &joinEntry{d: d, epoch: epoch, id: id, keys: keys}
 		e.joins[id] = ent
 	}
 	e.mu.Unlock()
@@ -892,20 +845,6 @@ func (e *Executor) joinIndex(d *dataframe.Table, id string, keys []string) (*joi
 		}
 	})
 	return ent, ent.err
-}
-
-// AugmentValues evaluates the query and returns its feature aligned with
-// d's rows (NULL on join miss, vals zeroed at NULL positions — the same
-// convention Column.Floats yields), without materialising the joined table.
-// This is the search loop's hot path: evaluators want the raw slices, not a
-// Table. It is AugmentValuesBatch over a batch of one; the returned slices
-// are views into that batch's one-column FeatureMatrix.
-func (e *Executor) AugmentValues(d *dataframe.Table, q Query) ([]float64, []bool, error) {
-	vals, valid, err := e.AugmentValuesBatch(d, []Query{q})
-	if err != nil {
-		return nil, nil, err
-	}
-	return vals[0], valid[0], nil
 }
 
 // scatterScratch holds a plan group's per-pass working set in the fused
@@ -933,149 +872,15 @@ func grab[T any](buf *[]T, n int) []T {
 
 var scatterPool = sync.Pool{New: func() interface{} { return &scatterScratch{} }}
 
-// Augment executes the query through the caches and left-joins the feature
-// onto the training table d, mirroring Query.Augment: every d row appears
-// exactly once, NULL on join miss, and the feature column is renamed with a
-// "_r" suffix if d already has a column of that name (LeftJoin's rule).
-func (e *Executor) Augment(d *dataframe.Table, q Query, featureName string) (*dataframe.Table, error) {
-	vals, valid, err := e.AugmentValues(d, q)
-	if err != nil {
-		return nil, err
-	}
-	return augmentedTable(d, featureName, vals, valid)
-}
-
-// augmentedTable appends one feature column to d's columns under LeftJoin's
-// renaming rule, sharing d's column storage.
-func augmentedTable(d *dataframe.Table, featureName string, vals []float64, valid []bool) (*dataframe.Table, error) {
-	if featureName == "" {
-		featureName = "feature"
-	}
-	if d.HasColumn(featureName) {
-		featureName += "_r"
-	}
-	out := dataframe.MustNewTable()
-	for _, c := range d.Columns() {
-		if err := out.AddColumn(c); err != nil {
-			return nil, err
-		}
-	}
-	if err := out.AddColumn(dataframe.NewFloatColumn(featureName, vals, valid)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ExecuteBatch evaluates a slice of candidate queries through the fused
-// shared-scan path (see fused.go), preserving result order. The first error
-// aborts the batch. Queries in a batch share group indexes, predicate
-// bitmaps and plan groups, so a pool of similar queries — the shape every
-// search procedure produces — pays the scan cost once per plan group instead
-// of once per query.
-func (e *Executor) ExecuteBatch(qs []Query, featureName string) ([]*dataframe.Table, error) {
-	return e.ExecuteBatchContext(context.Background(), qs, featureName)
-}
-
-// ExecuteBatchContext is ExecuteBatch under a context: plan groups not yet
-// started when the context is cancelled are skipped and the context error is
-// returned, so a long batch aborts after at most the in-flight scans.
-func (e *Executor) ExecuteBatchContext(ctx context.Context, qs []Query, featureName string) ([]*dataframe.Table, error) {
-	p, err := e.Prepare(qs)
-	if err != nil {
-		return nil, err
-	}
-	defer e.beginScan()()
-	ers, err := p.execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*dataframe.Table, len(qs))
-	for i, er := range ers {
-		res, err := resultTable(er, featureName)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", qs[i].SQL("R"), err)
-		}
-		results[i] = res
-	}
-	return results, nil
-}
-
-// AugmentBatch is ExecuteBatch followed by the left-join onto d, one result
-// table per query.
-func (e *Executor) AugmentBatch(d *dataframe.Table, qs []Query, featureName string) ([]*dataframe.Table, error) {
-	return e.AugmentBatchContext(context.Background(), d, qs, featureName)
-}
-
-// AugmentBatchContext is AugmentBatch under a context (see
-// ExecuteBatchContext for the cancellation contract).
-func (e *Executor) AugmentBatchContext(ctx context.Context, d *dataframe.Table, qs []Query, featureName string) ([]*dataframe.Table, error) {
-	vals, valid, err := e.AugmentValuesBatchContext(ctx, d, qs)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*dataframe.Table, len(qs))
-	for i := range qs {
-		res, err := augmentedTable(d, featureName, vals[i], valid[i])
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", qs[i].SQL("R"), err)
-		}
-		results[i] = res
-	}
-	return results, nil
-}
-
-// AugmentValuesBatch is AugmentValues over a slice of queries through the
-// fused path: per-query feature slices aligned with d's rows, in input order.
-// The returned slices are read-only views into one flat batch buffer (a
-// FeatureMatrix), so retaining any one of them keeps the whole batch's buffer
-// reachable; callers that keep a few columns of a large batch long-term
-// should copy them out.
-func (e *Executor) AugmentValuesBatch(d *dataframe.Table, qs []Query) ([][]float64, [][]bool, error) {
-	return e.AugmentValuesBatchContext(context.Background(), d, qs)
-}
-
-// validateJoinKeys checks every query's join keys against the training
-// table, shared by the batch augment entry points.
-func validateJoinKeys(d *dataframe.Table, qs []Query) error {
-	for _, q := range qs {
-		for _, k := range q.Keys {
-			if !d.HasColumn(k) {
-				return fmt.Errorf("%s: query: training table has no join key %q", q.SQL("R"), k)
-			}
-		}
-	}
-	return nil
-}
-
-// AugmentValuesBatchContext is AugmentValuesBatch under a context (see
-// ExecuteBatchContext for the cancellation contract).
-func (e *Executor) AugmentValuesBatchContext(ctx context.Context, d *dataframe.Table, qs []Query) ([][]float64, [][]bool, error) {
-	// Every column lands in one flat matrix and the caller gets per-query
-	// views into it — the same shared scatter as AugmentMatrix.
-	m, err := e.AugmentMatrixContext(ctx, d, qs)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals := make([][]float64, len(qs))
-	valid := make([][]bool, len(qs))
-	for i := range qs {
-		vals[i], valid[i] = m.Col(i)
-	}
-	return vals, valid, nil
-}
-
-// AugmentMatrix is AugmentValuesBatch with a columnar bulk output: every
-// query's feature lands in one flat column-major buffer (see FeatureMatrix)
-// instead of per-query slices, so downstream dataset assembly reads one
-// allocation.
-func (e *Executor) AugmentMatrix(d *dataframe.Table, qs []Query) (*FeatureMatrix, error) {
-	return e.AugmentMatrixContext(context.Background(), d, qs)
-}
-
-// AugmentMatrixContext is AugmentMatrix under a context (see
-// ExecuteBatchContext for the cancellation contract): a Prepare followed by
-// one pass.
-func (e *Executor) AugmentMatrixContext(ctx context.Context, d *dataframe.Table, qs []Query) (*FeatureMatrix, error) {
+// AugmentMatrix evaluates a batch of queries and left-joins every feature
+// onto training table d's rows, mirroring Query.Augment column by column:
+// NULL on join miss, vals zeroed at NULL positions (Column.Floats'
+// convention), one column per query in input order, all in one column-major
+// FeatureMatrix. It is a Prepare followed by one pass; a lone query is a
+// batch of one. Plan groups not yet started when ctx is cancelled are
+// skipped and the context error is returned, so a long batch aborts after at
+// most the in-flight scans.
+func (e *Executor) AugmentMatrix(ctx context.Context, d *dataframe.Table, qs []Query) (*FeatureMatrix, error) {
 	p, err := e.Prepare(qs)
 	if err != nil {
 		return nil, err
@@ -1084,12 +889,14 @@ func (e *Executor) AugmentMatrixContext(ctx context.Context, d *dataframe.Table,
 }
 
 // AugmentMatrix runs one pass of the prepared batch against training table
-// d: every query's feature, left-joined onto d's rows, in one column-major
-// FeatureMatrix (see Executor.AugmentMatrix). Cancellation follows
-// ExecuteBatchContext's contract.
+// d (see Executor.AugmentMatrix).
 func (p *Prepared) AugmentMatrix(ctx context.Context, d *dataframe.Table) (*FeatureMatrix, error) {
-	if err := validateJoinKeys(d, p.qs); err != nil {
-		return nil, err
+	for _, q := range p.qs {
+		for _, k := range q.Keys {
+			if !d.HasColumn(k) {
+				return nil, fmt.Errorf("%s: query: training table has no join key %q", q.SQL("R"), k)
+			}
+		}
 	}
 	defer p.e.beginScan()()
 	m := newFeatureMatrix(d.NumRows(), len(p.qs))

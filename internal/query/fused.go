@@ -53,9 +53,8 @@ package query
 // included, since predKey codes may have moved. A held entry stays valid
 // while its stamp is current because appends advance every entry of the plan
 // map in place, under the write fence that each pass excludes by holding the
-// read side. The one-shot entry points (ExecuteBatch, AugmentValuesBatch,
-// AugmentMatrix and everything riding them) are a Prepare followed by one
-// pass.
+// read side. The one-shot Executor.AugmentMatrix, and everything riding it,
+// is a Prepare followed by one pass.
 
 import (
 	"context"
@@ -272,40 +271,6 @@ func (p *Prepared) eachGroup(ctx context.Context, s *preparedSnap, current bool,
 	return nil
 }
 
-// execute evaluates the batch, fused by plan group, and returns one
-// execResult per query in input order. Each group's pairs fill one result
-// slab, pair by pair; queries sharing a plan group and agg pair share their
-// slab range (read-only), and every query of a plan group shares its key
-// columns, materialised once. Caller holds the read fence.
-func (p *Prepared) execute(ctx context.Context) ([]execResult, error) {
-	e := p.e
-	s, current := p.snapshot()
-	results := make([]execResult, len(p.qs))
-	// Every group of the plan is touched: results carry one row per
-	// non-empty group.
-	err := p.eachGroup(ctx, s, current, func(g *fusedGroup) error {
-		pe := g.pe
-		nt := len(pe.repr)
-		vals := make([]float64, len(g.order)*nt)
-		valid := make([]bool, len(g.order)*nt)
-		if err := e.runPlanGroup(ctx, g, pe, allGroups(nt), vals, valid); err != nil {
-			return err
-		}
-		keyCols := takeKeyCols(pe.gi, pe.repr)
-		for pi, slots := range g.slots {
-			lo, hi := pi*nt, (pi+1)*nt
-			for _, qi := range slots {
-				results[qi] = execResult{keyCols: keyCols, vals: vals[lo:hi:hi], valid: valid[lo:hi:hi]}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // checkBatch is the fused paths' cheap per-query validation, run up front so
 // plan groups can assume well-formed members and errors carry the offending
 // query's SQL. It reads only the table's schema, which appends never change.
@@ -319,16 +284,6 @@ func (e *Executor) checkBatch(qs []Query) error {
 		}
 	}
 	return nil
-}
-
-// allGroups lists local groups 0..n-1: the touched set of a caller that
-// wants every group of a plan.
-func allGroups(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // attrScan is the per-attribute state of a plan group's shared scans: the
@@ -404,10 +359,9 @@ func needsMoments(fn agg.Func) bool {
 // allocates nothing here and costs O(len(touched)) however many groups the
 // plan holds — and otherwise takes the scan branch: resolve the column and its
 // view, run the shared scans, extract, and retain the new state. Each group's
-// value is computed alone through the same helpers either way, so a touched
-// subset is bit-identical to the same groups of a full extraction.
-// ExecuteBatch touches every group, an augment only the groups its training
-// rows join. The context is observed between the per-attribute scans, so a
+// value is computed alone through the same helpers either way, so it does not
+// depend on which other groups the pass touches (those its training rows
+// join). The context is observed between the per-attribute scans, so a
 // batch that collapsed into one huge plan group still cancels promptly (the
 // per-worker check in the batch loop runs only once for such a batch).
 func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntry, touched []int, vals []float64, valid []bool) error {
@@ -495,7 +449,7 @@ func (e *Executor) scanAttr(ctx context.Context, pe *planEntry, a *attrPairs, st
 		as.needM4 = as.needM4 || st.hasM4
 		as.needBuf = as.needBuf || st.hasBuf
 	}
-	if ngroups := len(pe.repr); ngroups > 0 {
+	if ngroups := len(pe.counts); ngroups > 0 {
 		if as.needBuf {
 			if dom := e.domain(col); dom.ok {
 				as.dom = dom

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -45,29 +46,16 @@ func fusedBenchPool(nQueries, nRows int) (*dataframe.Table, *dataframe.Table, []
 	return r, d, qs
 }
 
-// BenchmarkExecuteBatchFused measures the fused shared-scan path on a cold
-// executor each iteration, so its throughput is pure scan sharing (plan-group
-// fusion), not cross-iteration cache warmth.
-func BenchmarkExecuteBatchFused(b *testing.B) {
-	r, _, qs := fusedBenchPool(200, 2400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(r)
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkAugmentValuesBatchFused measures the search loop's real hot path —
-// execute plus scatter onto the training table — through the fused engine.
-func BenchmarkAugmentValuesBatchFused(b *testing.B) {
+// BenchmarkAugmentMatrixFused measures the search loop's hot path — execute
+// plus scatter onto the training table — on a cold executor each iteration,
+// so its throughput is pure scan sharing (plan-group fusion), not
+// cross-iteration cache warmth.
+func BenchmarkAugmentMatrixFused(b *testing.B) {
 	r, d, qs := fusedBenchPool(200, 2400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := NewExecutor(r)
-		if _, _, err := ex.AugmentValuesBatch(d, qs); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), d, qs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -84,11 +85,12 @@ func nullHeavyTable(n int, seed int64) *dataframe.Table {
 	)
 }
 
-// TestDifferentialFusedExecuteBatch requires the fused batch path to be
-// row-for-row — and bit-for-bit — identical to the independent Query.Execute
-// oracle, cold and warm, across random mixed-template batches, all 15 agg
-// funcs, string/float/int/bool/time agg columns, and a NULL-heavy table.
-func TestDifferentialFusedExecuteBatch(t *testing.T) {
+// TestDifferentialFusedGroups requires the fused batch path, joined onto the
+// relevant table itself so every non-empty group is checked (checkGroups), to
+// be bit-for-bit identical to the independent Query.Augment oracle, cold and
+// warm, across random mixed-template batches, all 15 agg funcs,
+// string/float/int/bool/time agg columns, and a NULL-heavy table.
+func TestDifferentialFusedGroups(t *testing.T) {
 	tables := map[string]*dataframe.Table{
 		"mixed":     largeRandomTable(500, 11),
 		"nullheavy": nullHeavyTable(500, 12),
@@ -98,25 +100,9 @@ func TestDifferentialFusedExecuteBatch(t *testing.T) {
 			rng := rand.New(rand.NewSource(21))
 			qs := randomPool(rng, 200)
 			fused := NewExecutor(r)
-			got, err := fused.ExecuteBatch(qs, "feature")
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make([]*dataframe.Table, len(qs))
-			for i, q := range qs {
-				if want[i], err = q.Execute(r, "feature"); err != nil {
-					t.Fatalf("%s: %v", q.SQL("r"), err)
-				}
-				sameTable(t, "independent "+q.SQL("r"), got[i], want[i])
-			}
+			checkGroups(t, "independent", fused, qs, r)
 			// A second, warm batch must reuse the plan cache and still match.
-			again, err := fused.ExecuteBatch(qs, "feature")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, q := range qs {
-				sameTable(t, "warm "+q.SQL("r"), again[i], want[i])
-			}
+			checkGroups(t, "warm", fused, qs, r)
 			st := fused.Stats()
 			if st.FusedQueries == 0 || st.FusedScans == 0 {
 				t.Fatalf("fused path did not run: %+v", st)
@@ -129,7 +115,7 @@ func TestDifferentialFusedExecuteBatch(t *testing.T) {
 }
 
 // oracleFeature is the Query.Augment oracle's feature column over d's rows,
-// in AugmentValues' (vals, valid) convention.
+// in FeatureMatrix.Col's (vals, valid) convention.
 func oracleFeature(t *testing.T, q Query, d, r *dataframe.Table) ([]float64, []bool) {
 	t.Helper()
 	const name = "oracle_feature"
@@ -143,37 +129,30 @@ func oracleFeature(t *testing.T, q Query, d, r *dataframe.Table) ([]float64, []b
 	return aug.Column(name).Floats()
 }
 
-// TestDifferentialFusedAugmentValuesBatch checks the join side: fused batch
-// feature slices must equal both the single-query AugmentValues and the
-// Query.Augment oracle, element for element.
-func TestDifferentialFusedAugmentValuesBatch(t *testing.T) {
+// TestDifferentialFusedBatchVsSingle checks the join side: every column of a
+// fused batch must equal both the same query run alone (a batch of one) and
+// the Query.Augment oracle, element for element.
+func TestDifferentialFusedBatchVsSingle(t *testing.T) {
 	r := largeRandomTable(400, 31)
 	d := largeRandomTable(150, 32)
 	rng := rand.New(rand.NewSource(33))
 	qs := randomPool(rng, 150)
 
-	fused := NewExecutor(r)
-	vals, valid, err := fused.AugmentValuesBatch(d, qs)
+	m, err := NewExecutor(r).AugmentMatrix(context.Background(), d, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	single := NewExecutor(r)
 	for i, q := range qs {
-		wantVals, wantValid := oracleFeature(t, q, d, r)
-		sv, sok, err := single.AugmentValues(d, q)
+		sm, err := single.AugmentMatrix(context.Background(), d, []Query{q})
 		if err != nil {
 			t.Fatalf("%s: %v", q.SQL("r"), err)
 		}
-		for row := range sv {
-			if valid[i][row] != wantValid[row] || valid[i][row] != sok[row] {
-				t.Fatalf("%s row %d: valid fused=%v oracle=%v single=%v",
-					q.SQL("r"), row, valid[i][row], wantValid[row], sok[row])
-			}
-			if vals[i][row] != wantVals[row] || vals[i][row] != sv[row] {
-				t.Fatalf("%s row %d: value fused=%v oracle=%v single=%v",
-					q.SQL("r"), row, vals[i][row], wantVals[row], sv[row])
-			}
-		}
+		gv, gok := m.Col(i)
+		sv, sok := sm.Col(0)
+		wv, wok := oracleFeature(t, q, d, r)
+		sameFeature(t, "batch "+q.SQL("r"), gv, wv, gok, wok)
+		sameFeature(t, "single "+q.SQL("r"), sv, wv, sok, wok)
 	}
 }
 
@@ -193,20 +172,10 @@ func TestFusedMaskCanonicalisation(t *testing.T) {
 	if ex.maskSig(between.Preds) != ex.maskSig(split.Preds) {
 		t.Fatalf("signatures differ: %q vs %q", ex.maskSig(between.Preds), ex.maskSig(split.Preds))
 	}
-	got, err := ex.ExecuteBatch([]Query{between, split}, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkGroups(t, "canonical", ex, []Query{between, split}, r)
 	st := ex.Stats()
 	if st.PlanMisses != 1 {
 		t.Fatalf("want one shared plan group, got misses=%d hits=%d", st.PlanMisses, st.PlanHits)
-	}
-	for i, q := range []Query{between, split} {
-		want, err := q.Execute(r, "feature")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTable(t, q.SQL("r"), got[i], want)
 	}
 }
 
@@ -238,17 +207,18 @@ func TestFusedPlanCacheConcurrent(t *testing.T) {
 			// groups are built and hit concurrently.
 			qs := pool[w%7 : 30+len(pool)%(w+3)]
 			for iter := 0; iter < 4; iter++ {
-				vals, valid, err := shared.AugmentValuesBatch(d, qs)
+				m, err := shared.AugmentMatrix(context.Background(), d, qs)
 				if err != nil {
 					errs[w] = err
 					return
 				}
 				for i := range qs {
 					bi := w%7 + i
-					for row := range vals[i] {
-						if vals[i][row] != baseVals[bi][row] || valid[i][row] != baseValid[bi][row] {
+					vals, valid := m.Col(i)
+					for row := range vals {
+						if vals[row] != baseVals[bi][row] || valid[row] != baseValid[bi][row] {
 							t.Errorf("worker %d query %d row %d: got (%v,%v), want (%v,%v)",
-								w, i, row, vals[i][row], valid[i][row], baseVals[bi][row], baseValid[bi][row])
+								w, i, row, vals[row], valid[row], baseVals[bi][row], baseValid[bi][row])
 							return
 						}
 					}
@@ -272,22 +242,14 @@ func TestMaskCacheBounded(t *testing.T) {
 	ex := NewExecutor(r)
 	check := Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k1"},
 		Preds: []Predicate{{Attr: "x", Kind: PredRange, HasLo: true, Lo: 0}}}
-	want, err := check.Execute(r, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i <= maxMaskEntries+8; i++ {
 		q := Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k1"},
 			Preds: []Predicate{{Attr: "ts", Kind: PredRange, HasLo: true, Lo: float64(i)}}}
-		if _, err := ex.ExecuteBatch([]Query{q, check}, "feature"); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), r, []Query{q, check}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := ex.Execute(check, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTable(t, "post-eviction", got, want)
+	checkGroups(t, "post-eviction", ex, []Query{check}, r)
 	st := ex.Stats()
 	if st.Evictions == 0 {
 		t.Fatalf("expected at least one bounded-cache eviction: %+v", st)
@@ -305,7 +267,7 @@ func TestExecutorStatsCounters(t *testing.T) {
 		{Agg: agg.Avg, AggAttr: "x", Keys: []string{"k1"},
 			Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "a"}}},
 	}
-	if _, err := ex.ExecuteBatch(qs, "f"); err != nil {
+	if _, err := ex.AugmentMatrix(context.Background(), r, qs); err != nil {
 		t.Fatal(err)
 	}
 	st := ex.Stats()
@@ -315,7 +277,7 @@ func TestExecutorStatsCounters(t *testing.T) {
 	if st.FusedQueries != 2 {
 		t.Fatalf("want 2 fused queries, got %+v", st)
 	}
-	if _, err := ex.ExecuteBatch(qs, "f"); err != nil {
+	if _, err := ex.AugmentMatrix(context.Background(), r, qs); err != nil {
 		t.Fatal(err)
 	}
 	st = ex.Stats()
@@ -327,11 +289,11 @@ func TestExecutorStatsCounters(t *testing.T) {
 	}
 }
 
-// TestSingleQueryReusesBatchPlan pins the single-query entry points to the
-// fused path: after a batch has scanned a plan group, a lone Execute or
-// AugmentValues on that group is a plan-cache hit served from the retained
-// attribute state — no new discovery or attribute scan — and stays
-// bit-identical to the Query.Execute / Query.Augment oracles.
+// TestSingleQueryReusesBatchPlan pins lone queries to the fused path: after a
+// batch has scanned a plan group, a batch of one on that group — joined onto
+// the relevant table itself or onto a training table — is a plan-cache hit
+// served from the retained attribute state — no new discovery or attribute
+// scan — and stays bit-identical to the Query.Augment oracle.
 func TestSingleQueryReusesBatchPlan(t *testing.T) {
 	r := largeRandomTable(400, 81)
 	d := dupKeyTrainTable(120, 82)
@@ -341,27 +303,20 @@ func TestSingleQueryReusesBatchPlan(t *testing.T) {
 		{Agg: agg.Median, AggAttr: "ts", Keys: []string{"k1"}, Preds: preds},
 	}
 	ex := NewExecutor(r)
-	if _, err := ex.ExecuteBatch(batch, "feature"); err != nil {
+	if _, err := ex.AugmentMatrix(context.Background(), r, batch); err != nil {
 		t.Fatal(err)
 	}
 	before := ex.Stats()
 
 	single := Query{Agg: agg.Avg, AggAttr: "x", Keys: []string{"k1"}, Preds: preds}
-	got, err := ex.Execute(single, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := single.Execute(r, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTable(t, single.SQL("r"), got, want)
+	checkGroups(t, "single", ex, []Query{single}, r)
 
 	lone := Query{Agg: agg.MAD, AggAttr: "ts", Keys: []string{"k1"}, Preds: preds}
-	gotV, gotOK, err := ex.AugmentValues(d, lone)
+	m, err := ex.AugmentMatrix(context.Background(), d, []Query{lone})
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotV, gotOK := m.Col(0)
 	wantV, wantOK := oracleFeature(t, lone, d, r)
 	sameFeature(t, lone.SQL("r"), gotV, wantV, gotOK, wantOK)
 

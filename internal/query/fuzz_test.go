@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -72,12 +73,13 @@ func fuzzQuery(data []byte) Query {
 	return q
 }
 
-// FuzzExecuteMatchesOracle requires the executor's single-query path — cold,
-// then warm off the retained plan state — to match Query.Execute row for row,
-// and AugmentValues to match Query.Augment, for any decoded query. The seed
-// corpus covers every aggregation function and predicate shape and runs
-// under plain `go test`; `go test -fuzz FuzzExecuteMatchesOracle` explores
-// further.
+// FuzzExecuteMatchesOracle requires the executor's single-query path, run
+// over the relevant table itself (checkGroups) — cold, then warm off the
+// retained plan state — and onto a separate training table to match
+// Query.Augment, and to fail exactly where Query.Execute fails, for any
+// decoded query. The seed corpus covers every aggregation function and
+// predicate shape and runs under plain `go test`; `go test -fuzz
+// FuzzExecuteMatchesOracle` explores further.
 func FuzzExecuteMatchesOracle(f *testing.F) {
 	for i := 0; i < 18; i++ {
 		b := byte(i)
@@ -96,24 +98,24 @@ func FuzzExecuteMatchesOracle(f *testing.F) {
 	d := largeRandomTable(60, 18)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q := fuzzQuery(data)
-		want, wantErr := q.Execute(r, "feature")
+		qs := []Query{q}
+		_, wantErr := q.Execute(r, "feature")
 		ex := NewExecutor(r)
-		for _, pass := range []string{"cold", "warm"} {
-			got, err := ex.Execute(q, "feature")
-			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("%s %s: executor error %v, oracle error %v", pass, q.SQL("r"), err, wantErr)
-			}
-			if err == nil {
-				sameTable(t, pass+" "+q.SQL("r"), got, want)
-			}
-		}
 		if wantErr != nil {
+			for _, pass := range []string{"cold", "warm"} {
+				if _, err := ex.AugmentMatrix(context.Background(), r, qs); err == nil {
+					t.Fatalf("%s %s: oracle error %v, executor none", pass, q.SQL("r"), wantErr)
+				}
+			}
 			return
 		}
-		gotV, gotOK, err := ex.AugmentValues(d, q)
+		checkGroups(t, "cold", ex, qs, r)
+		checkGroups(t, "warm", ex, qs, r)
+		m, err := ex.AugmentMatrix(context.Background(), d, qs)
 		if err != nil {
 			t.Fatalf("%s: %v", q.SQL("r"), err)
 		}
+		gotV, gotOK := m.Col(0)
 		wantV, wantOK := oracleFeature(t, q, d, r)
 		sameFeature(t, "augment "+q.SQL("r"), gotV, wantV, gotOK, wantOK)
 	})
@@ -125,9 +127,10 @@ var appendModes = []string{"mixed", "nulls", "newgroups", "dictshift", "dictcap"
 // FuzzAppendMatchesOracle drives one executor through a decoded sequence of
 // up to four appends — each byte pair picks a deltaRows mode, row seed and
 // size — and after every append requires its batch over the delta-advanced
-// caches to match Query.Execute over the concatenation of the parts, and a
-// pass of one Prepared of the same batch, held across the whole sequence, to
-// match Query.Augment over it. Sizes 1..130 cross 64-row words and morsels; a
+// caches, joined onto the grown relevant table itself (checkGroups), and a
+// pass of one Prepared of the same batch onto a separate training table, held
+// across the whole sequence, to match Query.Augment over the concatenation of
+// the parts. Sizes 1..130 cross 64-row words and morsels; a
 // dictcap append always crosses MaxDictCardinality, and a dictshift append
 // re-encodes cat's dictionary, so both the in-place advances and the
 // full-rebuild drop are checked, for one-shot batches and held plan groups.
@@ -150,18 +153,11 @@ func FuzzAppendMatchesOracle(f *testing.F) {
 		}
 		check := func(round string) {
 			checkPrepared(t, round+" prepared", prep, qs, d, parts)
-			got, err := ex.ExecuteBatch(qs, "feature")
-			if err != nil {
-				t.Fatalf("%s: %v", round, err)
-			}
 			ref, err := dataframe.Concat(parts...)
 			if err != nil {
 				t.Fatalf("%s: %v", round, err)
 			}
-			want := oracleBatch(t, ref, qs, "feature")
-			for i, q := range qs {
-				sameTable(t, round+" "+q.SQL("r"), got[i], want[i])
-			}
+			checkGroups(t, round, ex, qs, ref)
 		}
 		check("cold")
 		for i := 0; i+1 < len(data) && i < 8; i += 2 {

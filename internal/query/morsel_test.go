@@ -28,7 +28,7 @@ func TestMorselCancellation(t *testing.T) {
 	// Learn the full batch's morsel count on a twin executor.
 	warm := NewExecutor(r, withMorselRows(7))
 	warm.Parallelism = 1
-	if _, err := warm.ExecuteBatch(qs, "f"); err != nil {
+	if _, err := warm.AugmentMatrix(context.Background(), r, qs); err != nil {
 		t.Fatal(err)
 	}
 	total := warm.Stats().MorselsScanned
@@ -40,7 +40,7 @@ func TestMorselCancellation(t *testing.T) {
 	ex := NewExecutor(r, withMorselRows(7))
 	ex.Parallelism = 1
 	ctx := newStatCtx(func() bool { return ex.Stats().MorselsScanned >= 20 })
-	_, err := ex.ExecuteBatchContext(ctx, qs, "f")
+	_, err := ex.AugmentMatrix(ctx, r, qs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

@@ -9,6 +9,7 @@ package query
 // rely on.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -52,13 +53,14 @@ func interleavedParts(n, k int) [][]int {
 // every feature column over d to equal the Query.Augment oracle's.
 func checkPartOracle(t *testing.T, label string, ex *Executor, part, d *dataframe.Table, qs []Query) {
 	t.Helper()
-	gotV, gotOK, err := ex.AugmentValuesBatch(d, qs)
+	m, err := ex.AugmentMatrix(context.Background(), d, qs)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	for qi, q := range qs {
+		gotV, gotOK := m.Col(qi)
 		wantV, wantOK := oracleFeature(t, q, d, part)
-		sameFeature(t, label+" "+q.SQL("r"), gotV[qi], wantV, gotOK[qi], wantOK)
+		sameFeature(t, label+" "+q.SQL("r"), gotV, wantV, gotOK, wantOK)
 	}
 }
 
@@ -129,7 +131,7 @@ func TestSharedScanCounters(t *testing.T) {
 		var st [2]ExecutorStats
 		for i, tbl := range []*dataframe.Table{a, b} {
 			e := NewExecutor(tbl)
-			if _, err := e.ExecuteBatch(qs, "f"); err != nil {
+			if _, err := e.AugmentMatrix(context.Background(), tbl, qs); err != nil {
 				t.Fatal(err)
 			}
 			st[i] = e.Stats()
@@ -185,14 +187,15 @@ func TestConcurrentScanSharing(t *testing.T) {
 			e := NewExecutor(r, withMorselRows(7))
 			cores[i] = e.core
 			for it := 0; it < 3; it++ {
-				v, ok, err := e.AugmentValuesBatch(d, qs)
+				m, err := e.AugmentMatrix(context.Background(), d, qs)
 				if err != nil {
 					errs[i] = err
 					return
 				}
 				for qi := range qs {
-					for row := range v[qi] {
-						if v[qi][row] != refV[qi][row] || ok[qi][row] != refOK[qi][row] {
+					v, ok := m.Col(qi)
+					for row := range v {
+						if v[row] != refV[qi][row] || ok[row] != refOK[qi][row] {
 							errs[i] = errors.New("concurrent shared-core batch diverged from the oracle")
 							return
 						}

@@ -146,7 +146,7 @@ func TestPreparedMatchesOracle(t *testing.T) {
 	for i := 0; i <= maxPlanEntries; i++ {
 		q := Query{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"},
 			Preds: []Predicate{{Attr: "ts", Kind: PredRange, HasLo: true, Lo: float64(7 * i)}}}
-		if _, _, err := ex.AugmentValues(d, q); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), d, []Query{q}); err != nil {
 			t.Fatal(err)
 		}
 	}

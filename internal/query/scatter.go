@@ -1,21 +1,20 @@
 package query
 
-// The fused train-side scatter, the only one the executor has: a single
-// AugmentValues is a batch of one. Plan-group fusion extends across the
-// train-side boundary: the batch is grouped by the same (key-set, WHERE-mask
-// signature) plan groups as the execute path, each of the batch's key sets
-// is joined onto the training table once per pass — every training row
-// resolved straight to its relevant group through the relevant index's typed
-// key map (joinIndex) — and each group builds ONE row-to-local-group mapping
-// and runs ONE pass over the training table that writes every query's
-// feature column in the same loop. Queries sharing a (plan group, agg pair)
-// are served by one column, matching the slice sharing of the fused execute
-// path. The mapping names only the plan groups the training rows join
-// (touchedGroups), and aggregates are extracted for those alone, so the pass
-// is sized by the training table, not the relevant one. Results are
-// bit-identical to Query.Augment (the differential tests enforce it): the
-// per-group projection tables fold the NULL/NaN convention before the pass,
-// so the row loop is branch-free integer indexing.
+// The fused train-side scatter, the one output path of the executor: a lone
+// query is a batch of one. Plan-group fusion extends across the train-side
+// boundary: the batch is grouped by (key-set, WHERE-mask signature) plan
+// groups, each of the batch's key sets is joined onto the training table
+// once per pass — every training row resolved straight to its relevant group
+// through the relevant index's typed key map (joinIndex) — and each group
+// builds ONE row-to-local-group mapping and runs ONE pass over the training
+// table that writes every query's feature column in the same loop. Queries
+// sharing a (plan group, agg pair) are served by one column. The mapping
+// names only the plan groups the training rows join (touchedGroups), and
+// aggregates are extracted for those alone, so the pass is sized by the
+// training table, not the relevant one. Results are bit-identical to
+// Query.Augment (the differential tests enforce it): the per-group
+// projection tables fold the NULL/NaN convention before the pass, so the row
+// loop is branch-free integer indexing.
 
 import (
 	"context"
@@ -193,8 +192,8 @@ func (p *Prepared) augment(ctx context.Context, d *dataframe.Table, m *FeatureMa
 // is cleared per call. Both slices are backed by sc and valid until its next
 // use; morsels counts the morsels walked.
 func (sc *scatterScratch) touchedGroups(ctx context.Context, pe *planEntry, jn *joinEntry, mr int) ([]int, []int32, int64, error) {
-	if len(sc.mark) < len(pe.repr) {
-		sc.mark = make([]int32, len(pe.repr))
+	if len(sc.mark) < len(pe.counts) {
+		sc.mark = make([]int32, len(pe.counts))
 	}
 	mark := sc.mark
 	n := len(jn.rowToR)

@@ -1,47 +1,34 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/dataframe"
 )
 
-// servingBenchPool is the PR 5 acceptance workload: the same 200-query /
-// 20-mask pool shape as BENCH_3's fusedBenchPool, but with a serving-shaped
-// training table — 4× the relevant table instead of 1/8th — so the train-side
-// scatter dominates the way it does when a fitted plan serves feature
-// batches over a large training table.
+// servingBenchPool is fusedBenchPool's 200-query / 20-mask pool with a
+// serving-shaped training table — 4× the relevant table instead of 1/8th —
+// so the train-side scatter dominates the way it does when a fitted plan
+// serves feature batches over a large training table.
 func servingBenchPool(nQueries, nRows int) (*dataframe.Table, *dataframe.Table, []Query) {
 	r, _, qs := fusedBenchPool(nQueries, nRows)
 	d := largeRandomTable(nRows*4, 98)
 	return r, d, qs
 }
 
-// BenchmarkServingScatterFused measures the plan-group-shared scatter on a
+// BenchmarkServingMatrixFused measures the plan-group-shared scatter on a
 // cold executor each iteration: per plan group, one walk of the join's row
 // map that builds the per-row touched-group slots, then one pass over the
-// training table writing every column in the same loop.
-func BenchmarkServingScatterFused(b *testing.B) {
-	r, d, qs := servingBenchPool(200, 2400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(r)
-		if _, _, err := ex.AugmentValuesBatch(d, qs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkServingMatrixFused is the columnar bulk variant: the same fused
-// scatter, landing in one flat FeatureMatrix allocation.
+// training table writing every column of one flat FeatureMatrix in the same
+// loop.
 func BenchmarkServingMatrixFused(b *testing.B) {
 	r, d, qs := servingBenchPool(200, 2400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := NewExecutor(r)
-		if _, err := ex.AugmentMatrix(d, qs); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), d, qs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,13 +60,14 @@ func lowCardSortPool(nRows int) (*dataframe.Table, []Query) {
 }
 
 // BenchmarkSortCounting measures the counting/bucket path on low-cardinality
-// domains (small-int, categorical, bool).
+// domains (small-int, categorical, bool), joined onto the relevant table
+// itself so every group is extracted.
 func BenchmarkSortCounting(b *testing.B) {
 	r, qs := lowCardSortPool(8000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := NewExecutor(r)
-		if _, err := ex.ExecuteBatch(qs, "f"); err != nil {
+		if _, err := ex.AugmentMatrix(context.Background(), r, qs); err != nil {
 			b.Fatal(err)
 		}
 	}

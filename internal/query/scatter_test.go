@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -52,11 +53,10 @@ func sameFeature(t *testing.T, label string, gotV, wantV []float64, gotOK, wantO
 }
 
 // TestDifferentialFusedScatter requires the plan-group-shared scatter to be
-// bit-identical to the Query.Augment oracle and to the single-query
-// AugmentValues, across mixed and NULL-heavy relevant tables,
-// duplicate-key training rows, and batches containing empty plan groups
-// (masks matching no rows) and duplicate queries. The matrix variant must
-// agree column for column.
+// bit-identical to the Query.Augment oracle and to each query run alone (a
+// batch of one), across mixed and NULL-heavy relevant tables, duplicate-key
+// training rows, and batches containing empty plan groups (masks matching no
+// rows) and duplicate queries.
 func TestDifferentialFusedScatter(t *testing.T) {
 	tables := map[string]*dataframe.Table{
 		"mixed":     largeRandomTable(400, 101),
@@ -76,11 +76,7 @@ func TestDifferentialFusedScatter(t *testing.T) {
 			qs = append(qs, qs[0], qs[1])
 
 			fused := NewExecutor(r)
-			gotV, gotOK, err := fused.AugmentValuesBatch(d, qs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := NewExecutor(r).AugmentMatrix(d, qs)
+			m, err := fused.AugmentMatrix(context.Background(), d, qs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,14 +86,14 @@ func TestDifferentialFusedScatter(t *testing.T) {
 			single := NewExecutor(r)
 			for i, q := range qs {
 				wantV, wantOK := oracleFeature(t, q, d, r)
-				sameFeature(t, q.SQL("r")+" fused-vs-oracle", gotV[i], wantV, gotOK[i], wantOK)
-				mv, mok := m.Col(i)
-				sameFeature(t, q.SQL("r")+" matrix", mv, wantV, mok, wantOK)
-				sv, sok, err := single.AugmentValues(d, q)
+				gotV, gotOK := m.Col(i)
+				sameFeature(t, q.SQL("r")+" fused-vs-oracle", gotV, wantV, gotOK, wantOK)
+				sm, err := single.AugmentMatrix(context.Background(), d, []Query{q})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameFeature(t, q.SQL("r")+" fused-vs-single", gotV[i], sv, gotOK[i], sok)
+				sv, sok := sm.Col(0)
+				sameFeature(t, q.SQL("r")+" fused-vs-single", gotV, sv, gotOK, sok)
 			}
 			fs := fused.Stats()
 			if fs.ScatterPasses == 0 || fs.ScatterQueries != int64(len(qs)) {
@@ -151,7 +147,7 @@ func TestScatterCancellation(t *testing.T) {
 			Preds: []Predicate{{Attr: "x", Kind: PredRange, HasLo: true, Lo: 0}}})
 	}
 	ctx := newStatCtx(func() bool { return ex.Stats().ScatterPasses >= 1 })
-	_, _, err := ex.AugmentValuesBatchContext(ctx, d, qs)
+	_, err := ex.AugmentMatrix(ctx, d, qs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -176,7 +172,7 @@ func TestFusedScanCancellation(t *testing.T) {
 	}
 	// Discovery counts one scan; cancel before the second attribute scan.
 	ctx := newStatCtx(func() bool { return ex.Stats().FusedScans >= 2 })
-	_, err := ex.ExecuteBatchContext(ctx, qs, "f")
+	_, err := ex.AugmentMatrix(ctx, r, qs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -205,14 +201,13 @@ func TestScatterConcurrentServing(t *testing.T) {
 		}
 		tables = append(tables, d.Take(rows))
 	}
-	refV := make([][][]float64, len(tables))
-	refOK := make([][][]bool, len(tables))
+	refs := make([]*FeatureMatrix, len(tables))
 	for ti, tbl := range tables {
-		v, ok, err := NewExecutor(r).AugmentValuesBatch(tbl, qs)
+		m, err := NewExecutor(r).AugmentMatrix(context.Background(), tbl, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refV[ti], refOK[ti] = v, ok
+		refs[ti] = m
 	}
 	ex := NewExecutor(r)
 	var wg sync.WaitGroup
@@ -225,37 +220,16 @@ func TestScatterConcurrentServing(t *testing.T) {
 			if g >= shared {
 				ti = 1 + g - shared
 			}
-			tbl, wantV, wantOK := tables[ti], refV[ti], refOK[ti]
+			tbl, want := tables[ti], refs[ti]
 			for it := 0; it < 3; it++ {
-				if g%2 == 0 {
-					v, ok, err := ex.AugmentValuesBatch(tbl, qs)
-					if err != nil {
-						errs[g] = err
-						return
-					}
-					for i := range qs {
-						for row := range v[i] {
-							if v[i][row] != wantV[i][row] || ok[i][row] != wantOK[i][row] {
-								errs[g] = fmt.Errorf("table %d: concurrent batch diverged from reference", ti)
-								return
-							}
-						}
-					}
-				} else {
-					m, err := ex.AugmentMatrix(tbl, qs)
-					if err != nil {
-						errs[g] = err
-						return
-					}
-					for i := range qs {
-						mv, mok := m.Col(i)
-						for row := range mv {
-							if mv[row] != wantV[i][row] || mok[row] != wantOK[i][row] {
-								errs[g] = fmt.Errorf("table %d: concurrent matrix diverged from reference", ti)
-								return
-							}
-						}
-					}
+				m, err := ex.AugmentMatrix(context.Background(), tbl, qs)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				if !slices.Equal(m.Vals, want.Vals) || !slices.Equal(m.Valid, want.Valid) {
+					errs[g] = fmt.Errorf("table %d: concurrent matrix diverged from reference", ti)
+					return
 				}
 			}
 		}(g)
@@ -282,7 +256,7 @@ func TestScatterStatsGolden(t *testing.T) {
 		{Agg: agg.Count, AggAttr: "x", Keys: []string{"k1"}, // group B, col 3
 			Preds: []Predicate{{Attr: "x", Kind: PredRange, HasLo: true, Lo: 0}}},
 	}
-	if _, _, err := ex.AugmentValuesBatch(d, qs); err != nil {
+	if _, err := ex.AugmentMatrix(context.Background(), d, qs); err != nil {
 		t.Fatal(err)
 	}
 	s := ex.Stats()
@@ -314,7 +288,7 @@ func TestScatterStatsGolden(t *testing.T) {
 	}
 	// A second batch on the warm executor: discovery and joins all cached,
 	// two more passes.
-	if _, _, err := ex.AugmentValuesBatch(d, qs); err != nil {
+	if _, err := ex.AugmentMatrix(context.Background(), d, qs); err != nil {
 		t.Fatal(err)
 	}
 	s = ex.Stats()
@@ -337,7 +311,7 @@ func TestScatterStatsGolden(t *testing.T) {
 	// A second executor over the same table finds both core entries built:
 	// it pays no pass.
 	ex2 := NewExecutor(r)
-	if _, _, err := ex2.AugmentValuesBatch(d, qs); err != nil {
+	if _, err := ex2.AugmentMatrix(context.Background(), d, qs); err != nil {
 		t.Fatal(err)
 	}
 	if s := ex2.Stats(); s.SharedScanPasses != 0 || s.GroupMisses != 0 || s.PredMisses != 0 || s.GroupHits == 0 {
@@ -356,7 +330,7 @@ func TestAugmentRequestSizedPass(t *testing.T) {
 	d := dupKeyTrainTable(240, 162)
 	qs := randomPool(rand.New(rand.NewSource(163)), 60)
 	ex := NewExecutor(r)
-	full, err := ex.AugmentMatrix(d, qs)
+	full, err := ex.AugmentMatrix(context.Background(), d, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,11 +341,11 @@ func TestAugmentRequestSizedPass(t *testing.T) {
 	)
 	for _, rows := range [][]int{{0}, {5, 5, 17}, {239, 1, 100, 42}} {
 		sub := d.Take(rows)
-		got, err := ex.AugmentMatrix(sub, qs)
+		got, err := ex.AugmentMatrix(context.Background(), sub, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := NewExecutor(r).AugmentMatrix(sub, qs)
+		cold, err := NewExecutor(r).AugmentMatrix(context.Background(), sub, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,11 +362,11 @@ func TestAugmentRequestSizedPass(t *testing.T) {
 			sameFeature(t, qs[j].SQL("r")+" vs cold", gv, cv, gok, cok)
 		}
 	}
-	got, err := ex.AugmentMatrix(missing, qs)
+	got, err := ex.AugmentMatrix(context.Background(), missing, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewExecutor(r).AugmentMatrix(missing, qs)
+	cold, err := NewExecutor(r).AugmentMatrix(context.Background(), missing, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
