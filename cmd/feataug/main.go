@@ -630,9 +630,9 @@ func printFusionStats(stderr io.Writer, mode string, s repro.ExecutorStats) {
 	if passes == 0 {
 		passes = 1
 	}
-	fmt.Fprintf(stderr, "%s: scatter: %d columns over %d passes (%.1f cols/pass), join index %d hits / %d misses, %d counting sorts\n",
+	fmt.Fprintf(stderr, "%s: scatter: %d columns over %d passes (%.1f cols/pass), join index %d hits / %d misses\n",
 		mode, s.ScatterQueries, s.ScatterPasses, float64(s.ScatterQueries)/float64(passes),
-		s.JoinHits, s.JoinMisses, s.CountingScans)
+		s.JoinHits, s.JoinMisses)
 	// The morsel-driven shared-scan counters: full-table passes the executor
 	// set paid to build the relevant tables' scan state (a pass already paid
 	// by another executor over the same table is not paid again), and

@@ -146,17 +146,6 @@ func (c *Column) Rename(name string) *Column {
 // IsNull reports whether the value at row i is NULL.
 func (c *Column) IsNull(i int) bool { return !c.valid[i] }
 
-// NullCount returns the number of NULL entries.
-func (c *Column) NullCount() int {
-	n := 0
-	for _, v := range c.valid {
-		if !v {
-			n++
-		}
-	}
-	return n
-}
-
 // Int returns the int64 value at row i. Valid for KindInt and KindTime.
 func (c *Column) Int(i int) int64 {
 	if c.kind != KindInt && c.kind != KindTime {
@@ -612,24 +601,4 @@ func (c *Column) DistinctStrings(limit int) []string {
 		out = out[:limit]
 	}
 	return out
-}
-
-// MinMaxFloat returns the minimum and maximum non-null values of a numeric
-// column, and false when the column has no non-null values.
-func (c *Column) MinMaxFloat() (lo, hi float64, ok bool) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for i := 0; i < c.Len(); i++ {
-		v, valid := c.AsFloat(i)
-		if !valid {
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-		ok = true
-	}
-	return lo, hi, ok
 }

@@ -37,11 +37,8 @@ func TestIntColumnBasics(t *testing.T) {
 	if c.Name() != "a" || c.Kind() != KindInt || c.Len() != 3 {
 		t.Fatalf("bad metadata: %s %s %d", c.Name(), c.Kind(), c.Len())
 	}
-	if c.Int(0) != 1 || !c.IsNull(1) || c.IsNull(2) {
+	if c.Int(0) != 1 || c.IsNull(0) || !c.IsNull(1) || c.IsNull(2) {
 		t.Fatal("wrong values/nulls")
-	}
-	if c.NullCount() != 1 {
-		t.Fatalf("NullCount = %d, want 1", c.NullCount())
 	}
 }
 
@@ -168,18 +165,6 @@ func TestDistinctStringsSortedCapped(t *testing.T) {
 	}
 	if got := c.DistinctStrings(2); len(got) != 2 {
 		t.Fatalf("capped DistinctStrings = %v", got)
-	}
-}
-
-func TestMinMaxFloat(t *testing.T) {
-	c := NewFloatColumn("x", []float64{3, math.NaN(), -1, 7}, nil)
-	lo, hi, ok := c.MinMaxFloat()
-	if !ok || lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %v %v %v", lo, hi, ok)
-	}
-	empty := NewFloatColumn("e", nil, nil)
-	if _, _, ok := empty.MinMaxFloat(); ok {
-		t.Fatal("empty column should report !ok")
 	}
 }
 

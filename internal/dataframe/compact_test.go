@@ -314,7 +314,7 @@ func TestCompactCSVAndGrouping(t *testing.T) {
 	cs, rs := groupSizes(cg), groupSizes(rg)
 	cr, rr := reprRows(cg), reprRows(rg)
 	for gid := 0; gid < rg.NumGroups(); gid++ {
-		ck, rk := comp.RowKey(cr[gid], cg.KeyColumns()), raw.RowKey(rr[gid], rg.KeyColumns())
+		ck, rk := comp.RowKey(cr[gid], cg.keys), raw.RowKey(rr[gid], rg.keys)
 		if cr[gid] != rr[gid] || ck != rk || cs[gid] != rs[gid] {
 			t.Errorf("group %d: row %d %q/%d rows vs raw row %d %q/%d", gid, cr[gid], ck, cs[gid], rr[gid], rk, rs[gid])
 		}

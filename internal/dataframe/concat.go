@@ -1,10 +1,6 @@
 package dataframe
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Concat vertically stacks tables with identical schemas (same column names
 // and kinds, in any order; the first table's order wins). String columns whose
@@ -65,70 +61,4 @@ func Concat(tables ...*Table) (*Table, error) {
 		}
 	}
 	return out, nil
-}
-
-// ColumnSummary describes one column's distribution.
-type ColumnSummary struct {
-	Name     string
-	Kind     Kind
-	Count    int // non-null values
-	Nulls    int
-	Distinct int     // distinct non-null values (strings/bools only; -1 otherwise)
-	Mean     float64 // numeric kinds only
-	Std      float64
-	Min      float64
-	P50      float64
-	Max      float64
-}
-
-// Describe computes per-column summary statistics, the pandas-style
-// diagnostic used when inspecting generated datasets.
-func (t *Table) Describe() []ColumnSummary {
-	out := make([]ColumnSummary, 0, len(t.cols))
-	for _, c := range t.cols {
-		s := ColumnSummary{Name: c.name, Kind: c.kind, Distinct: -1}
-		switch c.kind {
-		case KindString, KindBool:
-			seen := map[string]bool{}
-			for i := 0; i < c.Len(); i++ {
-				if c.IsNull(i) {
-					s.Nulls++
-					continue
-				}
-				s.Count++
-				seen[c.KeyString(i)] = true
-			}
-			s.Distinct = len(seen)
-		default:
-			var vals []float64
-			for i := 0; i < c.Len(); i++ {
-				v, ok := c.AsFloat(i)
-				if !ok {
-					s.Nulls++
-					continue
-				}
-				s.Count++
-				vals = append(vals, v)
-			}
-			if len(vals) > 0 {
-				sort.Float64s(vals)
-				s.Min = vals[0]
-				s.Max = vals[len(vals)-1]
-				s.P50 = vals[len(vals)/2]
-				sum := 0.0
-				for _, v := range vals {
-					sum += v
-				}
-				s.Mean = sum / float64(len(vals))
-				ss := 0.0
-				for _, v := range vals {
-					d := v - s.Mean
-					ss += d * d
-				}
-				s.Std = math.Sqrt(ss / float64(len(vals)))
-			}
-		}
-		out = append(out, s)
-	}
-	return out
 }

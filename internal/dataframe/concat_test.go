@@ -2,7 +2,6 @@ package dataframe
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -195,41 +194,5 @@ func TestConcatDifferential(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestDescribeNumericAndCategorical(t *testing.T) {
-	tbl := MustNewTable(
-		NewFloatColumn("x", []float64{1, 2, 3, 4, math.NaN()}, nil),
-		NewStringColumn("s", []string{"a", "b", "a", "", "c"}, []bool{true, true, true, false, true}),
-	)
-	sums := tbl.Describe()
-	if len(sums) != 2 {
-		t.Fatalf("summaries = %d", len(sums))
-	}
-	x := sums[0]
-	if x.Count != 4 || x.Nulls != 1 {
-		t.Fatalf("x counts = %d/%d", x.Count, x.Nulls)
-	}
-	if x.Min != 1 || x.Max != 4 || x.Mean != 2.5 || x.P50 != 3 {
-		t.Fatalf("x stats = %+v", x)
-	}
-	if math.Abs(x.Std-math.Sqrt(1.25)) > 1e-12 {
-		t.Fatalf("x std = %v", x.Std)
-	}
-	if x.Distinct != -1 {
-		t.Fatal("numeric distinct should be -1")
-	}
-	s := sums[1]
-	if s.Count != 4 || s.Nulls != 1 || s.Distinct != 3 {
-		t.Fatalf("s summary = %+v", s)
-	}
-}
-
-func TestDescribeEmptyColumn(t *testing.T) {
-	tbl := MustNewTable(NewFloatColumn("x", []float64{0}, []bool{false}))
-	sums := tbl.Describe()
-	if sums[0].Count != 0 || sums[0].Nulls != 1 {
-		t.Fatalf("empty summary = %+v", sums[0])
 	}
 }

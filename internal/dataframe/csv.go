@@ -16,7 +16,8 @@ type ColumnSpec struct {
 
 // ReadCSV parses CSV data with a header row into a table using the given
 // specs (matched by header name; extra CSV columns are ignored). Empty cells
-// become NULL. Time cells accept RFC3339 or unix seconds.
+// become NULL. Time cells accept RFC3339 or unix seconds. It is kept as the
+// WriteCSV round-trip oracle.
 func ReadCSV(r io.Reader, specs []ColumnSpec) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true

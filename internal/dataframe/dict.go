@@ -3,9 +3,8 @@ package dataframe
 // Dictionary encoding of string columns. A DictEncoding replaces per-row Go
 // strings with one uint16 code array over the sorted distinct domain (the
 // cardinality cap keeps every code in range, so there is no other width):
-// predicates become integer compares, grouping becomes dense-array
-// arithmetic, and the counting-sort path reads the codes it used to re-derive
-// per probe. The encoding is cached on the column behind a sync.Once, so
+// predicates become integer compares and grouping becomes dense-array
+// arithmetic. The encoding is cached on the column behind a sync.Once, so
 // every consumer of the same column — executors, the tables that share it,
 // served plans — shares one encode pass.
 //
@@ -30,9 +29,8 @@ import (
 
 // MaxDictCardinality bounds the distinct non-null values a dictionary holds;
 // columns above the cap stay unencoded (Dict returns nil) and every consumer
-// falls back to its generic string path. The bound matches the counting-sort
-// domain cap, so "dictionary exists" and "counting-eligible domain" coincide
-// for string columns.
+// falls back to its generic string path. The cap keeps every code within
+// the uint16 code array that the predicate kernels compare (checked below).
 const MaxDictCardinality = 1024
 
 // Every code fits the uint16 code array (compile-time check).

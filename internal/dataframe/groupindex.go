@@ -267,7 +267,3 @@ func (g *GroupIndex) NumRows() int { return len(g.rowGID) }
 // RowGroups exposes the per-row group-id slice. The slice is shared; callers
 // must not mutate it.
 func (g *GroupIndex) RowGroups() []int { return g.rowGID }
-
-// KeyColumns returns the key columns the index was built over. The slice is
-// shared; callers must not mutate it.
-func (g *GroupIndex) KeyColumns() []*Column { return g.keys }

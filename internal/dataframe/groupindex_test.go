@@ -72,7 +72,7 @@ func checkGroupIndexRef(t *testing.T, name string, tbl *Table, g *GroupIndex, ke
 	}
 	gotSizes := groupSizes(g)
 	for gid, row := range reprRows(g) {
-		if k := tbl.RowKey(row, g.KeyColumns()); k != keyStrs[gid] || gotSizes[gid] != sizes[gid] {
+		if k := tbl.RowKey(row, g.keys); k != keyStrs[gid] || gotSizes[gid] != sizes[gid] {
 			t.Fatalf("%s: group %d (key %q size %d) vs reference (key %q size %d)",
 				name, gid, k, gotSizes[gid], keyStrs[gid], sizes[gid])
 		}
@@ -90,7 +90,7 @@ func TestGroupByCountsAndOrder(t *testing.T) {
 		t.Fatalf("NumGroups = %d", g.NumGroups())
 	}
 	tbl, repr := g.src, reprRows(g)
-	if k0, k1 := tbl.RowKey(repr[0], g.KeyColumns()), tbl.RowKey(repr[1], g.KeyColumns()); k0 != "salice" || k1 != "sbob" {
+	if k0, k1 := tbl.RowKey(repr[0], g.keys), tbl.RowKey(repr[1], g.keys); k0 != "salice" || k1 != "sbob" {
 		t.Fatalf("first-seen order = %q, %q", k0, k1)
 	}
 	if sizes := groupSizes(g); sizes[0] != 3 || sizes[1] != 2 {
@@ -170,7 +170,7 @@ func TestBuildGroupIndexFastPathJoinCompatible(t *testing.T) {
 	rrepr := reprRows(gr)
 	for i := range gl.RowGroups() {
 		v := left.Column("k").Int(i)
-		rg, ok := gr.LookupRow(gl.KeyColumns(), i)
+		rg, ok := gr.LookupRow(gl.keys, i)
 		if ok != wants[v] {
 			t.Fatalf("key %d: join match %v, want %v", v, ok, wants[v])
 		}
@@ -274,7 +274,7 @@ func FuzzGroupIndexMatchesRowKey(f *testing.F) {
 		checkGroupIndexRef(t, "built+extended", tbl, g, keys...)
 		rowGID, keyStrs, _ := refGroupIndex(t, tbl, keys...)
 		for i := range rowGID {
-			if gid, ok := g.LookupRow(g.KeyColumns(), i); !ok || gid != rowGID[i] {
+			if gid, ok := g.LookupRow(g.keys, i); !ok || gid != rowGID[i] {
 				t.Fatalf("own row %d: LookupRow = %d, %v; want %d", i, gid, ok, rowGID[i])
 			}
 		}

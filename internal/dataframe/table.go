@@ -240,7 +240,7 @@ func (t *Table) Filter(keep func(row int) bool) *Table {
 }
 
 // FilterMask returns the rows where mask[i] is true. The mask length must
-// equal the row count.
+// equal the row count. It is kept as the differential tests' naive reference.
 func (t *Table) FilterMask(mask []bool) *Table {
 	idx := make([]int, 0, len(mask))
 	for i, m := range mask {

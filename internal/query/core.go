@@ -1,7 +1,7 @@
 package query
 
 // Table scan state. A tableCore holds the scan-side caches of ONE table —
-// group indexes, predicate bitmaps, WHERE masks, float views, domain probes,
+// group indexes, predicate bitmaps, WHERE masks, float views, integer probes,
 // dictionaries and search-space predicate domains — and lives in the table's
 // own scan-state slot (dataframe.Table.ScanState), so every executor (and
 // every search space) over a table shares it and builds each entry once
@@ -13,7 +13,7 @@ package query
 // ExecutorStats make the sharing observable: SharedScanPasses counts the
 // full-table passes an executor paid to build a core entry, and
 // MorselsScanned the morsel segments its scans actually walked (scans run
-// morsel by morsel; see dataframe.MorselBounds).
+// morsel by morsel; see morselSegments).
 
 import (
 	"sync"
@@ -44,10 +44,10 @@ type tableCore struct {
 	groups  map[string]*groupEntry
 	preds   map[string]*predEntry
 	masks   map[string]*maskEntry
-	views   map[string]*viewEntry   // per-column float views (int/time/bool)
-	domains map[string]*domainEntry // per-column low-cardinality domain probes
-	dicts   map[string]*dictEntry   // per-column dictionary encodings (see dict.go)
-	allRows []int                   // lazily built identity row list
+	views   map[string]*viewEntry // per-column float views (int/time/bool)
+	probes  map[string]*intProbe  // per-column int/time range-kernel probes (see dict.go)
+	dicts   map[string]*dictEntry // per-column dictionary encodings (see dict.go)
+	allRows []int                 // lazily built identity row list
 
 	spaceDims map[spaceDimKey]*spaceDimEntry // predicate value domains (see spacecache.go)
 }

@@ -16,7 +16,7 @@ package query
 // ownership:
 //
 //	core     dictionaries re-pointed (a re-encode that shifted codes wipes
-//	         the code-keyed predicate/mask maps), domain probes merged,
+//	         the code-keyed predicate/mask maps), integer probes merged,
 //	         float views extended, group indexes extended, predicate bitmaps
 //	         recomputed from their last partial word, mask bitmaps/row lists
 //	         re-intersected over the same tail, identity rows grown;
@@ -38,7 +38,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/agg"
 	"repro/internal/dataframe"
 )
 
@@ -97,9 +96,10 @@ func (e *Executor) advanceLocked() {
 
 // advanceCore advances every core entry over the appended rows, in
 // dependency order: dictionaries first (predicate advances read codes),
-// domains and views next (predicate kernels read them), group indexes, then
-// predicate bitmaps, masks and the identity row list. Caller holds the fence
-// in write mode, which excludes every reader of the core maps.
+// integer probes and views next (predicate kernels read them), group
+// indexes, then predicate bitmaps, masks and the identity row list. Caller
+// holds the fence in write mode, which excludes every reader of the core
+// maps.
 func (e *Executor) advanceCore(rebuilds *int64) int64 {
 	c := e.core
 	n := c.t.NumRows()
@@ -130,9 +130,9 @@ func (e *Executor) advanceCore(rebuilds *int64) int64 {
 		*rebuilds++
 	}
 
-	for name, ent := range c.domains {
+	for name, ip := range c.probes {
 		if col := c.t.Column(name); col != nil {
-			ent.advance(col)
+			ip.advance(col)
 		}
 	}
 	for name, ent := range c.views {
@@ -394,84 +394,6 @@ func (e *Executor) advanceJoin(ent *joinEntry) {
 	}
 }
 
-// attrState is the aggregate state of one (plan group, attribute), retained
-// on the plan entry after a fused scan: whatever streaming accumulators and
-// per-group sorted runs the scan produced. Later batches requesting functions
-// the shape covers are served without rescanning, and appends advance it over
-// just the delta rows — accumulators in row order, sorted runs extended and
-// re-sorted only for groups the delta touched, centered moments recomputed
-// for dirty groups from the new means (they are not order-streamable). Every
-// served value is bit-identical to a fresh scan's: the extraction helpers are
-// shared with extractPair, the accumulator update mirrors streamScan's loop,
-// and a re-sorted run is the same ascending multiset a full sort produces.
-//
-// The map holding these (planEntry.aggs) is immutable once published: a pass
-// reads it with one atomic load, and a scan that captures new state publishes
-// a copy (retain). States themselves are read-only between advances, which
-// run under the write fence, excluding readers.
-type attrState struct {
-	useString  bool
-	hasVals    bool // nvalid/sum/min/max populated
-	hasMoments bool // ss populated (and m4 when hasM4)
-	hasM4      bool
-	hasBuf     bool // sorted per-group runs populated
-
-	nvalid        []int
-	sum, min, max []float64
-	ss, m4        []float64
-	sortF         [][]float64 // per-group ascending non-null values (numeric)
-	sortS         [][]string  // per-group ascending non-null values (string)
-}
-
-// serves reports whether the state's shape covers fn without a rescan.
-func (st *attrState) serves(fn agg.Func) bool {
-	if st.useString {
-		// Functions a string column cannot serve resolve upstream (all-NULL
-		// direct results); everything else reads the sorted runs.
-		return st.hasBuf
-	}
-	if streamable(fn) {
-		switch {
-		case !st.hasVals:
-			return false
-		case needsMoments(fn) && !st.hasMoments:
-			return false
-		case fn == agg.Kurtosis && !st.hasM4:
-			return false
-		}
-		return true
-	}
-	return st.hasBuf
-}
-
-func (st *attrState) servesAll(fns []agg.Func) bool {
-	for _, fn := range fns {
-		if !st.serves(fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// extract serves one function from the retained state for the touched local
-// groups, writing group touched[t]'s result to vals[t] and valid[t], through
-// the same helpers the scan path's extractPair uses — expression-identical,
-// so served values match a fresh scan bit for bit.
-func (st *attrState) extract(fn agg.Func, counts []int, touched []int, vals []float64, valid []bool) {
-	if !st.useString && streamable(fn) {
-		streamExtract(fn, st.nvalid, st.sum, st.min, st.max, st.ss, st.m4, touched, vals, valid)
-		return
-	}
-	var devbuf []float64
-	for t, li := range touched {
-		if st.useString {
-			vals[t], valid[t] = sortedStringAgg(fn, st.sortS[li], counts[li])
-		} else {
-			vals[t], valid[t] = sortedFloatAgg(fn, &devbuf, st.sortF[li], counts[li])
-		}
-	}
-}
-
 // retained returns the plan's retained aggregate state by attribute (nil if
 // none): one atomic load, no lock and no copy. The map is read-only.
 func (pe *planEntry) retained() map[string]*attrState {
@@ -481,10 +403,10 @@ func (pe *planEntry) retained() map[string]*attrState {
 	return nil
 }
 
-// retain captures freshly scanned attributes' state and publishes it
-// copy-on-write, so passes still reading the old map are undisturbed. A
-// rescan replaces the attribute's old (narrower) state wholesale. amu orders
-// concurrent publishers, which all hold the read fence.
+// retain publishes freshly scanned attributes' state copy-on-write, so passes
+// still reading the old map are undisturbed. A rescan replaces the
+// attribute's old (narrower) state wholesale. amu orders concurrent
+// publishers, which all hold the read fence.
 func (pe *planEntry) retain(scanned []*attrScan) {
 	pe.amu.Lock()
 	defer pe.amu.Unlock()
@@ -492,52 +414,25 @@ func (pe *planEntry) retain(scanned []*attrScan) {
 	next := make(map[string]*attrState, len(old)+len(scanned))
 	maps.Copy(next, old)
 	for _, as := range scanned {
-		next[as.col.Name()] = captureAttrState(as, len(pe.counts))
+		next[as.col.Name()] = as.attrState
 	}
 	pe.aggs.Store(&next)
 }
 
-// captureAttrState snapshots an attrScan's post-scan accumulators and sorted
-// runs as retained state. Buffer segments are captured as three-index views
-// (capacity clipped to the segment end) so a later advance APPENDS into fresh
-// arrays instead of clobbering the neighbouring group's segment.
-func captureAttrState(as *attrScan, ngroups int) *attrState {
-	st := &attrState{useString: as.useString}
-	if as.useString {
-		st.hasBuf = true
-		st.sortS = make([][]string, ngroups)
-		for li := range st.sortS {
-			st.sortS[li] = as.sbuf[as.offs[li]:as.fill[li]:as.fill[li]]
-		}
-		return st
-	}
-	st.nvalid = as.nvalid
-	st.hasVals = as.needVals
-	st.sum, st.min, st.max = as.sum, as.min, as.max
-	st.hasMoments = as.needMoments
-	st.hasM4 = as.needM4
-	st.ss, st.m4 = as.ss, as.m4
-	if as.needBuf {
-		st.hasBuf = true
-		st.sortF = make([][]float64, ngroups)
-		for li := range st.sortF {
-			st.sortF[li] = as.fbuf[as.offs[li]:as.fill[li]:as.fill[li]]
-		}
-	}
-	return st
-}
-
 // advance absorbs the plan group's delta rows into the state: streaming
-// accumulators update in row order (the exact association a full scan uses),
-// sorted runs append and re-sort only dirty groups, and the centered moments
-// of dirty groups recompute from the new means over the group's full row set
-// (mean-centered sums cannot be extended in place). Returns false when the
+// accumulators update in row order (the exact association a full scan uses,
+// mirroring streamScan's loop), sorted runs append and re-sort only dirty
+// groups, and the centered moments of dirty groups recompute from the new
+// means over the group's full row set (mean-centered sums cannot be extended
+// in place). Every value extract then serves is bit-identical to a fresh
+// scan's, since a re-sorted run is the same ascending multiset a full sort
+// produces. Returns false when the
 // state's shape cannot be advanced — the caller drops it and the next batch
 // rebuilds by scanning. resorts accumulates DirtyGroupResorts. Caller holds
 // the fence in write mode; pe's discovery has already been advanced.
 func (st *attrState) advance(e *Executor, pe *planEntry, attr string, delta []int, resorts *int64) bool {
 	if st.hasMoments && !st.hasVals {
-		return false // never produced by capture; defensive
+		return false // never produced by a scan; defensive
 	}
 	col := e.core.t.Column(attr)
 	if col == nil {

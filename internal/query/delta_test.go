@@ -13,8 +13,8 @@ import (
 )
 
 // deltaTable builds the delta suite's base table: the differential schema plus
-// a small-domain int column ("lvl", 0..9) so the integer range kernel and the
-// counting-sort path participate in the append sweeps.
+// a small-domain int column ("lvl", 0..9) so the integer range kernel's probe
+// and low-cardinality sorted runs participate in the append sweeps.
 func deltaTable(n int, seed int64) *dataframe.Table {
 	return deltaRows(n, seed, "base")
 }
@@ -25,13 +25,12 @@ func deltaTable(n int, seed int64) *dataframe.Table {
 //	mixed      same distribution (in-domain appends: stable dictionaries)
 //	nulls      NULL-heavy x and cat
 //	newgroups  unseen k1 values, ts and lvl beyond their observed domains
-//	            (new groups; lvl's counting domain widens in place)
+//	            (new groups; lvl's probe maximum rises in place)
 //	dictshift  a cat value sorting inside the existing dictionary domain
 //	            (forces a re-encode: codes shift) and negative lvl values
-//	            (lvl's counting base follows the minimum down)
+//	            (lvl's probe minimum follows them down)
 //	dictcap    over MaxDictCardinality distinct cat values (the dictionary
-//	            drops) and lvl values widening its counting domain to
-//	            ~1000 values, still under the cap
+//	            drops) and lvl values widening its range to ~1000 values
 func deltaRows(n int, seed int64, mode string) *dataframe.Table {
 	rng := rand.New(rand.NewSource(seed))
 	k1 := make([]int64, n)

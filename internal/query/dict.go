@@ -2,11 +2,12 @@ package query
 
 // Dictionary-backed scan kernels. String equality predicates resolve the
 // operand to its dictionary code once and then compare the column's uint16
-// codes; int/time range predicates compare the raw int64s against exact
-// integer bounds. The two kernels build each 64-row bitmap word branch-free —
-// per-row compares compile to flag-set instructions, the word is AND-ed with
-// the column's validity bitmap — so the predicate hot loop carries no
-// per-row branch misprediction and no string compares at all.
+// codes; int/time range predicates compare the raw int64s, read through the
+// column's cached integer probe (intProbe), against exact integer bounds.
+// The two kernels build each 64-row bitmap word branch-free — per-row
+// compares compile to flag-set instructions, the word is AND-ed with the
+// column's validity bitmap — so the predicate hot loop carries no per-row
+// branch misprediction and no string compares at all.
 //
 // Encodings are owned at the tableCore layer: dictFor hands out one
 // dictEntry per (table, column), and the entry's build defers to
@@ -151,15 +152,142 @@ func intRangeBounds(p Predicate) (lo, hi int64, empty bool) {
 
 // intRangeBitsFrom serves a range predicate over an int/time column for rows
 // [row0, n), row0 word-aligned (0, or the delta-advance start), from the
-// domain probe's integer state: exact integer bounds compared against the
-// raw int64s. An interval that misses the observed domain selects nothing and
-// skips the scan; the domain only widens under appends, so the rows a skipped
+// column's integer probe: exact integer bounds compared against the raw
+// int64s. An interval that misses the observed range selects nothing and
+// skips the scan; the range only widens under appends, so the rows a skipped
 // scan left unset stay correct.
-func intRangeBitsFrom(dom *domainEntry, p Predicate, bm []uint64, row0 int) {
+func intRangeBitsFrom(ip *intProbe, p Predicate, bm []uint64, row0 int) {
 	lo, hi, empty := intRangeBounds(p)
-	if empty || lo > dom.mx || hi < dom.mn {
+	if empty || lo > ip.mx || hi < ip.mn {
 		return
 	}
 	w0 := row0 >> 6
-	rangeInt64Bits(dom.ivals[row0:], dom.vbits[w0:], lo, hi, bm[w0:])
+	rangeInt64Bits(ip.ivals[row0:], ip.vbits[w0:], lo, hi, bm[w0:])
+}
+
+// maxExactIntAbs bounds |value| so float64(value) is exact, which makes the
+// integer range kernel equivalent to the float-view loops.
+const maxExactIntAbs = int64(1) << 53
+
+// intProbe is the cached state the range kernel reads for one int/time
+// column: its observed non-null bounds and, when every value is exact as a
+// float64 (intOK), the backing ints and a validity bitmap. It is read-only
+// after the once completes, except under the core's epoch fence, where
+// advance absorbs appended rows (see delta.go).
+type intProbe struct {
+	once   sync.Once
+	intOK  bool     // every value within maxExactIntAbs: the kernel serves the column
+	seen   bool     // some non-null value observed (mn/mx defined)
+	nrows  int      // rows the probe covers (for delta advances)
+	mn, mx int64    // observed non-null min/max (valid when seen)
+	ivals  []int64  // backing ints (shared with the column)
+	vbits  []uint64 // validity bitmap, LSB-first per word
+}
+
+// intProbeFor returns the cached probe of an int/time column, running it on
+// first use. Probes live in the core (they depend only on the column), so
+// executors sharing a core run each probe, a full-table pass, once between
+// them.
+func (e *Executor) intProbeFor(col *dataframe.Column) *intProbe {
+	c := e.core
+	c.mu.Lock()
+	if c.probes == nil {
+		c.probes = map[string]*intProbe{}
+	}
+	ip, ok := c.probes[col.Name()]
+	if !ok {
+		ip = &intProbe{}
+		c.probes[col.Name()] = ip
+	}
+	c.mu.Unlock()
+	if !ok {
+		e.mu.Lock()
+		e.stats.SharedScanPasses++
+		e.mu.Unlock()
+	}
+	ip.once.Do(func() { ip.probe(col) })
+	return ip
+}
+
+// probe scans the column once for its bounds and, when the kernel can serve
+// it, records the backing ints and validity bitmap.
+func (ip *intProbe) probe(col *dataframe.Column) {
+	vals, valid := col.IntData(), col.ValidData()
+	ip.nrows = len(vals)
+	var mn, mx int64
+	seen := false
+	for i, v := range vals {
+		if !valid[i] {
+			continue
+		}
+		if !seen {
+			mn, mx, seen = v, v, true
+			continue
+		}
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	if !seen {
+		return
+	}
+	ip.seen, ip.mn, ip.mx = true, mn, mx
+	if mn >= -maxExactIntAbs && mx <= maxExactIntAbs {
+		ip.intOK, ip.ivals = true, vals
+		ip.vbits = make([]uint64, (len(vals)+63)/64)
+		for i, ok := range valid {
+			if ok {
+				ip.vbits[i>>6] |= 1 << uint(i&63)
+			}
+		}
+	}
+}
+
+// advance absorbs rows appended to col since the probe (or the last advance),
+// re-deriving exactly the state a from-scratch probe of the grown column
+// would produce. intOK can only be lost by an append, never regained. Must run
+// under the core's epoch fence.
+func (ip *intProbe) advance(col *dataframe.Column) {
+	n := col.Len()
+	if ip.nrows >= n {
+		return
+	}
+	if !ip.seen {
+		// No non-null value had been observed, so nothing else is set: the
+		// grown column decides the whole probe, exactly as a fresh one would.
+		ip.probe(col)
+		return
+	}
+	vals, valid := col.IntData(), col.ValidData()
+	mn, mx := ip.mn, ip.mx
+	for i := ip.nrows; i < n; i++ {
+		if !valid[i] {
+			continue
+		}
+		if v := vals[i]; v < mn {
+			mn = v
+		} else if v > mx {
+			mx = v
+		}
+	}
+	ip.mn, ip.mx = mn, mx
+	if ip.intOK {
+		if mn < -maxExactIntAbs || mx > maxExactIntAbs {
+			ip.intOK, ip.ivals, ip.vbits = false, nil, nil
+		} else {
+			ip.ivals = vals // appends may have reallocated the backing slice
+			for len(ip.vbits) < (n+63)/64 {
+				ip.vbits = append(ip.vbits, 0)
+			}
+			for i := ip.nrows; i < n; i++ {
+				if valid[i] {
+					ip.vbits[i>>6] |= 1 << uint(i&63)
+				}
+			}
+		}
+	}
+	ip.nrows = n
 }

@@ -39,11 +39,11 @@ import (
 //     stamped with the plan generation, which rises whenever a plan entry
 //     leaves the plan map; a stale snapshot is prepared again.
 //
-// The table-scoped caches (group indexes, bitmaps, masks, float views, domain
+// The table-scoped caches (group indexes, bitmaps, masks, float views, integer
 // probes, dictionaries) live in the table's own tableCore (see core.go),
 // shared by every executor over the table, so they run each table pass once
 // between them. Scans walk the table morsel by morsel
-// (dataframe.MorselBounds), observing cancellation at every boundary.
+// (morselSegments), observing cancellation at every boundary.
 //
 // On top of the caches, every pass runs fused: a batch is prepared, then run
 // — grouped by plan group, each group's aggregates streaming through shared
@@ -97,7 +97,6 @@ type ExecutorStats struct {
 	// same loop, so ScatterQueries / ScatterPasses is the sharing factor
 	// (1.0 = every plan group serves one column).
 	ScatterPasses, ScatterQueries int64
-	CountingScans                 int64 // fused sorts served by the counting path
 	// Dictionary encoding (see dict.go): DictEncodes counts first-use
 	// dictionary builds charged to this executor's core, DictHits counts
 	// lookups served by an existing encoding, and CodePredScans counts
@@ -111,7 +110,7 @@ type ExecutorStats struct {
 	// FusedQueries counts).
 	CountOnlyQueries int64
 	// SharedScanPasses counts the full-table passes this executor paid to
-	// build a core entry (group index, predicate bitmap, float view, domain
+	// build a core entry (group index, predicate bitmap, float view, integer
 	// probe). The core belongs to the table, so k executors over one table
 	// pay one set of passes between them.
 	SharedScanPasses int64
@@ -148,7 +147,6 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 	s.CoreQueries += o.CoreQueries
 	s.ScatterPasses += o.ScatterPasses
 	s.ScatterQueries += o.ScatterQueries
-	s.CountingScans += o.CountingScans
 	s.DictEncodes += o.DictEncodes
 	s.DictHits += o.DictHits
 	s.CodePredScans += o.CodePredScans
@@ -166,10 +164,10 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 // String renders the snapshot as one compact log line.
 func (s ExecutorStats) String() string {
 	return fmt.Sprintf(
-		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d (hit/miss), fused %d queries (%d count-only) over %d scans (%d counting), scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds), shared-scans %d passes, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
+		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d (hit/miss), fused %d queries (%d count-only) over %d scans, scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds), shared-scans %d passes, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
 		s.GroupHits, s.GroupMisses, s.MaskHits, s.MaskMisses, s.PredHits, s.PredMisses,
 		s.PlanHits, s.PlanMisses, s.JoinHits, s.JoinMisses,
-		s.FusedQueries, s.CountOnlyQueries, s.FusedScans, s.CountingScans,
+		s.FusedQueries, s.CountOnlyQueries, s.FusedScans,
 		s.ScatterQueries, s.ScatterPasses,
 		s.DictEncodes, s.DictHits, s.CodePredScans,
 		s.SharedScanPasses, s.MorselsScanned,
@@ -507,11 +505,11 @@ func (e *Executor) floatView(col *dataframe.Column) []float64 {
 // match, bounds are inclusive.
 //
 // String equality on a dictionary-encoded column resolves the operand to its
-// code and compares the uint16 codes, and int/time ranges whose domain probe
+// code and compares the uint16 codes, and int/time ranges whose integer probe
 // admits them compare exact integer bounds — both branch-free, word at a
 // time (see dict.go). The input alone picks the fallbacks below: a string
-// column above MaxDictCardinality, or a float column or a domain the probe
-// rejects.
+// column above MaxDictCardinality, or a float column or an int range the
+// probe rejects (|value| > 2^53).
 func (e *Executor) buildPredBits(p Predicate) ([]uint64, error) {
 	n := e.core.t.NumRows()
 	bm := make([]uint64, (n+63)/64)
@@ -568,9 +566,9 @@ func (e *Executor) buildPredBitsFrom(p Predicate, lo int, bm []uint64) error {
 		}
 		if k := col.Kind(); (p.HasLo || p.HasHi) &&
 			(k == dataframe.KindInt || k == dataframe.KindTime) {
-			if dom := e.domain(col); dom.intOK {
+			if ip := e.intProbeFor(col); ip.intOK {
 				e.noteCodePred()
-				intRangeBitsFrom(dom, p, bm, lo)
+				intRangeBitsFrom(ip, p, bm, lo)
 				return nil
 			}
 		}

@@ -21,6 +21,10 @@ package query
 //	pass B     centered second/fourth moments from pass A's means — serving
 //	           the VAR / STD families and KURTOSIS (only when requested)
 //
+// An attribute's passes fill one attrState (every group's run sorted by
+// slices.Sort, whatever the domain), and every pair is extracted from an
+// attrState, whether the pass scanned it or found it retained.
+//
 // A 200-query rung with 20 distinct masks therefore costs a few scans per
 // mask instead of two per query, and every accumulation runs in the exact
 // matching-row (or sorted-distinct) order Query.Execute uses, so results are
@@ -286,48 +290,75 @@ func (e *Executor) checkBatch(qs []Query) error {
 	return nil
 }
 
-// attrScan is the per-attribute state of a plan group's shared scans: the
-// column's float view and validity slice (kind-specialised once, up front —
-// no per-row AsFloat/IsNull calls) plus whichever accumulators its requested
-// functions need.
-type attrScan struct {
-	useString bool
-	col       *dataframe.Column // the aggregation attribute
-
-	needVals    bool // pass A accumulates sum/min/max (any stream func)
-	needBuf     bool // pass A also fills flat value buffers (buffered funcs)
-	needMoments bool // pass B runs (VAR/STD families, KURTOSIS)
-	needM4      bool // pass B also accumulates fourth powers (KURTOSIS)
-
-	valid []bool
-	fvals []float64 // cached float view (numeric attributes)
-	strs  []string  // backing strings (string attributes)
+// attrState is the aggregate state of one (plan group, attribute): whatever
+// streaming accumulators and per-group sorted runs a fused scan produced. A
+// scan returns one, every extraction, cold or warm, reads one (extract), and
+// the plan entry retains it, so later passes requesting functions its shape
+// covers are served without rescanning, and appends advance it over just the
+// delta rows (see delta.go).
+//
+// The map holding these (planEntry.aggs) is immutable once published: a pass
+// reads it with one atomic load, and a scan that produces new state publishes
+// a copy (retain). States themselves are read-only between advances, which
+// run under the write fence, excluding readers.
+type attrState struct {
+	useString  bool
+	hasVals    bool // nvalid/sum/min/max populated (any stream func)
+	hasMoments bool // ss populated, and m4 when hasM4 (VAR/STD families, KURTOSIS)
+	hasM4      bool
+	hasBuf     bool // sorted per-group runs populated (buffered funcs)
 
 	// Accumulators, one slot per non-empty group.
-	nvalid   []int
-	sum      []float64
-	min, max []float64
-	ss, m4   []float64
+	nvalid        []int
+	sum, min, max []float64
+	ss, m4        []float64
+	// Per-group ascending non-null values: three-index views of the scan's
+	// flat buffer (capacity clipped to the segment end), so an advance
+	// appends into fresh arrays instead of clobbering the next group's run.
+	sortF [][]float64 // numeric attributes
+	sortS [][]string  // string attributes
+}
 
-	// Flat per-group value buffers, filled during pass A. Offsets are
-	// prefix-summed from the plan's cached total row counts (an upper bound
-	// on non-null counts), so the fill needs no counting pre-pass; segments
-	// are sorted in place once per group afterwards, so every
-	// order-statistics / distinct-counting function of the attribute shares
-	// one sort instead of building its own map or sorted copy per query.
-	offs, fill []int
-	fbuf       []float64
-	sbuf       []string
-	devbuf     []float64 // MAD deviation scratch, reused across groups
+// serves reports whether the state's shape covers fn without a rescan.
+func (st *attrState) serves(fn agg.Func) bool {
+	if st.useString {
+		// Functions a string column cannot serve resolve upstream (all-NULL
+		// direct results); everything else reads the sorted runs.
+		return st.hasBuf
+	}
+	if streamable(fn) {
+		switch {
+		case !st.hasVals:
+			return false
+		case needsMoments(fn) && !st.hasMoments:
+			return false
+		case fn == agg.Kurtosis && !st.hasM4:
+			return false
+		}
+		return true
+	}
+	return st.hasBuf
+}
 
-	// Counting-path state (see counting.go): the attribute's cached domain
-	// probe (nil or ineligible → comparison sort), per-segment count and
-	// touched-code scratch, and the code buffer string attributes scatter
-	// into instead of strings.
-	dom     *domainEntry
-	cnt     []int32
-	touched []int32
-	cbuf    []uint16
+func (st *attrState) servesAll(fns []agg.Func) bool {
+	for _, fn := range fns {
+		if !st.serves(fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// attrScan is a plan group's shared scan of one attribute: the state it fills
+// plus the column's float view and validity slice (kind-specialised once, up
+// front, so there are no per-row AsFloat/IsNull calls). Only the state
+// outlives the scan.
+type attrScan struct {
+	*attrState
+	col   *dataframe.Column // the aggregation attribute
+	valid []bool
+	fvals []float64 // cached float view (numeric attributes)
+	strs  []string  // backing strings (string attributes; nil when compact)
 }
 
 // streamable reports whether fn is served by the streaming passes (A/B) on a
@@ -357,13 +388,14 @@ func needsMoments(fn agg.Func) bool {
 // directly, and each attribute is served from the plan's retained state when
 // that covers every function the group asks of it — a warm pass, which
 // allocates nothing here and costs O(len(touched)) however many groups the
-// plan holds — and otherwise takes the scan branch: resolve the column and its
-// view, run the shared scans, extract, and retain the new state. Each group's
-// value is computed alone through the same helpers either way, so it does not
-// depend on which other groups the pass touches (those its training rows
-// join). The context is observed between the per-attribute scans, so a
-// batch that collapsed into one huge plan group still cancels promptly (the
-// per-worker check in the batch loop runs only once for such a batch).
+// plan holds. Otherwise the attribute takes the scan branch first: resolve the
+// column and its view, run the shared scans, and retain the new state. Either
+// way every pair is extracted from an attrState, each group's value computed
+// alone, so it does not depend on which other groups the pass touches (those
+// its training rows join). The context is observed between the per-attribute
+// scans, so a batch that collapsed into one huge plan group still cancels
+// promptly (the per-worker check in the batch loop runs only once for such a
+// batch).
 func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntry, touched []int, vals []float64, valid []bool) error {
 	nt := len(touched)
 	dst := func(pi int) ([]float64, []bool) {
@@ -386,25 +418,21 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntr
 	for ai := range g.attrs {
 		a := &g.attrs[ai]
 		st := aggs[a.name]
-		if st != nil && st.servesAll(a.fns) {
-			for k, pi := range a.pairs {
-				v, ok := dst(pi)
-				st.extract(a.fns[k], pe.counts, touched, v, ok)
+		if st == nil || !st.servesAll(a.fns) {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		as, err := e.scanAttr(ctx, pe, a, st)
-		if err != nil {
-			return err
+			as, err := e.scanAttr(ctx, pe, a, st)
+			if err != nil {
+				return err
+			}
+			scanned = append(scanned, as)
+			st = as.attrState
 		}
 		for k, pi := range a.pairs {
 			v, ok := dst(pi)
-			extractPair(a.fns[k], as, pe.counts, touched, v, ok)
+			st.extract(a.fns[k], pe.counts, touched, v, ok)
 		}
-		scanned = append(scanned, as)
 	}
 	if len(scanned) > 0 {
 		pe.retain(scanned)
@@ -419,42 +447,38 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntr
 
 // scanAttr is runPlanGroup's scan branch for one attribute: it resolves the
 // column and its float view, classifies the requested functions into the
-// scan shapes — unioning the capabilities of the attribute's old retained
-// state st (nil if none), so the replacement never serves less than its
-// predecessor — and runs the shared scans.
+// state's shape — unioning the shape of the attribute's old retained state st
+// (nil if none), so the replacement never serves less than its predecessor —
+// and runs the shared scans.
 func (e *Executor) scanAttr(ctx context.Context, pe *planEntry, a *attrPairs, st *attrState) (*attrScan, error) {
 	col := e.core.t.Column(a.name)
 	as := &attrScan{
-		useString: col.Kind() == dataframe.KindString,
+		attrState: &attrState{useString: col.Kind() == dataframe.KindString},
 		col:       col,
 		valid:     col.ValidData(),
 	}
 	if as.useString {
 		as.strs = col.StrData()
+		as.hasBuf = true
 	} else {
 		as.fvals = e.floatView(col)
-	}
-	for _, fn := range a.fns {
-		if !as.useString && streamable(fn) {
-			as.needVals = true
-			as.needMoments = as.needMoments || needsMoments(fn)
-			as.needM4 = as.needM4 || fn == agg.Kurtosis
-		} else {
-			as.needBuf = true
-		}
-	}
-	if st != nil && !as.useString {
-		as.needVals = as.needVals || st.hasVals
-		as.needMoments = as.needMoments || st.hasMoments
-		as.needM4 = as.needM4 || st.hasM4
-		as.needBuf = as.needBuf || st.hasBuf
-	}
-	if ngroups := len(pe.counts); ngroups > 0 {
-		if as.needBuf {
-			if dom := e.domain(col); dom.ok {
-				as.dom = dom
+		for _, fn := range a.fns {
+			if streamable(fn) {
+				as.hasVals = true
+				as.hasMoments = as.hasMoments || needsMoments(fn)
+				as.hasM4 = as.hasM4 || fn == agg.Kurtosis
+			} else {
+				as.hasBuf = true
 			}
 		}
+		if st != nil {
+			as.hasVals = as.hasVals || st.hasVals
+			as.hasMoments = as.hasMoments || st.hasMoments
+			as.hasM4 = as.hasM4 || st.hasM4
+			as.hasBuf = as.hasBuf || st.hasBuf
+		}
+	}
+	if ngroups := len(pe.counts); ngroups > 0 {
 		if err := as.scan(ctx, e, pe, ngroups); err != nil {
 			return nil, err
 		}
@@ -462,17 +486,19 @@ func (e *Executor) scanAttr(ctx context.Context, pe *planEntry, a *attrPairs, st
 	return as, nil
 }
 
-// scan runs the attribute's shared table scan(s) and extraction. When any
-// order-statistics function is requested (needBuf), the indexed scan scatters
-// the group's non-null values into one flat buffer partitioned by group
-// (offsets prefix-summed from the plan's cached row counts, so no counting
-// pre-pass) and everything — streaming sum/min/max, the centered moments, the
-// shared per-group sort — runs over contiguous buffer segments. When every
-// requested function is streamable, no buffer exists at all: the accumulators
-// stream directly off the indexed scan, with one extra indexed pass for the
-// centered moments. Both shapes accumulate in matching-row order, the exact
-// order of agg.Func.Apply over Query.Execute's per-group value lists, so
-// every result is bit-identical.
+// scan runs the attribute's shared table scan(s). When any order-statistics
+// function is requested (hasBuf), the indexed scan scatters the group's
+// non-null values into one flat buffer partitioned by group (offsets
+// prefix-summed from the plan's cached row counts, an upper bound on non-null
+// counts, so no counting pre-pass) and everything — streaming sum/min/max, the
+// centered moments, the per-group sort — runs over contiguous buffer
+// segments. Each segment is sorted once, so every order-statistics and
+// distinct-counting function of the attribute reads the same sorted run. When
+// every requested function is streamable, no buffer exists at all: the
+// accumulators stream directly off the indexed scan, with one extra indexed
+// pass for the centered moments. Both shapes accumulate in matching-row
+// order, the exact order of agg.Func.Apply over Query.Execute's per-group
+// value lists, so every result is bit-identical.
 //
 // Every pass walks the plan's morsel segments (pe.segs), observing the
 // context at each boundary; fill pointers and accumulators carry across
@@ -484,48 +510,19 @@ func (as *attrScan) scan(ctx context.Context, e *Executor, pe *planEntry, ngroup
 	local, rowGID := pe.local, pe.gi.RowGroups()
 	valid := as.valid
 
-	if !as.needBuf {
+	if !as.hasBuf {
 		return as.streamScan(ctx, e, pe, ngroups)
 	}
 
-	as.offs = make([]int, ngroups+1)
+	offs := make([]int, ngroups+1)
 	for li, n := range pe.counts {
-		as.offs[li+1] = as.offs[li] + n
+		offs[li+1] = offs[li] + n
 	}
-	as.fill = make([]int, ngroups)
-	copy(as.fill, as.offs[:ngroups])
+	fill := make([]int, ngroups)
+	copy(fill, offs[:ngroups])
 
 	if as.useString {
-		as.sbuf = make([]string, as.offs[ngroups])
-		if as.dom != nil {
-			// Counting path: scatter int32 codes instead of strings, then
-			// write each group's segment already sorted from the dictionary —
-			// no string moves in the scatter, no string compares at all.
-			e.countingScan()
-			if cap(as.cbuf) < as.offs[ngroups] {
-				as.cbuf = make([]uint16, as.offs[ngroups])
-			}
-			cbuf := as.cbuf[:as.offs[ngroups]]
-			codes, fill := as.dom.codes, as.fill
-			for _, sg := range pe.segs {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				e.noteMorsel()
-				for _, i := range pe.rows[sg[0]:sg[1]] {
-					if valid[i] {
-						li := local[rowGID[i]] - 1
-						cbuf[fill[li]] = codes[i]
-						fill[li]++
-					}
-				}
-			}
-			for li := 0; li < ngroups; li++ {
-				as.countingFillStrings(as.sbuf[as.offs[li]:fill[li]], cbuf[as.offs[li]:fill[li]], as.dom.svals, as.dom.k)
-			}
-			return nil
-		}
-		strs, sbuf, fill := as.strs, as.sbuf, as.fill
+		strs, sbuf := as.strs, make([]string, offs[ngroups])
 		for _, sg := range pe.segs {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -550,17 +547,17 @@ func (as *attrScan) scan(ctx context.Context, e *Executor, pe *planEntry, ngroup
 				}
 			}
 		}
-		for li := 0; li < ngroups; li++ {
-			slices.Sort(sbuf[as.offs[li]:fill[li]])
+		as.sortS = make([][]string, ngroups)
+		for li := range as.sortS {
+			seg := sbuf[offs[li]:fill[li]:fill[li]]
+			slices.Sort(seg)
+			as.sortS[li] = seg
 		}
 		return nil
 	}
 
-	as.fbuf = make([]float64, as.offs[ngroups])
-	if as.dom != nil {
-		e.countingScan()
-	}
-	fvals, fbuf, fill := as.fvals, as.fbuf, as.fill
+	fbuf := make([]float64, offs[ngroups])
+	fvals := as.fvals
 	for _, sg := range pe.segs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -576,24 +573,26 @@ func (as *attrScan) scan(ctx context.Context, e *Executor, pe *planEntry, ngroup
 	}
 
 	as.nvalid = make([]int, ngroups)
-	if as.needVals {
+	if as.hasVals {
 		as.sum = make([]float64, ngroups)
 		as.min = make([]float64, ngroups)
 		as.max = make([]float64, ngroups)
 	}
-	if as.needMoments {
+	if as.hasMoments {
 		as.ss = make([]float64, ngroups)
-		if as.needM4 {
+		if as.hasM4 {
 			as.m4 = make([]float64, ngroups)
 		}
 	}
-	for li := 0; li < ngroups; li++ {
-		seg := fbuf[as.offs[li]:fill[li]]
+	as.sortF = make([][]float64, ngroups)
+	for li := range as.sortF {
+		seg := fbuf[offs[li]:fill[li]:fill[li]]
+		as.sortF[li] = seg
 		as.nvalid[li] = len(seg)
 		if len(seg) == 0 {
 			continue
 		}
-		if as.needVals {
+		if as.hasVals {
 			// Accumulation mirrors agg's sum / Min / Max loops over the same
 			// value order (the first-element compares are no-ops).
 			s, mn, mx := 0.0, seg[0], seg[0]
@@ -608,12 +607,12 @@ func (as *attrScan) scan(ctx context.Context, e *Executor, pe *planEntry, ngroup
 			}
 			as.sum[li], as.min[li], as.max[li] = s, mn, mx
 		}
-		if as.needMoments {
+		if as.hasMoments {
 			// agg.populationVar / agg.kurtosis term by term: mean first, then
 			// centered squares (and fourth powers) in value order.
 			m := as.sum[li] / float64(len(seg))
 			ss := 0.0
-			if as.needM4 {
+			if as.hasM4 {
 				m4 := 0.0
 				for _, x := range seg {
 					d := x - m
@@ -630,11 +629,7 @@ func (as *attrScan) scan(ctx context.Context, e *Executor, pe *planEntry, ngroup
 			}
 			as.ss[li] = ss
 		}
-		if as.dom != nil {
-			as.countingSortFloats(seg, as.dom.base, as.dom.k)
-		} else {
-			slices.Sort(seg)
-		}
+		slices.Sort(seg)
 	}
 	return nil
 }
@@ -680,7 +675,7 @@ func (as *attrScan) streamScan(ctx context.Context, e *Executor, pe *planEntry, 
 			}
 		}
 	}
-	if !as.needMoments {
+	if !as.hasMoments {
 		return nil
 	}
 	e.countScan()
@@ -692,7 +687,7 @@ func (as *attrScan) streamScan(ctx context.Context, e *Executor, pe *planEntry, 
 		}
 	}
 	ss := as.ss
-	if as.needM4 {
+	if as.hasM4 {
 		as.m4 = make([]float64, ngroups)
 		m4 := as.m4
 		for _, sg := range pe.segs {
@@ -729,27 +724,24 @@ func (as *attrScan) streamScan(ctx context.Context, e *Executor, pe *planEntry, 
 	return nil
 }
 
-// extractPair turns one attribute's accumulators (or sorted buffers) into the
-// final values of one aggregation function for the touched local groups,
+// extract serves one function from the state for the touched local groups,
 // writing group touched[t]'s result to vals[t] and valid[t]. It reproduces
 // agg.Func.Apply's formulas — including expression order, so floats match
-// bit for bit.
-func extractPair(fn agg.Func, as *attrScan, counts []int, touched []int, vals []float64, valid []bool) {
-	if !as.useString && streamable(fn) {
-		streamExtract(fn, as.nvalid, as.sum, as.min, as.max, as.ss, as.m4, touched, vals, valid)
+// bit for bit. Buffered functions read the group's sorted run; each extractor
+// reproduces its agg.Func counterpart exactly — same empty-group conventions,
+// same tie-breaks, same floating-point accumulation order (distinct values
+// ascending, the order agg sorts its map keys into).
+func (st *attrState) extract(fn agg.Func, counts []int, touched []int, vals []float64, valid []bool) {
+	if !st.useString && streamable(fn) {
+		streamExtract(fn, st.nvalid, st.sum, st.min, st.max, st.ss, st.m4, touched, vals, valid)
 		return
 	}
-	// Buffered path: compute from the group's sorted value segment. Each
-	// extractor reproduces its agg.Func counterpart exactly — same empty-group
-	// conventions, same tie-breaks, same floating-point accumulation order
-	// (distinct values ascending, the order agg sorts its map keys into).
+	var devbuf []float64 // MAD deviation scratch, reused across groups
 	for t, li := range touched {
-		seg := as.offs[li]
-		end := as.fill[li]
-		if as.useString {
-			vals[t], valid[t] = sortedStringAgg(fn, as.sbuf[seg:end], counts[li])
+		if st.useString {
+			vals[t], valid[t] = sortedStringAgg(fn, st.sortS[li], counts[li])
 		} else {
-			vals[t], valid[t] = sortedFloatAgg(fn, &as.devbuf, as.fbuf[seg:end], counts[li])
+			vals[t], valid[t] = sortedFloatAgg(fn, &devbuf, st.sortF[li], counts[li])
 		}
 	}
 }
@@ -758,8 +750,7 @@ func extractPair(fn agg.Func, as *attrScan, counts []int, touched []int, vals []
 // for the touched local groups, writing group touched[t]'s result to vals[t]
 // and valid[t] ((0, false) where the aggregate is undefined). It reproduces
 // agg.Func.Apply's formulas — including expression order, so floats match
-// bit for bit. Shared by the fresh-scan path (extractPair) and the
-// retained-state path (attrState.extract in delta.go).
+// bit for bit.
 func streamExtract(fn agg.Func, nvalid []int, sum, mn, mx, ss, m4 []float64, touched []int, vals []float64, valid []bool) {
 	for t, li := range touched {
 		v, ok := 0.0, false

@@ -129,7 +129,7 @@ func evalBits(t *testing.T, tbl *dataframe.Table, p Predicate) []uint64 {
 
 // TestCodeKernelsFromMatchEval drives the entry points buildPredBitsFrom
 // uses — dictEqBitsFrom over a column's dictionary and intRangeBitsFrom over
-// its domain probe — at every word-aligned start against Predicate.Eval, on
+// its integer probe — at every word-aligned start against Predicate.Eval, on
 // columns with NULLs and lengths 0–130. Range bounds cover fractional and
 // infinite operands and intervals that miss the observed domain (the
 // probe-side skip).
@@ -172,9 +172,9 @@ func TestCodeKernelsFromMatchEval(t *testing.T) {
 				}
 			})
 		}
-		dom := &domainEntry{}
-		dom.probe(tbl.Column("i"))
-		if !dom.intOK {
+		ip := &intProbe{}
+		ip.probe(tbl.Column("i"))
+		if !ip.intOK {
 			continue // all-NULL column: the executor takes the float fallback
 		}
 		for _, p := range ranges {
@@ -183,7 +183,7 @@ func TestCodeKernelsFromMatchEval(t *testing.T) {
 				for wi := lo >> 6; wi < len(bm); wi++ {
 					bm[wi] = 0
 				}
-				intRangeBitsFrom(dom, p, bm, lo)
+				intRangeBitsFrom(ip, p, bm, lo)
 			})
 		}
 	}

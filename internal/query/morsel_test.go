@@ -56,3 +56,43 @@ func TestMorselCancellation(t *testing.T) {
 		t.Fatalf("goroutine leak after cancellation: %d before, %d after", baseline, g)
 	}
 }
+
+// TestMorselsExactCover requires morselSegments to tile every row list in
+// order: each segment starts where the last ended, is non-empty, holds rows
+// of one morsel only, and is maximal (its neighbour starts a new morsel).
+// Row lists are the identity (every segment but the last is a full morsel)
+// and random ascending subsets of 0..nrows.
+func TestMorselsExactCover(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for nrows := 0; nrows <= 40; nrows++ {
+		for size := 1; size <= 9; size++ {
+			ident := make([]int, nrows)
+			var sub []int
+			for i := range ident {
+				ident[i] = i
+				if rng.Intn(3) > 0 {
+					sub = append(sub, i)
+				}
+			}
+			for _, rows := range [][]int{ident, sub} {
+				segs := morselSegments(rows, size)
+				next := 0
+				for i, sg := range segs {
+					if sg[0] != next || sg[1] <= sg[0] {
+						t.Fatalf("rows %v size %d: segment %d = %v after %d (gap, overlap or empty)", rows, size, i, sg, next)
+					}
+					if m := rows[sg[0]] / size; rows[sg[1]-1]/size != m || (i > 0 && rows[sg[0]-1]/size == m) {
+						t.Fatalf("rows %v size %d: segment %d = %v is not one maximal morsel", rows, size, i, sg)
+					}
+					next = sg[1]
+				}
+				if next != len(rows) {
+					t.Fatalf("rows %v size %d: segments cover %d of %d rows", rows, size, next, len(rows))
+				}
+				if len(rows) == nrows && len(segs) != (nrows+size-1)/size {
+					t.Fatalf("identity rows of %d, size %d: %d segments, want %d", nrows, size, len(segs), (nrows+size-1)/size)
+				}
+			}
+		}
+	}
+}

@@ -59,10 +59,11 @@ func lowCardSortPool(nRows int) (*dataframe.Table, []Query) {
 	return r, qs
 }
 
-// BenchmarkSortCounting measures the counting/bucket path on low-cardinality
-// domains (small-int, categorical, bool), joined onto the relevant table
-// itself so every group is extracted.
-func BenchmarkSortCounting(b *testing.B) {
+// BenchmarkOrderStatsLowCardinality measures the order-statistics aggregates
+// on low-cardinality domains (small-int, categorical, bool), where every
+// group's sorted run is mostly ties, joined onto the relevant table itself so
+// every group is extracted.
+func BenchmarkOrderStatsLowCardinality(b *testing.B) {
 	r, qs := lowCardSortPool(8000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
