@@ -47,7 +47,7 @@ type tableCore struct {
 	views   map[string]*viewEntry // per-column float views (int/time/bool)
 	probes  map[string]*intProbe  // per-column int/time range-kernel probes (see dict.go)
 	dicts   map[string]*dictEntry // per-column dictionary encodings (see dict.go)
-	allRows []int                 // lazily built identity row list
+	allRows []int                 // identity row list (see rowIdentity)
 
 	spaceDims map[spaceDimKey]*spaceDimEntry // predicate value domains (see spacecache.go)
 }
@@ -61,18 +61,18 @@ type viewEntry struct {
 // coreOf returns t's core, building it in t's scan-state slot on first use.
 func coreOf(t *dataframe.Table) *tableCore {
 	return t.ScanState(func() any {
-		// Empty caches vacuously cover the current epoch; coreGet and the
+		// Empty caches vacuously cover the current epoch; boundedGet and the
 		// per-column lookups make each map on first use.
 		return &tableCore{t: t, epoch: t.Epoch()}
 	}).(*tableCore)
 }
 
-// coreGet returns m's entry for k, creating it with mk on a miss and dropping
-// the whole map first when the bound is hit (the executor-cache pattern;
-// in-flight holders keep their references). Caller must hold the core's mu.
-// hit reports whether the entry already existed; evicted whether this lookup
-// overflowed the bound.
-func coreGet[K comparable, V any](m *map[K]*V, k K, max int, mk func() *V) (ent *V, hit, evicted bool) {
+// boundedGet returns m's entry for k, creating it with mk on a miss and
+// dropping the whole map first when the bound is hit (in-flight holders keep
+// their references). Caller must hold the lock guarding m. hit reports
+// whether the entry already existed; evicted whether this lookup overflowed
+// the bound.
+func boundedGet[K comparable, V any](m *map[K]*V, k K, max int, mk func() *V) (ent *V, hit, evicted bool) {
 	if *m == nil {
 		*m = map[K]*V{}
 	}
@@ -88,17 +88,17 @@ func coreGet[K comparable, V any](m *map[K]*V, k K, max int, mk func() *V) (ent 
 	return ent, false, evicted
 }
 
-// rowIdentity returns the core's shared 0..n-1 row list, built once, so
-// predicate-free plans scan through the same []int-driven loops as masked
-// plans without a per-query allocation.
+// rowIdentity returns the core's shared 0..n-1 row list, extended to the
+// table's rows on each call, so predicate-free plans scan through the same
+// []int-driven loops as masked plans without a per-query allocation. Plans
+// alias a prefix of the list, and extending it writes only past that prefix.
 func (c *tableCore) rowIdentity() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.allRows == nil {
-		c.allRows = make([]int, c.t.NumRows())
-		for i := range c.allRows {
-			c.allRows[i] = i
-		}
+	from := len(c.allRows)
+	c.allRows = growTo(c.allRows, c.t.NumRows())
+	for i := from; i < len(c.allRows); i++ {
+		c.allRows[i] = i
 	}
 	return c.allRows
 }

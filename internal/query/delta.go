@@ -1,39 +1,47 @@
 package query
 
-// Delta cache maintenance (PR 9). Tables are append-only mutable
-// (dataframe.Table.AppendRows bumps a monotone epoch); this file teaches the
-// whole cache stack to ADVANCE over just the appended rows instead of
-// rebuilding, with results bit-identical to a full recompute — the
+// One build path per cache entry. Tables are append-only mutable
+// (dataframe.Table.AppendRows bumps a monotone epoch), and every cache entry
+// records the rows it covers. Each entry has exactly one function that fills
+// it, extending it from the rows it covers to the table's current rows: a
+// cold build calls that function from row zero, and an append calls it from
+// the old end. So there is one implementation of each entry's contents, and
+// an advanced entry is bit-identical to a fresh build by construction — the
 // differential suite and FuzzAppendMatchesOracle sweep append sizes, NULL
 // densities, new-group and dictionary-crossing deltas against fresh
-// executors and Query.Execute over the concatenated table to enforce it.
+// executors and Query.Execute over the concatenated table.
+//
+//	predicate bitmap  extendPred: the kernels from the last partial word on
+//	WHERE mask        extendMask: intersection from the last partial word,
+//	                  matched rows appended (appendMatchedRows)
+//	plan discovery    planEntry.discover: first-seen numbering over new rows
+//	aggregate state   attrState.absorb: runs and accumulators over new rows
+//	integer probe     intProbe.extend (dict.go): bounds, validity bits
+//	float view        viewEntry.extend: coerced values
+//	identity rows     tableCore.rowIdentity (core.go)
+//	group index       dataframe.GroupIndex.Extend
 //
 // Synchronisation is the table's epoch fence (tableCore.fence; the core lives
 // in the table's scan-state slot, so a table has exactly one): every scan
 // entry point takes it in read mode for the whole pass, appends (Append) and
 // advances take it in write mode, so scans never observe a half-appended
-// table or half-advanced entries. Advance is two-layered, matching cache
-// ownership:
+// table or half-extended entries. A cold build runs inside its entry's once,
+// under the read fence; an advance runs under the write fence. The advance is
+// two-layered, matching cache ownership: the table's core (dictionaries
+// re-pointed, where a re-encode that shifted codes wipes the code-keyed
+// predicate and mask maps; then probes, views, group indexes, bitmaps and
+// masks), then each executor's private plan and join entries.
 //
-//	core     dictionaries re-pointed (a re-encode that shifted codes wipes
-//	         the code-keyed predicate/mask maps), integer probes merged,
-//	         float views extended, group indexes extended, predicate bitmaps
-//	         recomputed from their last partial word, mask bitmaps/row lists
-//	         re-intersected over the same tail, identity rows grown;
-//	private  per-executor plan discovery extended over the delta rows, the
-//	         per-plan aggregate state (attrState) advanced in row order with
-//	         only dirty groups re-sorted, unmatched training rows of join
-//	         entries re-resolved against the grown relevant index.
-//
-// Every advance helper is idempotent (entries record the rows they cover),
-// so a plan advance can refresh a mask or group index that was evicted from
-// its map, and a core shared by executors at different epochs converges
-// correctly. Bit-identity rests on three invariants the build paths already
-// hold: accumulators run in matching-row order (never per-morsel partials),
-// groups are numbered in first-seen order, and sorted runs are the unique
-// ascending permutation of each group's multiset.
+// Extending a covered entry changes nothing, so a plan advance can extend a
+// mask or group index that was evicted from its map, and a core shared by
+// executors at different epochs converges correctly. Bit-identity rests on
+// three invariants every extend keeps: accumulators run in matching-row
+// order (never per-morsel partials), groups are numbered in first-seen order,
+// and sorted runs are the unique ascending permutation of each group's
+// multiset.
 
 import (
+	"context"
 	"maps"
 	"math/bits"
 	"slices"
@@ -94,15 +102,14 @@ func (e *Executor) advanceLocked() {
 	e.mu.Unlock()
 }
 
-// advanceCore advances every core entry over the appended rows, in
-// dependency order: dictionaries first (predicate advances read codes),
-// integer probes and views next (predicate kernels read them), group
-// indexes, then predicate bitmaps, masks and the identity row list. Caller
-// holds the fence in write mode, which excludes every reader of the core
-// maps.
+// advanceCore extends every core entry over the appended rows, in dependency
+// order: dictionaries first (predicate kernels read codes), integer probes
+// and views next (predicate kernels read them), group indexes, then
+// predicate bitmaps and masks. Every entry in the maps covers the rows of
+// the core's last epoch, so each extend does work. Caller holds the fence in
+// write mode, which excludes every reader of the core maps.
 func (e *Executor) advanceCore(rebuilds *int64) int64 {
 	c := e.core
-	n := c.t.NumRows()
 	var scanned int64
 
 	// Dictionaries: Column.Dict() already absorbed stable appends in place at
@@ -131,71 +138,39 @@ func (e *Executor) advanceCore(rebuilds *int64) int64 {
 	}
 
 	for name, ip := range c.probes {
-		if col := c.t.Column(name); col != nil {
-			ip.advance(col)
-		}
+		ip.extend(c.t.Column(name))
 	}
 	for name, ent := range c.views {
-		col := c.t.Column(name)
-		if col == nil || ent.vals == nil {
-			continue
-		}
-		switch col.Kind() {
-		case dataframe.KindInt, dataframe.KindTime:
-			for _, x := range col.IntData()[len(ent.vals):] {
-				ent.vals = append(ent.vals, float64(x))
-			}
-		case dataframe.KindBool:
-			for _, x := range col.BoolData()[len(ent.vals):] {
-				v := 0.0
-				if x {
-					v = 1
-				}
-				ent.vals = append(ent.vals, v)
-			}
-		}
+		ent.extend(c.t.Column(name))
 	}
 	for _, ent := range c.groups {
-		if ent.err == nil && ent.idx != nil {
+		if ent.err == nil {
 			ent.idx.Extend()
 		}
 	}
 	for _, ent := range c.preds {
-		scanned += e.advancePred(ent)
+		scanned += e.extendPred(ent)
 	}
 	for _, ent := range c.masks {
-		scanned += e.advanceMask(ent)
-	}
-	if c.allRows != nil {
-		for i := len(c.allRows); i < n; i++ {
-			c.allRows = append(c.allRows, i)
-		}
+		scanned += e.extendMask(ent)
 	}
 	return scanned
 }
 
-// advancePred recomputes a predicate bitmap's tail: the last partially-filled
-// word onward, so only appended rows (plus at most 63 recomputed-identical
-// neighbours) are scanned. Errored entries stay as they are — the error is a
-// schema property appends cannot change. Idempotent; returns the rows newly
-// covered. Caller holds the fence in write mode.
-func (e *Executor) advancePred(ent *predEntry) int64 {
+// extendPred extends a predicate bitmap from the rows it covers to the
+// table's: the kernels rewrite the last partially-filled word onward, so an
+// append scans only its rows (plus at most 63 recomputed-identical
+// neighbours), and a new entry evaluates from row zero. Errors are schema
+// properties appends cannot change, so an errored entry stays as it is.
+// Returns the rows newly covered. Caller holds the entry's once or the write
+// fence.
+func (e *Executor) extendPred(ent *predEntry) int64 {
 	if ent.err != nil {
 		return 0
 	}
 	n := e.core.t.NumRows()
-	if ent.nrows >= n {
-		return 0
-	}
-	lo := ent.nrows &^ 63
-	words := (n + 63) / 64
-	for len(ent.bits) < words {
-		ent.bits = append(ent.bits, 0)
-	}
-	if err := e.buildPredBitsFrom(ent.p, lo, ent.bits); err != nil {
-		// Cannot happen for an entry that built cleanly (appends preserve the
-		// schema); recorded for safety so the entry is never half-advanced.
-		ent.err = err
+	ent.bits = growTo(ent.bits, (n+63)/64)
+	if ent.err = e.fillPredBits(ent.p, ent.nrows&^63, ent.bits); ent.err != nil {
 		return 0
 	}
 	delta := int64(n - ent.nrows)
@@ -203,39 +178,32 @@ func (e *Executor) advancePred(ent *predEntry) int64 {
 	return delta
 }
 
-// advanceMask re-intersects a mask's tail words from the advanced predicate
-// bitmaps and appends the newly matched rows to the row list in place: an
-// old row's match never changes, so only rows at or past the old coverage
-// are new, and the cost is O(delta), not O(matched rows). Plan entries alias
+// extendMask extends a WHERE mask from the rows it covers to the table's: it
+// intersects the (extended) predicate bitmaps from the last partially-filled
+// word onward and appends the newly matched rows to the row list in place.
+// An old row's match never changes, so the cost is O(new rows), not
+// O(matched rows); a new entry intersects from row zero. Plan entries alias
 // only the prefix they cover and read it only under the read fence, so
-// writing past it is safe. Idempotent; caller holds the fence in write mode.
-func (e *Executor) advanceMask(ent *maskEntry) int64 {
+// writing past it is safe. Returns the rows newly covered. Caller holds the
+// entry's once or the write fence.
+func (e *Executor) extendMask(ent *maskEntry) int64 {
 	if ent.err != nil {
 		return 0
 	}
 	n := e.core.t.NumRows()
-	if ent.nrows >= n {
-		return 0
-	}
-	lo := ent.nrows &^ 63
-	w0 := lo >> 6
-	words := (n + 63) / 64
-	for len(ent.bits) < words {
-		ent.bits = append(ent.bits, 0)
-	}
-	first := true
-	for _, p := range ent.preds {
-		// predMask returns an advanced bitmap: either the cached entry this
-		// same advance pass already extended, or — if the entry was evicted —
-		// a fresh full build at the current epoch.
+	w0, words := ent.nrows>>6, (n+63)/64
+	ent.bits = growTo(ent.bits, words)
+	for k, p := range ent.preds {
+		// predMask returns an extended bitmap: either the cached entry this
+		// same advance already extended, or a new entry built at the
+		// current epoch.
 		pm, err := e.predMask(p)
 		if err != nil {
 			ent.err = err
 			return 0
 		}
-		if first {
-			copy(ent.bits[w0:words], pm[w0:words])
-			first = false
+		if k == 0 {
+			copy(ent.bits[w0:], pm[w0:words])
 			continue
 		}
 		for wi := w0; wi < words; wi++ {
@@ -249,12 +217,23 @@ func (e *Executor) advanceMask(ent *maskEntry) int64 {
 }
 
 // appendMatchedRows appends to rows, ascending, the indices at or past from
-// that mask selects.
+// that mask selects. One popcount pass sizes the list, so the walk never
+// reallocates.
 func appendMatchedRows(rows []int, mask []uint64, from int) []int {
-	for wi := from >> 6; wi < len(mask); wi++ {
+	w0 := from >> 6
+	if w0 >= len(mask) {
+		return rows
+	}
+	head := mask[w0] &^ (1<<uint(from&63) - 1)
+	cnt := bits.OnesCount64(head)
+	for _, w := range mask[w0+1:] {
+		cnt += bits.OnesCount64(w)
+	}
+	rows = slices.Grow(rows, cnt)
+	for wi := w0; wi < len(mask); wi++ {
 		w := mask[wi]
-		if wi == from>>6 {
-			w &^= 1<<uint(from&63) - 1
+		if wi == w0 {
+			w = head
 		}
 		base := wi << 6
 		for w != 0 {
@@ -263,6 +242,26 @@ func appendMatchedRows(rows []int, mask []uint64, from int) []int {
 		}
 	}
 	return rows
+}
+
+// extend converts the column's rows past the view's end, coerced exactly as
+// Column.AsFloat coerces (NULL positions hold an unspecified value). Caller
+// holds the entry's once or the write fence.
+func (v *viewEntry) extend(col *dataframe.Column) {
+	from := len(v.vals)
+	v.vals = growTo(v.vals, col.Len())
+	switch col.Kind() {
+	case dataframe.KindInt, dataframe.KindTime:
+		for i, x := range col.IntData()[from:] {
+			v.vals[from+i] = float64(x)
+		}
+	case dataframe.KindBool:
+		for i, x := range col.BoolData()[from:] {
+			if x {
+				v.vals[from+i] = 1
+			}
+		}
+	}
 }
 
 // advancePrivate advances this executor's plan and join entries over the
@@ -284,91 +283,93 @@ func (e *Executor) advancePrivate() int64 {
 	return scanned
 }
 
-// advancePlan extends one plan group's discovery over the delta rows: refetch
-// the (advanced) row list, recompute morsel segments from the last run's
-// start, walk only the new rows through the first-seen discovery loop, then
-// advance the plan's retained aggregate state. Returns false when the entry
-// cannot be advanced and must be dropped (rebuilt on next use). Caller holds
-// the fence in write mode.
+// advancePlan extends one plan group over the appended rows: its group index
+// and mask (either may have left the core maps, so the plan extends them
+// itself), its discovery, then its retained aggregate states. Returns the
+// rows newly covered, and false when the mask cannot be extended, so the
+// entry must be dropped (rebuilt on next use). Caller holds the fence in
+// write mode.
 func (e *Executor) advancePlan(ent *planEntry) (int64, bool) {
-	if ent.err != nil {
-		return 0, true // terminal; keep as-is
-	}
 	n := e.core.t.NumRows()
-	if ent.nrows >= n {
-		return 0, true
-	}
-	// The group index may have left the core map (eviction); extend directly.
 	ent.gi.Extend()
-	oldLen := len(ent.rows)
 	if me := ent.me; me != nil {
-		if e.advanceMask(me); me.err != nil {
+		if me.nrows < n {
+			e.extendMask(me)
+		}
+		if me.err != nil {
 			return 0, false
 		}
-		ent.rows = me.rows
-	} else {
-		ent.rows = e.core.rowIdentity()
 	}
-	// Bit-identity invariant: the advanced row list's prefix equals the old
-	// list (appends only add rows with higher indices), so the delta is
-	// exactly the suffix.
-	delta := ent.rows[oldLen:]
+	from := ent.nrows
+	ent.discover(e)
 
-	// Morsel segments: the last old segment may have been a partial run that
-	// new rows extend, so recompute from its start (runs before it are
-	// untouched by construction).
-	if len(ent.segs) > 0 {
-		start := ent.segs[len(ent.segs)-1][0]
-		segs := ent.segs[: len(ent.segs)-1 : len(ent.segs)-1]
-		for _, sg := range morselSegments(ent.rows[start:], e.morselRows) {
-			segs = append(segs, [2]int{sg[0] + start, sg[1] + start})
-		}
-		ent.segs = segs
-	} else {
-		ent.segs = morselSegments(ent.rows, e.morselRows)
-	}
-
-	// Discovery delta: identical to the build loop restricted to new rows —
-	// first-seen numbering continues where the build left off.
-	rowGID := ent.gi.RowGroups()
-	for len(ent.local) < ent.gi.NumGroups() {
-		ent.local = append(ent.local, 0)
-	}
-	for _, i := range delta {
-		gid := rowGID[i]
-		li := ent.local[gid]
-		if li == 0 {
-			ent.counts = append(ent.counts, 0)
-			li = len(ent.counts)
-			ent.local[gid] = li
-		}
-		ent.counts[li-1]++
-	}
-
-	// Retained states advance in place: the write fence excludes every
-	// reader. A state that cannot advance leaves through a copy of the map.
+	// Retained states extend in place: the write fence excludes every
+	// reader. A half-absorbed state would be corrupt, so an advance passes
+	// no deadline, and absorb cannot fail.
 	var resorts int64
-	aggs := ent.retained()
-	var kept map[string]*attrState
-	for attr, st := range aggs {
-		if !st.advance(e, ent, attr, delta, &resorts) {
-			if kept == nil {
-				kept = maps.Clone(aggs)
-			}
-			delete(kept, attr)
-		}
-	}
-	if kept != nil {
-		ent.aggs.Store(&kept)
+	for attr, st := range ent.retained() {
+		k, _ := st.absorb(context.Background(), e, ent, e.core.t.Column(attr))
+		resorts += k
 	}
 	if resorts > 0 {
 		e.mu.Lock()
 		e.stats.DirtyGroupResorts += resorts
 		e.mu.Unlock()
 	}
-	scanned := int64(n - ent.nrows)
-	ent.nrows = n
-	return scanned, true
+	return int64(n - from), true
+}
+
+// discover extends the plan's group discovery from the rows it covers to the
+// table's: it refetches the row list (the mask's, or the identity), re-splits
+// morsel segments from the last one's start (the only one new rows can
+// extend), and walks the new rows through the first-seen numbering, so a new
+// plan discovers from row zero and an append continues where the last
+// discovery stopped, keeping every group's number. Caller holds the entry's
+// once or the write fence; gi and me already cover the table.
+func (pe *planEntry) discover(e *Executor) {
+	from := len(pe.rows)
+	if pe.me != nil {
+		pe.rows = pe.me.rows
+	} else {
+		pe.rows = e.core.rowIdentity()
+	}
+	start := 0
+	if k := len(pe.segs); k > 0 {
+		start = pe.segs[k-1][0]
+		pe.segs = pe.segs[: k-1 : k-1]
+	}
+	for _, sg := range morselSegments(pe.rows[start:], e.morselRows) {
+		pe.segs = append(pe.segs, [2]int{sg[0] + start, sg[1] + start})
+	}
+	rowGID := pe.gi.RowGroups()
+	local, counts := growTo(pe.local, pe.gi.NumGroups()), pe.counts
+	for _, i := range pe.rows[from:] {
+		gid := rowGID[i]
+		li := local[gid]
+		if li == 0 {
+			counts = append(counts, 0)
+			li = len(counts)
+			local[gid] = li
+		}
+		counts[li-1]++
+	}
+	pe.local, pe.counts = local, counts
+	pe.nrows = e.core.t.NumRows()
+}
+
+// eachMorsel calls visit on the plan's rows from index from on, one morsel
+// segment at a time, observing ctx at each segment boundary.
+func (pe *planEntry) eachMorsel(ctx context.Context, from int, visit func(rows []int)) error {
+	for _, sg := range pe.segs {
+		if sg[1] <= from {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		visit(pe.rows[max(sg[0], from):sg[1]])
+	}
+	return nil
 }
 
 // advanceJoin re-resolves the training rows that had no relevant-side match
@@ -407,169 +408,249 @@ func (pe *planEntry) retained() map[string]*attrState {
 // still reading the old map are undisturbed. A rescan replaces the
 // attribute's old (narrower) state wholesale. amu orders concurrent
 // publishers, which all hold the read fence.
-func (pe *planEntry) retain(scanned []*attrScan) {
+func (pe *planEntry) retain(scanned map[string]*attrState) {
 	pe.amu.Lock()
 	defer pe.amu.Unlock()
 	old := pe.retained()
 	next := make(map[string]*attrState, len(old)+len(scanned))
 	maps.Copy(next, old)
-	for _, as := range scanned {
-		next[as.col.Name()] = as.attrState
-	}
+	maps.Copy(next, scanned)
 	pe.aggs.Store(&next)
 }
 
-// advance absorbs the plan group's delta rows into the state: streaming
-// accumulators update in row order (the exact association a full scan uses,
-// mirroring streamScan's loop), sorted runs append and re-sort only dirty
-// groups, and the centered moments of dirty groups recompute from the new
-// means over the group's full row set (mean-centered sums cannot be extended
-// in place). Every value extract then serves is bit-identical to a fresh
-// scan's, since a re-sorted run is the same ascending multiset a full sort
-// produces. Returns false when the
-// state's shape cannot be advanced — the caller drops it and the next batch
-// rebuilds by scanning. resorts accumulates DirtyGroupResorts. Caller holds
-// the fence in write mode; pe's discovery has already been advanced.
-func (st *attrState) advance(e *Executor, pe *planEntry, attr string, delta []int, resorts *int64) bool {
-	if st.hasMoments && !st.hasVals {
-		return false // never produced by a scan; defensive
-	}
-	col := e.core.t.Column(attr)
-	if col == nil {
-		return false
-	}
-	ngroups := len(pe.counts)
-	local, rowGID := pe.local, pe.gi.RowGroups()
-	valid := col.ValidData()
-
+// absorb extends the state from the plan rows it covers, pe.rows[:st.rows],
+// to all of pe.rows, and returns how many sorted runs it re-sorted. A scan
+// absorbs a new state from row zero; an append absorbs the delta rows into a
+// retained state once the plan's discovery covers them. Groups new to the
+// state get runs cut from one buffer sized by their matching-row counts
+// (pe.counts, an upper bound on their non-null values), so the walk appends
+// in place, and an old run that outgrows its reserved end moves alone.
+//
+// Every accumulation runs in matching-row order, the order agg.Func.Apply
+// sees over Query.Execute's per-group value lists, so results are
+// bit-identical to Query.Execute's: a buffered state accumulates SUM / MIN /
+// MAX over each run's new suffix (still in row order before the sort), and a
+// streaming state accumulates row by row. Centered moments cannot be
+// extended in place: a run that held no values yet yields them directly, and
+// every other group that absorbed values restarts them in a walk over all
+// the plan's rows (recenter). ctx is observed at each morsel boundary; a
+// cancelled absorb leaves the state unusable, which only a scan's new state
+// can meet.
+func (st *attrState) absorb(ctx context.Context, e *Executor, pe *planEntry, col *dataframe.Column) (int64, error) {
+	ngroups, from := len(pe.counts), st.rows
+	local, rowGID, valid := pe.local, pe.gi.RowGroups(), col.ValidData()
+	st.nvalid = growTo(st.nvalid, ngroups)
+	var resorts int64
 	if st.useString {
-		for len(st.sortS) < ngroups {
-			st.sortS = append(st.sortS, nil)
-		}
 		// Str reads the []string backing or decodes a compact column's codes.
-		dirty := make([]bool, ngroups)
-		nd := 0
-		for _, i := range delta {
-			if !valid[i] {
-				continue
+		runs := growRuns(st.sortS, pe.counts)
+		if err := pe.eachMorsel(ctx, from, func(rows []int) {
+			for _, i := range rows {
+				if valid[i] {
+					li := local[rowGID[i]] - 1
+					runs[li] = append(runs[li], col.Str(i))
+				}
 			}
-			li := local[rowGID[i]] - 1
-			st.sortS[li] = append(st.sortS[li], col.Str(i))
-			dirty[li] = true
+		}); err != nil {
+			return 0, err
 		}
-		for li, d := range dirty {
-			if d {
-				slices.Sort(st.sortS[li])
-				nd++
+		for li, run := range runs {
+			if len(run) > st.nvalid[li] {
+				st.nvalid[li] = len(run)
+				slices.Sort(run)
+				resorts++
 			}
 		}
-		*resorts += int64(nd)
-		return true
+		st.sortS, st.rows = runs, len(pe.rows)
+		return resorts, nil
 	}
 
-	for len(st.nvalid) < ngroups {
-		st.nvalid = append(st.nvalid, 0)
-	}
-	grow := func(s []float64) []float64 {
-		for len(s) < ngroups {
-			s = append(s, 0)
+	fv := e.floatView(col)
+	var need []bool // groups whose centered moments restart in a row walk
+	if st.hasMoments {
+		need = make([]bool, ngroups)
+		st.ss = growTo(st.ss, ngroups)
+		if st.hasM4 {
+			st.m4 = growTo(st.m4, ngroups)
 		}
-		return s
 	}
 	if st.hasVals {
-		st.sum, st.min, st.max = grow(st.sum), grow(st.min), grow(st.max)
-	}
-	if st.hasMoments {
-		st.ss = grow(st.ss)
-		if st.hasM4 {
-			st.m4 = grow(st.m4)
-		}
+		st.sum, st.min, st.max = growTo(st.sum, ngroups), growTo(st.min, ngroups), growTo(st.max, ngroups)
 	}
 	if st.hasBuf {
-		for len(st.sortF) < ngroups {
-			st.sortF = append(st.sortF, nil)
-		}
-	}
-	// Only sorted runs and centered moments revisit dirty groups; a
-	// streaming-only state advances in O(delta), without per-group flags.
-	var dirty []bool
-	if st.hasBuf || st.hasMoments {
-		dirty = make([]bool, ngroups)
-	}
-	fv := e.floatView(col)
-	for _, i := range delta {
-		if !valid[i] {
-			continue
-		}
-		li := local[rowGID[i]] - 1
-		v := fv[i]
-		nv := st.nvalid[li]
-		st.nvalid[li] = nv + 1
-		if st.hasVals {
-			st.sum[li] += v
-			if nv == 0 {
-				st.min[li], st.max[li] = v, v
-			} else {
-				if v < st.min[li] {
-					st.min[li] = v
-				}
-				if v > st.max[li] {
-					st.max[li] = v
+		runs := growRuns(st.sortF, pe.counts)
+		if err := pe.eachMorsel(ctx, from, func(rows []int) {
+			for _, i := range rows {
+				if valid[i] {
+					li := local[rowGID[i]] - 1
+					runs[li] = append(runs[li], fv[i])
 				}
 			}
+		}); err != nil {
+			return 0, err
 		}
-		if st.hasBuf {
-			st.sortF[li] = append(st.sortF[li], v)
-		}
-		if dirty != nil {
-			dirty[li] = true
-		}
-	}
-
-	if st.hasMoments && slices.Contains(dirty, true) {
-		// Centered moments restart for dirty groups: zero them, derive the new
-		// means, then one pass over the plan's rows accumulating only dirty
-		// groups — the same expression, in the same row order, as the scan.
-		mean := make([]float64, ngroups)
-		for li, d := range dirty {
-			if !d {
+		for li, run := range runs {
+			nv := st.nvalid[li]
+			if len(run) == nv {
 				continue
 			}
-			st.ss[li] = 0
-			if st.hasM4 {
-				st.m4[li] = 0
+			st.nvalid[li] = len(run)
+			if st.hasVals {
+				st.accumulate(li, run[nv:], nv == 0)
 			}
-			if nv := st.nvalid[li]; nv > 0 {
-				mean[li] = st.sum[li] / float64(nv)
+			switch {
+			case !st.hasMoments:
+			case nv == 0:
+				ss, s4 := centered(run, st.sum[li]/float64(len(run)), st.hasM4)
+				st.ss[li] = ss
+				if st.hasM4 {
+					st.m4[li] = s4
+				}
+			default:
+				need[li] = true
 			}
+			slices.Sort(run)
+			resorts++
 		}
-		for _, sg := range pe.segs {
-			for _, i := range pe.rows[sg[0]:sg[1]] {
+		st.sortF = runs
+	} else {
+		nvalid, sum, mn, mx := st.nvalid, st.sum, st.min, st.max
+		if err := pe.eachMorsel(ctx, from, func(rows []int) {
+			for _, i := range rows {
 				if !valid[i] {
 					continue
 				}
 				li := local[rowGID[i]] - 1
-				if !dirty[li] {
-					continue
+				v := fv[i]
+				nv := nvalid[li]
+				nvalid[li] = nv + 1
+				sum[li] += v
+				if need != nil {
+					need[li] = true
 				}
-				d := fv[i] - mean[li]
-				d2 := d * d
-				st.ss[li] += d2
-				if st.hasM4 {
-					st.m4[li] += d2 * d2
+				if nv == 0 {
+					mn[li], mx[li] = v, v
+				} else {
+					if v < mn[li] {
+						mn[li] = v
+					}
+					if v > mx[li] {
+						mx[li] = v
+					}
 				}
 			}
+		}); err != nil {
+			return 0, err
 		}
 	}
-	if st.hasBuf {
-		nd := int64(0)
-		for li, d := range dirty {
-			if d {
-				slices.Sort(st.sortF[li])
-				nd++
+	if st.hasMoments {
+		if err := st.recenter(ctx, pe, fv, valid, need); err != nil {
+			return 0, err
+		}
+	}
+	st.rows = len(pe.rows)
+	return resorts, nil
+}
+
+// accumulate folds a group's new values, in row order, into its running sum,
+// min and max; first says the group had no values before. The loop mirrors
+// agg's sum / Min / Max loops (the first-element compares are no-ops).
+func (st *attrState) accumulate(li int, vals []float64, first bool) {
+	s, mn, mx := st.sum[li], st.min[li], st.max[li]
+	if first {
+		mn, mx = vals[0], vals[0]
+	}
+	for _, v := range vals {
+		s += v
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	st.sum[li], st.min[li], st.max[li] = s, mn, mx
+}
+
+// centered returns the centered second and (when m4 is set) fourth moment
+// sums of vals around mean, term by term in value order, as
+// agg.populationVar and agg.kurtosis compute them.
+func centered(vals []float64, mean float64, m4 bool) (ss, s4 float64) {
+	for _, x := range vals {
+		d := x - mean
+		d2 := d * d
+		ss += d2
+		if m4 {
+			s4 += d2 * d2
+		}
+	}
+	return ss, s4
+}
+
+// recenter restarts the centered moments of the groups in need — those that
+// absorbed values and could not take their moments from their run: every
+// such group of a streaming state, and the groups of a buffered state whose
+// run already held values — in one walk over all the plan's rows, with the
+// same expressions in the same row order as a fresh scan.
+func (st *attrState) recenter(ctx context.Context, pe *planEntry, fv []float64, valid []bool, need []bool) error {
+	mean := make([]float64, len(need))
+	walk := false
+	for li, d := range need {
+		if !d {
+			continue
+		}
+		walk = true
+		mean[li] = st.sum[li] / float64(st.nvalid[li])
+		st.ss[li] = 0
+		if st.hasM4 {
+			st.m4[li] = 0
+		}
+	}
+	if !walk {
+		return nil
+	}
+	local, rowGID := pe.local, pe.gi.RowGroups()
+	ss, m4, hasM4 := st.ss, st.m4, st.hasM4
+	return pe.eachMorsel(ctx, 0, func(rows []int) {
+		for _, i := range rows {
+			if !valid[i] {
+				continue
+			}
+			li := local[rowGID[i]] - 1
+			if !need[li] {
+				continue
+			}
+			d := fv[i] - mean[li]
+			d2 := d * d
+			ss[li] += d2
+			if hasM4 {
+				m4[li] += d2 * d2
 			}
 		}
-		*resorts += nd
+	})
+}
+
+// growRuns extends runs to one per group in counts, cutting the new groups'
+// runs from one buffer: group li's run starts empty with capacity counts[li].
+func growRuns[T any](runs [][]T, counts []int) [][]T {
+	old := len(runs)
+	total := 0
+	for _, n := range counts[old:] {
+		total += n
 	}
-	return true
+	buf := make([]T, total)
+	runs = slices.Grow(runs, len(counts)-old)
+	for _, n := range counts[old:] {
+		runs = append(runs, buf[:0:n])
+		buf = buf[n:]
+	}
+	return runs
+}
+
+// growTo returns s extended with zero values to length n.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
 }

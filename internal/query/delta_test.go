@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -455,12 +456,12 @@ func TestMaskAdvanceBytesFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pe := range ex.core.preds {
-				ex.advancePred(pe)
+				ex.extendPred(pe)
 			}
 			matched := len(me.rows)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			ex.advanceMask(me)
+			ex.extendMask(me)
 			runtime.ReadMemStats(&after)
 			if me.err != nil || me.nrows != tbl.NumRows() || len(me.rows) != matched+1 {
 				t.Fatalf("mask advance: err %v, covers %d of %d rows, %d matched rows (want %d)",
@@ -477,5 +478,39 @@ func TestMaskAdvanceBytesFlat(t *testing.T) {
 	small, large := advanceBytes(2000), advanceBytes(64000)
 	if large > small+1024 {
 		t.Errorf("1-row mask advance allocated %d B at 64k rows vs %d B at 2k rows; want no growth with table size", large, small)
+	}
+}
+
+// TestZeroRowTableSchemaErrors: on a relevant table with no rows, a
+// predicate the schema cannot evaluate must fail exactly as Query.Execute
+// fails, on the cold pass, on a warm one and after an append. Every cache
+// entry covers all zero rows from the start, so the error must come from
+// filling the entry, not from a coverage check that finds nothing to do.
+func TestZeroRowTableSchemaErrors(t *testing.T) {
+	bad := []Predicate{
+		{Attr: "nope", Kind: PredEq, StrValue: "a"},
+		{Attr: "nope", Kind: PredRange, HasLo: true, Lo: 1},
+		{Attr: "ts", Kind: PredEq, StrValue: "a"},
+		{Attr: "cat", Kind: PredRange, HasHi: true, Hi: 3},
+	}
+	for _, p := range bad {
+		q := Query{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"},
+			Preds: []Predicate{{Attr: "lvl", Kind: PredRange, HasLo: true, Lo: 2}, p}}
+		ex := NewExecutor(deltaTable(0, 5))
+		for _, pass := range []string{"cold", "warm", "appended"} {
+			if pass == "appended" {
+				if _, _, err := Append(ex.Table(), deltaRows(40, 6, "mixed")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, want := q.Execute(ex.Table(), "feature")
+			if want == nil {
+				t.Fatalf("%s %s: oracle accepted the query", pass, q.SQL("r"))
+			}
+			_, err := ex.AugmentMatrix(context.Background(), ex.Table(), []Query{q})
+			if err == nil || !strings.Contains(err.Error(), want.Error()) {
+				t.Fatalf("%s %s: executor error %v, want Query.Execute's %q", pass, q.SQL("r"), err, want)
+			}
+		}
 	}
 }

@@ -171,17 +171,18 @@ const maxExactIntAbs = int64(1) << 53
 
 // intProbe is the cached state the range kernel reads for one int/time
 // column: its observed non-null bounds and, when every value is exact as a
-// float64 (intOK), the backing ints and a validity bitmap. It is read-only
-// after the once completes, except under the core's epoch fence, where
-// advance absorbs appended rows (see delta.go).
+// float64 (intOK), the backing ints and a validity bitmap. One function fills
+// it, extend: the once extends it from row zero, and an append, under the
+// core's epoch fence, from the rows it covers (see delta.go). It is
+// read-only otherwise.
 type intProbe struct {
 	once   sync.Once
-	intOK  bool     // every value within maxExactIntAbs: the kernel serves the column
+	intOK  bool     // seen, and every value within maxExactIntAbs: the kernel serves the column
 	seen   bool     // some non-null value observed (mn/mx defined)
-	nrows  int      // rows the probe covers (for delta advances)
+	nrows  int      // rows the probe covers
 	mn, mx int64    // observed non-null min/max (valid when seen)
-	ivals  []int64  // backing ints (shared with the column)
-	vbits  []uint64 // validity bitmap, LSB-first per word
+	ivals  []int64  // backing ints (shared with the column; nil unless intOK)
+	vbits  []uint64 // validity bitmap, LSB-first per word (nil unless intOK)
 }
 
 // intProbeFor returns the cached probe of an int/time column, running it on
@@ -205,87 +206,43 @@ func (e *Executor) intProbeFor(col *dataframe.Column) *intProbe {
 		e.stats.SharedScanPasses++
 		e.mu.Unlock()
 	}
-	ip.once.Do(func() { ip.probe(col) })
+	ip.once.Do(func() { ip.extend(col) })
 	return ip
 }
 
-// probe scans the column once for its bounds and, when the kernel can serve
-// it, records the backing ints and validity bitmap.
-func (ip *intProbe) probe(col *dataframe.Column) {
+// extend absorbs the column's rows past the probe's coverage, leaving
+// exactly the state a probe of the whole column from row zero would. Bounds
+// only widen, so intOK is simply "seen and within ±maxExactIntAbs": once
+// lost it stays lost, and while it holds, every row before the first
+// non-null value is NULL, so the validity bits of the covered rows are
+// already right (zero when the probe had seen nothing).
+func (ip *intProbe) extend(col *dataframe.Column) {
 	vals, valid := col.IntData(), col.ValidData()
-	ip.nrows = len(vals)
-	var mn, mx int64
-	seen := false
-	for i, v := range vals {
-		if !valid[i] {
-			continue
-		}
-		if !seen {
-			mn, mx, seen = v, v, true
-			continue
-		}
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	if !seen {
-		return
-	}
-	ip.seen, ip.mn, ip.mx = true, mn, mx
-	if mn >= -maxExactIntAbs && mx <= maxExactIntAbs {
-		ip.intOK, ip.ivals = true, vals
-		ip.vbits = make([]uint64, (len(vals)+63)/64)
-		for i, ok := range valid {
-			if ok {
-				ip.vbits[i>>6] |= 1 << uint(i&63)
-			}
-		}
-	}
-}
-
-// advance absorbs rows appended to col since the probe (or the last advance),
-// re-deriving exactly the state a from-scratch probe of the grown column
-// would produce. intOK can only be lost by an append, never regained. Must run
-// under the core's epoch fence.
-func (ip *intProbe) advance(col *dataframe.Column) {
-	n := col.Len()
-	if ip.nrows >= n {
-		return
-	}
-	if !ip.seen {
-		// No non-null value had been observed, so nothing else is set: the
-		// grown column decides the whole probe, exactly as a fresh one would.
-		ip.probe(col)
-		return
-	}
-	vals, valid := col.IntData(), col.ValidData()
-	mn, mx := ip.mn, ip.mx
+	n := len(vals)
+	mn, mx, seen := ip.mn, ip.mx, ip.seen
 	for i := ip.nrows; i < n; i++ {
 		if !valid[i] {
 			continue
 		}
-		if v := vals[i]; v < mn {
+		switch v := vals[i]; {
+		case !seen:
+			mn, mx, seen = v, v, true
+		case v < mn:
 			mn = v
-		} else if v > mx {
+		case v > mx:
 			mx = v
 		}
 	}
-	ip.mn, ip.mx = mn, mx
-	if ip.intOK {
-		if mn < -maxExactIntAbs || mx > maxExactIntAbs {
-			ip.intOK, ip.ivals, ip.vbits = false, nil, nil
-		} else {
-			ip.ivals = vals // appends may have reallocated the backing slice
-			for len(ip.vbits) < (n+63)/64 {
-				ip.vbits = append(ip.vbits, 0)
-			}
-			for i := ip.nrows; i < n; i++ {
-				if valid[i] {
-					ip.vbits[i>>6] |= 1 << uint(i&63)
-				}
+	ip.mn, ip.mx, ip.seen = mn, mx, seen
+	ip.intOK = seen && mn >= -maxExactIntAbs && mx <= maxExactIntAbs
+	if !ip.intOK {
+		ip.ivals, ip.vbits = nil, nil
+	} else {
+		ip.ivals = vals // appends may have reallocated the backing slice
+		ip.vbits = growTo(ip.vbits, (n+63)/64)
+		for i := ip.nrows; i < n; i++ {
+			if valid[i] {
+				ip.vbits[i>>6] |= 1 << uint(i&63)
 			}
 		}
 	}

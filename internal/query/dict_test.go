@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -243,5 +244,93 @@ func TestPredKeyCanonical(t *testing.T) {
 	checkGroups(t, "shared bitmap", e, qs, r)
 	if st := e.Stats(); st.CodePredScans != 1 {
 		t.Errorf("CodePredScans = %d, want 1 shared bitmap build", st.CodePredScans)
+	}
+}
+
+// TestIntProbeExtendMatchesFresh grows an int column chunk by chunk through
+// Append — an all-NULL prefix, values exactly at ±2^53, then one just past
+// either bound, then small values again — extending one probe after each
+// chunk. Every field must equal a probe of the whole grown column built from
+// row zero, and the bounds, intOK and validity bits must match the column
+// read directly: intOK is "seen and within ±2^53", lost for good once a value
+// crosses.
+func TestIntProbeExtendMatchesFresh(t *testing.T) {
+	const lim = maxExactIntAbs
+	type chunk struct {
+		vals  []int64
+		valid []bool
+	}
+	small := func(n int, seed int64) chunk {
+		rng := rand.New(rand.NewSource(seed))
+		c := chunk{make([]int64, n), make([]bool, n)}
+		for i := range c.vals {
+			c.vals[i] = int64(rng.Intn(41)) - 20
+			c.valid[i] = rng.Intn(4) > 0
+		}
+		return c
+	}
+	nulls := func(n int) chunk { return chunk{make([]int64, n), make([]bool, n)} }
+	edge := func(v ...int64) chunk {
+		c := chunk{v, make([]bool, len(v))}
+		for i := range c.valid {
+			c.valid[i] = true
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name   string
+		chunks []chunk
+	}{
+		{"above", []chunk{nulls(70), nulls(3), small(64, 1), edge(lim, -lim), small(1, 2), edge(lim + 1), small(130, 3)}},
+		{"below", []chunk{nulls(1), edge(-lim), small(66, 4), edge(-lim - 1), nulls(5), small(9, 5)}},
+		{"all-null", []chunk{nulls(64), nulls(1), nulls(63)}},
+	} {
+		tbl := dataframe.MustNewTable(dataframe.NewIntColumn("i", nil, nil))
+		ip := &intProbe{}
+		for ci, c := range tc.chunks {
+			batch := dataframe.MustNewTable(dataframe.NewIntColumn("i", c.vals, c.valid))
+			if _, _, err := Append(tbl, batch); err != nil {
+				t.Fatal(err)
+			}
+			col := tbl.Column("i")
+			ip.extend(col)
+			fresh := &intProbe{}
+			fresh.extend(col)
+			label := fmt.Sprintf("%s chunk %d", tc.name, ci)
+			if ip.intOK != fresh.intOK || ip.seen != fresh.seen || ip.nrows != fresh.nrows ||
+				ip.mn != fresh.mn || ip.mx != fresh.mx ||
+				(ip.ivals == nil) != (fresh.ivals == nil) || !slices.Equal(ip.ivals, fresh.ivals) ||
+				(ip.vbits == nil) != (fresh.vbits == nil) || !slices.Equal(ip.vbits, fresh.vbits) {
+				t.Fatalf("%s: extended probe %+v, fresh %+v", label, ip, fresh)
+			}
+
+			vals, valid := col.IntData(), col.ValidData()
+			var mn, mx int64
+			seen := false
+			for i, v := range vals {
+				if valid[i] {
+					if !seen {
+						mn, mx, seen = v, v, true
+					}
+					mn, mx = min(mn, v), max(mx, v)
+				}
+			}
+			intOK := seen && mn >= -lim && mx <= lim
+			if ip.seen != seen || ip.mn != mn || ip.mx != mx || ip.intOK != intOK || ip.nrows != len(vals) {
+				t.Fatalf("%s: probe seen %v [%d, %d] intOK %v over %d rows, column has seen %v [%d, %d] intOK %v over %d",
+					label, ip.seen, ip.mn, ip.mx, ip.intOK, ip.nrows, seen, mn, mx, intOK, len(vals))
+			}
+			if !intOK {
+				continue
+			}
+			if len(ip.vbits) != (len(vals)+63)/64 {
+				t.Fatalf("%s: %d validity words for %d rows", label, len(ip.vbits), len(vals))
+			}
+			for i, ok := range valid {
+				if got := ip.vbits[i>>6]>>uint(i&63)&1 == 1; got != ok {
+					t.Fatalf("%s: validity bit %d = %v, column says %v", label, i, got, ok)
+				}
+			}
+		}
 	}
 }

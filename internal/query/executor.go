@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -204,9 +203,8 @@ type groupEntry struct {
 
 // predEntry caches the full-table row bitmap of one predicate. p and nrows
 // (the predicate it evaluates and the rows the bitmap covers) make the entry
-// self-describing for delta advances: an append recomputes only the bitmap
-// words at or after row nrows (see delta.go). nrows is written under the
-// core's epoch fence after the once completes.
+// self-describing: extendPred fills it from row zero in the once and from
+// row nrows under the core's epoch fence (see delta.go).
 type predEntry struct {
 	once  sync.Once
 	p     Predicate
@@ -218,7 +216,8 @@ type predEntry struct {
 // maskEntry caches one canonical WHERE clause: the intersected bitmap plus
 // the materialised matching-row indices in ascending order, so a cached mask
 // costs neither the intersection nor the bitmap walk again. preds holds the
-// decomposed predicate list and nrows the coverage, for delta advances.
+// decomposed predicate list and nrows the coverage, from which extendMask
+// fills the entry (see delta.go).
 type maskEntry struct {
 	once  sync.Once
 	preds []Predicate // decomposed one-sided form
@@ -238,23 +237,22 @@ type planKey struct {
 // planEntry caches the pass-1 group-discovery result of one plan group: which
 // groups are non-empty under the mask, in first-seen row order, and how many
 // matching rows each has. Every query of the plan group — across batches —
-// shares it, so only the first query ever pays the discovery scan. All fields
-// are read-only after the once completes, except under the core's epoch fence
-// where delta advances extend them in place (keys/me/nrows describe what to
-// advance; see delta.go), and aggs, the per-attribute aggregate state retained
-// across batches: an immutable map published through an atomic pointer and
-// replaced copy-on-write (retain), with amu ordering the replacements.
+// shares it, so only the first query ever pays the discovery scan. One
+// function fills it, discover (see delta.go): the once discovers from row
+// zero, and an append, under the core's epoch fence, from the rows it
+// covers; all fields are read-only otherwise, except aggs, the per-attribute
+// aggregate state retained across batches: an immutable map published
+// through an atomic pointer and replaced copy-on-write (retain), with amu
+// ordering the replacements.
 type planEntry struct {
 	once   sync.Once
 	gi     *dataframe.GroupIndex
-	keys   []string   // GROUP BY key-set (for re-deriving gi after drops)
-	me     *maskEntry // WHERE mask the rows came from; nil = all rows
+	me     *maskEntry // WHERE mask the rows come from; nil = all rows
 	rows   []int      // matching rows in scan order; identity list when mask-free
 	segs   [][2]int   // morsel segments of rows (index ranges; see morselSegments)
 	local  []int      // gid -> local index + 1; 0 = group empty under the mask
 	counts []int      // local -> total matching rows; len = non-empty groups
 	nrows  int        // scan-table rows the discovery covers
-	err    error
 
 	amu  sync.Mutex
 	aggs atomic.Pointer[map[string]*attrState] // per aggregation attribute (see delta.go)
@@ -294,28 +292,6 @@ func NewExecutor(r *dataframe.Table, opts ...ExecutorOption) *Executor {
 // Table returns the relevant table the executor is bound to.
 func (e *Executor) Table() *dataframe.Table { return e.r }
 
-// boundedGet returns m's entry for k, creating it with mk on a miss and
-// dropping the whole map first when the bound is hit; evicted reports the
-// drop. Caller must hold e.mu.
-func boundedGet[K comparable, V any](m *map[K]*V, k K, max int, hits, misses, evictions *int64, mk func() *V) (ent *V, evicted bool) {
-	if *m == nil {
-		*m = map[K]*V{}
-	}
-	if ent, ok := (*m)[k]; ok {
-		*hits++
-		return ent, false
-	}
-	*misses++
-	if len(*m) >= max {
-		*m = make(map[K]*V, max/4)
-		*evictions++
-		evicted = true
-	}
-	ent = mk()
-	(*m)[k] = ent
-	return ent, evicted
-}
-
 // noteShared records the outcome of one core cache lookup: hits and misses
 // count as usual, and a miss whose build is a full-table pass (group index,
 // predicate bitmap — not a mask intersection) counts as SharedScanPasses.
@@ -335,10 +311,12 @@ func (e *Executor) noteShared(hit, evicted bool, hits, misses *int64, pass bool)
 	e.mu.Unlock()
 }
 
-// noteMorsel records one morsel segment walked by a scan.
-func (e *Executor) noteMorsel() {
+// noteScan records one shared scan over a plan group's matching rows that
+// walked the given number of morsel segments.
+func (e *Executor) noteScan(morsels int) {
 	e.mu.Lock()
-	e.stats.MorselsScanned++
+	e.stats.FusedScans++
+	e.stats.MorselsScanned += int64(morsels)
 	e.mu.Unlock()
 }
 
@@ -350,7 +328,7 @@ func (e *Executor) noteMorsel() {
 func (e *Executor) groupIndex(id string, keys []string) (*dataframe.GroupIndex, error) {
 	c := e.core
 	c.mu.Lock()
-	ent, hit, evicted := coreGet(&c.groups, id, 1<<20,
+	ent, hit, evicted := boundedGet(&c.groups, id, 1<<20,
 		func() *groupEntry { return &groupEntry{} })
 	c.mu.Unlock()
 	e.noteShared(hit, evicted, &e.stats.GroupHits, &e.stats.GroupMisses, true)
@@ -404,7 +382,7 @@ func predCacheKey(p Predicate) string {
 // the canonical identity — so predicate spellings that differ only in the
 // irrelevant operand (or quote to the same dictionary entry) share one cache
 // entry and one mask signature. Predicates the table cannot resolve keep the
-// generic encoding (they error later, in buildPredBits).
+// generic encoding (they error later, in fillPredBits).
 func (e *Executor) predKey(p Predicate) string {
 	if p.Kind != PredEq {
 		return predCacheKey(p)
@@ -442,14 +420,13 @@ func (e *Executor) predMask(p Predicate) ([]uint64, error) {
 	k := e.predKey(p)
 	c := e.core
 	c.mu.Lock()
-	ent, hit, evicted := coreGet(&c.preds, k, maxPredEntries,
+	ent, hit, evicted := boundedGet(&c.preds, k, maxPredEntries,
 		func() *predEntry { return &predEntry{} })
 	c.mu.Unlock()
 	e.noteShared(hit, evicted, &e.stats.PredHits, &e.stats.PredMisses, true)
 	ent.once.Do(func() {
 		ent.p = p
-		ent.bits, ent.err = e.buildPredBits(p)
-		ent.nrows = e.core.t.NumRows()
+		e.extendPred(ent)
 	})
 	return ent.bits, ent.err
 }
@@ -480,51 +457,26 @@ func (e *Executor) floatView(col *dataframe.Column) []float64 {
 		e.stats.SharedScanPasses++
 		e.mu.Unlock()
 	}
-	ent.once.Do(func() {
-		v := make([]float64, col.Len())
-		switch col.Kind() {
-		case dataframe.KindInt, dataframe.KindTime:
-			for i, x := range col.IntData() {
-				v[i] = float64(x)
-			}
-		case dataframe.KindBool:
-			for i, x := range col.BoolData() {
-				if x {
-					v[i] = 1
-				}
-			}
-		}
-		ent.vals = v
-	})
+	ent.once.Do(func() { ent.extend(col) })
 	return ent.vals
 }
 
-// buildPredBits evaluates one predicate into a full-table bitmap through
-// kind-specialised loops (direct slice access instead of Predicate.Eval's
-// per-row AsFloat calls). Semantics match Eval exactly: NULL rows never
-// match, bounds are inclusive.
-//
-// String equality on a dictionary-encoded column resolves the operand to its
-// code and compares the uint16 codes, and int/time ranges whose integer probe
-// admits them compare exact integer bounds — both branch-free, word at a
-// time (see dict.go). The input alone picks the fallbacks below: a string
-// column above MaxDictCardinality, or a float column or an int range the
-// probe rejects (|value| > 2^53).
-func (e *Executor) buildPredBits(p Predicate) ([]uint64, error) {
-	n := e.core.t.NumRows()
-	bm := make([]uint64, (n+63)/64)
-	if err := e.buildPredBitsFrom(p, 0, bm); err != nil {
-		return nil, err
-	}
-	return bm, nil
-}
-
-// buildPredBitsFrom evaluates p into bm for rows [lo, n), where lo is
+// fillPredBits evaluates p into bm for rows [lo, n), where lo is
 // word-aligned (a multiple of 64, or 0); words below lo/64 are left untouched
-// and words at or above it are fully (re)written. Delta advances call it with
-// the last partially-filled word's start so only appended rows are scanned
-// (see delta.go); buildPredBits calls it with lo 0.
-func (e *Executor) buildPredBitsFrom(p Predicate, lo int, bm []uint64) error {
+// and words at or above it are (re)written. extendPred calls it with the
+// start of the entry's last partially-filled word, so a new entry evaluates
+// every row and an append only its own (see delta.go).
+//
+// The loops are kind-specialised (direct slice access instead of
+// Predicate.Eval's per-row AsFloat calls), with Eval's semantics exactly:
+// NULL rows never match, bounds are inclusive. String equality on a
+// dictionary-encoded column resolves the operand to its code and compares
+// the uint16 codes, and int/time ranges whose integer probe admits them
+// compare exact integer bounds — both branch-free, word at a time (see
+// dict.go). The input alone picks the fallbacks below: a string column above
+// MaxDictCardinality, or a float column or an int range the probe rejects
+// (|value| > 2^53).
+func (e *Executor) fillPredBits(p Predicate, lo int, bm []uint64) error {
 	col := e.core.t.Column(p.Attr)
 	if col == nil {
 		return fmt.Errorf("query: predicate on missing column %q", p.Attr)
@@ -657,8 +609,8 @@ func (e *Executor) maskSig(preds []Predicate) string {
 }
 
 // whereEntry returns the cached combined mask of a predicate list whose
-// signature (maskSig) is sig — bitmap plus matching-row indices — building it
-// from the per-predicate bitmaps on first use. The empty signature returns
+// signature (maskSig) is sig — bitmap plus matching-row indices — filling it
+// from row zero (extendMask) on first use. The empty signature returns
 // (nil, nil): all rows.
 func (e *Executor) whereEntry(sig string, preds []Predicate) (*maskEntry, error) {
 	if sig == "" {
@@ -666,63 +618,16 @@ func (e *Executor) whereEntry(sig string, preds []Predicate) (*maskEntry, error)
 	}
 	c := e.core
 	c.mu.Lock()
-	ent, hit, evicted := coreGet(&c.masks, sig, maxMaskEntries,
+	ent, hit, evicted := boundedGet(&c.masks, sig, maxMaskEntries,
 		func() *maskEntry { return &maskEntry{} })
 	c.mu.Unlock()
 	// Mask intersection is bitmap arithmetic, not a table pass (pass=false).
 	e.noteShared(hit, evicted, &e.stats.MaskHits, &e.stats.MaskMisses, false)
 	ent.once.Do(func() {
 		ent.preds = decomposePreds(preds)
-		var mask []uint64
-		for _, p := range ent.preds {
-			pm, err := e.predMask(p)
-			if err != nil {
-				ent.err = err
-				return
-			}
-			if mask == nil {
-				mask = make([]uint64, len(pm))
-				copy(mask, pm)
-				continue
-			}
-			for i := range mask {
-				mask[i] &= pm[i]
-			}
-		}
-		ent.bits = mask
-		ent.rows = matchedRows(mask)
-		ent.nrows = e.core.t.NumRows()
+		e.extendMask(ent)
 	})
 	return ent, ent.err
-}
-
-// matchedRows materialises the row indices a bitmap selects, in ascending
-// order. The popcount pass sizes the slice exactly, so the walk stores by
-// index — no append bookkeeping, no realloc chain.
-func matchedRows(mask []uint64) []int {
-	cnt := 0
-	for _, w := range mask {
-		cnt += bits.OnesCount64(w)
-	}
-	rows := make([]int, cnt)
-	ri := 0
-	for wi, w := range mask {
-		base := wi << 6
-		for w != 0 {
-			rows[ri] = base + bits.TrailingZeros64(w)
-			ri++
-			w &= w - 1
-		}
-	}
-	return rows
-}
-
-// countScan bumps the shared-scan counter (one full pass over a plan group's
-// matching rows).
-func (e *Executor) countScan() {
-	e.mu.Lock()
-	e.stats.FusedScans++
-	e.mu.Unlock()
 }
 
 // plan returns the cached plan-group entry for (keys, preds), whose plan key
@@ -730,8 +635,9 @@ func (e *Executor) countScan() {
 // non-empty groups under the WHERE mask in first-seen order over the matching
 // rows, with total matching rows per group. Later queries on the same plan
 // group — from any batch — skip straight to their value passes. The row list
-// is pre-split into morsel segments, the unit every downstream scan walks. A
-// whole-map drop at the bound raises the plan generation.
+// is pre-split into morsel segments, the unit every downstream scan walks. It
+// counts its own hits, misses and evictions, and a whole-map drop at the
+// bound raises the plan generation.
 func (e *Executor) plan(pk planKey, keys []string, preds []Predicate) (*planEntry, error) {
 	gi, err := e.groupIndex(pk.keys, keys)
 	if err != nil {
@@ -742,43 +648,24 @@ func (e *Executor) plan(pk planKey, keys []string, preds []Predicate) (*planEntr
 		return nil, err
 	}
 	e.mu.Lock()
-	ent, evicted := boundedGet(&e.plans, pk, maxPlanEntries, &e.stats.PlanHits, &e.stats.PlanMisses, &e.stats.Evictions,
+	ent, hit, evicted := boundedGet(&e.plans, pk, maxPlanEntries,
 		func() *planEntry { return &planEntry{} })
+	if hit {
+		e.stats.PlanHits++
+	} else {
+		e.stats.PlanMisses++
+	}
 	if evicted {
+		e.stats.Evictions++
 		e.planGen.Add(1)
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
-		ent.gi = gi
-		ent.keys = append([]string(nil), keys...)
-		ent.me = me
-		ent.nrows = e.core.t.NumRows()
-		if me != nil {
-			ent.rows = me.rows
-		} else {
-			ent.rows = e.core.rowIdentity()
-		}
-		ent.segs = morselSegments(ent.rows, e.morselRows)
-		e.countScan()
-		rowGID := gi.RowGroups()
-		local := make([]int, gi.NumGroups())
-		var counts []int
-		for _, sg := range ent.segs {
-			e.noteMorsel()
-			for _, i := range ent.rows[sg[0]:sg[1]] {
-				gid := rowGID[i]
-				li := local[gid]
-				if li == 0 {
-					counts = append(counts, 0)
-					li = len(counts)
-					local[gid] = li
-				}
-				counts[li-1]++
-			}
-		}
-		ent.local, ent.counts = local, counts
+		ent.gi, ent.me = gi, me
+		ent.discover(e)
+		e.noteScan(len(ent.segs))
 	})
-	return ent, ent.err
+	return ent, nil
 }
 
 // joinEntry caches the training-table side of a pass's join for one

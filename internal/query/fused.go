@@ -21,9 +21,10 @@ package query
 //	pass B     centered second/fourth moments from pass A's means — serving
 //	           the VAR / STD families and KURTOSIS (only when requested)
 //
-// An attribute's passes fill one attrState (every group's run sorted by
-// slices.Sort, whatever the domain), and every pair is extracted from an
-// attrState, whether the pass scanned it or found it retained.
+// An attribute's passes fill one attrState through its one builder, absorb
+// (every group's run sorted by slices.Sort, whatever the domain; see
+// delta.go), and every pair is extracted from an attrState, whether the pass
+// scanned it or found it retained.
 //
 // A 200-query rung with 20 distinct masks therefore costs a few scans per
 // mask instead of two per query, and every accumulation runs in the exact
@@ -290,31 +291,36 @@ func (e *Executor) checkBatch(qs []Query) error {
 	return nil
 }
 
-// attrState is the aggregate state of one (plan group, attribute): whatever
-// streaming accumulators and per-group sorted runs a fused scan produced. A
-// scan returns one, every extraction, cold or warm, reads one (extract), and
-// the plan entry retains it, so later passes requesting functions its shape
-// covers are served without rescanning, and appends advance it over just the
-// delta rows (see delta.go).
+// attrState is the aggregate state of one (plan group, attribute): streaming
+// accumulators and per-group sorted runs over the first rows of the plan's
+// row list. One function fills it, absorb (see delta.go): a scan absorbs a
+// new state from row zero, and an append absorbs the delta rows into a
+// retained one. Every extraction, cold or warm, reads one (extract), and the
+// plan entry retains it, so later passes requesting functions its shape
+// covers are served without rescanning.
 //
 // The map holding these (planEntry.aggs) is immutable once published: a pass
 // reads it with one atomic load, and a scan that produces new state publishes
-// a copy (retain). States themselves are read-only between advances, which
-// run under the write fence, excluding readers.
+// a copy (retain). States themselves are read-only between appends, whose
+// absorbs run under the write fence, excluding readers.
 type attrState struct {
 	useString  bool
-	hasVals    bool // nvalid/sum/min/max populated (any stream func)
+	hasVals    bool // sum/min/max populated (any stream func)
 	hasMoments bool // ss populated, and m4 when hasM4 (VAR/STD families, KURTOSIS)
 	hasM4      bool
 	hasBuf     bool // sorted per-group runs populated (buffered funcs)
 
-	// Accumulators, one slot per non-empty group.
+	rows int // plan rows absorbed: a prefix of planEntry.rows
+
+	// Accumulators, one slot per non-empty group; nvalid counts the group's
+	// non-null values (its run's length, in a buffered state).
 	nvalid        []int
 	sum, min, max []float64
 	ss, m4        []float64
-	// Per-group ascending non-null values: three-index views of the scan's
-	// flat buffer (capacity clipped to the segment end), so an advance
-	// appends into fresh arrays instead of clobbering the next group's run.
+	// Per-group ascending non-null values. A group's run is cut from one
+	// buffer shared with the groups absorbed alongside it, with capacity
+	// clipped at its reserved end (the group's matching-row count), so a
+	// later append that outgrows the run moves only that run.
 	sortF [][]float64 // numeric attributes
 	sortS [][]string  // string attributes
 }
@@ -347,18 +353,6 @@ func (st *attrState) servesAll(fns []agg.Func) bool {
 		}
 	}
 	return true
-}
-
-// attrScan is a plan group's shared scan of one attribute: the state it fills
-// plus the column's float view and validity slice (kind-specialised once, up
-// front, so there are no per-row AsFloat/IsNull calls). Only the state
-// outlives the scan.
-type attrScan struct {
-	*attrState
-	col   *dataframe.Column // the aggregation attribute
-	valid []bool
-	fvals []float64 // cached float view (numeric attributes)
-	strs  []string  // backing strings (string attributes; nil when compact)
 }
 
 // streamable reports whether fn is served by the streaming passes (A/B) on a
@@ -414,7 +408,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntr
 	}
 
 	aggs := pe.retained()
-	var scanned []*attrScan
+	var scanned map[string]*attrState
 	for ai := range g.attrs {
 		a := &g.attrs[ai]
 		st := aggs[a.name]
@@ -422,19 +416,21 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntr
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			as, err := e.scanAttr(ctx, pe, a, st)
-			if err != nil {
+			var err error
+			if st, err = e.scanAttr(ctx, pe, a, st); err != nil {
 				return err
 			}
-			scanned = append(scanned, as)
-			st = as.attrState
+			if scanned == nil {
+				scanned = map[string]*attrState{}
+			}
+			scanned[a.name] = st
 		}
 		for k, pi := range a.pairs {
 			v, ok := dst(pi)
 			st.extract(a.fns[k], pe.counts, touched, v, ok)
 		}
 	}
-	if len(scanned) > 0 {
+	if scanned != nil {
 		pe.retain(scanned)
 	}
 
@@ -445,283 +441,44 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntr
 	return nil
 }
 
-// scanAttr is runPlanGroup's scan branch for one attribute: it resolves the
-// column and its float view, classifies the requested functions into the
-// state's shape — unioning the shape of the attribute's old retained state st
-// (nil if none), so the replacement never serves less than its predecessor —
-// and runs the shared scans.
-func (e *Executor) scanAttr(ctx context.Context, pe *planEntry, a *attrPairs, st *attrState) (*attrScan, error) {
+// scanAttr is runPlanGroup's scan branch for one attribute: it classifies the
+// requested functions into a new state's shape — unioning the shape of the
+// attribute's old retained state old (nil if none), so the replacement never
+// serves less than its predecessor — and absorbs the plan's rows into it from
+// row zero. It counts one shared scan per walk over the plan's rows: one,
+// plus a second for a streaming state's centered moments.
+func (e *Executor) scanAttr(ctx context.Context, pe *planEntry, a *attrPairs, old *attrState) (*attrState, error) {
 	col := e.core.t.Column(a.name)
-	as := &attrScan{
-		attrState: &attrState{useString: col.Kind() == dataframe.KindString},
-		col:       col,
-		valid:     col.ValidData(),
-	}
-	if as.useString {
-		as.strs = col.StrData()
-		as.hasBuf = true
+	st := &attrState{useString: col.Kind() == dataframe.KindString}
+	if st.useString {
+		st.hasBuf = true
 	} else {
-		as.fvals = e.floatView(col)
 		for _, fn := range a.fns {
 			if streamable(fn) {
-				as.hasVals = true
-				as.hasMoments = as.hasMoments || needsMoments(fn)
-				as.hasM4 = as.hasM4 || fn == agg.Kurtosis
+				st.hasVals = true
+				st.hasMoments = st.hasMoments || needsMoments(fn)
+				st.hasM4 = st.hasM4 || fn == agg.Kurtosis
 			} else {
-				as.hasBuf = true
+				st.hasBuf = true
 			}
 		}
-		if st != nil {
-			as.hasVals = as.hasVals || st.hasVals
-			as.hasMoments = as.hasMoments || st.hasMoments
-			as.hasM4 = as.hasM4 || st.hasM4
-			as.hasBuf = as.hasBuf || st.hasBuf
+		if old != nil {
+			st.hasVals = st.hasVals || old.hasVals
+			st.hasMoments = st.hasMoments || old.hasMoments
+			st.hasM4 = st.hasM4 || old.hasM4
+			st.hasBuf = st.hasBuf || old.hasBuf
 		}
 	}
-	if ngroups := len(pe.counts); ngroups > 0 {
-		if err := as.scan(ctx, e, pe, ngroups); err != nil {
-			return nil, err
+	if _, err := st.absorb(ctx, e, pe, col); err != nil {
+		return nil, err
+	}
+	if len(pe.counts) > 0 {
+		e.noteScan(len(pe.segs))
+		if st.hasMoments && !st.hasBuf {
+			e.noteScan(len(pe.segs))
 		}
 	}
-	return as, nil
-}
-
-// scan runs the attribute's shared table scan(s). When any order-statistics
-// function is requested (hasBuf), the indexed scan scatters the group's
-// non-null values into one flat buffer partitioned by group (offsets
-// prefix-summed from the plan's cached row counts, an upper bound on non-null
-// counts, so no counting pre-pass) and everything — streaming sum/min/max, the
-// centered moments, the per-group sort — runs over contiguous buffer
-// segments. Each segment is sorted once, so every order-statistics and
-// distinct-counting function of the attribute reads the same sorted run. When
-// every requested function is streamable, no buffer exists at all: the
-// accumulators stream directly off the indexed scan, with one extra indexed
-// pass for the centered moments. Both shapes accumulate in matching-row
-// order, the exact order of agg.Func.Apply over Query.Execute's per-group
-// value lists, so every result is bit-identical.
-//
-// Every pass walks the plan's morsel segments (pe.segs), observing the
-// context at each boundary; fill pointers and accumulators carry across
-// segments in row order — the sequential merge that keeps floating-point
-// accumulation bit-identical to the flat loop (independent per-morsel
-// partials would reassociate the sums).
-func (as *attrScan) scan(ctx context.Context, e *Executor, pe *planEntry, ngroups int) error {
-	e.countScan()
-	local, rowGID := pe.local, pe.gi.RowGroups()
-	valid := as.valid
-
-	if !as.hasBuf {
-		return as.streamScan(ctx, e, pe, ngroups)
-	}
-
-	offs := make([]int, ngroups+1)
-	for li, n := range pe.counts {
-		offs[li+1] = offs[li] + n
-	}
-	fill := make([]int, ngroups)
-	copy(fill, offs[:ngroups])
-
-	if as.useString {
-		strs, sbuf := as.strs, make([]string, offs[ngroups])
-		for _, sg := range pe.segs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			e.noteMorsel()
-			if strs != nil {
-				for _, i := range pe.rows[sg[0]:sg[1]] {
-					if valid[i] {
-						li := local[rowGID[i]] - 1
-						sbuf[fill[li]] = strs[i]
-						fill[li]++
-					}
-				}
-			} else {
-				// Compact column (nil StrData): decode per row via the dict.
-				for _, i := range pe.rows[sg[0]:sg[1]] {
-					if valid[i] {
-						li := local[rowGID[i]] - 1
-						sbuf[fill[li]] = as.col.Str(i)
-						fill[li]++
-					}
-				}
-			}
-		}
-		as.sortS = make([][]string, ngroups)
-		for li := range as.sortS {
-			seg := sbuf[offs[li]:fill[li]:fill[li]]
-			slices.Sort(seg)
-			as.sortS[li] = seg
-		}
-		return nil
-	}
-
-	fbuf := make([]float64, offs[ngroups])
-	fvals := as.fvals
-	for _, sg := range pe.segs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		e.noteMorsel()
-		for _, i := range pe.rows[sg[0]:sg[1]] {
-			if valid[i] {
-				li := local[rowGID[i]] - 1
-				fbuf[fill[li]] = fvals[i]
-				fill[li]++
-			}
-		}
-	}
-
-	as.nvalid = make([]int, ngroups)
-	if as.hasVals {
-		as.sum = make([]float64, ngroups)
-		as.min = make([]float64, ngroups)
-		as.max = make([]float64, ngroups)
-	}
-	if as.hasMoments {
-		as.ss = make([]float64, ngroups)
-		if as.hasM4 {
-			as.m4 = make([]float64, ngroups)
-		}
-	}
-	as.sortF = make([][]float64, ngroups)
-	for li := range as.sortF {
-		seg := fbuf[offs[li]:fill[li]:fill[li]]
-		as.sortF[li] = seg
-		as.nvalid[li] = len(seg)
-		if len(seg) == 0 {
-			continue
-		}
-		if as.hasVals {
-			// Accumulation mirrors agg's sum / Min / Max loops over the same
-			// value order (the first-element compares are no-ops).
-			s, mn, mx := 0.0, seg[0], seg[0]
-			for _, v := range seg {
-				s += v
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-			}
-			as.sum[li], as.min[li], as.max[li] = s, mn, mx
-		}
-		if as.hasMoments {
-			// agg.populationVar / agg.kurtosis term by term: mean first, then
-			// centered squares (and fourth powers) in value order.
-			m := as.sum[li] / float64(len(seg))
-			ss := 0.0
-			if as.hasM4 {
-				m4 := 0.0
-				for _, x := range seg {
-					d := x - m
-					d2 := d * d
-					ss += d2
-					m4 += d2 * d2
-				}
-				as.m4[li] = m4
-			} else {
-				for _, x := range seg {
-					d := x - m
-					ss += d * d
-				}
-			}
-			as.ss[li] = ss
-		}
-		slices.Sort(seg)
-	}
-	return nil
-}
-
-// streamScan serves an attribute whose every requested function is streamable
-// (the common serving-path shape: SUM / MIN / MAX / AVG and friends) without
-// materialising a value buffer: one indexed scan feeds the accumulators
-// directly, plus one more for the centered moments when the VAR/STD family or
-// KURTOSIS is present. Per-group encounter order equals matching-row order,
-// so accumulation is bit-identical to the buffered shape. Both passes walk
-// the plan's morsel segments with accumulators carried across (see scan).
-func (as *attrScan) streamScan(ctx context.Context, e *Executor, pe *planEntry, ngroups int) error {
-	local, rowGID := pe.local, pe.gi.RowGroups()
-	valid, fvals := as.valid, as.fvals
-	as.nvalid = make([]int, ngroups)
-	as.sum = make([]float64, ngroups)
-	as.min = make([]float64, ngroups)
-	as.max = make([]float64, ngroups)
-	nvalid, sum, mn, mx := as.nvalid, as.sum, as.min, as.max
-	for _, sg := range pe.segs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		e.noteMorsel()
-		for _, i := range pe.rows[sg[0]:sg[1]] {
-			if !valid[i] {
-				continue
-			}
-			li := local[rowGID[i]] - 1
-			v := fvals[i]
-			nv := nvalid[li]
-			nvalid[li] = nv + 1
-			sum[li] += v
-			if nv == 0 {
-				mn[li], mx[li] = v, v
-			} else {
-				if v < mn[li] {
-					mn[li] = v
-				}
-				if v > mx[li] {
-					mx[li] = v
-				}
-			}
-		}
-	}
-	if !as.hasMoments {
-		return nil
-	}
-	e.countScan()
-	as.ss = make([]float64, ngroups)
-	mean := make([]float64, ngroups)
-	for li, nv := range nvalid {
-		if nv > 0 {
-			mean[li] = sum[li] / float64(nv)
-		}
-	}
-	ss := as.ss
-	if as.hasM4 {
-		as.m4 = make([]float64, ngroups)
-		m4 := as.m4
-		for _, sg := range pe.segs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			e.noteMorsel()
-			for _, i := range pe.rows[sg[0]:sg[1]] {
-				if !valid[i] {
-					continue
-				}
-				li := local[rowGID[i]] - 1
-				d := fvals[i] - mean[li]
-				d2 := d * d
-				ss[li] += d2
-				m4[li] += d2 * d2
-			}
-		}
-		return nil
-	}
-	for _, sg := range pe.segs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		e.noteMorsel()
-		for _, i := range pe.rows[sg[0]:sg[1]] {
-			if valid[i] {
-				li := local[rowGID[i]] - 1
-				d := fvals[i] - mean[li]
-				ss[li] += d * d
-			}
-		}
-	}
-	return nil
+	return st, nil
 }
 
 // extract serves one function from the state for the touched local groups,
@@ -804,17 +561,8 @@ func medianSorted(s []float64) float64 {
 // across groups.
 func sortedFloatAgg(fn agg.Func, devbuf *[]float64, seg []float64, n int) (float64, bool) {
 	if fn == agg.CountDistinct {
-		// Distinct values = runs of equal neighbours; defined on empty input.
-		cnt := 0
-		for i := 0; i < len(seg); {
-			j := i + 1
-			for j < len(seg) && seg[j] == seg[i] {
-				j++
-			}
-			cnt++
-			i = j
-		}
-		return float64(cnt), true
+		// Defined on empty input.
+		return float64(countRuns(seg)), true
 	}
 	if len(seg) == 0 {
 		return 0, false
@@ -834,88 +582,82 @@ func sortedFloatAgg(fn agg.Func, devbuf *[]float64, seg []float64, n int) (float
 		slices.Sort(dev)
 		return medianSorted(dev), true
 	case agg.Entropy:
-		nf := float64(len(seg))
-		h := 0.0
-		for i := 0; i < len(seg); {
-			j := i + 1
-			for j < len(seg) && seg[j] == seg[i] {
-				j++
-			}
-			p := float64(j-i) / nf
-			h -= p * math.Log(p)
-			i = j
-		}
-		return h, true
+		return entropyRuns(seg), true
 	case agg.Mode:
-		// Strictly-greater keeps the first (smallest) value among tied runs,
-		// matching agg.mode's tie-break.
-		best, bestN := 0.0, -1
-		for i := 0; i < len(seg); {
-			j := i + 1
-			for j < len(seg) && seg[j] == seg[i] {
-				j++
-			}
-			if j-i > bestN {
-				best, bestN = seg[i], j-i
-			}
-			i = j
-		}
-		return best, true
+		v, _ := modeRun(seg)
+		return v, true
 	}
 	// Unreachable for the partition above; delegate for safety.
 	return fn.Apply(seg, n)
 }
 
 // sortedStringAgg evaluates one buffered aggregate over a group's sorted
-// non-null string values, mirroring agg.Func.StringApply bit for bit.
+// non-null string values, mirroring agg.Func.StringApply bit for bit. COUNT
+// never reaches it: groupBatch routes every COUNT pair to the plan's counts.
 func sortedStringAgg(fn agg.Func, seg []string, n int) (float64, bool) {
-	switch fn {
-	case agg.Count:
-		return float64(n), true
-	case agg.CountDistinct:
-		cnt := 0
-		for i := 0; i < len(seg); {
-			j := i + 1
-			for j < len(seg) && seg[j] == seg[i] {
-				j++
-			}
-			cnt++
-			i = j
-		}
-		return float64(cnt), true
+	if fn == agg.CountDistinct {
+		return float64(countRuns(seg)), true
 	}
 	if len(seg) == 0 {
 		return 0, false
 	}
 	switch fn {
 	case agg.Entropy:
-		nf := float64(len(seg))
-		h := 0.0
-		for i := 0; i < len(seg); {
-			j := i + 1
-			for j < len(seg) && seg[j] == seg[i] {
-				j++
-			}
-			p := float64(j-i) / nf
-			h -= p * math.Log(p)
-			i = j
-		}
-		return h, true
+		return entropyRuns(seg), true
 	case agg.Mode:
-		// StringApply returns the modal category's frequency; tied runs all
-		// share it, so the maximum run length is the exact result.
-		bestN := 0
-		for i := 0; i < len(seg); {
-			j := i + 1
-			for j < len(seg) && seg[j] == seg[i] {
-				j++
-			}
-			if j-i > bestN {
-				bestN = j - i
-			}
-			i = j
-		}
-		return float64(bestN), true
+		// StringApply returns the modal category's frequency.
+		_, k := modeRun(seg)
+		return float64(k), true
 	}
 	return fn.StringApply(seg, n)
+}
+
+// runEnd returns the end of the run of values equal to s[i] in the sorted s.
+// Distinct values are the runs of equal neighbours (a NaN is a run of its
+// own, as it is a distinct map key in agg).
+func runEnd[T float64 | string](s []T, i int) int {
+	j := i + 1
+	for j < len(s) && s[j] == s[i] {
+		j++
+	}
+	return j
+}
+
+// countRuns returns the number of distinct values in the sorted s.
+func countRuns[T float64 | string](s []T) int {
+	cnt := 0
+	for i := 0; i < len(s); i = runEnd(s, i) {
+		cnt++
+	}
+	return cnt
+}
+
+// entropyRuns returns the Shannon entropy of the value frequencies of the
+// sorted, non-empty s, accumulated over distinct values ascending (the order
+// agg sorts its map keys into).
+func entropyRuns[T float64 | string](s []T) float64 {
+	nf := float64(len(s))
+	h := 0.0
+	for i := 0; i < len(s); {
+		j := runEnd(s, i)
+		p := float64(j-i) / nf
+		h -= p * math.Log(p)
+		i = j
+	}
+	return h
+}
+
+// modeRun returns the first value of the longest run of the sorted,
+// non-empty s and that run's length. Strictly-greater keeps the first
+// (smallest) value among tied runs, matching agg.mode's tie-break.
+func modeRun[T float64 | string](s []T) (T, int) {
+	best, bestN := s[0], 0
+	for i := 0; i < len(s); {
+		j := runEnd(s, i)
+		if j-i > bestN {
+			best, bestN = s[i], j-i
+		}
+		i = j
+	}
+	return best, bestN
 }

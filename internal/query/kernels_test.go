@@ -127,7 +127,7 @@ func evalBits(t *testing.T, tbl *dataframe.Table, p Predicate) []uint64 {
 	return bm
 }
 
-// TestCodeKernelsFromMatchEval drives the entry points buildPredBitsFrom
+// TestCodeKernelsFromMatchEval drives the entry points fillPredBits
 // uses — dictEqBitsFrom over a column's dictionary and intRangeBitsFrom over
 // its integer probe — at every word-aligned start against Predicate.Eval, on
 // columns with NULLs and lengths 0–130. Range bounds cover fractional and
@@ -173,7 +173,7 @@ func TestCodeKernelsFromMatchEval(t *testing.T) {
 			})
 		}
 		ip := &intProbe{}
-		ip.probe(tbl.Column("i"))
+		ip.extend(tbl.Column("i"))
 		if !ip.intOK {
 			continue // all-NULL column: the executor takes the float fallback
 		}

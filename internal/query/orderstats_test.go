@@ -82,10 +82,10 @@ func TestDifferentialLowCardinalityOrderStats(t *testing.T) {
 	}
 }
 
-// TestCountingDomainProbe pins the integer probe the range kernel reads: a
+// TestIntProbeBounds pins the integer probe the range kernel reads: a
 // small-int column's observed bounds, wide and huge int columns still served
 // (every value exact as a float64), and no probe for a float column.
-func TestCountingDomainProbe(t *testing.T) {
+func TestIntProbeBounds(t *testing.T) {
 	r := lowCardTable(400, 211)
 	e := NewExecutor(r)
 	var qs []Query
