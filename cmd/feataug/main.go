@@ -29,7 +29,7 @@
 // process: the plan is still persisted via -plan-out, and when the scenarios
 // match the transform reuses the dataset instance the fit generated instead
 // of generating it again. A table owns its scan state (group indexes,
-// predicate bitmaps, masks, float views, dictionaries), so a single-table
+// predicate bitmaps, masks, float views, integer probes), so a single-table
 // transform runs on the relevant table the search already scanned and its -v
 // "shared scans" line counts only the passes the search did not pay (the
 // transform still builds its own executor and join indexes):
@@ -46,12 +46,10 @@
 // counts with no value pass, S the shared discovery and attribute scans they
 // cost between them.
 //
-// The -v executor-stats block also reports the dictionary-encoding counters:
-// "dict: N encodes / M hits, K code-kernel predicates" — encode passes paid
-// to dictionary-encode string columns, lookups served from an already-built
-// encoding, and predicate bitmaps built through the branch-free kernels
-// (string equality as a single code compare, int/time ranges as raw int64
-// compares against exact integer bounds) instead of per-row value compares.
+// The -v executor-stats block also reports "dict: K code-kernel predicates"
+// — predicate bitmaps built through the branch-free kernels (string equality
+// as a single dictionary-code compare, int/time ranges as raw int64 compares
+// against exact integer bounds) instead of per-row value compares.
 // String columns above dataframe.MaxDictCardinality stay unencoded and
 // compare per row; the differential tests check both shapes against
 // Query.Execute.
@@ -639,15 +637,12 @@ func printFusionStats(stderr io.Writer, mode string, s repro.ExecutorStats) {
 	// morsels walked in total.
 	fmt.Fprintf(stderr, "%s: shared scans: %d passes, %d morsels scanned\n",
 		mode, s.SharedScanPasses, s.MorselsScanned)
-	// The dictionary-encoding counters: encode passes this executor set paid,
-	// lookups served from an existing encoding, and predicate bitmaps built
-	// through the branch-free code kernels instead of value compares.
-	fmt.Fprintf(stderr, "%s: dict: %d encodes / %d hits, %d code-kernel predicates\n",
-		mode, s.DictEncodes, s.DictHits, s.CodePredScans)
+	// Predicate bitmaps built through the branch-free code kernels instead
+	// of value compares.
+	fmt.Fprintf(stderr, "%s: dict: %d code-kernel predicates\n", mode, s.CodePredScans)
 	// The delta-maintenance counters: append epochs absorbed by advancing
-	// caches over the new rows only, delta rows those advances visited,
-	// sorted aggregate runs re-sorted in place, and advances that fell back
-	// to wiping the caches for a full rebuild.
-	fmt.Fprintf(stderr, "%s: delta: %d appends absorbed, %d delta rows scanned, %d group resorts, %d full rebuilds\n",
-		mode, s.DeltaAppends, s.DeltaRowsScanned, s.DirtyGroupResorts, s.FullRebuilds)
+	// caches over the new rows only, delta rows those advances visited, and
+	// sorted aggregate runs re-sorted in place.
+	fmt.Fprintf(stderr, "%s: delta: %d appends absorbed, %d delta rows scanned, %d group resorts\n",
+		mode, s.DeltaAppends, s.DeltaRowsScanned, s.DirtyGroupResorts)
 }

@@ -221,9 +221,8 @@ func TestFitTransformCombined(t *testing.T) {
 		t.Fatalf("-v missing shared-scan lines for both modes: %s", errOut)
 	}
 	// The delta counters line, golden: a fit/transform run never appends, so
-	// it must report exactly zero absorbed appends and zero full rebuilds.
-	if !strings.Contains(errOut, "fit: delta: 0 appends absorbed") ||
-		!strings.Contains(errOut, "0 group resorts, 0 full rebuilds") {
+	// it must report exactly zero absorbed appends and zero resorts.
+	if !strings.Contains(errOut, "fit: delta: 0 appends absorbed, 0 delta rows scanned, 0 group resorts\n") {
 		t.Fatalf("-v missing or non-zero delta counters line: %s", errOut)
 	}
 }

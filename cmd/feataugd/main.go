@@ -30,7 +30,7 @@
 // /v1/stats reports the ingest side per plan — "appends" and "appended_rows"
 // count absorbed batches, "table_epoch" is the bound table's append epoch —
 // and the executor counters show how the engine kept up (DeltaAppends,
-// DeltaRowsScanned, DirtyGroupResorts, FullRebuilds).
+// DeltaRowsScanned, DirtyGroupResorts).
 //
 // The -data scenario must regenerate the same relevant table(s) the plan was
 // fitted against (same dataset, -rows, -logs, -seed), mirroring a production
@@ -38,11 +38,11 @@
 // bind time the daemon compacts the bound tables' string columns to their
 // dictionary codes, so the first request hits the branch-free code kernels
 // instead of paying the encode pass and the []string backings are dropped;
-// GET /v1/stats surfaces the per-plan executor counters (DictEncodes,
-// DictHits, CodePredScans) alongside the scatter and shared-scan ones. A
-// dataset:split=column scenario splits the relevant table into one table per
-// split value and binds a MultiFeaturePlan across them; each is compacted
-// and scanned as its own table.
+// GET /v1/stats surfaces the per-plan executor counters (CodePredScans
+// counts the code-kernel predicates) alongside the scatter and shared-scan
+// ones. A dataset:split=column scenario splits the relevant table into one
+// table per split value and binds a MultiFeaturePlan across them; each is
+// compacted and scanned as its own table.
 //
 // SIGTERM / SIGINT shut the daemon down gracefully: the listener stops,
 // in-flight and queued requests finish on their plans' running passes, and

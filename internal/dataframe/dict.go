@@ -3,22 +3,23 @@ package dataframe
 // Dictionary encoding of string columns. A DictEncoding replaces per-row Go
 // strings with one uint16 code array over the sorted distinct domain (the
 // cardinality cap keeps every code in range, so there is no other width):
-// predicates become integer compares and grouping becomes dense-array
-// arithmetic. The encoding is cached on the column behind a sync.Once, so
-// every consumer of the same column — executors, the tables that share it,
-// served plans — shares one encode pass.
+// equality predicates become integer compares. The encoding is cached on
+// the column behind a sync.Once, so every consumer of the same column —
+// executors, the tables that share it, served plans — shares one encode
+// pass.
 //
 // Appends extend a built encoding IN PLACE whenever the delta keeps
 // existing codes stable: appended values already in the domain reuse their
 // code, and values sorting strictly after the current maximum join the end
 // of the sorted domain with the next codes — in both cases the extended
 // encoding is exactly what a from-scratch encode of the grown column would
-// produce, and the *DictEncoding pointer is unchanged (the query layer reads
-// pointer stability as "codes did not shift"). A mid-domain value would
-// shift every code at or after its rank, so it swaps in a fresh holder for a
-// lazy full re-encode (new pointer); a delta pushing the cardinality past
-// MaxDictCardinality sets the encoding to nil, matching the from-scratch
-// result. Columns follow the engine-wide contract that they are not mutated
+// produce, and the *DictEncoding pointer is unchanged. A mid-domain value
+// would shift every code at or after its rank, so it swaps in a fresh holder
+// for a lazy full re-encode (new pointer); a delta pushing the cardinality
+// past MaxDictCardinality sets the encoding to nil, matching the
+// from-scratch result. Consumers read the codes of the rows they need from
+// the current Dict() and key nothing by a code, so neither case needs their
+// notice. Columns follow the engine-wide contract that they are not mutated
 // while scans are in flight.
 
 import (

@@ -2,7 +2,6 @@ package dataframe
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 )
@@ -120,85 +119,4 @@ func TestDictExtendOnAppend(t *testing.T) {
 		t.Errorf("rebuilt encoding = %d rows / %d card / %d nulls, want 6/4/1",
 			third.NumRows(), third.Cardinality(), third.NullCount())
 	}
-}
-
-// dictTestTable builds a grouping table mixing cardinalities, NULL densities
-// and kinds so every group-build path has work to do.
-func dictTestTable(tb testing.TB, rows int, seed int64) *Table {
-	rng := rand.New(rand.NewSource(seed))
-	s1 := make([]string, rows) // low cardinality, some NULLs
-	v1 := make([]bool, rows)
-	s2 := make([]string, rows) // higher cardinality
-	s3 := make([]string, rows) // single value
-	iv := make([]int64, rows)
-	for i := 0; i < rows; i++ {
-		s1[i] = fmt.Sprintf("c%d", rng.Intn(5))
-		v1[i] = rng.Intn(10) != 0
-		s2[i] = fmt.Sprintf("g%03d", rng.Intn(40))
-		s3[i] = "only"
-		iv[i] = int64(rng.Intn(7))
-	}
-	tbl, err := NewTable(
-		NewStringColumn("s1", s1, v1),
-		NewStringColumn("s2", s2, nil),
-		NewStringColumn("s3", s3, nil),
-		NewIntColumn("iv", iv, nil),
-	)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return tbl
-}
-
-// TestGroupIndexDictEquivalence is the group-build differential: for every key
-// shape the dictionary paths serve (and the mixed shapes the composite-key
-// path serves), the index must be IDENTICAL — group ids, sizes,
-// representatives and key bytes — to the test-local first-seen grouping.
-func TestGroupIndexDictEquivalence(t *testing.T) {
-	tbl := dictTestTable(t, 3000, 11)
-	keySets := [][]string{
-		{"s1"},             // single string, NULL group
-		{"s2"},             // single string, wider domain
-		{"s3"},             // single value
-		{"s1", "s2"},       // combo: dense code space
-		{"s2", "s1", "s3"}, // combo: order matters
-		{"s1", "iv"},       // mixed kinds: composite-key path
-		{"iv", "s1", "s2"}, // mixed, string-led radix would differ
-		{"s1", "s1"},       // repeated key column
-	}
-	for _, keys := range keySets {
-		got, err := tbl.BuildGroupIndex(keys...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGroupIndexRef(t, fmt.Sprintf("%v", keys), tbl, got, keys...)
-	}
-}
-
-// TestGroupIndexComboOverCap checks an all-string key-set falls back cleanly
-// to the composite-key path when one column exceeds the dictionary cap, and
-// still matches the reference grouping.
-func TestGroupIndexComboOverCap(t *testing.T) {
-	rows := MaxDictCardinality + 100
-	big := make([]string, rows)
-	small := make([]string, rows)
-	for i := range big {
-		big[i] = fmt.Sprintf("b%06d", i) // distinct per row: over the cap
-		small[i] = fmt.Sprintf("s%d", i%3)
-	}
-	tbl, err := NewTable(
-		NewStringColumn("big", big, nil),
-		NewStringColumn("small", small, nil),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tbl.BuildGroupIndex("small", "big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumGroups() != rows {
-		t.Fatalf("groups = %d, want %d", got.NumGroups(), rows)
-	}
-	checkGroupIndexRef(t, "[small big]", tbl, got, "small", "big")
 }

@@ -1,6 +1,7 @@
 package dataframe
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -8,7 +9,7 @@ import (
 )
 
 // refGroupIndex is the generic string-keyed grouping algorithm, kept inline
-// as the reference every BuildGroupIndex path must match exactly.
+// as the reference BuildGroupIndex must match exactly.
 func refGroupIndex(t *testing.T, tbl *Table, keys ...string) (rowGID []int, keyStrs []string, sizes []int) {
 	t.Helper()
 	cols := make([]*Column, len(keys))
@@ -302,4 +303,68 @@ func FuzzGroupIndexMatchesRowKey(f *testing.F) {
 			}
 		}
 	})
+}
+
+// groupTestTable builds a grouping table mixing cardinalities, NULL densities
+// and kinds: string columns below the dictionary cap and one (big) above it.
+func groupTestTable(tb testing.TB, rows int, seed int64) *Table {
+	rng := rand.New(rand.NewSource(seed))
+	s1 := make([]string, rows) // low cardinality, some NULLs
+	v1 := make([]bool, rows)
+	s2 := make([]string, rows) // higher cardinality
+	s3 := make([]string, rows) // single value
+	big := make([]string, rows)
+	iv := make([]int64, rows)
+	for i := 0; i < rows; i++ {
+		s1[i] = fmt.Sprintf("c%d", rng.Intn(5))
+		v1[i] = rng.Intn(10) != 0
+		s2[i] = fmt.Sprintf("g%03d", rng.Intn(40))
+		s3[i] = "only"
+		big[i] = fmt.Sprintf("b%06d", i) // distinct per row
+		iv[i] = int64(rng.Intn(7))
+	}
+	tbl, err := NewTable(
+		NewStringColumn("s1", s1, v1),
+		NewStringColumn("s2", s2, nil),
+		NewStringColumn("s3", s3, nil),
+		NewStringColumn("big", big, nil),
+		NewIntColumn("iv", iv, nil),
+	)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tbl
+}
+
+// TestGroupIndexKeyShapes is the group-build differential: for string,
+// mixed-kind, repeated and above-the-dictionary-cap key sets, the index must
+// be IDENTICAL — group ids, sizes, representatives and key bytes — to the
+// test-local first-seen grouping.
+func TestGroupIndexKeyShapes(t *testing.T) {
+	const rows = MaxDictCardinality + 100
+	tbl := groupTestTable(t, rows, 11)
+	keySets := [][]string{
+		{"s1"},             // single string, NULL group
+		{"s2"},             // single string, wider domain
+		{"s3"},             // single value
+		{"s1", "s2"},       // all strings
+		{"s2", "s1", "s3"}, // all strings, order matters
+		{"s1", "iv"},       // mixed kinds
+		{"iv", "s1", "s2"}, // mixed, int-led
+		{"s1", "s1"},       // repeated key column
+		{"s1", "big"},      // one column above the dictionary cap
+	}
+	for _, keys := range keySets {
+		got, err := tbl.BuildGroupIndex(keys...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGroupIndexRef(t, fmt.Sprintf("%v", keys), tbl, got, keys...)
+	}
+	if tbl.Column("big").Dict() != nil {
+		t.Fatal("big is encoded; the above-the-cap key set tests nothing")
+	}
+	if got, _ := tbl.BuildGroupIndex("s1", "big"); got.NumGroups() != rows {
+		t.Errorf("[s1 big] groups = %d, want %d (big is distinct per row)", got.NumGroups(), rows)
+	}
 }

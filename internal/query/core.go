@@ -1,11 +1,11 @@
 package query
 
 // Table scan state. A tableCore holds the scan-side caches of ONE table —
-// group indexes, predicate bitmaps, WHERE masks, float views, integer probes,
-// dictionaries and search-space predicate domains — and lives in the table's
-// own scan-state slot (dataframe.Table.ScanState), so every executor (and
-// every search space) over a table shares it and builds each entry once
-// between them, and the core dies with the table.
+// group indexes, predicate bitmaps, WHERE masks, float views, integer probes
+// and search-space predicate domains — and lives in the table's own
+// scan-state slot (dataframe.Table.ScanState), so every executor (and every
+// search space) over a table shares it and builds each entry once between
+// them, and the core dies with the table.
 // The core also carries the table's epoch fence, which orders appends,
 // compaction and size reads (Append, Compact, MemBytes) against scans and
 // search-space builds.
@@ -28,17 +28,14 @@ import (
 type tableCore struct {
 	t *dataframe.Table
 
-	// Epoch fence (PR 9). Scans hold fence.RLock for their whole pass;
-	// appends and delta advances hold fence.Lock, so readers never observe a
+	// Epoch fence. Scans hold fence.RLock for their whole pass; appends and
+	// delta advances hold fence.Lock, so readers never observe a
 	// half-appended table or half-advanced entries. epoch is the table epoch
-	// the core's entries cover, and shiftEpoch the last epoch whose advance
-	// re-encoded a dictionary (shifting codes and wiping the code-keyed
-	// predicate/mask maps); both are guarded by fence. The maps below stay
-	// guarded by mu as before — fence orders scans against appends, mu orders
-	// entry creation within a scan.
-	fence      sync.RWMutex
-	epoch      uint64
-	shiftEpoch uint64
+	// the core's entries cover, guarded by fence. The maps below are guarded
+	// by mu — fence orders scans against appends, mu orders entry creation
+	// within a scan.
+	fence sync.RWMutex
+	epoch uint64
 
 	mu      sync.Mutex
 	groups  map[string]*groupEntry
@@ -46,7 +43,6 @@ type tableCore struct {
 	masks   map[string]*maskEntry
 	views   map[string]*viewEntry // per-column float views (int/time/bool)
 	probes  map[string]*intProbe  // per-column int/time range-kernel probes (see dict.go)
-	dicts   map[string]*dictEntry // per-column dictionary encodings (see dict.go)
 	allRows []int                 // identity row list (see rowIdentity)
 
 	spaceDims map[spaceDimKey]*spaceDimEntry // predicate value domains (see spacecache.go)

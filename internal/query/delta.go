@@ -27,10 +27,12 @@ package query
 // advances take it in write mode, so scans never observe a half-appended
 // table or half-extended entries. A cold build runs inside its entry's once,
 // under the read fence; an advance runs under the write fence. The advance is
-// two-layered, matching cache ownership: the table's core (dictionaries
-// re-pointed, where a re-encode that shifted codes wipes the code-keyed
-// predicate and mask maps; then probes, views, group indexes, bitmaps and
-// masks), then each executor's private plan and join entries.
+// two-layered, matching cache ownership: the table's core (probes, views,
+// group indexes, bitmaps and masks), then each executor's private plan and
+// join entries. No entry is keyed by a dictionary code, so a re-encode that
+// shifts codes, or a delta that crosses the cardinality cap, is an append
+// like any other: the predicate kernels read the column's current encoding
+// for the rows they extend over, and nothing is wiped.
 //
 // Extending a covered entry changes nothing, so a plan advance can extend a
 // mask or group index that was evicted from its map, and a core shared by
@@ -75,68 +77,29 @@ func (e *Executor) advanceLocked() {
 	c := e.core
 	cur := c.t.Epoch()
 	var scanned int64
-	var rebuilds int64
 	if c.epoch != cur {
-		scanned += e.advanceCore(&rebuilds)
+		scanned += e.advanceCore()
 		c.epoch = cur
 	}
 	apps := int64(cur - e.epoch)
 	if e.epoch != cur {
-		if c.shiftEpoch > e.epoch {
-			// A dictionary re-encode shifted codes in the window this
-			// executor missed: plan discovery (rows filtered through
-			// code-keyed masks) is stale wholesale, and so is every prepared
-			// partition (its plan keys hold codes). Joins survive — they key
-			// on composite value strings.
-			e.plans = map[planKey]*planEntry{}
-			e.planGen.Add(1)
-		} else {
-			scanned += e.advancePrivate()
-		}
+		scanned += e.advancePrivate()
 		e.epoch = cur
 	}
 	e.mu.Lock()
 	e.stats.DeltaAppends += apps
 	e.stats.DeltaRowsScanned += scanned
-	e.stats.FullRebuilds += rebuilds
 	e.mu.Unlock()
 }
 
 // advanceCore extends every core entry over the appended rows, in dependency
-// order: dictionaries first (predicate kernels read codes), integer probes
-// and views next (predicate kernels read them), group indexes, then
-// predicate bitmaps and masks. Every entry in the maps covers the rows of
-// the core's last epoch, so each extend does work. Caller holds the fence in
-// write mode, which excludes every reader of the core maps.
-func (e *Executor) advanceCore(rebuilds *int64) int64 {
+// order: integer probes and views first (predicate kernels read them), group
+// indexes, then predicate bitmaps and masks. Every entry in the maps covers
+// the rows of the core's last epoch, so each extend does work. Caller holds
+// the fence in write mode, which excludes every reader of the core maps.
+func (e *Executor) advanceCore() int64 {
 	c := e.core
 	var scanned int64
-
-	// Dictionaries: Column.Dict() already absorbed stable appends in place at
-	// append time; a changed pointer means a mid-domain value forced a full
-	// re-encode (or crossed the cardinality cap), shifting codes. Code-keyed
-	// predicate and mask entries are then stale as LOOKUP targets (key "=c5"
-	// now denotes a different value), so both maps drop wholesale.
-	shifted := false
-	for name, ent := range c.dicts {
-		col := c.t.Column(name)
-		if col == nil {
-			continue
-		}
-		if fresh := col.Dict(); fresh != ent.enc {
-			ent.enc = fresh
-			shifted = true
-		}
-	}
-	if shifted {
-		c.mu.Lock()
-		c.preds = map[string]*predEntry{}
-		c.masks = map[string]*maskEntry{}
-		c.mu.Unlock()
-		c.shiftEpoch = c.t.Epoch()
-		*rebuilds++
-	}
-
 	for name, ip := range c.probes {
 		ip.extend(c.t.Column(name))
 	}

@@ -117,22 +117,22 @@ func deltaQueryPool(t testing.TB, r *dataframe.Table, nq int, seed int64) []Quer
 // sizes 1, 7, a morsel-boundary batch and a multi-morsel batch (morsel size
 // 64), NULL-heavy deltas, deltas creating new groups and widening integer
 // domains, a dictionary re-encode (mid-domain value) and a
-// dictionary-cardinality-cap crossing. Only the last two drop caches
-// wholesale (FullRebuilds).
+// dictionary-cardinality-cap crossing. Every one of them, the last two
+// included, extends the executor's plans in place: the plan generation never
+// moves and nothing is rebuilt wholesale.
 func TestDeltaDifferential(t *testing.T) {
 	scenarios := []struct {
-		name    string
-		mode    string
-		sizes   []int
-		rebuild bool // a dictionary re-encode drops the code-keyed caches
+		name  string
+		mode  string
+		sizes []int
 	}{
 		// Base 400 + 48 = 448 = 7×64: exactly morsel-aligned, then +1 starts
 		// a fresh word and morsel, then a multi-morsel batch.
-		{"mixed", "mixed", []int{48, 1, 7, 200}, false},
-		{"null-heavy", "nulls", []int{7, 64}, false},
-		{"new-groups", "newgroups", []int{1, 7, 64}, false},
-		{"dict-shift", "dictshift", []int{1, 7}, true},
-		{"dict-cap", "dictcap", []int{1100}, true},
+		{"mixed", "mixed", []int{48, 1, 7, 200}},
+		{"null-heavy", "nulls", []int{7, 64}},
+		{"new-groups", "newgroups", []int{1, 7, 64}},
+		{"dict-shift", "dictshift", []int{1, 7}},
+		{"dict-cap", "dictcap", []int{1100}},
 	}
 	for _, sc := range scenarios {
 		sc := sc
@@ -161,6 +161,7 @@ func TestDeltaDifferential(t *testing.T) {
 			}
 
 			check("cold")
+			gen := exDelta.planGen.Load()
 			for bi, size := range sc.sizes {
 				bseed := seed + 100 + int64(bi)
 				if _, _, err := Append(exDelta.Table(), deltaRows(size, bseed, sc.mode)); err != nil {
@@ -176,8 +177,11 @@ func TestDeltaDifferential(t *testing.T) {
 				t.Errorf("delta executor absorbed %d appends, want %d",
 					exDelta.Stats().DeltaAppends, len(sc.sizes))
 			}
-			if got := exDelta.Stats().FullRebuilds; (got > 0) != sc.rebuild {
-				t.Errorf("delta executor counted %d full rebuilds, want rebuilds %v", got, sc.rebuild)
+			if got := exDelta.planGen.Load(); got != gen {
+				t.Errorf("plan generation %d -> %d, want every plan extended in place", gen, got)
+			}
+			if got := exDelta.Stats().FullRebuilds; got != 0 {
+				t.Errorf("delta executor counted %d full rebuilds, want 0", got)
 			}
 		})
 	}
@@ -285,8 +289,8 @@ func TestDeltaShardedDifferential(t *testing.T) {
 
 // TestDeltaStatsGolden pins the delta counters on a deterministic scenario,
 // and that a warm batch with no intervening append serves every aggregate from
-// retained state (no new fused scans). An in-domain append advances in place;
-// a mid-domain dictionary value is the one remaining full rebuild.
+// retained state (no new fused scans). An in-domain append and a mid-domain
+// dictionary value both advance in place.
 func TestDeltaStatsGolden(t *testing.T) {
 	qs := []Query{
 		{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k1"}},
@@ -333,11 +337,10 @@ func TestDeltaStatsGolden(t *testing.T) {
 			s.FusedScans-warm.FusedScans)
 	}
 
-	// A cat predicate puts cat's dictionary in the core; one appended
-	// mid-domain value ("a0", between "a" and "b") re-encodes it and shifts
-	// codes, so the code-keyed caches and the executor's plans drop. "a0"
-	// takes the code "b" had, so a kept plan would answer cat = 'a0' with
-	// cat = 'b' rows.
+	// One appended mid-domain value ("a0", between "a" and "b") re-encodes
+	// cat and shifts its codes: "a0" takes the code "b" had. Caches key
+	// values, not codes, so the cat = 'b' plan extends in place and hits,
+	// and only the new cat = 'a0' plan is discovered.
 	catQuery := func(fn agg.Func, v string) Query {
 		return Query{Agg: fn, AggAttr: "x", Keys: []string{"k1"},
 			Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: v}}}
@@ -348,8 +351,12 @@ func TestDeltaStatsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := exS.Stats()
+	enc := exS.Table().Column("cat").Dict()
 	if _, _, err := Append(exS.Table(), deltaRows(1, 99, "dictshift")); err != nil {
 		t.Fatal(err)
+	}
+	if exS.Table().Column("cat").Dict() == enc {
+		t.Fatal("dict-shift append kept cat's encoding; the scenario does not re-encode")
 	}
 	shiftQs = append(shiftQs, catQuery(agg.Sum, "a0"), catQuery(agg.Median, "a0"))
 	ref, err := dataframe.Concat(deltaTable(256, 3), deltaRows(1, 99, "dictshift"))
@@ -358,11 +365,11 @@ func TestDeltaStatsGolden(t *testing.T) {
 	}
 	checkGroups(t, "dict-shift", exS, shiftQs, ref)
 	ss := exS.Stats()
-	if ss.DeltaAppends != 1 || ss.FullRebuilds != 1 {
-		t.Errorf("dict-shift DeltaAppends/FullRebuilds = %d/%d, want 1/1", ss.DeltaAppends, ss.FullRebuilds)
+	if ss.DeltaAppends != 1 || ss.FullRebuilds != 0 {
+		t.Errorf("dict-shift DeltaAppends/FullRebuilds = %d/%d, want 1/0", ss.DeltaAppends, ss.FullRebuilds)
 	}
-	if ss.PlanMisses != before.PlanMisses+2 || ss.PlanHits != before.PlanHits {
-		t.Errorf("dict-shift plans %d/%d -> %d/%d (hit/miss), want both plans discovered afresh",
+	if ss.PlanMisses != before.PlanMisses+1 || ss.PlanHits != before.PlanHits+1 {
+		t.Errorf("dict-shift plans %d/%d -> %d/%d (hit/miss), want the 'b' plan to hit and the 'a0' plan to miss",
 			before.PlanHits, before.PlanMisses, ss.PlanHits, ss.PlanMisses)
 	}
 }

@@ -9,10 +9,11 @@ package query
 // column's validity bitmap — so the predicate hot loop carries no per-row
 // branch misprediction and no string compares at all.
 //
-// Encodings are owned at the tableCore layer: dictFor hands out one
-// dictEntry per (table, column), and the entry's build defers to
-// Column.Dict(), which caches on the column itself — so tables sharing a
-// column (SelectColumns views) still share one encode pass. Columns above
+// The kernels read the column's own encoding (Column.Dict, cached on the
+// column, so tables sharing a column share one encode pass) and are the only
+// readers of dictionary codes: every predicate, mask and plan cache keys on
+// operand values (predKey), so a re-encode that shifts codes leaves every
+// entry valid and an append extends it like any other. Columns above
 // MaxDictCardinality get no encoding and take the unencoded fallbacks; the
 // differential tests compare both shapes against Query.Execute.
 
@@ -22,39 +23,6 @@ import (
 
 	"repro/internal/dataframe"
 )
-
-// dictEntry is the per-core record of one column's dictionary encoding.
-type dictEntry struct {
-	once sync.Once
-	enc  *dataframe.DictEncoding
-}
-
-// dictFor returns the column's dictionary encoding through the core cache,
-// or nil when the column is unencodable (non-string or above the cardinality
-// cap). DictEncodes counts the first-use lookups this executor paid in the
-// table's core; DictHits counts lookups served by an existing entry.
-func (e *Executor) dictFor(col *dataframe.Column) *dataframe.DictEncoding {
-	c := e.core
-	c.mu.Lock()
-	if c.dicts == nil {
-		c.dicts = map[string]*dictEntry{}
-	}
-	ent, hit := c.dicts[col.Name()]
-	if !hit {
-		ent = &dictEntry{}
-		c.dicts[col.Name()] = ent
-	}
-	c.mu.Unlock()
-	e.mu.Lock()
-	if hit {
-		e.stats.DictHits++
-	} else {
-		e.stats.DictEncodes++
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() { ent.enc = col.Dict() })
-	return ent.enc
-}
 
 // noteCodePred records one predicate bitmap built through the code kernels.
 func (e *Executor) noteCodePred() {

@@ -71,9 +71,8 @@ func dictBenchPool(nQueries, nRows int) (*dataframe.Table, []Query) {
 }
 
 // BenchmarkStringPredHeavyDict measures the dictionary-encoded hot path on a
-// cold executor each iteration, joined onto the relevant table itself: group
-// builds walk dense code tables and every string equality resolves through
-// the branch-free code kernels.
+// cold executor each iteration, joined onto the relevant table itself: every
+// string equality resolves through the branch-free code kernels.
 func BenchmarkStringPredHeavyDict(b *testing.B) {
 	r, qs := dictBenchPool(200, 2400)
 	b.ResetTimer()

@@ -39,10 +39,10 @@ import (
 //     leaves the plan map; a stale snapshot is prepared again.
 //
 // The table-scoped caches (group indexes, bitmaps, masks, float views, integer
-// probes, dictionaries) live in the table's own tableCore (see core.go),
-// shared by every executor over the table, so they run each table pass once
-// between them. Scans walk the table morsel by morsel
-// (morselSegments), observing cancellation at every boundary.
+// probes) live in the table's own tableCore (see core.go), shared by every
+// executor over the table, so they run each table pass once between them.
+// Scans walk the table morsel by morsel (morselSegments), observing
+// cancellation at every boundary.
 //
 // On top of the caches, every pass runs fused: a batch is prepared, then run
 // — grouped by plan group, each group's aggregates streaming through shared
@@ -96,14 +96,11 @@ type ExecutorStats struct {
 	// same loop, so ScatterQueries / ScatterPasses is the sharing factor
 	// (1.0 = every plan group serves one column).
 	ScatterPasses, ScatterQueries int64
-	// Dictionary encoding (see dict.go): DictEncodes counts first-use
-	// dictionary builds charged to this executor's core, DictHits counts
-	// lookups served by an existing encoding, and CodePredScans counts
-	// predicate bitmaps built through the branch-free kernels (string
-	// equality over uint16 codes, int/time ranges over exact int64 bounds)
-	// instead of the row-at-a-time comparison loops.
-	DictEncodes, DictHits int64
-	CodePredScans         int64
+	// CodePredScans counts predicate bitmaps built through the branch-free
+	// kernels (string equality over uint16 dictionary codes, int/time ranges
+	// over exact int64 bounds; see dict.go) instead of the row-at-a-time
+	// comparison loops.
+	CodePredScans int64
 	// CountOnlyQueries counts the fused COUNT queries served straight from
 	// the plan's group counts with no value pass at all (one per query, as
 	// FusedQueries counts).
@@ -119,13 +116,15 @@ type ExecutorStats struct {
 	Evictions      int64 // whole-cache drops across bounded caches
 	// Delta maintenance (see delta.go): DeltaAppends counts append epochs
 	// this executor absorbed, DeltaRowsScanned the appended rows its advance
-	// scans visited (summed across the entries each advance touched),
+	// scans visited (summed across the entries each advance touched), and
 	// DirtyGroupResorts the per-group sorted runs re-sorted because a delta
-	// landed in the group, and FullRebuilds the advances that dropped caches
-	// wholesale instead because a dictionary re-encode shifted codes.
+	// landed in the group.
 	DeltaAppends, DeltaRowsScanned int64
 	DirtyGroupResorts              int64
-	FullRebuilds                   int64
+	// FullRebuilds is never set: every advance extends its entries in place,
+	// a dictionary re-encode included. It stays for snapshot readers that
+	// still report it.
+	FullRebuilds int64
 }
 
 // Add returns the field-wise sum of two snapshots. Multi-table transformers
@@ -146,8 +145,6 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 	s.CoreQueries += o.CoreQueries
 	s.ScatterPasses += o.ScatterPasses
 	s.ScatterQueries += o.ScatterQueries
-	s.DictEncodes += o.DictEncodes
-	s.DictHits += o.DictHits
 	s.CodePredScans += o.CodePredScans
 	s.CountOnlyQueries += o.CountOnlyQueries
 	s.SharedScanPasses += o.SharedScanPasses
@@ -163,14 +160,14 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 // String renders the snapshot as one compact log line.
 func (s ExecutorStats) String() string {
 	return fmt.Sprintf(
-		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d (hit/miss), fused %d queries (%d count-only) over %d scans, scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds), shared-scans %d passes, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
+		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d (hit/miss), fused %d queries (%d count-only) over %d scans, scatter %d queries over %d passes, %d code preds, shared-scans %d passes, %d morsels, delta %d appends / %d rows (%d resorts), %d evictions",
 		s.GroupHits, s.GroupMisses, s.MaskHits, s.MaskMisses, s.PredHits, s.PredMisses,
 		s.PlanHits, s.PlanMisses, s.JoinHits, s.JoinMisses,
 		s.FusedQueries, s.CountOnlyQueries, s.FusedScans,
 		s.ScatterQueries, s.ScatterPasses,
-		s.DictEncodes, s.DictHits, s.CodePredScans,
+		s.CodePredScans,
 		s.SharedScanPasses, s.MorselsScanned,
-		s.DeltaAppends, s.DeltaRowsScanned, s.DirtyGroupResorts, s.FullRebuilds,
+		s.DeltaAppends, s.DeltaRowsScanned, s.DirtyGroupResorts,
 		s.Evictions)
 }
 
@@ -332,37 +329,31 @@ func (e *Executor) groupIndex(id string, keys []string) (*dataframe.GroupIndex, 
 		func() *groupEntry { return &groupEntry{} })
 	c.mu.Unlock()
 	e.noteShared(hit, evicted, &e.stats.GroupHits, &e.stats.GroupMisses, true)
-	ent.once.Do(func() {
-		// Route string key encodes through dictFor first, so the encode is
-		// charged to the executor's counters before the build consumes it.
-		for _, name := range keys {
-			if kc := c.t.Column(name); kc != nil && kc.Kind() == dataframe.KindString {
-				e.dictFor(kc)
-			}
-		}
-		ent.idx, ent.err = c.t.BuildGroupIndex(keys...)
-	})
+	ent.once.Do(func() { ent.idx, ent.err = c.t.BuildGroupIndex(keys...) })
 	return ent.idx, ent.err
 }
 
-// predCacheKey is a canonical encoding of one predicate: attribute, operator
-// and operand(s). Cheaper than Predicate.String (no fmt machinery) — it runs
+// predKey is the canonical cache key of one predicate: attribute, operator
+// and operand value(s), never a dictionary code, so a key keeps its meaning
+// when an append re-encodes the column. An equality keys only the operand
+// the column's kind reads (Eval's rule), so spellings that differ in the
+// other operand share one bitmap and one mask signature; a predicate the
+// table cannot evaluate keys its string operand and errors later, in
+// fillPredBits. Cheaper than Predicate.String (no fmt machinery) — it runs
 // once per predicate per query on the hot path.
-func predCacheKey(p Predicate) string {
+func (e *Executor) predKey(p Predicate) string {
 	b := make([]byte, 0, len(p.Attr)+24)
 	b = append(b, p.Attr...)
 	switch p.Kind {
 	case PredEq:
-		// Both operand fields go into the key; the column's kind decides
-		// which one Eval reads, so at worst two spellings of the same
-		// predicate cache separate (identical) bitmaps.
+		if col := e.core.t.Column(p.Attr); col != nil && col.Kind() == dataframe.KindBool {
+			if p.BoolValue {
+				return string(append(b, "=b1"...))
+			}
+			return string(append(b, "=b0"...))
+		}
 		b = append(b, "=s"...)
 		b = append(b, p.StrValue...)
-		if p.BoolValue {
-			b = append(b, "|b1"...)
-		} else {
-			b = append(b, "|b0"...)
-		}
 	case PredRange:
 		if p.HasLo {
 			b = append(b, '>')
@@ -374,44 +365,6 @@ func predCacheKey(p Predicate) string {
 		}
 	}
 	return string(b)
-}
-
-// predKey is predCacheKey specialised to the executor's table: the equality
-// operand the column's kind cannot read is dropped, and when the column is
-// dictionary-encoded the string operand collapses to its dictionary code —
-// the canonical identity — so predicate spellings that differ only in the
-// irrelevant operand (or quote to the same dictionary entry) share one cache
-// entry and one mask signature. Predicates the table cannot resolve keep the
-// generic encoding (they error later, in fillPredBits).
-func (e *Executor) predKey(p Predicate) string {
-	if p.Kind != PredEq {
-		return predCacheKey(p)
-	}
-	col := e.core.t.Column(p.Attr)
-	if col == nil {
-		return predCacheKey(p)
-	}
-	b := make([]byte, 0, len(p.Attr)+16)
-	b = append(b, p.Attr...)
-	switch col.Kind() {
-	case dataframe.KindString:
-		if enc := e.dictFor(col); enc != nil {
-			if code, ok := enc.CodeOf(p.StrValue); ok {
-				b = append(b, "=c"...)
-				return string(strconv.AppendUint(b, uint64(code), 10))
-			}
-			// Operands outside the dictionary select zero rows each;
-			// distinct literals stay distinct (identical, empty) entries.
-		}
-		b = append(b, "=s"...)
-		return string(append(b, p.StrValue...))
-	case dataframe.KindBool:
-		if p.BoolValue {
-			return string(append(b, "=b1"...))
-		}
-		return string(append(b, "=b0"...))
-	}
-	return predCacheKey(p)
 }
 
 // predMask returns the cached full-table row bitmap of one predicate,
@@ -488,7 +441,7 @@ func (e *Executor) fillPredBits(p Predicate, lo int, bm []uint64) error {
 	case PredEq:
 		switch col.Kind() {
 		case dataframe.KindString:
-			if enc := e.dictFor(col); enc != nil {
+			if enc := col.Dict(); enc != nil {
 				e.noteCodePred()
 				if code, ok := enc.CodeOf(p.StrValue); ok {
 					dictEqBitsFrom(enc, code, bm, lo)
@@ -587,8 +540,8 @@ func decomposePreds(preds []Predicate) []Predicate {
 // deduplicated kind-aware cache keys (predKey) of its decomposed predicates.
 // Queries whose predicate sets select the same rows by construction —
 // reordered conjuncts, a BETWEEN spelled as two one-sided ranges, equality
-// spellings that collapse to one dictionary code — share a signature and
-// therefore a mask entry and a plan group. The empty signature means "all
+// spellings that differ only in the operand the column does not read —
+// share a signature and therefore a mask entry and a plan group. The empty signature means "all
 // rows".
 func (e *Executor) maskSig(preds []Predicate) string {
 	if len(preds) == 0 {

@@ -53,12 +53,12 @@ package query
 // its code slice, so only the scan branch resolves them, per pass.
 //
 // The plan generation rises whenever an entry leaves the executor's plan map
-// (a whole-map drop at the bound, the dictionary-shift wipe, an entry that
-// cannot be advanced); a pass that finds a stale stamp prepares again, layout
-// included, since predKey codes may have moved. A held entry stays valid
-// while its stamp is current because appends advance every entry of the plan
-// map in place, under the write fence that each pass excludes by holding the
-// read side. The one-shot Executor.AugmentMatrix, and everything riding it,
+// (a whole-map drop at the bound, an entry that cannot be advanced); a pass
+// that finds a stale stamp resolves its plan entries again, and rebuilds the
+// layout with them. A held entry stays valid while its stamp is current
+// because appends — a dictionary re-encode included, since no key holds a
+// code — advance every entry of the plan map in place, under the write
+// fence that each pass excludes by holding the read side. The one-shot Executor.AugmentMatrix, and everything riding it,
 // is a Prepare followed by one pass.
 
 import (
@@ -133,7 +133,7 @@ type keySet struct {
 // lays each group out (see fusedGroup). It also lists the batch's distinct
 // key sets, in first-seen order. Signatures come from the executor's
 // kind-aware predKey, matching the plan cache's identity exactly. Caller
-// holds the read fence (predKey reads dictionary codes).
+// holds the read fence.
 func (e *Executor) groupBatch(qs []Query) ([]*fusedGroup, []keySet) {
 	type groupPair struct {
 		g    *fusedGroup

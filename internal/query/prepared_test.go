@@ -29,7 +29,7 @@ func preparedTrain() *dataframe.Table {
 
 // preparedPool is deltaQueryPool plus equalities whose dictionary codes a
 // "dictshift" append moves: cat = 'a0' takes the old code of cat = 'b', so a
-// held plan entry or partition keyed by a stale code would answer wrongly.
+// held plan entry or partition keyed by a code would answer wrongly.
 func preparedPool(t testing.TB, r *dataframe.Table, nq int, seed int64) []Query {
 	qs := deltaQueryPool(t, r, nq, seed)
 	for _, v := range []string{"b", "a0"} {
@@ -63,8 +63,9 @@ func checkPrepared(t *testing.T, label string, p *Prepared, qs []Query, d *dataf
 // plan-cache eviction forced by one-shot plans, and requires every pass to
 // equal Query.Augment over the grown table. It also pins the reuse contract:
 // a warm pass touches no group-index or mask entry and counts one plan hit
-// per plan group; an in-domain append keeps the snapshot; a re-encode and an
-// eviction raise the plan generation, and the next pass prepares again.
+// per plan group; an in-domain append, a re-encode and a cap crossing each
+// keep the snapshot and the plan generation; an eviction raises the
+// generation, and the next pass prepares again.
 func TestPreparedMatchesOracle(t *testing.T) {
 	const nBase = 300
 	seed := int64(901)
@@ -119,25 +120,30 @@ func TestPreparedMatchesOracle(t *testing.T) {
 	appendRows("newgroups", 40, seed+11)
 	checkPrepared(t, "new-group append", p, qs, d, parts)
 
-	// Mid-domain value: the dictionary re-encodes, the plan map is wiped and
-	// the generation rises, so the pass prepares again.
-	gen, rebuilds := ex.planGen.Load(), ex.Stats().FullRebuilds
-	appendRows("dictshift", 30, seed+12)
-	checkPrepared(t, "mid-domain append", p, qs, d, parts)
-	if ex.Stats().FullRebuilds == rebuilds || ex.planGen.Load() == gen {
-		t.Errorf("mid-domain append: FullRebuilds %d -> %d, plan generation %d -> %d; want both to rise",
-			rebuilds, ex.Stats().FullRebuilds, gen, ex.planGen.Load())
-	}
-	if p.snap.Load() == snap {
-		t.Error("a pass after a re-encode reused the stale snapshot")
-	}
-	checkPrepared(t, "after re-encode", p, qs, d, parts)
-
-	gen = ex.planGen.Load()
-	appendRows("dictcap", dataframe.MaxDictCardinality+20, seed+13)
-	checkPrepared(t, "cap-crossing append", p, qs, d, parts)
-	if ex.planGen.Load() == gen {
-		t.Error("a cap-crossing append left the plan generation unchanged")
+	// Mid-domain value (the dictionary re-encodes and codes shift) and a
+	// cap crossing (the encoding goes away): no cache keys a code, so both
+	// are ordinary appends that keep the snapshot and the generation.
+	gen := ex.planGen.Load()
+	cat := ex.Table().Column("cat")
+	for _, a := range []struct {
+		label, mode string
+		n           int
+		seed        int64
+	}{
+		{"mid-domain append", "dictshift", 30, seed + 12},
+		{"cap-crossing append", "dictcap", dataframe.MaxDictCardinality + 20, seed + 13},
+	} {
+		enc := cat.Dict()
+		appendRows(a.mode, a.n, a.seed)
+		if cat.Dict() == enc {
+			t.Fatalf("%s kept cat's encoding; the scenario does not re-encode", a.label)
+		}
+		checkPrepared(t, a.label, p, qs, d, parts)
+		checkPrepared(t, a.label+" warm", p, qs, d, parts)
+		if p.snap.Load() != snap || ex.planGen.Load() != gen || ex.Stats().FullRebuilds != 0 {
+			t.Errorf("%s: snapshot kept %v, plan generation %d -> %d, FullRebuilds %d; want kept, unchanged, 0",
+				a.label, p.snap.Load() == snap, gen, ex.planGen.Load(), ex.Stats().FullRebuilds)
+		}
 	}
 
 	// More distinct one-shot plans than the plan cache holds: the whole-map
