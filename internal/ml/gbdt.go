@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // GBDTOptions configure the gradient-boosted tree ensemble (the paper's XGB
@@ -90,9 +91,10 @@ func (m *GBDT) Fit(X [][]float64, y []float64) error {
 	m.base = make([]float64, m.classes)
 	m.boosters = make([][]gbTree, m.classes)
 	n := len(X)
-	g := newGBGrower(m, columns(X))
+	g := getGBGrower(m, columns(X), n)
+	defer g.release()
+	target, scores := g.target, g.scores
 	for c := 0; c < m.classes; c++ {
-		target := make([]float64, n)
 		for i := range target {
 			switch m.task {
 			case Regression:
@@ -100,6 +102,7 @@ func (m *GBDT) Fit(X [][]float64, y []float64) error {
 			case Binary:
 				target[i] = y[i]
 			case MultiClass:
+				target[i] = 0
 				if int(y[i]) == c {
 					target[i] = 1
 				}
@@ -112,10 +115,10 @@ func (m *GBDT) Fit(X [][]float64, y []float64) error {
 			}
 			m.base[c] = s / float64(n)
 		} // classification base score 0 (p=0.5)
-		scores := make([]float64, n)
 		for i := range scores {
 			scores[i] = m.base[c]
 		}
+		m.boosters[c] = make([]gbTree, 0, m.opts.NumRounds)
 		for round := 0; round < m.opts.NumRounds; round++ {
 			for i := 0; i < n; i++ {
 				if m.task == Regression {
@@ -149,25 +152,44 @@ func (m *GBDT) Fit(X [][]float64, y []float64) error {
 // Tie order is part of the model. A split's GL/HL are summed in the order the
 // sort leaves the node's rows in, and tied values stay wherever pdqsort puts
 // them, so the gains, and with them the chosen splits, depend on pdqsort's
-// exact permutation of the node's values taken in ascending row order. The
-// grower reproduces it: cmpValue answers the same < questions sort.Slice was
-// asked, partitions are stable so a node's rows stay ascending, and sorted
-// orders are memoised by row set, which is exact because the permutation
-// depends only on the value sequence and the data is fixed for the Fit. The
-// root (rows 0..n-1) is thus sorted once, and the child row sets boosting
-// revisits round after round are not sorted again. A stable sort, or a child
-// order filtered from its parent's sorted order, would break ties differently
-// and change the models.
+// exact permutation of the node's values taken in ascending row order. That
+// permutation is fixed by sortValRows, the package's own copy of Go 1.24's
+// pdqsort (pdqsort.go), and not by the toolchain's slices package, so a Go
+// upgrade cannot move the models; FuzzSortValRowsMatchesSortFunc flags any
+// drift between the two. Partitions are stable so a node's rows stay
+// ascending, and sorted orders are memoised by row set, which is exact
+// because the permutation depends only on the value sequence and the data is
+// fixed for the Fit. The root (rows 0..n-1) is thus sorted once, and the
+// child row sets boosting revisits round after round are not sorted again. A
+// stable sort, or a child order filtered from its parent's sorted order,
+// would break ties differently and change the models.
+//
+// Growers are pooled: Fit takes one from growerPool and puts it back when it
+// returns, so the scratch slices, the memo's map and its slab are reused
+// across fits. A model keeps nothing of the grower's: its nodes are carved
+// from slabs the grower hands over and forgets. A pooled grower keeps its
+// memo slab, as large as the largest memo a fit built (orderMemoBytes plus
+// growth slack, or the root's orders when those alone are larger), until a
+// GC clears the pool.
 type gbGrower struct {
-	m          *GBDT
-	cols       [][]float64 // the training matrix, column-major
-	grad, hess []float64
-	rows       []int
-	pairs      []valRow
-	part       []int
-	leafWeight []float64 // per training row: the weight of the leaf it reached this round
-	orders     map[uint64][]*nodeOrders
-	budget     int // bytes the memo may still take
+	m              *GBDT
+	cols           [][]float64 // the training matrix, column-major
+	grad, hess     []float64
+	target, scores []float64 // the class booster's labels and running scores
+	rows           []int
+	pairs          []valRow
+	part           []int
+	leafWeight     []float64 // per training row: the weight of the leaf it reached this round
+	nodes          []gbNode  // the model's current node slab; newNode carves from it
+	nodeSlab       int       // capacity of each node slab
+
+	// The sorted-order memo. Entry i's row set is slab[off:off+n], followed
+	// by one order of n rows per feature; heads maps a row-set hash to its
+	// newest entry, and entries with equal hashes chain through next.
+	heads   map[uint64]int32
+	entries []memoEntry
+	slab    []int32
+	budget  int // bytes the memo may still take
 }
 
 // orderMemoBytes bounds one Fit's sorted-order memo; once it is spent, new
@@ -175,13 +197,31 @@ type gbGrower struct {
 // stored, are kept whatever their size.
 const orderMemoBytes = 8 << 20
 
-// nodeOrders is one row set's sort result: byFeature[j] lists the rows in the
-// order pdqsort leaves feature j's values in, or is nil when the sorted ends
-// are equal (a constant feature, or one a NaN hides the spread of), which the
-// split scan has always skipped.
+// maxNodeSlab caps the nodes allocated at once for a model.
+const maxNodeSlab = 1024
+
+// memoEntry locates one memoised row set in the grower's slab.
+type memoEntry struct {
+	off, n int
+	next   int32 // the entry with the same hash stored before it, or -1
+}
+
+// nodeOrders is one row set's sort result: n rows in the order pdqsort leaves
+// each feature's values in, feature after feature. A feature whose first
+// entry is -1 has equal sorted ends (a constant feature, or one a NaN hides
+// the spread of), which the split scan has always skipped.
 type nodeOrders struct {
-	rows      []int
-	byFeature [][]int32
+	perms []int32
+	n     int
+}
+
+// feature returns feature j's sorted order, or nil when the scan skips it.
+func (o nodeOrders) feature(j int) []int32 {
+	perm := o.perms[j*o.n : (j+1)*o.n]
+	if perm[0] < 0 {
+		return nil
+	}
+	return perm
 }
 
 // valRow is one row's feature value, sorted by value.
@@ -190,58 +230,116 @@ type valRow struct {
 	r int32
 }
 
-func newGBGrower(m *GBDT, cols [][]float64) *gbGrower {
-	n := len(cols[0])
-	return &gbGrower{
-		m: m, cols: cols,
-		grad: make([]float64, n), hess: make([]float64, n),
-		rows: make([]int, n), pairs: make([]valRow, n), part: make([]int, 0, n),
-		leafWeight: make([]float64, n),
-		orders:     map[uint64][]*nodeOrders{},
-		budget:     orderMemoBytes,
+var growerPool = sync.Pool{New: func() any {
+	return &gbGrower{heads: map[uint64]int32{}}
+}}
+
+// getGBGrower takes a grower from the pool and readies it for a fit of m on
+// the n rows of cols.
+func getGBGrower(m *GBDT, cols [][]float64, n int) *gbGrower {
+	g := growerPool.Get().(*gbGrower)
+	g.m, g.cols = m, cols
+	g.grad, g.hess = resized(g.grad, n), resized(g.hess, n)
+	g.target, g.scores = resized(g.target, n), resized(g.scores, n)
+	g.rows, g.pairs = resized(g.rows, n), resized(g.pairs, n)
+	g.part = resized(g.part, n)[:0]
+	g.leafWeight = resized(g.leafWeight, n)
+	g.nodeSlab = min(2*n-1, maxNodeSlab)
+	if d := m.opts.MaxDepth; d < 10 {
+		g.nodeSlab = min(g.nodeSlab, 1<<(d+1)-1) // one full tree
 	}
+	clear(g.heads)
+	g.entries, g.slab = g.entries[:0], g.slab[:0]
+	g.budget = orderMemoBytes
+	return g
+}
+
+// release returns g to the pool, dropping what it shares with the model.
+func (g *gbGrower) release() {
+	g.m, g.cols, g.nodes = nil, nil, nil
+	growerPool.Put(g)
+}
+
+// resized returns s with length n, reallocated only if its capacity is short.
+func resized[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
+}
+
+// newNode stores nd in the model's node slab and returns its address.
+func (g *gbGrower) newNode(nd gbNode) *gbNode {
+	if len(g.nodes) == cap(g.nodes) {
+		g.nodes = make([]gbNode, 0, g.nodeSlab)
+	}
+	g.nodes = append(g.nodes, nd)
+	return &g.nodes[len(g.nodes)-1]
 }
 
 // sortedOrders returns the per-feature sorted orders of rows (ascending),
-// from the memo when this row set was sorted before in the Fit.
-func (g *gbGrower) sortedOrders(rows []int) *nodeOrders {
+// from the memo when this row set was sorted before in the Fit. The result
+// is valid until the next call.
+func (g *gbGrower) sortedOrders(rows []int) nodeOrders {
 	h := uint64(14695981039346656037) // FNV-1a over the row indices
 	for _, r := range rows {
 		h = (h ^ uint64(r)) * 1099511628211
 	}
-	for _, o := range g.orders[h] {
-		if slices.Equal(o.rows, rows) {
-			return o
+	n, p := len(rows), len(g.cols)
+	next := int32(-1)
+	if head, ok := g.heads[h]; ok {
+		next = head
+		for i := head; i >= 0; i = g.entries[i].next {
+			e := g.entries[i]
+			if e.n == n && sameRows(g.slab[e.off:e.off+n], rows) {
+				return nodeOrders{g.slab[e.off+n : e.off+n*(1+p)], n}
+			}
 		}
 	}
-	p := len(g.cols)
-	o := &nodeOrders{rows: slices.Clone(rows), byFeature: make([][]int32, p)}
-	pairs := g.pairs[:len(rows)]
+	// Sort into the slab past its end, and keep the entry by extending the
+	// slab over it when the budget allows.
+	off, size := len(g.slab), n*(1+p)
+	g.slab = slices.Grow(g.slab, size)
+	e := g.slab[off : off+size]
+	for k, r := range rows {
+		e[k] = int32(r)
+	}
+	pairs := g.pairs[:n]
 	for j, col := range g.cols {
+		perm := e[n*(1+j) : n*(2+j)]
+		perm[0] = -1
 		if constantOn(col, rows) {
 			continue
 		}
 		for k, r := range rows {
 			pairs[k] = valRow{col[r], int32(r)}
 		}
-		slices.SortFunc(pairs, cmpValRow)
-		if pairs[0].v == pairs[len(pairs)-1].v {
+		sortValRows(pairs)
+		if pairs[0].v == pairs[n-1].v {
 			continue
 		}
-		perm := make([]int32, len(pairs))
-		for k, e := range pairs {
-			perm[k] = e.r
+		for k, pr := range pairs {
+			perm[k] = pr.r
 		}
-		o.byFeature[j] = perm
 	}
-	if cost := len(rows) * (8 + 4*p); cost <= g.budget || len(g.orders) == 0 {
+	if cost := 4 * size; cost <= g.budget || len(g.entries) == 0 {
 		g.budget -= cost
-		g.orders[h] = append(g.orders[h], o)
+		g.slab = g.slab[:off+size]
+		g.heads[h] = int32(len(g.entries))
+		g.entries = append(g.entries, memoEntry{off: off, n: n, next: next})
 	}
-	return o
+	return nodeOrders{e[n:], n}
 }
 
-func cmpValRow(a, b valRow) int { return cmpValue(a.v, b.v) }
+// sameRows reports whether the stored row set s equals rows.
+func sameRows(s []int32, rows []int) bool {
+	for k, r := range rows {
+		if int(s[k]) != r {
+			return false
+		}
+	}
+	return true
+}
 
 func (g *gbGrower) grow(rows []int, depth int) *gbNode {
 	o := g.m.opts
@@ -255,7 +353,7 @@ func (g *gbGrower) grow(rows []int, depth int) *gbNode {
 		for _, r := range rows {
 			g.leafWeight[r] = w
 		}
-		return &gbNode{isLeaf: true, weight: w}
+		return g.newNode(gbNode{isLeaf: true, weight: w})
 	}
 	if depth >= o.MaxDepth || len(rows) < 2 {
 		return leaf()
@@ -263,8 +361,9 @@ func (g *gbGrower) grow(rows []int, depth int) *gbNode {
 	bestGain := 0.0
 	bestFeat, bestThresh := -1, 0.0
 	parentScore := G * G / (H + o.Lambda)
-	for j, perm := range g.sortedOrders(rows).byFeature {
-		col := g.cols[j]
+	orders := g.sortedOrders(rows)
+	for j, col := range g.cols {
+		perm := orders.feature(j)
 		var GL, HL float64
 		for i := 0; i < len(perm)-1; i++ {
 			r := perm[i]
@@ -294,13 +393,13 @@ func (g *gbGrower) grow(rows []int, depth int) *gbNode {
 		return leaf()
 	}
 	g.m.gains[bestFeat] += bestGain
-	return &gbNode{
+	return g.newNode(gbNode{
 		feature: bestFeat,
 		thresh:  bestThresh,
 		gain:    bestGain,
 		left:    g.grow(rows[:nl], depth+1),
 		right:   g.grow(rows[nl:], depth+1),
-	}
+	})
 }
 
 func predictGB(node *gbNode, row []float64) float64 {
@@ -314,11 +413,16 @@ func predictGB(node *gbNode, row []float64) float64 {
 	return node.weight
 }
 
-// Predict returns score rows (see Model).
+// Predict returns score rows (see Model). The rows share one backing array.
 func (m *GBDT) Predict(X [][]float64) [][]float64 {
+	width := 1
+	if m.task == MultiClass {
+		width = m.classes
+	}
 	out := make([][]float64, len(X))
+	flat := make([]float64, len(X)*width)
+	raw := make([]float64, m.classes)
 	for i, row := range X {
-		raw := make([]float64, m.classes)
 		for c := 0; c < m.classes; c++ {
 			s := m.base[c]
 			for _, t := range m.boosters[c] {
@@ -326,26 +430,26 @@ func (m *GBDT) Predict(X [][]float64) [][]float64 {
 			}
 			raw[c] = s
 		}
+		scores := flat[i*width : (i+1)*width : (i+1)*width]
 		switch m.task {
 		case Regression:
-			out[i] = []float64{raw[0]}
+			scores[0] = raw[0]
 		case Binary:
-			out[i] = []float64{sigmoid(raw[0])}
+			scores[0] = sigmoid(raw[0])
 		case MultiClass:
-			probs := make([]float64, m.classes)
 			sum := 0.0
 			for c, s := range raw {
-				probs[c] = sigmoid(s)
-				sum += probs[c]
+				scores[c] = sigmoid(s)
+				sum += scores[c]
 			}
 			if sum <= 0 {
 				sum = 1
 			}
-			for c := range probs {
-				probs[c] /= sum
+			for c := range scores {
+				scores[c] /= sum
 			}
-			out[i] = probs
 		}
+		out[i] = scores
 	}
 	return out
 }

@@ -145,6 +145,14 @@ func TestLinearFitValidation(t *testing.T) {
 	if err := bad.Fit([][]float64{{1}}, []float64{1}); err == nil {
 		t.Error("unknown task should fail")
 	}
+	// Rows without features fit the constant model, as the forest does.
+	none := NewGBDT(Binary, GBDTOptions{})
+	if err := none.Fit([][]float64{{}, {}, {}}, []float64{0, 1, 1}); err != nil {
+		t.Fatalf("no features: %v", err)
+	}
+	if p := none.Predict([][]float64{{}, {}}); p[0][0] != p[1][0] || p[0][0] <= 0.5 {
+		t.Errorf("no features: predictions %v, want one constant above 0.5", p)
+	}
 }
 
 func TestForestSolvesXOR(t *testing.T) {
@@ -197,6 +205,14 @@ func TestForestValidation(t *testing.T) {
 	bad := NewRandomForest(Task(9), ForestOptions{})
 	if err := bad.Fit([][]float64{{1}}, []float64{1}); err == nil {
 		t.Error("unknown task should fail")
+	}
+	// Rows without features fit the constant model, as the forest does.
+	none := NewGBDT(Binary, GBDTOptions{})
+	if err := none.Fit([][]float64{{}, {}, {}}, []float64{0, 1, 1}); err != nil {
+		t.Fatalf("no features: %v", err)
+	}
+	if p := none.Predict([][]float64{{}, {}}); p[0][0] != p[1][0] || p[0][0] <= 0.5 {
+		t.Errorf("no features: predictions %v, want one constant above 0.5", p)
 	}
 }
 
@@ -273,6 +289,14 @@ func TestGBDTValidation(t *testing.T) {
 	bad := NewGBDT(Task(9), GBDTOptions{})
 	if err := bad.Fit([][]float64{{1}}, []float64{1}); err == nil {
 		t.Error("unknown task should fail")
+	}
+	// Rows without features fit the constant model, as the forest does.
+	none := NewGBDT(Binary, GBDTOptions{})
+	if err := none.Fit([][]float64{{}, {}, {}}, []float64{0, 1, 1}); err != nil {
+		t.Fatalf("no features: %v", err)
+	}
+	if p := none.Predict([][]float64{{}, {}}); p[0][0] != p[1][0] || p[0][0] <= 0.5 {
+		t.Errorf("no features: predictions %v, want one constant above 0.5", p)
 	}
 }
 

@@ -102,9 +102,11 @@ func partitionRows(col []float64, rows, buf []int, t float64) int {
 
 // columns returns X column-major: columns(X)[j][r] == X[r][j].
 func columns(X [][]float64) [][]float64 {
+	n := len(X)
 	cols := make([][]float64, len(X[0]))
+	flat := make([]float64, n*len(cols))
 	for j := range cols {
-		col := make([]float64, len(X))
+		col := flat[j*n : (j+1)*n : (j+1)*n]
 		for r, row := range X {
 			col[r] = row[j]
 		}

@@ -24,7 +24,7 @@ func Discretize(values []float64, valid []bool, bins int) []int {
 	if bins <= 0 {
 		bins = DefaultBins
 	}
-	var present []float64
+	present := make([]float64, 0, len(values))
 	for i, v := range values {
 		if valid == nil || valid[i] {
 			present = append(present, v)
