@@ -7,6 +7,7 @@ package dataframe
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -62,11 +63,10 @@ type Column struct {
 	// stay vet-clean and share the encoding.
 	dict *dictLazy
 	// compact marks a string column whose dictionary codes are the PRIMARY
-	// storage: strs is nil and every per-row read decodes domain[code] lazily
-	// (see strAt). Invariant while compact: dict.built && dict.enc != nil.
-	// Appends that would invalidate the encoding (mid-domain value, cap
-	// crossing) rematerialise strs first and drop the flag, preserving the
-	// PR 9 fallback semantics exactly.
+	// storage: strs is nil and every per-row read decodes values[code]
+	// lazily (see strAt). Invariant while compact: dict.built && dict.enc !=
+	// nil. Appends extend the encoding in place; only a cap crossing
+	// rematerialises strs and drops the flag (see compact.go).
 	compact bool
 	// strBytes is MemBytes's raw-string term (see strCellBytes) over
 	// strs[:strCounted]. Appends extend it over the rows they add, so
@@ -173,7 +173,7 @@ func (c *Column) Str(i int) string {
 }
 
 // strAt is the kind-unchecked per-row string read: raw columns index strs,
-// compact columns decode domain[code].
+// compact columns decode values[code].
 func (c *Column) strAt(i int) string {
 	if !c.compact {
 		return c.strs[i]
@@ -315,24 +315,17 @@ func (c *Column) Take(idx []int) *Column {
 	case KindString:
 		if c.compact {
 			// Stay compact: take the codes, rebuild validity, share the
-			// domain (full-slice expression so a later in-place domain
-			// extension on either column reallocates instead of clobbering
-			// the sibling). The inherited domain may list values absent from
-			// the taken rows; presence-scanning consumers handle that.
+			// domain. The inherited domain may list values absent from the
+			// taken rows; presence-scanning consumers handle that.
 			src := c.dict.enc
-			nv := len(src.values)
-			enc := &DictEncoding{
-				values:    src.values[:nv:nv],
-				codes:     make([]uint16, len(idx)),
-				validBits: make([]uint64, (len(idx)+63)/64),
-			}
+			enc := src.shareDomain()
+			enc.codes = make([]uint16, len(idx))
+			enc.validBits = make([]uint64, (len(idx)+63)/64)
 			for j, i := range idx {
 				if c.valid[i] {
 					out.valid[j] = true
 					enc.codes[j] = src.codes[i]
 					enc.validBits[j>>6] |= 1 << uint(j&63)
-				} else {
-					enc.nulls++
 				}
 			}
 			out.dict = newBuiltDict(enc)
@@ -380,9 +373,9 @@ func (c *Column) Floats() ([]float64, []bool) {
 // domain. NULLs get code -1.
 func (c *Column) ordinalCodes() []int {
 	if c.compact {
-		// The dictionary domain is already sorted; rank only the values
-		// present among the column's rows (an inherited domain may list
-		// absent values) so the result matches the raw-column scan exactly.
+		// Rank only the values present among the column's rows (an
+		// inherited domain may list absent values) so the result matches
+		// the raw-column scan exactly.
 		enc := c.dict.enc
 		rank := presenceRanks(enc, c.valid)
 		codes := make([]int, len(enc.codes))
@@ -406,7 +399,7 @@ func (c *Column) ordinalCodes() []int {
 			keys = append(keys, s)
 		}
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	for rank, k := range keys {
 		domain[k] = rank
 	}
@@ -422,8 +415,7 @@ func (c *Column) ordinalCodes() []int {
 }
 
 // presenceRanks scans a column's codes once and assigns each PRESENT domain
-// code its rank among the present codes (domain order == sorted order), -1
-// for absent codes.
+// code its rank among the present codes in value order, -1 for absent codes.
 func presenceRanks(enc *DictEncoding, valid []bool) []int {
 	rank := make([]int, len(enc.values))
 	for i := range rank {
@@ -435,29 +427,19 @@ func presenceRanks(enc *DictEncoding, valid []bool) []int {
 		}
 	}
 	r := 0
-	for i, v := range rank {
-		if v == 0 {
-			rank[i] = r
+	for _, code := range enc.sorted {
+		if rank[code] == 0 {
+			rank[code] = r
 			r++
 		}
 	}
 	return rank
 }
 
-func sortStrings(s []string) {
-	// Insertion sort is fine for domains; avoid importing sort here to keep
-	// this file dependency-free, and domains are small in practice.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // AppendNull extends the column with one NULL row.
 func (c *Column) AppendNull() {
 	if c.kind == KindString {
-		c.extendDictNull()
+		c.extendDict([]string{""}, []bool{false})
 	}
 	c.valid = append(c.valid, false)
 	switch c.kind {
@@ -498,7 +480,7 @@ func (c *Column) AppendStr(v string) {
 	if c.kind != KindString {
 		panic("dataframe: AppendStr on " + c.kind.String())
 	}
-	c.extendDictStr(v) // may rematerialise a compact column (fallback cases)
+	c.extendDict([]string{v}, []bool{true}) // a cap crossing rematerialises a compact column
 	if !c.compact {
 		c.strs = append(c.strs, v)
 		c.countStrs()
@@ -517,8 +499,8 @@ func (c *Column) AppendBool(v bool) {
 
 // appendFrom bulk-appends every row of o (same kind, checked by the caller)
 // — the column half of Table.AppendRows. Existing rows keep their positions
-// and values; string columns extend a built dictionary in place when the
-// delta keeps existing codes stable (see extendDictBulk).
+// and values; string columns extend a built dictionary in place (see
+// extendDict).
 func (c *Column) appendFrom(o *Column) {
 	switch c.kind {
 	case KindInt, KindTime:
@@ -527,8 +509,8 @@ func (c *Column) appendFrom(o *Column) {
 		c.floats = append(c.floats, o.floats...)
 	case KindString:
 		vals := o.materializedStrs() // o may itself be compact
-		c.extendDictBulk(vals, o.valid)
-		if !c.compact { // extendDictBulk rematerialises on fallback
+		c.extendDict(vals, o.valid)
+		if !c.compact { // extendDict rematerialises on a cap crossing
 			c.strs = append(c.strs, vals...)
 			c.countStrs()
 		}
@@ -539,13 +521,16 @@ func (c *Column) appendFrom(o *Column) {
 }
 
 // Clone deep-copies the column. A compact column clones compact: the code
-// arrays are copied, the (immutable) domain is shared with append-safe
-// capacity.
+// arrays are copied, the domain is shared (see shareDomain).
 func (c *Column) Clone() *Column {
 	out := &Column{name: c.name, kind: c.kind}
 	if c.kind == KindString {
 		if c.compact {
-			out.dict = newBuiltDict(c.dict.enc.clone())
+			src := c.dict.enc
+			enc := src.shareDomain()
+			enc.codes = slices.Clone(src.codes)
+			enc.validBits = slices.Clone(src.validBits)
+			out.dict = newBuiltDict(enc)
 			out.compact = true
 		} else {
 			out.dict = &dictLazy{}
@@ -562,7 +547,7 @@ func (c *Column) Clone() *Column {
 // DistinctStrings returns the sorted distinct non-null values of a string
 // column, capped at limit (0 = no cap). When a dictionary encoding exists the
 // probe is served from it — a presence scan over the codes instead of a
-// hashed scan over raw strings (the domain is already sorted; the scan drops
+// hashed scan over raw strings, walked in sorted order (the scan drops
 // inherited-domain values absent from the column's rows).
 func (c *Column) DistinctStrings(limit int) []string {
 	if c.kind != KindString {
@@ -576,8 +561,8 @@ func (c *Column) DistinctStrings(limit int) []string {
 			}
 		}
 		var out []string
-		for code, p := range present {
-			if !p {
+		for _, code := range enc.sorted {
+			if !present[code] {
 				continue
 			}
 			out = append(out, enc.values[code])
@@ -596,7 +581,7 @@ func (c *Column) DistinctStrings(limit int) []string {
 		seen[s] = true
 		out = append(out, s)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}

@@ -92,10 +92,10 @@ func TestCompactBasics(t *testing.T) {
 	}
 }
 
-// TestCompactAppendSemantics pins the PR 9 fallback contract on compact
-// columns: in-domain appends stay compact; a mid-domain value or a
-// cap-crossing delta rematerialises the strings first, and the column then
-// behaves exactly like a raw one.
+// TestCompactAppendSemantics pins the append contract on compact columns:
+// every append below the cap — in the domain, inside it, NULLs — extends the
+// codes in place and stays compact; a cap-crossing delta rematerialises the
+// strings first, and the column then behaves exactly like a raw one.
 func TestCompactAppendSemantics(t *testing.T) {
 	mk := func() *Column {
 		c := NewStringColumn("s", []string{"a", "b", "d", "b"}, nil)
@@ -118,24 +118,25 @@ func TestCompactAppendSemantics(t *testing.T) {
 			t.Fatalf("row %d = %q, want %q", i, c.Str(i), w)
 		}
 	}
-	if !slices.Equal(c.Dict().Values(), []string{"a", "b", "d"}) {
-		t.Fatalf("domain = %v", c.Dict().Values())
+	if !slices.Equal(c.Dict().values, []string{"a", "b", "d"}) {
+		t.Fatalf("domain = %v", c.Dict().values)
 	}
 
-	// Mid-domain value: "c" sorts inside {a,b,d} — codes shift, so the column
-	// must rematerialise and re-encode like a raw column would.
+	// Mid-domain value: "c" sorts inside {a,b,d}. It takes the next code, so
+	// the column stays compact and the domain keeps its sorted order beside.
 	c = mk()
+	enc := c.Dict()
 	c.AppendStr("c")
-	if c.IsCompact() {
-		t.Fatal("mid-domain append left the column compact")
+	if !c.IsCompact() || c.Dict() != enc {
+		t.Fatal("mid-domain append left compact storage or swapped the encoding")
 	}
 	for i, w := range []string{"a", "b", "d", "b", "c"} {
 		if c.Str(i) != w {
-			t.Fatalf("after shift, row %d = %q, want %q", i, c.Str(i), w)
+			t.Fatalf("after a mid-domain append, row %d = %q, want %q", i, c.Str(i), w)
 		}
 	}
-	if enc := c.Dict(); enc == nil || !slices.Equal(enc.Values(), []string{"a", "b", "c", "d"}) {
-		t.Fatal("re-encode after rematerialise lost the new domain")
+	if !slices.Equal(enc.values, []string{"a", "b", "d", "c"}) || !slices.Equal(c.DistinctStrings(0), []string{"a", "b", "c", "d"}) {
+		t.Fatalf("domain %v, distinct %v", enc.values, c.DistinctStrings(0))
 	}
 
 	// Cap crossing: the dictionary drops entirely; the strings must survive.
@@ -157,6 +158,34 @@ func TestCompactAppendSemantics(t *testing.T) {
 	}
 	if c.Str(0) != "a" || c.Str(3) != "b" || c.Str(4) != "v0000" || c.Str(4+1199) != "v1199" {
 		t.Fatal("rows corrupted across the cap-crossing rematerialise")
+	}
+}
+
+// TestCompactMidDomainAppendCostsCodes is the bar for keeping served columns
+// compact: after a mid-domain append a compact column is still compact and
+// MemBytes grows by the new row (validity and code) and the new domain entry
+// only, no strings coming back; a cap crossing still rematerialises them.
+func TestCompactMidDomainAppendCostsCodes(t *testing.T) {
+	c := NewStringColumn("s", []string{"a", "c", "e", "a"}, nil)
+	if !c.Compact() {
+		t.Fatal("setup: compact failed")
+	}
+	before := c.MemBytes()
+	c.AppendStr("b")
+	if !c.IsCompact() {
+		t.Fatal("mid-domain append rematerialised the column")
+	}
+	if got, want := c.MemBytes()-before, 1+2+strCellBytes("b")+2; got != want {
+		t.Fatalf("MemBytes grew by %d, want %d (row validity, code, domain entry, sorted entry)", got, want)
+	}
+	for i := 0; c.IsCompact(); i++ {
+		c.AppendStr(fmt.Sprintf("v%04d", i))
+		if i > MaxDictCardinality {
+			t.Fatal("cap crossing kept the column compact")
+		}
+	}
+	if c.Dict() != nil || c.Str(4) != "b" || c.Str(c.Len()-1) != fmt.Sprintf("v%04d", MaxDictCardinality-4) {
+		t.Fatal("cap crossing lost the encoding's rows")
 	}
 }
 
@@ -182,58 +211,56 @@ func TestCompactTakeClone(t *testing.T) {
 	sameStringColumn(t, "clone-after-append", raw.Column("s"), comp.Column("s"))
 }
 
-// TestConcatCompactSplice is the Concat fast-path satellite: equal-domain
-// built encodings splice code arrays (output compact iff all inputs are);
-// unequal domains fall back to the generic append loop and still produce
-// from-scratch-identical results.
+// TestConcatCompactSplice checks that Concat's output storage follows its
+// first input: a compact first table gives a compact output (its rows and
+// those appended after it extend the codes), a raw first table a raw one, and
+// either reads the same rows as a concat of raw tables, sharing no per-row
+// state with its inputs.
 func TestConcatCompactSplice(t *testing.T) {
 	_, a := compactPair(t, 120, 3)
-	_, b := compactPair(t, 90, 4) // same cats pool => same domain
+	_, b := compactPair(t, 90, 4)
 	rawA, _ := compactPair(t, 120, 3)
 	rawB, _ := compactPair(t, 90, 4)
-
-	got, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Column("s").IsCompact() {
-		t.Error("equal-domain compact concat is not compact")
-	}
 	want, err := Concat(rawA, rawB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameStringColumn(t, "splice", want.Column("s"), got.Column("s"))
-	// The splice must share no per-row state with its inputs: appending to the
-	// output leaves the inputs untouched.
-	preA, preB := a.Column("s").Str(0), b.Column("s").Str(0)
-	got.Column("s").AppendStr("e")
-	if a.Column("s").Str(0) != preA || b.Column("s").Str(0) != preB {
-		t.Error("splice output aliases its inputs")
+	if want.Column("s").IsCompact() {
+		t.Error("raw concat claimed compact storage")
 	}
-
-	// Mixed compact/raw inputs with one shared BUILT domain: fast path still
-	// applies, output falls back to raw storage but keeps the encoding.
-	_, c1 := compactPair(t, 60, 5)
-	r2, _ := compactPair(t, 40, 6)
-	r2.Column("s").Dict() // build without compacting
-	mixed, err := Concat(c1, r2)
+	for _, tc := range []struct {
+		name   string
+		tables []*Table
+	}{{"compact+compact", []*Table{a, b}}, {"compact+raw", []*Table{a, rawB}}} {
+		got, err := Concat(tc.tables...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Column("s").IsCompact() {
+			t.Errorf("%s: concat after a compact first input is not compact", tc.name)
+		}
+		sameStringColumn(t, tc.name, want.Column("s"), got.Column("s"))
+		// Appending to the output leaves the inputs untouched.
+		preA, preB := a.Column("s").Str(0), tc.tables[1].Column("s").Str(0)
+		got.Column("s").AppendStr("zz")
+		if a.Column("s").Str(0) != preA || tc.tables[1].Column("s").Str(0) != preB ||
+			slices.Contains(a.Column("s").Dict().values, "zz") {
+			t.Errorf("%s: concat output aliases its inputs", tc.name)
+		}
+	}
+	mixed, err := Concat(rawA, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mixed.Column("s").IsCompact() {
-		t.Error("mixed compact/raw concat claimed compact storage")
+		t.Error("concat after a raw first input claimed compact storage")
 	}
-	wantMixed, err := Concat(func() *Table { x, _ := compactPair(t, 60, 5); return x }(), func() *Table { x, _ := compactPair(t, 40, 6); return x }())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameStringColumn(t, "mixed", wantMixed.Column("s"), mixed.Column("s"))
+	sameStringColumn(t, "raw+compact", want.Column("s"), mixed.Column("s"))
 
-	// Unequal-domain fallback regression: a table whose domain differs forces
-	// the generic path; results still match from-scratch concat.
-	d1 := MustNewTable(NewStringColumn("s", []string{"a", "b", "a"}, nil), NewIntColumn("x", []int64{1, 2, 3}, nil))
-	d2 := MustNewTable(NewStringColumn("s", []string{"zz", "b", "zz"}, nil), NewIntColumn("x", []int64{4, 5, 6}, nil))
+	// Inputs over different domains: the output's domain is the union in
+	// first-seen order.
+	d1 := MustNewTable(NewStringColumn("s", []string{"b", "a", "b"}, nil), NewIntColumn("x", []int64{1, 2, 3}, nil))
+	d2 := MustNewTable(NewStringColumn("s", []string{"zz", "b", "aa"}, nil), NewIntColumn("x", []int64{4, 5, 6}, nil))
 	if d1.Compact() != 1 || d2.Compact() != 1 {
 		t.Fatal("setup: compact failed")
 	}
@@ -241,14 +268,14 @@ func TestConcatCompactSplice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := []string{"a", "b", "a", "zz", "b", "zz"}
+	wantRows := []string{"b", "a", "b", "zz", "b", "aa"}
 	for i, w := range wantRows {
 		if uneq.Column("s").Str(i) != w {
 			t.Fatalf("unequal-domain concat row %d = %q, want %q", i, uneq.Column("s").Str(i), w)
 		}
 	}
-	if enc := uneq.Column("s").Dict(); enc == nil || !slices.Equal(enc.Values(), []string{"a", "b", "zz"}) {
-		t.Error("unequal-domain concat did not re-encode the merged domain")
+	if enc := uneq.Column("s").Dict(); enc == nil || !slices.Equal(enc.values, []string{"b", "a", "zz", "aa"}) {
+		t.Error("unequal-domain concat did not extend the first input's domain")
 	}
 }
 
@@ -389,15 +416,15 @@ func walkMemBytes(c *Column) int64 {
 // TestMemBytesRunningCount: the running raw-string byte count covers every
 // raw cell once the table has taken an append, and keeps MemBytes equal to a
 // full walk through random appends (bulk and per value, NULLs,
-// mid-domain values that force a re-encode or rematerialise a compact
-// column, cardinality-cap crossings), compaction, dictionary builds, and the
+// mid-domain values, cardinality-cap crossings that rematerialise a compact
+// column), compaction, dictionary builds, and the
 // columns derived by filtering, taking, cloning, joining and concatenating.
 func TestMemBytesRunningCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	domain := []string{"a", "c", "e", "gg", "kkk"}
 	value := func(mode int) string {
 		switch mode {
-		case 1: // sorts inside the domain: shifts codes
+		case 1: // sorts inside the domain
 			return domain[rng.Intn(len(domain))] + "b"
 		case 2: // distinct every time: crosses MaxDictCardinality eventually
 			return fmt.Sprintf("v%06d", rng.Intn(1000000))

@@ -3,10 +3,10 @@ package dataframe
 import "fmt"
 
 // Concat vertically stacks tables with identical schemas (same column names
-// and kinds, in any order; the first table's order wins). String columns whose
-// inputs all carry a built dictionary over the SAME domain splice their code
-// arrays directly instead of re-encoding row by row (see spliceStringColumns);
-// unequal domains fall back to the generic append loop.
+// and kinds, in any order; the first table's order wins). Each output column
+// is a clone of the first table's column with the other tables' rows appended
+// one by one, so a compact first input gives a compact output below the
+// dictionary cap.
 func Concat(tables ...*Table) (*Table, error) {
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("dataframe: concat of nothing")
@@ -19,8 +19,7 @@ func Concat(tables ...*Table) (*Table, error) {
 	}
 	out := &Table{index: map[string]int{}}
 	for _, c := range first.cols {
-		srcs := make([]*Column, 1, len(tables))
-		srcs[0] = c
+		acc := c.Clone()
 		for _, t := range tables[1:] {
 			src := t.Column(c.name)
 			if src == nil {
@@ -29,30 +28,20 @@ func Concat(tables ...*Table) (*Table, error) {
 			if src.kind != c.kind {
 				return nil, fmt.Errorf("dataframe: concat: column %q kind mismatch (%s vs %s)", c.name, src.kind, c.kind)
 			}
-			srcs = append(srcs, src)
-		}
-		var acc *Column
-		if c.kind == KindString {
-			acc = spliceStringColumns(srcs)
-		}
-		if acc == nil {
-			acc = c.Clone()
-			for _, src := range srcs[1:] {
-				for i := 0; i < src.Len(); i++ {
-					if src.IsNull(i) {
-						acc.AppendNull()
-						continue
-					}
-					switch src.kind {
-					case KindInt, KindTime:
-						acc.AppendInt(src.ints[i])
-					case KindFloat:
-						acc.AppendFloat(src.floats[i])
-					case KindString:
-						acc.AppendStr(src.strAt(i))
-					case KindBool:
-						acc.AppendBool(src.bools[i])
-					}
+			for i := 0; i < src.Len(); i++ {
+				if src.IsNull(i) {
+					acc.AppendNull()
+					continue
+				}
+				switch src.kind {
+				case KindInt, KindTime:
+					acc.AppendInt(src.ints[i])
+				case KindFloat:
+					acc.AppendFloat(src.floats[i])
+				case KindString:
+					acc.AppendStr(src.strAt(i))
+				case KindBool:
+					acc.AppendBool(src.bools[i])
 				}
 			}
 		}

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// TestDictEncodingBuild pins the encoding of a small column with NULLs: sorted
-// domain, rank codes, validity bitmap and null count.
+// TestDictEncodingBuild pins the encoding of a small column with NULLs:
+// first-seen codes, the sorted order beside them, the validity bitmap, and a
+// DistinctStrings that still reads in value order.
 func TestDictEncodingBuild(t *testing.T) {
 	c := NewStringColumn("s",
 		[]string{"pear", "apple", "", "pear", "fig", "apple"},
@@ -16,34 +17,30 @@ func TestDictEncodingBuild(t *testing.T) {
 	if enc == nil {
 		t.Fatal("Dict() = nil for an encodable column")
 	}
-	wantVals := []string{"apple", "fig", "pear"}
-	if got := enc.Values(); len(got) != 3 || got[0] != "apple" || got[1] != "fig" || got[2] != "pear" {
-		t.Fatalf("Values() = %v, want %v", got, wantVals)
+	if want := []string{"pear", "apple", "fig"}; !slices.Equal(enc.values, want) {
+		t.Fatalf("values = %v, want first-seen %v", enc.values, want)
 	}
-	if enc.Cardinality() != 3 || enc.NullCount() != 1 || enc.NumRows() != 6 {
-		t.Fatalf("card/nulls/rows = %d/%d/%d, want 3/1/6", enc.Cardinality(), enc.NullCount(), enc.NumRows())
+	if want := []uint16{1, 2, 0}; !slices.Equal(enc.sorted, want) {
+		t.Fatalf("sorted = %v, want %v", enc.sorted, want)
 	}
-	wantCodes := []uint16{2, 0, 0, 2, 1, 0} // row 2 is NULL: unspecified, builder leaves 0
-	for i, w := range wantCodes {
-		if i == 2 {
-			continue
-		}
-		if enc.Codes()[i] != w {
-			t.Errorf("Codes()[%d] = %d, want %d", i, enc.Codes()[i], w)
-		}
+	if want := []uint16{0, 1, 0, 0, 2, 1}; !slices.Equal(enc.Codes(), want) { // row 2 is NULL: code 0
+		t.Errorf("Codes() = %v, want %v", enc.Codes(), want)
 	}
-	if want := uint64(0b111011); enc.ValidBits()[0] != want {
-		t.Errorf("ValidBits()[0] = %b, want %b", enc.ValidBits()[0], want)
+	if want := uint64(0b111011); len(enc.ValidBits()) != 1 || enc.ValidBits()[0] != want {
+		t.Errorf("ValidBits() = %b, want [%b]", enc.ValidBits(), want)
 	}
 	for _, tc := range []struct {
 		s    string
 		code uint16
 		ok   bool
-	}{{"apple", 0, true}, {"fig", 1, true}, {"pear", 2, true}, {"plum", 0, false}, {"", 0, false}} {
+	}{{"apple", 1, true}, {"fig", 2, true}, {"pear", 0, true}, {"plum", 0, false}, {"", 0, false}, {"aa", 0, false}} {
 		code, ok := enc.CodeOf(tc.s)
 		if code != tc.code || ok != tc.ok {
 			t.Errorf("CodeOf(%q) = %d,%v want %d,%v", tc.s, code, ok, tc.code, tc.ok)
 		}
+	}
+	if got, want := c.DistinctStrings(0), []string{"apple", "fig", "pear"}; !slices.Equal(got, want) {
+		t.Errorf("DistinctStrings = %v, want %v", got, want)
 	}
 	if again := c.Dict(); again != enc {
 		t.Error("second Dict() rebuilt the encoding")
@@ -55,15 +52,15 @@ func TestDictEncodingBuild(t *testing.T) {
 // a domain exactly at the cardinality cap and one past it.
 func TestDictEncodingEdges(t *testing.T) {
 	allNull := NewStringColumn("s", []string{"x", "y"}, []bool{false, false})
-	if enc := allNull.Dict(); enc == nil || enc.Cardinality() != 0 || enc.NullCount() != 2 {
-		t.Errorf("all-NULL: enc = %+v, want empty dictionary with 2 nulls", enc)
+	if enc := allNull.Dict(); enc == nil || len(enc.values) != 0 || len(enc.codes) != 2 || enc.validBits[0] != 0 {
+		t.Errorf("all-NULL: enc = %+v, want empty dictionary over 2 NULL rows", enc)
 	}
 	single := NewStringColumn("s", []string{"k", "k", "k"}, nil)
-	if enc := single.Dict(); enc == nil || enc.Cardinality() != 1 || enc.Codes()[2] != 0 {
+	if enc := single.Dict(); enc == nil || len(enc.values) != 1 || enc.Codes()[2] != 0 {
 		t.Error("single-value: want cardinality 1, code 0 everywhere")
 	}
 	empty := NewStringColumn("s", nil, nil)
-	if enc := empty.Dict(); enc == nil || enc.Cardinality() != 0 || enc.NumRows() != 0 {
+	if enc := empty.Dict(); enc == nil || len(enc.values) != 0 || len(enc.codes) != 0 {
 		t.Error("empty column: want an empty encoding")
 	}
 	if enc := NewIntColumn("i", []int64{1}, nil).Dict(); enc != nil {
@@ -76,7 +73,7 @@ func TestDictEncodingEdges(t *testing.T) {
 		}
 		return NewStringColumn("s", vals, nil)
 	}
-	if enc := mk(MaxDictCardinality).Dict(); enc == nil || enc.Cardinality() != MaxDictCardinality ||
+	if enc := mk(MaxDictCardinality).Dict(); enc == nil || len(enc.values) != MaxDictCardinality ||
 		enc.Codes()[MaxDictCardinality-1] != MaxDictCardinality-1 {
 		t.Error("card at the cap: want an encoding with the top code in range")
 	}
@@ -85,38 +82,33 @@ func TestDictEncodingEdges(t *testing.T) {
 	}
 }
 
-// TestDictExtendOnAppend checks the append contract (PR 9): appends that
-// keep existing codes stable — values already in the domain, values sorting
-// after the current maximum, NULLs — extend the built encoding in place
-// (same pointer), while a mid-domain value swaps in a fresh holder for a
-// full re-encode.
+// TestDictExtendOnAppend checks the append contract: every append below the
+// cap — values already in the domain, values after the current maximum,
+// values inside the domain, NULLs — extends the built encoding in place (same
+// pointer), new values taking the next codes.
 func TestDictExtendOnAppend(t *testing.T) {
 	c := NewStringColumn("s", []string{"a", "b"}, nil)
 	first := c.Dict()
-	if first == nil || first.Cardinality() != 2 {
+	if first == nil || len(first.values) != 2 {
 		t.Fatal("seed encoding missing")
 	}
-	c.AppendStr("c") // sorts after the max: joins the domain end
+	c.AppendStr("c") // after the max
 	c.AppendNull()
-	c.AppendStr("a") // in-domain: reuses its code
-	second := c.Dict()
-	if second != first {
-		t.Fatal("stable appends must extend the encoding in place")
+	c.AppendStr("a")  // in the domain: reuses its code
+	c.AppendStr("ab") // inside the domain: takes the next code all the same
+	if c.Dict() != first {
+		t.Fatal("appends below the cap must extend the encoding in place")
 	}
-	if second.NumRows() != 5 || second.Cardinality() != 3 || second.NullCount() != 1 {
-		t.Errorf("extended encoding = %d rows / %d card / %d nulls, want 5/3/1",
-			second.NumRows(), second.Cardinality(), second.NullCount())
+	if want := []string{"a", "b", "c", "ab"}; !slices.Equal(first.values, want) {
+		t.Errorf("values = %v, want %v", first.values, want)
 	}
-	if want := []uint16{0, 1, 2, 0, 0}; !slices.Equal(second.Codes(), want) {
-		t.Errorf("extended codes = %v, want %v", second.Codes(), want)
+	if want := []uint16{0, 3, 1, 2}; !slices.Equal(first.sorted, want) {
+		t.Errorf("sorted = %v, want %v", first.sorted, want)
 	}
-	c.AppendStr("ab") // mid-domain: would shift codes of "b" and "c"
-	third := c.Dict()
-	if third == first {
-		t.Fatal("mid-domain append must trigger a full re-encode")
+	if want := []uint16{0, 1, 2, 0, 0, 3}; !slices.Equal(first.Codes(), want) {
+		t.Errorf("codes = %v, want %v", first.Codes(), want)
 	}
-	if third.NumRows() != 6 || third.Cardinality() != 4 || third.NullCount() != 1 {
-		t.Errorf("rebuilt encoding = %d rows / %d card / %d nulls, want 6/4/1",
-			third.NumRows(), third.Cardinality(), third.NullCount())
+	if want := uint64(0b110111); first.ValidBits()[0] != want {
+		t.Errorf("valid bits = %b, want %b", first.ValidBits()[0], want)
 	}
 }

@@ -4,62 +4,61 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
-// dictTwoPass is the two-pass builder buildDictEncoding must reproduce byte
-// for byte: one map pass for the distinct domain (nil past maxCard), a sort,
-// then a second map pass for the per-row codes (0 at NULL rows).
-func dictTwoPass(c *Column, maxCard int) *DictEncoding {
-	ranks := make(map[string]uint16)
-	for i, s := range c.strs {
-		if !c.valid[i] {
+// dictTwoPass is the reference encoder the built and extended encodings must
+// equal field for field: one map pass for the first-seen domain (nil past
+// maxCard) and its sorted order, then a second map pass for the per-row
+// codes (0 at NULL rows).
+func dictTwoPass(strs []string, valid []bool, maxCard int) *DictEncoding {
+	index := make(map[string]uint16)
+	var values []string
+	for i, s := range strs {
+		if !valid[i] {
 			continue
 		}
-		if _, dup := ranks[s]; !dup {
-			if len(ranks) >= maxCard {
+		if _, dup := index[s]; !dup {
+			if len(values) >= maxCard {
 				return nil
 			}
-			ranks[s] = 0
+			index[s] = uint16(len(values))
+			values = append(values, s)
 		}
 	}
-	values := make([]string, 0, len(ranks))
-	for s := range ranks {
-		values = append(values, s)
+	sorted := make([]uint16, len(values))
+	for i := range sorted {
+		sorted[i] = uint16(i)
 	}
-	slices.Sort(values)
-	for rank, s := range values {
-		ranks[s] = uint16(rank)
-	}
-	n := len(c.strs)
-	d := &DictEncoding{values: values, codes: make([]uint16, n), validBits: make([]uint64, (n+63)/64)}
-	for i, s := range c.strs {
-		if !c.valid[i] {
-			d.nulls++
-			continue
+	slices.SortFunc(sorted, func(a, b uint16) int { return strings.Compare(values[a], values[b]) })
+	n := len(strs)
+	d := &DictEncoding{values: values, sorted: sorted, codes: make([]uint16, n), validBits: make([]uint64, (n+63)/64)}
+	for i, s := range strs {
+		if valid[i] {
+			d.codes[i] = index[s]
+			d.validBits[i>>6] |= 1 << uint(i&63)
 		}
-		d.codes[i] = ranks[s]
-		d.validBits[i>>6] |= 1 << uint(i&63)
 	}
 	return d
 }
 
 // sameDict reports how got differs from want, or "" when they match in
-// every field, NULL rows' codes included.
+// every field, NULL rows' codes included. Nil and empty slices match.
 func sameDict(got, want *DictEncoding) string {
 	switch {
 	case (got == nil) != (want == nil):
 		return fmt.Sprintf("encoding %v, want %v", got, want)
 	case got == nil:
 		return ""
-	case !slices.Equal(got.Values(), want.Values()):
-		return fmt.Sprintf("values %q, want %q", got.Values(), want.Values())
-	case !slices.Equal(got.Codes(), want.Codes()):
-		return fmt.Sprintf("codes %v, want %v", got.Codes(), want.Codes())
-	case !slices.Equal(got.ValidBits(), want.ValidBits()):
-		return fmt.Sprintf("valid bits %b, want %b", got.ValidBits(), want.ValidBits())
-	case got.NullCount() != want.NullCount():
-		return fmt.Sprintf("nulls %d, want %d", got.NullCount(), want.NullCount())
+	case !slices.Equal(got.values, want.values):
+		return fmt.Sprintf("values %q, want %q", got.values, want.values)
+	case !slices.Equal(got.sorted, want.sorted):
+		return fmt.Sprintf("sorted %v, want %v", got.sorted, want.sorted)
+	case !slices.Equal(got.codes, want.codes):
+		return fmt.Sprintf("codes %v, want %v", got.codes, want.codes)
+	case !slices.Equal(got.validBits, want.validBits):
+		return fmt.Sprintf("valid bits %b, want %b", got.validBits, want.validBits)
 	}
 	return ""
 }
@@ -81,15 +80,15 @@ func randomStrings(rng *rand.Rand, rows, card, nullPct int) ([]string, []bool) {
 
 // TestDictEncodingMatchesTwoPass checks the one-pass builder against the
 // two-pass reference: random columns with NULLs, a domain exactly at
-// MaxDictCardinality (encoded) and one past it (nil), and the re-encode a
-// mid-domain AppendRows triggers.
+// MaxDictCardinality (encoded) and one past it (nil), and the in-place
+// extension a mid-domain AppendRows makes.
 func TestDictEncodingMatchesTwoPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
 		rows := rng.Intn(3000)
 		vals, valid := randomStrings(rng, rows, 1+rng.Intn(200), rng.Intn(60))
 		c := NewStringColumn("s", vals, valid)
-		if diff := sameDict(c.Dict(), dictTwoPass(c, MaxDictCardinality)); diff != "" {
+		if diff := sameDict(c.Dict(), dictTwoPass(c.strs, c.valid, MaxDictCardinality)); diff != "" {
 			t.Fatalf("trial %d (%d rows): %s", trial, rows, diff)
 		}
 	}
@@ -108,7 +107,7 @@ func TestDictEncodingMatchesTwoPass(t *testing.T) {
 			valid = append(valid, rng.Intn(4) != 0)
 		}
 		c := NewStringColumn("s", vals, valid)
-		got, want := c.Dict(), dictTwoPass(c, MaxDictCardinality)
+		got, want := c.Dict(), dictTwoPass(c.strs, c.valid, MaxDictCardinality)
 		if (got == nil) != (card > MaxDictCardinality) {
 			t.Fatalf("card %d: encoding %v", card, got)
 		}
@@ -120,18 +119,17 @@ func TestDictEncodingMatchesTwoPass(t *testing.T) {
 	base, baseOK := randomStrings(rng, 500, 30, 10)
 	tbl := MustNewTable(NewStringColumn("s", base, baseOK))
 	first := tbl.Column("s").Dict()
-	mid := first.Values()[0] + "m" // sorts between the first two values
+	mid := slices.Min(first.values) + "m" // sorts inside the domain
 	add, addOK := randomStrings(rng, 200, 30, 10)
 	add[77], addOK[77] = mid, true
 	if err := tbl.AppendRows(MustNewTable(NewStringColumn("s", add, addOK))); err != nil {
 		t.Fatal(err)
 	}
 	c := tbl.Column("s")
-	again := c.Dict()
-	if again == first {
-		t.Fatal("a mid-domain append must re-encode the column")
+	if c.Dict() != first {
+		t.Fatal("a mid-domain append must extend the encoding in place")
 	}
-	if diff := sameDict(again, dictTwoPass(c, MaxDictCardinality)); diff != "" {
-		t.Fatalf("re-encode after append: %s", diff)
+	if diff := sameDict(first, dictTwoPass(c.strs, c.valid, MaxDictCardinality)); diff != "" {
+		t.Fatalf("extended in place after append: %s", diff)
 	}
 }

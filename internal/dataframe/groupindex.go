@@ -54,7 +54,7 @@ func (g *GroupIndex) newGroup() int {
 // new row and assigning new keys fresh group ids in first-seen order — the
 // loop the build runs from row zero, so an extended index is identical to
 // one rebuilt from scratch over the grown table (the map holds key values,
-// so a dictionary re-encode changes nothing). It costs O(delta). Must run
+// never dictionary codes). It costs O(delta). Must run
 // under the table's mutation contract (no concurrent scans or lookups).
 func (g *GroupIndex) Extend() {
 	n := g.src.nrows
@@ -118,9 +118,6 @@ func (g *GroupIndex) LookupRow(cols []*Column, row int) (int, bool) {
 
 // NumGroups returns the number of distinct composite keys.
 func (g *GroupIndex) NumGroups() int { return g.ngroups }
-
-// NumRows returns the number of rows in the indexed table.
-func (g *GroupIndex) NumRows() int { return len(g.rowGID) }
 
 // RowGroups exposes the per-row group-id slice. The slice is shared; callers
 // must not mutate it.

@@ -5,12 +5,13 @@
 // This file is Go 1.24's pattern-defeating quicksort (src/slices/
 // zsortanyfunc.go, with sortedHint, xorshift and nextPowerOfTwo from
 // src/slices/sort.go), specialised to valRow: every cmp(x, y) < 0 reads
-// x.v < y.v, which holds exactly when cmpValue(x.v, y.v) < 0, so
-// sortValRows leaves the permutation slices.SortFunc leaves with cmpValue on
-// the values, ties and NaN included (FuzzSortValRowsMatchesSortFunc). The
-// stable sort helpers are dropped. GBDT's models depend on this permutation,
-// so the code is kept here rather than taken from the toolchain: a Go
-// upgrade must not change it.
+// x.v < y.v, which holds exactly when cmpValue(x.v, y.v) < 0 (the test
+// oracle's comparator, pdqsort_test.go), so sortValRows leaves the
+// permutation slices.SortFunc leaves with cmpValue on the values, ties and
+// NaN included (FuzzSortValRowsMatchesSortFunc). The stable sort helpers are
+// dropped. GBDT's and CART's (so RandomForest's)
+// models depend on this permutation, so the code is kept here rather than
+// taken from the toolchain: a Go upgrade must not change it.
 
 package ml
 

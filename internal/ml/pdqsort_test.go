@@ -63,8 +63,23 @@ func valRowsFromBytes(data []byte) []valRow {
 	return x
 }
 
+// cmpValue is the sort order sortValRows must reproduce: −1 on a < b, +1 on
+// a > b and 0 otherwise, so NaN ties with everything. pdqsort asks only
+// whether cmp(a, b) < 0, the same a < b question sort.Slice asks, so it leaves
+// the same permutation, ties included. cmp.Compare would order NaN first and
+// move ties.
+func cmpValue(a, b float64) int {
+	if a < b {
+		return -1
+	}
+	if a > b {
+		return 1
+	}
+	return 0
+}
+
 // cmpValRow orders valRows by value with cmpValue, the comparator the split
-// search sorted with through slices.SortFunc before sortValRows.
+// searches sorted with through slices.SortFunc before sortValRows.
 func cmpValRow(a, b valRow) int { return cmpValue(a.v, b.v) }
 
 // checkSortMatches sorts x with sortValRows and with slices.SortFunc and

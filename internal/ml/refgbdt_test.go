@@ -230,23 +230,23 @@ func refBestSplit(X [][]float64, y []float64, rows []int, o treeOptions) (feat i
 		candidates = candidates[:o.maxFeatures]
 	}
 	bestScore := math.Inf(1)
-	vals := make([]fv, 0, len(rows))
+	vals := make([]valRow, 0, len(rows))
 	for _, j := range candidates {
 		vals = vals[:0]
 		for _, r := range rows {
-			vals = append(vals, fv{X[r][j], y[r]})
+			vals = append(vals, valRow{X[r][j], int32(r)})
 		}
 		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
 		if vals[0].v == vals[len(vals)-1].v {
 			continue
 		}
 		if o.regression {
-			score, th, found := bestVarianceSplit(vals, o.minSamplesLeaf)
+			score, th, found := bestVarianceSplit(vals, y, o.minSamplesLeaf)
 			if found && score < bestScore {
 				bestScore, feat, thresh, ok = score, j, th, true
 			}
 		} else {
-			score, th, found := bestGiniSplit(vals, o.classes, o.minSamplesLeaf)
+			score, th, found := bestGiniSplit(vals, y, o.classes, o.minSamplesLeaf)
 			if found && score < bestScore {
 				bestScore, feat, thresh, ok = score, j, th, true
 			}

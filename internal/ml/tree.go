@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // treeNode is one node of a CART tree. Leaves carry either a class
 // distribution (classification) or a mean value (regression).
@@ -34,7 +31,7 @@ type treeOptions struct {
 // place. cols is the training matrix column-major (see columns).
 func buildTree(cols [][]float64, y []float64, rows []int, depth int, o treeOptions) *treeNode {
 	b := &cartBuilder{cols: cols, y: y, o: o,
-		vals: make([]fv, len(rows)), part: make([]int, 0, len(rows)), cand: make([]int, len(cols))}
+		vals: make([]valRow, len(rows)), part: make([]int, 0, len(rows)), cand: make([]int, len(cols))}
 	return b.grow(rows, depth)
 }
 
@@ -44,7 +41,7 @@ type cartBuilder struct {
 	cols [][]float64
 	y    []float64
 	o    treeOptions
-	vals []fv
+	vals []valRow
 	part []int
 	cand []int
 }
@@ -115,21 +112,6 @@ func columns(X [][]float64) [][]float64 {
 	return cols
 }
 
-// cmpValue is the split searches' sort order: −1 on a < b, +1 on a > b and 0
-// otherwise, so NaN ties with everything. pdqsort asks only whether
-// cmp(a, b) < 0, the same a < b question sort.Slice asked, so it leaves the
-// same permutation, ties included. cmp.Compare would order NaN first and
-// move ties.
-func cmpValue(a, b float64) int {
-	if a < b {
-		return -1
-	}
-	if a > b {
-		return 1
-	}
-	return 0
-}
-
 // constantOn reports whether col[r] == col[rows[0]] for every r in rows, in
 // which case a sort could only leave equal ends and the split scans skip the
 // feature without sorting it. A NaN makes it false.
@@ -182,7 +164,8 @@ func makeLeaf(y []float64, rows []int, o treeOptions) *treeNode {
 // The scans accumulate in the order the sort leaves tied values in, so the
 // scores depend on pdqsort's exact permutation of the node's values in row
 // order; any change to the sort or to the node's row order is a model change
-// (see gbGrower).
+// (see gbGrower). The sort is sortValRows, the package's own pdqsort copy
+// (pdqsort.go), so a toolchain upgrade cannot move it.
 func (b *cartBuilder) bestSplit(rows []int) (feat int, thresh float64, ok bool) {
 	o := b.o
 	p := len(b.cols)
@@ -206,19 +189,19 @@ func (b *cartBuilder) bestSplit(rows []int) (feat int, thresh float64, ok bool) 
 			continue
 		}
 		for k, r := range rows {
-			vals[k] = fv{col[r], b.y[r]}
+			vals[k] = valRow{col[r], int32(r)}
 		}
-		slices.SortFunc(vals, cmpFV)
+		sortValRows(vals)
 		if vals[0].v == vals[len(vals)-1].v {
 			continue // constant apart from NaN
 		}
 		if o.regression {
-			score, th, found := bestVarianceSplit(vals, o.minSamplesLeaf)
+			score, th, found := bestVarianceSplit(vals, b.y, o.minSamplesLeaf)
 			if found && score < bestScore {
 				bestScore, feat, thresh, ok = score, j, th, true
 			}
 		} else {
-			score, th, found := bestGiniSplit(vals, o.classes, o.minSamplesLeaf)
+			score, th, found := bestGiniSplit(vals, b.y, o.classes, o.minSamplesLeaf)
 			if found && score < bestScore {
 				bestScore, feat, thresh, ok = score, j, th, true
 			}
@@ -227,22 +210,19 @@ func (b *cartBuilder) bestSplit(rows []int) (feat int, thresh float64, ok bool) 
 	return feat, thresh, ok
 }
 
-// fv pairs one feature value with its target for split scanning.
-type fv struct{ v, y float64 }
-
-func cmpFV(a, b fv) int { return cmpValue(a.v, b.v) }
-
-func bestGiniSplit(vals []fv, classes, minLeaf int) (best, thresh float64, ok bool) {
+// bestGiniSplit scans vals, sorted by value, for the split minimising the
+// weighted Gini impurity of the class labels y[r].
+func bestGiniSplit(vals []valRow, y []float64, classes, minLeaf int) (best, thresh float64, ok bool) {
 	n := len(vals)
 	right := make([]float64, classes)
 	left := make([]float64, classes)
 	for _, x := range vals {
-		right[int(x.y)]++
+		right[int(y[x.r])]++
 	}
 	best = math.Inf(1)
 	nl := 0.0
 	for i := 0; i < n-1; i++ {
-		c := int(vals[i].y)
+		c := int(y[vals[i].r])
 		left[c]++
 		right[c]--
 		nl++
@@ -270,17 +250,20 @@ func bestGiniSplit(vals []fv, classes, minLeaf int) (best, thresh float64, ok bo
 	return best, thresh, ok
 }
 
-func bestVarianceSplit(vals []fv, minLeaf int) (best, thresh float64, ok bool) {
+// bestVarianceSplit is bestGiniSplit for regression: it minimises the
+// weighted within-side variance of the targets y[r].
+func bestVarianceSplit(vals []valRow, y []float64, minLeaf int) (best, thresh float64, ok bool) {
 	n := len(vals)
 	var sumR, sumR2 float64
 	for _, x := range vals {
-		sumR += x.y
-		sumR2 += x.y * x.y
+		yv := y[x.r]
+		sumR += yv
+		sumR2 += yv * yv
 	}
 	var sumL, sumL2, nl float64
 	best = math.Inf(1)
 	for i := 0; i < n-1; i++ {
-		yv := vals[i].y
+		yv := y[vals[i].r]
 		sumL += yv
 		sumL2 += yv * yv
 		sumR -= yv

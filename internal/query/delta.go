@@ -29,10 +29,10 @@ package query
 // under the read fence; an advance runs under the write fence. The advance is
 // two-layered, matching cache ownership: the table's core (probes, views,
 // group indexes, bitmaps and masks), then each executor's private plan and
-// join entries. No entry is keyed by a dictionary code, so a re-encode that
-// shifts codes, or a delta that crosses the cardinality cap, is an append
-// like any other: the predicate kernels read the column's current encoding
-// for the rows they extend over, and nothing is wiped.
+// join entries. No entry is keyed by a dictionary code, so a delta that adds
+// codes, or one that crosses the cardinality cap and drops the encoding, is
+// an append like any other: the predicate kernels read the column's current
+// encoding for the rows they extend over, and nothing is wiped.
 //
 // Extending a covered entry changes nothing, so a plan advance can extend a
 // mask or group index that was evicted from its map, and a core shared by

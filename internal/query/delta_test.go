@@ -28,8 +28,8 @@ func deltaTable(n int, seed int64) *dataframe.Table {
 //	newgroups  unseen k1 values, ts and lvl beyond their observed domains
 //	            (new groups; lvl's probe maximum rises in place)
 //	dictshift  a cat value sorting inside the existing dictionary domain
-//	            (forces a re-encode: codes shift) and negative lvl values
-//	            (lvl's probe minimum follows them down)
+//	            (it takes the next code; no existing code moves) and
+//	            negative lvl values (lvl's probe minimum follows them down)
 //	dictcap    over MaxDictCardinality distinct cat values (the dictionary
 //	            drops) and lvl values widening its range to ~1000 values
 func deltaRows(n int, seed int64, mode string) *dataframe.Table {
@@ -66,7 +66,7 @@ func deltaRows(n int, seed int64, mode string) *dataframe.Table {
 			ts[i] = 200000 + int64(rng.Intn(1000))
 			lvl[i] = 200 + int64(rng.Intn(10))
 		case "dictshift":
-			cat[i] = "a0" // sorts between "a" and "b": re-encode shifts codes
+			cat[i] = "a0" // sorts between "a" and "b"
 			lvl[i] = -5 + int64(rng.Intn(5))
 		case "dictcap":
 			cat[i] = fmt.Sprintf("v%04d", i)
@@ -116,7 +116,7 @@ func deltaQueryPool(t testing.TB, r *dataframe.Table, nq int, seed int64) []Quer
 // rows must return row-for-row identical batches. The sweep covers append
 // sizes 1, 7, a morsel-boundary batch and a multi-morsel batch (morsel size
 // 64), NULL-heavy deltas, deltas creating new groups and widening integer
-// domains, a dictionary re-encode (mid-domain value) and a
+// domains, a mid-domain dictionary value and a
 // dictionary-cardinality-cap crossing. Every one of them, the last two
 // included, extends the executor's plans in place: the plan generation never
 // moves and nothing is rebuilt wholesale.
@@ -337,10 +337,11 @@ func TestDeltaStatsGolden(t *testing.T) {
 			s.FusedScans-warm.FusedScans)
 	}
 
-	// One appended mid-domain value ("a0", between "a" and "b") re-encodes
-	// cat and shifts its codes: "a0" takes the code "b" had. Caches key
-	// values, not codes, so the cat = 'b' plan extends in place and hits,
-	// and only the new cat = 'a0' plan is discovered.
+	// One appended mid-domain value ("a0", between "a" and "b") takes the
+	// next code, and cat's encoding extends in place with every existing
+	// code kept. Caches key values, not codes, so the cat = 'b' plan
+	// extends in place and hits, and only the new cat = 'a0' plan is
+	// discovered.
 	catQuery := func(fn agg.Func, v string) Query {
 		return Query{Agg: fn, AggAttr: "x", Keys: []string{"k1"},
 			Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: v}}}
@@ -352,11 +353,18 @@ func TestDeltaStatsGolden(t *testing.T) {
 	}
 	before := exS.Stats()
 	enc := exS.Table().Column("cat").Dict()
+	codeB, _ := enc.CodeOf("b")
 	if _, _, err := Append(exS.Table(), deltaRows(1, 99, "dictshift")); err != nil {
 		t.Fatal(err)
 	}
-	if exS.Table().Column("cat").Dict() == enc {
-		t.Fatal("dict-shift append kept cat's encoding; the scenario does not re-encode")
+	if exS.Table().Column("cat").Dict() != enc {
+		t.Fatal("dict-shift append replaced cat's encoding; it must extend in place")
+	}
+	if b, _ := enc.CodeOf("b"); b != codeB {
+		t.Fatalf("dict-shift append moved code of 'b' from %d to %d", codeB, b)
+	}
+	if _, ok := enc.CodeOf("a0"); !ok {
+		t.Fatal("dict-shift append did not add 'a0' to cat's encoding")
 	}
 	shiftQs = append(shiftQs, catQuery(agg.Sum, "a0"), catQuery(agg.Median, "a0"))
 	ref, err := dataframe.Concat(deltaTable(256, 3), deltaRows(1, 99, "dictshift"))

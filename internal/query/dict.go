@@ -12,8 +12,9 @@ package query
 // The kernels read the column's own encoding (Column.Dict, cached on the
 // column, so tables sharing a column share one encode pass) and are the only
 // readers of dictionary codes: every predicate, mask and plan cache keys on
-// operand values (predKey), so a re-encode that shifts codes leaves every
-// entry valid and an append extends it like any other. Columns above
+// operand values (predKey). An append only adds codes (first-seen order), and
+// a cap crossing drops the encoding; either way every entry stays valid and
+// an append extends it like any other. Columns above
 // MaxDictCardinality get no encoding and take the unencoded fallbacks; the
 // differential tests compare both shapes against Query.Execute.
 

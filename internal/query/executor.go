@@ -122,7 +122,7 @@ type ExecutorStats struct {
 	DeltaAppends, DeltaRowsScanned int64
 	DirtyGroupResorts              int64
 	// FullRebuilds is never set: every advance extends its entries in place,
-	// a dictionary re-encode included. It stays for snapshot readers that
+	// a dictionary cap crossing included. It stays for snapshot readers that
 	// still report it.
 	FullRebuilds int64
 }
@@ -335,11 +335,11 @@ func (e *Executor) groupIndex(id string, keys []string) (*dataframe.GroupIndex, 
 
 // predKey is the canonical cache key of one predicate: attribute, operator
 // and operand value(s), never a dictionary code, so a key keeps its meaning
-// when an append re-encodes the column. An equality keys only the operand
-// the column's kind reads (Eval's rule), so spellings that differ in the
-// other operand share one bitmap and one mask signature; a predicate the
-// table cannot evaluate keys its string operand and errors later, in
-// fillPredBits. Cheaper than Predicate.String (no fmt machinery) — it runs
+// when an append drops the column's encoding at the cap. An equality keys
+// only the operand the column's kind reads (Eval's rule), so spellings that
+// differ in the other operand share one bitmap and one mask signature; a
+// predicate the table cannot evaluate keys its string operand and errors
+// later, in fillPredBits. Cheaper than Predicate.String (no fmt machinery) — it runs
 // once per predicate per query on the hot path.
 func (e *Executor) predKey(p Predicate) string {
 	b := make([]byte, 0, len(p.Attr)+24)

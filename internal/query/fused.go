@@ -56,7 +56,7 @@ package query
 // (a whole-map drop at the bound, an entry that cannot be advanced); a pass
 // that finds a stale stamp resolves its plan entries again, and rebuilds the
 // layout with them. A held entry stays valid while its stamp is current
-// because appends — a dictionary re-encode included, since no key holds a
+// because appends — a dictionary cap crossing included, since no key holds a
 // code — advance every entry of the plan map in place, under the write
 // fence that each pass excludes by holding the read side. The one-shot Executor.AugmentMatrix, and everything riding it,
 // is a Prepare followed by one pass.

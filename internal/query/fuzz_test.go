@@ -132,8 +132,8 @@ var appendModes = []string{"mixed", "nulls", "newgroups", "dictshift", "dictcap"
 // across the whole sequence, to match Query.Augment over the concatenation of
 // the parts. Sizes 1..130 cross 64-row words and morsels; a
 // dictcap append always crosses MaxDictCardinality, and a dictshift append
-// re-encodes cat's dictionary, shifting its codes under the cached entries,
-// for one-shot batches and held plan groups.
+// adds a value inside cat's sorted domain under the cached entries, for
+// one-shot batches and held plan groups.
 func FuzzAppendMatchesOracle(f *testing.F) {
 	for mode := range appendModes {
 		m := byte(mode)

@@ -27,9 +27,10 @@ func preparedTrain() *dataframe.Table {
 	)
 }
 
-// preparedPool is deltaQueryPool plus equalities whose dictionary codes a
-// "dictshift" append moves: cat = 'a0' takes the old code of cat = 'b', so a
-// held plan entry or partition keyed by a code would answer wrongly.
+// preparedPool is deltaQueryPool plus equalities on cat = 'b' and on 'a0',
+// the value a "dictshift" append adds between "a" and "b" in cat's sorted
+// domain: a held plan entry that missed the new code, or keyed a sorted
+// rank, would answer wrongly.
 func preparedPool(t testing.TB, r *dataframe.Table, nq int, seed int64) []Query {
 	qs := deltaQueryPool(t, r, nq, seed)
 	for _, v := range []string{"b", "a0"} {
@@ -59,11 +60,11 @@ func checkPrepared(t *testing.T, label string, p *Prepared, qs []Query, d *dataf
 }
 
 // TestPreparedMatchesOracle holds one Prepared across warm passes, an
-// in-domain append, a dictionary re-encode, a cardinality-cap crossing and a
+// in-domain append, a mid-domain value, a cardinality-cap crossing and a
 // plan-cache eviction forced by one-shot plans, and requires every pass to
 // equal Query.Augment over the grown table. It also pins the reuse contract:
 // a warm pass touches no group-index or mask entry and counts one plan hit
-// per plan group; an in-domain append, a re-encode and a cap crossing each
+// per plan group; an in-domain append, a mid-domain value and a cap crossing each
 // keep the snapshot and the plan generation; an eviction raises the
 // generation, and the next pass prepares again.
 func TestPreparedMatchesOracle(t *testing.T) {
@@ -120,23 +121,27 @@ func TestPreparedMatchesOracle(t *testing.T) {
 	appendRows("newgroups", 40, seed+11)
 	checkPrepared(t, "new-group append", p, qs, d, parts)
 
-	// Mid-domain value (the dictionary re-encodes and codes shift) and a
-	// cap crossing (the encoding goes away): no cache keys a code, so both
-	// are ordinary appends that keep the snapshot and the generation.
+	// Mid-domain value (the encoding extends in place) and a cap crossing
+	// (the encoding goes away): no cache keys a code, so both are ordinary
+	// appends that keep the snapshot and the generation.
 	gen := ex.planGen.Load()
 	cat := ex.Table().Column("cat")
 	for _, a := range []struct {
 		label, mode string
 		n           int
 		seed        int64
+		inPlace     bool // cat's encoding extends in place, else it drops
 	}{
-		{"mid-domain append", "dictshift", 30, seed + 12},
-		{"cap-crossing append", "dictcap", dataframe.MaxDictCardinality + 20, seed + 13},
+		{"mid-domain append", "dictshift", 30, seed + 12, true},
+		{"cap-crossing append", "dictcap", dataframe.MaxDictCardinality + 20, seed + 13, false},
 	} {
-		enc := cat.Dict()
+		want := cat.Dict()
+		if !a.inPlace {
+			want = nil
+		}
 		appendRows(a.mode, a.n, a.seed)
-		if cat.Dict() == enc {
-			t.Fatalf("%s kept cat's encoding; the scenario does not re-encode", a.label)
+		if cat.Dict() != want {
+			t.Fatalf("%s: cat's encoding is %p, want %p (extended in place %v)", a.label, cat.Dict(), want, a.inPlace)
 		}
 		checkPrepared(t, a.label, p, qs, d, parts)
 		checkPrepared(t, a.label+" warm", p, qs, d, parts)

@@ -310,10 +310,11 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 
 // TestServeStatsTableBytes checks the /v1/stats residency gauge: TableBytes
 // reports the bound relevant table's resident estimate — compact from bind —
-// and an append that rematerialises the string column (a mid-domain value)
-// shows up on the very next snapshot as a rise of over 12 B/row (a 16-byte
-// string header per row replaces 2 bytes of code): the gauge reads live
-// table state, not a cached figure from bind time.
+// and an append that rematerialises the string column (one pushing its
+// cardinality past the dictionary cap) shows up on the very next snapshot as
+// a rise of over 12 B/row (a 16-byte string header per row replaces 2 bytes
+// of code): the gauge reads live table state, not a cached figure from bind
+// time.
 func TestServeStatsTableBytes(t *testing.T) {
 	rel := testRelevant(t, 2000, 50, 3)
 	srv := NewServer(Config{})
@@ -325,10 +326,15 @@ func TestServeStatsTableBytes(t *testing.T) {
 	if before != want || before <= 0 || !rel.Column("cat").IsCompact() {
 		t.Fatalf("TableBytes = %d, want %d (> 0) over a compact table", before, want)
 	}
+	n := dataframe.MaxDictCardinality
+	uids, vals, cats := make([]int64, n), make([]float64, n), make([]string, n)
+	for i := range cats {
+		uids[i], vals[i], cats[i] = int64(i%50), float64(i), fmt.Sprintf("v%04d", i)
+	}
 	batch := dataframe.MustNewTable(
-		dataframe.NewIntColumn("uid", []int64{1}, nil),
-		dataframe.NewFloatColumn("val", []float64{2}, nil),
-		dataframe.NewStringColumn("cat", []string{"bb"}, nil),
+		dataframe.NewIntColumn("uid", uids, nil),
+		dataframe.NewFloatColumn("val", vals, nil),
+		dataframe.NewStringColumn("cat", cats, nil),
 	)
 	if _, _, err := srv.Append("p", batch); err != nil {
 		t.Fatal(err)
@@ -1359,10 +1365,10 @@ func TestServeAppend(t *testing.T) {
 }
 
 // TestServeBindCompactsTable: binding a plan compacts the relevant table's
-// string column, and an append carrying a mid-domain value — which shifts
-// codes and so rematerialises the column — leaves the served features equal
-// to Query.Execute of each planned query over a raw copy of the grown rows,
-// bit for bit, with unseen entities NULL.
+// string column, and an append carrying a mid-domain value extends its codes
+// in place, so the column stays compact and the served features equal
+// Query.Execute of each planned query over a raw copy of the grown rows, bit
+// for bit, with unseen entities NULL.
 func TestServeBindCompactsTable(t *testing.T) {
 	rel := testRelevant(t, 1500, 60, 12)
 	srv := NewServer(Config{})
@@ -1385,8 +1391,8 @@ func TestServeBindCompactsTable(t *testing.T) {
 	if _, _, err := srv.Append("p", batch); err != nil {
 		t.Fatal(err)
 	}
-	if rel.Column("cat").IsCompact() {
-		t.Fatal("mid-domain append left the column compact")
+	if !rel.Column("cat").IsCompact() {
+		t.Fatal("mid-domain append rematerialised the column")
 	}
 	got, _, err := srv.Transform(context.Background(), "p", keyTable(t, uids))
 	if err != nil {
@@ -1573,8 +1579,8 @@ func TestServeStatsDictCounters(t *testing.T) {
 
 // TestServePreparedConcurrentAppends: clients transform through one plan —
 // each pass reusing the transformer's prepared plan groups — while appends
-// land, among them two mid-domain values that re-encode the category
-// dictionary and shift its codes under the held snapshot. Every response
+// land, among them two mid-domain values that extend the category
+// dictionary under the held snapshot. Every response
 // must equal Query.Execute of each planned query over the table as some
 // append left it, and each client's responses must never step back to an
 // earlier table. Run under -race, it also checks the snapshot swap against the
@@ -1689,8 +1695,13 @@ func TestServePreparedConcurrentAppends(t *testing.T) {
 	if !matches(len(batches), uids, got) {
 		t.Error("settled response does not match the fully grown table")
 	}
-	if rel.Column("cat").Dict() == enc {
-		t.Error("no append re-encoded the dictionary; the test lost its shifted-codes case")
+	if rel.Column("cat").Dict() != enc || !rel.Column("cat").IsCompact() {
+		t.Error("the appends replaced the dictionary or rematerialised the column; they must extend it in place")
+	}
+	for _, v := range []string{"bb", "ab"} {
+		if _, ok := enc.CodeOf(v); !ok {
+			t.Errorf("mid-domain value %q missing from the extended dictionary", v)
+		}
 	}
 }
 

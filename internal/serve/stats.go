@@ -49,8 +49,9 @@ type PlanStats struct {
 	// TableBytes is the estimated resident footprint of the bound relevant
 	// table(s) — summed across sources for multi-source plans. Binding
 	// compacts the string columns (code-backed), so they count one 2-byte
-	// code per cell instead of ~16+len(s) bytes; an append that
-	// rematerialises a column shows up here as the strings coming back.
+	// code per cell instead of ~16+len(s) bytes; an append that pushes a
+	// column past the dictionary cap rematerialises it, and shows up here as
+	// the strings coming back.
 	TableBytes int64 `json:"table_bytes"`
 	// Executor is the current transformer's engine-side counter snapshot
 	// (for multi-table plans, merged across the per-source executors).
