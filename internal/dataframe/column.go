@@ -313,22 +313,8 @@ func (c *Column) Take(idx []int) *Column {
 			out.valid[j] = c.valid[i]
 		}
 	case KindString:
-		if c.compact {
-			// Stay compact: take the codes, rebuild validity, share the
-			// domain. The inherited domain may list values absent from the
-			// taken rows; presence-scanning consumers handle that.
-			src := c.dict.enc
-			enc := src.shareDomain()
-			enc.codes = make([]uint16, len(idx))
-			enc.validBits = make([]uint64, (len(idx)+63)/64)
-			for j, i := range idx {
-				if c.valid[i] {
-					out.valid[j] = true
-					enc.codes[j] = src.codes[i]
-					enc.validBits[j>>6] |= 1 << uint(j&63)
-				}
-			}
-			out.dict = newBuiltDict(enc)
+		if c.compact { // stay compact over the taken rows' own domain
+			out.dict = newBuiltDict(c.dict.enc.take(idx, c.valid, out.valid))
 			out.compact = true
 			break
 		}
@@ -373,11 +359,11 @@ func (c *Column) Floats() ([]float64, []bool) {
 // domain. NULLs get code -1.
 func (c *Column) ordinalCodes() []int {
 	if c.compact {
-		// Rank only the values present among the column's rows (an
-		// inherited domain may list absent values) so the result matches
-		// the raw-column scan exactly.
 		enc := c.dict.enc
-		rank := presenceRanks(enc, c.valid)
+		rank := make([]int, len(enc.values))
+		for r, code := range enc.sorted {
+			rank[code] = r
+		}
 		codes := make([]int, len(enc.codes))
 		for i := range codes {
 			if !c.valid[i] {
@@ -412,28 +398,6 @@ func (c *Column) ordinalCodes() []int {
 		codes[i] = domain[s]
 	}
 	return codes
-}
-
-// presenceRanks scans a column's codes once and assigns each PRESENT domain
-// code its rank among the present codes in value order, -1 for absent codes.
-func presenceRanks(enc *DictEncoding, valid []bool) []int {
-	rank := make([]int, len(enc.values))
-	for i := range rank {
-		rank[i] = -1
-	}
-	for i, code := range enc.codes {
-		if valid[i] {
-			rank[code] = 0
-		}
-	}
-	r := 0
-	for _, code := range enc.sorted {
-		if rank[code] == 0 {
-			rank[code] = r
-			r++
-		}
-	}
-	return rank
 }
 
 // AppendNull extends the column with one NULL row.
@@ -520,17 +484,15 @@ func (c *Column) appendFrom(o *Column) {
 	c.valid = append(c.valid, o.valid...)
 }
 
-// Clone deep-copies the column. A compact column clones compact: the code
-// arrays are copied, the domain is shared (see shareDomain).
+// Clone deep-copies the column. A compact column clones compact, encoding
+// and all.
 func (c *Column) Clone() *Column {
 	out := &Column{name: c.name, kind: c.kind}
 	if c.kind == KindString {
 		if c.compact {
-			src := c.dict.enc
-			enc := src.shareDomain()
-			enc.codes = slices.Clone(src.codes)
-			enc.validBits = slices.Clone(src.validBits)
-			out.dict = newBuiltDict(enc)
+			enc := c.dict.enc
+			out.dict = newBuiltDict(&DictEncoding{values: slices.Clone(enc.values), sorted: slices.Clone(enc.sorted),
+				codes: slices.Clone(enc.codes), validBits: slices.Clone(enc.validBits)})
 			out.compact = true
 		} else {
 			out.dict = &dictLazy{}
@@ -546,25 +508,15 @@ func (c *Column) Clone() *Column {
 
 // DistinctStrings returns the sorted distinct non-null values of a string
 // column, capped at limit (0 = no cap). When a dictionary encoding exists the
-// probe is served from it — a presence scan over the codes instead of a
-// hashed scan over raw strings, walked in sorted order (the scan drops
-// inherited-domain values absent from the column's rows).
+// probe walks its domain in sorted order instead of hashing the raw strings
+// (an encoding's domain is exactly the values its rows hold).
 func (c *Column) DistinctStrings(limit int) []string {
 	if c.kind != KindString {
 		panic("dataframe: DistinctStrings on " + c.kind.String())
 	}
 	if enc := c.Dict(); enc != nil {
-		present := make([]bool, len(enc.values))
-		for i, code := range enc.codes {
-			if c.valid[i] {
-				present[code] = true
-			}
-		}
 		var out []string
 		for _, code := range enc.sorted {
-			if !present[code] {
-				continue
-			}
 			out = append(out, enc.values[code])
 			if limit > 0 && len(out) == limit {
 				break

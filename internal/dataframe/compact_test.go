@@ -205,10 +205,32 @@ func TestCompactTakeClone(t *testing.T) {
 		t.Error("Clone dropped compact storage")
 	}
 	sameStringColumn(t, "clone", raw.Column("s"), cc)
-	// Mutating the clone must not corrupt the original (domain is shared but
-	// append-safe).
+	// Appending to the clone must not corrupt the original.
 	cc.AppendStr("aa")
 	sameStringColumn(t, "clone-after-append", raw.Column("s"), comp.Column("s"))
+
+	// Nor may a mid-domain append to the source corrupt what was derived
+	// from it: the source's domain grows in place ("ab" sorts inside it).
+	rc := raw.Column("s").Clone() // cc's rows: the source's plus "aa"
+	rc.AppendStr("aa")
+	for _, v := range []string{"ab", "bb", "0", "zz"} {
+		comp.Column("s").AppendStr(v)
+	}
+	for _, tc := range []struct {
+		label     string
+		raw, comp *Column
+	}{{"take-after-source-append", rt.Column("s"), ct.Column("s")}, {"clone-after-source-append", rc, cc}} {
+		sameStringColumn(t, tc.label, tc.raw, tc.comp)
+		if got, want := tc.comp.DistinctStrings(0), tc.raw.DistinctStrings(0); !slices.Equal(got, want) {
+			t.Errorf("%s: DistinctStrings %q, want %q", tc.label, got, want)
+		}
+		for _, v := range tc.raw.DistinctStrings(0) {
+			code, ok := tc.comp.Dict().CodeOf(v)
+			if !ok || tc.comp.Dict().values[code] != v {
+				t.Errorf("%s: CodeOf(%q) = %d, %v", tc.label, v, code, ok)
+			}
+		}
+	}
 }
 
 // TestConcatCompactSplice checks that Concat's output storage follows its
@@ -279,10 +301,9 @@ func TestConcatCompactSplice(t *testing.T) {
 	}
 }
 
-// TestDistinctStringsFromDomain is the cardinality-probe satellite: the probe
-// reads the encoded domain (sorted already) and must drop inherited domain
-// values absent from the rows — a Take-derived compact column keeps the full
-// parent domain but exposes only its own rows' values.
+// TestDistinctStringsFromDomain checks the cardinality probe, which reads the
+// encoded domain in sorted order, on a compact column and on a compact Take
+// of it, whose domain holds only the values its rows use.
 func TestDistinctStringsFromDomain(t *testing.T) {
 	raw, comp := compactPair(t, 200, 7)
 	want := raw.Column("s").DistinctStrings(0)
@@ -293,8 +314,8 @@ func TestDistinctStringsFromDomain(t *testing.T) {
 	if lim := comp.Column("s").DistinctStrings(2); !slices.Equal(lim, want[:2]) {
 		t.Fatalf("limited DistinctStrings = %v, want %v", lim, want[:2])
 	}
-	// A sliced view: only rows whose value is "aa" or "dd" — the inherited
-	// domain still holds six values, the probe must report two.
+	// A sliced view: only rows whose value is "aa" or "dd" — of the
+	// source's six values the taken domain keeps two.
 	var idx []int
 	for i := 0; i < raw.NumRows(); i++ {
 		c := raw.Column("s")
@@ -307,7 +328,34 @@ func TestDistinctStringsFromDomain(t *testing.T) {
 		t.Fatal("take lost compact storage")
 	}
 	if got := sub.DistinctStrings(0); !slices.Equal(got, []string{"aa", "dd"}) {
-		t.Fatalf("inherited-domain DistinctStrings = %v, want [aa dd]", got)
+		t.Fatalf("taken DistinctStrings = %v, want [aa dd]", got)
+	}
+	if n := len(sub.Dict().values); n != 2 {
+		t.Fatalf("taken domain holds %d values, want 2", n)
+	}
+}
+
+// TestCompactTakeBelowCap checks that a compact Take of a column at the
+// cardinality cap counts only its own rows' values toward the cap: a new
+// value appended to two taken rows keeps it compact, encoded exactly as its
+// three rows would be from scratch.
+func TestCompactTakeBelowCap(t *testing.T) {
+	strs := make([]string, MaxDictCardinality)
+	for i := range strs {
+		strs[i] = fmt.Sprintf("v%04d", i)
+	}
+	c := NewStringColumn("s", strs, nil)
+	if !c.Compact() {
+		t.Fatal("setup: compact failed")
+	}
+	sub := c.Take([]int{700, 3})
+	sub.AppendStr("new")
+	if !sub.IsCompact() {
+		t.Fatal("a new value on two taken rows rematerialised the column")
+	}
+	want := dictTwoPass([]string{"v0700", "v0003", "new"}, []bool{true, true, true}, MaxDictCardinality)
+	if diff := sameDict(sub.Dict(), want); diff != "" {
+		t.Fatalf("taken encoding vs from scratch: %s", diff)
 	}
 }
 

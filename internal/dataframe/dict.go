@@ -64,7 +64,10 @@ func (d *DictEncoding) CodeOf(s string) (uint16, bool) {
 }
 
 // search returns the position of s in sorted order, or where it would be
-// inserted, and whether it is present.
+// inserted, and whether it is present. Every row of a build runs it, and
+// this loop (which stops at a match) encodes ingest-clickstream's served
+// table faster than slices.BinarySearchFunc with a strings.Compare closure:
+// setup_s 60 vs 70 ms median over 12 alternating runs on a 2-CPU host.
 func (d *DictEncoding) search(s string) (int, bool) {
 	lo, hi := 0, len(d.sorted)
 	for lo < hi {
@@ -116,11 +119,32 @@ func (d *DictEncoding) extend(vals []string, valid []bool) bool {
 	return true
 }
 
-// shareDomain returns an encoding with no rows over d's domain. The domain
-// slices are shared through full-slice expressions, so extending either
-// encoding reallocates instead of writing into the other's.
-func (d *DictEncoding) shareDomain() *DictEncoding {
-	return &DictEncoding{values: slices.Clip(d.values), sorted: slices.Clip(d.sorted)}
+// take returns the encoding of the rows listed in idx, whose validity it
+// reads from valid and writes to out. The codes are renumbered in first-seen
+// order over the values those rows use, so the result equals a fresh encode
+// of the taken rows and shares no slice with d.
+func (d *DictEncoding) take(idx []int, valid, out []bool) *DictEncoding {
+	t := &DictEncoding{codes: make([]uint16, len(idx)), validBits: make([]uint64, (len(idx)+63)/64)}
+	next := make([]uint16, len(d.values)) // d's code -> t's code + 1; 0 while unseen
+	for j, i := range idx {
+		if !valid[i] {
+			continue
+		}
+		out[j] = true
+		c := d.codes[i]
+		if next[c] == 0 {
+			t.values = append(t.values, d.values[c])
+			next[c] = uint16(len(t.values))
+		}
+		t.codes[j] = next[c] - 1
+		t.validBits[j>>6] |= 1 << uint(j&63)
+	}
+	for _, c := range d.sorted {
+		if next[c] != 0 {
+			t.sorted = append(t.sorted, next[c]-1)
+		}
+	}
+	return t
 }
 
 // dictLazy is the column's once-guarded dictionary holder. built is written
