@@ -104,11 +104,12 @@ func filterSelect(e *pipeline.Evaluator, fm *FeatureMatrix, kind SelectorKind, k
 		score float64
 	}
 	ss := make([]scored, len(fm.Queries))
+	codes := stats.CodeLabels(labels)
 	for i := range fm.Queries {
 		var score float64
 		switch kind {
 		case SelectorMI:
-			score = stats.MIScore(fm.Vals[i], fm.Valid[i], labels, stats.DefaultBins)
+			score = stats.MIScore(fm.Vals[i], fm.Valid[i], codes, stats.DefaultBins)
 		case SelectorChi2:
 			x := stats.Discretize(fm.Vals[i], fm.Valid[i], stats.DefaultBins)
 			score = stats.ChiSquare(x, labels)

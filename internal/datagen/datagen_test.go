@@ -112,6 +112,7 @@ func TestPlantedSignalIsPredicateDependent(t *testing.T) {
 	for i := range labels {
 		labels[i] = int(lcol.Int(i))
 	}
+	codes := stats.CodeLabels(labels)
 
 	miOf := func(q query.Query) float64 {
 		t.Helper()
@@ -120,7 +121,7 @@ func TestPlantedSignalIsPredicateDependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		vals, valid := aug.Column("f").Floats()
-		return stats.MIScore(vals, valid, labels, 10)
+		return stats.MIScore(vals, valid, codes, 10)
 	}
 
 	plain := query.Query{Agg: agg.Count, AggAttr: "price", Keys: d.Keys}

@@ -3,10 +3,60 @@ package feataug
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
+
+// substream is the reference for a search's generator: cfg.Seed's stream
+// replayed from its start to position at, the state the engine's shared
+// generator had there.
+func (e *Engine) substream(at int64) (*rand.Rand, *countingSource) {
+	src := newCountingSource(e.cfg.Seed)
+	for src.n < at {
+		src.Int63()
+	}
+	return rand.New(src), src
+}
+
+// A clone continues the shared stream bit for bit, for 10^5 draws through
+// every Rand method the search uses, as the replayed substream does, and
+// the clone and its source draw independently of each other.
+func TestCloneContinuesSharedStream(t *testing.T) {
+	e := smallEngine(t, Config{Seed: 5})
+	for i := 0; i < 1000; i++ {
+		e.rng.Intn(7)
+		e.rng.Float64()
+	}
+	at := e.src.n
+	c := e.src.clone()
+	if c.n != at {
+		t.Fatalf("clone at %d reports position %d", at, c.n)
+	}
+	for i := 0; i < 10; i++ {
+		e.rng.Int63()
+	}
+	cr := rand.New(c)
+	ref, _ := e.substream(at)
+	for k := 0; k < 100000; k++ {
+		var a, b int64
+		switch k % 3 {
+		case 0:
+			a, b = cr.Int63(), ref.Int63()
+		case 1:
+			a, b = int64(cr.Intn(300)), int64(ref.Intn(300))
+		case 2:
+			a, b = int64(math.Float64bits(cr.Float64())), int64(math.Float64bits(ref.Float64()))
+		}
+		if a != b {
+			t.Fatalf("draw %d after position %d: clone %d, replay %d", k, at, a, b)
+		}
+	}
+	if e.src.n != at+10 {
+		t.Fatalf("drawing from the clone moved the source to %d, want %d", e.src.n, at+10)
+	}
+}
 
 // A substream at position k continues exactly where the shared generator is
 // after k draws, whichever Rand methods made them.

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -73,11 +74,33 @@ type TPE struct {
 	rng   *rand.Rand
 	opts  TPEOptions
 	obs   []Observation
+
+	// order holds obs's indices by ascending loss, equal losses in
+	// observation order: what a stable sort by loss gives, kept by inserting
+	// each observation after the losses equal to its own. A NaN loss is
+	// unordered against every loss, so a history holding one (nan) is
+	// stable-sorted afresh whenever its order is read.
+	order []int32
+	nan   bool
+
+	// The surrogate's scratch, flat over dimensions (dimension d at
+	// off[d]:off[d+1]) and rewritten by every Suggest: the good and bad
+	// densities, the good density's running sums (the sampling CDF) and each
+	// category's log ratio log g - log b, computed on first use (NaN until
+	// then); then the candidate being scored and the best one so far.
+	off         []int
+	g, b, cdf   []float64
+	ratio       []float64
+	cand, champ []int
 }
 
 // NewTPE builds a TPE optimiser over the given cardinalities.
 func NewTPE(cards []int, rng *rand.Rand, opts TPEOptions) *TPE {
-	return &TPE{cards: append([]int(nil), cards...), rng: rng, opts: opts.normalized()}
+	off := make([]int, len(cards)+1)
+	for d, c := range cards {
+		off[d+1] = off[d] + c
+	}
+	return &TPE{cards: append([]int(nil), cards...), rng: rng, opts: opts.normalized(), off: off}
 }
 
 // Prime warm-starts the surrogate with observations from a related task
@@ -88,7 +111,7 @@ func (t *TPE) Prime(history []Observation) error {
 		if err := t.check(o.X); err != nil {
 			return err
 		}
-		t.obs = append(t.obs, o)
+		t.Observe(o)
 	}
 	return nil
 }
@@ -106,11 +129,32 @@ func (t *TPE) check(x []int) error {
 }
 
 // Observe records an evaluated point.
-func (t *TPE) Observe(o Observation) { t.obs = append(t.obs, o) }
+func (t *TPE) Observe(o Observation) {
+	i := int32(len(t.obs))
+	t.obs = append(t.obs, o)
+	t.nan = t.nan || math.IsNaN(o.Loss)
+	at := len(t.order)
+	if !t.nan {
+		at = sort.Search(len(t.order), func(k int) bool { return t.obs[t.order[k]].Loss > o.Loss })
+	}
+	t.order = slices.Insert(t.order, at, i)
+}
 
 // History returns all observations (including primed ones). The slice is
 // shared; callers must not mutate it.
 func (t *TPE) History() []Observation { return t.obs }
+
+// lossOrder returns the history's indices by ascending loss, ties in
+// observation order. The slice is the TPE's own.
+func (t *TPE) lossOrder() []int32 {
+	if t.nan {
+		for i := range t.order {
+			t.order[i] = int32(i)
+		}
+		sort.SliceStable(t.order, func(a, b int) bool { return t.obs[t.order[a]].Loss < t.obs[t.order[b]].Loss })
+	}
+	return t.order
+}
 
 // randomBranch reports whether a TPE holding n observations suggests a
 // uniform random vector rather than consulting its surrogate: during startup,
@@ -123,28 +167,59 @@ func (o TPEOptions) randomBranch(n int) bool {
 }
 
 // Suggest proposes the next point: random during startup, otherwise the best
-// of NumCandidates samples from the good density under the g/b ratio.
+// of NumCandidates samples from the good density under the g/b ratio. Each
+// candidate draws one Float64 per dimension.
 func (t *TPE) Suggest() []int {
 	if t.opts.randomBranch(len(t.obs)) {
 		return t.randomVector()
 	}
+	if t.g == nil {
+		size := t.off[len(t.cards)]
+		t.g, t.b = make([]float64, size), make([]float64, size)
+		t.cdf, t.ratio = make([]float64, size), make([]float64, size)
+		t.cand, t.champ = make([]int, len(t.cards)), make([]int, len(t.cards))
+	}
 	good, bad := t.split()
-	g := t.fit(good)
-	b := t.fit(bad)
-	var best []int
+	t.fit(good, t.g)
+	t.fit(bad, t.b)
+	for d := range t.cards {
+		acc := 0.0
+		for i := t.off[d]; i < t.off[d+1]; i++ {
+			acc += t.g[i]
+			t.cdf[i] = acc
+			t.ratio[i] = math.NaN()
+		}
+	}
+	found := false
 	bestScore := math.Inf(-1)
 	for c := 0; c < t.opts.NumCandidates; c++ {
-		x := t.sampleFrom(g)
 		score := 0.0
-		for d := range x {
-			score += math.Log(g[d][x[d]]) - math.Log(b[d][x[d]])
+		for d, card := range t.cards {
+			// The first category whose running sum exceeds u, else the
+			// last: the running sums never decrease, so a binary search
+			// finds what a scan accumulating them would stop at.
+			u := t.rng.Float64()
+			cdf := t.cdf[t.off[d]:t.off[d+1]]
+			x := min(sort.Search(card, func(i int) bool { return u < cdf[i] }), card-1)
+			t.cand[d] = x
+			j := t.off[d] + x
+			r := t.ratio[j]
+			if math.IsNaN(r) {
+				r = math.Log(t.g[j]) - math.Log(t.b[j])
+				t.ratio[j] = r
+			}
+			score += r
 		}
 		if score > bestScore {
 			bestScore = score
-			best = x
+			copy(t.champ, t.cand)
+			found = true
 		}
 	}
-	return best
+	if !found {
+		return nil
+	}
+	return slices.Clone(t.champ)
 }
 
 func (t *TPE) randomVector() []int {
@@ -178,18 +253,14 @@ func SkipSuggestions(rng *rand.Rand, cards []int, opts TPEOptions, primed, n int
 	}
 }
 
-// split partitions history into good (lowest-loss ceil(γ·n), at least 1) and
-// bad observations.
-func (t *TPE) split() (good, bad []Observation) {
+// split partitions the history by loss into good (the lowest ceil(γ·n), at
+// least 1) and bad observations, as views of lossOrder.
+func (t *TPE) split() (good, bad []int32) {
 	n := len(t.obs)
 	if n == 0 {
 		return nil, nil
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return t.obs[idx[a]].Loss < t.obs[idx[b]].Loss })
+	order := t.lossOrder()
 	nGood := int(math.Ceil(t.opts.Gamma * float64(n)))
 	if nGood < 1 {
 		nGood = 1
@@ -198,55 +269,28 @@ func (t *TPE) split() (good, bad []Observation) {
 		nGood = n - 1
 	}
 	if nGood < 1 {
-		return []Observation{t.obs[idx[0]]}, nil
+		return order[:1], nil
 	}
-	for i, j := range idx {
-		if i < nGood {
-			good = append(good, t.obs[j])
-		} else {
-			bad = append(bad, t.obs[j])
-		}
-	}
-	return good, bad
+	return order[:nGood], order[nGood:]
 }
 
-// fit builds the per-dimension smoothed categorical densities of a point set.
-func (t *TPE) fit(obs []Observation) [][]float64 {
-	dens := make([][]float64, len(t.cards))
+// fit writes into dens the per-dimension smoothed categorical densities of
+// the observations at idx.
+func (t *TPE) fit(idx []int32, dens []float64) {
 	for d, card := range t.cards {
-		p := make([]float64, card)
+		p := dens[t.off[d]:t.off[d+1]]
 		total := t.opts.PriorWeight * float64(card)
 		for i := range p {
 			p[i] = t.opts.PriorWeight
 		}
-		for _, o := range obs {
-			p[o.X[d]]++
+		for _, i := range idx {
+			p[t.obs[i].X[d]]++
 			total++
 		}
 		for i := range p {
 			p[i] /= total
 		}
-		dens[d] = p
 	}
-	return dens
-}
-
-// sampleFrom draws one vector dimension-wise from categorical densities.
-func (t *TPE) sampleFrom(dens [][]float64) []int {
-	x := make([]int, len(dens))
-	for d, p := range dens {
-		u := t.rng.Float64()
-		acc := 0.0
-		x[d] = len(p) - 1
-		for i, pi := range p {
-			acc += pi
-			if u < acc {
-				x[d] = i
-				break
-			}
-		}
-	}
-	return x
 }
 
 // Best returns the observation with the lowest loss, or ok=false when the
@@ -266,14 +310,15 @@ func Best(o *TPE) (Observation, bool) {
 }
 
 // TopK returns the k lowest-loss observations (fewer when history is short),
-// best first. Used by the warm-up phase to pick the top-k proxy queries.
+// best first, equal losses in observation order. Used by the warm-up phase to
+// pick the top-k proxy queries.
 func TopK(o *TPE, k int) []Observation {
-	h := append([]Observation(nil), o.History()...)
-	sort.SliceStable(h, func(a, b int) bool { return h[a].Loss < h[b].Loss })
-	if k > len(h) {
-		k = len(h)
+	order := o.lossOrder()
+	out := make([]Observation, min(k, len(order)))
+	for i := range out {
+		out[i] = o.obs[order[i]]
 	}
-	return h[:k]
+	return out
 }
 
 // Run drives an optimiser for n iterations against an evaluation function,

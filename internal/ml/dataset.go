@@ -139,29 +139,46 @@ type Split struct {
 // SplitDataset shuffles rows with the given seed and splits by the ratios
 // (which must sum to ~1).
 func SplitDataset(d *Dataset, trainFrac, validFrac float64, seed int64) (*Split, error) {
-	if trainFrac <= 0 || validFrac < 0 || trainFrac+validFrac >= 1 {
-		return nil, fmt.Errorf("ml: bad split fractions %v/%v", trainFrac, validFrac)
+	rows, err := NewSplitRows(d.NumRows(), trainFrac, validFrac, seed)
+	if err != nil {
+		return nil, err
 	}
-	n := d.NumRows()
+	return rows.Apply(d), nil
+}
+
+// SplitRows is the row assignment of SplitDataset's seeded shuffle. It
+// depends only on the row count, the ratios and the seed, so one assignment
+// splits every dataset of that many rows the way SplitDataset would.
+type SplitRows struct {
+	Train, Valid, Test []int
+}
+
+// NewSplitRows shuffles n row indices with the given seed and cuts them by
+// the ratios, failing as SplitDataset does.
+func NewSplitRows(n int, trainFrac, validFrac float64, seed int64) (SplitRows, error) {
+	if trainFrac <= 0 || validFrac < 0 || trainFrac+validFrac >= 1 {
+		return SplitRows{}, fmt.Errorf("ml: bad split fractions %v/%v", trainFrac, validFrac)
+	}
 	idx := rand.New(rand.NewSource(seed)).Perm(n)
 	nTrain := int(math.Round(trainFrac * float64(n)))
 	nValid := int(math.Round(validFrac * float64(n)))
 	if nTrain < 1 || nValid < 1 || nTrain+nValid >= n {
-		return nil, fmt.Errorf("ml: dataset too small to split (%d rows)", n)
+		return SplitRows{}, fmt.Errorf("ml: dataset too small to split (%d rows)", n)
 	}
+	return SplitRows{Train: idx[:nTrain], Valid: idx[nTrain : nTrain+nValid], Test: idx[nTrain+nValid:]}, nil
+}
+
+// Apply splits d, which must have the row count s was made for. The parts
+// share d's rows.
+func (s SplitRows) Apply(d *Dataset) *Split {
 	take := func(rows []int) *Dataset {
-		out := &Dataset{Features: d.Features}
-		for _, r := range rows {
-			out.X = append(out.X, d.X[r])
-			out.Y = append(out.Y, d.Y[r])
+		out := &Dataset{X: make([][]float64, len(rows)), Y: make([]float64, len(rows)), Features: d.Features}
+		for i, r := range rows {
+			out.X[i], out.Y[i] = d.X[r], d.Y[r]
 		}
 		return out
 	}
-	return &Split{
-		Train: take(idx[:nTrain]),
-		Valid: take(idx[nTrain : nTrain+nValid]),
-		Test:  take(idx[nTrain+nValid:]),
-	}, nil
+	return &Split{Train: take(s.Train), Valid: take(s.Valid), Test: take(s.Test)}
 }
 
 // NumClasses infers the number of classes from labels assumed to be

@@ -37,31 +37,29 @@ func (o GBDTOptions) normalized() GBDTOptions {
 	return o
 }
 
-// gbNode is a regression tree over gradients/hessians with XGBoost-style
-// leaf weights w = -G/(H+λ).
+// gbNode is one node of a regression tree over gradients/hessians with
+// XGBoost-style leaf weights w = -G/(H+λ). A model's nodes live in one slice
+// and a split names its children by index in it, the right child right after
+// the left, so its trees hold no pointers for the GC to scan. Indices are
+// unsigned so a walk step needs no sign extension.
 type gbNode struct {
-	feature int
-	thresh  float64
-	left    *gbNode
-	right   *gbNode
-	weight  float64
-	isLeaf  bool
-	gain    float64 // split gain, for feature importance
+	value   float64 // the split threshold, or the leaf weight
+	feature int32   // the split feature, or -1 on a leaf
+	left    uint32  // the left child's index in the model's nodes
 }
 
 // GBDT is the gradient boosted tree model. Binary tasks boost log-loss;
 // regression boosts squared error; multiclass trains one booster per class
 // one-vs-rest and normalises the sigmoid scores.
 type GBDT struct {
-	task     Task
-	opts     GBDTOptions
-	base     []float64  // initial score per class booster
-	boosters [][]gbTree // [class][round]
-	classes  int
-	gains    []float64 // per-feature cumulative split gain
+	task    Task
+	opts    GBDTOptions
+	base    []float64  // initial score per class booster
+	nodes   []gbNode   // every tree's nodes
+	roots   [][]uint32 // [class][round]: each tree's root in nodes
+	classes int
+	gains   []float64 // per-feature cumulative split gain
 }
-
-type gbTree struct{ root *gbNode }
 
 // NewGBDT constructs the booster for a task.
 func NewGBDT(task Task, opts GBDTOptions) *GBDT {
@@ -89,7 +87,7 @@ func (m *GBDT) Fit(X [][]float64, y []float64) error {
 		return fmt.Errorf("ml: unknown task %d", int(m.task))
 	}
 	m.base = make([]float64, m.classes)
-	m.boosters = make([][]gbTree, m.classes)
+	m.roots = make([][]uint32, m.classes)
 	n := len(X)
 	g := getGBGrower(m, columns(X), n)
 	defer g.release()
@@ -118,7 +116,7 @@ func (m *GBDT) Fit(X [][]float64, y []float64) error {
 		for i := range scores {
 			scores[i] = m.base[c]
 		}
-		m.boosters[c] = make([]gbTree, 0, m.opts.NumRounds)
+		m.roots[c] = make([]uint32, 0, m.opts.NumRounds)
 		for round := 0; round < m.opts.NumRounds; round++ {
 			for i := 0; i < n; i++ {
 				if m.task == Regression {
@@ -136,13 +134,16 @@ func (m *GBDT) Fit(X [][]float64, y []float64) error {
 			for i := range g.rows { // the last tree's partitions reordered them
 				g.rows[i] = i
 			}
-			root := g.grow(g.rows, 0)
-			m.boosters[c] = append(m.boosters[c], gbTree{root: root})
+			root := uint32(len(g.nodes))
+			g.nodes = append(g.nodes, gbNode{})
+			g.grow(root, g.rows, 0)
+			m.roots[c] = append(m.roots[c], root)
 			for i := 0; i < n; i++ {
 				scores[i] += m.opts.LearningRate * g.leafWeight[i]
 			}
 		}
 	}
+	m.nodes = slices.Clone(g.nodes)
 	return nil
 }
 
@@ -166,11 +167,11 @@ func (m *GBDT) Fit(X [][]float64, y []float64) error {
 //
 // Growers are pooled: Fit takes one from growerPool and puts it back when it
 // returns, so the scratch slices, the memo's map and its slab are reused
-// across fits. A model keeps nothing of the grower's: its nodes are carved
-// from slabs the grower hands over and forgets. A pooled grower keeps its
-// memo slab, as large as the largest memo a fit built (orderMemoBytes plus
-// growth slack, or the root's orders when those alone are larger), until a
-// GC clears the pool.
+// across fits. A model keeps nothing of the grower's: the trees grow into the
+// grower's node scratch, and the model takes a copy of exactly the nodes it
+// grew. A pooled grower keeps its memo slab, as large as the largest memo a
+// fit built (orderMemoBytes plus growth slack, or the root's orders when
+// those alone are larger), until a GC clears the pool.
 type gbGrower struct {
 	m              *GBDT
 	cols           [][]float64 // the training matrix, column-major
@@ -180,8 +181,7 @@ type gbGrower struct {
 	pairs          []valRow
 	part           []int
 	leafWeight     []float64 // per training row: the weight of the leaf it reached this round
-	nodes          []gbNode  // the model's current node slab; newNode carves from it
-	nodeSlab       int       // capacity of each node slab
+	nodes          []gbNode  // every tree grown in this fit
 
 	// The sorted-order memo. Entry i's row set is slab[off:off+n], followed
 	// by one order of n rows per feature; heads maps a row-set hash to its
@@ -196,9 +196,6 @@ type gbGrower struct {
 // row sets are sorted without being kept. The root's orders, the first
 // stored, are kept whatever their size.
 const orderMemoBytes = 8 << 20
-
-// maxNodeSlab caps the nodes allocated at once for a model.
-const maxNodeSlab = 1024
 
 // memoEntry locates one memoised row set in the grower's slab.
 type memoEntry struct {
@@ -244,10 +241,7 @@ func getGBGrower(m *GBDT, cols [][]float64, n int) *gbGrower {
 	g.rows, g.pairs = resized(g.rows, n), resized(g.pairs, n)
 	g.part = resized(g.part, n)[:0]
 	g.leafWeight = resized(g.leafWeight, n)
-	g.nodeSlab = min(2*n-1, maxNodeSlab)
-	if d := m.opts.MaxDepth; d < 10 {
-		g.nodeSlab = min(g.nodeSlab, 1<<(d+1)-1) // one full tree
-	}
+	g.nodes = g.nodes[:0]
 	clear(g.heads)
 	g.entries, g.slab = g.entries[:0], g.slab[:0]
 	g.budget = orderMemoBytes
@@ -256,7 +250,7 @@ func getGBGrower(m *GBDT, cols [][]float64, n int) *gbGrower {
 
 // release returns g to the pool, dropping what it shares with the model.
 func (g *gbGrower) release() {
-	g.m, g.cols, g.nodes = nil, nil, nil
+	g.m, g.cols = nil, nil
 	growerPool.Put(g)
 }
 
@@ -266,15 +260,6 @@ func resized[E any](s []E, n int) []E {
 		return make([]E, n)
 	}
 	return s[:n]
-}
-
-// newNode stores nd in the model's node slab and returns its address.
-func (g *gbGrower) newNode(nd gbNode) *gbNode {
-	if len(g.nodes) == cap(g.nodes) {
-		g.nodes = make([]gbNode, 0, g.nodeSlab)
-	}
-	g.nodes = append(g.nodes, nd)
-	return &g.nodes[len(g.nodes)-1]
 }
 
 // sortedOrders returns the per-feature sorted orders of rows (ascending),
@@ -341,22 +326,25 @@ func sameRows(s []int32, rows []int) bool {
 	return true
 }
 
-func (g *gbGrower) grow(rows []int, depth int) *gbNode {
+// grow grows the tree over rows into g.nodes[at], which the caller has
+// appended.
+func (g *gbGrower) grow(at uint32, rows []int, depth int) {
 	o := g.m.opts
 	var G, H float64
 	for _, r := range rows {
 		G += g.grad[r]
 		H += g.hess[r]
 	}
-	leaf := func() *gbNode {
+	leaf := func() {
 		w := -G / (H + o.Lambda)
 		for _, r := range rows {
 			g.leafWeight[r] = w
 		}
-		return g.newNode(gbNode{isLeaf: true, weight: w})
+		g.nodes[at] = gbNode{value: w, feature: -1}
 	}
 	if depth >= o.MaxDepth || len(rows) < 2 {
-		return leaf()
+		leaf()
+		return
 	}
 	bestGain := 0.0
 	bestFeat, bestThresh := -1, 0.0
@@ -386,31 +374,35 @@ func (g *gbGrower) grow(rows []int, depth int) *gbNode {
 		}
 	}
 	if bestFeat < 0 || bestGain <= 1e-12 {
-		return leaf()
+		leaf()
+		return
 	}
 	nl := partitionRows(g.cols[bestFeat], rows, g.part, bestThresh)
 	if nl == 0 || nl == len(rows) {
-		return leaf()
+		leaf()
+		return
 	}
 	g.m.gains[bestFeat] += bestGain
-	return g.newNode(gbNode{
-		feature: bestFeat,
-		thresh:  bestThresh,
-		gain:    bestGain,
-		left:    g.grow(rows[:nl], depth+1),
-		right:   g.grow(rows[nl:], depth+1),
-	})
+	left := uint32(len(g.nodes))
+	g.nodes = append(g.nodes, gbNode{}, gbNode{})
+	g.nodes[at] = gbNode{value: bestThresh, feature: int32(bestFeat), left: left}
+	g.grow(left, rows[:nl], depth+1)
+	g.grow(left+1, rows[nl:], depth+1)
 }
 
-func predictGB(node *gbNode, row []float64) float64 {
-	for !node.isLeaf {
-		if row[node.feature] <= node.thresh {
-			node = node.left
+// predictGB walks the tree rooted at nodes[root] for row and returns the
+// weight of the leaf it reaches. A row goes left when its value is at most
+// the threshold, so a NaN goes right.
+func predictGB(nodes []gbNode, root uint32, row []float64) float64 {
+	nd := &nodes[root]
+	for nd.feature >= 0 {
+		if row[nd.feature] <= nd.value {
+			nd = &nodes[nd.left]
 		} else {
-			node = node.right
+			nd = &nodes[nd.left+1]
 		}
 	}
-	return node.weight
+	return nd.value
 }
 
 // Predict returns score rows (see Model). The rows share one backing array.
@@ -422,11 +414,12 @@ func (m *GBDT) Predict(X [][]float64) [][]float64 {
 	out := make([][]float64, len(X))
 	flat := make([]float64, len(X)*width)
 	raw := make([]float64, m.classes)
+	nodes, lr := m.nodes, m.opts.LearningRate
 	for i, row := range X {
-		for c := 0; c < m.classes; c++ {
+		for c, roots := range m.roots {
 			s := m.base[c]
-			for _, t := range m.boosters[c] {
-				s += m.opts.LearningRate * predictGB(t.root, row)
+			for _, root := range roots {
+				s += lr * predictGB(nodes, root, row)
 			}
 			raw[c] = s
 		}

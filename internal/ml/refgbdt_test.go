@@ -25,7 +25,8 @@ func refFitGBDT(m *GBDT, X [][]float64, y []float64) {
 		m.classes = NumClasses(y)
 	}
 	m.base = make([]float64, m.classes)
-	m.boosters = make([][]gbTree, m.classes)
+	m.roots = make([][]uint32, m.classes)
+	m.nodes = nil
 	n := len(X)
 	for c := 0; c < m.classes; c++ {
 		target := make([]float64, n)
@@ -70,10 +71,12 @@ func refFitGBDT(m *GBDT, X [][]float64, y []float64) {
 					}
 				}
 			}
-			root := refGrowTree(m, X, grad, hess, rows, 0)
-			m.boosters[c] = append(m.boosters[c], gbTree{root: root})
+			root := uint32(len(m.nodes))
+			m.nodes = append(m.nodes, gbNode{})
+			refGrowTree(m, root, X, grad, hess, rows, 0)
+			m.roots[c] = append(m.roots[c], root)
 			for i := 0; i < n; i++ {
-				scores[i] += m.opts.LearningRate * predictGB(root, X[i])
+				scores[i] += m.opts.LearningRate * predictGB(m.nodes, root, X[i])
 			}
 		}
 	}
@@ -82,17 +85,20 @@ func refFitGBDT(m *GBDT, X [][]float64, y []float64) {
 // fgh is one row's (feature value, gradient, hessian) in a reference scan.
 type fgh struct{ v, g, h float64 }
 
-func refGrowTree(m *GBDT, X [][]float64, grad, hess []float64, rows []int, depth int) *gbNode {
+// refGrowTree grows the tree over rows into m.nodes[at], which the caller
+// has appended, appending each split's two children side by side.
+func refGrowTree(m *GBDT, at uint32, X [][]float64, grad, hess []float64, rows []int, depth int) {
 	var G, H float64
 	for _, r := range rows {
 		G += grad[r]
 		H += hess[r]
 	}
-	leaf := func() *gbNode {
-		return &gbNode{isLeaf: true, weight: -G / (H + m.opts.Lambda)}
+	leaf := func() {
+		m.nodes[at] = gbNode{value: -G / (H + m.opts.Lambda), feature: -1}
 	}
 	if depth >= m.opts.MaxDepth || len(rows) < 2 {
-		return leaf()
+		leaf()
+		return
 	}
 	bestGain := 0.0
 	bestFeat, bestThresh := -1, 0.0
@@ -128,7 +134,8 @@ func refGrowTree(m *GBDT, X [][]float64, grad, hess []float64, rows []int, depth
 		}
 	}
 	if bestFeat < 0 || bestGain <= 1e-12 {
-		return leaf()
+		leaf()
+		return
 	}
 	var left, right []int
 	for _, r := range rows {
@@ -139,16 +146,15 @@ func refGrowTree(m *GBDT, X [][]float64, grad, hess []float64, rows []int, depth
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
-		return leaf()
+		leaf()
+		return
 	}
 	m.gains[bestFeat] += bestGain
-	return &gbNode{
-		feature: bestFeat,
-		thresh:  bestThresh,
-		gain:    bestGain,
-		left:    refGrowTree(m, X, grad, hess, left, depth+1),
-		right:   refGrowTree(m, X, grad, hess, right, depth+1),
-	}
+	kids := uint32(len(m.nodes))
+	m.nodes = append(m.nodes, gbNode{}, gbNode{})
+	m.nodes[at] = gbNode{value: bestThresh, feature: int32(bestFeat), left: kids}
+	refGrowTree(m, kids, X, grad, hess, left, depth+1)
+	refGrowTree(m, kids+1, X, grad, hess, right, depth+1)
 }
 
 // refFitForest trains m the reference way.
@@ -536,6 +542,21 @@ func BenchmarkGBDTFit(b *testing.B) {
 		if err := NewGBDT(Binary, GBDTOptions{}).Fit(X, y); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGBDTPredict times one fit-student validation-plus-test
+// prediction: 60 rows through a model fitted as BenchmarkGBDTFit fits it.
+func BenchmarkGBDTPredict(b *testing.B) {
+	X, y := studentImputedShape(90, 1)
+	m := NewGBDT(Binary, GBDTOptions{})
+	if err := m.Fit(X, y); err != nil {
+		b.Fatal(err)
+	}
+	probe, _ := studentImputedShape(60, 2)
+	b.ReportAllocs()
+	for b.Loop() {
+		m.Predict(probe)
 	}
 }
 

@@ -142,6 +142,9 @@ func (k ProxyKind) String() string {
 // single-flight entry per query, so concurrent searches that meet the same
 // query materialise and fit it exactly once, and the work counters below
 // come out the same whatever the interleaving.
+//
+// The split of the training rows is drawn from Seed, TrainFrac and ValidFrac
+// at the first model fit and kept, so set them before evaluating anything.
 type Evaluator struct {
 	P         Problem
 	Model     ml.Kind
@@ -161,7 +164,7 @@ type Evaluator struct {
 	// flight.
 
 	exec   *query.Executor
-	labels []int
+	labels stats.LabelCodes
 	yfloat []float64
 
 	mu        sync.Mutex
@@ -170,6 +173,10 @@ type Evaluator struct {
 
 	baseOnce sync.Once
 	base     baseColumns
+
+	splitOnce sync.Once
+	split     ml.SplitRows
+	splitErr  error
 }
 
 // featEntry is one query's single-flight feature slot. A slot created by a
@@ -222,7 +229,7 @@ func NewEvaluator(p Problem, model ml.Kind, seed int64) (*Evaluator, error) {
 		exec:      query.NewExecutor(p.Relevant),
 		featCache: map[string]*featEntry{},
 		lossCache: map[string]*lossEntry{},
-		labels:    p.Labels(),
+		labels:    stats.CodeLabels(p.Labels()),
 		yfloat:    p.YFloat(),
 	}, nil
 }
@@ -233,7 +240,11 @@ func (e *Evaluator) Executor() *query.Executor { return e.exec }
 // Feature materialises the feature a query produces, aligned with the
 // training table rows (NULL on join miss), caching by the query's SQL text.
 func (e *Evaluator) Feature(q query.Query) ([]float64, []bool, error) {
-	key := q.SQL("R")
+	return e.feature(q.SQL("R"), q)
+}
+
+// feature is Feature with q's cache key already derived.
+func (e *Evaluator) feature(key string, q query.Query) ([]float64, []bool, error) {
 	e.mu.Lock()
 	ent, ok := e.featCache[key]
 	if !ok {
@@ -360,7 +371,7 @@ func (e *Evaluator) QueryLoss(q query.Query) (float64, error) {
 		e.lossCache[key] = ent
 	}
 	e.mu.Unlock()
-	ent.once.Do(func() { ent.loss, ent.err = e.queryLoss(q) })
+	ent.once.Do(func() { ent.loss, ent.err = e.queryLoss(key, q) })
 	if ent.err != nil {
 		e.mu.Lock()
 		if e.lossCache[key] == ent {
@@ -372,9 +383,10 @@ func (e *Evaluator) QueryLoss(q query.Query) (float64, error) {
 	return ent.loss, nil
 }
 
-// queryLoss is QueryLoss's uncached body, counting the model fit.
-func (e *Evaluator) queryLoss(q query.Query) (float64, error) {
-	vals, valid, err := e.Feature(q)
+// queryLoss is QueryLoss's uncached body, counting the model fit; key is
+// q's cache key.
+func (e *Evaluator) queryLoss(key string, q query.Query) (float64, error) {
+	vals, valid, err := e.feature(key, q)
 	if err != nil {
 		return 0, err
 	}
@@ -431,8 +443,11 @@ func (e *Evaluator) lossWithFeature(vals []float64, valid []bool, kind ml.Kind, 
 	if err != nil {
 		return 0, err
 	}
-	loss, _, err := e.scoreDataset(ds, kind, counted)
-	return loss, err
+	model, split, err := e.fitSplit(ds, kind, counted)
+	if err != nil {
+		return 0, err
+	}
+	return ml.Loss(e.P.Task, model.Predict(split.Valid.X), split.Valid.Y)
 }
 
 // baseColumns returns the base features' float views, built once.
@@ -476,25 +491,26 @@ func (e *Evaluator) QuerySetScores(qs []query.Query) (validMetric, testMetric fl
 	if err != nil {
 		return 0, 0, err
 	}
-	_, scores, err := e.scoreDataset(ds, e.Model, true)
-	if err != nil {
-		return 0, 0, err
-	}
-	return scores[0], scores[1], nil
+	return e.scores(ds)
 }
 
-// scoreDataset is the post-assembly half of the protocol, shared by the
-// table path (BaselineScores) and the columnar paths. When counted, the model
-// fit adds to FitTime and, if it succeeds, to Evaluations: only
-// downstream-model fits are evaluations.
-func (e *Evaluator) scoreDataset(ds *ml.Dataset, kind ml.Kind, counted bool) (float64, [2]float64, error) {
-	split, err := ml.SplitDataset(ds, e.TrainFrac, e.ValidFrac, e.Seed)
-	if err != nil {
-		return 0, [2]float64{}, err
+// fitSplit is the post-assembly half of the protocol, shared by the table
+// path (BaselineScores) and the columnar paths: it splits ds and fits a model
+// of kind on the training part. When counted, the fit adds to FitTime and, if
+// it succeeds, to Evaluations: only downstream-model fits are evaluations.
+func (e *Evaluator) fitSplit(ds *ml.Dataset, kind ml.Kind, counted bool) (ml.Model, *ml.Split, error) {
+	// Every dataset has the training table's rows, so the seeded shuffle is
+	// the same for each: it is drawn once.
+	e.splitOnce.Do(func() {
+		e.split, e.splitErr = ml.NewSplitRows(e.P.Train.NumRows(), e.TrainFrac, e.ValidFrac, e.Seed)
+	})
+	if e.splitErr != nil {
+		return nil, nil, e.splitErr
 	}
+	split := e.split.Apply(ds)
 	model, err := ml.New(kind, e.P.Task, e.Seed)
 	if err != nil {
-		return 0, [2]float64{}, err
+		return nil, nil, err
 	}
 	t0 := time.Now()
 	err = model.Fit(split.Train.X, split.Train.Y)
@@ -507,23 +523,27 @@ func (e *Evaluator) scoreDataset(ds *ml.Dataset, kind ml.Kind, counted bool) (fl
 		e.mu.Unlock()
 	}
 	if err != nil {
-		return 0, [2]float64{}, err
+		return nil, nil, err
 	}
-	validPred := model.Predict(split.Valid.X)
-	loss, err := ml.Loss(e.P.Task, validPred, split.Valid.Y)
+	return model, split, nil
+}
+
+// scores fits the downstream model on ds and returns its validation and test
+// metrics.
+func (e *Evaluator) scores(ds *ml.Dataset) (validMetric, testMetric float64, err error) {
+	model, split, err := e.fitSplit(ds, e.Model, true)
 	if err != nil {
-		return 0, [2]float64{}, err
+		return 0, 0, err
 	}
-	validMetric, err := ml.Metric(e.P.Task, validPred, split.Valid.Y)
+	validMetric, err = ml.Metric(e.P.Task, model.Predict(split.Valid.X), split.Valid.Y)
 	if err != nil {
-		return 0, [2]float64{}, err
+		return 0, 0, err
 	}
-	testPred := model.Predict(split.Test.X)
-	testMetric, err := ml.Metric(e.P.Task, testPred, split.Test.Y)
+	testMetric, err = ml.Metric(e.P.Task, model.Predict(split.Test.X), split.Test.Y)
 	if err != nil {
-		return 0, [2]float64{}, err
+		return 0, 0, err
 	}
-	return loss, [2]float64{validMetric, testMetric}, nil
+	return validMetric, testMetric, nil
 }
 
 // BaselineScores evaluates the model on base features alone, the "no
@@ -536,9 +556,5 @@ func (e *Evaluator) BaselineScores() (validMetric, testMetric float64, err error
 	if err != nil {
 		return 0, 0, err
 	}
-	_, scores, err := e.scoreDataset(ds, e.Model, true)
-	if err != nil {
-		return 0, 0, err
-	}
-	return scores[0], scores[1], nil
+	return e.scores(ds)
 }

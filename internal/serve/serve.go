@@ -123,9 +123,16 @@ type planHandle struct {
 // add plans with AddPlan, expose Handler on an http.Server, and call Drain
 // on shutdown.
 type Server struct {
-	cfg      Config
-	mu       sync.Mutex
-	plans    map[string]*planHandle
+	cfg   Config
+	mu    sync.Mutex
+	plans map[string]*planHandle
+
+	// Admission: every transform and append holds a slot in wg while it
+	// runs. admit checks draining and takes the slot under gate's read lock,
+	// and Drain sets draining under its write lock, so no request is
+	// admitted once Drain holds it, and every admitted one is counted before
+	// Drain waits.
+	gate     sync.RWMutex
 	wg       sync.WaitGroup
 	draining atomic.Bool
 }
@@ -304,9 +311,10 @@ func (s *Server) Append(name string, batch *dataframe.Table) (epoch uint64, tabl
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownPlan, name)
 	}
-	if s.draining.Load() {
+	if !s.admit() {
 		return 0, 0, ErrDraining
 	}
+	defer s.wg.Done()
 	if h.binding.Relevant == nil {
 		return 0, 0, fmt.Errorf("%w: plan %q binds multiple sources; append serves single-table plans", ErrBadRequest, name)
 	}
@@ -340,8 +348,22 @@ func (s *Server) Stats() Stats {
 // queued requests complete through the passes already running ahead of them.
 // Call it after http.Server.Shutdown has stopped new connections.
 func (s *Server) Drain() {
+	s.gate.Lock()
 	s.draining.Store(true)
+	s.gate.Unlock()
 	s.wg.Wait()
+}
+
+// admit takes a request slot in wg, or reports false once the server is
+// draining. A caller that gets true calls wg.Done when the request ends.
+func (s *Server) admit() bool {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.wg.Add(1)
+	return true
 }
 
 // Handler returns the server's HTTP API:
@@ -430,9 +452,10 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 // transformOn is Transform with the handle and state already resolved — the
 // HTTP path uses it so decode and serve agree on one state.
 func (s *Server) transformOn(ctx context.Context, h *planHandle, st *planState, tbl *dataframe.Table) (*query.FeatureMatrix, *planState, bool, error) {
-	if s.draining.Load() {
+	if !s.admit() {
 		return nil, nil, false, ErrDraining
 	}
+	defer s.wg.Done()
 	rows := int64(tbl.NumRows())
 	if h.inflight.Add(rows) > int64(s.cfg.MaxInflightRows) {
 		h.inflight.Add(-rows)
@@ -440,8 +463,6 @@ func (s *Server) transformOn(ctx context.Context, h *planHandle, st *planState, 
 		return nil, nil, false, fmt.Errorf("%w: %q (max %d in-flight rows)", ErrOverloaded, h.name, s.cfg.MaxInflightRows)
 	}
 	defer h.inflight.Add(-rows)
-	s.wg.Add(1)
-	defer s.wg.Done()
 	res := st.co.do(ctx, tbl)
 	if res.err != nil {
 		return nil, nil, false, res.err

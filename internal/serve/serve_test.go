@@ -1023,6 +1023,82 @@ func TestServeDrain(t *testing.T) {
 	}
 }
 
+// activeTransformer counts the passes running through it.
+type activeTransformer struct {
+	Transformer
+	active atomic.Int64
+}
+
+func (a *activeTransformer) Matrix(ctx context.Context, d *dataframe.Table) (*query.FeatureMatrix, error) {
+	a.active.Add(1)
+	defer a.active.Add(-1)
+	return a.Transformer.Matrix(ctx, d)
+}
+
+// TestDrainWaitsForAdmittedRequests drains a server while transform and
+// append loops run against it. Drain must not return while an admitted
+// request still runs: no transform pass is running and the table does not
+// grow after it returns. And no request that starts after it returns may
+// succeed.
+func TestDrainWaitsForAdmittedRequests(t *testing.T) {
+	rel := testRelevant(t, 500, 20, 21)
+	srv := NewServer(Config{})
+	if err := srv.AddPlan("p", testPlanJSON(t, 2), PlanBinding{Relevant: rel}); err != nil {
+		t.Fatal(err)
+	}
+	co := srv.plans["p"].state.Load().co
+	tr := &activeTransformer{Transformer: co.tr}
+	co.tr = tr
+	batch := testRelevant(t, 4, 20, 22)
+	keys := keyTable(t, []int64{1, 2, 3})
+
+	var drained atomic.Bool
+	var served atomic.Int64
+	loop := func(call func() error) {
+		for {
+			after := drained.Load()
+			err := call()
+			if errors.Is(err, ErrDraining) {
+				return
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if after {
+				t.Error("a request that started after Drain returned succeeded")
+				return
+			}
+			served.Add(1)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i == 0 {
+				loop(func() error { _, _, err := srv.Append("p", batch); return err })
+				return
+			}
+			loop(func() error { _, _, err := srv.Transform(context.Background(), "p", keys); return err })
+		}()
+	}
+	for served.Load() < 30 {
+		runtime.Gosched()
+	}
+	srv.Drain()
+	rows := rel.NumRows()
+	if n := tr.active.Load(); n != 0 {
+		t.Errorf("Drain returned with %d transform passes running", n)
+	}
+	drained.Store(true)
+	wg.Wait()
+	if n := rel.NumRows(); n != rows {
+		t.Errorf("the table grew from %d to %d rows after Drain returned", rows, n)
+	}
+}
+
 // TestServeBodyTooLarge: transform, append and swap bodies over MaxBodyBytes
 // are refused with 413 (the typed ErrBodyTooLarge), and the plan keeps
 // serving.

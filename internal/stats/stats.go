@@ -8,7 +8,9 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // DefaultBins is the number of equal-frequency bins used when discretising a
@@ -21,18 +23,40 @@ const DefaultBins = 10
 // carry signal, as scikit-learn's MI estimator effectively does when users
 // impute with a sentinel.
 func Discretize(values []float64, valid []bool, bins int) []int {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return s.discretize(make([]int, len(values)), values, valid, bins)
+}
+
+// scratch is the working memory of one discretisation and one MI count,
+// pooled because the warm-up scores every candidate with MIScore,
+// concurrently across templates.
+type scratch struct {
+	present, cuts []float64
+	ids, joint    []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// discretize is Discretize writing the bucket ids into out, which has
+// len(values) entries.
+func (s *scratch) discretize(out []int, values []float64, valid []bool, bins int) []int {
 	if bins <= 0 {
 		bins = DefaultBins
 	}
-	present := make([]float64, 0, len(values))
+	present := s.present[:0]
 	for i, v := range values {
 		if valid == nil || valid[i] {
 			present = append(present, v)
 		}
 	}
-	sort.Float64s(present)
+	// Only the cut values matter: -0 and +0 may land in either order, but a
+	// cut compares the same whichever zero it is, so no bucket depends on
+	// the sort's tie order. NaNs sort first.
+	slices.Sort(present)
+	s.present = present
 	// Bucket boundaries at equal-frequency quantiles (dedup to handle ties).
-	var cuts []float64
+	cuts := s.cuts[:0]
 	for b := 1; b < bins; b++ {
 		q := float64(b) / float64(bins)
 		idx := int(q * float64(len(present)))
@@ -47,7 +71,7 @@ func Discretize(values []float64, valid []bool, bins int) []int {
 			cuts = append(cuts, c)
 		}
 	}
-	out := make([]int, len(values))
+	s.cuts = cuts
 	for i, v := range values {
 		if valid != nil && !valid[i] {
 			out[i] = bins // missing bucket
@@ -84,42 +108,6 @@ func Entropy(labels []int) float64 {
 	return h
 }
 
-// MutualInformation estimates I(X;Y) between two discrete assignments of
-// equal length, in nats. Deterministic accumulation order (see Entropy).
-func MutualInformation(x, y []int) float64 {
-	if len(x) != len(y) || len(x) == 0 {
-		return 0
-	}
-	n := float64(len(x))
-	joint := map[[2]int]int{}
-	px := map[int]int{}
-	py := map[int]int{}
-	for i := range x {
-		joint[[2]int{x[i], y[i]}]++
-		px[x[i]]++
-		py[y[i]]++
-	}
-	keys := make([][2]int, 0, len(joint))
-	for k := range joint {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	mi := 0.0
-	for _, k := range keys {
-		pxy := float64(joint[k]) / n
-		mi += pxy * math.Log(pxy/((float64(px[k[0]])/n)*(float64(py[k[1]])/n)))
-	}
-	if mi < 0 {
-		mi = 0 // guard against tiny negative rounding
-	}
-	return mi
-}
-
 // sortedIntKeys returns the map's keys ascending.
 func sortedIntKeys(m map[int]int) []int {
 	keys := make([]int, 0, len(m))
@@ -130,12 +118,92 @@ func sortedIntKeys(m map[int]int) []int {
 	return keys
 }
 
-// MIScore is the paper's low-cost proxy: MI between a (possibly NULL-bearing)
-// numeric feature and the task labels. Classification labels are used as-is;
-// regression targets should be discretised by the caller via LabelsFromFloat.
-func MIScore(feature []float64, valid []bool, labels []int, bins int) float64 {
-	fx := Discretize(feature, valid, bins)
-	return MutualInformation(fx, labels)
+// LabelCodes are class labels rank-coded for MIScore: code c stands for the
+// c-th smallest distinct label, so counts indexed by code run in ascending
+// label order. Code a label vector once and score every feature against it.
+type LabelCodes struct {
+	codes  []int32
+	counts []int // rows per code
+}
+
+// CodeLabels rank-codes labels.
+func CodeLabels(labels []int) LabelCodes {
+	distinct := slices.Clone(labels)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	l := LabelCodes{codes: make([]int32, len(labels)), counts: make([]int, len(distinct))}
+	for i, v := range labels {
+		c, _ := slices.BinarySearch(distinct, v)
+		l.codes[i] = int32(c)
+		l.counts[c]++
+	}
+	return l
+}
+
+// MIScore is the paper's low-cost proxy: MI (nats) between a (possibly
+// NULL-bearing) numeric feature, discretised into bins equal-frequency
+// buckets plus the NULL bucket, and the task labels. Classification labels
+// are used as-is; regression targets should be discretised by the caller via
+// LabelsFromFloat. Mismatched lengths score 0.
+//
+// The joint counts are a dense (bins+1) x classes table, and the sum runs
+// over its non-zero cells in (bucket, label) order, so the float sum, and
+// with it every TPE tie-break downstream, is reproducible bit for bit.
+func MIScore(feature []float64, valid []bool, labels LabelCodes, bins int) float64 {
+	if bins <= 0 {
+		bins = DefaultBins
+	}
+	if len(feature) != len(labels.codes) || len(feature) == 0 {
+		return 0
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.ids = s.discretize(resized(s.ids, len(feature)), feature, valid, bins)
+	return s.mutualInformation(s.ids, bins+1, labels)
+}
+
+// mutualInformation returns I(X;Y) in nats between ids x in [0, nx) and the
+// coded labels, of equal length n > 0.
+func (s *scratch) mutualInformation(x []int, nx int, y LabelCodes) float64 {
+	k := len(y.counts)
+	joint := resized(s.joint, nx*k)
+	clear(joint)
+	s.joint = joint
+	for i, xi := range x {
+		joint[xi*k+int(y.codes[i])]++
+	}
+	n := float64(len(x))
+	mi := 0.0
+	for xi := 0; xi < nx; xi++ {
+		row := joint[xi*k : (xi+1)*k]
+		cx := 0
+		for _, c := range row {
+			cx += c
+		}
+		if cx == 0 {
+			continue
+		}
+		px := float64(cx) / n
+		for yi, c := range row {
+			if c == 0 {
+				continue
+			}
+			pxy := float64(c) / n
+			mi += pxy * math.Log(pxy/(px*(float64(y.counts[yi])/n)))
+		}
+	}
+	if mi < 0 {
+		mi = 0 // guard against tiny negative rounding
+	}
+	return mi
+}
+
+// resized returns s with length n, reallocated only if its capacity is short.
+func resized(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
 }
 
 // LabelsFromFloat turns a numeric target into discrete labels: already
