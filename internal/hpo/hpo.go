@@ -173,6 +173,9 @@ func (t *TPE) Suggest() []int {
 	if t.opts.randomBranch(len(t.obs)) {
 		return t.randomVector()
 	}
+	// The scratch is as large as the space, so it waits for the first
+	// surrogate suggestion: a TPE that only draws at random may span a huge
+	// space.
 	if t.g == nil {
 		size := t.off[len(t.cards)]
 		t.g, t.b = make([]float64, size), make([]float64, size)

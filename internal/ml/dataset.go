@@ -150,7 +150,7 @@ func SplitDataset(d *Dataset, trainFrac, validFrac float64, seed int64) (*Split,
 // depends only on the row count, the ratios and the seed, so one assignment
 // splits every dataset of that many rows the way SplitDataset would.
 type SplitRows struct {
-	Train, Valid, Test []int
+	train, valid, test []int
 }
 
 // NewSplitRows shuffles n row indices with the given seed and cuts them by
@@ -165,7 +165,7 @@ func NewSplitRows(n int, trainFrac, validFrac float64, seed int64) (SplitRows, e
 	if nTrain < 1 || nValid < 1 || nTrain+nValid >= n {
 		return SplitRows{}, fmt.Errorf("ml: dataset too small to split (%d rows)", n)
 	}
-	return SplitRows{Train: idx[:nTrain], Valid: idx[nTrain : nTrain+nValid], Test: idx[nTrain+nValid:]}, nil
+	return SplitRows{train: idx[:nTrain], valid: idx[nTrain : nTrain+nValid], test: idx[nTrain+nValid:]}, nil
 }
 
 // Apply splits d, which must have the row count s was made for. The parts
@@ -178,7 +178,7 @@ func (s SplitRows) Apply(d *Dataset) *Split {
 		}
 		return out
 	}
-	return &Split{Train: take(s.Train), Valid: take(s.Valid), Test: take(s.Test)}
+	return &Split{Train: take(s.train), Valid: take(s.valid), Test: take(s.test)}
 }
 
 // NumClasses infers the number of classes from labels assumed to be
