@@ -1,7 +1,8 @@
 package dataframe
 
 // GroupIndex is a precomputed partition of a table's rows by a key-set: every
-// row is assigned an integer group id (numbered in first-seen order), so
+// row is assigned an int32 group id (numbered in first-seen order; a table
+// holds at most MaxRows rows, so ids never wrap), so
 // repeated grouping work against the same (table, key-set) pair reduces to
 // integer array lookups instead of hashing. The index keeps the map that
 // identifies each group by its key values — raw int64s for a single int/time
@@ -13,13 +14,13 @@ package dataframe
 type GroupIndex struct {
 	src     *Table
 	keys    []*Column
-	rowGID  []int // group id per row
+	rowGID  []int32 // group id per row
 	ngroups int
 
 	// The group identity map; exactly one is set, by key shape.
-	ints    map[int64]int  // one int/time key; its NULL group is nullGID
-	nullGID int            // -1 until a NULL key is seen
-	strs    map[string]int // any other key set, by RowKey string
+	ints    map[int64]int32  // one int/time key; its NULL group is nullGID
+	nullGID int32            // -1 until a NULL key is seen
+	strs    map[string]int32 // any other key set, by RowKey string
 }
 
 // BuildGroupIndex assigns every row of the table its group id under the
@@ -33,20 +34,20 @@ func (t *Table) BuildGroupIndex(keyCols ...string) (*GroupIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &GroupIndex{src: t, keys: cols, nullGID: -1, rowGID: make([]int, 0, t.nrows)}
+	g := &GroupIndex{src: t, keys: cols, nullGID: -1, rowGID: make([]int32, 0, t.nrows)}
 	if len(cols) == 1 && (cols[0].kind == KindInt || cols[0].kind == KindTime) {
-		g.ints = make(map[int64]int)
+		g.ints = make(map[int64]int32)
 	} else {
-		g.strs = make(map[string]int)
+		g.strs = make(map[string]int32)
 	}
 	g.Extend()
 	return g, nil
 }
 
 // newGroup returns the next group id.
-func (g *GroupIndex) newGroup() int {
+func (g *GroupIndex) newGroup() int32 {
 	g.ngroups++
-	return g.ngroups - 1
+	return int32(g.ngroups - 1)
 }
 
 // Extend advances the index over the rows appended to the source table since
@@ -62,7 +63,7 @@ func (g *GroupIndex) Extend() {
 	case g.ints != nil:
 		c := g.keys[0]
 		for i := len(g.rowGID); i < n; i++ {
-			var gid int
+			var gid int32
 			if !c.valid[i] {
 				if g.nullGID < 0 {
 					g.nullGID = g.newGroup()
@@ -99,7 +100,7 @@ func (g *GroupIndex) Extend() {
 // the NULL group, and a non-NULL value never matches a key of another kind.
 // It is one map probe; a RowKey probe is formatted into a stack buffer. Safe
 // for concurrent use with other reads of the index.
-func (g *GroupIndex) LookupRow(cols []*Column, row int) (int, bool) {
+func (g *GroupIndex) LookupRow(cols []*Column, row int) (int32, bool) {
 	if g.ints != nil {
 		c := cols[0]
 		if !c.valid[row] {
@@ -121,4 +122,4 @@ func (g *GroupIndex) NumGroups() int { return g.ngroups }
 
 // RowGroups exposes the per-row group-id slice. The slice is shared; callers
 // must not mutate it.
-func (g *GroupIndex) RowGroups() []int { return g.rowGID }
+func (g *GroupIndex) RowGroups() []int32 { return g.rowGID }

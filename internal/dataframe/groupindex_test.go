@@ -10,7 +10,7 @@ import (
 
 // refGroupIndex is the generic string-keyed grouping algorithm, kept inline
 // as the reference BuildGroupIndex must match exactly.
-func refGroupIndex(t *testing.T, tbl *Table, keys ...string) (rowGID []int, keyStrs []string, sizes []int) {
+func refGroupIndex(t *testing.T, tbl *Table, keys ...string) (rowGID []int32, keyStrs []string, sizes []int) {
 	t.Helper()
 	cols := make([]*Column, len(keys))
 	for i, k := range keys {
@@ -19,13 +19,13 @@ func refGroupIndex(t *testing.T, tbl *Table, keys ...string) (rowGID []int, keyS
 			t.Fatalf("no column %q", k)
 		}
 	}
-	ids := map[string]int{}
-	rowGID = make([]int, tbl.NumRows())
+	ids := map[string]int32{}
+	rowGID = make([]int32, tbl.NumRows())
 	for i := 0; i < tbl.NumRows(); i++ {
 		k := tbl.RowKey(i, cols)
 		gid, ok := ids[k]
 		if !ok {
-			gid = len(keyStrs)
+			gid = int32(len(keyStrs))
 			ids[k] = gid
 			keyStrs = append(keyStrs, k)
 			sizes = append(sizes, 0)
@@ -280,9 +280,9 @@ func FuzzGroupIndexMatchesRowKey(f *testing.F) {
 			}
 		}
 
-		ref := make(map[string]int, len(keyStrs))
+		ref := make(map[string]int32, len(keyStrs))
 		for gid, k := range keyStrs {
-			ref[k] = gid
+			ref[k] = int32(gid)
 		}
 		m := next() % 24
 		probeCols := make([]*Column, w)

@@ -22,6 +22,21 @@ type Table struct {
 	scan     any
 }
 
+// MaxRows is the most rows a table may hold. The scan state over a table
+// indexes its rows and groups with int32 (GroupIndex and the query layer's
+// row lists), so a table refuses to grow past it before any id can wrap.
+const MaxRows = math.MaxInt32
+
+// checkRows fails when a table of have rows taking add more would pass
+// MaxRows. It is the one row-limit check: every table build (AddColumn) and
+// every append (AppendRows, and so query.Append) runs it before mutating.
+func checkRows(have, add int) error {
+	if add > MaxRows-have {
+		return fmt.Errorf("dataframe: %d rows plus %d pass the %d-row table limit", have, add, MaxRows)
+	}
+	return nil
+}
+
 // NewTable builds a table from columns, which must share a length and have
 // distinct names.
 func NewTable(cols ...*Column) (*Table, error) {
@@ -77,8 +92,8 @@ func (t *Table) HasColumn(name string) bool {
 	return ok
 }
 
-// AddColumn appends a column. It fails on duplicate names or row-count
-// mismatches (except when the table is empty).
+// AddColumn appends a column. It fails on duplicate names, row-count
+// mismatches (except when the table is empty) and columns over MaxRows.
 func (t *Table) AddColumn(c *Column) error {
 	if _, ok := t.index[c.name]; ok {
 		return fmt.Errorf("dataframe: duplicate column %q", c.name)
@@ -87,6 +102,9 @@ func (t *Table) AddColumn(c *Column) error {
 		return fmt.Errorf("dataframe: column %q has %d rows, table has %d", c.name, c.Len(), t.nrows)
 	}
 	if len(t.cols) == 0 {
+		if err := checkRows(0, c.Len()); err != nil {
+			return err
+		}
 		t.nrows = c.Len()
 	}
 	t.index[c.name] = len(t.cols)
@@ -113,10 +131,11 @@ func (t *Table) Epoch() uint64 { return t.epoch.Load() }
 
 // AppendRows appends every row of batch to the table and bumps the epoch.
 // The batch must carry exactly the table's columns by name and kind (any
-// order); extra or missing columns fail without mutating the table. Existing
-// rows keep their positions and values — columns grow by a stable prefix —
-// so caches built at an earlier epoch remain valid over the rows they saw
-// and only need to scan the appended suffix.
+// order); extra or missing columns, or a batch that would take the table
+// past MaxRows, fail without mutating the table. Existing rows keep their
+// positions and values — columns grow by a stable prefix — so caches built
+// at an earlier epoch remain valid over the rows they saw and only need to
+// scan the appended suffix.
 //
 // Appends are mutations: the caller must hold exclusive access to the table
 // (no scans in flight), the same contract as the per-value Append* methods.
@@ -141,6 +160,9 @@ func (t *Table) AppendRows(batch *Table) error {
 	}
 	if batch.NumRows() == 0 {
 		return nil
+	}
+	if err := checkRows(t.nrows, batch.NumRows()); err != nil {
+		return err
 	}
 	for i, c := range t.cols {
 		c.appendFrom(src[i])

@@ -37,6 +37,34 @@ func TestNewTableRejectsDuplicatesAndMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckRowsAtInt32Limit pins the one row-limit check every table build
+// and append runs: a table may reach MaxRows (the int32 ids of its scan
+// state index it fully) and never pass it, whatever the split between the
+// rows it has and the rows it takes.
+func TestCheckRowsAtInt32Limit(t *testing.T) {
+	if MaxRows != math.MaxInt32 {
+		t.Fatalf("MaxRows = %d, want math.MaxInt32", MaxRows)
+	}
+	for _, c := range []struct {
+		have, add int
+		ok        bool
+	}{
+		{0, 0, true},
+		{0, MaxRows, true},
+		{MaxRows - 1, 1, true},
+		{MaxRows, 0, true},
+		{MaxRows / 2, MaxRows - MaxRows/2, true},
+		{MaxRows, 1, false},
+		{1, MaxRows, false},
+		{MaxRows - 5, 6, false},
+		{MaxRows, MaxRows, false},
+	} {
+		if err := checkRows(c.have, c.add); (err == nil) != c.ok {
+			t.Errorf("checkRows(%d, %d) = %v, want ok %v", c.have, c.add, err, c.ok)
+		}
+	}
+}
+
 func TestMustNewTablePanics(t *testing.T) {
 	mustPanic(t, func() {
 		MustNewTable(NewIntColumn("a", []int64{1}, nil), NewIntColumn("a", []int64{1}, nil))

@@ -1,14 +1,19 @@
 package query
 
 // Table scan state. A tableCore holds the scan-side caches of ONE table —
-// group indexes, predicate bitmaps, WHERE masks, float views, integer probes
-// and search-space predicate domains — and lives in the table's own
+// group indexes, predicate bitmaps, WHERE masks, integer probes and
+// search-space predicate domains — and lives in the table's own
 // scan-state slot (dataframe.Table.ScanState), so every executor (and every
 // search space) over a table shares it and builds each entry once between
 // them, and the core dies with the table.
 // The core also carries the table's epoch fence, which orders appends,
 // compaction and size reads (Append, Compact, MemBytes) against scans and
 // search-space builds.
+//
+// Scans read every column in place: an int or time column is converted to
+// float64 row by row where an aggregate or a range fallback reads it, so the
+// core keeps no float copy of any column. Row and group ids are int32 (a
+// table holds at most dataframe.MaxRows rows), 4 bytes per row of scan state.
 //
 // ExecutorStats make the sharing observable: SharedScanPasses counts the
 // full-table passes an executor paid to build a core entry, and
@@ -41,17 +46,10 @@ type tableCore struct {
 	groups  map[string]*groupEntry
 	preds   map[string]*predEntry
 	masks   map[string]*maskEntry
-	views   map[string]*viewEntry // per-column float views (int/time/bool)
-	probes  map[string]*intProbe  // per-column int/time range-kernel probes (see dict.go)
-	allRows []int                 // identity row list (see rowIdentity)
+	probes  map[string]*intProbe // per-column int/time range-kernel probes (see dict.go)
+	allRows []int32              // identity row list (see rowIdentity)
 
 	spaceDims map[spaceDimKey]*spaceDimEntry // predicate value domains (see spacecache.go)
-}
-
-// viewEntry is one cached column float view (see Executor.floatView).
-type viewEntry struct {
-	once sync.Once
-	vals []float64
 }
 
 // coreOf returns t's core, building it in t's scan-state slot on first use.
@@ -86,15 +84,15 @@ func boundedGet[K comparable, V any](m *map[K]*V, k K, max int, mk func() *V) (e
 
 // rowIdentity returns the core's shared 0..n-1 row list, extended to the
 // table's rows on each call, so predicate-free plans scan through the same
-// []int-driven loops as masked plans without a per-query allocation. Plans
+// row-list loops as masked plans without a per-query allocation. Plans
 // alias a prefix of the list, and extending it writes only past that prefix.
-func (c *tableCore) rowIdentity() []int {
+func (c *tableCore) rowIdentity() []int32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	from := len(c.allRows)
 	c.allRows = growTo(c.allRows, c.t.NumRows())
 	for i := from; i < len(c.allRows); i++ {
-		c.allRows[i] = i
+		c.allRows[i] = int32(i)
 	}
 	return c.allRows
 }
@@ -140,15 +138,15 @@ func MemBytes(t *dataframe.Table) int64 {
 // accumulators carry across segments in row order, which keeps every
 // floating-point accumulation bit-identical to the flat loop (an independent
 // per-morsel partial + merge would reassociate the sums).
-func morselSegments(rows []int, size int) [][2]int {
+func morselSegments(rows []int32, size int) [][2]int {
 	if len(rows) == 0 {
 		return nil
 	}
 	segs := make([][2]int, 0, len(rows)/size+1)
 	start := 0
-	cur := rows[0] / size
+	cur := int(rows[0]) / size
 	for i := 1; i < len(rows); i++ {
-		if b := rows[i] / size; b != cur {
+		if b := int(rows[i]) / size; b != cur {
 			segs = append(segs, [2]int{start, i})
 			start, cur = i, b
 		}

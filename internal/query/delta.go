@@ -13,13 +13,18 @@ package query
 //
 //	predicate bitmap  extendPred: the kernels from the last partial word on
 //	WHERE mask        extendMask: intersection from the last partial word,
-//	                  matched rows appended (appendMatchedRows)
+//	                  matched rows appended (appendMatchedRows; int32 ids)
 //	plan discovery    planEntry.discover: first-seen numbering over new rows
-//	aggregate state   attrState.absorb: runs and accumulators over new rows
+//	                  (int32 local slots per group)
+//	aggregate state   attrState.absorb: runs and accumulators over new rows,
+//	                  reading int, time and bool columns in place
 //	integer probe     intProbe.extend (dict.go): bounds, validity bits
-//	float view        viewEntry.extend: coerced values
-//	identity rows     tableCore.rowIdentity (core.go)
-//	group index       dataframe.GroupIndex.Extend
+//	identity rows     tableCore.rowIdentity (core.go; int32 ids)
+//	group index       dataframe.GroupIndex.Extend (int32 group ids)
+//
+// Every per-row id the scan state keeps — row lists, group ids, local slots,
+// the join's row map — is an int32, 4 bytes per row; dataframe.MaxRows keeps
+// a table within their range.
 //
 // Synchronisation is the table's epoch fence (tableCore.fence; the core lives
 // in the table's scan-state slot, so a table has exactly one): every scan
@@ -27,8 +32,8 @@ package query
 // advances take it in write mode, so scans never observe a half-appended
 // table or half-extended entries. A cold build runs inside its entry's once,
 // under the read fence; an advance runs under the write fence. The advance is
-// two-layered, matching cache ownership: the table's core (probes, views,
-// group indexes, bitmaps and masks), then each executor's private plan and
+// two-layered, matching cache ownership: the table's core (probes, group
+// indexes, bitmaps and masks), then each executor's private plan and
 // join entries. No entry is keyed by a dictionary code, so a delta that adds
 // codes, or one that crosses the cardinality cap and drops the encoding, is
 // an append like any other: the predicate kernels read the column's current
@@ -47,6 +52,7 @@ import (
 	"maps"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"repro/internal/dataframe"
 )
@@ -93,18 +99,15 @@ func (e *Executor) advanceLocked() {
 }
 
 // advanceCore extends every core entry over the appended rows, in dependency
-// order: integer probes and views first (predicate kernels read them), group
-// indexes, then predicate bitmaps and masks. Every entry in the maps covers
-// the rows of the core's last epoch, so each extend does work. Caller holds
-// the fence in write mode, which excludes every reader of the core maps.
+// order: integer probes first (predicate kernels read them), group indexes,
+// then predicate bitmaps and masks. Every entry in the maps covers the rows
+// of the core's last epoch, so each extend does work. Caller holds the fence
+// in write mode, which excludes every reader of the core maps.
 func (e *Executor) advanceCore() int64 {
 	c := e.core
 	var scanned int64
 	for name, ip := range c.probes {
 		ip.extend(c.t.Column(name))
-	}
-	for name, ent := range c.views {
-		ent.extend(c.t.Column(name))
 	}
 	for _, ent := range c.groups {
 		if ent.err == nil {
@@ -182,7 +185,7 @@ func (e *Executor) extendMask(ent *maskEntry) int64 {
 // appendMatchedRows appends to rows, ascending, the indices at or past from
 // that mask selects. One popcount pass sizes the list, so the walk never
 // reallocates.
-func appendMatchedRows(rows []int, mask []uint64, from int) []int {
+func appendMatchedRows(rows []int32, mask []uint64, from int) []int32 {
 	w0 := from >> 6
 	if w0 >= len(mask) {
 		return rows
@@ -200,31 +203,11 @@ func appendMatchedRows(rows []int, mask []uint64, from int) []int {
 		}
 		base := wi << 6
 		for w != 0 {
-			rows = append(rows, base+bits.TrailingZeros64(w))
+			rows = append(rows, int32(base+bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}
 	return rows
-}
-
-// extend converts the column's rows past the view's end, coerced exactly as
-// Column.AsFloat coerces (NULL positions hold an unspecified value). Caller
-// holds the entry's once or the write fence.
-func (v *viewEntry) extend(col *dataframe.Column) {
-	from := len(v.vals)
-	v.vals = growTo(v.vals, col.Len())
-	switch col.Kind() {
-	case dataframe.KindInt, dataframe.KindTime:
-		for i, x := range col.IntData()[from:] {
-			v.vals[from+i] = float64(x)
-		}
-	case dataframe.KindBool:
-		for i, x := range col.BoolData()[from:] {
-			if x {
-				v.vals[from+i] = 1
-			}
-		}
-	}
 }
 
 // advancePrivate advances this executor's plan and join entries over the
@@ -271,7 +254,7 @@ func (e *Executor) advancePlan(ent *planEntry) (int64, bool) {
 	// no deadline, and absorb cannot fail.
 	var resorts int64
 	for attr, st := range ent.retained() {
-		k, _ := st.absorb(context.Background(), e, ent, e.core.t.Column(attr))
+		k, _ := st.absorb(context.Background(), ent, e.core.t.Column(attr))
 		resorts += k
 	}
 	if resorts > 0 {
@@ -311,7 +294,7 @@ func (pe *planEntry) discover(e *Executor) {
 		li := local[gid]
 		if li == 0 {
 			counts = append(counts, 0)
-			li = len(counts)
+			li = int32(len(counts))
 			local[gid] = li
 		}
 		counts[li-1]++
@@ -322,7 +305,7 @@ func (pe *planEntry) discover(e *Executor) {
 
 // eachMorsel calls visit on the plan's rows from index from on, one morsel
 // segment at a time, observing ctx at each segment boundary.
-func (pe *planEntry) eachMorsel(ctx context.Context, from int, visit func(rows []int)) error {
+func (pe *planEntry) eachMorsel(ctx context.Context, from int, visit func(rows []int32)) error {
 	for _, sg := range pe.segs {
 		if sg[1] <= from {
 			continue
@@ -399,24 +382,29 @@ func (pe *planEntry) retain(scanned map[string]*attrState) {
 // the plan's rows (recenter). ctx is observed at each morsel boundary; a
 // cancelled absorb leaves the state unusable, which only a scan's new state
 // can meet.
-func (st *attrState) absorb(ctx context.Context, e *Executor, pe *planEntry, col *dataframe.Column) (int64, error) {
-	ngroups, from := len(pe.counts), st.rows
-	local, rowGID, valid := pe.local, pe.gi.RowGroups(), col.ValidData()
-	st.nvalid = growTo(st.nvalid, ngroups)
-	var resorts int64
+//
+// A numeric column is read in place by absorbNum, one body instantiated per
+// storage type: float64, int64 for int and time columns, and uint8 for bool
+// columns (boolBytes). Each value is converted as float64(v), the coercion
+// Column.AsFloat applies, so no float copy of the column is kept.
+func (st *attrState) absorb(ctx context.Context, pe *planEntry, col *dataframe.Column) (int64, error) {
+	valid := col.ValidData()
 	if st.useString {
 		// Str reads the []string backing or decodes a compact column's codes.
+		local, rowGID := pe.local, pe.gi.RowGroups()
+		st.nvalid = growTo(st.nvalid, len(pe.counts))
 		runs := growRuns(st.sortS, pe.counts)
-		if err := pe.eachMorsel(ctx, from, func(rows []int) {
+		if err := pe.eachMorsel(ctx, st.rows, func(rows []int32) {
 			for _, i := range rows {
 				if valid[i] {
 					li := local[rowGID[i]] - 1
-					runs[li] = append(runs[li], col.Str(i))
+					runs[li] = append(runs[li], col.Str(int(i)))
 				}
 			}
 		}); err != nil {
 			return 0, err
 		}
+		var resorts int64
 		for li, run := range runs {
 			if len(run) > st.nvalid[li] {
 				st.nvalid[li] = len(run)
@@ -427,8 +415,29 @@ func (st *attrState) absorb(ctx context.Context, e *Executor, pe *planEntry, col
 		st.sortS, st.rows = runs, len(pe.rows)
 		return resorts, nil
 	}
+	switch col.Kind() {
+	case dataframe.KindFloat:
+		return absorbNum(ctx, st, pe, col.FloatData(), valid)
+	case dataframe.KindBool:
+		return absorbNum(ctx, st, pe, boolBytes(col.BoolData()), valid)
+	}
+	return absorbNum(ctx, st, pe, col.IntData(), valid)
+}
 
-	fv := e.floatView(col)
+// boolBytes views a bool column's values as bytes in place: Go stores false
+// as 0 and true as 1, so float64 of the byte is Column.AsFloat's 0/1
+// coercion, and bool aggregates need no float copy either.
+func boolBytes(b []bool) []uint8 {
+	return unsafe.Slice((*uint8)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
+}
+
+// absorbNum is absorb's body for a numeric column whose values are vals (see
+// absorb).
+func absorbNum[T int64 | float64 | uint8](ctx context.Context, st *attrState, pe *planEntry, vals []T, valid []bool) (int64, error) {
+	ngroups, from := len(pe.counts), st.rows
+	local, rowGID := pe.local, pe.gi.RowGroups()
+	st.nvalid = growTo(st.nvalid, ngroups)
+	var resorts int64
 	var need []bool // groups whose centered moments restart in a row walk
 	if st.hasMoments {
 		need = make([]bool, ngroups)
@@ -442,11 +451,11 @@ func (st *attrState) absorb(ctx context.Context, e *Executor, pe *planEntry, col
 	}
 	if st.hasBuf {
 		runs := growRuns(st.sortF, pe.counts)
-		if err := pe.eachMorsel(ctx, from, func(rows []int) {
+		if err := pe.eachMorsel(ctx, from, func(rows []int32) {
 			for _, i := range rows {
 				if valid[i] {
 					li := local[rowGID[i]] - 1
-					runs[li] = append(runs[li], fv[i])
+					runs[li] = append(runs[li], float64(vals[i]))
 				}
 			}
 		}); err != nil {
@@ -478,13 +487,13 @@ func (st *attrState) absorb(ctx context.Context, e *Executor, pe *planEntry, col
 		st.sortF = runs
 	} else {
 		nvalid, sum, mn, mx := st.nvalid, st.sum, st.min, st.max
-		if err := pe.eachMorsel(ctx, from, func(rows []int) {
+		if err := pe.eachMorsel(ctx, from, func(rows []int32) {
 			for _, i := range rows {
 				if !valid[i] {
 					continue
 				}
 				li := local[rowGID[i]] - 1
-				v := fv[i]
+				v := float64(vals[i])
 				nv := nvalid[li]
 				nvalid[li] = nv + 1
 				sum[li] += v
@@ -507,7 +516,7 @@ func (st *attrState) absorb(ctx context.Context, e *Executor, pe *planEntry, col
 		}
 	}
 	if st.hasMoments {
-		if err := st.recenter(ctx, pe, fv, valid, need); err != nil {
+		if err := recenter(ctx, st, pe, vals, valid, need); err != nil {
 			return 0, err
 		}
 	}
@@ -554,8 +563,9 @@ func centered(vals []float64, mean float64, m4 bool) (ss, s4 float64) {
 // absorbed values and could not take their moments from their run: every
 // such group of a streaming state, and the groups of a buffered state whose
 // run already held values — in one walk over all the plan's rows, with the
-// same expressions in the same row order as a fresh scan.
-func (st *attrState) recenter(ctx context.Context, pe *planEntry, fv []float64, valid []bool, need []bool) error {
+// same expressions in the same row order as a fresh scan. It reads the
+// column's values in place, as absorbNum does.
+func recenter[T int64 | float64 | uint8](ctx context.Context, st *attrState, pe *planEntry, vals []T, valid []bool, need []bool) error {
 	mean := make([]float64, len(need))
 	walk := false
 	for li, d := range need {
@@ -574,7 +584,7 @@ func (st *attrState) recenter(ctx context.Context, pe *planEntry, fv []float64, 
 	}
 	local, rowGID := pe.local, pe.gi.RowGroups()
 	ss, m4, hasM4 := st.ss, st.m4, st.hasM4
-	return pe.eachMorsel(ctx, 0, func(rows []int) {
+	return pe.eachMorsel(ctx, 0, func(rows []int32) {
 		for _, i := range rows {
 			if !valid[i] {
 				continue
@@ -583,7 +593,7 @@ func (st *attrState) recenter(ctx context.Context, pe *planEntry, fv []float64, 
 			if !need[li] {
 				continue
 			}
-			d := fv[i] - mean[li]
+			d := float64(vals[i]) - mean[li]
 			d2 := d * d
 			ss[li] += d2
 			if hasM4 {

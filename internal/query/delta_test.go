@@ -32,6 +32,8 @@ func deltaTable(n int, seed int64) *dataframe.Table {
 //	            negative lvl values (lvl's probe minimum follows them down)
 //	dictcap    over MaxDictCardinality distinct cat values (the dictionary
 //	            drops) and lvl values widening its range to ~1000 values
+//	wide       lvl and ts values beyond ±2^53 (wideInts): lvl's probe
+//	            rejects the column, and float64(v) rounds
 func deltaRows(n int, seed int64, mode string) *dataframe.Table {
 	rng := rand.New(rand.NewSource(seed))
 	k1 := make([]int64, n)
@@ -73,6 +75,10 @@ func deltaRows(n int, seed int64, mode string) *dataframe.Table {
 			catValid[i] = true
 			lvl[i] = 300 + int64(rng.Intn(700))
 		}
+	}
+	if mode == "wide" {
+		lvl, lvlValid = wideInts(rng, n)
+		ts, _ = wideInts(rng, n)
 	}
 	return dataframe.MustNewTable(
 		dataframe.NewIntColumn("k1", k1, nil),
@@ -133,6 +139,7 @@ func TestDeltaDifferential(t *testing.T) {
 		{"new-groups", "newgroups", []int{1, 7, 64}},
 		{"dict-shift", "dictshift", []int{1, 7}},
 		{"dict-cap", "dictcap", []int{1100}},
+		{"wide", "wide", []int{1, 64}},
 	}
 	for _, sc := range scenarios {
 		sc := sc

@@ -135,7 +135,8 @@ func intRangeBitsFrom(ip *intProbe, p Predicate, bm []uint64, row0 int) {
 }
 
 // maxExactIntAbs bounds |value| so float64(value) is exact, which makes the
-// integer range kernel equivalent to the float-view loops.
+// integer range kernel equivalent to the row-at-a-time float64(v) loops
+// (rangeRowsFrom).
 const maxExactIntAbs = int64(1) << 53
 
 // intProbe is the cached state the range kernel reads for one int/time

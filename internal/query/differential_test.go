@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -261,6 +262,101 @@ func TestExecutorAugmentMatchesQueryAugment(t *testing.T) {
 		gv, gok := m.Col(0)
 		wv, wok := oracleFeature(t, q, d, r)
 		sameFeature(t, q.SQL("r"), gv, wv, gok, wok)
+	}
+}
+
+// wideBase is the magnitude around which wideInts draws: far beyond 2^53,
+// where float64(v) rounds to a multiple of 2^8 and float32 to one of 2^37.
+const wideBase = int64(1) << 60
+
+// wideBound is the k-th range bound among wideInts' positive values.
+func wideBound(k int) float64 { return float64(wideBase + int64(k)<<32) }
+
+// wideInts draws n int64s beyond ±2^53, about one in ten NULL: each is
+// ±wideBase plus a multiple of 2^32 below 2^40 plus a small offset, so
+// wideBound's bounds fall among them, and every tenth row takes one of the
+// extremes ±(2^53+1), MinInt64 and MaxInt64.
+func wideInts(rng *rand.Rand, n int) ([]int64, []bool) {
+	extremes := []int64{1<<53 + 1, -(1<<53 + 1), math.MinInt64, math.MaxInt64}
+	vals, valid := make([]int64, n), make([]bool, n)
+	for i := range vals {
+		v := wideBase + int64(rng.Intn(256))<<32 + rng.Int63n(1<<20)
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		if rng.Intn(10) == 0 {
+			v = extremes[rng.Intn(len(extremes))]
+		}
+		vals[i], valid[i] = v, rng.Intn(10) > 0
+	}
+	return vals, valid
+}
+
+// withWideCols adds wideInts columns to t: "big" (int) and "bigts" (time).
+// The integer probe rejects both, so range predicates on them take the
+// float64(v) fallback, and their aggregates convert every value in place.
+func withWideCols(t *dataframe.Table, seed int64) *dataframe.Table {
+	rng := rand.New(rand.NewSource(seed))
+	big, bigValid := wideInts(rng, t.NumRows())
+	bts, btsValid := wideInts(rng, t.NumRows())
+	if err := t.AddColumn(dataframe.NewIntColumn("big", big, bigValid)); err != nil {
+		panic(err)
+	}
+	if err := t.AddColumn(dataframe.NewTimeColumn("bigts", bts, btsValid)); err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// wideQueries aggregates the int column intAttr and the time column
+// timeAttr under SUM / AVG / MIN / MAX / STD / MEDIAN, and filters on range
+// bounds among wideInts' values (one-sided both ways and BETWEEN) on each.
+func wideQueries(intAttr, timeAttr string) []Query {
+	var qs []Query
+	for _, attr := range []string{intAttr, timeAttr} {
+		for _, fn := range []agg.Func{agg.Sum, agg.Avg, agg.Min, agg.Max, agg.Std, agg.Median} {
+			qs = append(qs, Query{Agg: fn, AggAttr: attr, Keys: []string{"k1"}})
+		}
+		for _, p := range []Predicate{
+			{Attr: attr, Kind: PredRange, HasLo: true, Lo: wideBound(100)},
+			{Attr: attr, Kind: PredRange, HasHi: true, Hi: wideBound(40)},
+			{Attr: attr, Kind: PredRange, HasLo: true, Lo: wideBound(10), HasHi: true, Hi: wideBound(200)},
+		} {
+			qs = append(qs,
+				Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k1"}, Preds: []Predicate{p}},
+				Query{Agg: agg.Sum, AggAttr: intAttr, Keys: []string{"k1"}, Preds: []Predicate{p}})
+		}
+	}
+	return qs
+}
+
+// TestDifferentialWideInts requires int and time aggregation columns and
+// range predicates beyond ±2^53 to match Query.Execute bit for bit, cold,
+// warm and after appends that land in existing groups (so STD's moments
+// restart in recenter's walk). There float64(v) rounds, so the executor
+// must convert each value exactly as Column.AsFloat does: a conversion
+// through float32, or any other rounding, moves sums, means and bounds.
+func TestDifferentialWideInts(t *testing.T) {
+	part := func(n int, seed int64) *dataframe.Table {
+		return withWideCols(largeRandomTable(n, seed), seed)
+	}
+	qs := wideQueries("big", "bigts")
+	ex := NewExecutor(part(300, 61), withMorselRows(64))
+	parts := []*dataframe.Table{part(300, 61)}
+	checkGroups(t, "cold", ex, qs, parts[0])
+	checkGroups(t, "warm", ex, qs, parts[0])
+	for i, size := range []int{1, 63, 130} {
+		seed := int64(70 + i)
+		if _, _, err := Append(ex.Table(), part(size, seed)); err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part(size, seed))
+		ref, err := dataframe.Concat(parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGroups(t, fmt.Sprintf("append %d (+%d rows)", i, size), ex, qs, ref)
+		checkGroups(t, fmt.Sprintf("append %d warm", i), ex, qs, ref)
 	}
 }
 

@@ -20,20 +20,23 @@ type Query struct {
 	Keys    []string    `json:"keys"`
 }
 
-// SQL renders the query as SQL text (for logs, docs and debugging).
+// SQL renders the query as SQL text (for logs, docs and debugging). The text
+// also keys the evaluator's caches, so it is appended into one buffer, with
+// no formatting machinery.
 func (q Query) SQL(relName string) string {
-	var sb strings.Builder
 	keys := strings.Join(q.Keys, ", ")
-	fmt.Fprintf(&sb, "SELECT %s, %s(%s) AS feature FROM %s", keys, q.Agg, q.AggAttr, relName)
-	if len(q.Preds) > 0 {
-		parts := make([]string, len(q.Preds))
-		for i, p := range q.Preds {
-			parts[i] = p.String()
+	b := make([]byte, 0, 2*len(keys)+len(q.AggAttr)+len(relName)+48+32*len(q.Preds))
+	b = append(append(append(append(b, "SELECT "...), keys...), ", "...), q.Agg.String()...)
+	b = append(append(append(append(b, '('), q.AggAttr...), ") AS feature FROM "...), relName...)
+	for i, p := range q.Preds {
+		if i == 0 {
+			b = append(b, " WHERE "...)
+		} else {
+			b = append(b, " AND "...)
 		}
-		fmt.Fprintf(&sb, " WHERE %s", strings.Join(parts, " AND "))
+		b = p.appendSQL(b)
 	}
-	fmt.Fprintf(&sb, " GROUP BY %s", keys)
-	return sb.String()
+	return string(append(append(b, " GROUP BY "...), keys...))
 }
 
 // Name returns a short deterministic identifier for the feature the query

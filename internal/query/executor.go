@@ -38,8 +38,8 @@ import (
 //     stamped with the plan generation, which rises whenever a plan entry
 //     leaves the plan map; a stale snapshot is prepared again.
 //
-// The table-scoped caches (group indexes, bitmaps, masks, float views, integer
-// probes) live in the table's own tableCore (see core.go), shared by every
+// The table-scoped caches (group indexes, bitmaps, masks, integer probes)
+// live in the table's own tableCore (see core.go), shared by every
 // executor over the table, so they run each table pass once between them.
 // Scans walk the table morsel by morsel (morselSegments), observing
 // cancellation at every boundary.
@@ -106,9 +106,10 @@ type ExecutorStats struct {
 	// FusedQueries counts).
 	CountOnlyQueries int64
 	// SharedScanPasses counts the full-table passes this executor paid to
-	// build a core entry (group index, predicate bitmap, float view, integer
-	// probe). The core belongs to the table, so k executors over one table
-	// pay one set of passes between them.
+	// build a core entry (group index, predicate bitmap, integer probe). Int,
+	// time and bool columns are read in place, with no view to build, so
+	// reading one costs no pass. The core belongs to the table, so k
+	// executors over one table pay one set of passes between them.
 	SharedScanPasses int64
 	// MorselsScanned counts the morsel segments the executor's scans walked
 	// (discovery, attribute and scatter passes all run morsel by morsel).
@@ -219,7 +220,7 @@ type maskEntry struct {
 	once  sync.Once
 	preds []Predicate // decomposed one-sided form
 	bits  []uint64
-	rows  []int
+	rows  []int32
 	nrows int
 	err   error
 }
@@ -245,9 +246,9 @@ type planEntry struct {
 	once   sync.Once
 	gi     *dataframe.GroupIndex
 	me     *maskEntry // WHERE mask the rows come from; nil = all rows
-	rows   []int      // matching rows in scan order; identity list when mask-free
+	rows   []int32    // matching rows in scan order; identity list when mask-free
 	segs   [][2]int   // morsel segments of rows (index ranges; see morselSegments)
-	local  []int      // gid -> local index + 1; 0 = group empty under the mask
+	local  []int32    // gid -> local index + 1; 0 = group empty under the mask
 	counts []int      // local -> total matching rows; len = non-empty groups
 	nrows  int        // scan-table rows the discovery covers
 
@@ -384,36 +385,6 @@ func (e *Executor) predMask(p Predicate) ([]uint64, error) {
 	return ent.bits, ent.err
 }
 
-// floatView returns a float64 materialisation of a numeric (or bool) column,
-// coerced exactly as Column.AsFloat coerces — float columns share their
-// backing slice, other kinds are converted once per executor and cached, so
-// every scan reads a flat []float64 with no per-row kind dispatch. Values at
-// NULL positions are unspecified; callers gate on the validity slice.
-func (e *Executor) floatView(col *dataframe.Column) []float64 {
-	if col.Kind() == dataframe.KindFloat {
-		return col.FloatData()
-	}
-	c := e.core
-	c.mu.Lock()
-	if c.views == nil {
-		c.views = map[string]*viewEntry{}
-	}
-	ent, hit := c.views[col.Name()]
-	if !hit {
-		ent = &viewEntry{}
-		c.views[col.Name()] = ent
-	}
-	c.mu.Unlock()
-	if !hit {
-		// Materialising a view walks the whole table once.
-		e.mu.Lock()
-		e.stats.SharedScanPasses++
-		e.mu.Unlock()
-	}
-	ent.once.Do(func() { ent.extend(col) })
-	return ent.vals
-}
-
 // fillPredBits evaluates p into bm for rows [lo, n), where lo is
 // word-aligned (a multiple of 64, or 0); words below lo/64 are left untouched
 // and words at or above it are (re)written. extendPred calls it with the
@@ -428,7 +399,8 @@ func (e *Executor) floatView(col *dataframe.Column) []float64 {
 // compare exact integer bounds — both branch-free, word at a time (see
 // dict.go). The input alone picks the fallbacks below: a string column above
 // MaxDictCardinality, or a float column or an int range the probe rejects
-// (|value| > 2^53).
+// (|value| > 2^53), which compares each value as Column.AsFloat coerces it,
+// read in place (rangeRowsFrom).
 func (e *Executor) fillPredBits(p Predicate, lo int, bm []uint64) error {
 	col := e.core.t.Column(p.Attr)
 	if col == nil {
@@ -477,32 +449,29 @@ func (e *Executor) fillPredBits(p Predicate, lo int, bm []uint64) error {
 				return nil
 			}
 		}
-		// p is at most one-sided: every caller passes decomposePreds output.
-		vals := e.floatView(col)
-		switch {
-		case p.HasLo:
-			for i := lo; i < n; i++ {
-				if valid[i] && vals[i] >= p.Lo {
-					set(i)
-				}
-			}
-		case p.HasHi:
-			for i := lo; i < n; i++ {
-				if valid[i] && vals[i] <= p.Hi {
-					set(i)
-				}
-			}
-		default: // trivial range: matches every non-NULL row, like Eval
-			for i := lo; i < n; i++ {
-				if valid[i] {
-					set(i)
-				}
-			}
+		if col.Kind() == dataframe.KindFloat {
+			rangeRowsFrom(col.FloatData(), valid, p, lo, bm)
+		} else {
+			rangeRowsFrom(col.IntData(), valid, p, lo, bm)
 		}
 	default:
 		return fmt.Errorf("query: unknown predicate kind %d", p.Kind)
 	}
 	return nil
+}
+
+// rangeRowsFrom is fillPredBits' row-at-a-time range loop over rows
+// [lo, len(vals)) of a float column, or of an int/time column whose values
+// the integer probe rejects: each value is compared as float64(v), the
+// coercion Column.AsFloat applies, with Eval's semantics (NULL rows never
+// match, bounds are inclusive, a range with no bound matches every non-NULL
+// row).
+func rangeRowsFrom[T int64 | float64](vals []T, valid []bool, p Predicate, lo int, bm []uint64) {
+	for i := lo; i < len(vals); i++ {
+		if v := float64(vals[i]); valid[i] && (!p.HasLo || v >= p.Lo) && (!p.HasHi || v <= p.Hi) {
+			bm[i>>6] |= 1 << uint(i&63)
+		}
+	}
 }
 
 // decomposePreds rewrites a predicate list into its canonical one-sided form:
@@ -635,7 +604,7 @@ type joinEntry struct {
 	id     string              // join key-set identity (for delta advances)
 	keys   []string            // join key-set
 	cols   []*dataframe.Column // d's key columns
-	rowToR []int               // training row -> relevant gid, -1 = no match
+	rowToR []int32             // training row -> relevant gid, -1 = no match
 	err    error
 }
 
@@ -673,7 +642,7 @@ func (e *Executor) joinIndex(d *dataframe.Table, id string, keys []string) (*joi
 			ent.err = err
 			return
 		}
-		ent.rowToR = make([]int, d.NumRows())
+		ent.rowToR = make([]int32, d.NumRows())
 		for row := range ent.rowToR {
 			if rg, ok := rIdx.LookupRow(ent.cols, row); ok {
 				ent.rowToR[row] = rg
@@ -690,7 +659,7 @@ func (e *Executor) joinIndex(d *dataframe.Table, id string, keys []string) (*joi
 // result slab and the projection slab — recycled through a pool so a warm
 // plan group allocates nothing per use.
 type scatterScratch struct {
-	touched  []int
+	touched  []int32
 	mark     []int32 // local group -> touched position + 1; all zero between uses
 	rowLocal []int32
 	vals     []float64

@@ -49,7 +49,7 @@ package query
 // the plan's retained state (one atomic load, no lock, no copy) straight into
 // the slab and scatters: with its working set in pooled scratch, it allocates
 // only its join entries and its output. The layout names attributes, never
-// column data: appends and Compact can replace a *Column, its float view or
+// column data: appends and Compact can replace a *Column, its value slice or
 // its code slice, so only the scan branch resolves them, per pass.
 //
 // The plan generation rises whenever an entry leaves the executor's plan map
@@ -87,7 +87,7 @@ type aggPair struct {
 // table's schema, so it is built once per snapshot (groupBatch) and read-only
 // once published. The layout names attributes, never columns: appends and
 // Compact can replace a column's storage, so only the scan branch resolves
-// columns and their views, per pass.
+// columns, per pass.
 type fusedGroup struct {
 	pk     planKey
 	pe     *planEntry // set by the pass that resolves the snapshot
@@ -383,14 +383,14 @@ func needsMoments(fn agg.Func) bool {
 // that covers every function the group asks of it — a warm pass, which
 // allocates nothing here and costs O(len(touched)) however many groups the
 // plan holds. Otherwise the attribute takes the scan branch first: resolve the
-// column and its view, run the shared scans, and retain the new state. Either
+// column, run the shared scans, and retain the new state. Either
 // way every pair is extracted from an attrState, each group's value computed
 // alone, so it does not depend on which other groups the pass touches (those
 // its training rows join). The context is observed between the per-attribute
 // scans, so a batch that collapsed into one huge plan group still cancels
 // promptly (the per-worker check in the batch loop runs only once for such a
 // batch).
-func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntry, touched []int, vals []float64, valid []bool) error {
+func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, pe *planEntry, touched []int32, vals []float64, valid []bool) error {
 	nt := len(touched)
 	dst := func(pi int) ([]float64, []bool) {
 		return vals[pi*nt : (pi+1)*nt], valid[pi*nt : (pi+1)*nt]
@@ -469,7 +469,7 @@ func (e *Executor) scanAttr(ctx context.Context, pe *planEntry, a *attrPairs, ol
 			st.hasBuf = st.hasBuf || old.hasBuf
 		}
 	}
-	if _, err := st.absorb(ctx, e, pe, col); err != nil {
+	if _, err := st.absorb(ctx, pe, col); err != nil {
 		return nil, err
 	}
 	if len(pe.counts) > 0 {
@@ -488,7 +488,7 @@ func (e *Executor) scanAttr(ctx context.Context, pe *planEntry, a *attrPairs, ol
 // reproduces its agg.Func counterpart exactly — same empty-group conventions,
 // same tie-breaks, same floating-point accumulation order (distinct values
 // ascending, the order agg sorts its map keys into).
-func (st *attrState) extract(fn agg.Func, counts []int, touched []int, vals []float64, valid []bool) {
+func (st *attrState) extract(fn agg.Func, counts []int, touched []int32, vals []float64, valid []bool) {
 	if !st.useString && streamable(fn) {
 		streamExtract(fn, st.nvalid, st.sum, st.min, st.max, st.ss, st.m4, touched, vals, valid)
 		return
@@ -508,7 +508,7 @@ func (st *attrState) extract(fn agg.Func, counts []int, touched []int, vals []fl
 // and valid[t] ((0, false) where the aggregate is undefined). It reproduces
 // agg.Func.Apply's formulas — including expression order, so floats match
 // bit for bit.
-func streamExtract(fn agg.Func, nvalid []int, sum, mn, mx, ss, m4 []float64, touched []int, vals []float64, valid []bool) {
+func streamExtract(fn agg.Func, nvalid []int, sum, mn, mx, ss, m4 []float64, touched []int32, vals []float64, valid []bool) {
 	for t, li := range touched {
 		v, ok := 0.0, false
 		// nv == 0 leaves (0, false): the aggregate of an all-NULL group.

@@ -14,8 +14,11 @@ import (
 // schema: aggregation function, aggregation attribute, GROUP BY key subset,
 // and up to two predicates (string/bool equalities — including an operand
 // outside the domain — and one- or two-sided float/time/int ranges, where a
-// bound byte of 255 decodes as a NaN bound). Missing bytes read as zero, so
-// every input decodes.
+// bound byte of 255 decodes as a NaN bound). Byte 10 can swap the
+// aggregation attribute for a withWideCols column beyond ±2^53 ("big" or
+// "bigts"), and an odd byte 11 moves the int ranges from k1 to "big", with
+// bounds among its values (wideBound). Missing bytes read as zero, so every
+// input decodes.
 func fuzzQuery(data []byte) Query {
 	at := func(i int) byte {
 		if i < len(data) {
@@ -31,6 +34,9 @@ func fuzzQuery(data []byte) Query {
 		Agg:     funcs[int(at(0))%len(funcs)],
 		AggAttr: attrs[int(at(1))%len(attrs)],
 		Keys:    keysets[int(at(2))%len(keysets)],
+	}
+	if wide := []string{"", "big", "bigts"}[int(at(10))%3]; wide != "" {
+		q.AggAttr = wide
 	}
 	for p := 0; p < int(at(3))%3; p++ {
 		sel, v1, v2 := at(4+3*p), at(5+3*p), at(6+3*p)
@@ -50,6 +56,9 @@ func fuzzQuery(data []byte) Query {
 				attr, scale, shift = "ts", 400, 0
 			case 5:
 				attr, scale, shift = "k1", 0.1, -2
+				if at(11)%2 == 1 {
+					attr, scale, shift = "big", 1<<32, float64(wideBase)
+				}
 			}
 			bound := func(v byte) float64 {
 				if v == 255 {
@@ -94,7 +103,17 @@ func FuzzExecuteMatchesOracle(f *testing.F) {
 	}
 	f.Add([]byte{byte(agg.Count), 0, 0, 1, 9, 0, 255})
 	f.Add([]byte{byte(agg.Sum), 0, 0, 1, 15, 255, 200})
-	r := largeRandomTable(300, 17)
+	// SUM / AVG / MIN / MAX / STD / MEDIAN over the int and the time column
+	// beyond ±2^53, unfiltered and under "big" ranges the probe rejects
+	// (>= and BETWEEN bounds among its values).
+	for _, fn := range []agg.Func{agg.Sum, agg.Avg, agg.Min, agg.Max, agg.Std, agg.Median} {
+		for wide := byte(1); wide <= 2; wide++ {
+			f.Add([]byte{byte(fn), 0, 0, 0, 0, 0, 0, 0, 0, 0, wide})
+			f.Add([]byte{byte(fn), 0, 0, 1, 5, 100, 0, 0, 0, 0, wide, 1})
+			f.Add([]byte{byte(fn), 0, 2, 1, 17, 10, 200, 0, 0, 0, wide, 1})
+		}
+	}
+	r := withWideCols(largeRandomTable(300, 17), 19)
 	d := largeRandomTable(60, 18)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q := fuzzQuery(data)
@@ -122,7 +141,7 @@ func FuzzExecuteMatchesOracle(f *testing.F) {
 }
 
 // appendModes are deltaRows' delta shapes, in fuzz-byte order.
-var appendModes = []string{"mixed", "nulls", "newgroups", "dictshift", "dictcap"}
+var appendModes = []string{"mixed", "nulls", "newgroups", "dictshift", "dictcap", "wide"}
 
 // FuzzAppendMatchesOracle drives one executor through a decoded sequence of
 // up to four appends — each byte pair picks a deltaRows mode, row seed and
@@ -133,7 +152,10 @@ var appendModes = []string{"mixed", "nulls", "newgroups", "dictshift", "dictcap"
 // the parts. Sizes 1..130 cross 64-row words and morsels; a
 // dictcap append always crosses MaxDictCardinality, and a dictshift append
 // adds a value inside cat's sorted domain under the cached entries, for
-// one-shot batches and held plan groups.
+// one-shot batches and held plan groups. A wide append moves lvl and ts
+// beyond ±2^53, under the pool's wideQueries as well: their aggregates then
+// convert rounding values in place, and lvl's ranges leave the integer
+// kernel for the float64(v) fallback.
 func FuzzAppendMatchesOracle(f *testing.F) {
 	for mode := range appendModes {
 		m := byte(mode)
@@ -141,8 +163,10 @@ func FuzzAppendMatchesOracle(f *testing.F) {
 		f.Add([]byte{0, 6, m, 1, 1, 129})
 	}
 	f.Add([]byte{})
+	wide := byte(len(appendModes) - 1)
+	f.Add([]byte{0, 20, wide, 1, wide, 70})
 	const nBase = 200
-	qs := preparedPool(f, deltaTable(nBase, 31), 24, 32)
+	qs := append(preparedPool(f, deltaTable(nBase, 31), 24, 32), wideQueries("lvl", "ts")...)
 	d := preparedTrain()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ex := NewExecutor(deltaTable(nBase, 31), withMorselRows(64))

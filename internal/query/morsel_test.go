@@ -66,22 +66,22 @@ func TestMorselsExactCover(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	for nrows := 0; nrows <= 40; nrows++ {
 		for size := 1; size <= 9; size++ {
-			ident := make([]int, nrows)
-			var sub []int
+			ident := make([]int32, nrows)
+			var sub []int32
 			for i := range ident {
-				ident[i] = i
+				ident[i] = int32(i)
 				if rng.Intn(3) > 0 {
-					sub = append(sub, i)
+					sub = append(sub, int32(i))
 				}
 			}
-			for _, rows := range [][]int{ident, sub} {
+			for _, rows := range [][]int32{ident, sub} {
 				segs := morselSegments(rows, size)
 				next := 0
 				for i, sg := range segs {
 					if sg[0] != next || sg[1] <= sg[0] {
 						t.Fatalf("rows %v size %d: segment %d = %v after %d (gap, overlap or empty)", rows, size, i, sg, next)
 					}
-					if m := rows[sg[0]] / size; rows[sg[1]-1]/size != m || (i > 0 && rows[sg[0]-1]/size == m) {
+					if m := int(rows[sg[0]]) / size; int(rows[sg[1]-1])/size != m || (i > 0 && int(rows[sg[0]-1])/size == m) {
 						t.Fatalf("rows %v size %d: segment %d = %v is not one maximal morsel", rows, size, i, sg)
 					}
 					next = sg[1]

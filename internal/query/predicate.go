@@ -38,32 +38,41 @@ type Predicate struct {
 }
 
 // String renders the predicate in SQL syntax.
-func (p Predicate) String() string {
+func (p Predicate) String() string { return string(p.appendSQL(nil)) }
+
+// appendSQL appends String's text to b: a string operand quoted as %q
+// quotes it, a bool operand as true/false, a range bound by fmtBound.
+func (p Predicate) appendSQL(b []byte) []byte {
 	switch p.Kind {
 	case PredEq:
+		b = append(append(b, p.Attr...), " = "...)
 		if p.StrValue != "" {
-			return fmt.Sprintf("%s = %q", p.Attr, p.StrValue)
+			return strconv.AppendQuote(b, p.StrValue)
 		}
-		return fmt.Sprintf("%s = %v", p.Attr, p.BoolValue)
+		return strconv.AppendBool(b, p.BoolValue)
 	case PredRange:
+		b = append(b, p.Attr...)
 		switch {
 		case p.HasLo && p.HasHi:
-			return fmt.Sprintf("%s BETWEEN %s AND %s", p.Attr, fmtBound(p.Lo), fmtBound(p.Hi))
+			b = appendBound(append(b, " BETWEEN "...), p.Lo)
+			return appendBound(append(b, " AND "...), p.Hi)
 		case p.HasLo:
-			return fmt.Sprintf("%s >= %s", p.Attr, fmtBound(p.Lo))
+			return appendBound(append(b, " >= "...), p.Lo)
 		case p.HasHi:
-			return fmt.Sprintf("%s <= %s", p.Attr, fmtBound(p.Hi))
-		default:
-			return p.Attr + " IS ANYTHING"
+			return appendBound(append(b, " <= "...), p.Hi)
 		}
+		return append(b, " IS ANYTHING"...)
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // fmtBound renders a range bound in the shortest form that parses back to
 // the same float64, so distinct bounds always render distinct SQL (the text
 // keys the evaluator's caches and the generator's dedup).
-func fmtBound(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+func fmtBound(v float64) string { return string(appendBound(nil, v)) }
+
+// appendBound appends fmtBound's text of v to b.
+func appendBound(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
 
 // Trivial reports whether the predicate filters nothing (a range with no
 // bounds). Trivial predicates are dropped from queries.

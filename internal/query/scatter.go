@@ -191,7 +191,7 @@ func (p *Prepared) augment(ctx context.Context, d *dataframe.Table, m *FeatureMa
 // groups and is reset entry by entry afterwards, so no O(plan groups) array
 // is cleared per call. Both slices are backed by sc and valid until its next
 // use; morsels counts the morsels walked.
-func (sc *scatterScratch) touchedGroups(ctx context.Context, pe *planEntry, jn *joinEntry, mr int) ([]int, []int32, int64, error) {
+func (sc *scatterScratch) touchedGroups(ctx context.Context, pe *planEntry, jn *joinEntry, mr int) ([]int32, []int32, int64, error) {
 	if len(sc.mark) < len(pe.counts) {
 		sc.mark = make([]int32, len(pe.counts))
 	}
@@ -208,7 +208,7 @@ func (sc *scatterScratch) touchedGroups(ctx context.Context, pe *planEntry, jn *
 		morsels++
 		for row := lo; row < min(lo+mr, n); row++ {
 			rg := jn.rowToR[row]
-			if rg < 0 || rg >= len(pe.local) || pe.local[rg] == 0 {
+			if rg < 0 || int(rg) >= len(pe.local) || pe.local[rg] == 0 {
 				rowLocal[row] = 0
 				continue
 			}

@@ -273,8 +273,8 @@ func TestScatterStatsGolden(t *testing.T) {
 		t.Errorf("fused %d / core %d queries, want 4 / 0", s.FusedQueries, s.CoreQueries)
 	}
 	// Shared-scan counters: the table's cold core costs one pass for the k1
-	// group index and one for the x>=0 predicate bitmap ("x" is already a
-	// float column, so no view build) — its only two misses, both paid by
+	// group index and one for the x>=0 predicate bitmap (columns are read in
+	// place, so no attribute costs a pass) — its only two misses, both paid by
 	// this executor. Both tables fit in one morsel, so MorselsScanned counts
 	// scans: discovery for each of the 2 plan groups, one streaming
 	// accumulator pass for group A (Sum/Avg share it; group B's Count needs
