@@ -28,8 +28,9 @@ type Table struct {
 const MaxRows = math.MaxInt32
 
 // checkRows fails when a table of have rows taking add more would pass
-// MaxRows. It is the one row-limit check: every table build (AddColumn) and
-// every append (AppendRows, and so query.Append) runs it before mutating.
+// MaxRows. It is the one row-limit check: every table build (AddColumn, and
+// Take, which panics on it) and every append (AppendRows, and so
+// query.Append) runs it before mutating.
 func checkRows(have, add int) error {
 	if add > MaxRows-have {
 		return fmt.Errorf("dataframe: %d rows plus %d pass the %d-row table limit", have, add, MaxRows)
@@ -239,8 +240,12 @@ func (t *Table) SelectColumns(names ...string) (*Table, error) {
 	return out, nil
 }
 
-// Take returns a new table containing the rows listed in idx, in order.
+// Take returns a new table containing the rows listed in idx, in order. It
+// panics when idx lists more than MaxRows rows.
 func (t *Table) Take(idx []int) *Table {
+	if err := checkRows(0, len(idx)); err != nil {
+		panic("dataframe: Take: " + err.Error())
+	}
 	out := &Table{index: map[string]int{}, nrows: len(idx)}
 	for _, c := range t.cols {
 		taken := c.Take(idx)

@@ -42,6 +42,7 @@ func fitGoldenCases() []fitGoldenCase {
 	}
 	return []fitGoldenCase{
 		{name: "student_xgb", model: ml.KindXGB, cfg: Config{Seed: 1}},
+		{name: "student_rf", model: ml.KindRF, cfg: Config{Seed: 1}},
 		{name: "student_nowu_seeds", model: ml.KindLR,
 			cfg: Config{Seed: 1, DisableWarmup: true, SeedQueries: seeds}},
 		{name: "student_noqti", model: ml.KindLR, cfg: Config{Seed: 1, DisableQTI: true}},
@@ -124,10 +125,13 @@ func runGoldenFitMulti(t *testing.T, c fitGoldenCase) []byte {
 }
 
 // TestFitPlansPinned pins whole Fit runs: the plan bytes and the evaluator's
-// work counters of three Fit configurations, and the plan of one split-scenario
-// FitMulti, must match checked-in fixtures at every GOMAXPROCS, so running the template searches concurrently can never
-// change what a fit learns. Regenerate (only for a deliberate plan change)
-// with UPDATE_GOLDEN=1 go test ./internal/feataug -run TestFitPlansPinned.
+// work counters of four Fit configurations, and the plan of one
+// split-scenario FitMulti, must match checked-in fixtures at every
+// GOMAXPROCS, so running the template searches concurrently can never change
+// what a fit learns. The RF case also pins classification CART, whose Gini
+// counts are exact, so no tie order among equal values can move it.
+// Regenerate (only for a deliberate plan change) with UPDATE_GOLDEN=1 go test
+// ./internal/feataug -run TestFitPlansPinned.
 func TestFitPlansPinned(t *testing.T) {
 	countsPath := filepath.Join("testdata", "fit_golden_counts.json")
 	if os.Getenv("UPDATE_GOLDEN") != "" {

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -131,12 +132,14 @@ func (m *GBDT) Fit(X [][]float64, y []float64) error {
 					}
 				}
 			}
-			for i := range g.rows { // the last tree's partitions reordered them
-				g.rows[i] = i
+			// The last tree's partitions reordered both.
+			for i := range g.rows {
+				g.rows[i] = int32(i)
 			}
+			copy(g.orders, g.sorted)
 			root := uint32(len(g.nodes))
 			g.nodes = append(g.nodes, gbNode{})
-			g.grow(root, g.rows, 0)
+			g.grow(root, 0, n, 0)
 			m.roots[c] = append(m.roots[c], root)
 			for i := 0; i < n; i++ {
 				scores[i] += m.opts.LearningRate * g.leafWeight[i]
@@ -150,75 +153,35 @@ func (m *GBDT) Fit(X [][]float64, y []float64) error {
 // gbGrower is one Fit's exact greedy split search and its scratch, shared by
 // every round and every class booster.
 //
-// Tie order is part of the model. A split's GL/HL are summed in the order the
-// sort leaves the node's rows in, and tied values stay wherever pdqsort puts
-// them, so the gains, and with them the chosen splits, depend on pdqsort's
-// exact permutation of the node's values taken in ascending row order. That
-// permutation is fixed by sortValRows, the package's own copy of Go 1.24's
-// pdqsort (pdqsort.go), and not by the toolchain's slices package, so a Go
-// upgrade cannot move the models; FuzzSortValRowsMatchesSortFunc flags any
-// drift between the two. Partitions are stable so a node's rows stay
-// ascending, and sorted orders are memoised by row set, which is exact
-// because the permutation depends only on the value sequence and the data is
-// fixed for the Fit. The root (rows 0..n-1) is thus sorted once, and the
-// child row sets boosting revisits round after round are not sorted again. A
-// stable sort, or a child order filtered from its parent's sorted order,
-// would break ties differently and change the models.
+// Each feature's rows are sorted once per Fit, by (value, row) under
+// cmp.Compare (so NaNs first), into sorted; see sortValRows. A tree starts
+// from a copy of those root orders, and a node owns the same position range
+// [lo, hi) in rows and in every feature's order. A split partitions each of
+// those segments in place and stably, so every child's segment is its
+// parent's order filtered: still sorted by (value, row), with nothing sorted
+// again. Tie order is part of the model, because a split's GL/HL are summed
+// in the scanned order; it is fixed by the rows' ids, not by a sort
+// algorithm, so no library sort or toolchain can move the models. A node's
+// own G and H, and the leaf weights, are summed over rows, which stays in
+// ascending row order: the one canonical order, present even when the model
+// has no features.
 //
 // Growers are pooled: Fit takes one from growerPool and puts it back when it
-// returns, so the scratch slices, the memo's map and its slab are reused
-// across fits. A model keeps nothing of the grower's: the trees grow into the
-// grower's node scratch, and the model takes a copy of exactly the nodes it
-// grew. A pooled grower keeps its memo slab, as large as the largest memo a
-// fit built (orderMemoBytes plus growth slack, or the root's orders when
-// those alone are larger), until a GC clears the pool.
+// returns, so the scratch slices are reused across fits. A model keeps
+// nothing of the grower's: the trees grow into the grower's node scratch, and
+// the model takes a copy of exactly the nodes it grew.
 type gbGrower struct {
 	m              *GBDT
 	cols           [][]float64 // the training matrix, column-major
 	grad, hess     []float64
 	target, scores []float64 // the class booster's labels and running scores
-	rows           []int
+	sorted         []int32   // feature j's root order at [j*n, (j+1)*n)
+	orders         []int32   // this tree's orders, laid out as sorted
+	rows           []int32   // this tree's rows, ascending within each node
+	part           []int32
 	pairs          []valRow
-	part           []int
 	leafWeight     []float64 // per training row: the weight of the leaf it reached this round
 	nodes          []gbNode  // every tree grown in this fit
-
-	// The sorted-order memo. Entry i's row set is slab[off:off+n], followed
-	// by one order of n rows per feature; heads maps a row-set hash to its
-	// newest entry, and entries with equal hashes chain through next.
-	heads   map[uint64]int32
-	entries []memoEntry
-	slab    []int32
-	budget  int // bytes the memo may still take
-}
-
-// orderMemoBytes bounds one Fit's sorted-order memo; once it is spent, new
-// row sets are sorted without being kept. The root's orders, the first
-// stored, are kept whatever their size.
-const orderMemoBytes = 8 << 20
-
-// memoEntry locates one memoised row set in the grower's slab.
-type memoEntry struct {
-	off, n int
-	next   int32 // the entry with the same hash stored before it, or -1
-}
-
-// nodeOrders is one row set's sort result: n rows in the order pdqsort leaves
-// each feature's values in, feature after feature. A feature whose first
-// entry is -1 has equal sorted ends (a constant feature, or one a NaN hides
-// the spread of), which the split scan has always skipped.
-type nodeOrders struct {
-	perms []int32
-	n     int
-}
-
-// feature returns feature j's sorted order, or nil when the scan skips it.
-func (o nodeOrders) feature(j int) []int32 {
-	perm := o.perms[j*o.n : (j+1)*o.n]
-	if perm[0] < 0 {
-		return nil
-	}
-	return perm
 }
 
 // valRow is one row's feature value, sorted by value.
@@ -227,24 +190,44 @@ type valRow struct {
 	r int32
 }
 
-var growerPool = sync.Pool{New: func() any {
-	return &gbGrower{heads: map[uint64]int32{}}
-}}
+// cmpValRow orders valRows by value under cmp.Compare (NaN below every
+// number), then by row, a total order on distinct rows.
+func cmpValRow(a, b valRow) int {
+	if c := cmp.Compare(a.v, b.v); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.r, b.r)
+}
+
+// sortValRows sorts x by cmpValRow. Every row appears once in a GBDT order,
+// and a bootstrap's repeated rows are equal pairs, so the result is the one
+// permutation any correct sort leaves: on ascending row ids, exactly what a
+// stable sort by value leaves.
+func sortValRows(x []valRow) { slices.SortFunc(x, cmpValRow) }
+
+var growerPool = sync.Pool{New: func() any { return new(gbGrower) }}
 
 // getGBGrower takes a grower from the pool and readies it for a fit of m on
-// the n rows of cols.
+// the n rows of cols, sorting each feature's root order.
 func getGBGrower(m *GBDT, cols [][]float64, n int) *gbGrower {
 	g := growerPool.Get().(*gbGrower)
 	g.m, g.cols = m, cols
 	g.grad, g.hess = resized(g.grad, n), resized(g.hess, n)
 	g.target, g.scores = resized(g.target, n), resized(g.scores, n)
-	g.rows, g.pairs = resized(g.rows, n), resized(g.pairs, n)
-	g.part = resized(g.part, n)[:0]
+	g.sorted, g.orders = resized(g.sorted, n*len(cols)), resized(g.orders, n*len(cols))
+	g.rows, g.part = resized(g.rows, n), resized(g.part, n)
+	g.pairs = resized(g.pairs, n)
 	g.leafWeight = resized(g.leafWeight, n)
 	g.nodes = g.nodes[:0]
-	clear(g.heads)
-	g.entries, g.slab = g.entries[:0], g.slab[:0]
-	g.budget = orderMemoBytes
+	for j, col := range cols {
+		for r, v := range col {
+			g.pairs[r] = valRow{v, int32(r)}
+		}
+		sortValRows(g.pairs)
+		for k, pr := range g.pairs {
+			g.sorted[j*n+k] = pr.r
+		}
+	}
 	return g
 }
 
@@ -262,74 +245,11 @@ func resized[E any](s []E, n int) []E {
 	return s[:n]
 }
 
-// sortedOrders returns the per-feature sorted orders of rows (ascending),
-// from the memo when this row set was sorted before in the Fit. The result
-// is valid until the next call.
-func (g *gbGrower) sortedOrders(rows []int) nodeOrders {
-	h := uint64(14695981039346656037) // FNV-1a over the row indices
-	for _, r := range rows {
-		h = (h ^ uint64(r)) * 1099511628211
-	}
-	n, p := len(rows), len(g.cols)
-	next := int32(-1)
-	if head, ok := g.heads[h]; ok {
-		next = head
-		for i := head; i >= 0; i = g.entries[i].next {
-			e := g.entries[i]
-			if e.n == n && sameRows(g.slab[e.off:e.off+n], rows) {
-				return nodeOrders{g.slab[e.off+n : e.off+n*(1+p)], n}
-			}
-		}
-	}
-	// Sort into the slab past its end, and keep the entry by extending the
-	// slab over it when the budget allows.
-	off, size := len(g.slab), n*(1+p)
-	g.slab = slices.Grow(g.slab, size)
-	e := g.slab[off : off+size]
-	for k, r := range rows {
-		e[k] = int32(r)
-	}
-	pairs := g.pairs[:n]
-	for j, col := range g.cols {
-		perm := e[n*(1+j) : n*(2+j)]
-		perm[0] = -1
-		if constantOn(col, rows) {
-			continue
-		}
-		for k, r := range rows {
-			pairs[k] = valRow{col[r], int32(r)}
-		}
-		sortValRows(pairs)
-		if pairs[0].v == pairs[n-1].v {
-			continue
-		}
-		for k, pr := range pairs {
-			perm[k] = pr.r
-		}
-	}
-	if cost := 4 * size; cost <= g.budget || len(g.entries) == 0 {
-		g.budget -= cost
-		g.slab = g.slab[:off+size]
-		g.heads[h] = int32(len(g.entries))
-		g.entries = append(g.entries, memoEntry{off: off, n: n, next: next})
-	}
-	return nodeOrders{e[n:], n}
-}
-
-// sameRows reports whether the stored row set s equals rows.
-func sameRows(s []int32, rows []int) bool {
-	for k, r := range rows {
-		if int(s[k]) != r {
-			return false
-		}
-	}
-	return true
-}
-
-// grow grows the tree over rows into g.nodes[at], which the caller has
-// appended.
-func (g *gbGrower) grow(at uint32, rows []int, depth int) {
+// grow grows the tree over the node at positions [lo, hi) into g.nodes[at],
+// which the caller has appended.
+func (g *gbGrower) grow(at uint32, lo, hi, depth int) {
 	o := g.m.opts
+	rows := g.rows[lo:hi]
 	var G, H float64
 	for _, r := range rows {
 		G += g.grad[r]
@@ -346,48 +266,62 @@ func (g *gbGrower) grow(at uint32, rows []int, depth int) {
 		leaf()
 		return
 	}
-	bestGain := 0.0
-	bestFeat, bestThresh := -1, 0.0
-	parentScore := G * G / (H + o.Lambda)
-	orders := g.sortedOrders(rows)
-	for j, col := range g.cols {
-		perm := orders.feature(j)
-		var GL, HL float64
-		for i := 0; i < len(perm)-1; i++ {
-			r := perm[i]
-			GL += g.grad[r]
-			HL += g.hess[r]
-			v, next := col[r], col[perm[i+1]]
-			if v == next {
-				continue
-			}
-			GR, HR := G-GL, H-HL
-			if HL < o.MinChildWeight || HR < o.MinChildWeight {
-				continue
-			}
-			gain := GL*GL/(HL+o.Lambda) + GR*GR/(HR+o.Lambda) - parentScore
-			if gain > bestGain {
-				bestGain = gain
-				bestFeat = j
-				bestThresh = (v + next) / 2
-			}
-		}
-	}
+	bestFeat, bestThresh, bestGain := g.bestSplit(lo, hi, G, H)
 	if bestFeat < 0 || bestGain <= 1e-12 {
 		leaf()
 		return
 	}
-	nl := partitionRows(g.cols[bestFeat], rows, g.part, bestThresh)
+	col := g.cols[bestFeat]
+	nl := partitionRows(col, rows, g.part, bestThresh)
 	if nl == 0 || nl == len(rows) {
 		leaf()
 		return
+	}
+	if depth+1 < o.MaxDepth { // children at the depth limit are leaves and scan nothing
+		n := len(g.rows)
+		for j := range g.cols {
+			partitionRows(col, g.orders[j*n+lo:j*n+hi], g.part, bestThresh)
+		}
 	}
 	g.m.gains[bestFeat] += bestGain
 	left := uint32(len(g.nodes))
 	g.nodes = append(g.nodes, gbNode{}, gbNode{})
 	g.nodes[at] = gbNode{value: bestThresh, feature: int32(bestFeat), left: left}
-	g.grow(left, rows[:nl], depth+1)
-	g.grow(left+1, rows[nl:], depth+1)
+	g.grow(left, lo, lo+nl, depth+1)
+	g.grow(left+1, lo+nl, hi, depth+1)
+}
+
+// bestSplit scans every feature's order of the node at [lo, hi), whose
+// gradient and hessian sums are G and H, for the split of largest gain; a
+// split falls between two unequal adjacent values. It returns feature -1
+// when no split clears MinChildWeight on both sides with positive gain.
+func (g *gbGrower) bestSplit(lo, hi int, G, H float64) (feat int, thresh, gain float64) {
+	lambda, minWeight := g.m.opts.Lambda, g.m.opts.MinChildWeight
+	grad, hess := g.grad, g.hess
+	feat = -1
+	parentScore := G * G / (H + lambda)
+	n := len(g.rows)
+	for j, col := range g.cols {
+		perm := g.orders[j*n+lo : j*n+hi]
+		var GL, HL float64
+		for i := 0; i < len(perm)-1; i++ {
+			r := perm[i]
+			GL += grad[r]
+			HL += hess[r]
+			v, next := col[r], col[perm[i+1]]
+			if v == next {
+				continue
+			}
+			GR, HR := G-GL, H-HL
+			if HL < minWeight || HR < minWeight {
+				continue
+			}
+			if s := GL*GL/(HL+lambda) + GR*GR/(HR+lambda) - parentScore; s > gain {
+				feat, thresh, gain = j, (v+next)/2, s
+			}
+		}
+	}
+	return feat, thresh, gain
 }
 
 // predictGB walks the tree rooted at nodes[root] for row and returns the

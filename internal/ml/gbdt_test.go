@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 )
@@ -67,50 +66,4 @@ func TestGBDTConcurrentFitsMatchSequential(t *testing.T) {
 			sameBits(t, what+" importance", got[w][i].FeatureImportance(), want[i].FeatureImportance())
 		}
 	}
-}
-
-// TestSortedOrdersOverBudget checks the memo once its budget is spent: a row
-// set that is not kept is sorted into the slab's spare room, and neither that
-// nor a later miss may disturb the orders of the row sets that were kept.
-func TestSortedOrdersOverBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	X, _ := tieHeavyProblem(rng, Binary, 60, 4)
-	cols := columns(X)
-	sets := [][]int{{}, {}, {}}
-	for r := range X {
-		sets[0] = append(sets[0], r)
-		sets[1+r%2] = append(sets[1+r%2], r)
-	}
-	g := getGBGrower(NewGBDT(Binary, GBDTOptions{}), cols, len(X))
-	defer g.release()
-	g.budget = 0 // only the first row set, the root, is kept
-	for _, k := range []int{0, 1, 2, 0, 2, 1, 0} {
-		o := g.sortedOrders(sets[k])
-		for j, col := range cols {
-			if got, want := o.feature(j), refOrder(col, sets[k]); !slices.Equal(got, want) {
-				t.Fatalf("row set %d, feature %d: order %v, want %v", k, j, got, want)
-			}
-		}
-	}
-	if len(g.entries) != 1 {
-		t.Fatalf("memo holds %d row sets, want the root only", len(g.entries))
-	}
-}
-
-// refOrder is feature col's sorted order of rows as the split scan wants it:
-// slices.SortFunc's permutation, or nil when the sorted ends are equal.
-func refOrder(col []float64, rows []int) []int32 {
-	pairs := make([]valRow, len(rows))
-	for k, r := range rows {
-		pairs[k] = valRow{col[r], int32(r)}
-	}
-	slices.SortFunc(pairs, cmpValRow)
-	if pairs[0].v == pairs[len(pairs)-1].v {
-		return nil
-	}
-	perm := make([]int32, len(pairs))
-	for k, e := range pairs {
-		perm[k] = e.r
-	}
-	return perm
 }

@@ -1,18 +1,22 @@
 package ml
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
 
-// The reference trainers below are the exact split search as it stood before
-// the sort-once / in-place rewrite: sort.Slice per feature per node, fresh
-// buffers per node, and scores updated by re-walking each new tree. They are
-// test-local oracles, so no second training path lives in the package; the
-// equivalence tests require the package's trainers to build the same trees,
-// bit for bit.
+// The reference trainers below are naive: every node gathers its rows,
+// sorts them stably by value (cmp.Compare, so NaNs first) in fresh buffers,
+// and partitions into fresh slices, and scores are updated by re-walking each
+// new tree. A node's rows ascend, so its stable order is the (value, row)
+// order the package's presorted orders keep, and its G and H are summed in
+// that ascending row order, as the package sums them. They are test-local
+// oracles, so no second training path lives in the package; the equivalence
+// tests require the package's trainers to build the same trees, bit for bit.
 
 // refFitGBDT trains m the reference way.
 func refFitGBDT(m *GBDT, X [][]float64, y []float64) {
@@ -28,6 +32,10 @@ func refFitGBDT(m *GBDT, X [][]float64, y []float64) {
 	m.roots = make([][]uint32, m.classes)
 	m.nodes = nil
 	n := len(X)
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
 	for c := 0; c < m.classes; c++ {
 		target := make([]float64, n)
 		for i := range target {
@@ -53,10 +61,6 @@ func refFitGBDT(m *GBDT, X [][]float64, y []float64) {
 		}
 		grad := make([]float64, n)
 		hess := make([]float64, n)
-		rows := make([]int, n)
-		for i := range rows {
-			rows[i] = i
-		}
 		for round := 0; round < m.opts.NumRounds; round++ {
 			for i := 0; i < n; i++ {
 				if m.task == Regression {
@@ -82,71 +86,57 @@ func refFitGBDT(m *GBDT, X [][]float64, y []float64) {
 	}
 }
 
-// fgh is one row's (feature value, gradient, hessian) in a reference scan.
-type fgh struct{ v, g, h float64 }
-
-// refGrowTree grows the tree over rows into m.nodes[at], which the caller
-// has appended, appending each split's two children side by side.
+// refGrowTree grows the tree over rows (ascending) into m.nodes[at], which
+// the caller has appended, appending each split's two children side by side.
 func refGrowTree(m *GBDT, at uint32, X [][]float64, grad, hess []float64, rows []int, depth int) {
+	o := m.opts
 	var G, H float64
 	for _, r := range rows {
 		G += grad[r]
 		H += hess[r]
 	}
-	leaf := func() {
-		m.nodes[at] = gbNode{value: -G / (H + m.opts.Lambda), feature: -1}
-	}
-	if depth >= m.opts.MaxDepth || len(rows) < 2 {
-		leaf()
+	if depth >= o.MaxDepth || len(rows) < 2 {
+		m.nodes[at] = gbNode{value: -G / (H + o.Lambda), feature: -1}
 		return
 	}
 	bestGain := 0.0
 	bestFeat, bestThresh := -1, 0.0
-	parentScore := G * G / (H + m.opts.Lambda)
-	p := len(X[rows[0]])
-	vals := make([]fgh, 0, len(rows))
-	for j := 0; j < p; j++ {
-		vals = vals[:0]
-		for _, r := range rows {
-			vals = append(vals, fgh{X[r][j], grad[r], hess[r]})
-		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
-		if vals[0].v == vals[len(vals)-1].v {
-			continue
-		}
+	parentScore := G * G / (H + o.Lambda)
+	for j := range X[0] {
+		sorted := slices.Clone(rows)
+		sort.SliceStable(sorted, func(a, b int) bool {
+			return cmp.Less(X[sorted[a]][j], X[sorted[b]][j])
+		})
 		var GL, HL float64
-		for i := 0; i < len(vals)-1; i++ {
-			GL += vals[i].g
-			HL += vals[i].h
-			if vals[i].v == vals[i+1].v {
+		for i := 0; i+1 < len(sorted); i++ {
+			GL += grad[sorted[i]]
+			HL += hess[sorted[i]]
+			v, next := X[sorted[i]][j], X[sorted[i+1]][j]
+			if v == next {
 				continue
 			}
 			GR, HR := G-GL, H-HL
-			if HL < m.opts.MinChildWeight || HR < m.opts.MinChildWeight {
+			if HL < o.MinChildWeight || HR < o.MinChildWeight {
 				continue
 			}
-			gain := GL*GL/(HL+m.opts.Lambda) + GR*GR/(HR+m.opts.Lambda) - parentScore
+			gain := GL*GL/(HL+o.Lambda) + GR*GR/(HR+o.Lambda) - parentScore
 			if gain > bestGain {
-				bestGain = gain
-				bestFeat = j
-				bestThresh = (vals[i].v + vals[i+1].v) / 2
+				bestGain, bestFeat, bestThresh = gain, j, (v+next)/2
 			}
 		}
 	}
-	if bestFeat < 0 || bestGain <= 1e-12 {
-		leaf()
-		return
-	}
 	var left, right []int
-	for _, r := range rows {
-		if X[r][bestFeat] <= bestThresh {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
+	if bestFeat >= 0 && bestGain > 1e-12 {
+		for _, r := range rows {
+			if X[r][bestFeat] <= bestThresh {
+				left = append(left, r)
+			} else {
+				right = append(right, r)
+			}
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
-		leaf()
+		m.nodes[at] = gbNode{value: -G / (H + o.Lambda), feature: -1}
 		return
 	}
 	m.gains[bestFeat] += bestGain
@@ -222,6 +212,9 @@ func refBuildTree(X [][]float64, y []float64, rows []int, depth int, o treeOptio
 	}
 }
 
+// refBestSplit sorts each candidate's values by value, then row. A bootstrap
+// node's rows are neither ascending nor distinct, so a stable sort by value
+// alone would leave ties in draw order.
 func refBestSplit(X [][]float64, y []float64, rows []int, o treeOptions) (feat int, thresh float64, ok bool) {
 	p := len(X[rows[0]])
 	candidates := make([]int, p)
@@ -236,16 +229,17 @@ func refBestSplit(X [][]float64, y []float64, rows []int, o treeOptions) (feat i
 		candidates = candidates[:o.maxFeatures]
 	}
 	bestScore := math.Inf(1)
-	vals := make([]valRow, 0, len(rows))
 	for _, j := range candidates {
-		vals = vals[:0]
+		var vals []valRow
 		for _, r := range rows {
 			vals = append(vals, valRow{X[r][j], int32(r)})
 		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
-		if vals[0].v == vals[len(vals)-1].v {
-			continue
-		}
+		sort.Slice(vals, func(a, b int) bool {
+			if c := cmp.Compare(vals[a].v, vals[b].v); c != 0 {
+				return c < 0
+			}
+			return vals[a].r < vals[b].r
+		})
 		if o.regression {
 			score, th, found := bestVarianceSplit(vals, y, o.minSamplesLeaf)
 			if found && score < bestScore {

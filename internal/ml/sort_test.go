@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -63,44 +64,29 @@ func valRowsFromBytes(data []byte) []valRow {
 	return x
 }
 
-// cmpValue is the sort order sortValRows must reproduce: −1 on a < b, +1 on
-// a > b and 0 otherwise, so NaN ties with everything. pdqsort asks only
-// whether cmp(a, b) < 0, the same a < b question sort.Slice asks, so it leaves
-// the same permutation, ties included. cmp.Compare would order NaN first and
-// move ties.
-func cmpValue(a, b float64) int {
-	if a < b {
-		return -1
-	}
-	if a > b {
-		return 1
-	}
-	return 0
-}
-
-// cmpValRow orders valRows by value with cmpValue, the comparator the split
-// searches sorted with through slices.SortFunc before sortValRows.
-func cmpValRow(a, b valRow) int { return cmpValue(a.v, b.v) }
-
-// checkSortMatches sorts x with sortValRows and with slices.SortFunc and
-// requires the same permutation, value bits and row ids alike.
+// checkSortMatches sorts x with sortValRows and stably by value alone
+// (slices.SortStableFunc under cmp.Compare) and requires the same
+// permutation, value bits and row ids alike. x's rows ascend, so the two
+// agree only if NaNs, signed zeros and ties all fall where a stable sort puts
+// them: the order the test-local reference trainer's per-node stable sorts
+// leave, which GBDT's root orders and CART's node sorts must equal.
 func checkSortMatches(t *testing.T, x []valRow) {
 	t.Helper()
 	got, want := slices.Clone(x), slices.Clone(x)
 	sortValRows(got)
-	slices.SortFunc(want, cmpValRow)
+	slices.SortStableFunc(want, func(a, b valRow) int { return cmp.Compare(a.v, b.v) })
 	for k := range got {
 		if got[k].r != want[k].r || math.Float64bits(got[k].v) != math.Float64bits(want[k].v) {
-			t.Fatalf("n=%d: position %d holds row %d (%v), slices.SortFunc row %d (%v)",
+			t.Fatalf("n=%d: position %d holds row %d (%v), stable sort row %d (%v)",
 				len(x), k, got[k].r, got[k].v, want[k].r, want[k].v)
 		}
 	}
 }
 
-// FuzzSortValRowsMatchesSortFunc requires the package's pdqsort copy to leave
-// slices.SortFunc's exact permutation on any decoded input. The seed corpus
-// covers every shape at the lengths around the insertion-sort cutoff (12)
-// and the ninther's (50), and runs under plain `go test`.
+// FuzzSortValRowsMatchesSortFunc requires sortValRows to leave a stable
+// sort's exact permutation on any decoded input. The seed corpus covers every
+// shape at the lengths around pdqsort's insertion-sort cutoff (12) and its
+// ninther's (50), and runs under plain `go test`.
 func FuzzSortValRowsMatchesSortFunc(f *testing.F) {
 	rng := rand.New(rand.NewSource(36))
 	for _, n := range []int{0, 1, 2, 7, 12, 13, 14, 49, 50, 51, 64, 100, 257, 500} {
@@ -125,7 +111,9 @@ func FuzzSortValRowsMatchesSortFunc(f *testing.F) {
 // Quicksort", 1999), as Go's sort.TestAdversary does, against
 // slices.SortFunc, and returns the input it commits to: a permutation of
 // 0..n-1 on which pdqsort keeps choosing pivots near the bottom of the range
-// until it falls back to heapsort, which random inputs never reach.
+// until it falls back to heapsort, which random inputs never reach. The
+// values are distinct, so sortValRows, which breaks ties by row only, makes
+// the same comparisons and reaches heapsort too.
 //
 // Values are fixed only as comparisons demand: an unset ("gas") value is
 // above every set one, and when two gas values meet, the pivot candidate (the
@@ -166,7 +154,7 @@ func antiqsortInput(n int) []valRow {
 		} else if val[j] == gas {
 			candidate = j
 		}
-		return cmpValue(float64(val[i]), float64(val[j]))
+		return cmp.Compare(val[i], val[j])
 	})
 	for _, e := range ids { // elements never set are above all set ones
 		if val[e.r] == gas {
@@ -188,7 +176,7 @@ func TestSortValRowsAdversary(t *testing.T) {
 		// The same input with values above n/2 tied in threes. Only
 		// heapsort compares two of those (every element a partition meets
 		// is set below them first), so pdqsort takes the same path to
-		// heapsort and heapsort's tie order is checked too.
+		// heapsort, which is not stable: the row ids must order the ties.
 		tied := slices.Clone(x)
 		for k, e := range tied {
 			if h := float64(n / 2); e.v > h {

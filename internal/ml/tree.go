@@ -31,7 +31,7 @@ type treeOptions struct {
 // place. cols is the training matrix column-major (see columns).
 func buildTree(cols [][]float64, y []float64, rows []int, depth int, o treeOptions) *treeNode {
 	b := &cartBuilder{cols: cols, y: y, o: o,
-		vals: make([]valRow, len(rows)), part: make([]int, 0, len(rows)), cand: make([]int, len(cols))}
+		vals: make([]valRow, len(rows)), part: make([]int, len(rows)), cand: make([]int, len(cols))}
 	return b.grow(rows, depth)
 }
 
@@ -82,18 +82,21 @@ func (b *cartBuilder) grow(rows []int, depth int) *treeNode {
 // come first, each side keeping its relative order (the order appending to
 // two lists gives), and returns how many went left. buf is scratch with
 // capacity for rows.
-func partitionRows(col []float64, rows, buf []int, t float64) int {
-	right := buf[:0]
-	nl := 0
+func partitionRows[R int | int32](col []float64, rows, buf []R, t float64) int {
+	right := buf[:len(rows)]
+	nl, nr := 0, 0
 	for _, r := range rows {
+		// Both stores happen and one count moves, so the loop has no branch
+		// to mispredict; rows[nl] is at or before the row just read.
+		l := 0
 		if col[r] <= t {
-			rows[nl] = r
-			nl++
-		} else {
-			right = append(right, r)
+			l = 1
 		}
+		rows[nl], right[nr] = r, r
+		nl += l
+		nr += 1 - l
 	}
-	copy(rows[nl:], right)
+	copy(rows[nl:], right[:nr])
 	return nl
 }
 
@@ -161,11 +164,10 @@ func makeLeaf(y []float64, rows []int, o treeOptions) *treeNode {
 // bestSplit scans candidate features for the impurity-minimising threshold.
 // Classification uses Gini; regression uses within-node variance.
 //
-// The scans accumulate in the order the sort leaves tied values in, so the
-// scores depend on pdqsort's exact permutation of the node's values in row
-// order; any change to the sort or to the node's row order is a model change
-// (see gbGrower). The sort is sortValRows, the package's own pdqsort copy
-// (pdqsort.go), so a toolchain upgrade cannot move it.
+// Each candidate's values are sorted by (value, row) with sortValRows, so a
+// regression scan's sums run in an order fixed by the rows, not by a sort
+// algorithm; Gini counts are exact, so a classification scan sees no tie
+// order at all.
 func (b *cartBuilder) bestSplit(rows []int) (feat int, thresh float64, ok bool) {
 	o := b.o
 	p := len(b.cols)
@@ -192,9 +194,6 @@ func (b *cartBuilder) bestSplit(rows []int) (feat int, thresh float64, ok bool) 
 			vals[k] = valRow{col[r], int32(r)}
 		}
 		sortValRows(vals)
-		if vals[0].v == vals[len(vals)-1].v {
-			continue // constant apart from NaN
-		}
 		if o.regression {
 			score, th, found := bestVarianceSplit(vals, b.y, o.minSamplesLeaf)
 			if found && score < bestScore {

@@ -119,7 +119,8 @@ func deltaQueryPool(t testing.TB, r *dataframe.Table, nq int, seed int64) []Quer
 
 // TestDeltaDifferential enforces delta maintenance: after every append, a
 // delta-maintained executor and a from-scratch executor over the concatenated
-// rows must return row-for-row identical batches. The sweep covers append
+// rows must return row-for-row identical batches, and the delta executor's
+// batch must equal the Query.Augment oracle (checkGroups). The sweep covers append
 // sizes 1, 7, a morsel-boundary batch and a multi-morsel batch (morsel size
 // 64), NULL-heavy deltas, deltas creating new groups and widening integer
 // domains, a mid-domain dictionary value and a
@@ -165,6 +166,10 @@ func TestDeltaDifferential(t *testing.T) {
 					t.Fatalf("%s: fresh: %v", round, err)
 				}
 				sameMatrix(t, round+" delta-vs-fresh", got, fresh, qs)
+				// The fresh executor shares the delta executor's kernels, so
+				// a fault in both passes the comparison above; the oracle
+				// shares none.
+				checkGroups(t, round+" delta-vs-oracle", exDelta, qs, ref)
 			}
 
 			check("cold")
